@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .grid import BinaryMask, Grid, LandCoverMap, MultiBandImage, mask_like, require_same_geometry
+from .markov import _pair_counts
 
 SCORE_NODATA = -1e300  # -9999 is a reachable log-score, so score grids use their own sentinel
 
@@ -272,14 +273,7 @@ def confusion(
     if not sel.any():
         raise DataError("no jointly valid pixels to compare")
     ids = sorted(set(predicted.class_ids) | set(reference.class_ids))
-    pos = {cid: i for i, cid in enumerate(ids)}
-    p = predicted.labels[sel]
-    r = reference.labels[sel]
-    k = len(ids)
-    flat = np.array([pos[c] for c in r], dtype=np.int64) * k + np.array(
-        [pos[c] for c in p], dtype=np.int64
-    )
-    counts = np.bincount(flat, minlength=k * k).reshape(k, k)
+    counts = _pair_counts(reference.labels[sel], predicted.labels[sel], ids)
     return ConfusionMatrix(counts, tuple(ids))
 
 

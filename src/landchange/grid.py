@@ -9,7 +9,11 @@ The on-disk format is a plain-text grid: six header lines (NCOLS, NROWS,
 XLLCORNER, YLLCORNER, CELLSIZE, NODATA_VALUE, any case, any order) followed
 by NROWS lines of NCOLS whitespace-separated decimal values, first line =
 northernmost row. Values are written in shortest round-trip form, so a
-write/read cycle is bit-exact.
+write/read cycle is bit-exact, except that -0.0 is written as 0. The
+writer formats each distinct value of a grid once and gathers the strings
+into rows; the bytes are the same as formatting every cell on its own.
+The reader accepts finite values only: a non-finite header value or cell
+is a format error.
 """
 
 from __future__ import annotations
@@ -217,8 +221,15 @@ def _format_value(v: float) -> str:
 
 def read_ascii_grid(path) -> Grid:
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except OSError as e:
+        raise GridFormatError(f"{path}: cannot read grid: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise GridFormatError(
+            f"{path}: byte {e.object[e.start]:#04x} at offset {e.start} is not ASCII"
+        ) from None
 
     header: dict[str, float] = {}
     lineno = 0
@@ -238,6 +249,10 @@ def read_ascii_grid(path) -> Grid:
             raise GridFormatError(
                 f"{path}:{lineno}: non-numeric header value {parts[1]!r} for {parts[0]}"
             ) from None
+        if not math.isfinite(header[key]):
+            raise GridFormatError(
+                f"{path}:{lineno}: non-finite header value {parts[1]!r} for {parts[0]}"
+            )
 
     missing = [k.upper() for k in _HEADER_KEYS if k not in header]
     if missing:
@@ -263,7 +278,7 @@ def read_ascii_grid(path) -> Grid:
                 f"{path}:{i}: value count mismatch, expected {n_cols} values, got {len(tokens)}"
             )
         try:
-            rows.append(np.array(tokens, dtype=np.float64))
+            row = np.array(tokens, dtype=np.float64)
         except ValueError:
             for t in tokens:
                 try:
@@ -271,6 +286,11 @@ def read_ascii_grid(path) -> Grid:
                 except ValueError:
                     raise GridFormatError(f"{path}:{i}: non-numeric token {t!r}") from None
             raise
+        finite = np.isfinite(row)
+        if not finite.all():
+            bad = tokens[int(np.argmin(finite))]
+            raise GridFormatError(f"{path}:{i}: non-finite value {bad!r}")
+        rows.append(row)
     if data_lines < n_rows:
         raise GridFormatError(f"{path}: expected {n_rows} data rows, found {data_lines}")
 
@@ -293,8 +313,11 @@ def write_ascii_grid(grid: Grid, path) -> None:
         f"CELLSIZE {_format_value(grid.cell_size)}",
         f"NODATA_VALUE {_format_value(grid.nodata_value)}",
     ]
-    for r in range(grid.n_rows):
-        out.append(" ".join(_format_value(v) for v in grid.values[r]))
+    # grids hold few distinct values, so format each one once and gather;
+    # -0.0/0.0 and all NaNs merge here but format to the same text anyway
+    distinct, inverse = np.unique(grid.values, return_inverse=True)
+    text = np.array([_format_value(v) for v in distinct.tolist()], dtype=object)
+    out.extend(" ".join(row) for row in text[inverse.reshape(grid.shape)].tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
 

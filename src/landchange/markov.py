@@ -46,6 +46,16 @@ def _shared_ids(a: LandCoverMap, b: LandCoverMap, context: str) -> list[int]:
     return a.class_ids
 
 
+def _pair_counts(rows: np.ndarray, cols: np.ndarray, ids: list[int]) -> np.ndarray:
+    """Counts[i, j] = positions where rows holds ids[i] and cols holds ids[j].
+
+    Every value of rows and cols must be one of ids."""
+    k = len(ids)
+    pos = np.full(max(ids) + 1, -1, dtype=np.int64)
+    pos[ids] = np.arange(k)
+    return np.bincount(pos[rows] * k + pos[cols], minlength=k * k).reshape(k, k)
+
+
 def crosstab(
     map_a: LandCoverMap, map_b: LandCoverMap, mask: BinaryMask | None = None
 ) -> tuple[np.ndarray, list[int]]:
@@ -58,14 +68,7 @@ def crosstab(
         sel &= mask.selected
     if not sel.any():
         raise DataError("crosstab: no jointly valid pixels")
-    pos = np.full(max(ids) + 1, -1, dtype=np.int64)
-    for i, cid in enumerate(ids):
-        pos[cid] = i
-    k = len(ids)
-    a = pos[map_a.labels[sel]]
-    b = pos[map_b.labels[sel]]
-    counts = np.bincount(a * k + b, minlength=k * k).reshape(k, k)
-    return counts, ids
+    return _pair_counts(map_a.labels[sel], map_b.labels[sel], ids), ids
 
 
 @dataclass(frozen=True)
@@ -292,15 +295,17 @@ def read_transition_csv(path) -> TransitionMatrix:
         raise DataError(f"{path}: missing 'class' header row")
     try:
         ids = [int(c) for c in rows[0][1:]]
+        if len(rows) - 1 != len(ids):
+            raise DataError(f"{path}: expected {len(ids)} rows, got {len(rows) - 1}")
         probs = []
         for row in rows[1:]:
             if int(row[0]) != ids[len(probs)]:
                 raise DataError(f"{path}: row order does not match header order")
+            if len(row) != len(ids) + 1:
+                raise DataError(f"{path}: row {row[0]} needs {len(ids)} entries, got {len(row) - 1}")
             probs.append([float(v) for v in row[1:]])
     except ValueError:
         raise DataError(f"{path}: non-numeric matrix entry") from None
-    if len(probs) != len(ids):
-        raise DataError(f"{path}: expected {len(ids)} rows, got {len(probs)}")
     return TransitionMatrix(np.asarray(probs), span, tuple(ids))
 
 

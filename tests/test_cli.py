@@ -1,5 +1,10 @@
 """Command-line interface: exit codes and artifact wiring."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,6 +90,30 @@ def test_preprocess_and_oif(tmp_path):
 
     # label count must match band count
     assert main(["oif", b1, b2, b3, "--labels", "a,b", "--out", str(out2), "--quiet"]) == 2
+
+
+def _cli(args, cwd):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "landchange.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_unreadable_grids_exit_3_without_traceback(tmp_path):
+    res = _cli(["oif", "nope1.asc", "nope2.asc", "nope3.asc", "--out", "o", "--quiet"], tmp_path)
+    assert res.returncode == 3
+    assert "nope1.asc: cannot read grid" in res.stderr
+    assert "Traceback" not in res.stderr
+
+    good = _w(tmp_path / "b1.asc", [[5.0, 6.0], [7.0, 8.0]])
+    latin = tmp_path / "latin.asc"
+    latin.write_bytes(Path(good).read_bytes().replace(b"5 6", b"5 \xe9"))
+    res = _cli(["oif", good, good, str(latin), "--out", "o", "--quiet"], tmp_path)
+    assert res.returncode == 3
+    assert "latin.asc: byte 0xe9" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_bad_reference_mask(tmp_path):

@@ -1,7 +1,13 @@
 """Grid types, text-grid I/O, PPM export, legends."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from landchange.errors import DataError, GeometryError, GridFormatError
 from landchange.grid import (
@@ -18,6 +24,7 @@ from landchange.grid import (
     stack_bands,
     write_ascii_grid,
     write_legend,
+    _format_value,
 )
 
 
@@ -210,6 +217,71 @@ def test_one_by_one_and_all_nodata_roundtrip(tmp_path):
     back = read_ascii_grid(q)
     assert grids_equal(nd, back)
     assert not back.valid.any()
+
+
+NODATA = -9999.0
+# either side of the integer cut-off, signed zero, non-finite and nodata
+SPECIALS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 9999999999999998.0, 1e16, -1e16, NODATA, 0.1 + 0.2]
+
+
+def _cells(allow_nonfinite):
+    specials = [v for v in SPECIALS if allow_nonfinite or np.isfinite(v)]
+    return st.one_of(
+        st.sampled_from(specials),
+        st.integers(-(10**6), 10**6).map(float),
+        st.floats(allow_nan=allow_nonfinite, allow_infinity=allow_nonfinite),
+    )
+
+
+def _grids(allow_nonfinite):
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 6))
+    return shapes.flatmap(lambda sh: arrays(np.float64, sh, elements=_cells(allow_nonfinite)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grids(allow_nonfinite=True))
+def test_writer_matches_per_cell_reference(vals):
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "g.asc"
+        write_ascii_grid(Grid(vals, 1.0, nodata_value=NODATA), p)
+        lines = p.read_text(encoding="ascii").split("\n")
+    assert lines[5] == "NODATA_VALUE -9999"
+    assert lines[-1] == ""
+    assert lines[6:-1] == [" ".join(_format_value(v) for v in row) for row in vals]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids(allow_nonfinite=False))
+def test_finite_roundtrip_is_bit_exact(vals):
+    g = Grid(vals, 0.5, x_origin=1 / 3, y_origin=-2.0, nodata_value=NODATA)
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "g.asc"
+        write_ascii_grid(g, p)
+        back = read_ascii_grid(p)
+    assert grids_equal(g, back)
+    assert np.array_equal(back.valid, vals != NODATA)
+    # -0.0 is written as "0"; every other value keeps its exact bits
+    assert np.array_equal(back.values.view(np.int64), (vals + 0.0).view(np.int64))
+
+
+def test_read_rejects_non_finite_values(tmp_path):
+    nan_nodata = GOOD.replace("NODATA_VALUE -9999", "NODATA_VALUE nan")
+    with pytest.raises(GridFormatError, match=r"a\.asc:6:.*non-finite header value 'nan'"):
+        read_ascii_grid(_write(tmp_path / "a.asc", nan_nodata))
+    for token in ("inf", "-inf", "nan", "Infinity"):
+        bad = GOOD.replace("4 -9999 6", f"4 {token} 6")
+        with pytest.raises(GridFormatError, match=rf"b\.asc:8: non-finite value '{token}'"):
+            read_ascii_grid(_write(tmp_path / "b.asc", bad))
+
+
+def test_read_errors_name_unreadable_files(tmp_path):
+    missing = tmp_path / "nope.asc"
+    with pytest.raises(GridFormatError, match=r"nope\.asc: cannot read grid"):
+        read_ascii_grid(missing)
+    latin = tmp_path / "latin.asc"
+    latin.write_bytes(GOOD.encode("ascii").replace(b"-4", b"-4\xe9"))
+    with pytest.raises(GridFormatError, match=r"latin\.asc: byte 0xe9 at offset \d+ is not ASCII"):
+        read_ascii_grid(latin)
 
 
 # ---------------------------------------------------------------------------

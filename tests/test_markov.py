@@ -187,6 +187,12 @@ def test_transition_csv_read_errors(tmp_path):
     p.write_text("# time_span: 1.0\nclass,0,1\n1,1.0,0.0\n0,0.0,1.0\n", encoding="utf-8")
     with pytest.raises(DataError, match="row order"):
         read_transition_csv(p)
+    p.write_text("# time_span: 1.0\nclass,0,1\n0,1.0,0.0\n1,0.0,1.0\n2,0.0,1.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match="expected 2 rows, got 3"):
+        read_transition_csv(p)
+    p.write_text("# time_span: 1.0\nclass,0,1\n0,1.0\n1,0.0,1.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match="row 0 needs 2 entries, got 1"):
+        read_transition_csv(p)
 
 
 def test_second_order_and_areas_csv(tmp_path):
