@@ -16,26 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, Grid, LandCoverMap, require_same_geometry
+from .grid import DEFAULT_NODATA, Grid, LandCoverMap, neighbor_counts, require_same_geometry
 from .markov import TransitionMatrix, expected_areas, largest_remainder
 
 CONTIGUITY_FLOOR = 0.01  # keeps isolated-but-suitable cells allocatable
-
-
-def rank_suitability(suitability: Grid, constraint=None) -> Grid:
-    """Rank eligible cells 0 (best) upward; equal values rank in row-major
-    order. Constrained-out or nodata cells get nodata and later ranks close
-    the gap."""
-    sel = suitability.valid
-    if constraint is not None:
-        require_same_geometry(suitability, constraint, context="rank_suitability")
-        sel = sel & constraint.selected
-    flat_idx = np.flatnonzero(sel.ravel())
-    vals = suitability.values.ravel()[flat_idx]
-    order = flat_idx[np.argsort(-vals, kind="stable")]  # stable keeps row-major ties
-    out = np.full(suitability.shape[0] * suitability.shape[1], DEFAULT_NODATA)
-    out[order] = np.arange(order.size, dtype=np.float64)
-    return suitability.with_values(out.reshape(suitability.shape), nodata_value=DEFAULT_NODATA)
 
 
 @dataclass(frozen=True)
@@ -144,34 +128,15 @@ def mola(
     return LandCoverMap(geometry.with_values(out.reshape(geometry.shape)), legend, date_tag)
 
 
-def _box_sum(x: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over the (2r+1)^2 window around each cell, window clipped at edges."""
-    n_rows, n_cols = x.shape
-    padded = np.zeros((n_rows + 1, n_cols + 1))
-    padded[1:, 1:] = np.cumsum(np.cumsum(x, axis=0), axis=1)
-    r0 = np.clip(np.arange(n_rows) - radius, 0, None)
-    r1 = np.clip(np.arange(n_rows) + radius + 1, None, n_rows)
-    c0 = np.clip(np.arange(n_cols) - radius, 0, None)
-    c1 = np.clip(np.arange(n_cols) + radius + 1, None, n_cols)
-    return (
-        padded[np.ix_(r1, c1)]
-        - padded[np.ix_(r0, c1)]
-        - padded[np.ix_(r1, c0)]
-        + padded[np.ix_(r0, c0)]
-    )
-
-
 def contiguity_filter(current: LandCoverMap, class_id: int, kernel_size: int = 5) -> Grid:
     """Fraction of valid neighbors inside the kernel window (center excluded)
     holding class_id. Edges normalize by the neighbors actually available."""
     if kernel_size < 3 or kernel_size % 2 == 0:
         raise DataError(f"kernel_size must be an odd number >= 3, got {kernel_size}")
     labels = current.labels
-    valid = (labels >= 0).astype(np.float64)
-    same = (labels == int(class_id)).astype(np.float64)
     radius = kernel_size // 2
-    n_valid = _box_sum(valid, radius) - valid
-    n_same = _box_sum(same, radius) - same
+    n_valid = neighbor_counts(labels >= 0, radius)
+    n_same = neighbor_counts(labels == int(class_id), radius)
     out = np.zeros(labels.shape)
     nz = n_valid > 0
     out[nz] = n_same[nz] / n_valid[nz]
@@ -298,20 +263,13 @@ def mean_same_class_neighbor_fraction(lc: LandCoverMap) -> float:
     """Average over valid pixels of the share of valid 8-neighbors holding
     the pixel's own class. Higher means clumpier."""
     labels = lc.labels
-    n_rows, n_cols = labels.shape
-    pad = np.full((n_rows + 2, n_cols + 2), -1, dtype=np.int64)
-    pad[1:-1, 1:-1] = labels
-    center = pad[1:-1, 1:-1]
+    valid = labels >= 0
+    avail = neighbor_counts(valid)
     same = np.zeros(labels.shape)
-    avail = np.zeros(labels.shape)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            nb = pad[1 + dr : 1 + dr + n_rows, 1 + dc : 1 + dc + n_cols]
-            avail += (nb >= 0).astype(np.float64)
-            same += ((nb == center) & (nb >= 0)).astype(np.float64)
-    ok = (center >= 0) & (avail > 0)
+    for c in lc.class_ids:
+        pick = labels == c
+        same[pick] = neighbor_counts(pick)[pick]
+    ok = valid & (avail > 0)
     if not ok.any():
         raise DataError("map has no valid pixels with neighbors")
     return float(np.mean(same[ok] / avail[ok]))
@@ -327,17 +285,11 @@ def converted_adjacency_fraction(before: LandCoverMap, after: LandCoverMap) -> f
     changed = (b >= 0) & (a >= 0) & (b != a)
     if not changed.any():
         raise DataError("no converted pixels to measure")
-    n_rows, n_cols = b.shape
-    pad = np.full((n_rows + 2, n_cols + 2), -2, dtype=np.int64)
-    pad[1:-1, 1:-1] = b
     touches = np.zeros(b.shape, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            nb = pad[1 + dr : 1 + dr + n_rows, 1 + dc : 1 + dc + n_cols]
-            touches |= nb == a
-    return float(np.count_nonzero(touches & changed)) / float(np.count_nonzero(changed))
+    for c in after.class_ids:
+        pick = changed & (a == c)
+        touches[pick] = neighbor_counts(b == c)[pick] > 0
+    return float(np.count_nonzero(touches)) / float(np.count_nonzero(changed))
 
 
 def write_allocation_log_csv(log: list[AllocationLogRow], path) -> None:

@@ -14,8 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .grid import BinaryMask, Grid, LandCoverMap, MultiBandImage, mask_like, require_same_geometry
-from .markov import _pair_counts
+from .grid import (
+    BinaryMask,
+    Grid,
+    LandCoverMap,
+    MultiBandImage,
+    mask_like,
+    neighbor_counts,
+    require_same_geometry,
+)
+from .markov import _joint_counts
 
 SCORE_NODATA = -1e300  # -9999 is a reachable log-score, so score grids use their own sentinel
 
@@ -143,25 +151,24 @@ def potts_objective(lc: LandCoverMap, scores: dict[int, Grid], beta: float) -> f
     """Labeling quality used by icm: sum of per-pixel scores plus beta times
     the number of 8-adjacent same-label pairs.
 
-    Each agreeing pair counts once. A per-pixel neighbor-count sum would
-    count pairs twice and is not monotone under sequential updates; this
-    form increases by exactly the local improvement at every single-site
-    move, which makes per-sweep monotonicity exact.
+    Pairs are counted from both ends, as each labeled pixel's number of
+    same-class 8-neighbors, and the sum is halved, so each agreeing pair
+    counts once. Summing the per-pixel counts without halving would count
+    every pair twice and is not monotone under sequential updates; the
+    halved form rises by exactly the local gain at every single-site move
+    (score change plus beta times the change in same-class neighbors),
+    which makes per-sweep monotonicity exact.
     """
     labels = lc.labels
     total = 0.0
     for cid, g in scores.items():
         pick = (labels == cid) & g.valid
         total += float(g.values[pick].sum())
-    n_rows, n_cols = labels.shape
-    pad = np.full((n_rows + 2, n_cols + 2), -1, dtype=np.int64)
-    pad[1:-1, 1:-1] = labels
-    center = pad[1:-1, 1:-1]
-    pairs = 0
-    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):  # E, S, SE, SW covers all 8-adjacency once
-        nb = pad[1 + dr : 1 + dr + n_rows, 1 + dc : 1 + dc + n_cols]
-        pairs += int(np.count_nonzero((center == nb) & (center >= 0)))
-    return total + beta * pairs
+    ends = 0
+    for cid in lc.class_ids:
+        pick = labels == cid
+        ends += int(neighbor_counts(pick)[pick].sum())
+    return total + beta * (ends // 2)
 
 
 def icm(
@@ -273,7 +280,7 @@ def confusion(
     if not sel.any():
         raise DataError("no jointly valid pixels to compare")
     ids = sorted(set(predicted.class_ids) | set(reference.class_ids))
-    counts = _pair_counts(reference.labels[sel], predicted.labels[sel], ids)
+    counts = _joint_counts(ids, reference.labels[sel], predicted.labels[sel])
     return ConfusionMatrix(counts, tuple(ids))
 
 

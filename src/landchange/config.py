@@ -20,11 +20,13 @@ Layout::
 from __future__ import annotations
 
 import configparser
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 from .criteria import FuzzySpec
 from .errors import ConfigError, DataError
+from .grid import read_text
 
 MODELS = ("ca_markov", "mlp", "both")
 MCE_METHODS = ("wlc", "owa")
@@ -310,9 +312,9 @@ def load_config(path, out_dir=None, seed: int | None = None) -> PipelineConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     cfg = configparser.ConfigParser(interpolation=None)
+    text = read_text(p, "config", error=ConfigError)
     try:
-        with open(p, "r", encoding="utf-8") as fh:
-            cfg.read_file(fh)
+        cfg.read_file(io.StringIO(text, newline=None), source=str(p))
     except configparser.Error as e:
         raise ConfigError(f"{p}: {e}") from None
     return validate_config(cfg, p.parent, out_dir=out_dir, seed=seed)

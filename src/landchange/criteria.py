@@ -1,4 +1,4 @@
-"""Criterion derivation: distances, fuzzy standardization, reclassification.
+"""Criterion derivation: distances, fuzzy standardization, constraints.
 
 Factors for multi-criteria evaluation are byte-scaled suitability grids
 (integer values 0..255); constraints are binary masks. Standardization
@@ -178,37 +178,7 @@ def fuzzy_standardize(grid: Grid, spec: FuzzySpec) -> SuitabilityGrid:
 
 
 # ---------------------------------------------------------------------------
-# reclassification and constraints
-
-
-def reclass(grid: Grid, table: list[tuple[float, float, float]]) -> Grid:
-    """Map value intervals [from_min, from_max) onto new values.
-
-    Intervals may touch but not overlap; cells covered by no interval
-    become nodata, as do input nodata cells.
-    """
-    if not table:
-        raise DataError("reclass table is empty")
-    rows = []
-    for i, row in enumerate(table):
-        if len(row) != 3:
-            raise DataError(f"reclass row {i} must be (from_min, from_max, to_value)")
-        lo, hi, to = (float(x) for x in row)
-        if not lo < hi:
-            raise DataError(f"reclass row {i}: empty interval [{lo}, {hi})")
-        rows.append((lo, hi, to))
-    rows.sort()
-    for (lo1, hi1, _), (lo2, hi2, _) in zip(rows, rows[1:]):
-        if hi1 > lo2:
-            raise DataError(f"reclass intervals [{lo1}, {hi1}) and [{lo2}, {hi2}) overlap")
-
-    v = grid.values
-    out = np.full(grid.shape, grid.nodata_value)
-    ok = grid.valid
-    for lo, hi, to in rows:
-        pick = ok & (v >= lo) & (v < hi)
-        out[pick] = to
-    return grid.with_values(out)
+# constraints
 
 
 _OPS = {

@@ -19,8 +19,9 @@ is a format error.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,11 +204,48 @@ class LandCoverMap:
 
     def class_counts(self) -> dict[int, int]:
         lab = self.labels
-        return {c: int(np.count_nonzero(lab == c)) for c in self.class_ids}
+        counts = np.bincount(lab[lab >= 0], minlength=max(self.class_ids, default=0) + 1)
+        return {c: int(counts[c]) for c in self.class_ids}
+
+
+def neighbor_counts(x, radius: int = 1) -> np.ndarray:
+    """Sum of x over the (2r+1)^2 window around each cell, window clipped at
+    the edges, center cell left out. With a 0/1 mask and radius 1 this is
+    the number of 8-neighbors holding 1."""
+    x = np.asarray(x, dtype=np.float64)
+    n_rows, n_cols = x.shape
+    padded = np.zeros((n_rows + 1, n_cols + 1))
+    padded[1:, 1:] = np.cumsum(np.cumsum(x, axis=0), axis=1)
+    r0 = np.clip(np.arange(n_rows) - radius, 0, None)
+    r1 = np.clip(np.arange(n_rows) + radius + 1, None, n_rows)
+    c0 = np.clip(np.arange(n_cols) - radius, 0, None)
+    c1 = np.clip(np.arange(n_cols) + radius + 1, None, n_cols)
+    box = (
+        padded[np.ix_(r1, c1)]
+        - padded[np.ix_(r0, c1)]
+        - padded[np.ix_(r1, c0)]
+        + padded[np.ix_(r0, c0)]
+    )
+    return box - x
 
 
 # ---------------------------------------------------------------------------
-# text grid I/O
+# text I/O
+
+
+def read_text(path, what: str, encoding: str = "utf-8", error: type = DataError) -> str:
+    """Whole content of a text file, line endings untranslated. A file that
+    cannot be opened or decoded raises `error` naming the path and the reason."""
+    path = str(path)
+    try:
+        with open(path, "r", encoding=encoding, newline="") as fh:
+            return fh.read()
+    except OSError as e:
+        raise error(f"{path}: cannot read {what}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise error(
+            f"{path}: byte {e.object[e.start]:#04x} at offset {e.start} is not {encoding.upper()}"
+        ) from None
 
 
 def _format_value(v: float) -> str:
@@ -221,15 +259,7 @@ def _format_value(v: float) -> str:
 
 def read_ascii_grid(path) -> Grid:
     path = str(path)
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        raise GridFormatError(f"{path}: cannot read grid: {e.strerror or e}") from None
-    except UnicodeDecodeError as e:
-        raise GridFormatError(
-            f"{path}: byte {e.object[e.start]:#04x} at offset {e.start} is not ASCII"
-        ) from None
+    lines = read_text(path, "grid", encoding="ascii", error=GridFormatError).splitlines()
 
     header: dict[str, float] = {}
     lineno = 0
@@ -366,9 +396,7 @@ def apply_mask(grid: Grid, mask: BinaryMask) -> Grid:
 
 def read_legend(path) -> dict[int, str]:
     path = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = list(csv.reader(io.StringIO(read_text(path, "legend"), newline="")))
     if not rows or [c.strip().lower() for c in rows[0]] != ["id", "name"]:
         raise DataError(f"{path}: legend CSV must start with an 'id,name' header")
     legend: dict[int, str] = {}

@@ -177,35 +177,6 @@ def group_dynamics(codes: Grid, grouping: DynamicsGrouping | None = None) -> Lan
     return LandCoverMap(codes.with_values(out), dict(grouping.names))
 
 
-def read_grouping_csv(path) -> DynamicsGrouping:
-    path = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip().lower() for c in rows[0]] != ["code", "category_id", "category_name"]:
-        raise DataError(f"{path}: grouping CSV needs a 'code,category_id,category_name' header")
-    table = [-1] * 27
-    names: dict[int, str] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise DataError(f"{path}:{i}: expected 3 columns")
-        try:
-            code, cat = int(row[0]), int(row[1])
-        except ValueError:
-            raise DataError(f"{path}:{i}: non-integer code or category id") from None
-        if not 0 <= code <= 26:
-            raise DataError(f"{path}:{i}: code {code} outside 0..26")
-        if table[code] != -1:
-            raise DataError(f"{path}:{i}: duplicate code {code}")
-        if cat in names and names[cat] != row[2]:
-            raise DataError(f"{path}:{i}: category {cat} renamed from {names[cat]!r} to {row[2]!r}")
-        table[code] = cat
-        names[cat] = row[2]
-    if any(c == -1 for c in table):
-        missing = [i for i, c in enumerate(table) if c == -1]
-        raise DataError(f"{path}: grouping misses codes {missing}")
-    return DynamicsGrouping(tuple(table), names)
-
-
 def write_grouping_csv(grouping: DynamicsGrouping, path) -> None:
     with open(str(path), "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)

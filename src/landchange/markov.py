@@ -10,12 +10,13 @@ and turned into expected class areas for allocation.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .grid import BinaryMask, Grid, LandCoverMap, require_same_geometry
+from .grid import BinaryMask, Grid, LandCoverMap, read_text, require_same_geometry
 
 
 def largest_remainder(reals: np.ndarray, total: int) -> np.ndarray:
@@ -46,14 +47,23 @@ def _shared_ids(a: LandCoverMap, b: LandCoverMap, context: str) -> list[int]:
     return a.class_ids
 
 
-def _pair_counts(rows: np.ndarray, cols: np.ndarray, ids: list[int]) -> np.ndarray:
-    """Counts[i, j] = positions where rows holds ids[i] and cols holds ids[j].
-
-    Every value of rows and cols must be one of ids."""
-    k = len(ids)
+def _class_index(ids) -> np.ndarray:
+    """Lookup table: entry ids[i] holds i, every other entry -1."""
     pos = np.full(max(ids) + 1, -1, dtype=np.int64)
-    pos[ids] = np.arange(k)
-    return np.bincount(pos[rows] * k + pos[cols], minlength=k * k).reshape(k, k)
+    pos[list(ids)] = np.arange(len(ids))
+    return pos
+
+
+def _joint_counts(ids, *labels: np.ndarray) -> np.ndarray:
+    """Counts[i, j, ...] = positions where labels[0] holds ids[i], labels[1]
+    holds ids[j], and so on. Every value of every label array must be one of
+    ids."""
+    k = len(ids)
+    pos = _class_index(ids)
+    flat = pos[labels[0]]
+    for lab in labels[1:]:
+        flat = flat * k + pos[lab]
+    return np.bincount(flat, minlength=k ** len(labels)).reshape((k,) * len(labels))
 
 
 def crosstab(
@@ -68,7 +78,7 @@ def crosstab(
         sel &= mask.selected
     if not sel.any():
         raise DataError("crosstab: no jointly valid pixels")
-    return _pair_counts(map_a.labels[sel], map_b.labels[sel], ids), ids
+    return _joint_counts(ids, map_a.labels[sel], map_b.labels[sel]), ids
 
 
 @dataclass(frozen=True)
@@ -173,27 +183,17 @@ def second_order_transitions(
     sel = m1.grid.valid & m2.grid.valid & m3.grid.valid
     if not sel.any():
         raise DataError("second_order_transitions: no jointly valid pixels")
-    pos = np.full(max(ids) + 1, -1, dtype=np.int64)
-    for i, cid in enumerate(ids):
-        pos[cid] = i
-    k = len(ids)
-    a = pos[m1.labels[sel]]
-    b = pos[m2.labels[sel]]
-    c = pos[m3.labels[sel]]
-    counts = np.bincount((a * k + b) * k + c, minlength=k**3).reshape(k, k, k).astype(np.float64)
+    counts = _joint_counts(ids, m1.labels[sel], m2.labels[sel], m3.labels[sel]).astype(np.float64)
 
     fo_counts, _ = crosstab(m2, m3)
     first = transition_probabilities(fo_counts, ids, time_span)
 
     support = counts.sum(axis=2)
     fallback = support == 0
-    probs = np.empty_like(counts)
-    for i in range(k):
-        for j in range(k):
-            if fallback[i, j]:
-                probs[i, j] = first.probs[j]
-            else:
-                probs[i, j] = counts[i, j] / support[i, j]
+    # unsupported (prev, curr) pairs take the first-order row of curr
+    probs = np.where(
+        fallback[:, :, None], first.probs[None, :, :], counts / np.maximum(support, 1)[:, :, None]
+    )
     return SecondOrderTable(probs, fallback, tuple(ids), first)
 
 
@@ -208,34 +208,21 @@ def conditional_probability_maps(
     With a second-order table, previous must be given and each pixel takes
     the (previous, current) conditional row.
     """
+    ids = list(transitions.class_ids)
     if isinstance(transitions, SecondOrderTable):
         if previous is None:
             raise DataError("second-order probabilities need the previous map")
         require_same_geometry(current.grid, previous.grid, context="conditional_probability_maps")
-        ids = list(transitions.class_ids)
-        pos = np.full(max(ids) + 1, -1, dtype=np.int64)
-        for i, cid in enumerate(ids):
-            pos[cid] = i
-        for m in (previous, current):
-            extra = set(m.class_ids) - set(ids)
-            if extra:
-                raise DataError(f"classes {sorted(extra)} absent from transition table")
-        sel = current.grid.valid & previous.grid.valid
-        rows = np.zeros((len(ids), *current.grid.shape))
-        pc = pos[previous.labels[sel]]
-        cc = pos[current.labels[sel]]
-        block = transitions.probs[pc, cc]  # (n_sel, k)
+        maps, kind = (previous, current), "table"
     else:
-        ids = list(transitions.class_ids)
-        pos = np.full(max(ids) + 1, -1, dtype=np.int64)
-        for i, cid in enumerate(ids):
-            pos[cid] = i
-        extra = set(current.class_ids) - set(ids)
+        maps, kind = (current,), "matrix"
+    for m in maps:
+        extra = set(m.class_ids) - set(ids)
         if extra:
-            raise DataError(f"classes {sorted(extra)} absent from transition matrix")
-        sel = current.grid.valid
-        cc = pos[current.labels[sel]]
-        block = transitions.probs[cc]  # (n_sel, k)
+            raise DataError(f"classes {sorted(extra)} absent from transition {kind}")
+    sel = np.logical_and.reduce([m.grid.valid for m in maps])
+    pos = _class_index(ids)
+    block = transitions.probs[tuple(pos[m.labels[sel]] for m in maps)]  # (n_sel, k)
 
     out: dict[int, Grid] = {}
     for i, cid in enumerate(ids):
@@ -282,7 +269,7 @@ def write_transition_csv(tm: TransitionMatrix, path) -> None:
 
 def read_transition_csv(path) -> TransitionMatrix:
     path = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_text(path, "transition matrix"), newline="") as fh:
         first = fh.readline()
         if not first.startswith("# time_span:"):
             raise DataError(f"{path}: missing '# time_span:' comment line")

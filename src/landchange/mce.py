@@ -9,13 +9,14 @@ Boolean constraints.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .grid import DEFAULT_NODATA, BinaryMask, Grid, require_same_geometry
+from .grid import DEFAULT_NODATA, BinaryMask, Grid, read_text, require_same_geometry
 from .criteria import SuitabilityGrid, suitability_like
 
 # Saaty's random consistency index by matrix order
@@ -191,8 +192,8 @@ def read_saaty_csv(path) -> SaatyMatrix:
     """n x n comparison matrix. Entries may be decimals or fractions like 1/3
     (plain decimals usually cannot hit the reciprocity tolerance)."""
     path = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    reader = csv.reader(io.StringIO(read_text(path, "comparison matrix"), newline=""))
+    rows = [row for row in reader if row and any(c.strip() for c in row)]
     if not rows:
         raise DataError(f"{path}: empty comparison matrix")
     try:

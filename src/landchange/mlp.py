@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .grid import Grid, LandCoverMap, require_same_geometry
+from .grid import Grid, LandCoverMap, read_text, require_same_geometry
 
 
 def sigmoid(z):
@@ -377,8 +377,8 @@ def save_model(model: MLPModel, path) -> None:
 
 def load_model(path) -> MLPModel:
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    text = read_text(path, "model file", encoding="ascii")
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "LANDCHANGE-MLP 1":
         raise DataError(f"{path}: not a model file (missing signature)")
     fields: dict[str, list[list[str]]] = {}

@@ -37,14 +37,7 @@ from .classify import (
 from .config import PipelineConfig
 from .criteria import SuitabilityGrid, fuzzy_standardize
 from .errors import ConfigError, DataError, LandchangeError
-from .grid import (
-    Grid,
-    LandCoverMap,
-    mask_like,
-    read_ascii_grid,
-    read_legend,
-    write_ascii_grid,
-)
+from .grid import LandCoverMap, mask_like, read_ascii_grid, read_legend, write_ascii_grid
 from .markov import (
     conditional_probability_maps,
     crosstab,

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError
-from .grid import BinaryMask, Grid, MultiBandImage, mask_like, require_same_geometry
+from .grid import BinaryMask, MultiBandImage, require_same_geometry
 
 
 def _nearest_rank(sorted_vals: np.ndarray, percentile: float) -> float:
@@ -139,23 +139,6 @@ def oif_rank(stats: BandStats, bands: list[int] | None = None) -> OifRanking:
         tuple(e[1] for e in entries),
         stats.labels,
     )
-
-
-def combine_masks(masks: list[BinaryMask], mode: str = "union") -> BinaryMask:
-    if not masks:
-        raise DataError("combine_masks needs at least one mask")
-    require_same_geometry(*masks, context="combine_masks")
-    if mode == "union":
-        acc = np.zeros(masks[0].shape, dtype=bool)
-        for m in masks:
-            acc |= m.selected
-    elif mode == "intersection":
-        acc = np.ones(masks[0].shape, dtype=bool)
-        for m in masks:
-            acc &= m.selected
-    else:
-        raise DataError(f"mode must be 'union' or 'intersection', got {mode!r}")
-    return mask_like(masks[0], acc.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .allocate import contiguity_filter
 from .criteria import distance_transform
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .grid import BinaryMask, Grid, LandCoverMap, write_ascii_grid, write_legend
 from .markov import TransitionMatrix, largest_remainder, write_transition_csv
 from .mce import SaatyMatrix, write_saaty_csv

@@ -13,7 +13,6 @@ from landchange.allocate import (
     mean_same_class_neighbor_fraction,
     mola,
     random_allocation,
-    rank_suitability,
     write_allocation_log_csv,
 )
 from landchange.errors import DataError
@@ -29,14 +28,64 @@ def _lcm(vals, legend):
     return LandCoverMap(_grid(vals), legend)
 
 
-def test_rank_suitability():
-    g = _grid([[5.0, 9.0], [9.0, 1.0]])
-    r = rank_suitability(g)
-    # equal values rank row-major: the first 9 beats the second
-    assert r.values.tolist() == [[2.0, 0.0], [1.0, 3.0]]
-    c = BinaryMask(np.array([[1.0, 0.0], [1.0, 1.0]]), 1.0)
-    rc = rank_suitability(g, c)
-    assert rc.values.tolist() == [[1.0, -9999.0], [0.0, 2.0]]
+def _shifted(labels, fill):
+    """The eight neighbor views of labels, padded with fill outside the map."""
+    n_rows, n_cols = labels.shape
+    pad = np.full((n_rows + 2, n_cols + 2), fill, dtype=np.int64)
+    pad[1:-1, 1:-1] = labels
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr or dc:
+                yield pad[1 + dr : 1 + dr + n_rows, 1 + dc : 1 + dc + n_cols]
+
+
+def _ref_same_class_neighbor_fraction(lc):
+    labels = lc.labels
+    same = np.zeros(labels.shape)
+    avail = np.zeros(labels.shape)
+    for nb in _shifted(labels, -1):
+        avail += nb >= 0
+        same += (nb == labels) & (nb >= 0)
+    ok = (labels >= 0) & (avail > 0)
+    if not ok.any():
+        raise DataError("map has no valid pixels with neighbors")
+    return float(np.mean(same[ok] / avail[ok]))
+
+
+def _ref_converted_adjacency_fraction(before, after):
+    b, a = before.labels, after.labels
+    changed = (b >= 0) & (a >= 0) & (b != a)
+    if not changed.any():
+        raise DataError("no converted pixels to measure")
+    touches = np.zeros(b.shape, dtype=bool)
+    for nb in _shifted(b, -2):
+        touches |= nb == a
+    return float(np.count_nonzero(touches & changed)) / float(np.count_nonzero(changed))
+
+
+def _random_maps(seed, n_maps, ids=(0, 3, 7)):
+    """Pairs of maps with gapped class ids and nodata, 1 x n and n x 1 shapes included."""
+    rng = np.random.default_rng(seed)
+    legend = {c: f"c{c}" for c in ids}
+    for _ in range(n_maps):
+        shape = tuple(rng.integers(1, 9, size=2))
+        pair = []
+        for _ in range(2):
+            vals = rng.choice(ids, size=shape).astype(np.float64)
+            vals[rng.random(shape) < rng.choice([0.0, 0.2, 0.6])] = -9999.0
+            pair.append(_lcm(vals, legend))
+        yield pair
+
+
+def _same_outcome(fn, ref, *args):
+    try:
+        want = ref(*args)
+    except DataError as e:
+        with pytest.raises(DataError) as exc:
+            fn(*args)
+        assert str(exc.value) == str(e)
+        return
+    assert fn(*args) == want
 
 
 def test_allocation_targets():
@@ -167,6 +216,8 @@ def test_same_class_neighbor_fraction():
     # checkerboard: every pixel has 3 neighbors, exactly 1 matching
     chk = _lcm([[0.0, 1.0], [1.0, 0.0]], {0: "a", 1: "b"})
     assert mean_same_class_neighbor_fraction(chk) == pytest.approx(1 / 3)
+    for lc, _ in _random_maps(seed=11, n_maps=150):
+        _same_outcome(mean_same_class_neighbor_fraction, _ref_same_class_neighbor_fraction, lc)
 
 
 def test_converted_adjacency():
@@ -177,6 +228,8 @@ def test_converted_adjacency():
     assert converted_adjacency_fraction(before, jumped) == 0.0
     with pytest.raises(DataError, match="no converted"):
         converted_adjacency_fraction(before, before)
+    for b, a in _random_maps(seed=12, n_maps=150):
+        _same_outcome(converted_adjacency_fraction, _ref_converted_adjacency_fraction, b, a)
 
 
 def test_allocation_log_csv(tmp_path):

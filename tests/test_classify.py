@@ -126,6 +126,33 @@ def test_potts_objective_counts_pairs_once():
     # checkerboard: only the two diagonals agree; scores 2+3+3+2
     assert potts_objective(mixed, scores, beta=0.5) == 10.0 + 0.5 * 2
 
+    def reference(lc, scores, beta):
+        # each unordered 8-adjacent pair once, through the E, S, SE and SW shifts
+        labels = lc.labels
+        total = sum(float(g.values[(labels == c) & g.valid].sum()) for c, g in scores.items())
+        n_rows, n_cols = labels.shape
+        pad = np.full((n_rows + 2, n_cols + 2), -1, dtype=np.int64)
+        pad[1:-1, 1:-1] = labels
+        pairs = 0
+        for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+            nb = pad[1 + dr : 1 + dr + n_rows, 1 + dc : 1 + dc + n_cols]
+            pairs += int(np.count_nonzero((labels == nb) & (labels >= 0)))
+        return total + beta * pairs
+
+    rng = np.random.default_rng(5)
+    ids = (0, 3, 7)  # gapped ids
+    for _ in range(150):
+        shape = tuple(rng.integers(1, 9, size=2))
+        vals = rng.choice(ids, size=shape).astype(np.float64)
+        vals[rng.random(shape) < 0.2] = -9999.0
+        lc = _map(vals, {c: f"c{c}" for c in ids})
+        scores = {}
+        for c in ids:
+            sv = rng.standard_normal(shape)
+            sv[rng.random(shape) < 0.1] = SCORE_NODATA
+            scores[c] = Grid(sv, 1.0, nodata_value=SCORE_NODATA)
+        assert potts_objective(lc, scores, 1.5) == reference(lc, scores, 1.5)
+
 
 def test_icm_beta_zero_is_plain_argmax():
     rng = np.random.default_rng(3)

@@ -115,6 +115,19 @@ def test_unreadable_grids_exit_3_without_traceback(tmp_path):
     assert "latin.asc: byte 0xe9" in res.stderr
     assert "Traceback" not in res.stderr
 
+    args = ["classify", good, "--training", good, "--legend", "nope.csv", "--out", "o", "--quiet"]
+    res = _cli(args, tmp_path)
+    assert res.returncode == 3
+    assert "nope.csv: cannot read legend" in res.stderr
+    assert "Traceback" not in res.stderr
+
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"\xff[maps]\n")
+    res = _cli(["run", "--config", str(ini), "--out", "o", "--quiet"], tmp_path)
+    assert res.returncode == 2
+    assert "bad.ini: byte 0xff at offset 0 is not UTF-8" in res.stderr
+    assert "Traceback" not in res.stderr
+
 
 def test_bad_reference_mask(tmp_path):
     b1 = _w(tmp_path / "b1.asc", [[5.0, 6.0], [7.0, 8.0]])

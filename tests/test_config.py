@@ -187,3 +187,6 @@ def test_load_config_errors(tmp_path):
     p.write_text("seed = 1\n", encoding="ascii")  # key before any section header
     with pytest.raises(ConfigError):
         load_config(p)
+    p.write_bytes(b"\xff[maps]\n")
+    with pytest.raises(ConfigError, match=r"broken\.ini: byte 0xff at offset 0 is not UTF-8"):
+        load_config(p)

@@ -1,4 +1,4 @@
-"""Distance transform, fuzzy standardization, reclass, constraints."""
+"""Distance transform, fuzzy standardization, constraints."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from landchange.criteria import (
     distance_transform,
     fuzzy_standardize,
     make_constraint,
-    reclass,
     squared_distance_transform,
     suitability_like,
 )
@@ -115,19 +114,6 @@ def test_symmetric_membership():
     g = Grid(np.array([[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]]), 1.0)
     out = fuzzy_standardize(g, FuzzySpec("linear", "symmetric", 0.0, 10.0, 20.0, 30.0))
     assert out.values.tolist() == [[0.0, 128.0, 255.0, 255.0, 255.0, 128.0, 0.0]]
-
-
-def test_reclass():
-    g = Grid(np.array([[1.0, 5.0, 10.0, -9999.0]]), 1.0)
-    out = reclass(g, [(0.0, 5.0, 100.0), (5.0, 10.0, 200.0)])
-    # intervals are closed on the left, open on the right
-    assert out.values.tolist() == [[100.0, 200.0, -9999.0, -9999.0]]
-    with pytest.raises(DataError, match="overlap"):
-        reclass(g, [(0.0, 6.0, 1.0), (5.0, 10.0, 2.0)])
-    with pytest.raises(DataError, match="empty"):
-        reclass(g, [])
-    with pytest.raises(DataError):
-        reclass(g, [(5.0, 5.0, 1.0)])
 
 
 def test_make_constraint():

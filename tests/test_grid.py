@@ -19,6 +19,7 @@ from landchange.grid import (
     export_ppm,
     grids_equal,
     mask_like,
+    neighbor_counts,
     read_ascii_grid,
     read_legend,
     stack_bands,
@@ -107,6 +108,31 @@ def test_land_cover_map_validation_and_labels():
         LandCoverMap(Grid(np.array([[0.5]]), 1.0), {0: "zero"})
     with pytest.raises(DataError):
         LandCoverMap(g, {-1: "neg", 0: "zero", 1: "one"})
+    gapped = LandCoverMap(Grid(np.array([[7.0, 3.0], [-9999.0, 7.0]]), 1.0), {0: "a", 3: "b", 7: "c"})
+    assert gapped.class_counts() == {0: 0, 3: 1, 7: 2}
+    assert LandCoverMap(Grid(np.array([[-9999.0]]), 1.0), {}).class_counts() == {}
+
+
+_masks = st.one_of(
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    st.tuples(st.just(1), st.integers(1, 9)),
+    st.tuples(st.integers(1, 9), st.just(1)),
+).flatmap(lambda shape: arrays(np.bool_, shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masks, st.sampled_from([1, 2]))
+def test_neighbor_counts_matches_brute_force(mask, radius):
+    n_rows, n_cols = mask.shape
+    want = np.zeros(mask.shape)
+    for r in range(n_rows):
+        for c in range(n_cols):
+            for rr in range(max(0, r - radius), min(n_rows, r + radius + 1)):
+                for cc in range(max(0, c - radius), min(n_cols, c + radius + 1)):
+                    if (rr, cc) != (r, c):
+                        want[r, c] += mask[rr, cc]
+    assert np.array_equal(neighbor_counts(mask, radius), want)
+    assert np.array_equal(neighbor_counts(mask.astype(np.float64), radius), want)
 
 
 def test_apply_mask():
@@ -329,4 +355,9 @@ def test_legend_read_errors(tmp_path):
         read_legend(p)
     p.write_text("id,name\nten,x\n")
     with pytest.raises(DataError, match="bad class id"):
+        read_legend(p)
+    with pytest.raises(DataError, match=r"nope\.csv: cannot read legend"):
+        read_legend(tmp_path / "nope.csv")
+    p.write_bytes(b"id,name\n1,caf\xe9\n")
+    with pytest.raises(DataError, match=r"bad\.csv: byte 0xe9 at offset 13 is not UTF-8"):
         read_legend(p)

@@ -7,6 +7,7 @@ from landchange.errors import DataError, NumericalError
 from landchange.grid import BinaryMask, Grid, LandCoverMap
 from landchange.markov import (
     SecondOrderTable,
+    _joint_counts,
     TransitionMatrix,
     conditional_probability_maps,
     crosstab,
@@ -126,6 +127,17 @@ def test_second_order_transitions():
     assert tbl.fallback[0, 1]
     assert tbl.probs[0, 1].tolist() == tbl.first_order.row(1).tolist()
 
+    # the joint-count kernel under the table, against np.add.at
+    rng = np.random.default_rng(3)
+    ids = [0, 3, 7]  # gapped ids
+    for n in (1, 5, 200):
+        a, b, c = (rng.choice(ids, size=n) for _ in range(3))
+        want = np.zeros((3, 3, 3), dtype=np.int64)
+        np.add.at(want, (np.searchsorted(ids, a), np.searchsorted(ids, b), np.searchsorted(ids, c)), 1)
+        got = _joint_counts(ids, a, b, c)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(_joint_counts(ids, a, b), want.sum(axis=2))
+
 
 def test_conditional_maps_first_order():
     cur = _lcm([[0.0, 1.0, -9999.0]])
@@ -177,6 +189,8 @@ def test_transition_csv_roundtrip(tmp_path):
 
 
 def test_transition_csv_read_errors(tmp_path):
+    with pytest.raises(DataError, match=r"nope\.csv: cannot read transition matrix"):
+        read_transition_csv(tmp_path / "nope.csv")
     p = tmp_path / "bad.csv"
     p.write_text("class,0,1\n0,1.0,0.0\n1,0.0,1.0\n", encoding="utf-8")
     with pytest.raises(DataError, match="time_span"):

@@ -154,6 +154,11 @@ def test_saaty_csv_errors(tmp_path):
     p.write_text("", encoding="utf-8")
     with pytest.raises(DataError, match="empty"):
         read_saaty_csv(p)
+    p.write_bytes(b"1,3\n1/3,1\xff\n")
+    with pytest.raises(DataError, match=r"bad\.csv: byte 0xff at offset 9 is not UTF-8"):
+        read_saaty_csv(p)
+    with pytest.raises(DataError, match=r"nope\.csv: cannot read comparison matrix"):
+        read_saaty_csv(tmp_path / "nope.csv")
 
 
 def test_weights_csv(tmp_path):

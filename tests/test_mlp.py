@@ -257,6 +257,11 @@ def test_model_file_errors(tmp_path):
     p.write_text("LANDCHANGE-MLP 1\nn_inputs 2\n", encoding="ascii")
     with pytest.raises(DataError, match="malformed"):
         load_model(p)
+    p.write_bytes(b"LANDCHANGE-MLP 1\n\xc3\xa9\n")
+    with pytest.raises(DataError, match=r"bad\.txt: byte 0xc3 at offset 17 is not ASCII"):
+        load_model(p)
+    with pytest.raises(DataError, match=r"nope\.txt: cannot read model file"):
+        load_model(tmp_path / "nope.txt")
 
 
 def test_history_csv(tmp_path):

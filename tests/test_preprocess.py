@@ -9,7 +9,6 @@ from landchange.errors import DataError
 from landchange.grid import Grid, mask_like, stack_bands
 from landchange.preprocess import (
     band_statistics,
-    combine_masks,
     dark_object_values,
     dos_correct,
     oif_rank,
@@ -142,18 +141,6 @@ def test_oif_band_subset_and_errors():
         oif_rank(stats, bands=[0, 1])
     with pytest.raises(DataError, match="out of range"):
         oif_rank(stats, bands=[0, 1, 9])
-
-
-def test_combine_masks():
-    g = Grid(np.zeros((1, 3)), 1.0)
-    m1 = mask_like(g, np.array([[1.0, 1.0, 0.0]]))
-    m2 = mask_like(g, np.array([[0.0, 1.0, 0.0]]))
-    assert combine_masks([m1, m2]).values.tolist() == [[1.0, 1.0, 0.0]]
-    assert combine_masks([m1, m2], "intersection").values.tolist() == [[0.0, 1.0, 0.0]]
-    with pytest.raises(DataError):
-        combine_masks([])
-    with pytest.raises(DataError):
-        combine_masks([m1], mode="xor")
 
 
 def test_csv_writers(tmp_path):
