@@ -128,20 +128,32 @@ def mola(
     return LandCoverMap(geometry.with_values(out.reshape(geometry.shape)), legend, date_tag)
 
 
-def contiguity_filter(current: LandCoverMap, class_id: int, kernel_size: int = 5) -> Grid:
-    """Fraction of valid neighbors inside the kernel window (center excluded)
-    holding class_id. Edges normalize by the neighbors actually available."""
+def contiguity_weights(current: LandCoverMap, class_ids, kernel_size: int = 5) -> dict[int, np.ndarray]:
+    """Per class id: the fraction of valid neighbors inside the kernel window
+    (center excluded) holding that class. Edges normalize by the neighbors
+    actually available; nodata cells hold the map's nodata value. The labels
+    and the valid-neighbor counts are computed once for all classes."""
     if kernel_size < 3 or kernel_size % 2 == 0:
         raise DataError(f"kernel_size must be an odd number >= 3, got {kernel_size}")
     labels = current.labels
     radius = kernel_size // 2
     n_valid = neighbor_counts(labels >= 0, radius)
-    n_same = neighbor_counts(labels == int(class_id), radius)
-    out = np.zeros(labels.shape)
     nz = n_valid > 0
-    out[nz] = n_same[nz] / n_valid[nz]
-    out[labels < 0] = current.grid.nodata_value
-    return current.grid.with_values(out)
+    nodata = labels < 0
+    weights = {}
+    for c in class_ids:
+        n_same = neighbor_counts(labels == int(c), radius)
+        out = np.zeros(labels.shape)
+        out[nz] = n_same[nz] / n_valid[nz]
+        out[nodata] = current.grid.nodata_value
+        weights[int(c)] = out
+    return weights
+
+
+def contiguity_filter(current: LandCoverMap, class_id: int, kernel_size: int = 5) -> Grid:
+    """contiguity_weights for one class, as a grid on the map's geometry."""
+    weights = contiguity_weights(current, (class_id,), kernel_size)
+    return current.grid.with_values(weights[int(class_id)])
 
 
 @dataclass(frozen=True)
@@ -222,9 +234,11 @@ def ca_markov(
             for c in ids:
                 log.append(AllocationLogRow(it, c, wanted[c], now.get(c, 0)))
             continue
+        contiguity = contiguity_weights(state, ids, params.kernel_size)
         effective = {}
         for c in ids:
-            weight = CONTIGUITY_FLOOR + contiguity_filter(state, c, params.kernel_size).values
+            # popped so no weight grid stays alive through the allocation
+            weight = CONTIGUITY_FLOOR + contiguity.pop(c)
             vals = suitabilities[c].values * weight
             vals[~(suitabilities[c].valid & state.grid.valid)] = DEFAULT_NODATA
             effective[c] = state.grid.with_values(vals, nodata_value=DEFAULT_NODATA)

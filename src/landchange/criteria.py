@@ -38,50 +38,83 @@ def suitability_like(grid: Grid, values) -> SuitabilityGrid:
 
 # ---------------------------------------------------------------------------
 # exact Euclidean distance transform
+#
+# Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled Functions"
+# (Theory of Computing 8, 2012): the 1-D squared transform is the lower
+# envelope of the parabolas (x - p)^2 + f[p]. The envelope is built and
+# queried on every scan line of a 2-D array at once: each step in q is one
+# numpy operation over all lines, and only the lines whose envelope still
+# has to pop (or, when querying, advance) take the inner masked loop. The
+# arithmetic per line is the sequential algorithm's, so results are exact.
 
 
 _FAR = 1e18  # finite stand-in for "no site on this scan line"; resolved by the second pass
 
 
-def _edt_1d(f: np.ndarray) -> np.ndarray:
-    """Exact 1-D squared distance transform by the lower-envelope-of-parabolas
-    method. f holds squared seed distances, _FAR where no seed."""
-    n = f.size
-    d = np.empty(n)
-    v = np.zeros(n, dtype=np.int64)  # parabola sites
-    z = np.empty(n + 1)  # envelope breakpoints
-    k = 0
-    z[0] = -math.inf
-    z[1] = math.inf
+def _envelope(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower envelope of the parabolas (x - p)^2 + f[i, p] on every line i
+    of a 2-D array. Parabola v[i, j] is lowest on [z[i, j], z[i, j + 1]]
+    for j up to k[i], with z[i, 0] = -inf and z[i, k[i] + 1] = inf. A
+    parabola that ties at a breakpoint is dropped, so the breakpoints
+    strictly increase."""
+    n_lines, n = f.shape
+    flat_f = f.ravel()
+    line = np.arange(n_lines, dtype=np.int64)
+    f_base = line * n  # flat offset of each line in f and v
+    z_base = line * (n + 1)  # flat offset of each line in z
+    v = np.zeros(n_lines * n, dtype=np.int64)  # parabola sites
+    z = np.empty(n_lines * (n + 1))  # envelope breakpoints
+    z[z_base] = -math.inf
+    z[z_base + 1] = math.inf
+    k = np.zeros(n_lines, dtype=np.int64)  # index of each line's last parabola
     for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
+        fq = f[:, q] + q * q
+        vk = v[f_base + k]
+        s = (fq - (flat_f[f_base + vk] + vk * vk)) / (2 * q - 2 * vk)
+        pop = np.flatnonzero(s <= z[z_base + k])
+        while pop.size:  # only the lines whose last parabola is now hidden
+            k[pop] -= 1
+            vk = v[f_base[pop] + k[pop]]
+            s[pop] = (fq[pop] - (flat_f[f_base[pop] + vk] + vk * vk)) / (2 * q - 2 * vk)
+            pop = pop[s[pop] <= z[z_base[pop] + k[pop]]]
         k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = math.inf
-    k = 0
+        v[f_base + k] = q
+        z[z_base + k] = s
+        z[z_base + k + 1] = math.inf
+    return v.reshape(n_lines, n), z.reshape(n_lines, n + 1), k
+
+
+def _lower_envelope(f: np.ndarray) -> np.ndarray:
+    """Exact 1-D squared distance transform along the last axis of a 2-D
+    array, all lines at once. f holds squared seed distances, _FAR where
+    no seed."""
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    n_lines, n = f.shape
+    v, z, _ = _envelope(f)
+    v, z, flat_f = v.ravel(), z.ravel(), f.ravel()
+    line = np.arange(n_lines, dtype=np.int64)
+    f_base = line * n
+    z_base = line * (n + 1)
+    k = np.zeros(n_lines, dtype=np.int64)
+    d = np.empty_like(f)
     for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
+        ahead = np.flatnonzero(z[z_base + k + 1] < q)
+        while ahead.size:  # only the lines whose parabola ends before q
+            k[ahead] += 1
+            ahead = ahead[z[z_base[ahead] + k[ahead] + 1] < q]
+        vk = v[f_base + k]
+        d[:, q] = (q - vk) ** 2 + flat_f[f_base + vk]
     return d
 
 
 def squared_distance_transform(targets: BinaryMask) -> np.ndarray:
     """Squared distance in cell units from every cell center to the nearest
-    target cell center. Exact: all intermediate values are small integers."""
+    target cell center: one envelope pass down all columns, then one along
+    all rows. Exact: all intermediate values are small integers."""
     if not targets.selected.any():
         raise DataError("distance transform needs at least one target cell")
-    n_rows, n_cols = targets.shape
     f = np.where(targets.selected, 0.0, _FAR)
-    for c in range(n_cols):
-        f[:, c] = _edt_1d(f[:, c])
-    for r in range(n_rows):
-        f[r, :] = _edt_1d(f[r, :])
-    return f
+    return _lower_envelope(_lower_envelope(f.T).T)
 
 
 def distance_transform(targets: BinaryMask, cell_size: float | None = None) -> Grid:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,9 +135,10 @@ def scale_transition(tm: TransitionMatrix, target_span: float) -> TransitionMatr
     """Linear annualization: off-diagonals scale by target_span/time_span,
     diagonals absorb the remainder.
 
-    If any single off-diagonal would exceed 1 the caller must split the
-    projection into shorter steps; if a row's scaled off-diagonals exceed 1
-    in total they are renormalized to sum 1 (diagonal 0).
+    If any single off-diagonal would exceed 1 the projection must be split
+    into shorter steps (see scale_transition_in_steps); if a row's scaled
+    off-diagonals exceed 1 in total they are renormalized to sum 1
+    (diagonal 0).
     """
     if not float(target_span) > 0:
         raise DataError(f"target_span must be positive, got {target_span}")
@@ -161,6 +163,28 @@ def scale_transition(tm: TransitionMatrix, target_span: float) -> TransitionMatr
         out[i] = row
         out[i, i] = max(0.0, 1.0 - s)  # diagonal absorbs whatever the off-diagonals leave
     return TransitionMatrix(out, float(target_span), tm.class_ids, counts=None)
+
+
+def scale_transition_in_steps(tm: TransitionMatrix, target_span: float) -> tuple[TransitionMatrix, int]:
+    """Scale tm to target_span through the fewest equal sub-steps n that
+    scale_transition accepts, composed n times. Returns the composed matrix
+    and n; with n == 1 it is exactly scale_transition(tm, target_span)."""
+    if not float(target_span) > 0:
+        raise DataError(f"target_span must be positive, got {target_span}")
+    off = tm.probs.copy()
+    np.fill_diagonal(off, 0.0)
+    # no n below this lower bound can keep every off-diagonal at or under 1
+    n = max(1, math.floor(float(off.max()) * float(target_span) / tm.time_span) - 1)
+    while True:
+        try:
+            step = scale_transition(tm, float(target_span) / n)
+            break
+        except NumericalError:
+            n += 1
+    if n == 1:
+        return step, 1
+    probs = np.minimum(np.linalg.matrix_power(step.probs, n), 1.0)
+    return TransitionMatrix(probs, float(target_span), tm.class_ids), n
 
 
 @dataclass(frozen=True)

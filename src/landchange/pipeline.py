@@ -43,7 +43,7 @@ from .markov import (
     crosstab,
     expected_areas,
     read_transition_csv,
-    scale_transition,
+    scale_transition_in_steps,
     second_order_transitions,
     transition_probabilities,
     write_expected_areas_csv,
@@ -128,14 +128,15 @@ def _read_constraints(cfg: PipelineConfig):
 
 def stage_markov(cfg: PipelineConfig) -> dict:
     """Estimate transitions from the calibration pair, scale them to the
-    prediction span, and project expected areas."""
+    prediction span (composing equal sub-steps when one linear step would
+    push a probability past 1), and project expected areas."""
     out = _out(cfg)
     maps = load_maps(cfg)
     prev, cur, held, span_cal, span_pred = _window(maps, cfg.years)
     counts, ids = crosstab(prev, cur)
     tm = transition_probabilities(counts, ids, span_cal)
     write_transition_csv(tm, out / TRANSITION_CSV)
-    tm_s = scale_transition(tm, span_pred)
+    tm_s, steps = scale_transition_in_steps(tm, span_pred)
     write_transition_csv(tm_s, out / TRANSITION_SCALED_CSV)
     reals, ints = expected_areas(cur, tm_s)
     write_expected_areas_csv(reals, ints, out / EXPECTED_AREAS_CSV)
@@ -144,7 +145,7 @@ def stage_markov(cfg: PipelineConfig) -> dict:
     if len(maps) >= 4:  # a second-order table without touching the held-out map
         table = second_order_transitions(maps[-4], maps[-3], maps[-2], time_span=span_cal)
         write_second_order_csv(table, out / SECOND_ORDER_CSV)
-    return {"transition": tm, "transition_scaled": tm_s, "expected": (reals, ints)}
+    return {"transition": tm, "transition_scaled": tm_s, "steps": steps, "expected": (reals, ints)}
 
 
 def stage_mce(cfg: PipelineConfig) -> dict:
@@ -206,6 +207,11 @@ def stage_mlp_train(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     maps = load_maps(cfg)
     prev, cur, _, _, _ = _window(maps, cfg.years)
+    if len(cur.class_ids) != 2:  # predict_map thresholds to a 2-class map
+        raise DataError(
+            f"run.model = {cfg.model} thresholds the perceptron output into a "
+            f"2-class map, but the legend holds classes {tuple(cur.class_ids)}"
+        )
     criteria = [read_ascii_grid(p) for p in cfg.criteria.values()]
     if not criteria:
         raise ConfigError("mlp training needs at least one [criteria] grid")
@@ -353,7 +359,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     lines.extend(_fmt_matrix(tm))
     lines.append("")
     lines.append("scaled to the prediction span")
-    lines.extend(_fmt_matrix(info["markov"]["transition_scaled"]))
+    tm_s = info["markov"]["transition_scaled"]
+    lines.extend(_fmt_matrix(tm_s))
+    steps = info["markov"]["steps"]
+    if steps > 1:
+        lines.append(f"  time span note: {steps} equal steps of {repr(tm_s.time_span / steps)}, composed")
     lines.append("")
 
     reals, ints = info["markov"]["expected"]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocate import contiguity_filter
+from .allocate import contiguity_weights
 from .criteria import distance_transform
 from .errors import ConfigError
 from .grid import BinaryMask, Grid, LandCoverMap, write_ascii_grid, write_legend
@@ -126,9 +126,7 @@ def _evolve(
     """One interval: convert exact largest-remainder pixel counts per class
     pair, picking the most attracted pixels first."""
     current = LandCoverMap(base.with_values(labels.astype(np.float64)), legend)
-    adj = {
-        c: contiguity_filter(current, c, kernel_size=3).values for c in spec.class_ids
-    }
+    adj = contiguity_weights(current, spec.class_ids, kernel_size=3)
     flat = labels.ravel()
     target = np.full(flat.size, -1, dtype=np.int64)
     for ipos, i in enumerate(spec.class_ids):

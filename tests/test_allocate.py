@@ -9,6 +9,7 @@ from landchange.allocate import (
     CaParams,
     ca_markov,
     contiguity_filter,
+    contiguity_weights,
     converted_adjacency_fraction,
     mean_same_class_neighbor_fraction,
     mola,
@@ -16,7 +17,7 @@ from landchange.allocate import (
     write_allocation_log_csv,
 )
 from landchange.errors import DataError
-from landchange.grid import BinaryMask, Grid, LandCoverMap, grids_equal
+from landchange.grid import BinaryMask, Grid, LandCoverMap, grids_equal, neighbor_counts
 from landchange.markov import TransitionMatrix, expected_areas, largest_remainder
 
 
@@ -149,6 +150,38 @@ def test_contiguity_filter_nodata_and_validation():
     for k in (2, 1, -3):
         with pytest.raises(DataError, match="odd"):
             contiguity_filter(lc, 1, kernel_size=k)
+
+
+def _contiguity_reference(current, class_id, kernel_size):
+    """One class at a time, each with its own labels and valid-neighbor sum."""
+    labels = current.labels
+    radius = kernel_size // 2
+    n_valid = neighbor_counts(labels >= 0, radius)
+    n_same = neighbor_counts(labels == int(class_id), radius)
+    out = np.zeros(labels.shape)
+    nz = n_valid > 0
+    out[nz] = n_same[nz] / n_valid[nz]
+    out[labels < 0] = current.grid.nodata_value
+    return out
+
+
+def test_contiguity_weights_match_per_class_reference():
+    rng = np.random.default_rng(21)
+    ids = (0, 3, 7)
+    for _ in range(60):
+        shape = tuple(int(n) for n in rng.integers(1, 15, size=2))
+        vals = rng.choice(np.array(ids, dtype=np.float64), size=shape)
+        vals[rng.random(shape) < 0.15] = -9999.0
+        lc = _lcm(vals, {c: str(c) for c in ids})
+        kernel = int(rng.choice([3, 5, 7]))
+        weights = contiguity_weights(lc, (*ids, 9), kernel)
+        assert sorted(weights) == [0, 3, 7, 9]
+        for c in (*ids, 9):  # 9 is absent from the map: all zeros
+            want = _contiguity_reference(lc, c, kernel)
+            assert weights[c].tobytes() == want.tobytes()
+            assert contiguity_filter(lc, c, kernel).values.tobytes() == want.tobytes()
+    with pytest.raises(DataError, match="odd"):
+        contiguity_weights(lc, ids, 4)
 
 
 def test_ca_params():

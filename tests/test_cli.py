@@ -1,6 +1,7 @@
 """Command-line interface: exit codes and artifact wiring."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from landchange import __version__
 from landchange.cli import main
 from landchange.grid import Grid, write_ascii_grid
+from landchange.markov import read_transition_csv
 
 
 def _w(path, vals, cell=30.0):
@@ -57,7 +59,24 @@ def test_stage_out_of_order(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # one-year calibration with heavy change cannot stretch over 49 years
+    # every map and the prediction hold one class, so kappa is undefined
+    one_class = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    for year in (2000, 2001, 2002):
+        _w(tmp_path / f"m{year}.asc", one_class)
+    ini = tmp_path / "pipe.ini"
+    ini.write_text(
+        "[maps]\n2000 = m2000.asc\n2001 = m2001.asc\n2002 = m2002.asc\n",
+        encoding="ascii",
+    )
+    (tmp_path / "o").mkdir()
+    _w(tmp_path / "o" / "predicted_ca.asc", one_class)
+    code = main(["validate", "--config", str(ini), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 4
+
+
+def test_long_prediction_span_is_split(tmp_path):
+    # a one-year calibration with heavy change stretched over 49 years is
+    # composed from equal sub-steps instead of failing
     m2000 = [[0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]]
     m2001 = [[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1.0]]
     _w(tmp_path / "m2000.asc", m2000)
@@ -69,7 +88,24 @@ def test_numerical_failure_exit_code(tmp_path):
         encoding="ascii",
     )
     code = main(["markov", "--config", str(ini), "--out", str(tmp_path / "o"), "--quiet"])
-    assert code == 4
+    assert code == 0
+    scaled = read_transition_csv(tmp_path / "o" / "transition_scaled.csv")
+    assert scaled.time_span == 49.0
+    assert scaled.probs[1].tolist() == [0.0, 1.0]  # class 1 never left
+
+
+def test_mlp_on_three_class_legend_fails_before_training(tmp_path):
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    ini = sc / "pipeline.ini"
+    text = ini.read_text(encoding="ascii")
+    ini.write_text(text.replace("model = ca_markov", "model = mlp"), encoding="ascii")
+    res = _cli(["run", "--config", str(ini), "--out", "o", "--quiet"], tmp_path)
+    assert res.returncode == 3
+    assert "stage mlp-train: run.model = mlp" in res.stderr
+    assert "2-class map, but the legend holds classes (0, 1, 2)" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o" / "mlp_model.txt").exists()
 
 
 def test_preprocess_and_oif(tmp_path):

@@ -1,9 +1,17 @@
 """Distance transform, fuzzy standardization, constraints."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from landchange.criteria import (
+    _FAR,
+    _envelope,
+    _lower_envelope,
     FuzzySpec,
     SuitabilityGrid,
     distance_transform,
@@ -35,6 +43,128 @@ def test_squared_distance_matches_brute_force():
             sel[0, 0] = True
         d = squared_distance_transform(_mask(sel.astype(float)))
         assert np.array_equal(d, _brute_sq(sel))  # exact, all integers
+
+
+def _edt_1d_reference(f):
+    """The sequential lower envelope of parabolas on one scan line."""
+    n = f.size
+    d = np.empty(n)
+    v = np.zeros(n, dtype=np.int64)
+    z = np.empty(n + 1)
+    k = 0
+    z[0] = -math.inf
+    z[1] = math.inf
+    for q in range(1, n):
+        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
+        while s <= z[k]:
+            k -= 1
+            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
+        k += 1
+        v[k] = q
+        z[k] = s
+        z[k + 1] = math.inf
+    k = 0
+    for q in range(n):
+        while z[k + 1] < q:
+            k += 1
+        d[q] = (q - v[k]) ** 2 + f[v[k]]
+    return d
+
+
+def _sq_reference(sel):
+    """One sequential pass per column, then one per row."""
+    f = np.where(sel, 0.0, _FAR)
+    for c in range(sel.shape[1]):
+        f[:, c] = _edt_1d_reference(f[:, c])
+    for r in range(sel.shape[0]):
+        f[r, :] = _edt_1d_reference(f[r, :])
+    return f
+
+
+_shapes = st.one_of(
+    st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    st.tuples(st.just(1), st.integers(1, 60)),
+    st.tuples(st.integers(1, 60), st.just(1)),
+)
+
+
+@st.composite
+def _target_masks(draw):
+    shape = draw(_shapes)
+    kind = draw(st.sampled_from(["single", "all", "drawn", "dense"]))
+    if kind == "single":
+        sel = np.zeros(shape, dtype=bool)
+        sel[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = True
+    elif kind == "all":
+        sel = np.ones(shape, dtype=bool)
+    elif kind == "drawn":
+        sel = draw(arrays(np.bool_, shape))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        sel = rng.random(shape) < draw(st.sampled_from([0.01, 0.1, 0.3, 0.6, 0.9]))
+    if not sel.any():
+        sel[0, 0] = True
+    return sel
+
+
+@settings(max_examples=300, deadline=None)
+@given(_target_masks())
+def test_squared_distance_matches_sequential_envelope_bytes(sel):
+    d = squared_distance_transform(_mask(sel.astype(float)))
+    want = _sq_reference(sel)
+    assert d.shape == want.shape
+    assert d.tobytes() == want.tobytes()
+
+
+@st.composite
+def _sampled_functions(draw):
+    """(lines, n) arrays of seed costs: zeros, _FAR and small integers,
+    including lines with no finite seed."""
+    n_lines = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 45))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.integers(0, draw(st.sampled_from([1, 5, 400])), size=(n_lines, n)).astype(np.float64)
+    f[rng.random((n_lines, n)) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = _FAR
+    f[rng.random(n_lines) < 0.3] = _FAR
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sampled_functions())
+def test_lower_envelope_matches_sequential_envelope_per_line(f):
+    d = _lower_envelope(f)
+    want = np.stack([_edt_1d_reference(line) for line in f])
+    assert d.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sampled_functions())
+def test_envelope_breakpoints_strictly_increase(f):
+    # a parabola kept at a tie would own an empty interval; the query never
+    # lands on it, so only the envelope itself shows it
+    v, z, k = _envelope(f)
+    for i in range(f.shape[0]):
+        zi = z[i, : k[i] + 2]
+        assert zi[0] == -math.inf and zi[-1] == math.inf
+        assert np.all(np.diff(zi) > 0)
+        assert np.all(np.diff(v[i, : k[i] + 1]) > 0)
+
+
+def test_squared_distance_matches_scipy_oracle():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(8)
+    shapes = [(1, 50), (50, 1), (37, 61), (64, 64), (128, 96)]
+    for shape in shapes:
+        for density in (0.0005, 0.01, 0.2, 0.7):
+            sel = rng.random(shape) < density
+            if not sel.any():
+                sel[shape[0] // 2, shape[1] // 2] = True
+            d = squared_distance_transform(_mask(sel.astype(float)))
+            edt = ndimage.distance_transform_edt(~sel)
+            # sqrt is correctly rounded, so the exact squared distances give
+            # scipy's distances bit for bit; squaring scipy's back needs rounding
+            assert np.array_equal(np.sqrt(d), edt)
+            assert np.array_equal(d, np.rint(edt ** 2))
 
 
 def test_distance_transform_edge_shapes():

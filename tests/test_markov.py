@@ -15,6 +15,7 @@ from landchange.markov import (
     largest_remainder,
     read_transition_csv,
     scale_transition,
+    scale_transition_in_steps,
     second_order_transitions,
     transition_probabilities,
     write_expected_areas_csv,
@@ -114,6 +115,44 @@ def test_scale_transition_renormalizes_heavy_rows():
     # row 0 off-diagonals double to 0.4 + 1.0 = 1.4, renormalized, diagonal 0
     assert out.probs[0].tolist() == pytest.approx([0.0, 0.4 / 1.4, 1.0 / 1.4], abs=1e-15)
     assert np.max(np.abs(out.probs.sum(axis=1) - 1.0)) <= 1e-9
+
+
+def test_scale_transition_in_steps_composes_equal_steps():
+    tm = TransitionMatrix(np.array([[0.5, 0.5], [0.2, 0.8]]), 6.0, (0, 1))
+    with pytest.raises(NumericalError, match="shorter steps"):
+        scale_transition(tm, 14.0)
+    out, n = scale_transition_in_steps(tm, 14.0)
+    assert n == 2
+    step = scale_transition(tm, 7.0)
+    assert out.probs.tobytes() == (step.probs @ step.probs).tobytes()
+    assert out.time_span == 14.0
+
+
+def test_scale_transition_in_steps_single_step_is_unchanged():
+    tm = TransitionMatrix(np.array([[0.8, 0.2], [0.1, 0.9]]), 10.0, (0, 1))
+    for span in (5.0, 10.0, 30.0, 50.0):
+        out, n = scale_transition_in_steps(tm, span)
+        ref = scale_transition(tm, span)
+        assert n == 1
+        assert out.probs.tobytes() == ref.probs.tobytes()
+        assert out.time_span == ref.time_span
+    with pytest.raises(DataError, match="positive"):
+        scale_transition_in_steps(tm, 0.0)
+
+
+def test_scale_transition_in_steps_takes_the_fewest_steps():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        k = int(rng.integers(2, 5))
+        p = rng.dirichlet(np.full(k, 0.5), size=k)
+        tm = TransitionMatrix(p, float(rng.integers(1, 10)), tuple(range(k)))
+        span = float(rng.integers(1, 200))
+        out, n = scale_transition_in_steps(tm, span)
+        scale_transition(tm, span / n)  # the chosen step is valid
+        if n > 1:
+            with pytest.raises(NumericalError):
+                scale_transition(tm, span / (n - 1))
+        assert out.time_span == span
 
 
 def test_second_order_transitions():

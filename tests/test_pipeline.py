@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from landchange.config import load_config
-from landchange.errors import ConfigError, DataError
+from landchange.errors import ConfigError, DataError, NumericalError
 from landchange.grid import Grid, write_ascii_grid
+from landchange.markov import read_transition_csv, scale_transition, write_transition_csv
 from landchange.pipeline import (
     load_maps,
     run_pipeline,
@@ -174,3 +175,38 @@ def test_mce_requires_configuration(tmp_path):
     cfg = load_config(ini, out_dir=tmp_path / "out")
     with pytest.raises(ConfigError, match="saaty"):
         stage_mce(cfg)
+
+
+def _redate_held_out(ini, held_year):
+    """Re-date the held-out map of a synthetic scenario."""
+    text = ini.read_text(encoding="ascii")
+    ini.write_text(text.replace("2000 = map_2000.asc", f"{held_year} = map_2000.asc"), encoding="ascii")
+
+
+def test_long_prediction_span_composes_equal_steps(tmp_path):
+    heavy = np.array([[0.5, 0.5], [0.2, 0.8]])
+    ini = _scenario(tmp_path, n_classes=2, transition=heavy)
+    _redate_held_out(ini, 2008)  # calibrate over 6 years, predict over 14
+    rep = run_pipeline(load_config(ini, out_dir=tmp_path / "out"))
+    out = tmp_path / "out"
+    tm = read_transition_csv(out / "transition.csv")
+    with pytest.raises(NumericalError, match="shorter steps"):
+        scale_transition(tm, 14.0)
+    step = scale_transition(tm, 7.0)
+    scaled = read_transition_csv(out / "transition_scaled.csv")
+    assert scaled.time_span == 14.0
+    assert scaled.probs.tolist() == (step.probs @ step.probs).tolist()
+    report = rep.report_path.read_text(encoding="ascii")
+    assert "  time span note: 2 equal steps of 7.0, composed\n" in report
+    assert (out / "predicted_ca.asc").is_file()
+
+
+def test_span_that_scales_in_one_step_is_unchanged(tmp_path):
+    ini = _scenario(tmp_path)
+    _redate_held_out(ini, 2003)  # 6 -> 9 years scales linearly in one step
+    rep = run_pipeline(load_config(ini, out_dir=tmp_path / "out"))
+    out = tmp_path / "out"
+    ref = scale_transition(read_transition_csv(out / "transition.csv"), 9.0)
+    write_transition_csv(ref, tmp_path / "ref.csv")
+    assert (out / "transition_scaled.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert "time span note" not in rep.report_path.read_text(encoding="ascii")
