@@ -135,33 +135,23 @@ def scale_transition(tm: TransitionMatrix, target_span: float) -> TransitionMatr
     """Linear annualization: off-diagonals scale by target_span/time_span,
     diagonals absorb the remainder.
 
-    If any single off-diagonal would exceed 1 the projection must be split
-    into shorter steps (see scale_transition_in_steps); if a row's scaled
-    off-diagonals exceed 1 in total they are renormalized to sum 1
-    (diagonal 0).
+    If any row's scaled off-diagonals would sum past 1 the projection must be
+    split into shorter steps (see scale_transition_in_steps).
     """
     if not float(target_span) > 0:
         raise DataError(f"target_span must be positive, got {target_span}")
     r = float(target_span) / tm.time_span
-    p = tm.probs.copy()
-    k = p.shape[0]
-    off = p * r
-    np.fill_diagonal(off, 0.0)
-    if off.max() > 1.0 + 1e-12:
-        i, j = np.unravel_index(int(np.argmax(off)), off.shape)
+    out = tm.probs * r
+    np.fill_diagonal(out, 0.0)
+    leave = out.sum(axis=1)
+    if leave.max() > 1.0 + 1e-12:
+        i = int(np.argmax(leave))
         raise NumericalError(
-            f"scaling {tm.time_span} -> {target_span} pushes transition "
-            f"{tm.class_ids[i]}->{tm.class_ids[j]} to {off[i, j]:.4f} > 1; split into shorter steps"
+            f"scaling {tm.time_span} -> {target_span} pushes the transitions out of "
+            f"class {tm.class_ids[i]} to {leave[i]:.4f} > 1; split into shorter steps"
         )
-    out = np.zeros_like(p)
-    for i in range(k):
-        row = off[i]
-        s = float(row.sum())
-        if s > 1.0:
-            row = row / s
-            s = float(row.sum())
-        out[i] = row
-        out[i, i] = max(0.0, 1.0 - s)  # diagonal absorbs whatever the off-diagonals leave
+    # the diagonal absorbs whatever the off-diagonals leave
+    np.fill_diagonal(out, np.maximum(0.0, 1.0 - leave))
     return TransitionMatrix(out, float(target_span), tm.class_ids, counts=None)
 
 
@@ -173,8 +163,8 @@ def scale_transition_in_steps(tm: TransitionMatrix, target_span: float) -> tuple
         raise DataError(f"target_span must be positive, got {target_span}")
     off = tm.probs.copy()
     np.fill_diagonal(off, 0.0)
-    # no n below this lower bound can keep every off-diagonal at or under 1
-    n = max(1, math.floor(float(off.max()) * float(target_span) / tm.time_span) - 1)
+    # no n below this lower bound can keep every row's off-diagonal sum at or under 1
+    n = max(1, math.floor(float(off.sum(axis=1).max()) * float(target_span) / tm.time_span) - 1)
     while True:
         try:
             step = scale_transition(tm, float(target_span) / n)

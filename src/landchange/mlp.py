@@ -7,6 +7,13 @@ focal class. Training is full-batch gradient descent on squared error.
 Inputs per pixel are the one-hot previous class plus min-max normalized
 criterion values; the normalization bounds freeze into the model so
 prediction reproduces training arithmetic bit for bit.
+
+The sigmoid is stable for every z, infinities and signed zeros included.
+Training and prediction share one numeric core. Each training epoch runs
+one gradient kernel that reuses two (n, q) buffers in place; its
+floating-point operations, and their order, are those of the
+one-expression-per-step form kept as the reference in tests/test_mlp.py,
+so weights, loss history and predictions match it bit for bit.
 """
 
 from __future__ import annotations
@@ -20,14 +27,27 @@ from .errors import DataError
 from .grid import Grid, LandCoverMap, read_text, require_same_geometry
 
 
+def _sigmoid_(z: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Logistic function of z, written into z; work has z's shape.
+
+    With e = exp(-|z|) the result is 1 / (1 + e) where z >= 0 and
+    e / (1 + e) elsewhere, so no exp ever overflows. The numerator is
+    max(e, [z >= 0]): e never exceeds 1, and a nan z keeps its nan.
+    """
+    np.negative(z, out=work)
+    np.minimum(z, work, out=work)  # -|z|, nan kept as it came
+    np.exp(work, out=work)
+    np.greater_equal(z, 0.0, out=z)
+    np.maximum(work, z, out=z)
+    work += 1.0
+    z /= work
+    return z
+
+
 def sigmoid(z):
-    """Logistic function, stable for |z| up to the exp overflow limit."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Logistic function of a scalar or an array, stable for every z."""
+    z = np.array(z, dtype=np.float64)
+    out = _sigmoid_(z, np.empty_like(z))
     return out if out.ndim else float(out)
 
 
@@ -108,17 +128,27 @@ def init_model(
     return MLPModel(w1, w0, w2, b, probability_output, features)
 
 
-def _hidden(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    return sigmoid(x @ model.input_weights.T + model.hidden_biases)
+def _hidden(w1: np.ndarray, w0: np.ndarray, x: np.ndarray, h: np.ndarray, work: np.ndarray):
+    """Hidden activations sigmoid(x @ w1.T + w0), written into the (n, q)
+    buffer h; work is a second (n, q) buffer."""
+    np.matmul(x, w1.T, out=h)
+    h += w0
+    return _sigmoid_(h, work)
+
+
+def _output(h: np.ndarray, w2: np.ndarray, b: float, probability_output: bool) -> np.ndarray:
+    raw = h @ w2
+    raw += b
+    return _sigmoid_(raw, np.empty_like(raw)) if probability_output else raw
 
 
 def forward_batch(model: MLPModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_inputs:
         raise DataError(f"inputs must be (n, {model.n_inputs}), got {x.shape}")
-    h = _hidden(model, x)
-    raw = h @ model.output_weights + model.output_bias
-    return sigmoid(raw) if model.probability_output else raw
+    n, q = x.shape[0], model.q
+    h = _hidden(model.input_weights, model.hidden_biases, x, np.empty((n, q)), np.empty((n, q)))
+    return _output(h, model.output_weights, model.output_bias, model.probability_output)
 
 
 def forward(model: MLPModel, x) -> float:
@@ -135,21 +165,26 @@ class MLPGradients:
     output_bias: float
 
 
-def _batch_gradients(model: MLPModel, x: np.ndarray, t: np.ndarray):
+def _batch_gradients(w1, w0, w2, b, probability_output, x, t, h, dh):
     """Mean gradients of 0.5*(out - target)^2 over the batch, plus the batch
-    outputs."""
-    h = _hidden(model, x)  # (n, q)
-    raw = h @ model.output_weights + model.output_bias
-    if model.probability_output:
-        out = sigmoid(raw)
-        ds = (out - t) * out * (1.0 - out)
-    else:
-        out = raw
-        ds = out - t
+    outputs.
+
+    h and dh are (n, q) work buffers that serve the whole pass: h holds the
+    hidden activations and then 1 - h; dh is the sigmoid's work buffer and then
+    the hidden delta. Their contents on entry do not matter.
+    """
     n = x.shape[0]
+    h = _hidden(w1, w0, x, h, dh)
+    out = _output(h, w2, b, probability_output)
+    ds = out - t
+    if probability_output:
+        ds *= out
+        ds *= np.subtract(1.0, out)
     g_w2 = ds @ h / n
     g_b = float(ds.mean())
-    dh = ds[:, None] * model.output_weights[None, :] * h * (1.0 - h)  # (n, q)
+    np.multiply(ds[:, None], w2[None, :], out=dh)
+    dh *= h
+    dh *= np.subtract(1.0, h, out=h)
     g_w1 = dh.T @ x / n
     g_w0 = dh.mean(axis=0)
     return MLPGradients(g_w1, g_w0, g_w2, g_b), out
@@ -158,7 +193,11 @@ def _batch_gradients(model: MLPModel, x: np.ndarray, t: np.ndarray):
 def gradient(model: MLPModel, x, target: float) -> MLPGradients:
     """Gradient of the single-sample loss 0.5*(output - target)^2."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    g, _ = _batch_gradients(model, x, np.asarray([float(target)]))
+    g, _ = _batch_gradients(
+        model.input_weights, model.hidden_biases, model.output_weights, model.output_bias,
+        model.probability_output, x, np.asarray([float(target)]),
+        np.empty((1, model.q)), np.empty((1, model.q)),
+    )
     return g
 
 
@@ -196,17 +235,18 @@ def train(
     w0 = model.hidden_biases.copy()
     w2 = model.output_weights.copy()
     b = model.output_bias
+    prob = model.probability_output
+    h = np.empty((x.shape[0], model.q))
+    dh = np.empty_like(h)
     history = []
-    cur = model
     for _ in range(epochs):
-        g, out = _batch_gradients(cur, x, t)
+        g, out = _batch_gradients(w1, w0, w2, b, prob, x, t, h, dh)
         history.append(float(np.mean((out - t) ** 2)))
-        w1 = w1 - learning_rate * g.input_weights
-        w0 = w0 - learning_rate * g.hidden_biases
-        w2 = w2 - learning_rate * g.output_weights
+        w1 -= learning_rate * g.input_weights
+        w0 -= learning_rate * g.hidden_biases
+        w2 -= learning_rate * g.output_weights
         b = b - learning_rate * g.output_bias
-        cur = MLPModel(w1, w0, w2, b, model.probability_output, model.features)
-    return cur, history
+    return MLPModel(w1, w0, w2, b, prob, model.features), history
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +428,24 @@ def load_model(path) -> MLPModel:
     try:
         n_inputs = int(fields["n_inputs"][0][0])
         q = int(fields["hidden"][0][0])
-        prob = bool(int(fields["probability_output"][0][0]))
+        prob = int(fields["probability_output"][0][0])
         w1 = np.array([[float(v) for v in row] for row in fields["w1"]])
         w0 = np.array([float(v) for v in fields["w0"][0]])
         w2 = np.array([float(v) for v in fields["w2"][0]])
         b = float(fields["b"][0][0])
     except (KeyError, ValueError, IndexError):
         raise DataError(f"{path}: malformed model file") from None
+    if n_inputs < 1 or q < 1:
+        raise DataError(f"{path}: need n_inputs >= 1 and hidden >= 1, got {n_inputs} and {q}")
+    if prob not in (0, 1):
+        raise DataError(f"{path}: probability_output must be 0 or 1, got {prob}")
     if w1.shape != (q, n_inputs):
         raise DataError(f"{path}: weight matrix shape {w1.shape} does not match header ({q}, {n_inputs})")
+    if w0.shape != (q,) or w2.shape != (q,):
+        raise DataError(f"{path}: w0 and w2 need {q} entries each, got {w0.size} and {w2.size}")
+    for name, a in (("w1", w1), ("w0", w0), ("w2", w2), ("b", b)):
+        if not np.isfinite(a).all():
+            raise DataError(f"{path}: non-finite {name} value")
     features = None
     if "classes" in fields:
         try:
@@ -405,7 +454,15 @@ def load_model(path) -> MLPModel:
             bounds = tuple((float(a), float(bb)) for a, bb in fields.get("bounds", []))
         except (KeyError, ValueError, IndexError):
             raise DataError(f"{path}: malformed feature spec") from None
-        features = FeatureSpec(ids, focal, bounds)
+        for lo, hi in bounds:
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise DataError(f"{path}: non-finite bounds value")
+            if lo > hi:
+                raise DataError(f"{path}: bounds {lo!r} > {hi!r}")
+        try:
+            features = FeatureSpec(ids, focal, bounds)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         if features.n_inputs != n_inputs:
             raise DataError(f"{path}: feature spec implies {features.n_inputs} inputs, header says {n_inputs}")
-    return MLPModel(w1, w0, w2, b, prob, features)
+    return MLPModel(w1, w0, w2, b, bool(prob), features)

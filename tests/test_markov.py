@@ -109,12 +109,11 @@ def test_scale_transition_overflow():
         scale_transition(tm, 2.0)
 
 
-def test_scale_transition_renormalizes_heavy_rows():
+def test_scale_transition_rejects_heavy_rows():
     tm = TransitionMatrix(np.array([[0.3, 0.2, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1.0, (0, 1, 2))
-    out = scale_transition(tm, 2.0)
-    # row 0 off-diagonals double to 0.4 + 1.0 = 1.4, renormalized, diagonal 0
-    assert out.probs[0].tolist() == pytest.approx([0.0, 0.4 / 1.4, 1.0 / 1.4], abs=1e-15)
-    assert np.max(np.abs(out.probs.sum(axis=1) - 1.0)) <= 1e-9
+    # row 0 off-diagonals double to 0.4 + 1.0 = 1.4: no single entry passes 1, the row does
+    with pytest.raises(NumericalError, match=r"out of class 0 to 1\.4000 > 1; split into shorter steps"):
+        scale_transition(tm, 2.0)
 
 
 def test_scale_transition_in_steps_composes_equal_steps():
@@ -126,6 +125,19 @@ def test_scale_transition_in_steps_composes_equal_steps():
     step = scale_transition(tm, 7.0)
     assert out.probs.tobytes() == (step.probs @ step.probs).tobytes()
     assert out.time_span == 14.0
+
+
+def test_scale_transition_in_steps_splits_heavy_rows():
+    tm = TransitionMatrix(np.array([[0.2, 0.4, 0.4], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1.0, (0, 1, 2))
+    rows = []
+    for span in (2.0, 2.5):
+        out, n = scale_transition_in_steps(tm, span)
+        assert n == 2  # one step would move 1.6 and 2.0 of row 0 away
+        step = scale_transition(tm, span / 2)
+        assert out.probs.tobytes() == (step.probs @ step.probs).tobytes()
+        rows.append(out.probs[0])
+    assert rows[0] == pytest.approx([0.04, 0.48, 0.48], abs=1e-15)
+    assert rows[1] == pytest.approx([0.0, 0.5, 0.5], abs=1e-15)
 
 
 def test_scale_transition_in_steps_single_step_is_unchanged():
