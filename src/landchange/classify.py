@@ -9,6 +9,7 @@ iterated conditional modes pass trades spectral evidence against
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,10 +183,21 @@ def icm(
     Raster-order sequential sweeps; each pixel takes the class maximizing
     score + beta * (8-neighbors currently holding that class). Stops when a
     sweep changes nothing or after max_sweeps. beta 0 reduces to the plain
-    score argmax. Deterministic; ties go to the lowest class id.
+    score argmax. Deterministic; ties go to the lowest class id, and a nan
+    total never wins over the running best.
+
+    A sweep visits the anti-diagonal fronts t = col + 2*row in increasing t
+    and updates each front in one array step. Pixel (r, c) reads the
+    labels of (r-1, c-1..c+1) and (r, c-1), on fronts t-3..t-1, which a
+    raster sweep has already updated, and those of (r, c+1) and
+    (r+1, c-1..c+1), on fronts t+1..t+3, which it has not. No two pixels
+    of one front are 8-adjacent. So the front order gives exactly the
+    raster-order labels, flip counts and early stop, sweep by sweep. From
+    the second sweep on, a front none of whose neighbors flipped since its
+    last update would repeat that update, and is skipped.
     """
-    if beta < 0:
-        raise DataError(f"beta must be non-negative, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise DataError(f"beta must be finite and non-negative, got {beta}")
     if max_sweeps < 1:
         raise DataError(f"max_sweeps must be at least 1, got {max_sweeps}")
     class_ids = sorted(scores)
@@ -209,43 +221,44 @@ def icm(
     for cid in class_ids:
         active &= scores[cid].valid
 
-    lab = np.full((n_rows + 2, n_cols + 2), -1, dtype=np.int64)
-    inner = lab[1:-1, 1:-1]
+    lab = np.full((n_rows + 2) * w, -1, dtype=np.int64)  # padded, raveled class indices; -1 unlabeled
     labeled = labels >= 0
-    inner[labeled] = np.searchsorted(ids_arr, labels[labeled])
-    flat = lab.ravel().tolist()
+    lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled] = np.searchsorted(ids_arr, labels[labeled])
 
-    score_flat = []
-    for cid in class_ids:
-        buf = np.zeros((n_rows + 2, n_cols + 2))
-        buf[1:-1, 1:-1] = scores[cid].values
-        score_flat.append(buf.ravel().tolist())
+    r, c = np.nonzero(active)
+    t = c + 2 * r
+    order = np.argsort(t, kind="stable")
+    pos = ((r + 1) * w + (c + 1))[order]
+    nbrs = pos[:, None] + np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])
+    score = np.stack([scores[cid].values[active] for cid in class_ids])[:, order]
+    cuts = np.flatnonzero(np.diff(t[order])) + 1
+    fronts = list(zip(np.split(pos, cuts), np.split(nbrs, cuts), np.split(score, cuts, axis=1)))
+    n_fronts = len(fronts)
+    flipped_at = np.full(lab.size, -1, dtype=np.int64)  # step (sweep * n_fronts + front) of the last flip
 
-    order = [(r + 1) * w + (c + 1) for r in range(n_rows) for c in range(n_cols) if active[r, c]]
-    offsets = (-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1)
-
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps):
         changed = 0
-        for p in order:
-            counts = [0] * k
-            for off in offsets:
-                q = flat[p + off]
-                if q >= 0:
-                    counts[q] += 1
-            best_k = 0
-            best_v = score_flat[0][p] + beta * counts[0]
+        for f, (p, nb, s) in enumerate(fronts):
+            step = sweep * n_fronts + f
+            if sweep and flipped_at[nb].max() <= step - n_fronts:
+                continue
+            q = lab[nb]
+            best_v = s[0] + beta * np.count_nonzero(q == 0, axis=1)
+            best_k = np.zeros(p.size, dtype=np.int64)
             for j in range(1, k):
-                v = score_flat[j][p] + beta * counts[j]
-                if v > best_v:
-                    best_v = v
-                    best_k = j
-            if best_k != flat[p]:
-                flat[p] = best_k
-                changed += 1
+                v = s[j] + beta * np.count_nonzero(q == j, axis=1)
+                up = v > best_v  # strict, like the raster loop: ties keep the lower id
+                best_v = np.where(up, v, best_v)
+                best_k[up] = j
+            flip = best_k != lab[p]
+            if flip.any():
+                changed += int(np.count_nonzero(flip))
+                lab[p] = best_k
+                flipped_at[p[flip]] = step
         if changed == 0:
             break
 
-    out_lab = np.asarray(flat, dtype=np.int64).reshape(n_rows + 2, n_cols + 2)[1:-1, 1:-1]
+    out_lab = lab.reshape(n_rows + 2, w)[1:-1, 1:-1]
     out = np.full(initial.grid.shape, initial.grid.nodata_value)
     out[active] = ids_arr.astype(np.float64)[out_lab[active]]
     keep = initial.grid.valid & ~active  # labeled cells without full score coverage pass through

@@ -175,11 +175,11 @@ def cmd_classify(args) -> int:
         legend = {int(c): f"class {int(c)}" for c in sorted(set(vals.tolist()))}
     training = LandCoverMap(training_grid, legend)
     signatures = estimate_signatures(image, training)
-    write_signatures_csv(signatures, out / "signatures.csv")
     priors = "equal" if args.equal_priors else "empirical"
     labeled, scores = maxlike(image, signatures, priors_mode=priors, legend=legend)
-    write_ascii_grid(labeled.grid, out / "classified_ml.asc")
     smoothed = icm(labeled, scores, beta=args.beta, max_sweeps=args.sweeps)
+    write_signatures_csv(signatures, out / "signatures.csv")  # nothing is written if a step fails
+    write_ascii_grid(labeled.grid, out / "classified_ml.asc")
     write_ascii_grid(smoothed.grid, out / "classified_icm.asc")
     write_legend(legend, out / "classified_legend.csv")
     log.info("classify: %d classes, beta=%s", len(signatures), args.beta)

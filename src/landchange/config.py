@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,9 +129,12 @@ def _get_float(section, key, default=None):
             raise ConfigError(f"missing key {section.name}.{key}")
         return default
     try:
-        return float(raw)
+        v = float(raw)
     except ValueError:
         raise ConfigError(f"{section.name}.{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{section.name}.{key} must be finite, got {raw!r}")
+    return v
 
 
 def _resolve(base: Path, raw: str, what: str) -> Path:
@@ -224,8 +228,8 @@ def validate_config(
                 (s.get("direction") or "increasing").strip(),
                 _get_float(s, "a"),
                 _get_float(s, "b"),
-                _get_float(s, "c", default=float("nan")) if s.get("c") else None,
-                _get_float(s, "d", default=float("nan")) if s.get("d") else None,
+                _get_float(s, "c") if s.get("c") else None,
+                _get_float(s, "d") if s.get("d") else None,
             )
         except DataError as e:
             raise ConfigError(f"[{sec}]: {e}") from None
@@ -245,6 +249,8 @@ def validate_config(
                 order_weights = tuple(float(t) for t in s["order_weights"].split(","))
             except ValueError:
                 raise ConfigError("mce.order_weights must be comma-separated numbers") from None
+            if not all(math.isfinite(v) for v in order_weights):
+                raise ConfigError(f"mce.order_weights must be finite, got {s['order_weights']!r}")
         if method == "owa" and order_weights is None:
             raise ConfigError("mce.method owa needs mce.order_weights")
 

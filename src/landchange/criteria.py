@@ -153,6 +153,8 @@ class FuzzySpec:
         if self.direction not in _DIRECTIONS:
             raise DataError(f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
         a, b = float(self.a), float(self.b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DataError(f"control points must be finite, got a={a}, b={b}")
         if a >= b:
             raise DataError(f"control points must satisfy a < b, got a={a}, b={b}")
         object.__setattr__(self, "a", a)
@@ -161,6 +163,8 @@ class FuzzySpec:
             if self.c is None or self.d is None:
                 raise DataError("symmetric direction needs all four control points a, b, c, d")
             c, d = float(self.c), float(self.d)
+            if not (math.isfinite(c) and math.isfinite(d)):
+                raise DataError(f"control points must be finite, got c={c}, d={d}")
             if not (b <= c < d):
                 raise DataError(f"control points must satisfy b <= c < d, got b={b}, c={c}, d={d}")
             object.__setattr__(self, "c", c)

@@ -162,7 +162,7 @@ def owa(
     n = len(factors)
     if ow.ndim != 1 or ow.size != n:
         raise DataError(f"{n} factors but {ow.size} order weights")
-    if np.any(ow < 0) or abs(float(ow.sum()) - 1.0) > 1e-9:
+    if not (np.all(ow >= 0) and abs(float(ow.sum()) - 1.0) <= 1e-9):
         raise DataError("order weights must be non-negative and sum to 1")
 
     terms = w[:, None, None] * stack  # same term layout and reduction order as wlc

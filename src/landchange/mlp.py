@@ -220,8 +220,8 @@ def train(
     t = data.targets
     if x.shape[1] != model.n_inputs:
         raise DataError(f"model expects {model.n_inputs} inputs, data has {x.shape[1]}")
-    if learning_rate < 0:
-        raise DataError(f"learning_rate must be non-negative, got {learning_rate}")
+    if not (np.isfinite(learning_rate) and learning_rate >= 0):
+        raise DataError(f"learning_rate must be finite and non-negative, got {learning_rate}")
     if epochs < 1:
         raise DataError(f"epochs must be >= 1, got {epochs}")
     if seed is not None:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landchange.classify import (
     SCORE_NODATA,
@@ -198,8 +200,9 @@ def test_icm_objective_never_decreases():
 def test_icm_validation():
     lc = _map(np.zeros((2, 2)), {0: "a"})
     scores = {0: Grid(np.zeros((2, 2)), 1.0, nodata_value=SCORE_NODATA)}
-    with pytest.raises(DataError):
-        icm(lc, scores, beta=-1.0)
+    for beta in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DataError, match=f"beta must be finite and non-negative, got {beta}"):
+            icm(lc, scores, beta=beta)
     with pytest.raises(DataError):
         icm(lc, scores, max_sweeps=0)
     with pytest.raises(DataError):
@@ -207,6 +210,113 @@ def test_icm_validation():
     lc2 = _map(np.array([[0.0, 1.0]]), {0: "a", 1: "b"})
     with pytest.raises(DataError, match="without scores"):
         icm(lc2, {0: Grid(np.zeros((1, 2)), 1.0, nodata_value=SCORE_NODATA)})
+
+
+def _ref_icm(initial, scores, beta, max_sweeps):
+    """The raster-order ICM loop over Python lists that icm must match bit for bit."""
+    class_ids = sorted(scores)
+    labels = initial.labels
+    n_rows, n_cols = initial.grid.shape
+    w = n_cols + 2
+    k = len(class_ids)
+    ids_arr = np.asarray(class_ids, dtype=np.int64)
+    active = labels >= 0
+    for cid in class_ids:
+        active &= scores[cid].valid
+    lab = np.full((n_rows + 2, n_cols + 2), -1, dtype=np.int64)
+    labeled = labels >= 0
+    lab[1:-1, 1:-1][labeled] = np.searchsorted(ids_arr, labels[labeled])
+    flat = lab.ravel().tolist()
+    score_flat = []
+    for cid in class_ids:
+        buf = np.zeros((n_rows + 2, n_cols + 2))
+        buf[1:-1, 1:-1] = scores[cid].values
+        score_flat.append(buf.ravel().tolist())
+    order = [(r + 1) * w + (c + 1) for r in range(n_rows) for c in range(n_cols) if active[r, c]]
+    offsets = (-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1)
+    for _ in range(max_sweeps):
+        changed = 0
+        for p in order:
+            counts = [0] * k
+            for off in offsets:
+                q = flat[p + off]
+                if q >= 0:
+                    counts[q] += 1
+            best_k = 0
+            best_v = score_flat[0][p] + beta * counts[0]
+            for j in range(1, k):
+                v = score_flat[j][p] + beta * counts[j]
+                if v > best_v:
+                    best_v = v
+                    best_k = j
+            if best_k != flat[p]:
+                flat[p] = best_k
+                changed += 1
+        if changed == 0:
+            break
+    out_lab = np.asarray(flat, dtype=np.int64).reshape(n_rows + 2, n_cols + 2)[1:-1, 1:-1]
+    out = np.full(initial.grid.shape, initial.grid.nodata_value)
+    out[active] = ids_arr.astype(np.float64)[out_lab[active]]
+    keep = initial.grid.valid & ~active
+    out[keep] = initial.grid.values[keep]
+    return out
+
+
+@st.composite
+def _icm_cases(draw):
+    k = draw(st.integers(1, 5))
+    ids = sorted(draw(st.sets(st.integers(0, 20), min_size=k, max_size=k)))
+    n_rows, n_cols = draw(st.sampled_from([(1, None), (None, 1), (None, None)]))
+    n_rows = n_rows or draw(st.integers(1, 14))
+    n_cols = n_cols or draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_rows, n_cols)
+    vals = rng.choice(ids, size=shape).astype(np.float64)
+    vals[rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = -9999.0
+    integer = draw(st.booleans())  # small integer scores make ties common
+    nan_frac = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    frozen_frac = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))  # a frozen cell has a nodata score
+    scores = {}
+    for c in ids:
+        sv = rng.integers(-3, 4, size=shape).astype(np.float64) if integer else rng.standard_normal(shape)
+        sv[rng.random(shape) < nan_frac] = np.nan
+        sv[rng.random(shape) < frozen_frac] = SCORE_NODATA
+        scores[c] = Grid(sv, 1.0, nodata_value=SCORE_NODATA)
+    beta = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]), st.floats(0.0, 10.0)))
+    return _map(vals, {c: f"c{c}" for c in ids}), scores, beta, draw(st.integers(1, 4))
+
+
+_ALL_FROZEN = (
+    _map(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, -9999.0]]), {0: "a", 1: "b"}),
+    {
+        0: Grid(np.full((2, 3), 1.0), 1.0, nodata_value=SCORE_NODATA),
+        1: Grid(np.full((2, 3), SCORE_NODATA), 1.0, nodata_value=SCORE_NODATA),
+    },
+    1.5,
+    3,
+)
+
+# sweep 1 flips only the right end; that flip turns the middle pixel in sweep 2
+_ONE_FLIP_THEN_ANOTHER = (
+    _map(np.array([[1.0, 0.0, 0.0]]), {0: "a", 1: "b"}),
+    {
+        0: Grid(np.array([[0.0, 1.0, 0.0]]), 1.0, nodata_value=SCORE_NODATA),
+        1: Grid(np.array([[5.0, 0.0, 5.0]]), 1.0, nodata_value=SCORE_NODATA),
+    },
+    1.0,
+    3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_icm_cases())
+@example(_ALL_FROZEN)
+@example(_ONE_FLIP_THEN_ANOTHER)
+def test_icm_matches_raster_reference_bits(case):
+    initial, scores, beta, max_sweeps = case
+    out = icm(initial, scores, beta=beta, max_sweeps=max_sweeps)
+    assert out.grid.nodata_value == initial.grid.nodata_value
+    assert out.grid.values.tobytes() == _ref_icm(initial, scores, beta, max_sweeps).tobytes()
 
 
 def test_kappa_reference_values():

@@ -190,7 +190,7 @@ def test_indices_and_change(tmp_path):
         assert (out2 / fn).is_file(), fn
 
 
-def test_classify(tmp_path):
+def _classify_inputs(tmp_path):
     left_right = lambda lo, hi, jitter: [
         [lo, lo + jitter, hi, hi + jitter],
         [lo + jitter, lo, hi + jitter, hi],
@@ -202,11 +202,24 @@ def test_classify(tmp_path):
         tmp_path / "train.asc",
         [[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]],
     )
+    return [b1, b2, "--training", training]
+
+
+def test_classify(tmp_path):
     out = tmp_path / "cls"
-    code = main(["classify", b1, b2, "--training", training, "--out", str(out), "--quiet"])
+    code = main(["classify", *_classify_inputs(tmp_path), "--out", str(out), "--quiet"])
     assert code == 0
     for fn in ("signatures.csv", "classified_ml.asc", "classified_icm.asc", "classified_legend.csv"):
         assert (out / fn).is_file(), fn
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_classify_rejects_non_finite_beta(tmp_path, beta):
+    res = _cli(["classify", *_classify_inputs(tmp_path), "--beta", beta, "--out", "o", "--quiet"], tmp_path)
+    assert res.returncode == 3
+    assert f"beta must be finite and non-negative, got {beta}" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_criteria_subcommand(tmp_path):

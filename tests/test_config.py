@@ -152,6 +152,27 @@ def test_mlp_section(tmp_path):
     assert cfg.mlp_threshold == 0.6
 
 
+MLP = BASE.replace("seed = 3", "seed = 3\nmodel = mlp") + "[mlp]\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (BASE + CRIT.replace("a = 0", "a = {}"), "fuzzy.slope.a"),
+        (BASE + CRIT.replace("b = 10", "b = {}"), "fuzzy.slope.b"),
+        (BASE + CRIT.replace("decreasing", "symmetric") + "c = {}\nd = 20\n", "fuzzy.slope.c"),
+        (BASE + CRIT.replace("decreasing", "symmetric") + "c = 15\nd = {}\n", "fuzzy.slope.d"),
+        (MLP + "learning_rate = {}\n", "mlp.learning_rate"),
+        (MLP + "threshold = {}\n", "mlp.threshold"),
+        (BASE + "[mce]\nmethod = owa\norder_weights = 0.5,{}\n", "mce.order_weights"),
+    ],
+)
+def test_float_keys_reject_non_finite(tmp_path, text, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite, got '[^']*{value}'"):
+        load_config(_write(tmp_path, text.format(value)))
+
+
 def test_echo_uses_basenames(tmp_path):
     sub = tmp_path / "data"
     sub.mkdir()

@@ -205,6 +205,10 @@ def test_fuzzy_spec_validation():
         FuzzySpec("linear", "symmetric", 0, 1)  # needs c and d
     with pytest.raises(DataError):
         FuzzySpec("linear", "symmetric", 0, 1, 0.5, 2)  # c < b
+    nan, inf = float("nan"), float("inf")
+    for points in ((nan, 1), (0, nan), (-inf, 1), (0, inf), (0, 1, nan, 3), (0, 1, 2, nan), (0, 1, 2, inf)):
+        with pytest.raises(DataError, match="must be finite"):
+            FuzzySpec("linear", "symmetric" if len(points) == 4 else "increasing", *points)
 
 
 def test_linear_memberships():

@@ -130,6 +130,8 @@ def test_owa_validation():
         owa([f0], [1.0], [0.5])
     with pytest.raises(DataError, match="sum to 1"):
         owa([f0, f0], [0.5, 0.5], [1.5, -0.5])
+    with pytest.raises(DataError, match="sum to 1"):
+        owa([f0, f0], [0.5, 0.5], [float("nan"), 1.0])
 
 
 def test_saaty_csv_roundtrip(tmp_path):

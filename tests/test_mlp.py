@@ -253,8 +253,9 @@ def test_train_validation():
     with pytest.raises(DataError, match="expects 3 inputs"):
         train(m, data, 0.1, 1)
     m2 = init_model(2, 2, seed=0)
-    with pytest.raises(DataError, match="learning_rate"):
-        train(m2, data, -0.1, 1)
+    for lr in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(DataError, match=f"learning_rate must be finite and non-negative, got {lr}"):
+            train(m2, data, lr, 1)
     with pytest.raises(DataError, match="epochs"):
         train(m2, data, 0.1, 0)
 
