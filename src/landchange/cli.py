@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 One subcommand per pipeline stage plus the synthetic-scenario generator.
-Stage subcommands share a config file and an output directory, and the
-monolithic `run` equals the chained stages byte for byte because every
-stage talks to the others only through files.
+Stage subcommands share a config file and an output directory and read
+their inputs from files, including what earlier stages wrote there. The
+monolithic `run` reads each input once, hands each stage's results to the
+next in memory and writes the same files, so it equals the chained stages
+byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 input data error,
 4 numerical failure.

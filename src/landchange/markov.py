@@ -95,15 +95,21 @@ class TransitionMatrix:
         p = np.asarray(self.probs, dtype=np.float64)
         ids = tuple(int(c) for c in self.class_ids)
         k = len(ids)
+        if len(set(ids)) != k or any(c < 0 for c in ids):
+            raise DataError(f"class ids must be distinct and non-negative, got {ids}")
         if p.shape != (k, k):
             raise DataError(f"probability matrix shape {p.shape} does not match {k} classes")
-        if np.any(p < 0) or np.any(p > 1):
-            raise DataError("transition probabilities must lie in [0, 1]")
+        bad = np.argwhere(~((p >= 0) & (p <= 1)))  # also catches nan
+        if bad.size:
+            i, j = bad[0]
+            raise DataError(
+                f"transition probability {ids[i]} -> {ids[j]} must lie in [0, 1], got {float(p[i, j])!r}"
+            )
         rs = p.sum(axis=1)
         if np.max(np.abs(rs - 1.0)) > 1e-9:
             raise DataError(f"transition rows must sum to 1 within 1e-9, got {rs}")
-        if not float(self.time_span) > 0:
-            raise DataError(f"time_span must be positive, got {self.time_span}")
+        if not (math.isfinite(float(self.time_span)) and float(self.time_span) > 0):
+            raise DataError(f"time_span must be positive and finite, got {float(self.time_span)!r}")
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -291,7 +297,10 @@ def read_transition_csv(path) -> TransitionMatrix:
             span = float(first.split(":", 1)[1])
         except ValueError:
             raise DataError(f"{path}: bad time_span value") from None
-        rows = [row for row in csv.reader(fh) if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as e:
+            raise DataError(f"{path}: malformed CSV: {e}") from None
     if not rows or rows[0][0] != "class":
         raise DataError(f"{path}: missing 'class' header row")
     try:
@@ -307,7 +316,10 @@ def read_transition_csv(path) -> TransitionMatrix:
             probs.append([float(v) for v in row[1:]])
     except ValueError:
         raise DataError(f"{path}: non-numeric matrix entry") from None
-    return TransitionMatrix(np.asarray(probs), span, tuple(ids))
+    try:
+        return TransitionMatrix(np.asarray(probs), span, tuple(ids))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def write_second_order_csv(table: SecondOrderTable, path) -> None:

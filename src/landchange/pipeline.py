@@ -1,10 +1,14 @@
 """Config-driven pipeline stages and the calibrate-predict-validate run.
 
-Every stage reads its inputs from files and writes its outputs to files
-under the configured output directory, so chaining the stage subcommands
-produces byte-identical artifacts to the monolithic run. The last dated
-map is held out: transitions are estimated from the two maps before it,
-the prediction targets its year, and validation compares against it.
+Every stage writes its outputs to files under the configured output
+directory. Each stage runs in three steps: read, compute and write. A
+single-stage command reads its inputs from files, including what earlier
+stages wrote. The monolithic run reads each input once and hands each
+stage's in-memory results to the next stage, so the compute step is the
+same code either way, and chaining the stage subcommands produces
+byte-identical artifacts to the monolithic run. The last dated map is held
+out: transitions are estimated from the two maps before it, the prediction
+targets its year, and validation compares against it.
 
 The text report is fully determined by config + inputs + seed except for
 lines prefixed ``wall_clock``, which carry per-stage timings and are the
@@ -37,8 +41,9 @@ from .classify import (
 from .config import PipelineConfig
 from .criteria import SuitabilityGrid, fuzzy_standardize
 from .errors import ConfigError, DataError, LandchangeError
-from .grid import LandCoverMap, mask_like, read_ascii_grid, read_legend, write_ascii_grid
+from .grid import Grid, LandCoverMap, mask_like, read_ascii_grid, read_legend, write_ascii_grid
 from .markov import (
+    TransitionMatrix,
     conditional_probability_maps,
     crosstab,
     expected_areas,
@@ -51,7 +56,16 @@ from .markov import (
     write_transition_csv,
 )
 from .mce import owa, read_saaty_csv, saaty_weights, wlc, write_weights_csv
-from .mlp import build_samples, init_model, load_model, predict_map, save_model, train, write_history_csv
+from .mlp import (
+    MLPModel,
+    build_samples,
+    init_model,
+    load_model,
+    predict_map,
+    save_model,
+    train,
+    write_history_csv,
+)
 
 TRANSITION_CSV = "transition.csv"
 TRANSITION_SCALED_CSV = "transition_scaled.csv"
@@ -102,10 +116,6 @@ def _window(maps: list[LandCoverMap], years) -> tuple[LandCoverMap, LandCoverMap
     return prev, cur, held, span_cal, span_pred
 
 
-def _read_map(path, legend, date_tag: str) -> LandCoverMap:
-    return LandCoverMap(read_ascii_grid(path), legend, date_tag)
-
-
 def _read_suitability(path) -> SuitabilityGrid:
     g = read_ascii_grid(path)
     return SuitabilityGrid(g.values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value)
@@ -122,50 +132,127 @@ def _read_constraints(cfg: PipelineConfig):
     return cons
 
 
+def _read_criteria(cfg: PipelineConfig) -> list[Grid]:
+    return [read_ascii_grid(p) for p in cfg.criteria.values()]
+
+
+def _held_out_window(maps: list[LandCoverMap], years):
+    if len(maps) < 3:
+        raise DataError("validation needs at least three dated maps (last one held out)")
+    return _window(maps, years)
+
+
+def _predictions(cfg: PipelineConfig) -> list[tuple[str, str, str]]:
+    """(model name, prediction file, stage that writes it) for each model
+    the config runs."""
+    selected = []
+    if cfg.model in ("ca_markov", "both"):
+        selected.append(("ca_markov", PREDICTED_CA, "predict"))
+    if cfg.model in ("mlp", "both"):
+        selected.append(("mlp", PREDICTED_MLP, "mlp-predict"))
+    return selected
+
+
 # ---------------------------------------------------------------------------
-# stages
+# read steps: what a single-stage command loads from files in place of the
+# results `run_pipeline` hands forward in memory. A stage reads the inputs
+# that come only from the config (criteria, comparison matrix, constraints)
+# itself, in either case.
 
 
-def stage_markov(cfg: PipelineConfig) -> dict:
+def _read_maps(cfg: PipelineConfig) -> dict:
+    return {"maps": load_maps(cfg)}
+
+
+def _read_predict(cfg: PipelineConfig) -> dict:
+    maps = load_maps(cfg)
+    _, cur, _, _, _ = _window(maps, cfg.years)
+    tm_path = cfg.out_dir / TRANSITION_SCALED_CSV
+    if not tm_path.is_file():
+        raise DataError(f"{tm_path.name} not found; run the markov stage first")
+    tm_s = read_transition_csv(tm_path)
+    suits = {}
+    for cid in cur.class_ids:  # stage_predict names the first one missing
+        p = cfg.out_dir / f"suit_{cid}.asc"
+        if p.is_file():
+            suits[cid] = _read_suitability(p)
+    return {"maps": maps, "tm_s": tm_s, "suits": suits}
+
+
+def _read_mlp_predict(cfg: PipelineConfig) -> dict:
+    model_path = cfg.out_dir / MLP_MODEL
+    if not model_path.is_file():
+        raise DataError(f"{model_path.name} not found; run the mlp-train stage first")
+    model = load_model(model_path)
+    return {"maps": load_maps(cfg), "model": model, "criteria": _read_criteria(cfg)}
+
+
+def _read_validate(cfg: PipelineConfig) -> dict:
+    maps = load_maps(cfg)
+    _held_out_window(maps, cfg.years)
+    predictions = {}
+    for name, fname, _ in _predictions(cfg):
+        p = cfg.out_dir / fname
+        if not p.is_file():
+            raise DataError(f"{fname} not found; run the predict stages first")
+        predictions[name] = read_ascii_grid(p)
+    return {"maps": maps, "predictions": predictions}
+
+
+# ---------------------------------------------------------------------------
+# stages: compute, then write. Each returns what the report needs and what
+# later stages take as inputs.
+
+
+def stage_markov(cfg: PipelineConfig, maps: list[LandCoverMap]) -> dict:
     """Estimate transitions from the calibration pair, scale them to the
     prediction span (composing equal sub-steps when one linear step would
-    push a probability past 1), and project expected areas."""
-    out = _out(cfg)
-    maps = load_maps(cfg)
+    push a probability past 1), and project expected areas. Hands forward
+    the dated maps and the scaled matrix."""
     prev, cur, held, span_cal, span_pred = _window(maps, cfg.years)
     counts, ids = crosstab(prev, cur)
     tm = transition_probabilities(counts, ids, span_cal)
-    write_transition_csv(tm, out / TRANSITION_CSV)
     tm_s, steps = scale_transition_in_steps(tm, span_pred)
-    write_transition_csv(tm_s, out / TRANSITION_SCALED_CSV)
     reals, ints = expected_areas(cur, tm_s)
-    write_expected_areas_csv(reals, ints, out / EXPECTED_AREAS_CSV)
-    for cid, g in sorted(conditional_probability_maps(cur, tm_s).items()):
-        write_ascii_grid(g, out / f"prob_to_{cid}.asc")
+    probs = conditional_probability_maps(cur, tm_s)
+    table = None
     if len(maps) >= 4:  # a second-order table without touching the held-out map
         table = second_order_transitions(maps[-4], maps[-3], maps[-2], time_span=span_cal)
+
+    out = cfg.out_dir
+    write_transition_csv(tm, out / TRANSITION_CSV)
+    write_transition_csv(tm_s, out / TRANSITION_SCALED_CSV)
+    write_expected_areas_csv(reals, ints, out / EXPECTED_AREAS_CSV)
+    for cid, g in sorted(probs.items()):
+        write_ascii_grid(g, out / f"prob_to_{cid}.asc")
+    if table is not None:
         write_second_order_csv(table, out / SECOND_ORDER_CSV)
-    return {"transition": tm, "transition_scaled": tm_s, "steps": steps, "expected": (reals, ints)}
+    return {
+        "maps": maps,
+        "transition": tm,
+        "transition_scaled": tm_s,
+        "steps": steps,
+        "expected": (reals, ints),
+    }
 
 
 def stage_mce(cfg: PipelineConfig) -> dict:
     """Fuzzy-standardize criteria and combine them into one suitability
-    grid per class using the comparison-matrix weights."""
-    out = _out(cfg)
+    grid per class using the comparison-matrix weights. Hands forward the
+    suitability grids."""
     if not cfg.suitability:
         raise ConfigError("no [suitability] classes configured")
     if cfg.saaty_path is None:
         raise ConfigError("missing mce.saaty comparison matrix")
     ws = saaty_weights(read_saaty_csv(cfg.saaty_path))
     n = ws.weights.size
-    write_weights_csv([f"rank{i + 1}" for i in range(n)], ws, out / WEIGHTS_CSV)
-
     needed = {name for names in cfg.suitability.values() for name in names}
     factors = {
         name: fuzzy_standardize(read_ascii_grid(cfg.criteria[name]), cfg.fuzzy[name])
         for name in sorted(needed)
     }
     constraints = _read_constraints(cfg)
+    suits = {}
     for cid, names in cfg.suitability.items():
         if len(names) != n:
             raise DataError(
@@ -174,45 +261,52 @@ def stage_mce(cfg: PipelineConfig) -> dict:
             )
         fs = [factors[name] for name in names]
         if cfg.mce_method == "owa":
-            suit = owa(fs, ws, cfg.order_weights, constraints)
+            suits[cid] = owa(fs, ws, cfg.order_weights, constraints)
         else:
-            suit = wlc(fs, ws, constraints)
+            suits[cid] = wlc(fs, ws, constraints)
+
+    out = cfg.out_dir
+    write_weights_csv([f"rank{i + 1}" for i in range(n)], ws, out / WEIGHTS_CSV)
+    for cid, suit in suits.items():
         write_ascii_grid(suit, out / f"suit_{cid}.asc")
-    return {"weights": ws}
+    return {"weights": ws, "suits": suits}
 
 
-def stage_predict(cfg: PipelineConfig) -> dict:
-    """Allocate the projected areas over the most recent calibration map."""
-    out = _out(cfg)
-    maps = load_maps(cfg)
+def stage_predict(
+    cfg: PipelineConfig,
+    maps: list[LandCoverMap],
+    tm_s: TransitionMatrix,
+    suits: dict[int, SuitabilityGrid],
+) -> dict:
+    """Allocate the projected areas over the most recent calibration map.
+    Hands forward the predicted grid."""
     _, cur, _, _, _ = _window(maps, cfg.years)
-    tm_path = out / TRANSITION_SCALED_CSV
-    if not tm_path.is_file():
-        raise DataError(f"{tm_path.name} not found; run the markov stage first")
-    tm_s = read_transition_csv(tm_path)
-    suits = {}
     for cid in cur.class_ids:
-        p = out / f"suit_{cid}.asc"
-        if not p.is_file():
-            raise DataError(f"{p.name} not found; run the mce stage first")
-        suits[cid] = _read_suitability(p)
+        if cid not in suits:
+            raise DataError(f"suit_{cid}.asc not found; run the mce stage first")
+    suits = {cid: suits[cid] for cid in cur.class_ids}
     predicted, log = ca_markov(cur, tm_s, suits, CaParams(cfg.iterations, cfg.kernel))
+
+    out = cfg.out_dir
     write_ascii_grid(predicted.grid, out / PREDICTED_CA)
     write_allocation_log_csv(log, out / ALLOCATION_LOG_CSV)
-    return {"log": log, "clumping": mean_same_class_neighbor_fraction(predicted)}
+    return {
+        "log": log,
+        "clumping": mean_same_class_neighbor_fraction(predicted),
+        "predicted": predicted.grid,
+    }
 
 
-def stage_mlp_train(cfg: PipelineConfig) -> dict:
-    """Fit the perceptron to the calibration transition."""
-    out = _out(cfg)
-    maps = load_maps(cfg)
+def stage_mlp_train(cfg: PipelineConfig, maps: list[LandCoverMap]) -> dict:
+    """Fit the perceptron to the calibration transition. Hands forward the
+    model and the criterion grids it was fitted on."""
     prev, cur, _, _, _ = _window(maps, cfg.years)
     if len(cur.class_ids) != 2:  # predict_map thresholds to a 2-class map
         raise DataError(
             f"run.model = {cfg.model} thresholds the perceptron output into a "
             f"2-class map, but the legend holds classes {tuple(cur.class_ids)}"
         )
-    criteria = [read_ascii_grid(p) for p in cfg.criteria.values()]
+    criteria = _read_criteria(cfg)
     if not criteria:
         raise ConfigError("mlp training needs at least one [criteria] grid")
     ds = build_samples(prev, cur, criteria, focal_class=cfg.mlp_focal)
@@ -220,57 +314,42 @@ def stage_mlp_train(cfg: PipelineConfig) -> dict:
         ds.inputs.shape[1], cfg.mlp_hidden, seed=cfg.seed, features=ds.features
     )
     model, history = train(model, ds, cfg.mlp_learning_rate, cfg.mlp_epochs)
+
+    out = cfg.out_dir
     save_model(model, out / MLP_MODEL)
     write_history_csv(history, out / MLP_HISTORY_CSV)
-    return {"history": history}
+    return {"history": history, "model": model, "criteria": criteria}
 
 
-def stage_mlp_predict(cfg: PipelineConfig) -> dict:
-    """Apply the trained perceptron to the most recent calibration map."""
-    out = _out(cfg)
-    model_path = out / MLP_MODEL
-    if not model_path.is_file():
-        raise DataError(f"{model_path.name} not found; run the mlp-train stage first")
-    model = load_model(model_path)
-    maps = load_maps(cfg)
+def stage_mlp_predict(
+    cfg: PipelineConfig, maps: list[LandCoverMap], model: MLPModel, criteria: list[Grid]
+) -> dict:
+    """Apply the trained perceptron to the most recent calibration map.
+    Hands forward the predicted grid."""
     _, cur, _, _, _ = _window(maps, cfg.years)
-    criteria = [read_ascii_grid(p) for p in cfg.criteria.values()]
     prob, predicted = predict_map(model, cur, criteria, cfg.mlp_threshold)
+
+    out = cfg.out_dir
     write_ascii_grid(prob, out / MLP_PROB)
     write_ascii_grid(predicted.grid, out / PREDICTED_MLP)
-    return {}
+    return {"predicted": predicted.grid}
 
 
-def stage_validate(cfg: PipelineConfig) -> dict:
+def stage_validate(cfg: PipelineConfig, maps: list[LandCoverMap], predictions: dict[str, Grid]) -> dict:
     """Compare each prediction against the held-out map, next to a
     random-allocation baseline with the same class totals."""
-    out = _out(cfg)
-    maps = load_maps(cfg)
-    if len(maps) < 3:
-        raise DataError("validation needs at least three dated maps (last one held out)")
-    _, cur, held, _, _ = _window(maps, cfg.years)
-    legend = held.legend
-
-    selected = []
-    if cfg.model in ("ca_markov", "both"):
-        selected.append(("ca_markov", PREDICTED_CA))
-    if cfg.model in ("mlp", "both"):
-        selected.append(("mlp", PREDICTED_MLP))
-
+    _, cur, held, _, _ = _held_out_window(maps, cfg.years)
     rows = []
     results = {}
+    scored = []
     baseline_targets = None
-    for name, fname in selected:
-        p = out / fname
-        if not p.is_file():
-            raise DataError(f"{fname} not found; run the predict stages first")
-        pred = _read_map(p, legend, held.date_tag)
+    for name, grid in predictions.items():
+        pred = LandCoverMap(grid, held.legend, held.date_tag)
         cm = confusion(pred, held)
         k = kappa(cm)
         oa = overall_accuracy(cm)
-        write_confusion_csv(cm, out / f"confusion_{name}.csv")
         mask, producer = residual_map(pred, held)
-        write_ascii_grid(mask, out / f"residual_{name}.asc")
+        scored.append((name, cm, mask))
         rows.append((name, k, oa))
         results[name] = {"kappa": k, "accuracy": oa, "producer": producer}
         if baseline_targets is None:
@@ -282,6 +361,10 @@ def stage_validate(cfg: PipelineConfig) -> dict:
     rows.append(("random_baseline", k_r, overall_accuracy(cm_r)))
     results["random_baseline"] = {"kappa": k_r, "accuracy": overall_accuracy(cm_r)}
 
+    out = cfg.out_dir
+    for name, cm, mask in scored:
+        write_confusion_csv(cm, out / f"confusion_{name}.csv")
+        write_ascii_grid(mask, out / f"residual_{name}.asc")
     with open(out / VALIDATION_CSV, "w", encoding="ascii", newline="\n") as fh:
         fh.write("model,kappa,overall_accuracy\n")
         for name, k, oa in rows:
@@ -303,23 +386,48 @@ class RunReport:
     timings: dict[str, float]
 
 
+# stage name -> (read step of the single-stage command, stage)
 _STAGES = {
-    "markov": stage_markov,
-    "mce": stage_mce,
-    "predict": stage_predict,
-    "mlp-train": stage_mlp_train,
-    "mlp-predict": stage_mlp_predict,
-    "validate": stage_validate,
+    "markov": (_read_maps, stage_markov),
+    "mce": (lambda cfg: {}, stage_mce),
+    "predict": (_read_predict, stage_predict),
+    "mlp-train": (_read_maps, stage_mlp_train),
+    "mlp-predict": (_read_mlp_predict, stage_mlp_predict),
+    "validate": (_read_validate, stage_validate),
 }
 
 
-def run_stage(name: str, cfg: PipelineConfig) -> dict:
-    """One pipeline stage with stage-attributed errors."""
-    fn = _STAGES[name]
+def run_stage(name: str, cfg: PipelineConfig, inputs: dict | None = None) -> dict:
+    """One pipeline stage into the output directory (created first), with
+    stage-attributed errors. `inputs` are the earlier stages' results that
+    `run_pipeline` hands forward; without them the stage reads those from
+    files."""
+    read, stage = _STAGES[name]
+    _out(cfg)
     try:
-        return fn(cfg)
+        return stage(cfg, **(read(cfg) if inputs is None else inputs))
     except LandchangeError as e:
         raise type(e)(f"stage {name}: {e}") from e
+
+
+def _handoff(name: str, cfg: PipelineConfig, info: dict[str, dict]) -> dict | None:
+    """What `run_pipeline` gives a stage from the results of the stages
+    before it. Markov reads the dated maps itself. A result is popped when
+    the last stage that needs it takes it, so no grid outlives its use."""
+    if name == "markov":
+        return None
+    if name == "mce":
+        return {}
+    maps = info["markov"]["maps"]
+    if name == "predict":
+        return {"maps": maps, "tm_s": info["markov"]["transition_scaled"], "suits": info["mce"].pop("suits")}
+    if name == "mlp-train":
+        return {"maps": maps}
+    if name == "mlp-predict":
+        trained = info["mlp-train"]
+        return {"maps": maps, "model": trained["model"], "criteria": trained.pop("criteria")}
+    predictions = {m: info[stage].pop("predicted") for m, _, stage in _predictions(cfg)}
+    return {"maps": info["markov"].pop("maps"), "predictions": predictions}
 
 
 def _fmt_matrix(tm) -> list[str]:
@@ -345,7 +453,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     timings: dict[str, float] = {}
     for name in order:
         t0 = time.perf_counter()
-        info[name] = run_stage(name, cfg)
+        info[name] = run_stage(name, cfg, _handoff(name, cfg, info))
         timings[name] = time.perf_counter() - t0
 
     lines = ["land-cover change pipeline report", ""]

@@ -108,6 +108,24 @@ def test_mlp_on_three_class_legend_fails_before_training(tmp_path):
     assert not (tmp_path / "o" / "mlp_model.txt").exists()
 
 
+def test_nan_in_scaled_transition_names_file_and_value(tmp_path):
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    ini = str(sc / "pipeline.ini")
+    for stage in ("markov", "mce"):
+        assert _cli([stage, "--config", ini, "--out", "o", "--quiet"], tmp_path).returncode == 0
+    path = tmp_path / "o" / "transition_scaled.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2].startswith("0,")
+    lines[2] = "0,nan," + ",".join(lines[2].split(",")[2:])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    res = _cli(["predict", "--config", ini, "--out", "o", "--quiet"], tmp_path)
+    assert res.returncode == 3
+    assert "transition_scaled.csv: transition probability 0 -> 0 must lie in [0, 1], got nan" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_preprocess_and_oif(tmp_path):
     b1 = _w(tmp_path / "b1.asc", [[5.0, 6.0, 9.0], [7.0, 8.0, 12.0]])
     b2 = _w(tmp_path / "b2.asc", [[3.0, 4.0, 8.0], [5.0, 9.0, 2.0]])

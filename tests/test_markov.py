@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from landchange.errors import DataError, NumericalError
+from landchange.errors import DataError, LandchangeError, NumericalError
 from landchange.grid import BinaryMask, Grid, LandCoverMap
 from landchange.markov import (
     SecondOrderTable,
@@ -82,6 +84,17 @@ def test_transition_matrix_validation():
         TransitionMatrix(np.array([[0.5, 0.4], [0.0, 1.0]]), 1.0, (0, 1))
     with pytest.raises(DataError, match="time_span"):
         TransitionMatrix(np.eye(2), 0.0, (0, 1))
+    with pytest.raises(DataError, match=r"probability 0 -> 1 must lie in \[0, 1\], got nan"):
+        TransitionMatrix(np.array([[0.5, np.nan], [0.0, 1.0]]), 1.0, (0, 1))
+    with pytest.raises(DataError, match=r"probability 1 -> 1 must lie in \[0, 1\], got inf"):
+        TransitionMatrix(np.array([[1.0, 0.0], [0.0, np.inf]]), 1.0, (0, 1))
+    for span in (np.inf, np.nan, -np.inf):
+        with pytest.raises(DataError, match=f"time_span must be positive and finite, got {span!r}"):
+            TransitionMatrix(np.eye(2), span, (0, 1))
+    with pytest.raises(DataError, match="distinct and non-negative"):
+        TransitionMatrix(np.eye(2), 1.0, (1, 1))
+    with pytest.raises(DataError, match="distinct and non-negative"):
+        TransitionMatrix(np.eye(2), 1.0, (-1, 0))
     tm = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]), 2.0, (0, 1))
     assert tm.row(1).tolist() == [0.2, 0.8]
     with pytest.raises(DataError, match="absent"):
@@ -258,6 +271,67 @@ def test_transition_csv_read_errors(tmp_path):
     p.write_text("# time_span: 1.0\nclass,0,1\n0,1.0\n1,0.0,1.0\n", encoding="utf-8")
     with pytest.raises(DataError, match="row 0 needs 2 entries, got 1"):
         read_transition_csv(p)
+    p.write_text('# time_span: 1.0\nclass,0\n0,"' + "1" * 200_000 + '"\n', encoding="utf-8")
+    with pytest.raises(DataError, match=r"bad\.csv: malformed CSV: field larger than field limit"):
+        read_transition_csv(p)
+    # the matrix's own checks name the file too
+    p.write_text("# time_span: inf\nclass,0,1\n0,1.0,0.0\n1,0.0,1.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"bad\.csv: time_span must be positive and finite, got inf"):
+        read_transition_csv(p)
+    p.write_text("# time_span: 1.0\nclass,0,1\n0,nan,0.5\n1,0.0,1.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"bad\.csv: transition probability 0 -> 0 must lie in \[0, 1\], got nan"):
+        read_transition_csv(p)
+
+
+_TM_TOKENS = st.sampled_from(
+    ["0", "1", "2", "-1", "0.0", "-0.0", "0.5", "1.0", "0.25", "0.75", "1e-300", "nan", "inf", "-inf", "1e400",
+     "x", "", " 1", '"1"', "1,5", "\r", "\x00"]
+)
+_TM_ROW = st.lists(_TM_TOKENS, min_size=1, max_size=4).map(",".join)
+_TM_SPAN = st.sampled_from(
+    ["# time_span: 6.0", "# time_span: nan", "# time_span: inf", "# time_span: -1", "# time_span: 0",
+     "# time_span:", "# time_span: 5e-324", "time_span: 1", ""]
+)
+_TM_HEADER = st.sampled_from(["class,0,1", "class,0,1,2", "class", "class,1,0", "class,0,0", "class,-1,0", "class,x"])
+_GOOD_TM = "# time_span: 6.0\nclass,0,1\n0,0.75,0.25\n1,0.0,1.0\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(_TM_SPAN, _TM_HEADER, st.lists(_TM_ROW, max_size=4)).map(lambda t: "\n".join([t[0], t[1], *t[2]])),
+    st.lists(st.sampled_from(_GOOD_TM.splitlines()), max_size=6).map("\n".join),
+    st.text(max_size=200),
+))
+def test_transition_reader_gives_a_matrix_or_a_landchange_error(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("tm") / "tm.csv"
+    p.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        tm = read_transition_csv(p)
+    except LandchangeError as exc:
+        assert str(p) in str(exc)
+        return
+    assert isinstance(tm, TransitionMatrix)
+    assert np.isfinite(tm.time_span) and tm.time_span > 0
+    assert len(set(tm.class_ids)) == len(tm.class_ids) and min(tm.class_ids) >= 0
+    assert np.all((tm.probs >= 0) & (tm.probs <= 1))
+    assert np.all(np.abs(tm.probs.sum(axis=1) - 1.0) <= 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_transition_csv_roundtrip_is_bit_exact(tmp_path_factory, k, data):
+    ids = data.draw(st.lists(st.integers(0, 300), min_size=k, max_size=k, unique=True))
+    raw = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k))).reshape(k, k)
+    sums = raw.sum(axis=1, keepdims=True)
+    probs = np.where(sums > 0, raw / np.where(sums > 0, sums, 1.0), np.eye(k))
+    span = data.draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    tm = TransitionMatrix(probs, span, tuple(ids))
+    p = tmp_path_factory.mktemp("tm") / "tm.csv"
+    write_transition_csv(tm, p)
+    back = read_transition_csv(p)
+    assert back.class_ids == tm.class_ids
+    assert np.float64(back.time_span).tobytes() == np.float64(tm.time_span).tobytes()
+    assert back.probs.tobytes() == tm.probs.tobytes()
 
 
 def test_second_order_and_areas_csv(tmp_path):

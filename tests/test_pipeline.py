@@ -1,23 +1,17 @@
 """End-to-end pipeline: stages, artifacts, determinism."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from landchange import pipeline
 from landchange.config import load_config
 from landchange.errors import ConfigError, DataError, NumericalError
 from landchange.grid import Grid, write_ascii_grid
 from landchange.markov import read_transition_csv, scale_transition, write_transition_csv
-from landchange.pipeline import (
-    load_maps,
-    run_pipeline,
-    run_stage,
-    stage_markov,
-    stage_mce,
-    stage_predict,
-    stage_validate,
-)
+from landchange.pipeline import load_maps, run_pipeline, run_stage
 from landchange.synth import SynthSpec, generate_synthetic_landscape, write_scenario
 
 CA_FILES = [
@@ -82,25 +76,94 @@ def test_two_runs_bit_identical(tmp_path):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
-def test_chained_stages_match_monolithic(tmp_path):
-    ini = _scenario(tmp_path)
+SCENARIOS = {
+    "ca_markov": (dict(), ("markov", "mce", "predict", "validate")),
+    "both": (
+        dict(model="both", n_classes=2, seed=6),
+        ("markov", "mce", "predict", "mlp-train", "mlp-predict", "validate"),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SCENARIOS))
+def test_chained_stages_match_monolithic(tmp_path, model):
+    kw, stages = SCENARIOS[model]
+    ini = _scenario(tmp_path, **kw)
     run_pipeline(load_config(ini, out_dir=tmp_path / "mono"))
     chained = load_config(ini, out_dir=tmp_path / "chain")
-    for name in ("markov", "mce", "predict", "validate"):
+    for name in stages:
         run_stage(name, chained)
-    for p in sorted((tmp_path / "mono").iterdir()):
-        if p.name == "report.txt":
+    names = sorted(p.name for p in (tmp_path / "mono").iterdir())
+    assert sorted(p.name for p in (tmp_path / "chain").iterdir()) == [n for n in names if n != "report.txt"]
+    for name in names:
+        if name == "report.txt":
             continue  # only the full run writes the report
-        assert (tmp_path / "chain" / p.name).read_bytes() == p.read_bytes(), p.name
+        assert (tmp_path / "chain" / name).read_bytes() == (tmp_path / "mono" / name).read_bytes(), name
+
+
+def _assert_same_bits(handed, read, where: str) -> None:
+    """Equal types and values, with arrays and floats compared bit for bit."""
+    assert type(handed) is type(read), where
+    if isinstance(handed, dict):
+        assert list(handed) == list(read), where
+        for k in handed:
+            _assert_same_bits(handed[k], read[k], f"{where}[{k!r}]")
+    elif isinstance(handed, (list, tuple)):
+        assert len(handed) == len(read), where
+        for i, (a, b) in enumerate(zip(handed, read)):
+            _assert_same_bits(a, b, f"{where}[{i}]")
+    elif isinstance(handed, np.ndarray):
+        assert (handed.dtype, handed.shape) == (read.dtype, read.shape), where
+        assert handed.tobytes() == read.tobytes(), where
+    elif isinstance(handed, float):
+        assert np.float64(handed).tobytes() == np.float64(read).tobytes(), where
+    elif dataclasses.is_dataclass(handed):
+        for f in dataclasses.fields(handed):
+            _assert_same_bits(getattr(handed, f.name), getattr(read, f.name), f"{where}.{f.name}")
+    else:
+        assert handed == read, where
+
+
+@pytest.mark.parametrize("model", sorted(SCENARIOS))
+def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
+    # every in-memory input the full run gives a stage equals, bit for bit,
+    # what that stage's single-stage command reads from the written files
+    kw, stages = SCENARIOS[model]
+    cfg = load_config(_scenario(tmp_path, **kw), out_dir=tmp_path / "out")
+    handed = {}
+    real_run_stage = pipeline.run_stage
+
+    def recording_run_stage(name, cfg, inputs=None):
+        handed[name] = inputs
+        return real_run_stage(name, cfg, inputs)
+
+    monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
+    run_pipeline(cfg)
+    assert tuple(handed) == stages
+    assert handed["markov"] is None  # markov reads the dated maps itself
+    checked = set()
+    for name in stages[1:]:
+        read_step, _ = pipeline._STAGES[name]
+        from_files = read_step(cfg)
+        assert set(handed[name]) == set(from_files), name
+        _assert_same_bits(handed[name], from_files, name)
+        checked |= set(from_files)
+    expected = {"maps", "tm_s", "suits", "predictions"}
+    if model == "both":
+        expected |= {"model", "criteria"}
+        assert list(handed["validate"]["predictions"]) == ["ca_markov", "mlp"]
+    assert checked == expected
 
 
 def test_stage_order_errors(tmp_path):
     cfg = load_config(_scenario(tmp_path), out_dir=tmp_path / "out")
-    with pytest.raises(DataError, match="run the markov stage first"):
-        stage_predict(cfg)
-    stage_markov(cfg)
-    with pytest.raises(DataError, match="run the mce stage first"):
-        stage_predict(cfg)
+    with pytest.raises(DataError, match="stage predict: transition_scaled.csv not found; run the markov stage first"):
+        run_stage("predict", cfg)
+    run_stage("markov", cfg)
+    with pytest.raises(DataError, match="stage predict: suit_0.asc not found; run the mce stage first"):
+        run_stage("predict", cfg)
+    with pytest.raises(DataError, match="stage validate: predicted_ca.asc not found; run the predict stages first"):
+        run_stage("validate", cfg)
     with pytest.raises(DataError, match="stage mlp-predict: .*mlp-train"):
         run_stage("mlp-predict", cfg)
 
@@ -108,15 +171,15 @@ def test_stage_order_errors(tmp_path):
 def test_validate_needs_three_maps(tmp_path):
     cfg = load_config(_scenario(tmp_path, n_maps=2), out_dir=tmp_path / "out")
     with pytest.raises(DataError, match="three dated maps"):
-        stage_validate(cfg)
+        run_stage("validate", cfg)
 
 
 def test_second_order_only_with_four_maps(tmp_path):
     cfg3 = load_config(_scenario(tmp_path), out_dir=tmp_path / "o3")
-    stage_markov(cfg3)
+    run_stage("markov", cfg3)
     assert not (tmp_path / "o3" / "second_order.csv").exists()
     cfg4 = load_config(_scenario(tmp_path / "four", n_maps=4), out_dir=tmp_path / "o4")
-    stage_markov(cfg4)
+    run_stage("markov", cfg4)
     assert (tmp_path / "o4" / "second_order.csv").is_file()
 
 
@@ -147,7 +210,7 @@ def test_constraints_must_be_binary(tmp_path):
     ini.write_text(text, encoding="ascii")
     cfg = load_config(ini, out_dir=tmp_path / "out")
     with pytest.raises(DataError, match="0/1"):
-        stage_mce(cfg)
+        run_stage("mce", cfg)
 
 
 def test_constraint_gates_suitability(tmp_path):
@@ -159,7 +222,7 @@ def test_constraint_gates_suitability(tmp_path):
     text += "\n[constraints]\nwest = west.asc\n"
     ini.write_text(text, encoding="ascii")
     cfg = load_config(ini, out_dir=tmp_path / "out")
-    stage_mce(cfg)
+    run_stage("mce", cfg)
     from landchange.grid import read_ascii_grid
 
     suit = read_ascii_grid(tmp_path / "out" / "suit_0.asc")
@@ -174,7 +237,7 @@ def test_mce_requires_configuration(tmp_path):
     ini.write_text(stripped, encoding="ascii")
     cfg = load_config(ini, out_dir=tmp_path / "out")
     with pytest.raises(ConfigError, match="saaty"):
-        stage_mce(cfg)
+        run_stage("mce", cfg)
 
 
 def _redate_held_out(ini, held_year):
