@@ -172,10 +172,11 @@ def _read_predict(cfg: PipelineConfig) -> dict:
         raise DataError(f"{tm_path.name} not found; run the markov stage first")
     tm_s = read_transition_csv(tm_path)
     suits = {}
-    for cid in cur.class_ids:  # stage_predict names the first one missing
+    for cid in cur.class_ids:
         p = cfg.out_dir / f"suit_{cid}.asc"
-        if p.is_file():
-            suits[cid] = _read_suitability(p)
+        if not p.is_file():
+            raise DataError(f"{p.name} not found; run the mce stage first")
+        suits[cid] = _read_suitability(p)
     return {"maps": maps, "tm_s": tm_s, "suits": suits}
 
 
@@ -184,7 +185,9 @@ def _read_mlp_predict(cfg: PipelineConfig) -> dict:
     if not model_path.is_file():
         raise DataError(f"{model_path.name} not found; run the mlp-train stage first")
     model = load_model(model_path)
-    return {"maps": load_maps(cfg), "model": model, "criteria": _read_criteria(cfg)}
+    maps = load_maps(cfg)
+    _window(maps, cfg.years)
+    return {"maps": maps, "model": model, "criteria": _read_criteria(cfg)}
 
 
 def _read_validate(cfg: PipelineConfig) -> dict:
@@ -281,7 +284,7 @@ def stage_predict(
     """Allocate the projected areas over the most recent calibration map.
     Hands forward the predicted grid."""
     _, cur, _, _, _ = _window(maps, cfg.years)
-    for cid in cur.class_ids:
+    for cid in cur.class_ids:  # a run whose mce stage made no grid for cid
         if cid not in suits:
             raise DataError(f"suit_{cid}.asc not found; run the mce stage first")
     suits = {cid: suits[cid] for cid in cur.class_ids}

@@ -162,6 +162,10 @@ def test_stage_order_errors(tmp_path):
     run_stage("markov", cfg)
     with pytest.raises(DataError, match="stage predict: suit_0.asc not found; run the mce stage first"):
         run_stage("predict", cfg)
+    (tmp_path / "out" / "suit_1.asc").write_text("not a grid\n", encoding="ascii")
+    with pytest.raises(DataError, match="stage predict: suit_0.asc not found; run the mce stage first"):
+        run_stage("predict", cfg)
+    (tmp_path / "out" / "suit_1.asc").unlink()
     with pytest.raises(DataError, match="stage validate: predicted_ca.asc not found; run the predict stages first"):
         run_stage("validate", cfg)
     with pytest.raises(DataError, match="stage mlp-predict: .*mlp-train"):
