@@ -73,8 +73,12 @@ def mola(
 
     Every round each class claims its remaining quota from its best-ranked
     unassigned pixels; a contested pixel goes to the class ranking it best
-    (ties to the lowest class id). Targets must sum exactly to the eligible
-    pixel count; the result hits every target exactly and is deterministic.
+    (ties to the lowest class id). Contests are settled by rank scatter:
+    classes in ascending id write their claim ranks into one per-pixel
+    best-rank array, and a claim takes a pixel only with a strictly lower
+    rank than the one already there. Targets must sum exactly to the
+    eligible pixel count; the result hits every target exactly and is
+    deterministic.
     """
     if set(targets.targets) != set(suitabilities):
         raise DataError(
@@ -88,13 +92,16 @@ def mola(
 
     n_cells = geometry.shape[0] * geometry.shape[1]
     assigned = np.full(n_cells, -1, dtype=np.int64)
+    # per pixel, the best rank claimed this round and the class that holds
+    # it. Every claimed pixel is assigned when its round ends and never
+    # claimed again, so neither array needs resetting between rounds.
+    best = np.full(n_cells, np.iinfo(np.int64).max, dtype=np.int64)
+    holder = np.empty(n_cells, dtype=np.int64)
     remaining = {c: targets.targets[c] for c in class_ids}
     cursor = {c: 0 for c in class_ids}
 
     while any(v > 0 for v in remaining.values()):
-        claim_pixels = []
-        claim_ranks = []
-        claim_class = []
+        claims = {}
         for c in class_ids:
             need = remaining[c]
             if need == 0:
@@ -106,20 +113,18 @@ def mola(
                 raise DataError(f"class {c} ran out of pixels with {need} still to allocate")
             picked = seg[take]
             cursor[c] += int(take[-1]) + 1
-            claim_pixels.append(picked)
-            claim_ranks.append(ranks[c][picked])
-            claim_class.append(np.full(picked.size, c, dtype=np.int64))
-        pixels = np.concatenate(claim_pixels)
-        rnk = np.concatenate(claim_ranks)
-        cls = np.concatenate(claim_class)
-        # winner per contested pixel: lowest rank, then lowest class id
-        order = np.lexsort((cls, rnk, pixels))
-        pixels, rnk, cls = pixels[order], rnk[order], cls[order]
-        uniq, first_idx = np.unique(pixels, return_index=True)
-        winners = cls[first_idx]
-        assigned[uniq] = winners
-        for c, n in zip(*np.unique(winners, return_counts=True)):
-            remaining[int(c)] -= int(n)
+            # classes come in ascending id, so only a strictly lower rank
+            # takes a pixel from an earlier class: ties stay with the lowest id
+            rnk = ranks[c][picked]
+            wins = rnk < best[picked]
+            won = picked[wins]
+            best[won] = rnk[wins]
+            holder[won] = c
+            claims[c] = picked
+        for c, picked in claims.items():
+            won = picked[holder[picked] == c]
+            assigned[won] = c
+            remaining[c] -= won.size
 
     out = np.full(n_cells, geometry.nodata_value)
     out[flat_eligible] = assigned[flat_eligible].astype(np.float64)
@@ -178,6 +183,9 @@ class CaParams:
             fr = tuple((i + 1) / self.iterations for i in range(self.iterations))
         else:
             fr = tuple(float(f) for f in self.fractions)
+            for f in fr:
+                if not np.isfinite(f):
+                    raise DataError(f"fractions must be finite, got {f!r}")
             if len(fr) != self.iterations:
                 raise DataError(f"{self.iterations} iterations but {len(fr)} fractions")
             if any(f2 <= f1 for f1, f2 in zip((0.0,) + fr, fr)) or fr[-1] != 1.0:
@@ -224,12 +232,12 @@ def ca_markov(
     total = int(init_vec.sum())
 
     state = current
+    now = initial  # the counts of `state`, carried from one iteration to the next
     log: list[AllocationLogRow] = []
     for it, f in enumerate(params.fractions, start=1):
         reals = init_vec + f * (final_vec - init_vec)
         step_targets = largest_remainder(reals, total)
         wanted = {c: int(t) for c, t in zip(ids, step_targets)}
-        now = state.class_counts()
         if all(wanted[c] == now.get(c, 0) for c in ids):
             for c in ids:
                 log.append(AllocationLogRow(it, c, wanted[c], now.get(c, 0)))
@@ -243,9 +251,9 @@ def ca_markov(
             vals[~(suitabilities[c].valid & state.grid.valid)] = DEFAULT_NODATA
             effective[c] = state.grid.with_values(vals, nodata_value=DEFAULT_NODATA)
         state = mola(effective, AllocationTargets(wanted), dict(current.legend), current.date_tag)
-        got = state.class_counts()
+        now = state.class_counts()
         for c in ids:
-            log.append(AllocationLogRow(it, c, wanted[c], got.get(c, 0)))
+            log.append(AllocationLogRow(it, c, wanted[c], now.get(c, 0)))
     return state, log
 
 

@@ -323,4 +323,7 @@ def load_config(path, out_dir=None, seed: int | None = None) -> PipelineConfig:
         cfg.read_file(io.StringIO(text, newline=None), source=str(p))
     except configparser.Error as e:
         raise ConfigError(f"{p}: {e}") from None
-    return validate_config(cfg, p.parent, out_dir=out_dir, seed=seed)
+    try:
+        return validate_config(cfg, p.parent, out_dir=out_dir, seed=seed)
+    except ConfigError as e:
+        raise ConfigError(f"{p}: {e}") from None

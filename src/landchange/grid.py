@@ -211,22 +211,24 @@ class LandCoverMap:
 def neighbor_counts(x, radius: int = 1) -> np.ndarray:
     """Sum of x over the (2r+1)^2 window around each cell, window clipped at
     the edges, center cell left out. With a 0/1 mask and radius 1 this is
-    the number of 8-neighbors holding 1."""
+    the number of 8-neighbors holding 1.
+
+    The window sum is separable: shifted-slice sums down the rows, then the
+    same across the columns, with the edges clipped by the slicing. Every
+    caller passes a 0/1 mask, so each partial sum is a small integer and the
+    result is exact in float64, whatever the order of the additions."""
     x = np.asarray(x, dtype=np.float64)
     n_rows, n_cols = x.shape
-    padded = np.zeros((n_rows + 1, n_cols + 1))
-    padded[1:, 1:] = np.cumsum(np.cumsum(x, axis=0), axis=1)
-    r0 = np.clip(np.arange(n_rows) - radius, 0, None)
-    r1 = np.clip(np.arange(n_rows) + radius + 1, None, n_rows)
-    c0 = np.clip(np.arange(n_cols) - radius, 0, None)
-    c1 = np.clip(np.arange(n_cols) + radius + 1, None, n_cols)
-    box = (
-        padded[np.ix_(r1, c1)]
-        - padded[np.ix_(r0, c1)]
-        - padded[np.ix_(r1, c0)]
-        + padded[np.ix_(r0, c0)]
-    )
-    return box - x
+    rows = x.copy()
+    for d in range(1, min(radius, n_rows - 1) + 1):
+        rows[d:] += x[:-d]
+        rows[:-d] += x[d:]
+    box = rows.copy()
+    for d in range(1, min(radius, n_cols - 1) + 1):
+        box[:, d:] += rows[:, :-d]
+        box[:, :-d] += rows[:, d:]
+    box -= x
+    return box
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +293,8 @@ def read_ascii_grid(path) -> Grid:
     for key in ("ncols", "nrows"):
         if header[key] != int(header[key]) or header[key] < 1:
             raise GridFormatError(f"{path}: {key.upper()} must be a positive integer, got {header[key]}")
+    if header["cellsize"] <= 0:
+        raise GridFormatError(f"{path}: CELLSIZE must be positive, got {header['cellsize']}")
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
 
@@ -394,9 +398,20 @@ def apply_mask(grid: Grid, mask: BinaryMask) -> Grid:
     return grid.with_values(vals)
 
 
+def read_csv_rows(path, what: str) -> list[list[str]]:
+    """All rows of a CSV file read with `read_text`. Malformed CSV, such as
+    a field over the csv module's size limit, raises a DataError naming the
+    path."""
+    path = str(path)
+    try:
+        return list(csv.reader(io.StringIO(read_text(path, what), newline="")))
+    except csv.Error as e:
+        raise DataError(f"{path}: malformed CSV: {e}") from None
+
+
 def read_legend(path) -> dict[int, str]:
     path = str(path)
-    rows = list(csv.reader(io.StringIO(read_text(path, "legend"), newline="")))
+    rows = read_csv_rows(path, "legend")
     if not rows or [c.strip().lower() for c in rows[0]] != ["id", "name"]:
         raise DataError(f"{path}: legend CSV must start with an 'id,name' header")
     legend: dict[int, str] = {}
@@ -407,6 +422,8 @@ def read_legend(path) -> dict[int, str]:
             cid = int(row[0])
         except ValueError:
             raise DataError(f"{path}:{i}: bad class id {row[0]!r}") from None
+        if cid < 0:
+            raise DataError(f"{path}:{i}: class ids must be non-negative, got {cid}")
         if cid in legend:
             raise DataError(f"{path}:{i}: duplicate class id {cid}")
         legend[cid] = row[1]

@@ -25,6 +25,9 @@ def largest_remainder(reals: np.ndarray, total: int) -> np.ndarray:
     then hand out the shortfall by largest fractional part, ties to the
     lowest index."""
     reals = np.asarray(reals, dtype=np.float64)
+    bad = reals[~np.isfinite(reals)]
+    if bad.size:
+        raise DataError(f"largest_remainder needs finite values, got {float(bad[0])!r}")
     if np.any(reals < 0):
         raise DataError("largest_remainder needs non-negative values")
     floors = np.floor(reals).astype(np.int64)

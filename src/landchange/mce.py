@@ -9,14 +9,13 @@ Boolean constraints.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .grid import DEFAULT_NODATA, BinaryMask, Grid, read_text, require_same_geometry
+from .grid import DEFAULT_NODATA, BinaryMask, Grid, read_csv_rows, require_same_geometry
 from .criteria import SuitabilityGrid, suitability_like
 
 # Saaty's random consistency index by matrix order
@@ -192,8 +191,7 @@ def read_saaty_csv(path) -> SaatyMatrix:
     """n x n comparison matrix. Entries may be decimals or fractions like 1/3
     (plain decimals usually cannot hit the reciprocity tolerance)."""
     path = str(path)
-    reader = csv.reader(io.StringIO(read_text(path, "comparison matrix"), newline=""))
-    rows = [row for row in reader if row and any(c.strip() for c in row)]
+    rows = [row for row in read_csv_rows(path, "comparison matrix") if row and any(c.strip() for c in row)]
     if not rows:
         raise DataError(f"{path}: empty comparison matrix")
     try:
@@ -203,7 +201,10 @@ def read_saaty_csv(path) -> SaatyMatrix:
     widths = {len(r) for r in values}
     if len(widths) != 1 or widths.pop() != len(values):
         raise DataError(f"{path}: matrix must be square")
-    return SaatyMatrix(np.asarray(values))
+    try:
+        return SaatyMatrix(np.asarray(values))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def write_saaty_csv(matrix: SaatyMatrix, path) -> None:

@@ -132,8 +132,11 @@ def _read_constraints(cfg: PipelineConfig):
     return cons
 
 
-def _read_criteria(cfg: PipelineConfig) -> list[Grid]:
-    return [read_ascii_grid(p) for p in cfg.criteria.values()]
+def _read_criteria(cfg: PipelineConfig, have: dict[str, Grid] | None = None) -> list[Grid]:
+    """The criterion grids in config order, taking those in `have` (by
+    name) as they are and reading the rest."""
+    have = have or {}
+    return [have[name] if name in have else read_ascii_grid(p) for name, p in cfg.criteria.items()]
 
 
 def _held_out_window(maps: list[LandCoverMap], years):
@@ -242,7 +245,8 @@ def stage_markov(cfg: PipelineConfig, maps: list[LandCoverMap]) -> dict:
 def stage_mce(cfg: PipelineConfig) -> dict:
     """Fuzzy-standardize criteria and combine them into one suitability
     grid per class using the comparison-matrix weights. Hands forward the
-    suitability grids."""
+    suitability grids and, in a `both` run, the criterion grids it read,
+    by name."""
     if not cfg.suitability:
         raise ConfigError("no [suitability] classes configured")
     if cfg.saaty_path is None:
@@ -250,10 +254,13 @@ def stage_mce(cfg: PipelineConfig) -> dict:
     ws = saaty_weights(read_saaty_csv(cfg.saaty_path))
     n = ws.weights.size
     needed = {name for names in cfg.suitability.values() for name in names}
-    factors = {
-        name: fuzzy_standardize(read_ascii_grid(cfg.criteria[name]), cfg.fuzzy[name])
-        for name in sorted(needed)
-    }
+    factors = {}
+    criteria = {}  # kept only for the perceptron of a `both` run to fit on
+    for name in sorted(needed):
+        g = read_ascii_grid(cfg.criteria[name])
+        factors[name] = fuzzy_standardize(g, cfg.fuzzy[name])
+        if cfg.model == "both":
+            criteria[name] = g
     constraints = _read_constraints(cfg)
     suits = {}
     for cid, names in cfg.suitability.items():
@@ -272,7 +279,7 @@ def stage_mce(cfg: PipelineConfig) -> dict:
     write_weights_csv([f"rank{i + 1}" for i in range(n)], ws, out / WEIGHTS_CSV)
     for cid, suit in suits.items():
         write_ascii_grid(suit, out / f"suit_{cid}.asc")
-    return {"weights": ws, "suits": suits}
+    return {"weights": ws, "suits": suits, "criteria": criteria}
 
 
 def stage_predict(
@@ -300,16 +307,20 @@ def stage_predict(
     }
 
 
-def stage_mlp_train(cfg: PipelineConfig, maps: list[LandCoverMap]) -> dict:
-    """Fit the perceptron to the calibration transition. Hands forward the
-    model and the criterion grids it was fitted on."""
+def stage_mlp_train(
+    cfg: PipelineConfig, maps: list[LandCoverMap], criteria: dict[str, Grid] | None = None
+) -> dict:
+    """Fit the perceptron to the calibration transition. `criteria` holds
+    the criterion grids an earlier stage already read, by name; the rest
+    are read here. Hands forward the model and the criterion grids it was
+    fitted on."""
     prev, cur, _, _, _ = _window(maps, cfg.years)
     if len(cur.class_ids) != 2:  # predict_map thresholds to a 2-class map
         raise DataError(
             f"run.model = {cfg.model} thresholds the perceptron output into a "
             f"2-class map, but the legend holds classes {tuple(cur.class_ids)}"
         )
-    criteria = _read_criteria(cfg)
+    criteria = _read_criteria(cfg, criteria)
     if not criteria:
         raise ConfigError("mlp training needs at least one [criteria] grid")
     ds = build_samples(prev, cur, criteria, focal_class=cfg.mlp_focal)
@@ -425,7 +436,7 @@ def _handoff(name: str, cfg: PipelineConfig, info: dict[str, dict]) -> dict | No
     if name == "predict":
         return {"maps": maps, "tm_s": info["markov"]["transition_scaled"], "suits": info["mce"].pop("suits")}
     if name == "mlp-train":
-        return {"maps": maps}
+        return {"maps": maps, "criteria": info["mce"].pop("criteria") if "mce" in info else {}}
     if name == "mlp-predict":
         trained = info["mlp-train"]
         return {"maps": maps, "model": trained["model"], "criteria": trained.pop("criteria")}

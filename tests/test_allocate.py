@@ -1,8 +1,13 @@
 """Ranked allocation, cellular pass, clumping metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from landchange import allocate
 from landchange.allocate import (
     AllocationLogRow,
     AllocationTargets,
@@ -133,6 +138,137 @@ def test_mola_errors():
         mola({0: g, 1: g}, AllocationTargets({0: 1, 1: 2}))
 
 
+def _ref_mola(suitabilities, targets, legend=None, date_tag=""):
+    """The arbitration `mola` used before rank scatter: every round, all
+    claims concatenated and sorted by (pixel, rank, class id), the first
+    claim on each pixel winning."""
+    if set(targets.targets) != set(suitabilities):
+        raise DataError(
+            f"target classes {sorted(targets.targets)} do not match suitability classes {sorted(suitabilities)}"
+        )
+    class_ids, flat_eligible, orders, ranks, geometry = allocate._class_orders(suitabilities)
+    if targets.total != flat_eligible.size:
+        raise DataError(f"targets sum to {targets.total} but {flat_eligible.size} pixels are eligible")
+    n_cells = geometry.shape[0] * geometry.shape[1]
+    assigned = np.full(n_cells, -1, dtype=np.int64)
+    remaining = {c: targets.targets[c] for c in class_ids}
+    cursor = {c: 0 for c in class_ids}
+    rounds = 0
+    while any(v > 0 for v in remaining.values()):
+        rounds += 1
+        claim_pixels, claim_ranks, claim_class = [], [], []
+        for c in class_ids:
+            need = remaining[c]
+            if need == 0:
+                continue
+            seg = orders[c][cursor[c] :]
+            take = np.flatnonzero(assigned[seg] < 0)[:need]
+            if take.size == 0:
+                raise DataError(f"class {c} ran out of pixels with {need} still to allocate")
+            picked = seg[take]
+            cursor[c] += int(take[-1]) + 1
+            claim_pixels.append(picked)
+            claim_ranks.append(ranks[c][picked])
+            claim_class.append(np.full(picked.size, c, dtype=np.int64))
+        pixels = np.concatenate(claim_pixels)
+        rnk = np.concatenate(claim_ranks)
+        cls = np.concatenate(claim_class)
+        order = np.lexsort((cls, rnk, pixels))
+        pixels, cls = pixels[order], cls[order]
+        uniq, first_idx = np.unique(pixels, return_index=True)
+        winners = cls[first_idx]
+        assigned[uniq] = winners
+        for c, n in zip(*np.unique(winners, return_counts=True)):
+            remaining[int(c)] -= int(n)
+    out = np.full(n_cells, geometry.nodata_value)
+    out[flat_eligible] = assigned[flat_eligible].astype(np.float64)
+    if legend is None:
+        legend = {c: f"class {c}" for c in class_ids}
+    return LandCoverMap(geometry.with_values(out.reshape(geometry.shape)), legend, date_tag), rounds
+
+
+_shapes = st.one_of(
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.tuples(st.just(1), st.integers(1, 12)),
+    st.tuples(st.integers(1, 12), st.just(1)),
+)
+
+
+@st.composite
+def _mola_cases(draw):
+    """Suitabilities with heavy rank ties and per-class nodata over 1-5
+    gapped class ids, targets that fit the eligible count (or miss it by
+    one), and optionally one class whose ranked order is cut short so it
+    runs out of pixels."""
+    shape = draw(_shapes)
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True))
+    n_levels = draw(st.sampled_from([1, 2, 3, 256]))
+    nodata_p = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    suits = {}
+    for c in ids:
+        vals = rng.integers(0, n_levels, size=shape).astype(np.float64)
+        vals[rng.random(shape) < nodata_p] = -9999.0
+        suits[c] = _grid(vals)
+    eligible = int(np.all([g.valid for g in suits.values()], axis=0).sum())
+    # a skewed split makes the favoured classes contest the same pixels
+    # and forces later rounds
+    split = rng.multinomial(eligible, rng.dirichlet(np.full(len(ids), 0.3)))
+    targets = {c: int(n) for c, n in zip(ids, split)}
+    off = draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    if off and targets[ids[0]] + off >= 0:
+        targets[ids[0]] += off
+    cut = draw(st.sampled_from([0, 0, 0, 1, 3]))
+    return suits, AllocationTargets(targets), cut
+
+
+def _cut_last_class(cut):
+    """_class_orders with the last class's ranked order `cut` pixels short."""
+    real = allocate._class_orders
+
+    def class_orders(suitabilities):
+        class_ids, flat_eligible, orders, ranks, first = real(suitabilities)
+        last = class_ids[-1]
+        orders[last] = orders[last][: max(orders[last].size - cut, 0)]
+        return class_ids, flat_eligible, orders, ranks, first
+
+    return class_orders
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mola_cases())
+@example(  # three rounds; round 2 is a rank tie, which class 0 wins
+    ({0: _grid([[3.0, 1.0, 4.0, 2.0]]), 1: _grid([[4.0, 1.0, 3.0, 2.0]])}, AllocationTargets({0: 2, 1: 2}), 0)
+)
+@example(({3: _grid([[5.0], [5.0], [1.0]]), 9: _grid([[5.0], [1.0], [5.0]])}, AllocationTargets({3: 2, 9: 1}), 0))
+@example(({0: _grid([[2.0, 1.0, 3.0]]), 1: _grid([[2.0, 1.0, 3.0]])}, AllocationTargets({0: 1, 1: 2}), 2))
+def test_mola_matches_lexsort_arbitration(case):
+    suits, targets, cut = case
+    with mock.patch.object(allocate, "_class_orders", _cut_last_class(cut)):
+        try:
+            want, _ = _ref_mola(suits, targets, {c: "x" for c in suits}, "2000")
+        except DataError as e:
+            with pytest.raises(DataError) as exc:
+                mola(suits, targets, {c: "x" for c in suits}, "2000")
+            assert str(exc.value) == str(e)
+            return
+        got = mola(suits, targets, {c: "x" for c in suits}, "2000")
+    assert got.grid.values.tobytes() == want.grid.values.tobytes()
+    assert got.grid.nodata_value == want.grid.nodata_value
+    assert (got.legend, got.date_tag) == (want.legend, want.date_tag)
+
+
+def test_mola_reference_cases_cover_several_rounds_and_running_out():
+    # the oracle's inputs reach what the rule has to get right
+    rounds = _ref_mola(
+        {0: _grid([[3.0, 1.0, 4.0, 2.0]]), 1: _grid([[4.0, 1.0, 3.0, 2.0]])}, AllocationTargets({0: 2, 1: 2})
+    )[1]
+    assert rounds == 3
+    with mock.patch.object(allocate, "_class_orders", _cut_last_class(2)):
+        with pytest.raises(DataError, match="class 1 ran out of pixels with 2 still to allocate"):
+            mola({0: _grid([[2.0, 1.0, 3.0]]), 1: _grid([[2.0, 1.0, 3.0]])}, AllocationTargets({0: 1, 1: 2}))
+
+
 def test_contiguity_filter_hand_case():
     lc = _lcm([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], {0: "a", 1: "b"})
     out = contiguity_filter(lc, 1, kernel_size=3)
@@ -198,6 +334,10 @@ def test_ca_params():
         CaParams(iterations=2, fractions=(0.6, 0.5))
     with pytest.raises(DataError, match="exactly 1"):
         CaParams(iterations=2, fractions=(0.3, 0.9))
+    with pytest.raises(DataError, match="fractions must be finite, got nan"):
+        CaParams(2, 5, (float("nan"), 1.0))
+    with pytest.raises(DataError, match="fractions must be finite, got inf"):
+        CaParams(2, 5, (0.5, float("inf")))
 
 
 def test_ca_markov_identity_transition_changes_nothing():

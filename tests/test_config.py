@@ -1,10 +1,15 @@
 """INI config loading and validation."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from landchange.config import load_config, validate_config
-from landchange.errors import ConfigError
+from landchange.config import PipelineConfig, load_config, validate_config
+from landchange.errors import ConfigError, LandchangeError
 from landchange.grid import Grid, write_ascii_grid, write_legend
 
 BASE = """\
@@ -211,3 +216,47 @@ def test_load_config_errors(tmp_path):
     p.write_bytes(b"\xff[maps]\n")
     with pytest.raises(ConfigError, match=r"broken\.ini: byte 0xff at offset 0 is not UTF-8"):
         load_config(p)
+
+
+SCENARIO = Path(__file__).resolve().parent.parent / "scenario"
+_SCENARIO_LINES = (SCENARIO / "pipeline.ini").read_text(encoding="utf-8").splitlines()
+_RISKY_LINES = st.sampled_from(
+    ["[run]", "[maps]", "[predict]", "[mlp]", "[fuzzy.prox0]", "[fuzzy.nope]", "[DEFAULT]", "[frobnicate]", "[run",
+     "model = both", "model = x", "seed = -1", "seed = 1e3", "2010 = map_2000.asc", "1990 = gone.asc", "year = a.asc",
+     "prox0 = prox0.asc", "a = nan", "b = inf", "shape = cubic", "iterations = 0", "kernel = 4", "epochs = 1_0",
+     "threshold = 1e400", "order_weights = 1,x", "method = owa", "0 = prox0", "x = prox0", "file = legend.csv",
+     "out_dir = \x00", "  indented = 1", "novalue", "= 1", "%(x)s = 1", ""]
+)
+
+
+@pytest.fixture(scope="module")
+def scenario_copy(tmp_path_factory):
+    """The shipped scenario's inputs in a directory the test may write configs to."""
+    d = tmp_path_factory.mktemp("scenario")
+    for f in SCENARIO.iterdir():
+        if f.is_file():
+            shutil.copy(f, d / f.name)
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(_SCENARIO_LINES), st.lists(_RISKY_LINES, max_size=4), st.integers(0, 60)).map(
+        lambda t: "\n".join(t[0][: t[2]] + t[1] + t[0][t[2] :])
+    ),
+    st.lists(st.sampled_from(_SCENARIO_LINES), max_size=30).map("\n".join),
+    st.text(max_size=200),
+))
+def test_config_loader_gives_a_config_or_a_landchange_error(scenario_copy, text):
+    p = scenario_copy / "any.ini"
+    p.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        cfg = load_config(p, out_dir=scenario_copy / "out")
+    except LandchangeError as exc:
+        assert str(p) in str(exc)
+        return
+    assert isinstance(cfg, PipelineConfig)
+    years = [y for y, _ in cfg.maps]
+    assert len(years) >= 2 and years == sorted(set(years))
+    assert all(Path(path).is_file() for _, path in cfg.maps)
+    assert cfg.iterations >= 1 and cfg.kernel >= 3 and cfg.kernel % 2 == 1

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from landchange.errors import DataError, GeometryError, GridFormatError
+from landchange.errors import DataError, GeometryError, GridFormatError, LandchangeError
 from landchange.grid import (
     BinaryMask,
     Grid,
@@ -120,8 +120,11 @@ _masks = st.one_of(
 ).flatmap(lambda shape: arrays(np.bool_, shape))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_masks, st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+@given(_masks, st.one_of(st.sampled_from([1, 2]), st.integers(3, 12)))
+@example(np.ones((3, 4), dtype=bool), 3)  # the window spans the whole grid
+@example(np.ones((3, 4), dtype=bool), 4)  # radius equal to the longer side
+@example(np.ones((1, 1), dtype=bool), 1)
 def test_neighbor_counts_matches_brute_force(mask, radius):
     n_rows, n_cols = mask.shape
     want = np.zeros(mask.shape)
@@ -361,3 +364,85 @@ def test_legend_read_errors(tmp_path):
     p.write_bytes(b"id,name\n1,caf\xe9\n")
     with pytest.raises(DataError, match=r"bad\.csv: byte 0xe9 at offset 13 is not UTF-8"):
         read_legend(p)
+
+
+# ---------------------------------------------------------------------------
+# any text: a reader gives a valid object or a LandchangeError naming the file
+
+
+def _any_text_file(tmp_path_factory, name, text):
+    p = tmp_path_factory.mktemp("any") / name
+    p.write_bytes(text.encode("utf-8", "surrogatepass"))
+    return p
+
+
+_GRID_KEYS = st.sampled_from(
+    ["NCOLS", "nrows", "NROWS", "ncols", "XLLCORNER", "yllcorner", "CellSize", "NODATA_VALUE", "x"]
+)
+_GRID_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "-0.0", "1.5", "-9999", "1e300", "1e400", "nan", "inf", "x", "1_0", "0x10", "\x00", ""]
+)
+_GRID_LINE = st.one_of(
+    st.tuples(_GRID_KEYS, _GRID_TOKENS).map(" ".join),
+    st.lists(_GRID_TOKENS, max_size=4).map(" ".join),
+)
+_GOOD_GRID = "NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\nNODATA_VALUE -9999\n1 2\n-9999 4\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(st.permutations(_GOOD_GRID.splitlines()[:6]), st.lists(_GRID_LINE, max_size=4)).map(
+        lambda t: "\n".join([*t[0], *t[1]])
+    ),
+    st.lists(_GRID_LINE, max_size=10).map("\n".join),
+    st.lists(st.sampled_from(_GOOD_GRID.splitlines() + ["CELLSIZE 0", "CELLSIZE -2", "NROWS 1e300"]), max_size=9).map(
+        "\n".join
+    ),
+    st.text(max_size=200),
+))
+@example(_GOOD_GRID.replace("CELLSIZE 1", "CELLSIZE 0"))
+@example(_GOOD_GRID.replace("CELLSIZE 1", "CELLSIZE -2"))
+def test_grid_reader_gives_a_grid_or_a_landchange_error(tmp_path_factory, text):
+    p = _any_text_file(tmp_path_factory, "g.asc", text)
+    try:
+        g = read_ascii_grid(p)
+    except LandchangeError as exc:
+        assert str(p) in str(exc)
+        return
+    assert isinstance(g, Grid)
+    assert np.isfinite(g.values).all()
+    assert np.isfinite([g.cell_size, g.x_origin, g.y_origin, g.nodata_value]).all() and g.cell_size > 0
+
+
+_LEGEND_HEADER = st.sampled_from(["id,name", "ID, Name", "id", "id,name,extra", "0,forest"])
+_LEGEND_ROWS = st.sampled_from(
+    ["0,forest", "2,\"water, deep\"", "-1,void", "1_0,x", " 3,x", "x,y", "0,again", "4", "5,", ",6", "\"7", "8,\x00",
+     "\r", ""]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(_LEGEND_HEADER, st.lists(_LEGEND_ROWS, max_size=5)).map(lambda t: "\n".join([t[0], *t[1]])),
+    st.text(max_size=200),
+))
+def test_legend_reader_gives_a_legend_or_a_landchange_error(tmp_path_factory, text):
+    p = _any_text_file(tmp_path_factory, "legend.csv", text)
+    try:
+        legend = read_legend(p)
+    except LandchangeError as exc:
+        assert str(p) in str(exc)
+        return
+    assert all(type(k) is int and k >= 0 and type(v) is str for k, v in legend.items())
+    LandCoverMap(Grid(np.full((1, 1), -9999.0), 1.0), legend)  # a map takes it as it is
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+    st.integers(0, 10**6), st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12), max_size=6
+))
+def test_legend_roundtrip_is_exact(tmp_path_factory, legend):
+    p = tmp_path_factory.mktemp("legend") / "legend.csv"
+    write_legend(legend, p)
+    back = read_legend(p)
+    assert back == legend and list(back) == sorted(legend)

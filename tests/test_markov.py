@@ -1,5 +1,7 @@
 """Transition counting, scaling, projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,13 @@ def test_largest_remainder():
         largest_remainder(np.array([3.0]), 2)
     with pytest.raises(DataError, match="shortfall"):
         largest_remainder(np.array([0.1, 0.1]), 5)
+    # non-finite reals are named before any cast to integers can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="needs finite values, got inf"):
+            largest_remainder(np.array([np.inf, 1.0]), 2)
+        with pytest.raises(DataError, match="needs finite values, got nan"):
+            largest_remainder(np.array([1.0, np.nan]), 2)
 
 
 def test_crosstab_counts():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landchange.criteria import SuitabilityGrid
-from landchange.errors import DataError, NumericalError
+from landchange.errors import DataError, LandchangeError, NumericalError
 from landchange.grid import BinaryMask, grids_equal
 from landchange.mce import (
     SaatyMatrix,
@@ -161,6 +163,51 @@ def test_saaty_csv_errors(tmp_path):
         read_saaty_csv(p)
     with pytest.raises(DataError, match=r"nope\.csv: cannot read comparison matrix"):
         read_saaty_csv(tmp_path / "nope.csv")
+
+
+_SAATY_TOKENS = st.sampled_from(
+    ["1", "3", "1/3", "9", "1/9", "5", "0.2", "10", "1/0", "0", "-1", "nan", "inf", "1e400", "1/inf", "x", "", " 1 ",
+     "1/3/3", '"1"', "\x00"]
+)
+_SAATY_ROW = st.lists(_SAATY_TOKENS, min_size=1, max_size=4).map(",".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(_SAATY_ROW, max_size=4).map("\n".join),
+    st.lists(
+        st.sampled_from(["1,3,5", "1/3,1,3", "1/5,1/3,1", "1,3", "1/3,1", "1", "", '"' + "1" * 200_000]), max_size=4
+    ).map("\n".join),
+    st.text(max_size=200),
+))
+def test_saaty_reader_gives_a_matrix_or_a_landchange_error(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("saaty") / "cmp.csv"
+    p.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        m = read_saaty_csv(p)
+    except LandchangeError as exc:
+        assert str(p) in str(exc)
+        return
+    assert isinstance(m, SaatyMatrix)
+    a = m.values
+    assert np.all(np.diag(a) == 1.0) and np.all((a >= 1 / 9 - 1e-12) & (a <= 9 + 1e-12))
+    assert np.abs(a * a.T - 1.0).max() <= 1e-9
+
+
+_SCALE = [float(v) for v in range(1, 10)] + [1 / v for v in range(2, 10)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_saaty_csv_roundtrip_is_bit_exact(tmp_path_factory, n, data):
+    upper = data.draw(st.lists(st.sampled_from(_SCALE), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    a = np.eye(n)
+    a[np.triu_indices(n, 1)] = upper
+    a.T[np.triu_indices(n, 1)] = [1 / v for v in upper]
+    m = SaatyMatrix(a)
+    p = tmp_path_factory.mktemp("saaty") / "cmp.csv"
+    write_saaty_csv(m, p)
+    assert read_saaty_csv(p).values.tobytes() == m.values.tobytes()
 
 
 def test_weights_csv(tmp_path):

@@ -129,22 +129,44 @@ def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
     # every in-memory input the full run gives a stage equals, bit for bit,
     # what that stage's single-stage command reads from the written files
     kw, stages = SCENARIOS[model]
-    cfg = load_config(_scenario(tmp_path, **kw), out_dir=tmp_path / "out")
+    ini = _scenario(tmp_path, **kw)
+    # a criterion no [suitability] class names: mce never reads it, so
+    # mlp-train must read it itself
+    (ini.parent / "extra.asc").write_bytes((ini.parent / "prox0.asc").read_bytes())
+    text = ini.read_text(encoding="ascii")
+    ini.write_text(text.replace("[criteria]\n", "[criteria]\nextra = extra.asc\n", 1), encoding="ascii")
+    cfg = load_config(ini, out_dir=tmp_path / "out")
     handed = {}
     real_run_stage = pipeline.run_stage
+    real_read = pipeline.read_ascii_grid
+    reads = []
 
     def recording_run_stage(name, cfg, inputs=None):
         handed[name] = inputs
         return real_run_stage(name, cfg, inputs)
 
+    def recording_read(path):
+        reads.append(Path(path).name)
+        return real_read(path)
+
     monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
+    monkeypatch.setattr(pipeline, "read_ascii_grid", recording_read)
     run_pipeline(cfg)
+    monkeypatch.setattr(pipeline, "read_ascii_grid", real_read)
+    named = sorted({n for names in cfg.suitability.values() for n in names})
+    maps = [Path(p).name for _, p in cfg.maps]
+    # each input is read once: the dated maps by markov, the named criteria
+    # by mce, and the unnamed one by mlp-train
+    assert reads == maps + [f"{n}.asc" for n in named] + (["extra.asc"] if model == "both" else [])
     assert tuple(handed) == stages
     assert handed["markov"] is None  # markov reads the dated maps itself
     checked = set()
     for name in stages[1:]:
         read_step, _ = pipeline._STAGES[name]
         from_files = read_step(cfg)
+        if name == "mlp-train":  # the criterion grids mce read, by name
+            assert list(handed[name]["criteria"]) == named
+            from_files["criteria"] = {n: real_read(cfg.criteria[n]) for n in named}
         assert set(handed[name]) == set(from_files), name
         _assert_same_bits(handed[name], from_files, name)
         checked |= set(from_files)
@@ -152,6 +174,7 @@ def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
     if model == "both":
         expected |= {"model", "criteria"}
         assert list(handed["validate"]["predictions"]) == ["ca_markov", "mlp"]
+        assert len(handed["mlp-predict"]["criteria"]) == len(cfg.criteria) == len(named) + 1
     assert checked == expected
 
 
