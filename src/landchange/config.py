@@ -107,6 +107,14 @@ class PipelineConfig:
         return rows
 
 
+def _number(raw: str, kind: type):
+    """kind(raw) for int or float, refusing the digit-group underscores both
+    accept ("1_0" would read as 10). Raises ValueError like kind itself."""
+    if "_" in raw:
+        raise ValueError(raw)
+    return kind(raw)
+
+
 def _get_int(section, key, default=None, minimum=None):
     raw = section.get(key)
     if raw is None or raw.strip() == "":
@@ -114,7 +122,7 @@ def _get_int(section, key, default=None, minimum=None):
             raise ConfigError(f"missing key {section.name}.{key}")
         return default
     try:
-        v = int(raw)
+        v = _number(raw, int)
     except ValueError:
         raise ConfigError(f"{section.name}.{key} must be an integer, got {raw!r}") from None
     if minimum is not None and v < minimum:
@@ -129,7 +137,7 @@ def _get_float(section, key, default=None):
             raise ConfigError(f"missing key {section.name}.{key}")
         return default
     try:
-        v = float(raw)
+        v = _number(raw, float)
     except ValueError:
         raise ConfigError(f"{section.name}.{key} must be a number, got {raw!r}") from None
     if not math.isfinite(v):
@@ -175,7 +183,9 @@ def validate_config(
     model = (run.get("model") or "ca_markov").strip()
     if model not in MODELS:
         raise ConfigError(f"run.model must be one of {MODELS}, got {model!r}")
-    eff_seed = seed if seed is not None else _get_int(run, "seed", 0)
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    eff_seed = seed if seed is not None else _get_int(run, "seed", 0, minimum=0)
     if out_dir is not None:
         eff_out = Path(out_dir)  # command-line value: relative to the caller's cwd
     else:
@@ -188,7 +198,7 @@ def validate_config(
     maps = []
     for key, raw in cfg["maps"].items():
         try:
-            year = int(key)
+            year = _number(key, int)
         except ValueError:
             raise ConfigError(f"maps keys must be years, got {key!r}") from None
         maps.append((year, _resolve(base, raw, f"maps.{key}")))
@@ -246,7 +256,7 @@ def validate_config(
             raise ConfigError(f"mce.method must be one of {MCE_METHODS}, got {method!r}")
         if s.get("order_weights"):
             try:
-                order_weights = tuple(float(t) for t in s["order_weights"].split(","))
+                order_weights = tuple(_number(t, float) for t in s["order_weights"].split(","))
             except ValueError:
                 raise ConfigError("mce.order_weights must be comma-separated numbers") from None
             if not all(math.isfinite(v) for v in order_weights):
@@ -258,7 +268,7 @@ def validate_config(
     if cfg.has_section("suitability"):
         for key, raw in cfg["suitability"].items():
             try:
-                cid = int(key)
+                cid = _number(key, int)
             except ValueError:
                 raise ConfigError(f"suitability keys must be class ids, got {key!r}") from None
             names = tuple(t.strip() for t in raw.split(",") if t.strip())

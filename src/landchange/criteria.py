@@ -39,82 +39,110 @@ def suitability_like(grid: Grid, values) -> SuitabilityGrid:
 # ---------------------------------------------------------------------------
 # exact Euclidean distance transform
 #
-# Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled Functions"
-# (Theory of Computing 8, 2012): the 1-D squared transform is the lower
-# envelope of the parabolas (x - p)^2 + f[p]. The envelope is built and
-# queried on every scan line of a 2-D array at once: each step in q is one
-# numpy operation over all lines, and only the lines whose envelope still
-# has to pop (or, when querying, advance) take the inner masked loop. The
-# arithmetic per line is the sequential algorithm's, so results are exact.
+# Two passes, the first down the columns and the second along the rows.
+#
+# Column pass: the squared distance from a cell to the nearest target in its
+# column is the square of the smaller gap to the last target row at or above
+# it and the first at or below it. Running extremes of the target row
+# numbers give both gaps for every column at once (the first phase of
+# Meijster, Roerdink & Hesselink, "A general algorithm for computing distance
+# transforms in linear time", 2000).
+#
+# Row pass: the squared distance is the lower envelope of the parabolas
+# (x - p)^2 + f[p] over the columns p (Felzenszwalb & Huttenlocher, "Distance
+# Transforms of Sampled Functions", Theory of Computing 8, 2012). Only a
+# column that holds a target has a finite f, and it has one on every row, so
+# the envelope is built over those columns alone: one numpy step per target
+# column for all rows at once, and only the rows whose envelope still has to
+# pop take the inner masked loop. The index of the envelope's parabola at an
+# integer q is the count of its breakpoints below q, and z < q exactly when
+# floor(z) + 1 <= q, so one integer searchsorted answers every query.
+#
+# Every f is a small integer and every breakpoint a quotient of two small
+# integers, so the result is exact.
 
 
-_FAR = 1e18  # finite stand-in for "no site on this scan line"; resolved by the second pass
+def _column_pass(sel: np.ndarray) -> np.ndarray:
+    """Squared distance down each column from every cell to the nearest
+    selected cell in the same column; inf in a column with none."""
+    row = np.arange(sel.shape[0], dtype=np.float64)[:, None]
+    above = np.maximum.accumulate(np.where(sel, row, -math.inf), axis=0)
+    below = np.minimum.accumulate(np.where(sel, row, math.inf)[::-1], axis=0)[::-1]
+    return np.minimum(row - above, below - row) ** 2
 
 
-def _envelope(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower envelope of the parabolas (x - p)^2 + f[i, p] on every line i
-    of a 2-D array. Parabola v[i, j] is lowest on [z[i, j], z[i, j + 1]]
-    for j up to k[i], with z[i, 0] = -inf and z[i, k[i] + 1] = inf. A
-    parabola that ties at a breakpoint is dropped, so the breakpoints
-    strictly increase."""
-    n_lines, n = f.shape
+def _row_envelope(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower envelope of the parabolas (x - p[j])^2 + f[i, j] on every line
+    i of a 2-D array, for strictly increasing site positions p. Parabola
+    v[i, j] (an index into p) is lowest on [z[i, j], z[i, j + 1]] for j up
+    to k[i], with z[i, 0] = -inf and z[i, k[i] + 1] = inf. A parabola that
+    ties at a breakpoint is dropped, so the breakpoints strictly increase."""
+    n_lines, m = f.shape
     flat_f = f.ravel()
     line = np.arange(n_lines, dtype=np.int64)
-    f_base = line * n  # flat offset of each line in f and v
-    z_base = line * (n + 1)  # flat offset of each line in z
-    v = np.zeros(n_lines * n, dtype=np.int64)  # parabola sites
-    z = np.empty(n_lines * (n + 1))  # envelope breakpoints
+    f_base = line * m  # flat offset of each line in f and v
+    z_base = line * (m + 1)  # flat offset of each line in z
+    v = np.zeros(n_lines * m, dtype=np.int64)  # parabola site indices
+    z = np.empty(n_lines * (m + 1))  # envelope breakpoints
     z[z_base] = -math.inf
     z[z_base + 1] = math.inf
     k = np.zeros(n_lines, dtype=np.int64)  # index of each line's last parabola
-    for q in range(1, n):
-        fq = f[:, q] + q * q
+    for j in range(1, m):
+        q = p[j]
+        fq = f[:, j] + q * q
         vk = v[f_base + k]
-        s = (fq - (flat_f[f_base + vk] + vk * vk)) / (2 * q - 2 * vk)
+        pv = p[vk]
+        s = (fq - (flat_f[f_base + vk] + pv * pv)) / (2 * q - 2 * pv)
         pop = np.flatnonzero(s <= z[z_base + k])
         while pop.size:  # only the lines whose last parabola is now hidden
             k[pop] -= 1
             vk = v[f_base[pop] + k[pop]]
-            s[pop] = (fq[pop] - (flat_f[f_base[pop] + vk] + vk * vk)) / (2 * q - 2 * vk)
+            pv = p[vk]
+            s[pop] = (fq[pop] - (flat_f[f_base[pop] + vk] + pv * pv)) / (2 * q - 2 * pv)
             pop = pop[s[pop] <= z[z_base[pop] + k[pop]]]
         k += 1
-        v[f_base + k] = q
+        v[f_base + k] = j
         z[z_base + k] = s
         z[z_base + k + 1] = math.inf
-    return v.reshape(n_lines, n), z.reshape(n_lines, n + 1), k
+    return v.reshape(n_lines, m), z.reshape(n_lines, m + 1), k
 
 
-def _lower_envelope(f: np.ndarray) -> np.ndarray:
-    """Exact 1-D squared distance transform along the last axis of a 2-D
-    array, all lines at once. f holds squared seed distances, _FAR where
-    no seed."""
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    n_lines, n = f.shape
-    v, z, _ = _envelope(f)
-    v, z, flat_f = v.ravel(), z.ravel(), f.ravel()
-    line = np.arange(n_lines, dtype=np.int64)
-    f_base = line * n
-    z_base = line * (n + 1)
-    k = np.zeros(n_lines, dtype=np.int64)
-    d = np.empty_like(f)
-    for q in range(n):
-        ahead = np.flatnonzero(z[z_base + k + 1] < q)
-        while ahead.size:  # only the lines whose parabola ends before q
-            k[ahead] += 1
-            ahead = ahead[z[z_base[ahead] + k[ahead] + 1] < q]
-        vk = v[f_base + k]
-        d[:, q] = (q - vk) ** 2 + flat_f[f_base + vk]
-    return d
+def _lower_envelope(f: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """Exact 1-D squared distance transform along lines of n cells, all
+    lines at once. f[i, j] is the squared seed distance at position p[j] of
+    line i; p strictly increases and every f is finite."""
+    n_lines, m = f.shape
+    v, z, k = _row_envelope(f, p)
+    # integer form of the breakpoints z[i, 1..k[i]]: at an integer q the
+    # sequential query has passed exactly those with floor(z) + 1 <= q.
+    # Unused slots read n, which no q reaches.
+    zb = np.where(np.arange(m) < k[:, None], z[:, 1:], math.inf)
+    first = np.clip(np.floor(zb) + 1, 0, n).astype(np.int64)
+    # offsetting line i by i * (n + 1) keeps every line's values apart, so
+    # one flat search answers every line
+    line = np.arange(n_lines, dtype=np.int64)[:, None]
+    q = np.arange(n, dtype=np.int64)
+    at = np.searchsorted((first + line * (n + 1)).ravel(), (line * (n + 1) + q).ravel(), side="right")
+    at = at.reshape(n_lines, n) - line * m
+    site = np.take_along_axis(v, at, axis=1)
+    return (q - p[site]) ** 2 + np.take_along_axis(f, site, axis=1)
 
 
 def squared_distance_transform(targets: BinaryMask) -> np.ndarray:
     """Squared distance in cell units from every cell center to the nearest
-    target cell center: one envelope pass down all columns, then one along
-    all rows. Exact: all intermediate values are small integers."""
-    if not targets.selected.any():
+    target cell center.
+
+    The column pass squares the smaller gap to the running last target row
+    from above and from below. The row pass builds the lower envelope of
+    parabolas over the target columns only, since every other column is
+    infinitely far on every row, and queries it for all cells in one integer
+    searchsorted. Exact: every intermediate value is a small integer or a
+    quotient of two small integers."""
+    sel = targets.selected
+    sites = np.flatnonzero(sel.any(axis=0))
+    if not sites.size:
         raise DataError("distance transform needs at least one target cell")
-    f = np.where(targets.selected, 0.0, _FAR)
-    return _lower_envelope(_lower_envelope(f.T).T)
+    return _lower_envelope(_column_pass(sel[:, sites]), sites, sel.shape[1])
 
 
 def distance_transform(targets: BinaryMask, cell_size: float | None = None) -> Grid:

@@ -12,8 +12,9 @@ northernmost row. Values are written in shortest round-trip form, so a
 write/read cycle is bit-exact, except that -0.0 is written as 0. The
 writer formats each distinct value of a grid once and gathers the strings
 into rows; the bytes are the same as formatting every cell on its own.
-The reader accepts finite values only: a non-finite header value or cell
-is a format error.
+The reader accepts finite values only, written without '_' digit-group
+separators: a non-finite or underscored header value or cell is a format
+error.
 """
 
 from __future__ import annotations
@@ -275,6 +276,8 @@ def read_ascii_grid(path) -> Grid:
             raise GridFormatError(f"{path}:{lineno}: duplicate header key {parts[0]}")
         if len(parts) != 2:
             raise GridFormatError(f"{path}:{lineno}: header line needs exactly one value, got {raw!r}")
+        if "_" in parts[1]:
+            raise GridFormatError(f"{path}:{lineno}: '_' in header value {parts[1]!r} for {parts[0]}")
         try:
             header[key] = float(parts[1])
         except ValueError:
@@ -304,6 +307,9 @@ def read_ascii_grid(path) -> Grid:
         tokens = raw.split()
         if not tokens:
             continue  # tolerate blank lines after the data block
+        if "_" in raw:  # float() would read "1_0" as 10; one search per line, not per token
+            bad = next(t for t in tokens if "_" in t)
+            raise GridFormatError(f"{path}:{i}: '_' in value {bad!r}")
         data_lines += 1
         if data_lines > n_rows:
             raise GridFormatError(f"{path}:{i}: expected {n_rows} data rows, found extra data")
@@ -418,6 +424,8 @@ def read_legend(path) -> dict[int, str]:
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise DataError(f"{path}:{i}: legend rows need exactly 'id,name'")
+        if "_" in row[0]:  # int() would read "1_0" as 10
+            raise DataError(f"{path}:{i}: bad class id {row[0]!r}")
         try:
             cid = int(row[0])
         except ValueError:

@@ -70,6 +70,8 @@ class SynthSpec:
             raise ConfigError(f"noise must be non-negative, got {self.noise}")
         if self.cell_size <= 0:
             raise ConfigError(f"cell_size must be positive, got {self.cell_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.year_step < 1:
             raise ConfigError(f"year_step must be at least 1, got {self.year_step}")
         tr = self.transition

@@ -183,6 +183,30 @@ def test_unreadable_grids_exit_3_without_traceback(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_negative_seed_exits_2_before_writing(tmp_path):
+    # numpy's generators take no negative seed: without the check, run wrote
+    # the markov, mce and predict files before failing with a traceback
+    sc = tmp_path / "sc"
+    assert main(["synth", "--rows", "16", "--cols", "16", "--out", str(sc), "--quiet"]) == 0
+    ini = sc / "pipeline.ini"
+    negative = tmp_path / "negative.ini"
+    negative.write_text(ini.read_text().replace("seed = 0", "seed = -1"))
+    cases = [
+        (["run", "--config", str(ini), "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["markov", "--config", str(ini), "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["run", "--config", str(negative)], "run.seed must be >= 0, got -1"),
+        (["synth", "--rows", "16", "--cols", "16", "--seed", "-1"], "seed must be non-negative, got -1"),
+    ]
+    for n, (args, message) in enumerate(cases):
+        out = tmp_path / f"out{n}"
+        out.mkdir()
+        res = _cli([*args, "--out", str(out), "--quiet"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not any(out.iterdir())
+
+
 def test_bad_reference_mask(tmp_path):
     b1 = _w(tmp_path / "b1.asc", [[5.0, 6.0], [7.0, 8.0]])
     b2 = _w(tmp_path / "b2.asc", [[3.0, 4.0], [5.0, 9.0]])

@@ -1,11 +1,12 @@
 """INI config loading and validation."""
 
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landchange.config import PipelineConfig, load_config, validate_config
@@ -93,6 +94,31 @@ def test_out_dir_resolution(tmp_path):
 def test_seed_override(tmp_path):
     ini = _write(tmp_path, BASE)
     assert load_config(ini, seed=42).seed == 42
+    assert load_config(ini, seed=0).seed == 0
+
+
+def test_negative_seed_is_a_config_error(tmp_path):
+    # numpy's generators take no negative seed; the allocation stage would
+    # fail only after the earlier stages had written their files
+    with pytest.raises(ConfigError, match=r"run\.seed must be >= 0, got -1"):
+        load_config(_write(tmp_path, BASE.replace("seed = 3", "seed = -1")))
+    with pytest.raises(ConfigError, match="--seed must be >= 0, got -2"):
+        load_config(_write(tmp_path, BASE), seed=-2)
+
+
+def test_digit_group_underscores_are_not_numbers(tmp_path):
+    # int() and float() read "1_0" as 10
+    cases = [
+        (BASE.replace("seed = 3", "seed = 1_0"), r"run\.seed must be an integer, got '1_0'"),
+        (BASE + "\n[predict]\niterations = 1_0\n", r"predict\.iterations must be an integer, got '1_0'"),
+        (BASE + CRIT.replace("b = 10", "b = 1_0"), r"fuzzy\.slope\.b must be a number, got '1_0'"),
+        (BASE.replace("2010 = b.asc", "2_010 = b.asc"), "maps keys must be years, got '2_010'"),
+        (BASE + "\n[mce]\nmethod = owa\norder_weights = 0_5,0.5\n", "mce.order_weights must be comma-separated"),
+        (BASE + CRIT + "\n[suitability]\n1_0 = slope\n", "suitability keys must be class ids, got '1_0'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            load_config(_write(tmp_path, text))
 
 
 def test_run_validation(tmp_path):
@@ -224,6 +250,7 @@ _RISKY_LINES = st.sampled_from(
     ["[run]", "[maps]", "[predict]", "[mlp]", "[fuzzy.prox0]", "[fuzzy.nope]", "[DEFAULT]", "[frobnicate]", "[run",
      "model = both", "model = x", "seed = -1", "seed = 1e3", "2010 = map_2000.asc", "1990 = gone.asc", "year = a.asc",
      "prox0 = prox0.asc", "a = nan", "b = inf", "shape = cubic", "iterations = 0", "kernel = 4", "epochs = 1_0",
+     "seed = 1_0", "iterations = 1_0", "a = 0_5", "2_010 = map_2000.asc", "3_0 = prox0",
      "threshold = 1e400", "order_weights = 1,x", "method = owa", "0 = prox0", "x = prox0", "file = legend.csv",
      "out_dir = \x00", "  indented = 1", "novalue", "= 1", "%(x)s = 1", ""]
 )
@@ -247,6 +274,8 @@ def scenario_copy(tmp_path_factory):
     st.lists(st.sampled_from(_SCENARIO_LINES), max_size=30).map("\n".join),
     st.text(max_size=200),
 ))
+@example("\n".join(_SCENARIO_LINES).replace("iterations = 4", "iterations = 1_0"))
+@example("\n".join(_SCENARIO_LINES).replace("[suitability]", "[suitability]\n3_0 = prox0"))
 def test_config_loader_gives_a_config_or_a_landchange_error(scenario_copy, text):
     p = scenario_copy / "any.ini"
     p.write_bytes(text.encode("utf-8", "surrogatepass"))
@@ -260,3 +289,7 @@ def test_config_loader_gives_a_config_or_a_landchange_error(scenario_copy, text)
     assert len(years) >= 2 and years == sorted(set(years))
     assert all(Path(path).is_file() for _, path in cfg.maps)
     assert cfg.iterations >= 1 and cfg.kernel >= 3 and cfg.kernel % 2 == 1
+    assert cfg.seed >= 0
+    # every number was written in plain digits: int() and float() read "1_0" as 10
+    assert all(re.search(rf"^\s*{k}\s*=", text, re.M) for k in [*years, *cfg.suitability])
+    assert not re.search(r"=\s*[-+]?[\d.]*\d_\d", text)

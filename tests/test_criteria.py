@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from landchange.criteria import (
-    _FAR,
-    _envelope,
+    _column_pass,
     _lower_envelope,
+    _row_envelope,
     FuzzySpec,
     SuitabilityGrid,
     distance_transform,
@@ -71,6 +71,9 @@ def _edt_1d_reference(f):
     return d
 
 
+_FAR = 1e18  # the sequential reference's finite stand-in for "no target on this scan line"
+
+
 def _sq_reference(sel):
     """One sequential pass per column, then one per row."""
     f = np.where(sel, 0.0, _FAR)
@@ -118,36 +121,63 @@ def test_squared_distance_matches_sequential_envelope_bytes(sel):
 
 @st.composite
 def _sampled_functions(draw):
-    """(lines, n) arrays of seed costs: zeros, _FAR and small integers,
-    including lines with no finite seed."""
+    """(f, p, n): (lines, sites) seed costs, small integers, at strictly
+    increasing positions p on lines n cells long; some draws have one site."""
     n_lines = draw(st.integers(1, 12))
     n = draw(st.integers(1, 45))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    f = rng.integers(0, draw(st.sampled_from([1, 5, 400])), size=(n_lines, n)).astype(np.float64)
-    f[rng.random((n_lines, n)) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = _FAR
-    f[rng.random(n_lines) < 0.3] = _FAR
-    return f
+    m = draw(st.one_of(st.just(1), st.integers(1, n)))
+    p = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
+    f = rng.integers(0, draw(st.sampled_from([1, 5, 400])), size=(n_lines, p.size)).astype(np.float64)
+    return f, p, n
 
 
 @settings(max_examples=300, deadline=None)
 @given(_sampled_functions())
-def test_lower_envelope_matches_sequential_envelope_per_line(f):
-    d = _lower_envelope(f)
-    want = np.stack([_edt_1d_reference(line) for line in f])
+def test_lower_envelope_matches_sequential_envelope_per_line(fpn):
+    f, p, n = fpn
+    d = _lower_envelope(f, p, n)
+    full = np.full((f.shape[0], n), _FAR)
+    full[:, p] = f
+    want = np.stack([_edt_1d_reference(line) for line in full])
     assert d.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(_sampled_functions())
-def test_envelope_breakpoints_strictly_increase(f):
+def test_envelope_breakpoints_strictly_increase(fpn):
     # a parabola kept at a tie would own an empty interval; the query never
     # lands on it, so only the envelope itself shows it
-    v, z, k = _envelope(f)
+    f, p, _ = fpn
+    v, z, k = _row_envelope(f, p)
     for i in range(f.shape[0]):
         zi = z[i, : k[i] + 2]
         assert zi[0] == -math.inf and zi[-1] == math.inf
         assert np.all(np.diff(zi) > 0)
         assert np.all(np.diff(v[i, : k[i] + 1]) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _shapes.flatmap(lambda shape: arrays(np.bool_, shape)),
+    _target_masks(),
+))
+def test_column_pass_matches_per_column_brute_force(sel):
+    got = _column_pass(sel)
+    want = np.full(sel.shape, math.inf)
+    for c in range(sel.shape[1]):
+        rows = np.flatnonzero(sel[:, c])
+        if rows.size:  # a column with no target stays inf
+            want[:, c] = ((np.arange(sel.shape[0])[:, None] - rows) ** 2).min(axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_squared_distance_three_targets_at_512():
+    # the synth case: one class's few patch seeds on a full-size grid
+    sel = np.zeros((512, 512), dtype=bool)
+    sel[[17, 300, 511], [480, 0, 255]] = True
+    d = squared_distance_transform(_mask(sel.astype(float)))
+    assert np.array_equal(d, _brute_sq(sel))
 
 
 def test_squared_distance_matches_scipy_oracle():

@@ -21,6 +21,7 @@ from landchange.grid import (
     mask_like,
     neighbor_counts,
     read_ascii_grid,
+    read_csv_rows,
     read_legend,
     stack_bands,
     write_ascii_grid,
@@ -303,6 +304,19 @@ def test_read_rejects_non_finite_values(tmp_path):
             read_ascii_grid(_write(tmp_path / "b.asc", bad))
 
 
+def test_read_rejects_digit_group_underscores(tmp_path):
+    # float() reads "1_0" as 10
+    bad = GOOD.replace("4 -9999 6", "4 1_0 6")
+    with pytest.raises(GridFormatError, match=r"a\.asc:8: '_' in value '1_0'"):
+        read_ascii_grid(_write(tmp_path / "a.asc", bad))
+    bad = GOOD.replace("CELLSIZE 30", "CELLSIZE 3_0")
+    with pytest.raises(GridFormatError, match=r"b\.asc:5: '_' in header value '3_0' for CELLSIZE"):
+        read_ascii_grid(_write(tmp_path / "b.asc", bad))
+    bad = GOOD.replace("NODATA_VALUE -9999", "NODATA_VALUE -9_999")
+    with pytest.raises(GridFormatError, match=r"c\.asc:6: '_' in header value '-9_999'"):
+        read_ascii_grid(_write(tmp_path / "c.asc", bad))
+
+
 def test_read_errors_name_unreadable_files(tmp_path):
     missing = tmp_path / "nope.asc"
     with pytest.raises(GridFormatError, match=r"nope\.asc: cannot read grid"):
@@ -359,6 +373,9 @@ def test_legend_read_errors(tmp_path):
     p.write_text("id,name\nten,x\n")
     with pytest.raises(DataError, match="bad class id"):
         read_legend(p)
+    p.write_text("id,name\n0,x\n1_0,y\n")  # int() reads "1_0" as 10
+    with pytest.raises(DataError, match=r"bad\.csv:3: bad class id '1_0'"):
+        read_legend(p)
     with pytest.raises(DataError, match=r"nope\.csv: cannot read legend"):
         read_legend(tmp_path / "nope.csv")
     p.write_bytes(b"id,name\n1,caf\xe9\n")
@@ -380,7 +397,8 @@ _GRID_KEYS = st.sampled_from(
     ["NCOLS", "nrows", "NROWS", "ncols", "XLLCORNER", "yllcorner", "CellSize", "NODATA_VALUE", "x"]
 )
 _GRID_TOKENS = st.sampled_from(
-    ["0", "1", "2", "3", "-1", "-0.0", "1.5", "-9999", "1e300", "1e400", "nan", "inf", "x", "1_0", "0x10", "\x00", ""]
+    ["0", "1", "2", "3", "-1", "-0.0", "1.5", "-9999", "1e300", "1e400", "nan", "inf", "x", "1_0", "0x10", "\x00", "",
+     "2_0", "-9_999", "1_5.0", "_1"]
 )
 _GRID_LINE = st.one_of(
     st.tuples(_GRID_KEYS, _GRID_TOKENS).map(" ".join),
@@ -402,6 +420,7 @@ _GOOD_GRID = "NCOLS 2\nNROWS 2\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\nNODATA_VAL
 ))
 @example(_GOOD_GRID.replace("CELLSIZE 1", "CELLSIZE 0"))
 @example(_GOOD_GRID.replace("CELLSIZE 1", "CELLSIZE -2"))
+@example(_GOOD_GRID.replace("1 2", "1_0 2"))
 def test_grid_reader_gives_a_grid_or_a_landchange_error(tmp_path_factory, text):
     p = _any_text_file(tmp_path_factory, "g.asc", text)
     try:
@@ -410,13 +429,14 @@ def test_grid_reader_gives_a_grid_or_a_landchange_error(tmp_path_factory, text):
         assert str(p) in str(exc)
         return
     assert isinstance(g, Grid)
+    assert text.count("_") == 1  # the NODATA_VALUE key's; float() reads "1_0" as 10
     assert np.isfinite(g.values).all()
     assert np.isfinite([g.cell_size, g.x_origin, g.y_origin, g.nodata_value]).all() and g.cell_size > 0
 
 
 _LEGEND_HEADER = st.sampled_from(["id,name", "ID, Name", "id", "id,name,extra", "0,forest"])
 _LEGEND_ROWS = st.sampled_from(
-    ["0,forest", "2,\"water, deep\"", "-1,void", "1_0,x", " 3,x", "x,y", "0,again", "4", "5,", ",6", "\"7", "8,\x00",
+    ["0,forest", "2,\"water, deep\"", "-1,void", "1_0,x", "1_1,y", "_9,z", " 3,x", "x,y", "0,again", "4", "5,", ",6", "\"7", "8,\x00",
      "\r", ""]
 )
 
@@ -426,6 +446,7 @@ _LEGEND_ROWS = st.sampled_from(
     st.tuples(_LEGEND_HEADER, st.lists(_LEGEND_ROWS, max_size=5)).map(lambda t: "\n".join([t[0], *t[1]])),
     st.text(max_size=200),
 ))
+@example("id,name\n1_0,x")
 def test_legend_reader_gives_a_legend_or_a_landchange_error(tmp_path_factory, text):
     p = _any_text_file(tmp_path_factory, "legend.csv", text)
     try:
@@ -434,6 +455,7 @@ def test_legend_reader_gives_a_legend_or_a_landchange_error(tmp_path_factory, te
         assert str(p) in str(exc)
         return
     assert all(type(k) is int and k >= 0 and type(v) is str for k, v in legend.items())
+    assert all("_" not in row[0] for row in read_csv_rows(p, "legend")[1:])  # int() reads "1_0" as 10
     LandCoverMap(Grid(np.full((1, 1), -9999.0), 1.0), legend)  # a map takes it as it is
 
 

@@ -48,6 +48,8 @@ def test_spec_validation():
         SynthSpec(n_classes=2, transition=np.array([[0.5, 0.4], [0.0, 1.0]]))
     with pytest.raises(ConfigError, match="year_step"):
         SynthSpec(year_step=0)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        SynthSpec(seed=-1)
     spec = SynthSpec(n_maps=4, start_year=2000, year_step=5)
     assert spec.years == (2000, 2005, 2010, 2015)
 
