@@ -10,13 +10,12 @@ filter, which grows change along existing class edges.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, Grid, LandCoverMap, neighbor_counts, require_same_geometry
+from .grid import DEFAULT_NODATA, Grid, LandCoverMap, neighbor_counts, require_same_geometry, write_csv
 from .markov import TransitionMatrix, expected_areas, largest_remainder
 
 CONTIGUITY_FLOOR = 0.01  # keeps isolated-but-suitable cells allocatable
@@ -315,8 +314,5 @@ def converted_adjacency_fraction(before: LandCoverMap, after: LandCoverMap) -> f
 
 
 def write_allocation_log_csv(log: list[AllocationLogRow], path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "class_id", "target", "allocated"])
-        for row in log:
-            w.writerow([row.iteration, row.class_id, row.target, row.allocated])
+    rows = [[row.iteration, row.class_id, row.target, row.allocated] for row in log]
+    write_csv(path, [["iteration", "class_id", "target", "allocated"], *rows])

@@ -8,7 +8,6 @@ iterated conditional modes pass trades spectral evidence against
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from .grid import (
     mask_like,
     neighbor_counts,
     require_same_geometry,
+    write_csv,
 )
 from .markov import _joint_counts
 
@@ -335,20 +335,15 @@ def residual_map(predicted: LandCoverMap, reference: LandCoverMap) -> tuple[Bina
 
 
 def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["reference\\predicted"] + [str(c) for c in cm.class_ids])
-        for cid, row in zip(cm.class_ids, cm.counts):
-            w.writerow([cid] + [int(v) for v in row])
+    rows = [[cid] + [int(v) for v in row] for cid, row in zip(cm.class_ids, cm.counts)]
+    write_csv(path, [["reference\\predicted", *cm.class_ids], *rows])
 
 
 def write_signatures_csv(signatures: list[ClassSignature], path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class_id", "sample_count", "prior", "field", "values"])
-        for s in sorted(signatures, key=lambda s: s.class_id):
-            w.writerow([s.class_id, s.sample_count, repr(float(s.prior)), "mean",
-                        " ".join(repr(float(v)) for v in s.mean)])
-            for i, row in enumerate(s.covariance):
-                w.writerow([s.class_id, s.sample_count, repr(float(s.prior)), f"cov_{i}",
-                            " ".join(repr(float(v)) for v in row)])
+    rows = [["class_id", "sample_count", "prior", "field", "values"]]
+    for s in sorted(signatures, key=lambda s: s.class_id):
+        head = [s.class_id, s.sample_count, repr(float(s.prior))]
+        rows.append(head + ["mean", " ".join(repr(float(v)) for v in s.mean)])
+        for i, row in enumerate(s.covariance):
+            rows.append(head + [f"cov_{i}", " ".join(repr(float(v)) for v in row)])
+    write_csv(path, rows)

@@ -27,9 +27,10 @@ from .criteria import FuzzySpec, distance_transform, fuzzy_standardize, make_con
 from .errors import ConfigError, LandchangeError, NumericalError
 from .grid import (
     LandCoverMap,
+    load_legend,
     mask_like,
+    parse_number,
     read_ascii_grid,
-    read_legend,
     stack_bands,
     write_ascii_grid,
     write_legend,
@@ -170,11 +171,8 @@ def cmd_classify(args) -> int:
     out = _outdir(args)
     labels = _band_labels(args, len(args.bands))
     image = _read_image(args.bands, labels)
-    legend = read_legend(args.legend) if args.legend else None
     training_grid = read_ascii_grid(args.training)
-    if legend is None:
-        vals = training_grid.values[training_grid.valid]
-        legend = {int(c): f"class {int(c)}" for c in sorted(set(vals.tolist()))}
+    legend = load_legend(args.legend, training_grid)
     training = LandCoverMap(training_grid, legend)
     signatures = estimate_signatures(image, training)
     priors = "equal" if args.equal_priors else "empirical"
@@ -195,7 +193,7 @@ def _parse_fuzzy(text: str) -> FuzzySpec:
             "--fuzzy takes shape,direction,a,b or shape,direction,a,b,c,d"
         )
     try:
-        nums = [float(t) for t in parts[2:]]
+        nums = [parse_number(t) for t in parts[2:]]
     except ValueError:
         raise ConfigError(f"--fuzzy control points must be numbers, got {parts[2:]}") from None
     c, d = (nums[2], nums[3]) if len(nums) == 4 else (None, None)
@@ -205,26 +203,31 @@ def _parse_fuzzy(text: str) -> FuzzySpec:
         raise ConfigError(f"--fuzzy: {e}") from None
 
 
+def _parse_categories(text: str) -> list[int]:
+    try:
+        return [parse_number(t, int) for t in text.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"--constraint-categories: {e}") from None
+
+
 def cmd_criteria(args) -> int:
-    out = _outdir(args)
+    spec = _parse_fuzzy(args.fuzzy) if args.fuzzy else None
+    cats = _parse_categories(args.constraint_categories) if args.constraint_categories else None
     name = args.name
+    outputs = {}  # basename -> grid; nothing is written if a step fails
     if args.distance_to:
-        targets = _read_mask(args.distance_to, "--distance-to")
-        grid = distance_transform(targets)
-        write_ascii_grid(grid, out / f"{name}.asc")
+        grid = outputs[name] = distance_transform(_read_mask(args.distance_to, "--distance-to"))
     else:
         grid = read_ascii_grid(args.input)
-    if args.fuzzy:
-        spec = _parse_fuzzy(args.fuzzy)
-        suit = fuzzy_standardize(grid, spec)
-        write_ascii_grid(suit, out / f"{name}_fuzzy.asc")
+    if spec is not None:
+        outputs[f"{name}_fuzzy"] = fuzzy_standardize(grid, spec)
     if args.constraint_min is not None:
-        cons = make_constraint(grid, threshold=args.constraint_min, op=">=")
-        write_ascii_grid(cons, out / f"{name}_constraint.asc")
-    elif args.constraint_categories:
-        cats = [int(t) for t in args.constraint_categories.split(",")]
-        cons = make_constraint(grid, categories=cats)
-        write_ascii_grid(cons, out / f"{name}_constraint.asc")
+        outputs[f"{name}_constraint"] = make_constraint(grid, threshold=args.constraint_min, op=">=")
+    elif cats is not None:
+        outputs[f"{name}_constraint"] = make_constraint(grid, categories=cats)
+    out = _outdir(args)
+    for basename, g in outputs.items():
+        write_ascii_grid(g, out / f"{basename}.asc")
     log.info("criteria: wrote %s outputs", name)
     return 0
 
@@ -268,7 +271,7 @@ def cmd_synth(args) -> int:
         seeds_per_class=args.seeds_per_class,
         noise=args.noise,
         cell_size=args.cell_size,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         start_year=args.start_year,
         year_step=args.year_step,
     )
@@ -283,10 +286,27 @@ def cmd_synth(args) -> int:
 # parser
 
 
+def _number_flag(kind: type):
+    """argparse type for int or float flags: parse_number's rule, its
+    message reported against the flag (exit 2)."""
+
+    def parse(text: str):
+        try:
+            return parse_number(text, kind)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
+
+
+_INT = _number_flag(int)
+_FLOAT = _number_flag(float)
+
+
 def _add_common(p: argparse.ArgumentParser, config: bool = False) -> None:
     if config:
         p.add_argument("--config", help="pipeline config file (INI)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_INT, default=None, help="override the config seed")
     p.add_argument("--out", default=None if config else "out", help="output directory")
     p.add_argument("--quiet", action="store_true", help="only warnings and errors")
 
@@ -302,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="dark-object subtraction and band statistics")
     p.add_argument("bands", nargs="+", help="band grids, darkest-reference order")
     p.add_argument("--reference", required=True, help="0/1 mask of dark reference pixels")
-    p.add_argument("--percentile", type=float, default=0.0, help="dark-object percentile")
+    p.add_argument("--percentile", type=_FLOAT, default=0.0, help="dark-object percentile")
     p.add_argument("--labels", help="comma-separated band names")
     _add_common(p)
     p.set_defaults(fn=cmd_preprocess)
@@ -318,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--red", required=True)
     p.add_argument("--nir", required=True)
     p.add_argument("--swir", required=True)
-    p.add_argument("--weight", type=float, default=0.5, help="blend weight for the first index")
+    p.add_argument("--weight", type=_FLOAT, default=0.5, help="blend weight for the first index")
     _add_common(p)
     p.set_defaults(fn=cmd_indices)
 
     p = sub.add_parser("change", help="three-date change coding and dynamics classes")
     p.add_argument("ndim", nargs=3, help="blended index grids for the three dates")
-    p.add_argument("--low", type=float, help="fixed low ternary threshold")
-    p.add_argument("--high", type=float, help="fixed high ternary threshold")
+    p.add_argument("--low", type=_FLOAT, help="fixed low ternary threshold")
+    p.add_argument("--high", type=_FLOAT, help="fixed high ternary threshold")
     p.add_argument("--ppm", action="store_true", help="also write an RGB composite")
     _add_common(p)
     p.set_defaults(fn=cmd_change)
@@ -335,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--training", required=True, help="training class grid")
     p.add_argument("--legend", help="training legend CSV (id,name)")
     p.add_argument("--labels", help="comma-separated band names")
-    p.add_argument("--beta", type=float, default=1.5, help="neighbor agreement weight")
-    p.add_argument("--sweeps", type=int, default=10, help="max smoothing sweeps")
+    p.add_argument("--beta", type=_FLOAT, default=1.5, help="neighbor agreement weight")
+    p.add_argument("--sweeps", type=_INT, default=10, help="max smoothing sweeps")
     p.add_argument("--equal-priors", action="store_true", help="ignore training class sizes")
     _add_common(p)
     p.set_defaults(fn=cmd_classify)
@@ -347,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--distance-to", help="0/1 target mask; output is distance to nearest 1")
     src.add_argument("--input", help="use this grid directly")
     p.add_argument("--fuzzy", help="shape,direction,a,b[,c,d] membership spec")
-    p.add_argument("--constraint-min", type=float, help="1 where value >= this")
+    p.add_argument("--constraint-min", type=_FLOAT, help="1 where value >= this")
     p.add_argument("--constraint-categories", help="1 where value in this id list")
     _add_common(p)
     p.set_defaults(fn=cmd_criteria)
@@ -369,18 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic test scenario")
-    p.add_argument("--rows", type=int, default=100)
-    p.add_argument("--cols", type=int, default=100)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--maps", type=int, default=3)
-    p.add_argument("--stay", type=float, default=0.9, help="diagonal transition probability")
-    p.add_argument("--seeds-per-class", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.15)
-    p.add_argument("--cell-size", type=float, default=30.0)
-    p.add_argument("--start-year", type=int, default=1988)
-    p.add_argument("--year-step", type=int, default=6)
+    p.add_argument("--rows", type=_INT, default=100)
+    p.add_argument("--cols", type=_INT, default=100)
+    p.add_argument("--classes", type=_INT, default=3)
+    p.add_argument("--maps", type=_INT, default=3)
+    p.add_argument("--stay", type=_FLOAT, default=0.9, help="diagonal transition probability")
+    p.add_argument("--seeds-per-class", type=_INT, default=3)
+    p.add_argument("--noise", type=_FLOAT, default=0.15)
+    p.add_argument("--cell-size", type=_FLOAT, default=30.0)
+    p.add_argument("--start-year", type=_INT, default=1988)
+    p.add_argument("--year-step", type=_INT, default=6)
     p.add_argument("--model", default="ca_markov", choices=("ca_markov", "mlp", "both"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--out", required=True, help="scenario directory")
     p.set_defaults(fn=cmd_synth)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .criteria import FuzzySpec
 from .errors import ConfigError, DataError
-from .grid import read_text
+from .grid import parse_number, read_text
 
 MODELS = ("ca_markov", "mlp", "both")
 MCE_METHODS = ("wlc", "owa")
@@ -59,8 +59,8 @@ class PipelineConfig:
     mce_method: str
     order_weights: tuple[float, ...] | None
     suitability: dict[int, tuple[str, ...]]
-    iterations: int
-    kernel: int
+    iterations: int = 5
+    kernel: int = 5
     mlp_hidden: int = 8
     mlp_learning_rate: float = 0.5
     mlp_epochs: int = 300
@@ -107,41 +107,23 @@ class PipelineConfig:
         return rows
 
 
-def _number(raw: str, kind: type):
-    """kind(raw) for int or float, refusing the digit-group underscores both
-    accept ("1_0" would read as 10). Raises ValueError like kind itself."""
-    if "_" in raw:
-        raise ValueError(raw)
-    return kind(raw)
-
-
-def _get_int(section, key, default=None, minimum=None):
+def _get_number(section, key, kind: type, default=None, minimum=None):
+    """section[key] read by parse_number as kind (int or float). A missing or
+    blank key gives the default, or is an error when there is none."""
     raw = section.get(key)
     if raw is None or raw.strip() == "":
         if default is None:
             raise ConfigError(f"missing key {section.name}.{key}")
         return default
     try:
-        v = _number(raw, int)
+        v = parse_number(raw, kind)
     except ValueError:
-        raise ConfigError(f"{section.name}.{key} must be an integer, got {raw!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section.name}.{key} must be {what}, got {raw!r}") from None
+    if kind is float and not math.isfinite(v):
+        raise ConfigError(f"{section.name}.{key} must be finite, got {raw!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{section.name}.{key} must be >= {minimum}, got {v}")
-    return v
-
-
-def _get_float(section, key, default=None):
-    raw = section.get(key)
-    if raw is None or raw.strip() == "":
-        if default is None:
-            raise ConfigError(f"missing key {section.name}.{key}")
-        return default
-    try:
-        v = _number(raw, float)
-    except ValueError:
-        raise ConfigError(f"{section.name}.{key} must be a number, got {raw!r}") from None
-    if not math.isfinite(v):
-        raise ConfigError(f"{section.name}.{key} must be finite, got {raw!r}")
     return v
 
 
@@ -185,7 +167,7 @@ def validate_config(
         raise ConfigError(f"run.model must be one of {MODELS}, got {model!r}")
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    eff_seed = seed if seed is not None else _get_int(run, "seed", 0, minimum=0)
+    eff_seed = seed if seed is not None else _get_number(run, "seed", int, 0, minimum=0)
     if out_dir is not None:
         eff_out = Path(out_dir)  # command-line value: relative to the caller's cwd
     else:
@@ -198,7 +180,7 @@ def validate_config(
     maps = []
     for key, raw in cfg["maps"].items():
         try:
-            year = _number(key, int)
+            year = parse_number(key, int)
         except ValueError:
             raise ConfigError(f"maps keys must be years, got {key!r}") from None
         maps.append((year, _resolve(base, raw, f"maps.{key}")))
@@ -236,10 +218,10 @@ def validate_config(
             fuzzy[name] = FuzzySpec(
                 (s.get("shape") or "linear").strip(),
                 (s.get("direction") or "increasing").strip(),
-                _get_float(s, "a"),
-                _get_float(s, "b"),
-                _get_float(s, "c") if s.get("c") else None,
-                _get_float(s, "d") if s.get("d") else None,
+                _get_number(s, "a", float),
+                _get_number(s, "b", float),
+                _get_number(s, "c", float) if s.get("c") else None,
+                _get_number(s, "d", float) if s.get("d") else None,
             )
         except DataError as e:
             raise ConfigError(f"[{sec}]: {e}") from None
@@ -256,7 +238,7 @@ def validate_config(
             raise ConfigError(f"mce.method must be one of {MCE_METHODS}, got {method!r}")
         if s.get("order_weights"):
             try:
-                order_weights = tuple(_number(t, float) for t in s["order_weights"].split(","))
+                order_weights = tuple(parse_number(t, float) for t in s["order_weights"].split(","))
             except ValueError:
                 raise ConfigError("mce.order_weights must be comma-separated numbers") from None
             if not all(math.isfinite(v) for v in order_weights):
@@ -268,7 +250,7 @@ def validate_config(
     if cfg.has_section("suitability"):
         for key, raw in cfg["suitability"].items():
             try:
-                cid = _number(key, int)
+                cid = parse_number(key, int)
             except ValueError:
                 raise ConfigError(f"suitability keys must be class ids, got {key!r}") from None
             names = tuple(t.strip() for t in raw.split(",") if t.strip())
@@ -283,21 +265,19 @@ def validate_config(
                     )
             suitability[cid] = names
 
+    default = PipelineConfig  # the field defaults, read off the class
     pred = cfg["predict"] if cfg.has_section("predict") else {}
-    iterations = _get_int(pred, "iterations", 5, minimum=1) if pred else 5
-    kernel = _get_int(pred, "kernel", 5, minimum=3) if pred else 5
+    iterations = _get_number(pred, "iterations", int, default.iterations, minimum=1)
+    kernel = _get_number(pred, "kernel", int, default.kernel, minimum=3)
     if kernel % 2 == 0:
         raise ConfigError(f"predict.kernel must be odd, got {kernel}")
 
-    mlp = cfg["mlp"] if cfg.has_section("mlp") else None
-    hidden, lr, epochs, focal, threshold = 8, 0.5, 300, None, 0.5
-    if mlp is not None:
-        hidden = _get_int(mlp, "hidden", 8, minimum=1)
-        lr = _get_float(mlp, "learning_rate", 0.5)
-        epochs = _get_int(mlp, "epochs", 300, minimum=1)
-        if mlp.get("focal_class"):
-            focal = _get_int(mlp, "focal_class")
-        threshold = _get_float(mlp, "threshold", 0.5)
+    mlp = cfg["mlp"] if cfg.has_section("mlp") else {}
+    hidden = _get_number(mlp, "hidden", int, default.mlp_hidden, minimum=1)
+    lr = _get_number(mlp, "learning_rate", float, default.mlp_learning_rate)
+    epochs = _get_number(mlp, "epochs", int, default.mlp_epochs, minimum=1)
+    focal = _get_number(mlp, "focal_class", int) if mlp.get("focal_class") else None
+    threshold = _get_number(mlp, "threshold", float, default.mlp_threshold)
 
     return PipelineConfig(
         base_dir=base,

@@ -279,5 +279,7 @@ def make_constraint(
     else:
         if op not in _OPS:
             raise DataError(f"op must be one of {sorted(_OPS)}, got {op!r}")
+        if not math.isfinite(threshold):
+            raise DataError(f"constraint threshold must be finite, got {threshold}")
         sel = _OPS[op](grid.values, float(threshold))
     return mask_like(grid, (sel & ok).astype(np.float64))

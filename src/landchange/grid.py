@@ -12,9 +12,11 @@ northernmost row. Values are written in shortest round-trip form, so a
 write/read cycle is bit-exact, except that -0.0 is written as 0. The
 writer formats each distinct value of a grid once and gathers the strings
 into rows; the bytes are the same as formatting every cell on its own.
-The reader accepts finite values only, written without '_' digit-group
-separators: a non-finite or underscored header value or cell is a format
-error.
+The reader accepts finite values only, written as `parse_number` reads
+them: a non-finite or underscored header value or cell is a format error.
+
+`parse_number` is the one rule for numbers in every text input and
+command-line flag, and `write_csv` the shared CSV writer.
 """
 
 from __future__ import annotations
@@ -251,6 +253,19 @@ def read_text(path, what: str, encoding: str = "utf-8", error: type = DataError)
         ) from None
 
 
+def parse_number(token: str, kind: type = float, what: str = "value"):
+    """kind(token) for kind int or float, with one difference: int() and
+    float() read '_' digit groups ("1_0" as 10), this refuses them. A bad
+    token raises ValueError naming the rule it broke, `what` and the token.
+    Finiteness is left to the caller."""
+    if "_" in token:
+        raise ValueError(f"'_' in {what} {token!r}")
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValueError(f"non-{'integer' if kind is int else 'numeric'} {what} {token!r}") from None
+
+
 def _format_value(v: float) -> str:
     v = float(v)
     # compact digit form for moderate integers, exact repr otherwise; both
@@ -276,14 +291,10 @@ def read_ascii_grid(path) -> Grid:
             raise GridFormatError(f"{path}:{lineno}: duplicate header key {parts[0]}")
         if len(parts) != 2:
             raise GridFormatError(f"{path}:{lineno}: header line needs exactly one value, got {raw!r}")
-        if "_" in parts[1]:
-            raise GridFormatError(f"{path}:{lineno}: '_' in header value {parts[1]!r} for {parts[0]}")
         try:
-            header[key] = float(parts[1])
-        except ValueError:
-            raise GridFormatError(
-                f"{path}:{lineno}: non-numeric header value {parts[1]!r} for {parts[0]}"
-            ) from None
+            header[key] = parse_number(parts[1], float, "header value")
+        except ValueError as e:
+            raise GridFormatError(f"{path}:{lineno}: {e} for {parts[0]}") from None
         if not math.isfinite(header[key]):
             raise GridFormatError(
                 f"{path}:{lineno}: non-finite header value {parts[1]!r} for {parts[0]}"
@@ -307,7 +318,7 @@ def read_ascii_grid(path) -> Grid:
         tokens = raw.split()
         if not tokens:
             continue  # tolerate blank lines after the data block
-        if "_" in raw:  # float() would read "1_0" as 10; one search per line, not per token
+        if "_" in raw:  # parse_number's rule, one search per line, not per token
             bad = next(t for t in tokens if "_" in t)
             raise GridFormatError(f"{path}:{i}: '_' in value {bad!r}")
         data_lines += 1
@@ -322,9 +333,9 @@ def read_ascii_grid(path) -> Grid:
         except ValueError:
             for t in tokens:
                 try:
-                    float(t)
-                except ValueError:
-                    raise GridFormatError(f"{path}:{i}: non-numeric token {t!r}") from None
+                    parse_number(t, float, "token")
+                except ValueError as e:
+                    raise GridFormatError(f"{path}:{i}: {e}") from None
             raise
         finite = np.isfinite(row)
         if not finite.all():
@@ -424,10 +435,8 @@ def read_legend(path) -> dict[int, str]:
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise DataError(f"{path}:{i}: legend rows need exactly 'id,name'")
-        if "_" in row[0]:  # int() would read "1_0" as 10
-            raise DataError(f"{path}:{i}: bad class id {row[0]!r}")
         try:
-            cid = int(row[0])
+            cid = parse_number(row[0], int)
         except ValueError:
             raise DataError(f"{path}:{i}: bad class id {row[0]!r}") from None
         if cid < 0:
@@ -438,9 +447,26 @@ def read_legend(path) -> dict[int, str]:
     return legend
 
 
-def write_legend(legend: dict[int, str], path) -> None:
+def write_csv(path, rows, comment: str | None = None) -> None:
+    """Write rows as UTF-8 CSV in the csv module's default dialect: minimal
+    quoting and CRLF row ends. A comment, if given, goes first as one
+    '# <comment>' line ended by LF."""
     with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "name"])
-        for cid in sorted(legend):
-            writer.writerow([cid, legend[cid]])
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        csv.writer(fh).writerows(rows)
+
+
+def load_legend(path, *grids: Grid) -> dict[int, str]:
+    """The legend file at path or, with no path, a 'class <id>' legend for
+    every value present in the grids' valid cells."""
+    if path:
+        return read_legend(path)
+    present: set[int] = set()
+    for g in grids:
+        present |= set(np.unique(g.values[g.valid]).astype(np.int64).tolist())
+    return {c: f"class {c}" for c in sorted(present)}
+
+
+def write_legend(legend: dict[int, str], path) -> None:
+    write_csv(path, [["id", "name"]] + [[cid, legend[cid]] for cid in sorted(legend)])

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, Grid, LandCoverMap, export_ppm, require_same_geometry
+from .grid import DEFAULT_NODATA, Grid, LandCoverMap, export_ppm, require_same_geometry, write_csv
 
 
 def normalized_difference(a: Grid, b: Grid) -> Grid:
@@ -178,8 +177,5 @@ def group_dynamics(codes: Grid, grouping: DynamicsGrouping | None = None) -> Lan
 
 
 def write_grouping_csv(grouping: DynamicsGrouping, path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["code", "category_id", "category_name"])
-        for code, cat in enumerate(grouping.category_of):
-            w.writerow([code, cat, grouping.names[cat]])
+    rows = [[code, cat, grouping.names[cat]] for code, cat in enumerate(grouping.category_of)]
+    write_csv(path, [["code", "category_id", "category_name"], *rows])

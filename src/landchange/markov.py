@@ -9,15 +9,21 @@ and turned into expected class areas for allocation.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .grid import BinaryMask, Grid, LandCoverMap, read_text, require_same_geometry
+from .grid import (
+    BinaryMask,
+    Grid,
+    LandCoverMap,
+    parse_number,
+    read_csv_rows,
+    require_same_geometry,
+    write_csv,
+)
 
 
 def largest_remainder(reals: np.ndarray, total: int) -> np.ndarray:
@@ -282,41 +288,33 @@ def expected_areas(
 
 
 def write_transition_csv(tm: TransitionMatrix, path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# time_span: {repr(float(tm.time_span))}\n")
-        w = csv.writer(fh)
-        w.writerow(["class"] + [str(c) for c in tm.class_ids])
-        for cid, row in zip(tm.class_ids, tm.probs):
-            w.writerow([cid] + [repr(float(v)) for v in row])
+    rows = [[cid] + [repr(float(v)) for v in row] for cid, row in zip(tm.class_ids, tm.probs)]
+    write_csv(path, [["class", *tm.class_ids], *rows], comment=f"time_span: {repr(float(tm.time_span))}")
 
 
 def read_transition_csv(path) -> TransitionMatrix:
     path = str(path)
-    with io.StringIO(read_text(path, "transition matrix"), newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("# time_span:"):
-            raise DataError(f"{path}: missing '# time_span:' comment line")
-        try:
-            span = float(first.split(":", 1)[1])
-        except ValueError:
-            raise DataError(f"{path}: bad time_span value") from None
-        try:
-            rows = [row for row in csv.reader(fh) if row]
-        except csv.Error as e:
-            raise DataError(f"{path}: malformed CSV: {e}") from None
+    rows = read_csv_rows(path, "transition matrix")
+    if not rows or not rows[0] or not rows[0][0].startswith("# time_span:"):
+        raise DataError(f"{path}: missing '# time_span:' comment line")
+    try:
+        span = parse_number(",".join(rows[0]).split(":", 1)[1], float)  # the whole line, commas too
+    except ValueError:
+        raise DataError(f"{path}: bad time_span value") from None
+    rows = [row for row in rows[1:] if row]
     if not rows or rows[0][0] != "class":
         raise DataError(f"{path}: missing 'class' header row")
     try:
-        ids = [int(c) for c in rows[0][1:]]
+        ids = [parse_number(c, int) for c in rows[0][1:]]
         if len(rows) - 1 != len(ids):
             raise DataError(f"{path}: expected {len(ids)} rows, got {len(rows) - 1}")
         probs = []
         for row in rows[1:]:
-            if int(row[0]) != ids[len(probs)]:
+            if parse_number(row[0], int) != ids[len(probs)]:
                 raise DataError(f"{path}: row order does not match header order")
             if len(row) != len(ids) + 1:
                 raise DataError(f"{path}: row {row[0]} needs {len(ids)} entries, got {len(row) - 1}")
-            probs.append([float(v) for v in row[1:]])
+            probs.append([parse_number(v, float) for v in row[1:]])
     except ValueError:
         raise DataError(f"{path}: non-numeric matrix entry") from None
     try:
@@ -327,18 +325,14 @@ def read_transition_csv(path) -> TransitionMatrix:
 
 def write_second_order_csv(table: SecondOrderTable, path) -> None:
     ids = table.class_ids
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["previous", "current", "next", "probability", "fallback"])
-        for i, p in enumerate(ids):
-            for j, c in enumerate(ids):
-                for m, nx in enumerate(ids):
-                    w.writerow([p, c, nx, repr(float(table.probs[i, j, m])), int(table.fallback[i, j])])
+    rows = [["previous", "current", "next", "probability", "fallback"]]
+    for i, p in enumerate(ids):
+        for j, c in enumerate(ids):
+            for m, nx in enumerate(ids):
+                rows.append([p, c, nx, repr(float(table.probs[i, j, m])), int(table.fallback[i, j])])
+    write_csv(path, rows)
 
 
 def write_expected_areas_csv(reals: dict[int, float], ints: dict[int, int], path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class_id", "expected_pixels", "target_pixels"])
-        for cid in sorted(reals):
-            w.writerow([cid, repr(float(reals[cid])), int(ints[cid])])
+    rows = [[cid, repr(float(reals[cid])), int(ints[cid])] for cid in sorted(reals)]
+    write_csv(path, [["class_id", "expected_pixels", "target_pixels"], *rows])

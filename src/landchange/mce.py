@@ -8,14 +8,21 @@ Boolean constraints.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .grid import DEFAULT_NODATA, BinaryMask, Grid, read_csv_rows, require_same_geometry
+from .grid import (
+    DEFAULT_NODATA,
+    BinaryMask,
+    Grid,
+    parse_number,
+    read_csv_rows,
+    require_same_geometry,
+    write_csv,
+)
 from .criteria import SuitabilityGrid, suitability_like
 
 # Saaty's random consistency index by matrix order
@@ -183,8 +190,8 @@ def _parse_entry(tok: str) -> float:
     tok = tok.strip()
     if "/" in tok:
         num, den = tok.split("/", 1)
-        return float(num) / float(den)
-    return float(tok)
+        return parse_number(num) / parse_number(den)
+    return parse_number(tok)
 
 
 def read_saaty_csv(path) -> SaatyMatrix:
@@ -208,18 +215,14 @@ def read_saaty_csv(path) -> SaatyMatrix:
 
 
 def write_saaty_csv(matrix: SaatyMatrix, path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        for row in matrix.values:
-            w.writerow([repr(float(v)) for v in row])
+    write_csv(path, [[repr(float(v)) for v in row] for row in matrix.values])
 
 
 def write_weights_csv(names, ws: WeightSet, path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["factor", "weight"])
-        for name, weight in zip(names, ws.weights):
-            w.writerow([name, repr(float(weight))])
-        w.writerow(["lambda_max", repr(float(ws.lambda_max))])
-        w.writerow(["consistency_index", repr(float(ws.consistency_index))])
-        w.writerow(["consistency_ratio", repr(float(ws.consistency_ratio))])
+    rows = [["factor", "weight"]] + [[name, repr(float(weight))] for name, weight in zip(names, ws.weights)]
+    rows += [
+        ["lambda_max", repr(float(ws.lambda_max))],
+        ["consistency_index", repr(float(ws.consistency_index))],
+        ["consistency_ratio", repr(float(ws.consistency_ratio))],
+    ]
+    write_csv(path, rows)

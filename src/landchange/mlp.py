@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .grid import Grid, LandCoverMap, read_text, require_same_geometry
+from .grid import Grid, LandCoverMap, parse_number, read_text, require_same_geometry
 
 
 def _sigmoid_(z: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -426,13 +426,13 @@ def load_model(path) -> MLPModel:
         key, *rest = ln.split()
         fields.setdefault(key, []).append(rest)
     try:
-        n_inputs = int(fields["n_inputs"][0][0])
-        q = int(fields["hidden"][0][0])
-        prob = int(fields["probability_output"][0][0])
-        w1 = np.array([[float(v) for v in row] for row in fields["w1"]])
-        w0 = np.array([float(v) for v in fields["w0"][0]])
-        w2 = np.array([float(v) for v in fields["w2"][0]])
-        b = float(fields["b"][0][0])
+        n_inputs = parse_number(fields["n_inputs"][0][0], int)
+        q = parse_number(fields["hidden"][0][0], int)
+        prob = parse_number(fields["probability_output"][0][0], int)
+        w1 = np.array([[parse_number(v) for v in row] for row in fields["w1"]])
+        w0 = np.array([parse_number(v) for v in fields["w0"][0]])
+        w2 = np.array([parse_number(v) for v in fields["w2"][0]])
+        b = parse_number(fields["b"][0][0])
     except (KeyError, ValueError, IndexError):
         raise DataError(f"{path}: malformed model file") from None
     if n_inputs < 1 or q < 1:
@@ -449,9 +449,9 @@ def load_model(path) -> MLPModel:
     features = None
     if "classes" in fields:
         try:
-            ids = tuple(int(c) for c in fields["classes"][0])
-            focal = int(fields["focal"][0][0])
-            bounds = tuple((float(a), float(bb)) for a, bb in fields.get("bounds", []))
+            ids = tuple(parse_number(c, int) for c in fields["classes"][0])
+            focal = parse_number(fields["focal"][0][0], int)
+            bounds = tuple((parse_number(a), parse_number(bb)) for a, bb in fields.get("bounds", []))
         except (KeyError, ValueError, IndexError):
             raise DataError(f"{path}: malformed feature spec") from None
         for lo, hi in bounds:

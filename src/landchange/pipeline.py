@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .allocate import (
     AllocationTargets,
     CaParams,
@@ -41,7 +39,7 @@ from .classify import (
 from .config import PipelineConfig
 from .criteria import SuitabilityGrid, fuzzy_standardize
 from .errors import ConfigError, DataError, LandchangeError
-from .grid import Grid, LandCoverMap, mask_like, read_ascii_grid, read_legend, write_ascii_grid
+from .grid import Grid, LandCoverMap, load_legend, mask_like, read_ascii_grid, write_ascii_grid
 from .markov import (
     TransitionMatrix,
     conditional_probability_maps,
@@ -91,14 +89,7 @@ def load_maps(cfg: PipelineConfig) -> list[LandCoverMap]:
     """Dated maps in year order, sharing one legend (the configured legend
     file, or the union of classes present in the maps)."""
     grids = [(year, read_ascii_grid(path)) for year, path in cfg.maps]
-    if cfg.legend_path is not None:
-        legend = read_legend(cfg.legend_path)
-    else:
-        present: set[int] = set()
-        for _, g in grids:
-            vals = g.values[g.valid]
-            present |= set(np.unique(vals).astype(np.int64).tolist())
-        legend = {c: f"class {c}" for c in sorted(present)}
+    legend = load_legend(cfg.legend_path, *(g for _, g in grids))
     return [LandCoverMap(g, legend, str(year)) for year, g in grids]
 
 

@@ -8,7 +8,6 @@ informative three-band composite.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -16,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError
-from .grid import BinaryMask, MultiBandImage, require_same_geometry
+from .grid import BinaryMask, MultiBandImage, require_same_geometry, write_csv
 
 
 def _nearest_rank(sorted_vals: np.ndarray, percentile: float) -> float:
@@ -146,32 +145,24 @@ def oif_rank(stats: BandStats, bands: list[int] | None = None) -> OifRanking:
 
 
 def write_band_stats_csv(stats: BandStats, path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["band_label", "mean", "std_dev"])
-        for label, m, s in zip(stats.labels, stats.means, stats.std_devs):
-            w.writerow([label, repr(float(m)), repr(float(s))])
+    rows = [
+        [label, repr(float(m)), repr(float(s))] for label, m, s in zip(stats.labels, stats.means, stats.std_devs)
+    ]
+    write_csv(path, [["band_label", "mean", "std_dev"], *rows])
 
 
 def write_correlation_csv(stats: BandStats, path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["band"] + list(stats.labels))
-        for label, row in zip(stats.labels, stats.correlation):
-            w.writerow([label] + [repr(float(v)) for v in row])
+    rows = [[label] + [repr(float(v)) for v in row] for label, row in zip(stats.labels, stats.correlation)]
+    write_csv(path, [["band", *stats.labels], *rows])
 
 
 def write_dark_values_csv(labels, dark, path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["band_label", "dark_value"])
-        for label, d in zip(labels, dark):
-            w.writerow([label, repr(float(d))])
+    rows = [[label, repr(float(d))] for label, d in zip(labels, dark)]
+    write_csv(path, [["band_label", "dark_value"], *rows])
 
 
 def write_oif_csv(ranking: OifRanking, path) -> None:
-    with open(str(path), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["b1", "b2", "b3", "oif"])
-        for (i, j, k), score in zip(ranking.triples, ranking.scores):
-            w.writerow([ranking.labels[i], ranking.labels[j], ranking.labels[k], repr(float(score))])
+    rows = [["b1", "b2", "b3", "oif"]]
+    for (i, j, k), score in zip(ranking.triples, ranking.scores):
+        rows.append([ranking.labels[i], ranking.labels[j], ranking.labels[k], repr(float(score))])
+    write_csv(path, rows)

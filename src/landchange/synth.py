@@ -14,6 +14,7 @@ series changes.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,10 +67,10 @@ class SynthSpec:
             raise ConfigError("seeds_per_class must be at least 1")
         if self.n_classes * self.seeds_per_class > self.n_rows * self.n_cols:
             raise ConfigError("more patch seeds than pixels")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be non-negative, got {self.noise}")
-        if self.cell_size <= 0:
-            raise ConfigError(f"cell_size must be positive, got {self.cell_size}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"noise must be finite and non-negative, got {self.noise}")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ConfigError(f"cell_size must be positive and finite, got {self.cell_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.year_step < 1:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes and artifact wiring."""
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from landchange import __version__
-from landchange.cli import main
+from landchange.cli import build_parser, main
 from landchange.grid import Grid, write_ascii_grid
 from landchange.markov import read_transition_csv
 
@@ -294,3 +295,47 @@ def test_criteria_subcommand(tmp_path):
     assert (out / "dem_constraint.asc").is_file()
 
     assert main(["criteria", "--input", dem, "--fuzzy", "linear,up,0", "--out", str(out), "--quiet"]) == 2
+
+
+def test_digit_groups_in_number_flags_exit_2_before_writing(tmp_path):
+    # int() and float() read "1_0" as 10; every number flag refuses it
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    cases = [
+        ([name, action.option_strings[0], "1_0"], f"argument {action.option_strings[0]}: '_' in value '1_0'")
+        for name, sub in commands.items()
+        for action in sub._actions
+        if action.type is not None
+    ]
+    assert len(cases) >= 25  # the enumeration found the flags
+    grid = _w(tmp_path / "g.asc", [[1.0, 2.0], [3.0, 4.0]])
+    cases += [
+        (["criteria", "--input", grid, "--fuzzy", "linear,increasing,1_0,20"], "--fuzzy control points must be numbers"),
+        (["criteria", "--input", grid, "--constraint-categories", "1,1_0"], "--constraint-categories: '_' in value '1_0'"),
+    ]
+    for n, (args, message) in enumerate(cases):
+        out = tmp_path / f"out{n}"
+        res = _cli([*args, "--out", str(out), "--quiet"], tmp_path)
+        assert res.returncode == 2, (args, res.stderr)
+        assert message in res.stderr, args
+        assert "Traceback" not in res.stderr
+        assert not out.exists(), args
+
+
+def test_non_finite_number_flags_fail_before_writing(tmp_path):
+    grid = _w(tmp_path / "g.asc", [[1.0, 2.0], [3.0, 4.0]])
+    cases = [
+        (["synth", "--noise", "nan"], 2, "noise must be finite and non-negative, got nan"),
+        (["synth", "--cell-size", "inf"], 2, "cell_size must be positive and finite, got inf"),
+        (["criteria", "--input", grid, "--constraint-min", "nan"], 3, "constraint threshold must be finite, got nan"),
+        (["criteria", "--distance-to", grid.replace("g.asc", "m.asc"), "--constraint-min=-inf"], 3,
+         "constraint threshold must be finite, got -inf"),
+    ]
+    _w(tmp_path / "m.asc", [[0.0, 1.0], [0.0, 0.0]])
+    for n, (args, code, message) in enumerate(cases):
+        out = tmp_path / f"out{n}"
+        res = _cli([*args, "--out", str(out), "--quiet"], tmp_path)
+        assert res.returncode == code, (args, res.stderr)
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists() or not any(out.iterdir()), args

@@ -106,6 +106,12 @@ def test_negative_seed_is_a_config_error(tmp_path):
         load_config(_write(tmp_path, BASE), seed=-2)
 
 
+def test_integer_keys_read_integers_too_large_for_a_float(tmp_path):
+    # only float keys are checked for finiteness; a float check on this int overflows
+    big = "1" + "0" * 400
+    assert load_config(_write(tmp_path, BASE.replace("seed = 3", f"seed = {big}"))).seed == int(big)
+
+
 def test_digit_group_underscores_are_not_numbers(tmp_path):
     # int() and float() read "1_0" as 10
     cases = [

@@ -294,5 +294,8 @@ def test_make_constraint():
         make_constraint(g, categories={1}, threshold=2.0)
     with pytest.raises(DataError):
         make_constraint(g, threshold=1.0, op="!=")
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DataError, match=f"constraint threshold must be finite, got {bad}"):
+            make_constraint(g, threshold=bad)
     with pytest.raises(DataError):
         make_constraint(g, categories=set())

@@ -20,6 +20,7 @@ from landchange.grid import (
     grids_equal,
     mask_like,
     neighbor_counts,
+    parse_number,
     read_ascii_grid,
     read_csv_rows,
     read_legend,
@@ -315,6 +316,65 @@ def test_read_rejects_digit_group_underscores(tmp_path):
     bad = GOOD.replace("NODATA_VALUE -9999", "NODATA_VALUE -9_999")
     with pytest.raises(GridFormatError, match=r"c\.asc:6: '_' in header value '-9_999'"):
         read_ascii_grid(_write(tmp_path / "c.asc", bad))
+
+
+@pytest.mark.parametrize(
+    "token, kind, expected",
+    [
+        ("0", int, 0),
+        ("-3", int, -3),
+        (" +7\n", int, 7),
+        ("1_0", int, "'_' in value '1_0'"),
+        ("_1", int, "'_' in value '_1'"),
+        ("1.5", int, "non-integer value '1.5'"),
+        ("0x10", int, "non-integer value '0x10'"),
+        ("", int, "non-integer value ''"),
+        ("1.5", float, 1.5),
+        ("-0.0", float, -0.0),
+        ("1e3", float, 1000.0),
+        (" 2 ", float, 2.0),
+        ("1e400", float, float("inf")),
+        ("-Infinity", float, float("-inf")),
+        ("nan", float, float("nan")),
+        ("0_0.9", float, "'_' in value '0_0.9'"),
+        ("1e1_0", float, "'_' in value '1e1_0'"),
+        ("1/3", float, "non-numeric value '1/3'"),
+        ("x", float, "non-numeric value 'x'"),
+        ("", float, "non-numeric value ''"),
+    ],
+)
+def test_parse_number_table(token, kind, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            parse_number(token, kind)
+        assert str(exc.value) == expected
+    else:
+        got = parse_number(token, kind)
+        assert type(got) is kind
+        assert np.array(got).tobytes() == np.array(expected).tobytes()  # sign of zero and nan too
+
+
+def test_parse_number_names_what_it_read():
+    with pytest.raises(ValueError, match=r"^'_' in header value '3_0'$"):
+        parse_number("3_0", float, "header value")
+    with pytest.raises(ValueError, match=r"^non-numeric token 'x'$"):
+        parse_number("x", float, "token")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789_+-.eExabnfiINF \t", max_size=8), st.sampled_from([int, float]))
+def test_parse_number_is_int_or_float_without_digit_groups(token, kind):
+    try:
+        want = kind(token)
+    except ValueError:
+        want = None
+    try:
+        got = parse_number(token, kind)
+    except ValueError:
+        assert want is None or "_" in token
+        return
+    assert "_" not in token
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_read_errors_name_unreadable_files(tmp_path):

@@ -305,6 +305,24 @@ _TM_HEADER = st.sampled_from(["class,0,1", "class,0,1,2", "class", "class,1,0", 
 _GOOD_TM = "# time_span: 6.0\nclass,0,1\n0,0.75,0.25\n1,0.0,1.0\n"
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("0,0.75,0.25", "0,0_0.75,0.25"),  # float() reads it as 0.75
+        ("class,0,1", "class,0,0_1"),
+        ("1,0.0,1.0", "0_1,0.0,1.0"),
+        ("time_span: 6.0", "time_span: 6_0.0"),
+    ],
+)
+def test_transition_reader_refuses_digit_groups(tmp_path, old, new):
+    p = tmp_path / "tm.csv"
+    p.write_text(_GOOD_TM, encoding="utf-8")
+    assert read_transition_csv(p).time_span == 6.0
+    p.write_text(_GOOD_TM.replace(old, new), encoding="utf-8")
+    with pytest.raises(DataError, match=r"tm\.csv: (non-numeric matrix entry|bad time_span value)"):
+        read_transition_csv(p)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(
     st.tuples(_TM_SPAN, _TM_HEADER, st.lists(_TM_ROW, max_size=4)).map(lambda t: "\n".join([t[0], t[1], *t[2]])),

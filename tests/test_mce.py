@@ -165,6 +165,15 @@ def test_saaty_csv_errors(tmp_path):
         read_saaty_csv(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize("entry", ["0_3", "1/0_3", "0_1/3", "3e0_0"])
+def test_saaty_reader_refuses_digit_groups(tmp_path, entry):
+    # float() reads "0_3" as 3.0, which would make a valid matrix here
+    p = tmp_path / "cmp.csv"
+    p.write_text(f"1,{entry}\n1/3,1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"cmp\.csv: non-numeric matrix entry"):
+        read_saaty_csv(p)
+
+
 _SAATY_TOKENS = st.sampled_from(
     ["1", "3", "1/3", "9", "1/9", "5", "0.2", "10", "1/0", "0", "-1", "nan", "inf", "1e400", "1/inf", "x", "", " 1 ",
      "1/3/3", '"1"', "\x00"]

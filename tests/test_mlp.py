@@ -428,6 +428,24 @@ def test_model_file_rejects_empty_weight_header(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("hidden 2", "hidden 0_2"),  # int() reads it as 2
+        ("n_inputs 3", "n_inputs 0_3"),
+        ("w1 0.5 -0.25 1.0", "w1 0_0.5 -0.25 1.0"),
+        ("b 0.0625", "b 0.06_25"),
+        ("classes 0 1", "classes 0 0_1"),
+        ("bounds 0.25 7.5", "bounds 0.25 7_5"),
+    ],
+)
+def test_model_reader_refuses_digit_groups(tmp_path, old, new):
+    p = tmp_path / "net.txt"
+    p.write_text(_GOOD_MODEL.replace(old, new), encoding="ascii")
+    with pytest.raises(DataError, match=r"net\.txt: malformed (model file|feature spec)"):
+        load_model(p)
+
+
 _model_lines = st.one_of(
     st.sampled_from(_GOOD_MODEL.splitlines()),
     st.builds(

@@ -50,6 +50,12 @@ def test_spec_validation():
         SynthSpec(year_step=0)
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         SynthSpec(seed=-1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match=f"noise must be finite and non-negative, got {bad}"):
+            SynthSpec(noise=bad)
+    for bad in (float("nan"), float("inf"), float("-inf"), 0.0):
+        with pytest.raises(ConfigError, match=f"cell_size must be positive and finite, got {bad}"):
+            SynthSpec(cell_size=bad)
     spec = SynthSpec(n_maps=4, start_year=2000, year_step=5)
     assert spec.years == (2000, 2005, 2010, 2015)
 
