@@ -22,12 +22,10 @@ from .grid import (
     Grid,
     LandCoverMap,
     MultiBandImage,
-    apply_mask,
     export_ppm,
     grids_equal,
     read_ascii_grid,
     read_legend,
-    stack_bands,
     write_ascii_grid,
     write_legend,
 )
@@ -45,12 +43,10 @@ __all__ = [
     "LandCoverMap",
     "MultiBandImage",
     "NumericalError",
-    "apply_mask",
     "export_ppm",
     "grids_equal",
     "read_ascii_grid",
     "read_legend",
-    "stack_bands",
     "write_ascii_grid",
     "write_legend",
     "__version__",

@@ -162,34 +162,18 @@ def contiguity_filter(current: LandCoverMap, class_id: int, kernel_size: int = 5
 
 @dataclass(frozen=True)
 class CaParams:
-    """Iteration schedule and neighborhood for the cellular allocation pass.
-
-    fractions are cumulative shares of the total projected change, strictly
-    increasing and ending at 1. The default splits the change evenly over
-    `iterations` steps.
-    """
+    """Iteration count and neighborhood for the cellular allocation pass.
+    Iteration it of n allocates the share it / n of the total projected
+    change."""
 
     iterations: int = 5
     kernel_size: int = 5
-    fractions: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
             raise DataError(f"iterations must be >= 1, got {self.iterations}")
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise DataError(f"kernel_size must be an odd number >= 3, got {self.kernel_size}")
-        if self.fractions is None:
-            fr = tuple((i + 1) / self.iterations for i in range(self.iterations))
-        else:
-            fr = tuple(float(f) for f in self.fractions)
-            for f in fr:
-                if not np.isfinite(f):
-                    raise DataError(f"fractions must be finite, got {f!r}")
-            if len(fr) != self.iterations:
-                raise DataError(f"{self.iterations} iterations but {len(fr)} fractions")
-            if any(f2 <= f1 for f1, f2 in zip((0.0,) + fr, fr)) or fr[-1] != 1.0:
-                raise DataError("fractions must increase strictly from above 0 to exactly 1")
-        object.__setattr__(self, "fractions", fr)
 
 
 @dataclass(frozen=True)
@@ -233,8 +217,8 @@ def ca_markov(
     state = current
     now = initial  # the counts of `state`, carried from one iteration to the next
     log: list[AllocationLogRow] = []
-    for it, f in enumerate(params.fractions, start=1):
-        reals = init_vec + f * (final_vec - init_vec)
+    for it in range(1, params.iterations + 1):
+        reals = init_vec + it / params.iterations * (final_vec - init_vec)
         step_targets = largest_remainder(reals, total)
         wanted = {c: int(t) for c, t in zip(ids, step_targets)}
         if all(wanted[c] == now.get(c, 0) for c in ids):

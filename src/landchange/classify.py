@@ -38,9 +38,7 @@ class ClassSignature:
     sample_count: int
 
 
-def estimate_signatures(
-    image: MultiBandImage, training: LandCoverMap, mask: BinaryMask | None = None
-) -> list[ClassSignature]:
+def estimate_signatures(image: MultiBandImage, training: LandCoverMap) -> list[ClassSignature]:
     """Per-class sample mean and covariance (divisor N-1) from training pixels.
 
     The covariance diagonal gets a floor of 1e-6 * trace/dim (absolute 1e-6
@@ -49,9 +47,6 @@ def estimate_signatures(
     """
     require_same_geometry(image.geometry, training.grid, context="estimate_signatures")
     sel = np.ones(image.geometry.shape, dtype=bool)
-    if mask is not None:
-        require_same_geometry(image.geometry, mask, context="estimate_signatures")
-        sel = mask.selected
     for band in image.bands:
         sel = sel & band.valid
     labels = training.labels
@@ -282,14 +277,9 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def confusion(
-    predicted: LandCoverMap, reference: LandCoverMap, mask: BinaryMask | None = None
-) -> ConfusionMatrix:
+def confusion(predicted: LandCoverMap, reference: LandCoverMap) -> ConfusionMatrix:
     require_same_geometry(predicted.grid, reference.grid, context="confusion")
     sel = predicted.grid.valid & reference.grid.valid
-    if mask is not None:
-        require_same_geometry(predicted.grid, mask, context="confusion")
-        sel &= mask.selected
     if not sel.any():
         raise DataError("no jointly valid pixels to compare")
     ids = sorted(set(predicted.class_ids) | set(reference.class_ids))
@@ -316,22 +306,22 @@ def overall_accuracy(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.counts)) / cm.total
 
 
-def residual_map(predicted: LandCoverMap, reference: LandCoverMap) -> tuple[BinaryMask, dict[int, float]]:
-    """Disagreement mask (1 where jointly valid labels differ) and per-class
-    producer accuracy over the reference classes."""
+def producer_accuracy(cm: ConfusionMatrix) -> dict[int, float]:
+    """Per reference class with any pixels: the share of them predicted as
+    that class (diagonal over row sum)."""
+    rows = cm.counts.sum(axis=1)
+    return {
+        cid: int(cm.counts[i, i]) / int(n) for i, (cid, n) in enumerate(zip(cm.class_ids, rows)) if n
+    }
+
+
+def residual_map(predicted: LandCoverMap, reference: LandCoverMap) -> BinaryMask:
+    """Disagreement mask: 1 where jointly valid labels differ."""
     require_same_geometry(predicted.grid, reference.grid, context="residual_map")
     sel = predicted.grid.valid & reference.grid.valid
-    p = predicted.labels
-    r = reference.labels
     diff = np.zeros(predicted.grid.shape)
-    diff[sel & (p != r)] = 1.0
-    rates = {}
-    for cid in reference.class_ids:
-        pick = sel & (r == cid)
-        n = int(np.count_nonzero(pick))
-        if n:
-            rates[cid] = float(np.count_nonzero(p[pick] == cid)) / n
-    return mask_like(predicted.grid, diff), rates
+    diff[sel & (predicted.labels != reference.labels)] = 1.0
+    return mask_like(predicted.grid, diff)
 
 
 def write_confusion_csv(cm: ConfusionMatrix, path) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -27,11 +28,11 @@ from .criteria import FuzzySpec, distance_transform, fuzzy_standardize, make_con
 from .errors import ConfigError, LandchangeError, NumericalError
 from .grid import (
     LandCoverMap,
+    MultiBandImage,
     load_legend,
     mask_like,
     parse_number,
     read_ascii_grid,
-    stack_bands,
     write_ascii_grid,
     write_legend,
 )
@@ -78,7 +79,7 @@ def _band_labels(args, n: int) -> list[str]:
 
 
 def _read_image(paths, labels):
-    return stack_bands([read_ascii_grid(p) for p in paths], labels)
+    return MultiBandImage(tuple(read_ascii_grid(p) for p in paths), tuple(labels))
 
 
 def _read_mask(path, what: str):
@@ -145,14 +146,16 @@ def cmd_indices(args) -> int:
 
 
 def cmd_change(args) -> int:
+    if (args.low is None) != (args.high is None):
+        raise ConfigError("--low needs --high too" if args.high is None else "--high needs --low too")
+    for flag, value in (("--low", args.low), ("--high", args.high)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     out = _outdir(args)
     grids = [read_ascii_grid(p) for p in args.ndim]
     levels = []
     for g in grids:
-        if args.low is not None and args.high is not None:
-            lo, hi = args.low, args.high
-        else:
-            lo, hi = ternary_thresholds(g)
+        lo, hi = ternary_thresholds(g) if args.low is None else (args.low, args.high)
         levels.append(ternarize(g, lo, hi))
     for i, lv in enumerate(levels, start=1):
         write_ascii_grid(lv, out / f"levels_{i}.asc")
@@ -222,7 +225,7 @@ def cmd_criteria(args) -> int:
     if spec is not None:
         outputs[f"{name}_fuzzy"] = fuzzy_standardize(grid, spec)
     if args.constraint_min is not None:
-        outputs[f"{name}_constraint"] = make_constraint(grid, threshold=args.constraint_min, op=">=")
+        outputs[f"{name}_constraint"] = make_constraint(grid, threshold=args.constraint_min)
     elif cats is not None:
         outputs[f"{name}_constraint"] = make_constraint(grid, categories=cats)
     out = _outdir(args)
@@ -344,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("change", help="three-date change coding and dynamics classes")
     p.add_argument("ndim", nargs=3, help="blended index grids for the three dates")
-    p.add_argument("--low", type=_FLOAT, help="fixed low ternary threshold")
-    p.add_argument("--high", type=_FLOAT, help="fixed high ternary threshold")
+    p.add_argument("--low", type=_FLOAT, help="fixed low ternary threshold (with --high)")
+    p.add_argument("--high", type=_FLOAT, help="fixed high ternary threshold (with --low)")
     p.add_argument("--ppm", action="store_true", help="also write an RGB composite")
     _add_common(p)
     p.set_defaults(fn=cmd_change)

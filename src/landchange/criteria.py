@@ -145,12 +145,9 @@ def squared_distance_transform(targets: BinaryMask) -> np.ndarray:
     return _lower_envelope(_column_pass(sel[:, sites]), sites, sel.shape[1])
 
 
-def distance_transform(targets: BinaryMask, cell_size: float | None = None) -> Grid:
-    """Euclidean distance to the nearest target cell, in map units."""
-    cs = targets.cell_size if cell_size is None else float(cell_size)
-    if cs <= 0:
-        raise DataError(f"cell_size must be positive, got {cs}")
-    d = np.sqrt(squared_distance_transform(targets)) * cs
+def distance_transform(targets: BinaryMask) -> Grid:
+    """Euclidean distance to the nearest target cell, in the mask's map units."""
+    d = np.sqrt(squared_distance_transform(targets)) * targets.cell_size
     return Grid(d, targets.cell_size, targets.x_origin, targets.y_origin, DEFAULT_NODATA)
 
 
@@ -246,22 +243,13 @@ def fuzzy_standardize(grid: Grid, spec: FuzzySpec) -> SuitabilityGrid:
 # constraints
 
 
-_OPS = {
-    ">=": np.greater_equal,
-    ">": np.greater,
-    "<=": np.less_equal,
-    "<": np.less,
-    "==": np.equal,
-}
-
-
 def make_constraint(
     grid: Grid,
     categories: set | list | None = None,
     threshold: float | None = None,
-    op: str = ">=",
 ) -> BinaryMask:
-    """Boolean constraint from a category set or a threshold predicate.
+    """Boolean constraint: 1 where the cell holds one of the categories, or
+    where it is at least the threshold.
 
     Exactly one of categories/threshold must be given. Nodata cells fail
     the constraint (come out 0).
@@ -277,9 +265,7 @@ def make_constraint(
         for c in cats:
             sel |= grid.values == c
     else:
-        if op not in _OPS:
-            raise DataError(f"op must be one of {sorted(_OPS)}, got {op!r}")
         if not math.isfinite(threshold):
             raise DataError(f"constraint threshold must be finite, got {threshold}")
-        sel = _OPS[op](grid.values, float(threshold))
+        sel = grid.values >= float(threshold)
     return mask_like(grid, (sel & ok).astype(np.float64))

@@ -156,16 +156,6 @@ class MultiBandImage:
     def geometry(self) -> Grid:
         return self.bands[0]
 
-    def band(self, label: str) -> Grid:
-        try:
-            return self.bands[self.labels.index(label)]
-        except ValueError:
-            raise DataError(f"no band labeled {label!r}; have {self.labels}") from None
-
-
-def stack_bands(grids, labels) -> MultiBandImage:
-    return MultiBandImage(tuple(grids), tuple(labels))
-
 
 @dataclass(frozen=True, eq=False)
 class LandCoverMap:
@@ -404,15 +394,7 @@ def export_ppm(r: Grid, g: Grid, b: Grid, stretch, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# masking and legends
-
-
-def apply_mask(grid: Grid, mask: BinaryMask) -> Grid:
-    """Set cells to nodata wherever the mask is 0."""
-    require_same_geometry(grid, mask, context="apply_mask")
-    vals = grid.values.copy()
-    vals[~mask.selected] = grid.nodata_value
-    return grid.with_values(vals)
+# CSV and legends
 
 
 def read_csv_rows(path, what: str) -> list[list[str]]:

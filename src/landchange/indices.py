@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +44,12 @@ def ndim(ndvi_grid: Grid, ndii_grid: Grid, weight: float = 0.5) -> Grid:
     return ndvi_grid.with_values(out, nodata_value=DEFAULT_NODATA)
 
 
-def ternary_thresholds(grid: Grid, low_q: float = 1.0 / 3.0, high_q: float = 2.0 / 3.0) -> tuple[float, float]:
-    """Per-date default cut points: quantiles of the valid cells."""
+def ternary_thresholds(grid: Grid) -> tuple[float, float]:
+    """Per-date default cut points: the terciles of the valid cells."""
     vals = grid.values[grid.valid]
     if vals.size == 0:
         raise DataError("cannot take thresholds of an all-nodata grid")
-    if not 0.0 <= low_q <= high_q <= 1.0:
-        raise DataError(f"quantiles must satisfy 0 <= low <= high <= 1, got {low_q}, {high_q}")
-    return float(np.quantile(vals, low_q)), float(np.quantile(vals, high_q))
+    return float(np.quantile(vals, 1.0 / 3.0)), float(np.quantile(vals, 2.0 / 3.0))
 
 
 def ternarize(grid: Grid, t_low: float, t_high: float) -> Grid:
@@ -58,6 +57,8 @@ def ternarize(grid: Grid, t_low: float, t_high: float) -> Grid:
 
     v < t_low -> 0; t_low <= v < t_high -> 1; v >= t_high -> 2.
     """
+    if not (math.isfinite(t_low) and math.isfinite(t_high)):
+        raise DataError(f"thresholds must be finite, got {t_low} and {t_high}")
     if not t_low <= t_high:
         raise DataError(f"thresholds out of order: {t_low} > {t_high}")
     v = grid.values
@@ -161,9 +162,9 @@ def default_grouping() -> DynamicsGrouping:
     return DynamicsGrouping(tuple(table), dict(_DEFAULT_CATEGORY_NAMES))
 
 
-def group_dynamics(codes: Grid, grouping: DynamicsGrouping | None = None) -> LandCoverMap:
-    """Collapse trajectory codes into a categorical dynamics map."""
-    grouping = default_grouping() if grouping is None else grouping
+def group_dynamics(codes: Grid) -> LandCoverMap:
+    """Collapse trajectory codes into the default_grouping dynamics map."""
+    grouping = default_grouping()
     vals = codes.values
     ok = codes.valid
     data = vals[ok]

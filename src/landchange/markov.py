@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .grid import (
-    BinaryMask,
     Grid,
     LandCoverMap,
     parse_number,
@@ -76,16 +75,11 @@ def _joint_counts(ids, *labels: np.ndarray) -> np.ndarray:
     return np.bincount(flat, minlength=k ** len(labels)).reshape((k,) * len(labels))
 
 
-def crosstab(
-    map_a: LandCoverMap, map_b: LandCoverMap, mask: BinaryMask | None = None
-) -> tuple[np.ndarray, list[int]]:
+def crosstab(map_a: LandCoverMap, map_b: LandCoverMap) -> tuple[np.ndarray, list[int]]:
     """Counts[i, j] = pixels going from class ids[i] in map_a to ids[j] in map_b."""
     require_same_geometry(map_a.grid, map_b.grid, context="crosstab")
     ids = _shared_ids(map_a, map_b, "crosstab")
     sel = map_a.grid.valid & map_b.grid.valid
-    if mask is not None:
-        require_same_geometry(map_a.grid, mask, context="crosstab")
-        sel &= mask.selected
     if not sel.any():
         raise DataError("crosstab: no jointly valid pixels")
     return _joint_counts(ids, map_a.labels[sel], map_b.labels[sel]), ids
@@ -124,12 +118,6 @@ class TransitionMatrix:
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "class_ids", ids)
         object.__setattr__(self, "time_span", float(self.time_span))
-
-    def row(self, class_id: int) -> np.ndarray:
-        try:
-            return self.probs[self.class_ids.index(int(class_id))]
-        except ValueError:
-            raise DataError(f"class {class_id} absent from transition matrix") from None
 
 
 def transition_probabilities(counts: np.ndarray, class_ids, time_span: float) -> TransitionMatrix:
@@ -194,18 +182,15 @@ def scale_transition_in_steps(tm: TransitionMatrix, target_span: float) -> tuple
 
 @dataclass(frozen=True)
 class SecondOrderTable:
-    """P(next | previous, current) plus a fallback flag per (prev, curr) pair
-    and the first-order matrix answering unsupported pairs."""
+    """P(next | previous, current) plus a fallback flag per (prev, curr)
+    pair; an unsupported pair holds the first-order row of curr."""
 
     probs: np.ndarray  # (k, k, k): [prev, curr, next]
     fallback: np.ndarray  # (k, k) bool, True where the pair had no support
     class_ids: tuple[int, ...]
-    first_order: TransitionMatrix
 
 
-def second_order_transitions(
-    m1: LandCoverMap, m2: LandCoverMap, m3: LandCoverMap, time_span: float = 1.0
-) -> SecondOrderTable:
+def second_order_transitions(m1: LandCoverMap, m2: LandCoverMap, m3: LandCoverMap) -> SecondOrderTable:
     require_same_geometry(m1.grid, m2.grid, m3.grid, context="second_order_transitions")
     ids = _shared_ids(m1, m2, "second_order_transitions")
     _shared_ids(m2, m3, "second_order_transitions")
@@ -215,7 +200,7 @@ def second_order_transitions(
     counts = _joint_counts(ids, m1.labels[sel], m2.labels[sel], m3.labels[sel]).astype(np.float64)
 
     fo_counts, _ = crosstab(m2, m3)
-    first = transition_probabilities(fo_counts, ids, time_span)
+    first = transition_probabilities(fo_counts, ids, 1.0)  # only its rows are used
 
     support = counts.sum(axis=2)
     fallback = support == 0
@@ -223,35 +208,18 @@ def second_order_transitions(
     probs = np.where(
         fallback[:, :, None], first.probs[None, :, :], counts / np.maximum(support, 1)[:, :, None]
     )
-    return SecondOrderTable(probs, fallback, tuple(ids), first)
+    return SecondOrderTable(probs, fallback, tuple(ids))
 
 
-def conditional_probability_maps(
-    current: LandCoverMap,
-    transitions: TransitionMatrix | SecondOrderTable,
-    previous: LandCoverMap | None = None,
-) -> dict[int, Grid]:
-    """Per-class grids of the probability that each pixel becomes that class.
-
-    With a first-order matrix each pixel takes its current class's row.
-    With a second-order table, previous must be given and each pixel takes
-    the (previous, current) conditional row.
-    """
-    ids = list(transitions.class_ids)
-    if isinstance(transitions, SecondOrderTable):
-        if previous is None:
-            raise DataError("second-order probabilities need the previous map")
-        require_same_geometry(current.grid, previous.grid, context="conditional_probability_maps")
-        maps, kind = (previous, current), "table"
-    else:
-        maps, kind = (current,), "matrix"
-    for m in maps:
-        extra = set(m.class_ids) - set(ids)
-        if extra:
-            raise DataError(f"classes {sorted(extra)} absent from transition {kind}")
-    sel = np.logical_and.reduce([m.grid.valid for m in maps])
-    pos = _class_index(ids)
-    block = transitions.probs[tuple(pos[m.labels[sel]] for m in maps)]  # (n_sel, k)
+def conditional_probability_maps(current: LandCoverMap, tm: TransitionMatrix) -> dict[int, Grid]:
+    """Per-class grids of the probability that each pixel becomes that
+    class: each pixel takes its current class's row of the matrix."""
+    ids = list(tm.class_ids)
+    extra = set(current.class_ids) - set(ids)
+    if extra:
+        raise DataError(f"classes {sorted(extra)} absent from transition matrix")
+    sel = current.grid.valid
+    block = tm.probs[_class_index(ids)[current.labels[sel]]]  # (n_sel, k)
 
     out: dict[int, Grid] = {}
     for i, cid in enumerate(ids):

@@ -8,7 +8,7 @@ Boolean constraints.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +29,8 @@ from .criteria import SuitabilityGrid, suitability_like
 RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24, 7: 1.32, 8: 1.41, 9: 1.45, 10: 1.49}
 
 CR_WARN_LIMIT = 0.10
+
+log = logging.getLogger("landchange")
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,8 @@ def saaty_weights(matrix: SaatyMatrix, max_iterations: int = 10000) -> WeightSet
 
     Power iteration from the uniform vector, sum-normalized each step,
     until max|Aw - lambda*w| <= 1e-12 * max(1, lambda). CR above 0.10
-    warns (does not fail); CR is 0 for orders 1 and 2.
+    logs a warning to the "landchange" logger (does not fail); CR is 0 for
+    orders 1 and 2.
     """
     a = matrix.values
     n = matrix.order
@@ -102,10 +105,7 @@ def saaty_weights(matrix: SaatyMatrix, max_iterations: int = 10000) -> WeightSet
         ci = 0.0
     cr = 0.0 if n <= 2 else ci / RANDOM_INDEX[n]
     if cr > CR_WARN_LIMIT:
-        warnings.warn(
-            f"consistency ratio {cr:.4f} exceeds {CR_WARN_LIMIT}; judgments look inconsistent",
-            stacklevel=2,
-        )
+        log.warning("consistency ratio %.4f exceeds %s; judgments look inconsistent", cr, CR_WARN_LIMIT)
     return WeightSet(w, lam, ci, cr)
 
 

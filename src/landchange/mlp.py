@@ -18,13 +18,15 @@ so weights, loss history and predictions match it bit for bit.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
-from .grid import Grid, LandCoverMap, parse_number, read_text, require_same_geometry
+from .grid import Grid, LandCoverMap, parse_number, read_text, require_same_geometry, write_csv
+
+log = logging.getLogger("landchange")
 
 
 def _sigmoid_(z: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -206,15 +208,10 @@ def train(
     data: Dataset,
     learning_rate: float,
     epochs: int,
-    seed: int | None = None,
 ) -> tuple[MLPModel, list[float]]:
-    """Full-batch gradient descent.
-
-    With a seed the weights are re-initialized from it first (architecture
-    and modes kept); with seed None descent continues from the given
-    weights, so learning_rate 0 returns them unchanged. The history holds
-    one mean-squared-error value per epoch, measured before that epoch's
-    update.
+    """Full-batch gradient descent from the given weights, so learning_rate
+    0 returns them unchanged. The history holds one mean-squared-error value
+    per epoch, measured before that epoch's update.
     """
     x = data.inputs
     t = data.targets
@@ -224,8 +221,6 @@ def train(
         raise DataError(f"learning_rate must be finite and non-negative, got {learning_rate}")
     if epochs < 1:
         raise DataError(f"epochs must be >= 1, got {epochs}")
-    if seed is not None:
-        model = init_model(model.n_inputs, model.q, seed, model.probability_output, model.features)
     if data.features is not None:
         if model.features is not None and model.features != data.features:
             raise DataError("model feature spec does not match the dataset's")
@@ -255,13 +250,10 @@ def train(
 
 @dataclass(frozen=True)
 class Dataset:
-    """Training samples plus, when built from rasters, the pixel each row
-    came from and the feature recipe."""
+    """Training samples plus, when built from rasters, the feature recipe."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
     features: FeatureSpec | None = None
 
     def __post_init__(self):
@@ -277,10 +269,6 @@ class Dataset:
             raise DataError("targets must lie in [0, 1]")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", t)
-
-    @property
-    def n_samples(self) -> int:
-        return self.inputs.shape[0]
 
 
 def _encode(spec: FeatureSpec, labels: np.ndarray, crit_values: list[np.ndarray]) -> np.ndarray:
@@ -329,15 +317,14 @@ def build_samples(
         vals = c.values[sel]
         lo, hi = float(vals.min()), float(vals.max())
         if lo == hi:
-            warnings.warn(f"criterion {i} is constant over the sample; encoded as 0.5", stacklevel=2)
+            log.warning("criterion %d is constant over the sample; encoded as 0.5", i)
         bounds.append((lo, hi))
         crit_values.append(vals)
 
     spec = FeatureSpec(tuple(ids), int(focal_class), tuple(bounds))
-    rows, cols = np.nonzero(sel)
     x = _encode(spec, prior.labels[sel], crit_values)
     t = (nxt.labels[sel] == int(focal_class)).astype(np.float64)
-    return Dataset(x, t, rows.astype(np.int64), cols.astype(np.int64), spec)
+    return Dataset(x, t, spec)
 
 
 def predict_map(
@@ -385,10 +372,7 @@ def predict_map(
 
 
 def write_history_csv(history, path) -> None:
-    with open(str(path), "w", encoding="ascii", newline="\n") as fh:
-        fh.write("epoch,mse\n")
-        for i, v in enumerate(history):
-            fh.write(f"{i},{repr(float(v))}\n")
+    write_csv(path, [["epoch", "mse"], *([i, repr(float(v))] for i, v in enumerate(history))])
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,14 @@ from .classify import (
     confusion,
     kappa,
     overall_accuracy,
+    producer_accuracy,
     residual_map,
     write_confusion_csv,
 )
 from .config import PipelineConfig
 from .criteria import SuitabilityGrid, fuzzy_standardize
 from .errors import ConfigError, DataError, LandchangeError
-from .grid import Grid, LandCoverMap, load_legend, mask_like, read_ascii_grid, write_ascii_grid
+from .grid import Grid, LandCoverMap, load_legend, mask_like, read_ascii_grid, write_ascii_grid, write_csv
 from .markov import (
     TransitionMatrix,
     conditional_probability_maps,
@@ -214,7 +215,7 @@ def stage_markov(cfg: PipelineConfig, maps: list[LandCoverMap]) -> dict:
     probs = conditional_probability_maps(cur, tm_s)
     table = None
     if len(maps) >= 4:  # a second-order table without touching the held-out map
-        table = second_order_transitions(maps[-4], maps[-3], maps[-2], time_span=span_cal)
+        table = second_order_transitions(maps[-4], maps[-3], maps[-2])
 
     out = cfg.out_dir
     write_transition_csv(tm, out / TRANSITION_CSV)
@@ -344,36 +345,27 @@ def stage_validate(cfg: PipelineConfig, maps: list[LandCoverMap], predictions: d
     """Compare each prediction against the held-out map, next to a
     random-allocation baseline with the same class totals."""
     _, cur, held, _, _ = _held_out_window(maps, cfg.years)
-    rows = []
     results = {}
     scored = []
     baseline_targets = None
     for name, grid in predictions.items():
         pred = LandCoverMap(grid, held.legend, held.date_tag)
         cm = confusion(pred, held)
-        k = kappa(cm)
-        oa = overall_accuracy(cm)
-        mask, producer = residual_map(pred, held)
-        scored.append((name, cm, mask))
-        rows.append((name, k, oa))
-        results[name] = {"kappa": k, "accuracy": oa, "producer": producer}
+        results[name] = {"kappa": kappa(cm), "accuracy": overall_accuracy(cm), "producer": producer_accuracy(cm)}
+        scored.append((name, cm, residual_map(pred, held)))
         if baseline_targets is None:
             baseline_targets = pred.class_counts()
 
     rand = random_allocation(cur, AllocationTargets(baseline_targets), cfg.seed)
     cm_r = confusion(rand, held)
-    k_r = kappa(cm_r)
-    rows.append(("random_baseline", k_r, overall_accuracy(cm_r)))
-    results["random_baseline"] = {"kappa": k_r, "accuracy": overall_accuracy(cm_r)}
+    results["random_baseline"] = {"kappa": kappa(cm_r), "accuracy": overall_accuracy(cm_r)}
 
     out = cfg.out_dir
     for name, cm, mask in scored:
         write_confusion_csv(cm, out / f"confusion_{name}.csv")
         write_ascii_grid(mask, out / f"residual_{name}.asc")
-    with open(out / VALIDATION_CSV, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("model,kappa,overall_accuracy\n")
-        for name, k, oa in rows:
-            fh.write(f"{name},{repr(float(k))},{repr(float(oa))}\n")
+    rows = [[name, repr(float(r["kappa"])), repr(float(r["accuracy"]))] for name, r in results.items()]
+    write_csv(out / VALIDATION_CSV, [["model", "kappa", "overall_accuracy"], *rows])
     return results
 
 

@@ -114,21 +114,19 @@ class OifRanking:
     labels: tuple[str, ...]
 
 
-def oif_rank(stats: BandStats, bands: list[int] | None = None) -> OifRanking:
-    """Score every 3-combination of the eligible bands.
+def oif_rank(stats: BandStats) -> OifRanking:
+    """Score every 3-combination of the bands.
 
     OIF = (s_i + s_j + s_k) / max(|r_ij| + |r_ik| + |r_jk|, 1e-9); undefined
     correlations count as 0. Descending score, ties in ascending index order.
     """
-    eligible = sorted(set(range(len(stats.labels)) if bands is None else (int(b) for b in bands)))
-    if any(b < 0 or b >= len(stats.labels) for b in eligible):
-        raise DataError(f"band indices {eligible} out of range for {len(stats.labels)} bands")
-    if len(eligible) < 3:
-        raise DataError(f"OIF needs at least 3 eligible bands, got {len(eligible)}")
+    n = len(stats.labels)
+    if n < 3:
+        raise DataError(f"OIF needs at least 3 bands, got {n}")
 
     corr = np.where(np.isnan(stats.correlation), 0.0, stats.correlation)
     entries = []
-    for i, j, k in combinations(eligible, 3):
+    for i, j, k in combinations(range(n), 3):
         num = stats.std_devs[i] + stats.std_devs[j] + stats.std_devs[k]
         den = abs(corr[i, j]) + abs(corr[i, k]) + abs(corr[j, k])
         entries.append(((i, j, k), float(num / max(den, 1e-9))))

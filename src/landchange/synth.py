@@ -177,7 +177,7 @@ def generate_synthetic_landscape(spec: SynthSpec) -> SynthResult:
         mask_vals = np.zeros((spec.n_rows, spec.n_cols))
         mask_vals[rc[:, 0], rc[:, 1]] = 1.0
         mask = BinaryMask(mask_vals, spec.cell_size)
-        dist = distance_transform(mask, cell_size=spec.cell_size)
+        dist = distance_transform(mask)
         criteria[criterion_name(c)] = dist
         dmax = float(dist.values.max())
         prox[c] = 1.0 - dist.values / dmax if dmax > 0 else np.ones_like(dist.values)

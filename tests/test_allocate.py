@@ -321,23 +321,11 @@ def test_contiguity_weights_match_per_class_reference():
 
 
 def test_ca_params():
-    p = CaParams(iterations=4)
-    assert p.fractions == (0.25, 0.5, 0.75, 1.0)
-    CaParams(iterations=2, fractions=(0.3, 1.0))
+    CaParams(iterations=4)
     with pytest.raises(DataError, match="iterations"):
         CaParams(iterations=0)
     with pytest.raises(DataError, match="odd"):
         CaParams(kernel_size=4)
-    with pytest.raises(DataError, match="fractions"):
-        CaParams(iterations=2, fractions=(1.0,))
-    with pytest.raises(DataError, match="increase strictly"):
-        CaParams(iterations=2, fractions=(0.6, 0.5))
-    with pytest.raises(DataError, match="exactly 1"):
-        CaParams(iterations=2, fractions=(0.3, 0.9))
-    with pytest.raises(DataError, match="fractions must be finite, got nan"):
-        CaParams(2, 5, (float("nan"), 1.0))
-    with pytest.raises(DataError, match="fractions must be finite, got inf"):
-        CaParams(2, 5, (0.5, float("inf")))
 
 
 def test_ca_markov_identity_transition_changes_nothing():

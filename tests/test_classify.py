@@ -16,17 +16,18 @@ from landchange.classify import (
     maxlike,
     overall_accuracy,
     potts_objective,
+    producer_accuracy,
     residual_map,
     write_confusion_csv,
     write_signatures_csv,
 )
 from landchange.errors import DataError, NumericalError
-from landchange.grid import Grid, LandCoverMap, stack_bands
+from landchange.grid import Grid, LandCoverMap, MultiBandImage
 
 
 def _image(*band_values):
     grids = [Grid(np.asarray(v, dtype=np.float64), 1.0) for v in band_values]
-    return stack_bands(grids, [f"b{i}" for i in range(len(grids))])
+    return MultiBandImage(tuple(grids), tuple(f"b{i}" for i in range(len(grids))))
 
 
 def _map(vals, legend):
@@ -354,9 +355,52 @@ def test_confusion_union_legend_and_errors():
 def test_residual_map():
     pred = _map(np.array([[0.0, 1.0, 1.0]]), {0: "a", 1: "b"})
     ref = _map(np.array([[0.0, 0.0, 1.0]]), {0: "a", 1: "b"})
-    mask, producer = residual_map(pred, ref)
+    mask = residual_map(pred, ref)
     assert mask.values.tolist() == [[0.0, 1.0, 0.0]]
-    assert producer == {0: 0.5, 1: 1.0}
+    assert producer_accuracy(confusion(pred, ref)) == {0: 0.5, 1: 1.0}
+
+
+def _producer_accuracy_loop(predicted, reference):
+    """Per-class producer accuracy counted pixel set by pixel set, as the
+    validation stage once did; the reference for producer_accuracy."""
+    sel = predicted.grid.valid & reference.grid.valid
+    p = predicted.labels
+    r = reference.labels
+    rates = {}
+    for cid in reference.class_ids:
+        pick = sel & (r == cid)
+        n = int(np.count_nonzero(pick))
+        if n:
+            rates[cid] = float(np.count_nonzero(p[pick] == cid)) / n
+    return rates
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from([-9999.0, 0.0, 1.0, 2.0, 5.0]), min_size=n * 3, max_size=n * 3),
+            st.lists(st.sampled_from([-9999.0, 0.0, 1.0, 3.0, 5.0]), min_size=n * 3, max_size=n * 3),
+            st.just(n),
+        )
+    ),
+    st.sets(st.sampled_from([4, 6, 7]), max_size=2),
+)
+def test_producer_accuracy_matches_per_class_loop(case, absent):
+    # nodata in either map, classes only one map's legend holds, and legend
+    # classes absent from the reference map's pixels
+    pred_vals, ref_vals, n = case
+    pred = _map(np.reshape(pred_vals, (n, 3)), {c: str(c) for c in (0, 1, 2, 5)})
+    ref = _map(np.reshape(ref_vals, (n, 3)), {c: str(c) for c in {0, 1, 3, 5} | absent})
+    sel = pred.grid.valid & ref.grid.valid
+    if not sel.any():
+        with pytest.raises(DataError, match="no jointly valid"):
+            confusion(pred, ref)
+        return
+    got = producer_accuracy(confusion(pred, ref))
+    want = _producer_accuracy_loop(pred, ref)
+    assert list(got) == list(want)
+    assert all(np.float64(got[c]).tobytes() == np.float64(want[c]).tobytes() for c in want)
 
 
 def test_csv_outputs(tmp_path):

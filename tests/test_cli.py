@@ -322,6 +322,25 @@ def test_digit_groups_in_number_flags_exit_2_before_writing(tmp_path):
         assert not out.exists(), args
 
 
+def test_change_thresholds_come_in_pairs_and_finite(tmp_path):
+    # the date grids do not exist: exit 2, not 3, shows no grid was read
+    dates = ["d1.asc", "d2.asc", "d3.asc"]
+    cases = [
+        (["--low", "0.5"], "--low needs --high too"),
+        (["--high", "0.5"], "--high needs --low too"),
+        (["--low", "0.1", "--high", "nan"], "--high must be finite, got nan"),
+        (["--low", "nan", "--high", "nan"], "--low must be finite, got nan"),
+        (["--low=-inf", "--high", "1"], "--low must be finite, got -inf"),
+    ]
+    for n, (flags, message) in enumerate(cases):
+        out = tmp_path / f"out{n}"
+        res = _cli(["change", *dates, *flags, "--out", str(out), "--quiet"], tmp_path)
+        assert res.returncode == 2, (flags, res.stderr)
+        assert message in res.stderr, flags
+        assert "Traceback" not in res.stderr
+        assert not out.exists(), flags
+
+
 def test_non_finite_number_flags_fail_before_writing(tmp_path):
     grid = _w(tmp_path / "g.asc", [[1.0, 2.0], [3.0, 4.0]])
     cases = [

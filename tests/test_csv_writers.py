@@ -9,7 +9,8 @@ import numpy as np
 
 from landchange.allocate import AllocationLogRow, write_allocation_log_csv
 from landchange.classify import ClassSignature, ConfusionMatrix, write_confusion_csv, write_signatures_csv
-from landchange.grid import write_legend
+from landchange.config import PipelineConfig
+from landchange.grid import Grid, LandCoverMap, write_legend
 from landchange.indices import DynamicsGrouping, write_grouping_csv
 from landchange.markov import (
     SecondOrderTable,
@@ -19,6 +20,8 @@ from landchange.markov import (
     write_transition_csv,
 )
 from landchange.mce import SaatyMatrix, WeightSet, write_saaty_csv, write_weights_csv
+from landchange.mlp import write_history_csv
+from landchange.pipeline import VALIDATION_CSV, stage_validate
 from landchange.preprocess import (
     BandStats,
     OifRanking,
@@ -58,7 +61,7 @@ def test_transition_bytes(tmp_path):
 
 def test_second_order_bytes(tmp_path):
     probs = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.25, 0.75], [0.0, 1.0]]])
-    table = SecondOrderTable(probs, np.array([[False, True], [False, False]]), (0, 2), _TM)
+    table = SecondOrderTable(probs, np.array([[False, True], [False, False]]), (0, 2))
     assert _written(tmp_path, write_second_order_csv, table) == (
         b"previous,current,next,probability,fallback\r\n"
         b"0,0,0,1.0,0\r\n0,0,2,0.0,0\r\n0,2,0,0.5,1\r\n0,2,2,0.5,1\r\n"
@@ -140,4 +143,29 @@ def test_oif_bytes(tmp_path):
     ranking = OifRanking(((0, 2, 3), (0, 1, 2)), (1.5, 0.25), ("a", "b", "c", "d\xe9"))
     assert _written(tmp_path, write_oif_csv, ranking) == (
         "b1,b2,b3,oif\r\na,c,d\xe9,1.5\r\na,b,c,0.25\r\n".encode("utf-8")
+    )
+
+
+def test_history_bytes(tmp_path):
+    assert _written(tmp_path, write_history_csv, [0.25, 0.125, 1e-20]) == (
+        b"epoch,mse\r\n0,0.25\r\n1,0.125\r\n2,1e-20\r\n"
+    )
+
+
+def test_validation_bytes(tmp_path):
+    # the first prediction is all class 0, so the random baseline, which
+    # takes its class counts, is all class 0 whatever the draw
+    legend = {0: "a", 1: "b"}
+    row = lambda *v: Grid(np.array([v], dtype=np.float64), 1.0)
+    maps = [LandCoverMap(row(0.0, 0.0, 0.0, 1.0), legend, str(y)) for y in (2000, 2006, 2012)]
+    cfg = PipelineConfig(
+        base_dir=tmp_path, out_dir=tmp_path, seed=1, model="both",
+        maps=tuple((y, tmp_path / f"{y}.asc") for y in (2000, 2006, 2012)), legend_path=None,
+        criteria={}, constraints={}, fuzzy={}, saaty_path=None, mce_method="wlc", order_weights=None,
+        suitability={},
+    )
+    stage_validate(cfg, maps, {"ca_markov": row(0.0, 0.0, 0.0, 0.0), "mlp": row(0.0, 0.0, 1.0, 1.0)})
+    assert (tmp_path / VALIDATION_CSV).read_bytes() == (
+        b"model,kappa,overall_accuracy\r\n"
+        b"ca_markov,0.0,0.75\r\nmlp,0.5,0.75\r\nrandom_baseline,0.0,0.75\r\n"
     )

@@ -15,16 +15,13 @@ from landchange.grid import (
     Grid,
     LandCoverMap,
     MultiBandImage,
-    apply_mask,
     export_ppm,
     grids_equal,
-    mask_like,
     neighbor_counts,
     parse_number,
     read_ascii_grid,
     read_csv_rows,
     read_legend,
-    stack_bands,
     write_ascii_grid,
     write_legend,
     _format_value,
@@ -85,17 +82,15 @@ def test_binary_mask_accepts_only_zero_one():
 
 def test_multiband_image_validation():
     g = Grid(np.zeros((2, 2)), 1.0)
-    img = stack_bands([g, g], ["a", "b"])
+    img = MultiBandImage((g, g), ("a", "b"))
     assert img.n_bands == 2
-    assert img.band("b") is img.bands[1]
+    assert img.geometry is g
     with pytest.raises(DataError):
-        img.band("missing")
+        MultiBandImage((g, g), ("a", "a"))
     with pytest.raises(DataError):
-        stack_bands([g, g], ["a", "a"])
-    with pytest.raises(DataError):
-        stack_bands([], [])
+        MultiBandImage((), ())
     with pytest.raises(GeometryError):
-        stack_bands([g, Grid(np.zeros((3, 3)), 1.0)], ["a", "b"])
+        MultiBandImage((g, Grid(np.zeros((3, 3)), 1.0)), ("a", "b"))
 
 
 def test_land_cover_map_validation_and_labels():
@@ -138,13 +133,6 @@ def test_neighbor_counts_matches_brute_force(mask, radius):
                         want[r, c] += mask[rr, cc]
     assert np.array_equal(neighbor_counts(mask, radius), want)
     assert np.array_equal(neighbor_counts(mask.astype(np.float64), radius), want)
-
-
-def test_apply_mask():
-    g = Grid(np.array([[1.0, 2.0]]), 1.0)
-    m = mask_like(g, np.array([[1.0, 0.0]]))
-    out = apply_mask(g, m)
-    assert out.values.tolist() == [[1.0, -9999.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,6 @@ def test_ternary_thresholds_are_quantiles():
     assert hi == float(np.quantile(vals, 2.0 / 3.0))
     with pytest.raises(DataError):
         ternary_thresholds(g([[-9999.0]]))
-    with pytest.raises(DataError):
-        ternary_thresholds(grid, 0.7, 0.3)
 
 
 def test_ternarize_boundaries():
@@ -73,8 +71,11 @@ def test_ternarize_boundaries():
     out = ternarize(grid, 1.0, 2.0)
     # strictly below the low cut -> 0, at it -> 1, at the high cut -> 2
     assert out.values.tolist() == [[0.0, 1.0, 1.0, 2.0, 2.0, -9999.0]]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="out of order"):
         ternarize(grid, 2.0, 1.0)
+    for lo, hi in ((0.1, float("nan")), (float("nan"), float("nan")), (float("-inf"), 1.0)):
+        with pytest.raises(DataError, match="thresholds must be finite"):
+            ternarize(grid, lo, hi)
 
 
 def test_change_composite_codes():

@@ -1,5 +1,8 @@
 """Pairwise comparison weights and factor combination."""
 
+import logging
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,11 +70,16 @@ def test_inconsistent_matrix_matches_eigensolver():
     assert ws.consistency_ratio > 0
 
 
-def test_high_cr_warns():
+def test_high_cr_logs_a_warning(caplog):
     a = np.array([[1.0, 9.0, 1 / 9], [1 / 9, 1.0, 9.0], [9.0, 1 / 9, 1.0]])
-    with pytest.warns(UserWarning, match="consistency ratio"):
-        ws = saaty_weights(SaatyMatrix(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a log record, not a Python warning
+        with caplog.at_level(logging.WARNING, logger="landchange"):
+            ws = saaty_weights(SaatyMatrix(a))
     assert ws.consistency_ratio > 0.10
+    [record] = caplog.records
+    assert record.name == "landchange" and record.levelno == logging.WARNING
+    assert record.getMessage().startswith(f"consistency ratio {ws.consistency_ratio:.4f} exceeds 0.1")
 
 
 def test_iteration_cap():

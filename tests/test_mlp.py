@@ -1,5 +1,8 @@
 """Single-hidden-layer network: forward, gradients, training, rasters."""
 
+import logging
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -239,14 +242,6 @@ def test_train_zero_rate_is_identity():
     assert len(set(history)) == 1  # loss frozen in place
 
 
-def test_train_seed_reinitializes():
-    data = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
-    a, ha = train(init_model(2, 3, seed=99), data, 0.5, 10, seed=7)
-    b, hb = train(init_model(2, 3, seed=7), data, 0.5, 10)
-    assert np.array_equal(a.input_weights, b.input_weights)
-    assert ha == hb
-
-
 def test_train_validation():
     data = Dataset(np.array([[0.0, 1.0]]), np.array([1.0]))
     m = init_model(3, 2, seed=0)
@@ -286,16 +281,19 @@ def test_build_samples_hand_case():
     assert ds.targets.tolist() == [0.0, 1.0, 1.0, 1.0]
     assert ds.features.focal_class == 1  # defaults to the highest id
     assert ds.features.criteria_bounds == ((0.0, 3.0),)
-    assert ds.rows.tolist() == [0, 0, 1, 1]
-    assert ds.cols.tolist() == [0, 1, 0, 1]
 
 
-def test_build_samples_constant_criterion_warns():
+def test_build_samples_constant_criterion_logs_a_warning(caplog):
     prior = _lcm([[0.0, 1.0]], {0: "a", 1: "b"})
     nxt = _lcm([[1.0, 1.0]], {0: "a", 1: "b"})
-    with pytest.warns(UserWarning, match="constant"):
-        ds = build_samples(prior, nxt, [_grid([[4.0, 4.0]])])
-    assert np.all(ds.inputs[:, 2] == 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a log record, not a Python warning
+        with caplog.at_level(logging.WARNING, logger="landchange"):
+            ds = build_samples(prior, nxt, [_grid([[1.0, 2.0]]), _grid([[4.0, 4.0]])])
+    assert np.all(ds.inputs[:, 3] == 0.5)
+    [record] = caplog.records
+    assert record.name == "landchange" and record.levelno == logging.WARNING
+    assert record.getMessage() == "criterion 1 is constant over the sample; encoded as 0.5"
 
 
 def test_build_samples_errors():
@@ -317,8 +315,9 @@ def test_predict_map_reproduces_training_outputs():
     model, _ = train(init_model(ds.features.n_inputs, 4, seed=3), ds, 0.5, 50)
     prob, themap = predict_map(model, prior, [crit])
     batch = forward_batch(model, ds.inputs)
-    assert np.array_equal(prob.values[ds.rows, ds.cols], batch)  # bit-exact rebuild
-    lab = themap.labels[ds.rows, ds.cols]
+    rows, cols = np.nonzero(prior.grid.valid & nxt.grid.valid & crit.valid)  # build_samples' row order
+    assert np.array_equal(prob.values[rows, cols], batch)  # bit-exact rebuild
+    lab = themap.labels[rows, cols]
     assert np.array_equal(lab == 1, batch >= 0.5)
 
 

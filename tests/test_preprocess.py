@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from landchange.errors import DataError
-from landchange.grid import Grid, mask_like, stack_bands
+from landchange.grid import Grid, MultiBandImage, mask_like
 from landchange.preprocess import (
     band_statistics,
     dark_object_values,
@@ -21,7 +21,7 @@ from landchange.preprocess import (
 
 def _image(*band_values):
     grids = [Grid(np.asarray(v, dtype=np.float64), 1.0) for v in band_values]
-    return stack_bands(grids, [f"b{i}" for i in range(len(grids))])
+    return MultiBandImage(tuple(grids), tuple(f"b{i}" for i in range(len(grids))))
 
 
 def test_dark_values_nearest_rank():
@@ -132,15 +132,11 @@ def test_oif_nan_correlation_counts_as_zero():
     assert ranking.scores[0] == expect
 
 
-def test_oif_band_subset_and_errors():
+def test_oif_needs_three_bands():
     rng = np.random.default_rng(2)
-    stats = band_statistics(_image(*[rng.normal(size=(4, 4)) for _ in range(5)]))
-    sub = oif_rank(stats, bands=[0, 2, 3, 4])
-    assert all(1 not in t for t in sub.triples)
-    with pytest.raises(DataError, match="at least 3"):
-        oif_rank(stats, bands=[0, 1])
-    with pytest.raises(DataError, match="out of range"):
-        oif_rank(stats, bands=[0, 1, 9])
+    stats = band_statistics(_image(*[rng.normal(size=(4, 4)) for _ in range(2)]))
+    with pytest.raises(DataError, match="at least 3 bands, got 2"):
+        oif_rank(stats)
 
 
 def test_csv_writers(tmp_path):

@@ -102,7 +102,7 @@ def test_criteria_are_seed_distance_transforms():
         mask_vals = np.zeros((16, 16))
         rc = res.seeds[c]
         mask_vals[rc[:, 0], rc[:, 1]] = 1.0
-        want = distance_transform(BinaryMask(mask_vals, spec.cell_size), cell_size=spec.cell_size)
+        want = distance_transform(BinaryMask(mask_vals, spec.cell_size))
         assert np.array_equal(res.criteria[criterion_name(c)].values, want.values)
 
 
