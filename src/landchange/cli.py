@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 One subcommand per pipeline stage plus the synthetic-scenario generator.
-Stage subcommands share a config file and an output directory and read
-their inputs from files, including what earlier stages wrote there. The
-monolithic `run` reads each input once, hands each stage's results to the
-next in memory and writes the same files, so it equals the chained stages
-byte for byte.
+Stage subcommands share a config file and an output directory. A stage
+takes an earlier stage's output by its file name: a stage subcommand reads
+it from the output directory, while `run` hands it forward in memory and
+never reads it back. `run` writes the same files, so it equals the chained
+stages byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 input data error,
 4 numerical failure.
@@ -82,6 +82,13 @@ def _read_image(paths, labels):
     return MultiBandImage(tuple(read_ascii_grid(p) for p in paths), tuple(labels))
 
 
+def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
+    """A numeric flag out of its range is a configuration error that names
+    it; commands check their flags before reading a grid or making --out."""
+    if not ok:
+        raise ConfigError(f"{flag} must be {rule}, got {value}")
+
+
 def _read_mask(path, what: str):
     g = read_ascii_grid(path)
     try:
@@ -95,6 +102,7 @@ def _read_mask(path, what: str):
 
 
 def cmd_preprocess(args) -> int:
+    _check_flag(0 <= args.percentile <= 100, "--percentile", "in [0, 100]", args.percentile)
     out = _outdir(args)
     labels = _band_labels(args, len(args.bands))
     image = _read_image(args.bands, labels)
@@ -131,6 +139,7 @@ def cmd_oif(args) -> int:
 
 
 def cmd_indices(args) -> int:
+    _check_flag(0 <= args.weight <= 1, "--weight", "in [0, 1]", args.weight)
     out = _outdir(args)
     red = read_ascii_grid(args.red)
     nir = read_ascii_grid(args.nir)
@@ -149,8 +158,9 @@ def cmd_change(args) -> int:
     if (args.low is None) != (args.high is None):
         raise ConfigError("--low needs --high too" if args.high is None else "--high needs --low too")
     for flag, value in (("--low", args.low), ("--high", args.high)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
+        _check_flag(value is None or math.isfinite(value), flag, "finite", value)
+    if args.low is not None:
+        _check_flag(args.low <= args.high, "--low", f"at most --high ({args.high})", args.low)
     out = _outdir(args)
     grids = [read_ascii_grid(p) for p in args.ndim]
     levels = []
@@ -171,6 +181,8 @@ def cmd_change(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _check_flag(math.isfinite(args.beta) and args.beta >= 0, "--beta", "finite and non-negative", args.beta)
+    _check_flag(args.sweeps >= 1, "--sweeps", "at least 1", args.sweeps)
     out = _outdir(args)
     labels = _band_labels(args, len(args.bands))
     image = _read_image(args.bands, labels)

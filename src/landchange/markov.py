@@ -92,7 +92,6 @@ class TransitionMatrix:
     probs: np.ndarray
     time_span: float
     class_ids: tuple[int, ...]
-    counts: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -131,7 +130,7 @@ def transition_probabilities(counts: np.ndarray, class_ids, time_span: float) ->
     totals = counts.sum(axis=1)
     nz = totals > 0
     probs[nz] = counts[nz] / totals[nz, None]
-    return TransitionMatrix(probs, time_span, tuple(class_ids), counts=counts.astype(np.int64))
+    return TransitionMatrix(probs, time_span, tuple(class_ids))
 
 
 def scale_transition(tm: TransitionMatrix, target_span: float) -> TransitionMatrix:
@@ -155,7 +154,7 @@ def scale_transition(tm: TransitionMatrix, target_span: float) -> TransitionMatr
         )
     # the diagonal absorbs whatever the off-diagonals leave
     np.fill_diagonal(out, np.maximum(0.0, 1.0 - leave))
-    return TransitionMatrix(out, float(target_span), tm.class_ids, counts=None)
+    return TransitionMatrix(out, float(target_span), tm.class_ids)
 
 
 def scale_transition_in_steps(tm: TransitionMatrix, target_span: float) -> tuple[TransitionMatrix, int]:

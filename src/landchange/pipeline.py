@@ -1,14 +1,19 @@
 """Config-driven pipeline stages and the calibrate-predict-validate run.
 
 Every stage writes its outputs to files under the configured output
-directory. Each stage runs in three steps: read, compute and write. A
-single-stage command reads its inputs from files, including what earlier
-stages wrote. The monolithic run reads each input once and hands each
-stage's in-memory results to the next stage, so the compute step is the
-same code either way, and chaining the stage subcommands produces
-byte-identical artifacts to the monolithic run. The last dated map is held
-out: transitions are estimated from the two maps before it, the prediction
-targets its year, and validation compares against it.
+directory, and a later stage takes such an output by its file name
+(`transition_scaled.csv`, `suit_<id>.asc`, `mlp_model.txt`,
+`predicted_*.asc`) through one rule, `_take`. In a full run the writing
+stage hands the object forward under that name and the taking stage pops
+it, so no grid outlives its last consumer and no file on disk ever stands
+in for it. A single-stage command reads the file. Either way a missing
+output raises the same "<file> not found; run the <stage> first" error.
+A full run also reads each config input once: the dated maps, and the
+criterion grids that mce and the perceptron share in a `both` run. The
+compute code is the same either way, so chaining the stage subcommands
+produces byte-identical artifacts to the full run. The last dated map is
+held out: transitions are estimated from the two maps before it, the
+prediction targets its year, and validation compares against it.
 
 The text report is fully determined by config + inputs + seed except for
 lines prefixed ``wall_clock``, which carry per-stage timings and are the
@@ -42,7 +47,6 @@ from .criteria import SuitabilityGrid, fuzzy_standardize
 from .errors import ConfigError, DataError, LandchangeError
 from .grid import Grid, LandCoverMap, load_legend, mask_like, read_ascii_grid, write_ascii_grid, write_csv
 from .markov import (
-    TransitionMatrix,
     conditional_probability_maps,
     crosstab,
     expected_areas,
@@ -56,7 +60,6 @@ from .markov import (
 )
 from .mce import owa, read_saaty_csv, saaty_weights, wlc, write_weights_csv
 from .mlp import (
-    MLPModel,
     build_samples,
     init_model,
     load_model,
@@ -81,11 +84,6 @@ VALIDATION_CSV = "validation.csv"
 REPORT_TXT = "report.txt"
 
 
-def _out(cfg: PipelineConfig) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.out_dir
-
-
 def load_maps(cfg: PipelineConfig) -> list[LandCoverMap]:
     """Dated maps in year order, sharing one legend (the configured legend
     file, or the union of classes present in the maps)."""
@@ -108,6 +106,12 @@ def _window(maps: list[LandCoverMap], years) -> tuple[LandCoverMap, LandCoverMap
     return prev, cur, held, span_cal, span_pred
 
 
+def _held_out_window(maps: list[LandCoverMap], years):
+    if len(maps) < 3:
+        raise DataError("validation needs at least three dated maps (last one held out)")
+    return _window(maps, years)
+
+
 def _read_suitability(path) -> SuitabilityGrid:
     g = read_ascii_grid(path)
     return SuitabilityGrid(g.values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value)
@@ -124,90 +128,74 @@ def _read_constraints(cfg: PipelineConfig):
     return cons
 
 
-def _read_criteria(cfg: PipelineConfig, have: dict[str, Grid] | None = None) -> list[Grid]:
-    """The criterion grids in config order, taking those in `have` (by
-    name) as they are and reading the rest."""
-    have = have or {}
-    return [have[name] if name in have else read_ascii_grid(p) for name, p in cfg.criteria.items()]
-
-
-def _held_out_window(maps: list[LandCoverMap], years):
-    if len(maps) < 3:
-        raise DataError("validation needs at least three dated maps (last one held out)")
-    return _window(maps, years)
-
-
-def _predictions(cfg: PipelineConfig) -> list[tuple[str, str, str]]:
-    """(model name, prediction file, stage that writes it) for each model
-    the config runs."""
+def _predictions(cfg: PipelineConfig) -> list[tuple[str, str]]:
+    """(model name, prediction file) for each model the config runs."""
     selected = []
     if cfg.model in ("ca_markov", "both"):
-        selected.append(("ca_markov", PREDICTED_CA, "predict"))
+        selected.append(("ca_markov", PREDICTED_CA))
     if cfg.model in ("mlp", "both"):
-        selected.append(("mlp", PREDICTED_MLP, "mlp-predict"))
+        selected.append(("mlp", PREDICTED_MLP))
     return selected
 
 
 # ---------------------------------------------------------------------------
-# read steps: what a single-stage command loads from files in place of the
-# results `run_pipeline` hands forward in memory. A stage reads the inputs
-# that come only from the config (criteria, comparison matrix, constraints)
-# itself, in either case.
+# hand-forward. A full run gives every stage one dict, `handed`: the earlier
+# stages' outputs by file name, plus the config inputs it reads once (the
+# dated maps and the shared criterion grids). A single-stage command gives
+# None, and the stage reads everything from files.
 
 
-def _read_maps(cfg: PipelineConfig) -> dict:
-    return {"maps": load_maps(cfg)}
+def _put(cfg: PipelineConfig, handed: dict | None, fname: str, obj, write) -> None:
+    """Write an output that a later stage takes and, in a full run, hand it
+    forward under its file name."""
+    write(obj, cfg.out_dir / fname)
+    if handed is not None:
+        handed[fname] = obj
 
 
-def _read_predict(cfg: PipelineConfig) -> dict:
-    maps = load_maps(cfg)
-    _, cur, _, _, _ = _window(maps, cfg.years)
-    tm_path = cfg.out_dir / TRANSITION_SCALED_CSV
-    if not tm_path.is_file():
-        raise DataError(f"{tm_path.name} not found; run the markov stage first")
-    tm_s = read_transition_csv(tm_path)
-    suits = {}
-    for cid in cur.class_ids:
-        p = cfg.out_dir / f"suit_{cid}.asc"
-        if not p.is_file():
-            raise DataError(f"{p.name} not found; run the mce stage first")
-        suits[cid] = _read_suitability(p)
-    return {"maps": maps, "tm_s": tm_s, "suits": suits}
+def _take(cfg: PipelineConfig, handed: dict | None, fname: str, writer: str, read):
+    """An earlier stage's output by its file name: in a full run, popped
+    from what that stage handed forward (a file on disk may be stale and is
+    never read); in a single-stage command, read from the output directory
+    with `read`."""
+    if handed is None:
+        path = cfg.out_dir / fname
+        if path.is_file():
+            return read(path)
+    elif fname in handed:
+        return handed.pop(fname)
+    raise DataError(f"{fname} not found; run the {writer} first")
 
 
-def _read_mlp_predict(cfg: PipelineConfig) -> dict:
-    model_path = cfg.out_dir / MLP_MODEL
-    if not model_path.is_file():
-        raise DataError(f"{model_path.name} not found; run the mlp-train stage first")
-    model = load_model(model_path)
-    maps = load_maps(cfg)
-    _window(maps, cfg.years)
-    return {"maps": maps, "model": model, "criteria": _read_criteria(cfg)}
+def _maps(cfg: PipelineConfig, handed: dict | None) -> list[LandCoverMap]:
+    """The dated maps, read once per full run and kept in `handed`."""
+    if handed is None:
+        return load_maps(cfg)
+    if "maps" not in handed:
+        handed["maps"] = load_maps(cfg)
+    return handed["maps"]
 
 
-def _read_validate(cfg: PipelineConfig) -> dict:
-    maps = load_maps(cfg)
-    _held_out_window(maps, cfg.years)
-    predictions = {}
-    for name, fname, _ in _predictions(cfg):
-        p = cfg.out_dir / fname
-        if not p.is_file():
-            raise DataError(f"{fname} not found; run the predict stages first")
-        predictions[name] = read_ascii_grid(p)
-    return {"maps": maps, "predictions": predictions}
+def _criteria(cfg: PipelineConfig, handed: dict | None) -> dict[str, Grid]:
+    """Every criterion grid by name, in config order: those an earlier
+    stage of a full run handed forward under "criteria" (popped), the rest
+    read."""
+    have = {} if handed is None else handed.pop("criteria", {})
+    return {name: have[name] if name in have else read_ascii_grid(p) for name, p in cfg.criteria.items()}
 
 
 # ---------------------------------------------------------------------------
-# stages: compute, then write. Each returns what the report needs and what
-# later stages take as inputs.
+# stages: take inputs, compute, then write. Each returns what the report
+# needs.
 
 
-def stage_markov(cfg: PipelineConfig, maps: list[LandCoverMap]) -> dict:
+def stage_markov(cfg: PipelineConfig, handed: dict | None) -> dict:
     """Estimate transitions from the calibration pair, scale them to the
     prediction span (composing equal sub-steps when one linear step would
     push a probability past 1), and project expected areas. Hands forward
-    the dated maps and the scaled matrix."""
-    prev, cur, held, span_cal, span_pred = _window(maps, cfg.years)
+    the scaled matrix."""
+    maps = _maps(cfg, handed)
+    prev, cur, _, span_cal, span_pred = _window(maps, cfg.years)
     counts, ids = crosstab(prev, cur)
     tm = transition_probabilities(counts, ids, span_cal)
     tm_s, steps = scale_transition_in_steps(tm, span_pred)
@@ -219,26 +207,19 @@ def stage_markov(cfg: PipelineConfig, maps: list[LandCoverMap]) -> dict:
 
     out = cfg.out_dir
     write_transition_csv(tm, out / TRANSITION_CSV)
-    write_transition_csv(tm_s, out / TRANSITION_SCALED_CSV)
+    _put(cfg, handed, TRANSITION_SCALED_CSV, tm_s, write_transition_csv)
     write_expected_areas_csv(reals, ints, out / EXPECTED_AREAS_CSV)
     for cid, g in sorted(probs.items()):
         write_ascii_grid(g, out / f"prob_to_{cid}.asc")
     if table is not None:
         write_second_order_csv(table, out / SECOND_ORDER_CSV)
-    return {
-        "maps": maps,
-        "transition": tm,
-        "transition_scaled": tm_s,
-        "steps": steps,
-        "expected": (reals, ints),
-    }
+    return {"transition": tm, "transition_scaled": tm_s, "steps": steps, "expected": (reals, ints)}
 
 
-def stage_mce(cfg: PipelineConfig) -> dict:
+def stage_mce(cfg: PipelineConfig, handed: dict | None) -> dict:
     """Fuzzy-standardize criteria and combine them into one suitability
     grid per class using the comparison-matrix weights. Hands forward the
-    suitability grids and, in a `both` run, the criterion grids it read,
-    by name."""
+    suitability grids and, in a `both` run, the criterion grids it read."""
     if not cfg.suitability:
         raise ConfigError("no [suitability] classes configured")
     if cfg.saaty_path is None:
@@ -267,88 +248,73 @@ def stage_mce(cfg: PipelineConfig) -> dict:
         else:
             suits[cid] = wlc(fs, ws, constraints)
 
-    out = cfg.out_dir
-    write_weights_csv([f"rank{i + 1}" for i in range(n)], ws, out / WEIGHTS_CSV)
+    write_weights_csv([f"rank{i + 1}" for i in range(n)], ws, cfg.out_dir / WEIGHTS_CSV)
     for cid, suit in suits.items():
-        write_ascii_grid(suit, out / f"suit_{cid}.asc")
-    return {"weights": ws, "suits": suits, "criteria": criteria}
+        _put(cfg, handed, f"suit_{cid}.asc", suit, write_ascii_grid)
+    if handed is not None:
+        handed["criteria"] = criteria
+    return {"weights": ws}
 
 
-def stage_predict(
-    cfg: PipelineConfig,
-    maps: list[LandCoverMap],
-    tm_s: TransitionMatrix,
-    suits: dict[int, SuitabilityGrid],
-) -> dict:
+def stage_predict(cfg: PipelineConfig, handed: dict | None) -> dict:
     """Allocate the projected areas over the most recent calibration map.
     Hands forward the predicted grid."""
-    _, cur, _, _, _ = _window(maps, cfg.years)
-    for cid in cur.class_ids:  # a run whose mce stage made no grid for cid
-        if cid not in suits:
-            raise DataError(f"suit_{cid}.asc not found; run the mce stage first")
-    suits = {cid: suits[cid] for cid in cur.class_ids}
+    _, cur, _, _, _ = _window(_maps(cfg, handed), cfg.years)
+    tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", read_transition_csv)
+    suits = {cid: _take(cfg, handed, f"suit_{cid}.asc", "mce stage", _read_suitability) for cid in cur.class_ids}
     predicted, log = ca_markov(cur, tm_s, suits, CaParams(cfg.iterations, cfg.kernel))
 
-    out = cfg.out_dir
-    write_ascii_grid(predicted.grid, out / PREDICTED_CA)
-    write_allocation_log_csv(log, out / ALLOCATION_LOG_CSV)
-    return {
-        "log": log,
-        "clumping": mean_same_class_neighbor_fraction(predicted),
-        "predicted": predicted.grid,
-    }
+    _put(cfg, handed, PREDICTED_CA, predicted.grid, write_ascii_grid)
+    write_allocation_log_csv(log, cfg.out_dir / ALLOCATION_LOG_CSV)
+    return {"log": log, "clumping": mean_same_class_neighbor_fraction(predicted)}
 
 
-def stage_mlp_train(
-    cfg: PipelineConfig, maps: list[LandCoverMap], criteria: dict[str, Grid] | None = None
-) -> dict:
-    """Fit the perceptron to the calibration transition. `criteria` holds
-    the criterion grids an earlier stage already read, by name; the rest
-    are read here. Hands forward the model and the criterion grids it was
-    fitted on."""
-    prev, cur, _, _, _ = _window(maps, cfg.years)
+def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> dict:
+    """Fit the perceptron to the calibration transition. Hands forward the
+    model and the criterion grids it was fitted on."""
+    prev, cur, _, _, _ = _window(_maps(cfg, handed), cfg.years)
     if len(cur.class_ids) != 2:  # predict_map thresholds to a 2-class map
         raise DataError(
             f"run.model = {cfg.model} thresholds the perceptron output into a "
             f"2-class map, but the legend holds classes {tuple(cur.class_ids)}"
         )
-    criteria = _read_criteria(cfg, criteria)
+    criteria = _criteria(cfg, handed)
     if not criteria:
         raise ConfigError("mlp training needs at least one [criteria] grid")
-    ds = build_samples(prev, cur, criteria, focal_class=cfg.mlp_focal)
+    ds = build_samples(prev, cur, list(criteria.values()), focal_class=cfg.mlp_focal)
     model = init_model(
         ds.inputs.shape[1], cfg.mlp_hidden, seed=cfg.seed, features=ds.features
     )
     model, history = train(model, ds, cfg.mlp_learning_rate, cfg.mlp_epochs)
 
-    out = cfg.out_dir
-    save_model(model, out / MLP_MODEL)
-    write_history_csv(history, out / MLP_HISTORY_CSV)
-    return {"history": history, "model": model, "criteria": criteria}
+    _put(cfg, handed, MLP_MODEL, model, save_model)
+    write_history_csv(history, cfg.out_dir / MLP_HISTORY_CSV)
+    if handed is not None:
+        handed["criteria"] = criteria
+    return {"history": history}
 
 
-def stage_mlp_predict(
-    cfg: PipelineConfig, maps: list[LandCoverMap], model: MLPModel, criteria: list[Grid]
-) -> dict:
+def stage_mlp_predict(cfg: PipelineConfig, handed: dict | None) -> dict:
     """Apply the trained perceptron to the most recent calibration map.
     Hands forward the predicted grid."""
-    _, cur, _, _, _ = _window(maps, cfg.years)
-    prob, predicted = predict_map(model, cur, criteria, cfg.mlp_threshold)
+    model = _take(cfg, handed, MLP_MODEL, "mlp-train stage", load_model)
+    _, cur, _, _, _ = _window(_maps(cfg, handed), cfg.years)
+    prob, predicted = predict_map(model, cur, list(_criteria(cfg, handed).values()), cfg.mlp_threshold)
 
-    out = cfg.out_dir
-    write_ascii_grid(prob, out / MLP_PROB)
-    write_ascii_grid(predicted.grid, out / PREDICTED_MLP)
-    return {"predicted": predicted.grid}
+    write_ascii_grid(prob, cfg.out_dir / MLP_PROB)
+    _put(cfg, handed, PREDICTED_MLP, predicted.grid, write_ascii_grid)
+    return {}
 
 
-def stage_validate(cfg: PipelineConfig, maps: list[LandCoverMap], predictions: dict[str, Grid]) -> dict:
+def stage_validate(cfg: PipelineConfig, handed: dict | None) -> dict:
     """Compare each prediction against the held-out map, next to a
     random-allocation baseline with the same class totals."""
-    _, cur, held, _, _ = _held_out_window(maps, cfg.years)
+    _, cur, held, _, _ = _held_out_window(_maps(cfg, handed), cfg.years)
     results = {}
     scored = []
     baseline_targets = None
-    for name, grid in predictions.items():
+    for name, fname in _predictions(cfg):
+        grid = _take(cfg, handed, fname, "predict stages", read_ascii_grid)
         pred = LandCoverMap(grid, held.legend, held.date_tag)
         cm = confusion(pred, held)
         results[name] = {"kappa": kappa(cm), "accuracy": overall_accuracy(cm), "producer": producer_accuracy(cm)}
@@ -380,51 +346,28 @@ class RunReport:
     kappas: dict[str, float]
     baseline_kappa: float
     report_path: Path
-    timings: dict[str, float]
 
 
-# stage name -> (read step of the single-stage command, stage)
 _STAGES = {
-    "markov": (_read_maps, stage_markov),
-    "mce": (lambda cfg: {}, stage_mce),
-    "predict": (_read_predict, stage_predict),
-    "mlp-train": (_read_maps, stage_mlp_train),
-    "mlp-predict": (_read_mlp_predict, stage_mlp_predict),
-    "validate": (_read_validate, stage_validate),
+    "markov": stage_markov,
+    "mce": stage_mce,
+    "predict": stage_predict,
+    "mlp-train": stage_mlp_train,
+    "mlp-predict": stage_mlp_predict,
+    "validate": stage_validate,
 }
 
 
-def run_stage(name: str, cfg: PipelineConfig, inputs: dict | None = None) -> dict:
+def run_stage(name: str, cfg: PipelineConfig, handed: dict | None = None) -> dict:
     """One pipeline stage into the output directory (created first), with
-    stage-attributed errors. `inputs` are the earlier stages' results that
-    `run_pipeline` hands forward; without them the stage reads those from
-    files."""
-    read, stage = _STAGES[name]
-    _out(cfg)
+    stage-attributed errors. `handed` is what the earlier stages of a full
+    run handed forward; a single-stage command leaves it None and the stage
+    reads those outputs from their files."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return stage(cfg, **(read(cfg) if inputs is None else inputs))
+        return _STAGES[name](cfg, handed)
     except LandchangeError as e:
         raise type(e)(f"stage {name}: {e}") from e
-
-
-def _handoff(name: str, cfg: PipelineConfig, info: dict[str, dict]) -> dict | None:
-    """What `run_pipeline` gives a stage from the results of the stages
-    before it. Markov reads the dated maps itself. A result is popped when
-    the last stage that needs it takes it, so no grid outlives its use."""
-    if name == "markov":
-        return None
-    if name == "mce":
-        return {}
-    maps = info["markov"]["maps"]
-    if name == "predict":
-        return {"maps": maps, "tm_s": info["markov"]["transition_scaled"], "suits": info["mce"].pop("suits")}
-    if name == "mlp-train":
-        return {"maps": maps, "criteria": info["mce"].pop("criteria") if "mce" in info else {}}
-    if name == "mlp-predict":
-        trained = info["mlp-train"]
-        return {"maps": maps, "model": trained["model"], "criteria": trained.pop("criteria")}
-    predictions = {m: info[stage].pop("predicted") for m, _, stage in _predictions(cfg)}
-    return {"maps": info["markov"].pop("maps"), "predictions": predictions}
 
 
 def _fmt_matrix(tm) -> list[str]:
@@ -438,7 +381,6 @@ def _fmt_matrix(tm) -> list[str]:
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """calibrate -> predict -> validate, with a text report at the end."""
-    out = _out(cfg)
     order = ["markov"]
     if cfg.model in ("ca_markov", "both"):
         order += ["mce", "predict"]
@@ -446,11 +388,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         order += ["mlp-train", "mlp-predict"]
     order.append("validate")
 
+    handed: dict = {}
     info: dict[str, dict] = {}
     timings: dict[str, float] = {}
     for name in order:
         t0 = time.perf_counter()
-        info[name] = run_stage(name, cfg, _handoff(name, cfg, info))
+        info[name] = run_stage(name, cfg, handed)
         timings[name] = time.perf_counter() - t0
 
     lines = ["land-cover change pipeline report", ""]
@@ -522,9 +465,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         lines.append(f"wall_clock {name} {timings[name]:.3f}s")
     lines.append("")
 
-    report_path = out / REPORT_TXT
+    report_path = cfg.out_dir / REPORT_TXT
     with open(report_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines))
 
     baseline = kappas.pop("random_baseline")
-    return RunReport(kappas, baseline, report_path, timings)
+    return RunReport(kappas, baseline, report_path)

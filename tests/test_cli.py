@@ -259,10 +259,10 @@ def test_classify(tmp_path):
 @pytest.mark.parametrize("beta", ["nan", "inf"])
 def test_classify_rejects_non_finite_beta(tmp_path, beta):
     res = _cli(["classify", *_classify_inputs(tmp_path), "--beta", beta, "--out", "o", "--quiet"], tmp_path)
-    assert res.returncode == 3
-    assert f"beta must be finite and non-negative, got {beta}" in res.stderr
+    assert res.returncode == 2
+    assert f"--beta must be finite and non-negative, got {beta}" in res.stderr
     assert "Traceback" not in res.stderr
-    assert list((tmp_path / "o").iterdir()) == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_criteria_subcommand(tmp_path):
@@ -331,6 +331,7 @@ def test_change_thresholds_come_in_pairs_and_finite(tmp_path):
         (["--low", "0.1", "--high", "nan"], "--high must be finite, got nan"),
         (["--low", "nan", "--high", "nan"], "--low must be finite, got nan"),
         (["--low=-inf", "--high", "1"], "--low must be finite, got -inf"),
+        (["--low", "0.5", "--high", "0.1"], "--low must be at most --high (0.1), got 0.5"),
     ]
     for n, (flags, message) in enumerate(cases):
         out = tmp_path / f"out{n}"
@@ -350,6 +351,20 @@ def test_non_finite_number_flags_fail_before_writing(tmp_path):
         (["criteria", "--distance-to", grid.replace("g.asc", "m.asc"), "--constraint-min=-inf"], 3,
          "constraint threshold must be finite, got -inf"),
     ]
+    # range errors name the flag before any grid is read: the grids do not exist
+    bands = ["b1.asc", "b2.asc"]
+    cases += [
+        (["indices", "--red", "r.asc", "--nir", "n.asc", "--swir", "s.asc", "--weight", w], 2,
+         f"--weight must be in [0, 1], got {w}") for w in ("1.5", "-0.1", "nan")
+    ]
+    cases += [
+        (["classify", *bands, "--training", "t.asc", "--sweeps", "0"], 2, "--sweeps must be at least 1, got 0"),
+        (["classify", *bands, "--training", "t.asc", "--beta=-1"], 2, "--beta must be finite and non-negative, got -1.0"),
+        (["preprocess", *bands, "--reference", "m.asc", "--percentile", "101"], 2,
+         "--percentile must be in [0, 100], got 101.0"),
+        (["preprocess", *bands, "--reference", "m.asc", "--percentile=-1"], 2,
+         "--percentile must be in [0, 100], got -1.0"),
+    ]
     _w(tmp_path / "m.asc", [[0.0, 1.0], [0.0, 0.0]])
     for n, (args, code, message) in enumerate(cases):
         out = tmp_path / f"out{n}"
@@ -357,4 +372,4 @@ def test_non_finite_number_flags_fail_before_writing(tmp_path):
         assert res.returncode == code, (args, res.stderr)
         assert message in res.stderr
         assert "Traceback" not in res.stderr
-        assert not out.exists() or not any(out.iterdir()), args
+        assert not out.exists() or (code == 3 and not any(out.iterdir())), args

@@ -164,7 +164,8 @@ def test_validation_bytes(tmp_path):
         criteria={}, constraints={}, fuzzy={}, saaty_path=None, mce_method="wlc", order_weights=None,
         suitability={},
     )
-    stage_validate(cfg, maps, {"ca_markov": row(0.0, 0.0, 0.0, 0.0), "mlp": row(0.0, 0.0, 1.0, 1.0)})
+    handed = {"maps": maps, "predicted_ca.asc": row(0.0, 0.0, 0.0, 0.0), "predicted_mlp.asc": row(0.0, 0.0, 1.0, 1.0)}
+    stage_validate(cfg, handed)
     assert (tmp_path / VALIDATION_CSV).read_bytes() == (
         b"model,kappa,overall_accuracy\r\n"
         b"ca_markov,0.0,0.75\r\nmlp,0.5,0.75\r\nrandom_baseline,0.0,0.75\r\n"

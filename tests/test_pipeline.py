@@ -126,8 +126,8 @@ def _assert_same_bits(handed, read, where: str) -> None:
 
 @pytest.mark.parametrize("model", sorted(SCENARIOS))
 def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
-    # every in-memory input the full run gives a stage equals, bit for bit,
-    # what that stage's single-stage command reads from the written files
+    # every object the full run hands forward under a file name equals, bit
+    # for bit, what a single-stage command reads back from that file
     kw, stages = SCENARIOS[model]
     ini = _scenario(tmp_path, **kw)
     # a criterion no [suitability] class names: mce never reads it, so
@@ -136,46 +136,43 @@ def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
     text = ini.read_text(encoding="ascii")
     ini.write_text(text.replace("[criteria]\n", "[criteria]\nextra = extra.asc\n", 1), encoding="ascii")
     cfg = load_config(ini, out_dir=tmp_path / "out")
-    handed = {}
     real_run_stage = pipeline.run_stage
+    real_take = pipeline._take
     real_read = pipeline.read_ascii_grid
-    reads = []
+    ran, taken, reads = [], [], []
 
-    def recording_run_stage(name, cfg, inputs=None):
-        handed[name] = inputs
-        return real_run_stage(name, cfg, inputs)
+    def recording_run_stage(name, cfg, handed=None):
+        ran.append((name, handed))
+        return real_run_stage(name, cfg, handed)
+
+    def recording_take(cfg, handed, fname, writer, read):
+        obj = real_take(cfg, handed, fname, writer, read)
+        taken.append((fname, obj, writer, read))
+        return obj
 
     def recording_read(path):
         reads.append(Path(path).name)
         return real_read(path)
 
     monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
+    monkeypatch.setattr(pipeline, "_take", recording_take)
     monkeypatch.setattr(pipeline, "read_ascii_grid", recording_read)
     run_pipeline(cfg)
-    monkeypatch.setattr(pipeline, "read_ascii_grid", real_read)
     named = sorted({n for names in cfg.suitability.values() for n in names})
     maps = [Path(p).name for _, p in cfg.maps]
     # each input is read once: the dated maps by markov, the named criteria
     # by mce, and the unnamed one by mlp-train
     assert reads == maps + [f"{n}.asc" for n in named] + (["extra.asc"] if model == "both" else [])
-    assert tuple(handed) == stages
-    assert handed["markov"] is None  # markov reads the dated maps itself
-    checked = set()
-    for name in stages[1:]:
-        read_step, _ = pipeline._STAGES[name]
-        from_files = read_step(cfg)
-        if name == "mlp-train":  # the criterion grids mce read, by name
-            assert list(handed[name]["criteria"]) == named
-            from_files["criteria"] = {n: real_read(cfg.criteria[n]) for n in named}
-        assert set(handed[name]) == set(from_files), name
-        _assert_same_bits(handed[name], from_files, name)
-        checked |= set(from_files)
-    expected = {"maps", "tm_s", "suits", "predictions"}
+    assert tuple(name for name, _ in ran) == stages
+    handed = ran[0][1]
+    assert all(h is handed for _, h in ran)  # one dict for the whole run
+    expected = {"transition_scaled.csv", "predicted_ca.asc"} | {f"suit_{cid}.asc" for cid in cfg.suitability}
     if model == "both":
-        expected |= {"model", "criteria"}
-        assert list(handed["validate"]["predictions"]) == ["ca_markov", "mlp"]
-        assert len(handed["mlp-predict"]["criteria"]) == len(cfg.criteria) == len(named) + 1
-    assert checked == expected
+        expected |= {"mlp_model.txt", "predicted_mlp.asc"}
+    assert sorted(fname for fname, *_ in taken) == sorted(expected)
+    assert set(handed) <= {"maps", "criteria"}  # every output handed forward was taken
+    for fname, obj, writer, read in taken:
+        _assert_same_bits(obj, real_take(cfg, None, fname, writer, read), fname)
 
 
 def test_stage_order_errors(tmp_path):
@@ -193,6 +190,19 @@ def test_stage_order_errors(tmp_path):
         run_stage("validate", cfg)
     with pytest.raises(DataError, match="stage mlp-predict: .*mlp-train"):
         run_stage("mlp-predict", cfg)
+
+
+def test_full_run_never_reads_a_stale_output(tmp_path):
+    # [suitability] names no class 2, so mce makes no suit_2.asc; the one
+    # left in the output directory by an earlier run must not stand in
+    ini = _scenario(tmp_path)
+    text = ini.read_text(encoding="ascii")
+    ini.write_text(text.replace("2 = prox2,prox0,prox1\n", ""), encoding="ascii")
+    cfg = load_config(ini, out_dir=tmp_path / "out")
+    cfg.out_dir.mkdir()
+    write_ascii_grid(Grid(np.full((20, 20), 0.5), 30.0), cfg.out_dir / "suit_2.asc")
+    with pytest.raises(DataError, match="^stage predict: suit_2.asc not found; run the mce stage first$"):
+        run_pipeline(cfg)
 
 
 def test_validate_needs_three_maps(tmp_path):
