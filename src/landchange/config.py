@@ -13,8 +13,8 @@ Layout::
     [fuzzy.<criterion>]  shape, direction, a, b [, c, d]
     [mce]          saaty = path, method (wlc | owa) [, order_weights]
     [suitability]  <class id> = comma-separated criterion names
-    [predict]      iterations, kernel
-    [mlp]          hidden, learning_rate, epochs [, focal_class], threshold
+    [predict]      iterations, kernel  (the allocation of both models)
+    [mlp]          hidden, learning_rate, epochs [, focal_class]
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _KNOWN_KEYS = {
     "legend": {"file"},
     "mce": {"saaty", "method", "order_weights"},
     "predict": {"iterations", "kernel"},
-    "mlp": {"hidden", "learning_rate", "epochs", "focal_class", "threshold"},
+    "mlp": {"hidden", "learning_rate", "epochs", "focal_class"},
 }
 _FREE_SECTIONS = ("maps", "criteria", "constraints", "suitability")
 
@@ -65,7 +65,6 @@ class PipelineConfig:
     mlp_learning_rate: float = 0.5
     mlp_epochs: int = 300
     mlp_focal: int | None = None
-    mlp_threshold: float = 0.5
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -103,7 +102,6 @@ class PipelineConfig:
             rows.append(("mlp.learning_rate", repr(self.mlp_learning_rate)))
             rows.append(("mlp.epochs", str(self.mlp_epochs)))
             rows.append(("mlp.focal_class", str(self.mlp_focal) if self.mlp_focal is not None else "(highest id)"))
-            rows.append(("mlp.threshold", repr(self.mlp_threshold)))
         return rows
 
 
@@ -245,6 +243,8 @@ def validate_config(
                 raise ConfigError(f"mce.order_weights must be finite, got {s['order_weights']!r}")
         if method == "owa" and order_weights is None:
             raise ConfigError("mce.method owa needs mce.order_weights")
+        if method == "owa" and not (min(order_weights) >= 0 and abs(sum(order_weights) - 1.0) <= 1e-9):
+            raise ConfigError(f"mce.order_weights must be non-negative and sum to 1, got {s['order_weights']!r}")
 
     suitability = {}
     if cfg.has_section("suitability"):
@@ -263,6 +263,11 @@ def validate_config(
                     raise ConfigError(
                         f"suitability.{key}: criterion {n!r} has no [fuzzy.{n}] standardization"
                     )
+            if method == "owa" and len(names) != len(order_weights):
+                raise ConfigError(
+                    f"mce.order_weights: suitability.{key} has {len(names)} factors "
+                    f"but {len(order_weights)} order weights"
+                )
             suitability[cid] = names
 
     default = PipelineConfig  # the field defaults, read off the class
@@ -274,10 +279,9 @@ def validate_config(
 
     mlp = cfg["mlp"] if cfg.has_section("mlp") else {}
     hidden = _get_number(mlp, "hidden", int, default.mlp_hidden, minimum=1)
-    lr = _get_number(mlp, "learning_rate", float, default.mlp_learning_rate)
+    lr = _get_number(mlp, "learning_rate", float, default.mlp_learning_rate, minimum=0.0)
     epochs = _get_number(mlp, "epochs", int, default.mlp_epochs, minimum=1)
     focal = _get_number(mlp, "focal_class", int) if mlp.get("focal_class") else None
-    threshold = _get_number(mlp, "threshold", float, default.mlp_threshold)
 
     return PipelineConfig(
         base_dir=base,
@@ -299,7 +303,6 @@ def validate_config(
         mlp_learning_rate=lr,
         mlp_epochs=epochs,
         mlp_focal=focal,
-        mlp_threshold=threshold,
     )
 
 

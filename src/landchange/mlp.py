@@ -6,7 +6,8 @@ sigmoid so the output reads as the chance that a pixel converts to the
 focal class. Training is full-batch gradient descent on squared error.
 Inputs per pixel are the one-hot previous class plus min-max normalized
 criterion values; the normalization bounds freeze into the model so
-prediction reproduces training arithmetic bit for bit.
+prediction reproduces training arithmetic bit for bit. `predict_map` gives
+that probability only; the pipeline allocates change on it with `ca_markov`.
 
 The sigmoid is stable for every z, infinities and signed zeros included.
 Training and prediction share one numeric core. Each training epoch runs
@@ -327,25 +328,19 @@ def build_samples(
     return Dataset(x, t, spec)
 
 
-def predict_map(
-    model: MLPModel,
-    prior: LandCoverMap,
-    criteria: list[Grid],
-    threshold: float = 0.5,
-) -> tuple[Grid, LandCoverMap]:
-    """Focal-class probability grid and its thresholded 2-class map.
+def predict_map(model: MLPModel, prior: LandCoverMap, criteria: list[Grid]) -> Grid:
+    """Focal-class probability grid: the chance that each pixel of the prior
+    map holds the focal class at the next date, nodata where the prior map
+    or a criterion is.
 
     Features are rebuilt with the bounds frozen in the model, so feeding the
-    training rasters back reproduces the training outputs exactly. A pixel
-    at or above the threshold takes the focal class.
+    training rasters back reproduces the training outputs exactly.
     """
     spec = model.features
     if spec is None:
         raise DataError("model carries no feature spec; train it through build_samples data")
     if not model.probability_output:
         raise DataError("predict_map needs a probability-mode model")
-    if len(spec.class_ids) != 2:
-        raise DataError(f"thresholded map needs a 2-class legend, got {spec.class_ids}")
     if len(criteria) != len(spec.criteria_bounds):
         raise DataError(
             f"model was trained with {len(spec.criteria_bounds)} criteria, got {len(criteria)}"
@@ -359,16 +354,10 @@ def predict_map(
     for c in criteria:
         sel &= c.valid
     prob_vals = np.full(prior.grid.shape, prior.grid.nodata_value)
-    map_vals = np.full(prior.grid.shape, prior.grid.nodata_value)
     if sel.any():
         x = _encode(spec, prior.labels[sel], [c.values[sel] for c in criteria])
-        p = forward_batch(model, x)
-        prob_vals[sel] = p
-        other = next(c for c in spec.class_ids if c != spec.focal_class)
-        map_vals[sel] = np.where(p >= threshold, float(spec.focal_class), float(other))
-    legend = {cid: prior.legend.get(cid, f"class {cid}") for cid in spec.class_ids}
-    prob = prior.grid.with_values(prob_vals)
-    return prob, LandCoverMap(prior.grid.with_values(map_vals), legend, prior.date_tag)
+        prob_vals[sel] = forward_batch(model, x)
+    return prior.grid.with_values(prob_vals)
 
 
 def write_history_csv(history, path) -> None:

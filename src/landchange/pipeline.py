@@ -4,10 +4,12 @@ Every stage writes its outputs to files under the configured output
 directory, and a later stage takes such an output by its file name
 (`transition_scaled.csv`, `suit_<id>.asc`, `mlp_model.txt`,
 `predicted_*.asc`) through one rule, `_take`. In a full run the writing
-stage hands the object forward under that name and the taking stage pops
-it, so no grid outlives its last consumer and no file on disk ever stands
+stage hands the object forward under that name; a grid's one taker pops
+it, so no grid outlives its last consumer, and no file on disk ever stands
 in for it. A single-stage command reads the file. Either way a missing
 output raises the same "<file> not found; run the <stage> first" error.
+Both change models place the Markov-projected areas with one allocator,
+`ca_markov`: on the MCE suitabilities, or on the perceptron's probability.
 A full run also reads each config input once: the dated maps, and the
 criterion grids that mce and the perceptron share in a `both` run. The
 compute code is the same either way, so chaining the stage subcommands
@@ -43,7 +45,7 @@ from .classify import (
     write_confusion_csv,
 )
 from .config import PipelineConfig
-from .criteria import SuitabilityGrid, fuzzy_standardize
+from .criteria import FuzzySpec, SuitabilityGrid, fuzzy_standardize
 from .errors import ConfigError, DataError, LandchangeError
 from .grid import Grid, LandCoverMap, load_legend, mask_like, read_ascii_grid, write_ascii_grid, write_csv
 from .markov import (
@@ -128,14 +130,13 @@ def _read_constraints(cfg: PipelineConfig):
     return cons
 
 
-def _predictions(cfg: PipelineConfig) -> list[tuple[str, str]]:
-    """(model name, prediction file) for each model the config runs."""
-    selected = []
-    if cfg.model in ("ca_markov", "both"):
-        selected.append(("ca_markov", PREDICTED_CA))
-    if cfg.model in ("mlp", "both"):
-        selected.append(("mlp", PREDICTED_MLP))
-    return selected
+# each change model: the stages that make its prediction, and its prediction file
+_MODEL_STAGES = {"ca_markov": (("mce", "predict"), PREDICTED_CA), "mlp": (("mlp-train", "mlp-predict"), PREDICTED_MLP)}
+
+
+def _models(cfg: PipelineConfig) -> list[str]:
+    """The change models the config runs, ca_markov first."""
+    return [m for m in _MODEL_STAGES if cfg.model in (m, "both")]
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +155,17 @@ def _put(cfg: PipelineConfig, handed: dict | None, fname: str, obj, write) -> No
 
 
 def _take(cfg: PipelineConfig, handed: dict | None, fname: str, writer: str, read):
-    """An earlier stage's output by its file name: in a full run, popped
-    from what that stage handed forward (a file on disk may be stale and is
-    never read); in a single-stage command, read from the output directory
-    with `read`."""
+    """An earlier stage's output by its file name: in a full run, from what
+    that stage handed forward (a file on disk may be stale and is never
+    read); in a single-stage command, read from the output directory with
+    `read`. A grid has one taker and is popped, so it does not outlive it;
+    a small object (the scaled matrix, the model) stays for the next."""
     if handed is None:
         path = cfg.out_dir / fname
         if path.is_file():
             return read(path)
     elif fname in handed:
-        return handed.pop(fname)
+        return handed.pop(fname) if isinstance(handed[fname], Grid) else handed[fname]
     raise DataError(f"{fname} not found; run the {writer} first")
 
 
@@ -224,6 +226,10 @@ def stage_mce(cfg: PipelineConfig, handed: dict | None) -> dict:
         raise ConfigError("no [suitability] classes configured")
     if cfg.saaty_path is None:
         raise ConfigError("missing mce.saaty comparison matrix")
+    legend = _maps(cfg, handed)[0].legend
+    for cid in cfg.suitability:
+        if cid not in legend:
+            raise ConfigError(f"suitability.{cid}: class {cid} is not in the legend {sorted(legend)}")
     ws = saaty_weights(read_saaty_csv(cfg.saaty_path))
     n = ws.weights.size
     needed = {name for names in cfg.suitability.values() for name in names}
@@ -273,10 +279,10 @@ def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> dict:
     """Fit the perceptron to the calibration transition. Hands forward the
     model and the criterion grids it was fitted on."""
     prev, cur, _, _, _ = _window(_maps(cfg, handed), cfg.years)
-    if len(cur.class_ids) != 2:  # predict_map thresholds to a 2-class map
+    if len(cur.class_ids) != 2:  # one sigmoid output: the focal class against one other
         raise DataError(
-            f"run.model = {cfg.model} thresholds the perceptron output into a "
-            f"2-class map, but the legend holds classes {tuple(cur.class_ids)}"
+            f"run.model = {cfg.model} models one focal class against one other "
+            f"class, but the legend holds classes {tuple(cur.class_ids)}"
         )
     criteria = _criteria(cfg, handed)
     if not criteria:
@@ -295,11 +301,16 @@ def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> dict:
 
 
 def stage_mlp_predict(cfg: PipelineConfig, handed: dict | None) -> dict:
-    """Apply the trained perceptron to the most recent calibration map.
-    Hands forward the predicted grid."""
+    """Allocate as `stage_predict` does, on the perceptron's focal-class
+    probability standardized increasing for the focal class and decreasing
+    for the other. Hands forward the predicted grid."""
     model = _take(cfg, handed, MLP_MODEL, "mlp-train stage", load_model)
     _, cur, _, _, _ = _window(_maps(cfg, handed), cfg.years)
-    prob, predicted = predict_map(model, cur, list(_criteria(cfg, handed).values()), cfg.mlp_threshold)
+    tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", read_transition_csv)
+    prob = predict_map(model, cur, list(_criteria(cfg, handed).values()))
+    rise = {cid: "increasing" if cid == model.features.focal_class else "decreasing" for cid in cur.class_ids}
+    suits = {cid: fuzzy_standardize(prob, FuzzySpec("linear", d, 0.0, 1.0)) for cid, d in rise.items()}
+    predicted, _ = ca_markov(cur, tm_s, suits, CaParams(cfg.iterations, cfg.kernel))
 
     write_ascii_grid(prob, cfg.out_dir / MLP_PROB)
     _put(cfg, handed, PREDICTED_MLP, predicted.grid, write_ascii_grid)
@@ -313,8 +324,8 @@ def stage_validate(cfg: PipelineConfig, handed: dict | None) -> dict:
     results = {}
     scored = []
     baseline_targets = None
-    for name, fname in _predictions(cfg):
-        grid = _take(cfg, handed, fname, "predict stages", read_ascii_grid)
+    for name in _models(cfg):
+        grid = _take(cfg, handed, _MODEL_STAGES[name][1], "predict stages", read_ascii_grid)
         pred = LandCoverMap(grid, held.legend, held.date_tag)
         cm = confusion(pred, held)
         results[name] = {"kappa": kappa(cm), "accuracy": overall_accuracy(cm), "producer": producer_accuracy(cm)}
@@ -381,12 +392,7 @@ def _fmt_matrix(tm) -> list[str]:
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """calibrate -> predict -> validate, with a text report at the end."""
-    order = ["markov"]
-    if cfg.model in ("ca_markov", "both"):
-        order += ["mce", "predict"]
-    if cfg.model in ("mlp", "both"):
-        order += ["mlp-train", "mlp-predict"]
-    order.append("validate")
+    order = ["markov", *(stage for m in _models(cfg) for stage in _MODEL_STAGES[m][0]), "validate"]
 
     handed: dict = {}
     info: dict[str, dict] = {}

@@ -256,7 +256,6 @@ def write_scenario(result: SynthResult, out_dir, model: str = "ca_markov") -> Pa
             "hidden": "8",
             "learning_rate": "0.5",
             "epochs": "300",
-            "threshold": "0.5",
         }
 
     write_transition_csv(result.truth, out / "truth_transition.csv")

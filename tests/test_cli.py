@@ -12,7 +12,7 @@ import pytest
 
 from landchange import __version__
 from landchange.cli import build_parser, main
-from landchange.grid import Grid, write_ascii_grid
+from landchange.grid import Grid, read_ascii_grid, write_ascii_grid
 from landchange.markov import read_transition_csv
 
 
@@ -104,9 +104,45 @@ def test_mlp_on_three_class_legend_fails_before_training(tmp_path):
     res = _cli(["run", "--config", str(ini), "--out", "o", "--quiet"], tmp_path)
     assert res.returncode == 3
     assert "stage mlp-train: run.model = mlp" in res.stderr
-    assert "2-class map, but the legend holds classes (0, 1, 2)" in res.stderr
+    assert "one focal class against one other class, but the legend holds classes (0, 1, 2)" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "o" / "mlp_model.txt").exists()
+
+
+def test_suitability_class_outside_the_legend_exits_2_before_mce_writes(tmp_path, caplog):
+    # the legend holds classes 0, 1 and 2, so no pixel can take class 7
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    ini = sc / "pipeline.ini"
+    text = ini.read_text(encoding="ascii")
+    ini.write_text(text.replace("[suitability]\n", "[suitability]\n7 = prox0,prox1,prox2\n"), encoding="ascii")
+    for command in ("run", "mce"):
+        out = tmp_path / command
+        caplog.clear()
+        assert main([command, "--config", str(ini), "--out", str(out), "--quiet"]) == 2
+        assert "stage mce: suitability.7: class 7 is not in the legend [0, 1, 2]" in caplog.text
+        assert not any(p.name.startswith("suit_") or p.name == "weights.csv" for p in out.iterdir())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_untrained_perceptron_map_holds_the_projected_areas(tmp_path, seed):
+    # learning_rate 0 keeps the initial weights, whose probabilities can all
+    # fall on one side of 0.5; the allocated map still holds the
+    # Markov-projected class counts exactly
+    sc = tmp_path / "sc"
+    synth = ["synth", "--rows", "48", "--cols", "48", "--classes", "2", "--model", "mlp", "--seed", str(seed)]
+    assert main([*synth, "--out", str(sc), "--quiet"]) == 0
+    ini = sc / "pipeline.ini"
+    text = ini.read_text(encoding="ascii")
+    ini.write_text(text.replace("learning_rate = 0.5", "learning_rate = 0").replace("epochs = 300", "epochs = 1"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(ini), "--out", str(out), "--quiet"]) == 0
+    rows = (out / "expected_areas.csv").read_text(encoding="ascii").splitlines()
+    header = rows[0].split(",")
+    expected = {int(r.split(",")[0]): int(r.split(",")[header.index("target_pixels")]) for r in rows[1:]}
+    predicted = read_ascii_grid(out / "predicted_mlp.asc")
+    values, counts = np.unique(predicted.values[predicted.valid], return_counts=True)
+    assert dict(zip(values.astype(int).tolist(), counts.tolist())) == expected
 
 
 def test_nan_in_scaled_transition_names_file_and_value(tmp_path):

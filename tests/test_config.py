@@ -55,7 +55,7 @@ def test_minimal_defaults(tmp_path):
     assert cfg.order_weights is None
     assert cfg.iterations == 5 and cfg.kernel == 5
     assert cfg.mlp_hidden == 8 and cfg.mlp_epochs == 300
-    assert cfg.mlp_focal is None and cfg.mlp_threshold == 0.5
+    assert cfg.mlp_focal is None
 
 
 def test_unknown_section_and_key(tmp_path):
@@ -180,13 +180,12 @@ def test_predict_validation(tmp_path):
 
 def test_mlp_section(tmp_path):
     text = BASE.replace("seed = 3", "seed = 3\nmodel = mlp")
-    text += "[mlp]\nhidden = 4\nlearning_rate = 0.1\nepochs = 50\nfocal_class = 1\nthreshold = 0.6\n"
+    text += "[mlp]\nhidden = 4\nlearning_rate = 0.1\nepochs = 50\nfocal_class = 1\n"
     cfg = load_config(_write(tmp_path, text))
     assert cfg.mlp_hidden == 4
     assert cfg.mlp_learning_rate == 0.1
     assert cfg.mlp_epochs == 50
     assert cfg.mlp_focal == 1
-    assert cfg.mlp_threshold == 0.6
 
 
 MLP = BASE.replace("seed = 3", "seed = 3\nmodel = mlp") + "[mlp]\n"
@@ -201,13 +200,32 @@ MLP = BASE.replace("seed = 3", "seed = 3\nmodel = mlp") + "[mlp]\n"
         (BASE + CRIT.replace("decreasing", "symmetric") + "c = {}\nd = 20\n", "fuzzy.slope.c"),
         (BASE + CRIT.replace("decreasing", "symmetric") + "c = 15\nd = {}\n", "fuzzy.slope.d"),
         (MLP + "learning_rate = {}\n", "mlp.learning_rate"),
-        (MLP + "threshold = {}\n", "mlp.threshold"),
         (BASE + "[mce]\nmethod = owa\norder_weights = 0.5,{}\n", "mce.order_weights"),
     ],
 )
 def test_float_keys_reject_non_finite(tmp_path, text, key, value):
     with pytest.raises(ConfigError, match=f"{key} must be finite, got '[^']*{value}'"):
         load_config(_write(tmp_path, text.format(value)))
+
+
+OWA = BASE + CRIT + "\n[mce]\nmethod = owa\norder_weights = {}\n\n[suitability]\n0 = slope,slope,slope\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (OWA.format("0.5,0.5"), r"mce\.order_weights: suitability\.0 has 3 factors but 2 order weights"),
+        (OWA.format("0.5,0.3,0.3"), r"mce\.order_weights must be non-negative and sum to 1, got '0\.5,0\.3,0\.3'"),
+        (OWA.format("1.5,-0.25,-0.25"), r"mce\.order_weights must be non-negative and sum to 1"),
+        (MLP + "learning_rate = -0.1\n", r"mlp\.learning_rate must be >= 0\.0, got -0\.1"),
+    ],
+)
+def test_settings_out_of_range_name_the_key(tmp_path, text, message):
+    # caught at load, before any stage writes a file
+    with pytest.raises(ConfigError, match=message):
+        load_config(_write(tmp_path, text))
+    good = OWA.format("0.5,0.25,0.25") if "owa" in text else MLP + "learning_rate = 0\n"
+    load_config(_write(tmp_path, good))
 
 
 def test_echo_uses_basenames(tmp_path):
@@ -257,7 +275,7 @@ _RISKY_LINES = st.sampled_from(
      "model = both", "model = x", "seed = -1", "seed = 1e3", "2010 = map_2000.asc", "1990 = gone.asc", "year = a.asc",
      "prox0 = prox0.asc", "a = nan", "b = inf", "shape = cubic", "iterations = 0", "kernel = 4", "epochs = 1_0",
      "seed = 1_0", "iterations = 1_0", "a = 0_5", "2_010 = map_2000.asc", "3_0 = prox0",
-     "threshold = 1e400", "order_weights = 1,x", "method = owa", "0 = prox0", "x = prox0", "file = legend.csv",
+     "learning_rate = 1e400", "order_weights = 1,x", "method = owa", "0 = prox0", "x = prox0", "file = legend.csv",
      "out_dir = \x00", "  indented = 1", "novalue", "= 1", "%(x)s = 1", ""]
 )
 

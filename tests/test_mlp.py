@@ -313,29 +313,21 @@ def test_predict_map_reproduces_training_outputs():
     crit = _grid(rng.random((6, 6)) * 40)
     ds = build_samples(prior, nxt, [crit])
     model, _ = train(init_model(ds.features.n_inputs, 4, seed=3), ds, 0.5, 50)
-    prob, themap = predict_map(model, prior, [crit])
+    prob = predict_map(model, prior, [crit])
     batch = forward_batch(model, ds.inputs)
     rows, cols = np.nonzero(prior.grid.valid & nxt.grid.valid & crit.valid)  # build_samples' row order
     assert np.array_equal(prob.values[rows, cols], batch)  # bit-exact rebuild
-    lab = themap.labels[rows, cols]
-    assert np.array_equal(lab == 1, batch >= 0.5)
 
 
-def test_predict_map_threshold_and_errors():
+def test_predict_map_errors():
     prior = _lcm([[0.0, 1.0]], {0: "a", 1: "b"})
     nxt = _lcm([[1.0, 1.0]], {0: "a", 1: "b"})
     ds = build_samples(prior, nxt, [])
     model, _ = train(init_model(2, 2, seed=0), ds, 0.3, 5)
-    _, m_all = predict_map(model, prior, [], threshold=0.0)
-    assert set(np.unique(m_all.labels)) == {1}  # everything at or above 0
-
     with pytest.raises(DataError, match="feature spec"):
         predict_map(init_model(2, 2, seed=0), prior, [])
     with pytest.raises(DataError, match="probability-mode"):
         predict_map(replace(model, probability_output=False), prior, [])
-    spec3 = FeatureSpec((0, 1, 2), 2, ())
-    with pytest.raises(DataError, match="2-class"):
-        predict_map(init_model(3, 2, seed=0, features=spec3), prior, [])
     with pytest.raises(DataError, match="criteria"):
         predict_map(model, prior, [_grid([[1.0, 2.0]])])
     prior3 = _lcm([[0.0, 2.0]], {0: "a", 2: "c"})

@@ -9,7 +9,7 @@ import pytest
 from landchange import pipeline
 from landchange.config import load_config
 from landchange.errors import ConfigError, DataError, NumericalError
-from landchange.grid import Grid, write_ascii_grid
+from landchange.grid import Grid, read_ascii_grid, read_csv_rows, write_ascii_grid
 from landchange.markov import read_transition_csv, scale_transition, write_transition_csv
 from landchange.pipeline import load_maps, run_pipeline, run_stage
 from landchange.synth import SynthSpec, generate_synthetic_landscape, write_scenario
@@ -137,13 +137,18 @@ def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
     ini.write_text(text.replace("[criteria]\n", "[criteria]\nextra = extra.asc\n", 1), encoding="ascii")
     cfg = load_config(ini, out_dir=tmp_path / "out")
     real_run_stage = pipeline.run_stage
+    real_put = pipeline._put
     real_take = pipeline._take
     real_read = pipeline.read_ascii_grid
-    ran, taken, reads = [], [], []
+    ran, put, taken, reads = [], [], [], []
 
     def recording_run_stage(name, cfg, handed=None):
         ran.append((name, handed))
         return real_run_stage(name, cfg, handed)
+
+    def recording_put(cfg, handed, fname, obj, write):
+        put.append(fname)
+        real_put(cfg, handed, fname, obj, write)
 
     def recording_take(cfg, handed, fname, writer, read):
         obj = real_take(cfg, handed, fname, writer, read)
@@ -155,6 +160,7 @@ def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
         return real_read(path)
 
     monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
+    monkeypatch.setattr(pipeline, "_put", recording_put)
     monkeypatch.setattr(pipeline, "_take", recording_take)
     monkeypatch.setattr(pipeline, "read_ascii_grid", recording_read)
     run_pipeline(cfg)
@@ -166,11 +172,12 @@ def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
     assert tuple(name for name, _ in ran) == stages
     handed = ran[0][1]
     assert all(h is handed for _, h in ran)  # one dict for the whole run
-    expected = {"transition_scaled.csv", "predicted_ca.asc"} | {f"suit_{cid}.asc" for cid in cfg.suitability}
-    if model == "both":
-        expected |= {"mlp_model.txt", "predicted_mlp.asc"}
+    expected = ["transition_scaled.csv", "predicted_ca.asc"] + [f"suit_{cid}.asc" for cid in cfg.suitability]
+    if model == "both":  # predict and mlp-predict both allocate the scaled matrix
+        expected += ["transition_scaled.csv", "mlp_model.txt", "predicted_mlp.asc"]
     assert sorted(fname for fname, *_ in taken) == sorted(expected)
-    assert set(handed) <= {"maps", "criteria"}  # every output handed forward was taken
+    assert sorted(put) == sorted(set(expected))  # every output handed forward was taken
+    assert not any(isinstance(obj, Grid) for obj in handed.values())  # each grid went with its taker
     for fname, obj, writer, read in taken:
         _assert_same_bits(obj, real_take(cfg, None, fname, writer, read), fname)
 
@@ -236,6 +243,12 @@ def test_mlp_model_artifacts(tmp_path):
         assert (tmp_path / "out" / fn).is_file(), fn
     assert set(rep.kappas) == {"ca_markov", "mlp"}
     assert "perceptron training" in rep.report_path.read_text(encoding="ascii")
+    # both maps hold the Markov-projected class counts
+    targets = {int(r[0]): int(r[2]) for r in read_csv_rows(tmp_path / "out" / "expected_areas.csv", "areas")[1:]}
+    for fn in ("predicted_ca.asc", "predicted_mlp.asc"):
+        g = read_ascii_grid(tmp_path / "out" / fn)
+        ids, counts = np.unique(g.values[g.valid], return_counts=True)
+        assert dict(zip(ids.astype(int).tolist(), counts.tolist())) == targets, fn
 
 
 def test_constraints_must_be_binary(tmp_path):
