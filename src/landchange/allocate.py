@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, Grid, LandCoverMap, neighbor_counts, require_same_geometry, write_csv
+from .grid import DEFAULT_NODATA, Grid, LandCoverMap, joint_valid, neighbor_counts, require_same_geometry, write_csv
 from .markov import TransitionMatrix, expected_areas, largest_remainder
 
 CONTIGUITY_FLOOR = 0.01  # keeps isolated-but-suitable cells allocatable
@@ -44,10 +44,7 @@ def _class_orders(suitabilities: dict[int, Grid]):
     """Per class: pixel indices best-to-worst and the inverse rank lookup."""
     class_ids = sorted(suitabilities)
     first = suitabilities[class_ids[0]]
-    require_same_geometry(*[suitabilities[c] for c in class_ids], context="mola")
-    eligible = np.ones(first.shape, dtype=bool)
-    for c in class_ids:
-        eligible &= suitabilities[c].valid
+    eligible = joint_valid(*(suitabilities[c] for c in class_ids), context="mola")
     flat_eligible = np.flatnonzero(eligible.ravel())
     n_cells = first.shape[0] * first.shape[1]
     orders = {}
@@ -208,6 +205,8 @@ def ca_markov(
         raise DataError(
             f"transition classes {sorted(tm.class_ids)} do not match map classes {ids}"
         )
+    # the evolving map keeps the geometry and valid cells of `current`, as mola allocates them all
+    eligible = joint_valid(current.grid, *(suitabilities[c] for c in ids), context="ca_markov")
     _, finals = expected_areas(current, tm)
     initial = current.class_counts()
     init_vec = np.array([initial[c] for c in ids], dtype=np.float64)
@@ -231,7 +230,7 @@ def ca_markov(
             # popped so no weight grid stays alive through the allocation
             weight = CONTIGUITY_FLOOR + contiguity.pop(c)
             vals = suitabilities[c].values * weight
-            vals[~(suitabilities[c].valid & state.grid.valid)] = DEFAULT_NODATA
+            vals[~eligible] = DEFAULT_NODATA
             effective[c] = state.grid.with_values(vals, nodata_value=DEFAULT_NODATA)
         state = mola(effective, AllocationTargets(wanted), dict(current.legend), current.date_tag)
         now = state.class_counts()

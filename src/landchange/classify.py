@@ -19,9 +19,9 @@ from .grid import (
     Grid,
     LandCoverMap,
     MultiBandImage,
+    joint_valid,
     mask_like,
     neighbor_counts,
-    require_same_geometry,
     write_csv,
 )
 from .markov import _joint_counts
@@ -45,10 +45,7 @@ def estimate_signatures(image: MultiBandImage, training: LandCoverMap) -> list[C
     when the trace is zero, e.g. constant samples) so scores stay defined.
     Each class needs at least band_count + 1 training pixels.
     """
-    require_same_geometry(image.geometry, training.grid, context="estimate_signatures")
-    sel = np.ones(image.geometry.shape, dtype=bool)
-    for band in image.bands:
-        sel = sel & band.valid
+    sel = joint_valid(*image.bands, training.grid, context="estimate_signatures")
     labels = training.labels
     b = image.n_bands
     cube = np.stack([band.values for band in image.bands], axis=-1)
@@ -107,9 +104,7 @@ def maxlike(
         raise DataError("signature dimensionality does not match band count")
 
     geometry = image.geometry
-    valid = np.ones(geometry.shape, dtype=bool)
-    for band in image.bands:
-        valid &= band.valid
+    valid = joint_valid(*image.bands, context="maxlike")
     cube = np.stack([band.values for band in image.bands], axis=-1)
     x = cube[valid]
 
@@ -129,17 +124,10 @@ def maxlike(
 
     best = np.argmax(scores, axis=0)  # first max wins, ids ascend, so ties pick the lowest id
     class_ids = [s.class_id for s in sigs]
-    out = np.full(geometry.shape, geometry.nodata_value)
-    out[valid] = np.asarray(class_ids, dtype=np.float64)[best]
     if legend is None:
         legend = {cid: f"class {cid}" for cid in class_ids}
-    lc = LandCoverMap(geometry.with_values(out), legend)
-
-    score_grids = {}
-    for idx, sig in enumerate(sigs):
-        sv = np.full(geometry.shape, SCORE_NODATA)
-        sv[valid] = scores[idx]
-        score_grids[sig.class_id] = geometry.with_values(sv, nodata_value=SCORE_NODATA)
+    lc = LandCoverMap(geometry.scatter(valid, np.asarray(class_ids, dtype=np.float64)[best]), legend)
+    score_grids = {cid: geometry.scatter(valid, scores[idx], SCORE_NODATA) for idx, cid in enumerate(class_ids)}
     return lc, score_grids
 
 
@@ -158,7 +146,7 @@ def potts_objective(lc: LandCoverMap, scores: dict[int, Grid], beta: float) -> f
     labels = lc.labels
     total = 0.0
     for cid, g in scores.items():
-        pick = (labels == cid) & g.valid
+        pick = (labels == cid) & joint_valid(lc.grid, g, context="potts_objective")
         total += float(g.values[pick].sum())
     ends = 0
     for cid in lc.class_ids:
@@ -198,8 +186,9 @@ def icm(
     class_ids = sorted(scores)
     if not class_ids:
         raise DataError("icm needs at least one score grid")
-    for cid in class_ids:
-        require_same_geometry(initial.grid, scores[cid], context="icm")
+    # pixels get updated only where every class has a score; other labeled
+    # cells stay frozen but still count as neighbors
+    active = joint_valid(initial.grid, *(scores[cid] for cid in class_ids), context="icm")
     labels = initial.labels
     present = set(np.unique(labels[labels >= 0]).tolist())
     if not present <= set(class_ids):
@@ -209,12 +198,6 @@ def icm(
     w = n_cols + 2  # padded width
     k = len(class_ids)
     ids_arr = np.asarray(class_ids, dtype=np.int64)
-
-    # pixels get updated only where every class has a score; other labeled
-    # cells stay frozen but still count as neighbors
-    active = labels >= 0
-    for cid in class_ids:
-        active &= scores[cid].valid
 
     lab = np.full((n_rows + 2) * w, -1, dtype=np.int64)  # padded, raveled class indices; -1 unlabeled
     labeled = labels >= 0
@@ -254,10 +237,8 @@ def icm(
             break
 
     out_lab = lab.reshape(n_rows + 2, w)[1:-1, 1:-1]
-    out = np.full(initial.grid.shape, initial.grid.nodata_value)
+    out = initial.grid.values.copy()  # labeled cells without full score coverage pass through
     out[active] = ids_arr.astype(np.float64)[out_lab[active]]
-    keep = initial.grid.valid & ~active  # labeled cells without full score coverage pass through
-    out[keep] = initial.grid.values[keep]
     return LandCoverMap(initial.grid.with_values(out), dict(initial.legend), initial.date_tag)
 
 
@@ -278,8 +259,7 @@ class ConfusionMatrix:
 
 
 def confusion(predicted: LandCoverMap, reference: LandCoverMap) -> ConfusionMatrix:
-    require_same_geometry(predicted.grid, reference.grid, context="confusion")
-    sel = predicted.grid.valid & reference.grid.valid
+    sel = joint_valid(predicted.grid, reference.grid, context="confusion")
     if not sel.any():
         raise DataError("no jointly valid pixels to compare")
     ids = sorted(set(predicted.class_ids) | set(reference.class_ids))
@@ -317,8 +297,7 @@ def producer_accuracy(cm: ConfusionMatrix) -> dict[int, float]:
 
 def residual_map(predicted: LandCoverMap, reference: LandCoverMap) -> BinaryMask:
     """Disagreement mask: 1 where jointly valid labels differ."""
-    require_same_geometry(predicted.grid, reference.grid, context="residual_map")
-    sel = predicted.grid.valid & reference.grid.valid
+    sel = joint_valid(predicted.grid, reference.grid, context="residual_map")
     diff = np.zeros(predicted.grid.shape)
     diff[sel & (predicted.labels != reference.labels)] = 1.0
     return mask_like(predicted.grid, diff)

@@ -120,14 +120,15 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_oif(args) -> int:
-    out = _outdir(args)
+    _check_flag(len(args.bands) >= 3, "the band count", "at least 3 (OIF ranks band triples)", len(args.bands))
     labels = _band_labels(args, len(args.bands))
     image = _read_image(args.bands, labels)
     mask = _read_mask(args.mask, "--mask") if args.mask else None
     stats = band_statistics(image, mask)
+    ranking = oif_rank(stats)
+    out = _outdir(args)  # nothing is written if a step fails
     write_band_stats_csv(stats, out / "band_stats.csv")
     write_correlation_csv(stats, out / "correlation.csv")
-    ranking = oif_rank(stats)
     write_oif_csv(ranking, out / "oif.csv")
     best = ranking.triples[0]
     log.info(
@@ -167,12 +168,12 @@ def cmd_change(args) -> int:
     for g in grids:
         lo, hi = ternary_thresholds(g) if args.low is None else (args.low, args.high)
         levels.append(ternarize(g, lo, hi))
-    for i, lv in enumerate(levels, start=1):
-        write_ascii_grid(lv, out / f"levels_{i}.asc")
     ppm = (out / "change.ppm") if args.ppm else None
     codes = change_composite(levels[0], levels[1], levels[2], ppm_path=ppm)
-    write_ascii_grid(codes, out / "change_code.asc")
     dynamics = group_dynamics(codes)
+    for i, lv in enumerate(levels, start=1):  # written once the dates are known to line up
+        write_ascii_grid(lv, out / f"levels_{i}.asc")
+    write_ascii_grid(codes, out / "change_code.asc")
     write_ascii_grid(dynamics.grid, out / "dynamics.asc")
     write_legend(dynamics.legend, out / "dynamics_legend.csv")
     write_grouping_csv(default_grouping(), out / "grouping.csv")

@@ -28,6 +28,7 @@ from pathlib import Path
 from .criteria import FuzzySpec
 from .errors import ConfigError, DataError
 from .grid import parse_number, read_text
+from .mce import read_saaty_csv
 
 MODELS = ("ca_markov", "mlp", "both")
 MCE_METHODS = ("wlc", "owa")
@@ -225,15 +226,19 @@ def validate_config(
             raise ConfigError(f"[{sec}]: {e}") from None
 
     saaty_path = None
+    saaty_order = None
     method = "wlc"
     order_weights = None
     if cfg.has_section("mce"):
         s = cfg["mce"]
         if s.get("saaty"):
             saaty_path = _resolve(base, s["saaty"], "mce.saaty")
+            saaty_order = read_saaty_csv(saaty_path).order
         method = (s.get("method") or "wlc").strip()
         if method not in MCE_METHODS:
             raise ConfigError(f"mce.method must be one of {MCE_METHODS}, got {method!r}")
+        if s.get("order_weights") and method != "owa":
+            raise ConfigError(f"mce.order_weights applies to mce.method owa only, but the method is {method}")
         if s.get("order_weights"):
             try:
                 order_weights = tuple(parse_number(t, float) for t in s["order_weights"].split(","))
@@ -263,6 +268,8 @@ def validate_config(
                     raise ConfigError(
                         f"suitability.{key}: criterion {n!r} has no [fuzzy.{n}] standardization"
                     )
+            if saaty_order is not None and len(names) != saaty_order:
+                raise ConfigError(f"suitability.{key} lists {len(names)} factors, but mce.saaty ranks {saaty_order}")
             if method == "owa" and len(names) != len(order_weights):
                 raise ConfigError(
                     f"mce.order_weights: suitability.{key} has {len(names)} factors "

@@ -16,7 +16,9 @@ The reader accepts finite values only, written as `parse_number` reads
 them: a non-finite or underscored header value or cell is a format error.
 
 `parse_number` is the one rule for numbers in every text input and
-command-line flag, and `write_csv` the shared CSV writer.
+command-line flag, `write_csv` the shared CSV writer, and `joint_valid`
+the one rule for where grids meet: their geometry is checked before their
+valid cells are combined.
 """
 
 from __future__ import annotations
@@ -79,6 +81,14 @@ class Grid:
         nd = self.nodata_value if nodata_value is None else nodata_value
         return Grid(values, self.cell_size, self.x_origin, self.y_origin, nd)
 
+    def scatter(self, sel, values, nodata_value=None) -> "Grid":
+        """New grid with this grid's geometry holding values at the cells
+        sel selects and the nodata value (this grid's, by default) elsewhere."""
+        nd = self.nodata_value if nodata_value is None else nodata_value
+        out = np.full(self.shape, nd)
+        out[sel] = values
+        return self.with_values(out, nd)
+
     def same_geometry(self, other: "Grid") -> bool:
         return (
             self.shape == other.shape
@@ -88,14 +98,28 @@ class Grid:
         )
 
 
+def _geometry_text(g: Grid) -> str:
+    return f"{g.shape}/{g.cell_size} at lower-left corner ({g.x_origin}, {g.y_origin})"
+
+
 def require_same_geometry(*grids: Grid, context: str = "operation") -> None:
     first = grids[0]
     for i, g in enumerate(grids[1:], start=1):
         if not first.same_geometry(g):
             raise GeometryError(
-                f"{context}: grid {i} geometry {g.shape}/{g.cell_size} does not match "
-                f"grid 0 geometry {first.shape}/{first.cell_size}"
+                f"{context}: grid {i} geometry {_geometry_text(g)} does not match "
+                f"grid 0 geometry {_geometry_text(first)}"
             )
+
+
+def joint_valid(*grids: Grid, context: str) -> np.ndarray:
+    """Boolean array, True where every grid holds data. Grids that do not
+    share one geometry raise `require_same_geometry`'s GeometryError."""
+    require_same_geometry(*grids, context=context)
+    valid = grids[0].valid
+    for g in grids[1:]:
+        valid &= g.valid
+    return valid
 
 
 def grids_equal(a: Grid, b: Grid) -> bool:
@@ -380,9 +404,8 @@ def export_ppm(r: Grid, g: Grid, b: Grid, stretch, path) -> None:
     stretch is ((rmin, rmax), (gmin, gmax), (bmin, bmax)); each channel is
     scaled linearly and clamped. Cells missing in any channel come out black.
     """
-    require_same_geometry(r, g, b, context="export_ppm")
+    joint = joint_valid(r, g, b, context="export_ppm")
     channels = []
-    joint = r.valid & g.valid & b.valid
     for grid, (lo, hi) in zip((r, g, b), stretch):
         byte = _stretch_to_bytes(grid, float(lo), float(hi))
         byte[~joint] = 0

@@ -8,18 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, Grid, LandCoverMap, export_ppm, require_same_geometry, write_csv
+from .grid import DEFAULT_NODATA, Grid, LandCoverMap, export_ppm, joint_valid, write_csv
 
 
 def normalized_difference(a: Grid, b: Grid) -> Grid:
     """(a - b) / (a + b) per cell. Zero denominator or missing input -> nodata."""
-    require_same_geometry(a, b, context="normalized_difference")
+    ok = joint_valid(a, b, context="normalized_difference")
     num = a.values - b.values
     den = a.values + b.values
-    ok = a.valid & b.valid & (den != 0.0)
-    out = np.full(a.shape, DEFAULT_NODATA)
-    out[ok] = num[ok] / den[ok]
-    return a.with_values(out, nodata_value=DEFAULT_NODATA)
+    ok &= den != 0.0
+    return a.scatter(ok, num[ok] / den[ok], DEFAULT_NODATA)
 
 
 def ndvi(nir: Grid, red: Grid) -> Grid:
@@ -35,13 +33,11 @@ def ndim(ndvi_grid: Grid, ndii_grid: Grid, weight: float = 0.5) -> Grid:
 
     weight is the NDVI share; the default 0.5 is the plain average.
     """
-    require_same_geometry(ndvi_grid, ndii_grid, context="ndim")
+    ok = joint_valid(ndvi_grid, ndii_grid, context="ndim")
     if not 0.0 <= weight <= 1.0:
         raise DataError(f"weight must be in [0, 1], got {weight}")
-    ok = ndvi_grid.valid & ndii_grid.valid
-    out = np.full(ndvi_grid.shape, DEFAULT_NODATA)
-    out[ok] = weight * ndvi_grid.values[ok] + (1.0 - weight) * ndii_grid.values[ok]
-    return ndvi_grid.with_values(out, nodata_value=DEFAULT_NODATA)
+    blend = weight * ndvi_grid.values[ok] + (1.0 - weight) * ndii_grid.values[ok]
+    return ndvi_grid.scatter(ok, blend, DEFAULT_NODATA)
 
 
 def ternary_thresholds(grid: Grid) -> tuple[float, float]:
@@ -80,20 +76,15 @@ def change_composite(l1: Grid, l2: Grid, l3: Grid, ppm_path=None) -> Grid:
     ppm_path is given, also renders the dates to R/G/B with levels drawn
     at intensities 0/128/255.
     """
-    require_same_geometry(l1, l2, l3, context="change_composite")
+    ok = joint_valid(l1, l2, l3, context="change_composite")
     for g, name in ((l1, "date 1"), (l2, "date 2"), (l3, "date 3")):
         _check_levels(g, name)
-    ok = l1.valid & l2.valid & l3.valid
     codes = 9.0 * l1.values + 3.0 * l2.values + l3.values
     out = np.where(ok, codes, DEFAULT_NODATA)
     code_grid = l1.with_values(out, nodata_value=DEFAULT_NODATA)
 
-    if ppm_path is not None:
-        channels = []
-        for g in (l1, l2, l3):
-            vals = np.where(ok, g.values, DEFAULT_NODATA)
-            channels.append(g.with_values(vals, nodata_value=DEFAULT_NODATA))
-        export_ppm(channels[0], channels[1], channels[2], ((0, 2), (0, 2), (0, 2)), ppm_path)
+    if ppm_path is not None:  # export_ppm blacks out the cells missing on any date
+        export_ppm(l1, l2, l3, ((0, 2), (0, 2), (0, 2)), ppm_path)
     return code_grid
 
 
@@ -172,9 +163,7 @@ def group_dynamics(codes: Grid) -> LandCoverMap:
         if not np.all(data == np.floor(data)) or data.min() < 0 or data.max() > 26:
             raise DataError("codes grid holds values outside 0..26")
     lut = np.asarray(grouping.category_of, dtype=np.float64)
-    out = np.full(codes.shape, codes.nodata_value)
-    out[ok] = lut[vals[ok].astype(np.int64)]
-    return LandCoverMap(codes.with_values(out), dict(grouping.names))
+    return LandCoverMap(codes.scatter(ok, lut[data.astype(np.int64)]), dict(grouping.names))
 
 
 def write_grouping_csv(grouping: DynamicsGrouping, path) -> None:

@@ -18,9 +18,9 @@ from .errors import DataError, NumericalError
 from .grid import (
     Grid,
     LandCoverMap,
+    joint_valid,
     parse_number,
     read_csv_rows,
-    require_same_geometry,
     write_csv,
 )
 
@@ -77,9 +77,8 @@ def _joint_counts(ids, *labels: np.ndarray) -> np.ndarray:
 
 def crosstab(map_a: LandCoverMap, map_b: LandCoverMap) -> tuple[np.ndarray, list[int]]:
     """Counts[i, j] = pixels going from class ids[i] in map_a to ids[j] in map_b."""
-    require_same_geometry(map_a.grid, map_b.grid, context="crosstab")
+    sel = joint_valid(map_a.grid, map_b.grid, context="crosstab")
     ids = _shared_ids(map_a, map_b, "crosstab")
-    sel = map_a.grid.valid & map_b.grid.valid
     if not sel.any():
         raise DataError("crosstab: no jointly valid pixels")
     return _joint_counts(ids, map_a.labels[sel], map_b.labels[sel]), ids
@@ -190,10 +189,9 @@ class SecondOrderTable:
 
 
 def second_order_transitions(m1: LandCoverMap, m2: LandCoverMap, m3: LandCoverMap) -> SecondOrderTable:
-    require_same_geometry(m1.grid, m2.grid, m3.grid, context="second_order_transitions")
+    sel = joint_valid(m1.grid, m2.grid, m3.grid, context="second_order_transitions")
     ids = _shared_ids(m1, m2, "second_order_transitions")
     _shared_ids(m2, m3, "second_order_transitions")
-    sel = m1.grid.valid & m2.grid.valid & m3.grid.valid
     if not sel.any():
         raise DataError("second_order_transitions: no jointly valid pixels")
     counts = _joint_counts(ids, m1.labels[sel], m2.labels[sel], m3.labels[sel]).astype(np.float64)
@@ -220,12 +218,7 @@ def conditional_probability_maps(current: LandCoverMap, tm: TransitionMatrix) ->
     sel = current.grid.valid
     block = tm.probs[_class_index(ids)[current.labels[sel]]]  # (n_sel, k)
 
-    out: dict[int, Grid] = {}
-    for i, cid in enumerate(ids):
-        vals = np.full(current.grid.shape, current.grid.nodata_value)
-        vals[sel] = block[:, i]
-        out[cid] = current.grid.with_values(vals)
-    return out
+    return {cid: current.grid.scatter(sel, block[:, i]) for i, cid in enumerate(ids)}
 
 
 def expected_areas(

@@ -18,6 +18,7 @@ from .grid import (
     DEFAULT_NODATA,
     BinaryMask,
     Grid,
+    joint_valid,
     parse_number,
     read_csv_rows,
     require_same_geometry,
@@ -120,12 +121,10 @@ def _combine_prep(factors, weights, constraints):
         raise DataError("no factor grids given")
     if w.ndim != 1 or w.size != len(factors):
         raise DataError(f"{len(factors)} factors but {w.size} weights")
-    require_same_geometry(*factors, context="factor combination")
-    for m in constraints:
-        require_same_geometry(factors[0], m, context="factor combination")
-    valid = np.ones(factors[0].shape, dtype=bool)
-    for f in factors:
-        valid &= f.valid
+    valid = joint_valid(*factors, context="factor combination")
+    # constraints gate by value and stay out of the valid mask, where a mask
+    # file with NODATA_VALUE 0 would lose its 0 cells
+    require_same_geometry(factors[0], *constraints, context="factor combination")
     stack = np.stack([f.values for f in factors])
     return w, stack, valid
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .grid import Grid, LandCoverMap, parse_number, read_text, require_same_geometry, write_csv
+from .grid import Grid, LandCoverMap, joint_valid, parse_number, read_text, write_csv
 
 log = logging.getLogger("landchange")
 
@@ -300,10 +300,7 @@ def build_samples(
     (default: the highest class id). Bounds and encoding order freeze into
     the returned FeatureSpec.
     """
-    require_same_geometry(prior.grid, nxt.grid, *criteria, context="build_samples")
-    sel = prior.grid.valid & nxt.grid.valid
-    for c in criteria:
-        sel &= c.valid
+    sel = joint_valid(prior.grid, nxt.grid, *criteria, context="build_samples")
     if not sel.any():
         raise DataError("no jointly valid pixels to sample")
     ids = sorted(set(prior.class_ids) | set(nxt.class_ids))
@@ -345,19 +342,12 @@ def predict_map(model: MLPModel, prior: LandCoverMap, criteria: list[Grid]) -> G
         raise DataError(
             f"model was trained with {len(spec.criteria_bounds)} criteria, got {len(criteria)}"
         )
-    require_same_geometry(prior.grid, *criteria, context="predict_map")
+    sel = joint_valid(prior.grid, *criteria, context="predict_map")
     extra = set(prior.class_ids) - set(spec.class_ids)
     if extra:
         raise DataError(f"prior map classes {sorted(extra)} unknown to the model")
-
-    sel = prior.grid.valid
-    for c in criteria:
-        sel &= c.valid
-    prob_vals = np.full(prior.grid.shape, prior.grid.nodata_value)
-    if sel.any():
-        x = _encode(spec, prior.labels[sel], [c.values[sel] for c in criteria])
-        prob_vals[sel] = forward_batch(model, x)
-    return prior.grid.with_values(prob_vals)
+    x = _encode(spec, prior.labels[sel], [c.values[sel] for c in criteria])
+    return prior.grid.scatter(sel, forward_batch(model, x))
 
 
 def write_history_csv(history, path) -> None:

@@ -11,7 +11,9 @@ output raises the same "<file> not found; run the <stage> first" error.
 Both change models place the Markov-projected areas with one allocator,
 `ca_markov`: on the MCE suitabilities, or on the perceptron's probability.
 A full run also reads each config input once: the dated maps, and the
-criterion grids that mce and the perceptron share in a `both` run. The
+criterion grids that mce and the perceptron share in a `both` run. Each
+criterion and constraint grid is checked against the maps' geometry where
+it is read, and a mismatch names its config key. The
 compute code is the same either way, so chaining the stage subcommands
 produces byte-identical artifacts to the full run. The last dated map is
 held out: transitions are estimated from the two maps before it, the
@@ -47,7 +49,16 @@ from .classify import (
 from .config import PipelineConfig
 from .criteria import FuzzySpec, SuitabilityGrid, fuzzy_standardize
 from .errors import ConfigError, DataError, LandchangeError
-from .grid import Grid, LandCoverMap, load_legend, mask_like, read_ascii_grid, write_ascii_grid, write_csv
+from .grid import (
+    Grid,
+    LandCoverMap,
+    load_legend,
+    mask_like,
+    read_ascii_grid,
+    require_same_geometry,
+    write_ascii_grid,
+    write_csv,
+)
 from .markov import (
     conditional_probability_maps,
     crosstab,
@@ -108,10 +119,9 @@ def _window(maps: list[LandCoverMap], years) -> tuple[LandCoverMap, LandCoverMap
     return prev, cur, held, span_cal, span_pred
 
 
-def _held_out_window(maps: list[LandCoverMap], years):
-    if len(maps) < 3:
-        raise DataError("validation needs at least three dated maps (last one held out)")
-    return _window(maps, years)
+def _check_held_out(cfg: PipelineConfig) -> None:
+    if len(cfg.maps) < 3:
+        raise ConfigError(f"validation needs at least three dated maps (the last one held out), got {len(cfg.maps)}")
 
 
 def _read_suitability(path) -> SuitabilityGrid:
@@ -119,10 +129,18 @@ def _read_suitability(path) -> SuitabilityGrid:
     return SuitabilityGrid(g.values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value)
 
 
-def _read_constraints(cfg: PipelineConfig):
+def _read_layer(cfg: PipelineConfig, section: str, name: str, cur: LandCoverMap) -> Grid:
+    """The [criteria] or [constraints] grid `name`. It must share the
+    geometry of the dated maps; a mismatch names its config key."""
+    g = read_ascii_grid(getattr(cfg, section)[name])
+    require_same_geometry(cur.grid, g, context=f"{section}.{name} against maps.{cur.date_tag}")
+    return g
+
+
+def _read_constraints(cfg: PipelineConfig, cur: LandCoverMap):
     cons = []
-    for name, path in cfg.constraints.items():
-        g = read_ascii_grid(path)
+    for name in cfg.constraints:
+        g = _read_layer(cfg, "constraints", name, cur)
         try:
             cons.append(mask_like(g, g.values))
         except DataError:
@@ -178,12 +196,12 @@ def _maps(cfg: PipelineConfig, handed: dict | None) -> list[LandCoverMap]:
     return handed["maps"]
 
 
-def _criteria(cfg: PipelineConfig, handed: dict | None) -> dict[str, Grid]:
+def _criteria(cfg: PipelineConfig, handed: dict | None, cur: LandCoverMap) -> dict[str, Grid]:
     """Every criterion grid by name, in config order: those an earlier
     stage of a full run handed forward under "criteria" (popped), the rest
     read."""
     have = {} if handed is None else handed.pop("criteria", {})
-    return {name: have[name] if name in have else read_ascii_grid(p) for name, p in cfg.criteria.items()}
+    return {name: have[name] if name in have else _read_layer(cfg, "criteria", name, cur) for name in cfg.criteria}
 
 
 # ---------------------------------------------------------------------------
@@ -226,28 +244,26 @@ def stage_mce(cfg: PipelineConfig, handed: dict | None) -> dict:
         raise ConfigError("no [suitability] classes configured")
     if cfg.saaty_path is None:
         raise ConfigError("missing mce.saaty comparison matrix")
-    legend = _maps(cfg, handed)[0].legend
+    _, cur, _, _, _ = _window(_maps(cfg, handed), cfg.years)
     for cid in cfg.suitability:
-        if cid not in legend:
-            raise ConfigError(f"suitability.{cid}: class {cid} is not in the legend {sorted(legend)}")
+        if cid not in cur.legend:
+            raise ConfigError(f"suitability.{cid}: class {cid} is not in the legend {sorted(cur.legend)}")
+    for cid in cur.class_ids:
+        if cid not in cfg.suitability:
+            raise ConfigError(f"suitability.{cid} is missing, but the legend holds class {cid}: every class needs one")
     ws = saaty_weights(read_saaty_csv(cfg.saaty_path))
     n = ws.weights.size
     needed = {name for names in cfg.suitability.values() for name in names}
     factors = {}
     criteria = {}  # kept only for the perceptron of a `both` run to fit on
     for name in sorted(needed):
-        g = read_ascii_grid(cfg.criteria[name])
+        g = _read_layer(cfg, "criteria", name, cur)
         factors[name] = fuzzy_standardize(g, cfg.fuzzy[name])
         if cfg.model == "both":
             criteria[name] = g
-    constraints = _read_constraints(cfg)
+    constraints = _read_constraints(cfg, cur)
     suits = {}
     for cid, names in cfg.suitability.items():
-        if len(names) != n:
-            raise DataError(
-                f"suitability class {cid} lists {len(names)} factors, "
-                f"but the comparison matrix ranks {n}"
-            )
         fs = [factors[name] for name in names]
         if cfg.mce_method == "owa":
             suits[cid] = owa(fs, ws, cfg.order_weights, constraints)
@@ -284,7 +300,7 @@ def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> dict:
             f"run.model = {cfg.model} models one focal class against one other "
             f"class, but the legend holds classes {tuple(cur.class_ids)}"
         )
-    criteria = _criteria(cfg, handed)
+    criteria = _criteria(cfg, handed, cur)
     if not criteria:
         raise ConfigError("mlp training needs at least one [criteria] grid")
     ds = build_samples(prev, cur, list(criteria.values()), focal_class=cfg.mlp_focal)
@@ -307,7 +323,7 @@ def stage_mlp_predict(cfg: PipelineConfig, handed: dict | None) -> dict:
     model = _take(cfg, handed, MLP_MODEL, "mlp-train stage", load_model)
     _, cur, _, _, _ = _window(_maps(cfg, handed), cfg.years)
     tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", read_transition_csv)
-    prob = predict_map(model, cur, list(_criteria(cfg, handed).values()))
+    prob = predict_map(model, cur, list(_criteria(cfg, handed, cur).values()))
     rise = {cid: "increasing" if cid == model.features.focal_class else "decreasing" for cid in cur.class_ids}
     suits = {cid: fuzzy_standardize(prob, FuzzySpec("linear", d, 0.0, 1.0)) for cid, d in rise.items()}
     predicted, _ = ca_markov(cur, tm_s, suits, CaParams(cfg.iterations, cfg.kernel))
@@ -320,7 +336,8 @@ def stage_mlp_predict(cfg: PipelineConfig, handed: dict | None) -> dict:
 def stage_validate(cfg: PipelineConfig, handed: dict | None) -> dict:
     """Compare each prediction against the held-out map, next to a
     random-allocation baseline with the same class totals."""
-    _, cur, held, _, _ = _held_out_window(_maps(cfg, handed), cfg.years)
+    _check_held_out(cfg)
+    _, cur, held, _, _ = _window(_maps(cfg, handed), cfg.years)
     results = {}
     scored = []
     baseline_targets = None
@@ -392,6 +409,7 @@ def _fmt_matrix(tm) -> list[str]:
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """calibrate -> predict -> validate, with a text report at the end."""
+    _check_held_out(cfg)
     order = ["markov", *(stage for m in _models(cfg) for stage in _MODEL_STAGES[m][0]), "validate"]
 
     handed: dict = {}

@@ -21,7 +21,7 @@ from landchange.allocate import (
     random_allocation,
     write_allocation_log_csv,
 )
-from landchange.errors import DataError
+from landchange.errors import DataError, GeometryError
 from landchange.grid import BinaryMask, Grid, LandCoverMap, grids_equal, neighbor_counts
 from landchange.markov import TransitionMatrix, expected_areas, largest_remainder
 
@@ -357,6 +357,26 @@ def test_ca_markov_errors():
         ca_markov(lc, tm, {0: g})
     with pytest.raises(DataError, match="transition classes"):
         ca_markov(lc, TransitionMatrix(np.eye(2), 1.0, (0, 2)), {0: g, 1: g})
+
+
+@pytest.mark.parametrize(
+    "misregister",
+    [
+        lambda g: Grid(g.values[1:], g.cell_size),  # cropped by one row
+        lambda g: Grid(g.values, g.cell_size, x_origin=5000.0),  # shifted 5 km east
+    ],
+    ids=["cropped", "shifted"],
+)
+@pytest.mark.parametrize("tm", [np.eye(2), np.array([[0.7, 0.3], [0.0, 1.0]])], ids=["stable", "changing"])
+def test_ca_markov_refuses_misregistered_suitabilities(misregister, tm):
+    # the suitabilities must share the map's geometry even where nothing
+    # is allocated
+    rng = np.random.default_rng(3)
+    lc = _lcm(rng.integers(0, 2, size=(8, 8)).astype(float), {0: "a", 1: "b"})
+    suits = {c: _grid(rng.random((8, 8)) * 255) for c in (0, 1)}
+    suits[1] = misregister(suits[1])
+    with pytest.raises(GeometryError, match="^ca_markov: grid 2 geometry"):
+        ca_markov(lc, TransitionMatrix(tm, 1.0, (0, 1)), suits, CaParams(iterations=2, kernel_size=3))
 
 
 def test_random_allocation():

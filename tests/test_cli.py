@@ -124,6 +124,66 @@ def test_suitability_class_outside_the_legend_exits_2_before_mce_writes(tmp_path
         assert not any(p.name.startswith("suit_") or p.name == "weights.csv" for p in out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # every class the allocation places needs a suitability grid
+        ("2 = prox2,prox0,prox1\n", "",
+         "stage mce: suitability.2 is missing, but the legend holds class 2: every class needs one"),
+        # the comparison matrix ranks three factors; refused at load
+        ("0 = prox0,prox1,prox2", "0 = prox0,prox1", "suitability.0 lists 2 factors, but mce.saaty ranks 3"),
+    ],
+    ids=["missing-class", "factor-count"],
+)
+def test_suitability_lists_that_miss_a_class_or_rank_exit_2_before_mce_writes(tmp_path, caplog, old, new, message):
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    ini = sc / "pipeline.ini"
+    ini.write_text(ini.read_text(encoding="ascii").replace(old, new), encoding="ascii")
+    for command in ("run", "mce"):
+        out = tmp_path / command
+        caplog.clear()
+        assert main([command, "--config", str(ini), "--out", str(out), "--quiet"]) == 2
+        assert message in caplog.text
+        assert not any(p.name.startswith("suit_") or p.name == "weights.csv" for p in out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "old, new, rows",
+    [("XLLCORNER 0", "XLLCORNER 5000", slice(None)), ("NROWS 128", "NROWS 127", slice(1, None))],
+    ids=["shifted", "cropped"],
+)
+def test_misregistered_criterion_exits_3_naming_its_key(tmp_path, old, new, rows):
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    lines = (sc / "prox0.asc").read_text(encoding="ascii").splitlines()
+    assert old in lines[:6]
+    head = [new if ln == old else ln for ln in lines[:6]]
+    (sc / "prox0.asc").write_text("\n".join(head + lines[6:][rows]) + "\n", encoding="ascii")
+    res = _cli(["run", "--config", str(sc / "pipeline.ini"), "--out", "o", "--quiet"], tmp_path)
+    assert res.returncode == 3
+    assert "stage mce: criteria.prox0 against maps.1994: grid 1 geometry" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list((tmp_path / "o").glob("suit_*.asc"))
+
+
+def test_two_dated_maps_cannot_be_validated(tmp_path, caplog):
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    ini = sc / "pipeline.ini"
+    ini.write_text(ini.read_text(encoding="ascii").replace("2000 = map_2000.asc\n", ""), encoding="ascii")
+    message = "validation needs at least three dated maps (the last one held out), got 2"
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(ini), "--out", str(out), "--quiet"]) == 2
+    assert message in caplog.text
+    assert not out.exists()  # refused before the first stage
+    for stage in ("markov", "mce", "predict"):  # they still project beyond the last map
+        assert main([stage, "--config", str(ini), "--out", str(out), "--quiet"]) == 0
+    caplog.clear()
+    assert main(["validate", "--config", str(ini), "--out", str(out), "--quiet"]) == 2
+    assert f"stage validate: {message}" in caplog.text
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_untrained_perceptron_map_holds_the_projected_areas(tmp_path, seed):
     # learning_rate 0 keeps the initial weights, whose probabilities can all
@@ -181,6 +241,13 @@ def test_preprocess_and_oif(tmp_path):
 
     # label count must match band count
     assert main(["oif", b1, b2, b3, "--labels", "a,b", "--out", str(out2), "--quiet"]) == 2
+
+
+def test_oif_with_two_bands_exits_2_before_reading(tmp_path, caplog):
+    out = tmp_path / "oif"
+    assert main(["oif", str(tmp_path / "nope1.asc"), str(tmp_path / "nope2.asc"), "--out", str(out), "--quiet"]) == 2
+    assert "the band count must be at least 3 (OIF ranks band triples), got 2" in caplog.text
+    assert not out.exists()
 
 
 def _cli(args, cwd):
@@ -267,6 +334,13 @@ def test_indices_and_change(tmp_path):
     assert main(["change", d1, d2, d3, "--ppm", "--out", str(out2), "--quiet"]) == 0
     for fn in ("levels_1.asc", "levels_2.asc", "levels_3.asc", "change_code.asc", "dynamics.asc", "dynamics_legend.csv", "grouping.csv", "change.ppm"):
         assert (out2 / fn).is_file(), fn
+
+    # a date that does not line up with the others: nothing is written
+    shifted = tmp_path / "d3_shifted.asc"
+    write_ascii_grid(Grid(read_ascii_grid(d3).values, 30.0, x_origin=5000.0), shifted)
+    out3 = tmp_path / "chg_shifted"
+    assert main(["change", d1, d2, str(shifted), "--ppm", "--out", str(out3), "--quiet"]) == 3
+    assert list(out3.iterdir()) == []
 
 
 def _classify_inputs(tmp_path):

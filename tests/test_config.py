@@ -167,6 +167,12 @@ def test_suitability_validation(tmp_path):
         load_config(_write(tmp_path, BASE + CRIT + "\n[suitability]\n0 = ,\n"))
     cfg = load_config(_write(tmp_path, BASE + CRIT + "\n[suitability]\n0 = slope\n"))
     assert cfg.suitability == {0: ("slope",)}
+    # one factor per rank of the comparison matrix, for every class
+    (tmp_path / "s.csv").write_text("1,3\n1/3,1\n", encoding="ascii")
+    two = BASE + CRIT + "\n[mce]\nsaaty = s.csv\n\n[suitability]\n0 = slope,slope\n1 = {}\n"
+    with pytest.raises(ConfigError, match=r"suitability\.1 lists 1 factors, but mce\.saaty ranks 2$"):
+        load_config(_write(tmp_path, two.format("slope")))
+    assert load_config(_write(tmp_path, two.format("slope,slope"))).suitability[1] == ("slope", "slope")
 
 
 def test_predict_validation(tmp_path):
@@ -218,6 +224,7 @@ OWA = BASE + CRIT + "\n[mce]\nmethod = owa\norder_weights = {}\n\n[suitability]\
         (OWA.format("0.5,0.3,0.3"), r"mce\.order_weights must be non-negative and sum to 1, got '0\.5,0\.3,0\.3'"),
         (OWA.format("1.5,-0.25,-0.25"), r"mce\.order_weights must be non-negative and sum to 1"),
         (MLP + "learning_rate = -0.1\n", r"mlp\.learning_rate must be >= 0\.0, got -0\.1"),
+        (BASE + "[mce]\norder_weights = 0.5,0.5\n", r"mce\.order_weights applies to mce\.method owa only, but the method is wlc"),
     ],
 )
 def test_settings_out_of_range_name_the_key(tmp_path, text, message):

@@ -17,6 +17,7 @@ from landchange.grid import (
     MultiBandImage,
     export_ppm,
     grids_equal,
+    joint_valid,
     neighbor_counts,
     parse_number,
     read_ascii_grid,
@@ -65,6 +66,34 @@ def test_geometry_comparisons():
         from landchange.grid import require_same_geometry
 
         require_same_geometry(a, c, context="test")
+
+
+def test_joint_valid_checks_geometry_then_ands_the_valid_masks():
+    a = Grid(np.array([[1.0, -9999.0], [3.0, 4.0]]), 30.0, 100.0, 200.0)
+    b = a.with_values(np.array([[1.0, 2.0], [-1.0, 4.0]]), nodata_value=-1.0)
+    assert joint_valid(a, b, context="t").tolist() == [[True, False], [False, True]]
+    assert joint_valid(a, context="t").tolist() == a.valid.tolist()
+    shifted = Grid(a.values, 30.0, 5100.0, 200.0)
+    # shape and cell size agree, so only the corner tells the two apart
+    message = (
+        "t: grid 2 geometry (2, 2)/30.0 at lower-left corner (5100.0, 200.0) does not match "
+        "grid 0 geometry (2, 2)/30.0 at lower-left corner (100.0, 200.0)"
+    )
+    with pytest.raises(GeometryError) as exc:
+        joint_valid(a, b, shifted, context="t")
+    assert str(exc.value) == message
+    with pytest.raises(GeometryError, match="t: grid 1 geometry"):
+        joint_valid(a, Grid(np.zeros((1, 2)), 30.0, 100.0, 200.0), context="t")
+
+
+def test_scatter_fills_the_rest_with_nodata():
+    g = Grid(np.zeros((2, 2)), 30.0, 100.0, 200.0, nodata_value=-5.0)
+    sel = np.array([[True, False], [False, True]])
+    out = g.scatter(sel, [7.0, 8.0])
+    assert out.values.tolist() == [[7.0, -5.0], [-5.0, 8.0]]
+    assert out.nodata_value == -5.0 and out.same_geometry(g)
+    other = g.scatter(sel, [7.0, 8.0], nodata_value=-1.0)
+    assert other.values.tolist() == [[7.0, -1.0], [-1.0, 8.0]] and other.nodata_value == -1.0
 
 
 def test_grids_equal_checks_values_and_metadata():

@@ -200,21 +200,22 @@ def test_stage_order_errors(tmp_path):
 
 
 def test_full_run_never_reads_a_stale_output(tmp_path):
-    # [suitability] names no class 2, so mce makes no suit_2.asc; the one
-    # left in the output directory by an earlier run must not stand in
-    ini = _scenario(tmp_path)
-    text = ini.read_text(encoding="ascii")
-    ini.write_text(text.replace("2 = prox2,prox0,prox1\n", ""), encoding="ascii")
-    cfg = load_config(ini, out_dir=tmp_path / "out")
-    cfg.out_dir.mkdir()
+    # a full run takes an output only from what the earlier stages handed
+    # forward: with suit_2.asc missing there, the one left in the output
+    # directory by an earlier run must not stand in
+    cfg = load_config(_scenario(tmp_path), out_dir=tmp_path / "out")
+    handed = {}
+    for name in ("markov", "mce"):
+        run_stage(name, cfg, handed)
+    del handed["suit_2.asc"]
     write_ascii_grid(Grid(np.full((20, 20), 0.5), 30.0), cfg.out_dir / "suit_2.asc")
     with pytest.raises(DataError, match="^stage predict: suit_2.asc not found; run the mce stage first$"):
-        run_pipeline(cfg)
+        run_stage("predict", cfg, handed)
 
 
 def test_validate_needs_three_maps(tmp_path):
     cfg = load_config(_scenario(tmp_path, n_maps=2), out_dir=tmp_path / "out")
-    with pytest.raises(DataError, match="three dated maps"):
+    with pytest.raises(ConfigError, match="three dated maps"):
         run_stage("validate", cfg)
 
 
