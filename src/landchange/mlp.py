@@ -11,10 +11,16 @@ that probability only; the pipeline allocates change on it with `ca_markov`.
 
 The sigmoid is stable for every z, infinities and signed zeros included.
 Training and prediction share one numeric core. Each training epoch runs
-one gradient kernel that reuses two (n, q) buffers in place; its
+one gradient kernel that reuses its (n, q) and (n,) buffers in place; its
 floating-point operations, and their order, are those of the
 one-expression-per-step form kept as the reference in tests/test_mlp.py,
-so weights, loss history and predictions match it bit for bit.
+so weights, loss history and predictions match it bit for bit. Kept
+exactly as that form calls them: the four BLAS products (x @ w1.T, h @ w2,
+ds @ h, dh.T @ x) with their operand layouts, the sigmoid's passes, and
+add.reduce for the column mean when q = 1. The row-vector broadcasts
+(adding w0, scaling by w2) run over rows of _ROW_BLOCK * q elements instead
+of q, and the column sums for q > 1 go through einsum, which adds the rows
+in add.reduce's order.
 """
 
 from __future__ import annotations
@@ -131,18 +137,59 @@ def init_model(
     return MLPModel(w1, w0, w2, b, probability_output, features)
 
 
+# Rows per long row in `_rows_`: a row vector tiled this many times is
+# applied over (n // _ROW_BLOCK, _ROW_BLOCK * q) views of an (n, q) buffer.
+_ROW_BLOCK = 256
+
+
+def _rows_(ufunc, a: np.ndarray, v: np.ndarray) -> None:
+    """a[i] = ufunc(a[i], v) for every row i of the C-ordered (n, q) array a.
+
+    The same elementwise operation, operands in the same order, as the
+    broadcast ufunc(a, v, out=a), but its inner loops run over rows of
+    _ROW_BLOCK * q elements instead of q; the rows after the last whole
+    block take the plain broadcast.
+    """
+    n, q = a.shape
+    m = n - n % _ROW_BLOCK
+    if m:
+        long_rows = a[:m].reshape(-1, _ROW_BLOCK * q)
+        ufunc(long_rows, np.tile(v, _ROW_BLOCK), out=long_rows)
+    ufunc(a[m:], v, out=a[m:])
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=0) of the C-ordered (n, q) array a, bit for bit.
+
+    For q > 1 add.reduce adds the rows one after another, and einsum adds
+    them in the same order without a call per row. Its additions take their
+    operands the other way round, which changes nothing unless two nans
+    meet, so a nan sum is taken again by add.reduce. A single column is a
+    contiguous run, which add.reduce sums pairwise, so q = 1 keeps it.
+    """
+    if a.shape[1] > 1:
+        s = np.einsum("ij->j", a)
+        if not np.isnan(s).any():
+            return s
+    return np.add.reduce(a, axis=0)
+
+
 def _hidden(w1: np.ndarray, w0: np.ndarray, x: np.ndarray, h: np.ndarray, work: np.ndarray):
     """Hidden activations sigmoid(x @ w1.T + w0), written into the (n, q)
     buffer h; work is a second (n, q) buffer."""
     np.matmul(x, w1.T, out=h)
-    h += w0
+    _rows_(np.add, h, w0)
     return _sigmoid_(h, work)
 
 
-def _output(h: np.ndarray, w2: np.ndarray, b: float, probability_output: bool) -> np.ndarray:
-    raw = h @ w2
+def _output(
+    h: np.ndarray, w2: np.ndarray, b: float, probability_output: bool, raw: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Network outputs for the hidden activations h, written into the (n,)
+    buffer raw; work is a second (n,) buffer."""
+    np.matmul(h, w2, out=raw)
     raw += b
-    return _sigmoid_(raw, np.empty_like(raw)) if probability_output else raw
+    return _sigmoid_(raw, work) if probability_output else raw
 
 
 def forward_batch(model: MLPModel, x: np.ndarray) -> np.ndarray:
@@ -151,7 +198,9 @@ def forward_batch(model: MLPModel, x: np.ndarray) -> np.ndarray:
         raise DataError(f"inputs must be (n, {model.n_inputs}), got {x.shape}")
     n, q = x.shape[0], model.q
     h = _hidden(model.input_weights, model.hidden_biases, x, np.empty((n, q)), np.empty((n, q)))
-    return _output(h, model.output_weights, model.output_bias, model.probability_output)
+    return _output(
+        h, model.output_weights, model.output_bias, model.probability_output, np.empty(n), np.empty(n)
+    )
 
 
 def forward(model: MLPModel, x) -> float:
@@ -168,29 +217,36 @@ class MLPGradients:
     output_bias: float
 
 
-def _batch_gradients(w1, w0, w2, b, probability_output, x, t, h, dh):
+def _batch_gradients(w1, w0, w2, b, probability_output, x, t, h, dh, v):
     """Mean gradients of 0.5*(out - target)^2 over the batch, plus the batch
-    outputs.
+    mean of (out - target)^2.
 
-    h and dh are (n, q) work buffers that serve the whole pass: h holds the
-    hidden activations and then 1 - h; dh is the sigmoid's work buffer and then
-    the hidden delta. Their contents on entry do not matter.
+    The pass allocates no array of n rows; it works in three buffers whose
+    contents on entry do not matter. h and dh are (n, q): h holds the hidden
+    activations and then 1 - h; dh is the sigmoid's work buffer and then the
+    hidden delta. v is (4, n): the outputs, a work row, the errors
+    out - target and the output deltas.
     """
     n = x.shape[0]
+    out, work, err, ds = v
     h = _hidden(w1, w0, x, h, dh)
-    out = _output(h, w2, b, probability_output)
-    ds = out - t
+    out = _output(h, w2, b, probability_output, out, work)
+    np.subtract(out, t, out=err)
     if probability_output:
-        ds *= out
-        ds *= np.subtract(1.0, out)
+        np.multiply(err, out, out=ds)
+        ds *= np.subtract(1.0, out, out=work)
+    else:
+        ds = err
     g_w2 = ds @ h / n
     g_b = float(ds.mean())
-    np.multiply(ds[:, None], w2[None, :], out=dh)
+    dh[...] = ds[:, None]
+    _rows_(np.multiply, dh, w2)
     dh *= h
     dh *= np.subtract(1.0, h, out=h)
     g_w1 = dh.T @ x / n
-    g_w0 = dh.mean(axis=0)
-    return MLPGradients(g_w1, g_w0, g_w2, g_b), out
+    g_w0 = _column_sums(dh) / n
+    mse = float(np.mean(np.square(err, out=work)))
+    return MLPGradients(g_w1, g_w0, g_w2, g_b), mse
 
 
 def gradient(model: MLPModel, x, target: float) -> MLPGradients:
@@ -199,7 +255,7 @@ def gradient(model: MLPModel, x, target: float) -> MLPGradients:
     g, _ = _batch_gradients(
         model.input_weights, model.hidden_biases, model.output_weights, model.output_bias,
         model.probability_output, x, np.asarray([float(target)]),
-        np.empty((1, model.q)), np.empty((1, model.q)),
+        np.empty((1, model.q)), np.empty((1, model.q)), np.empty((4, 1)),
     )
     return g
 
@@ -234,10 +290,11 @@ def train(
     prob = model.probability_output
     h = np.empty((x.shape[0], model.q))
     dh = np.empty_like(h)
+    v = np.empty((4, x.shape[0]))
     history = []
     for _ in range(epochs):
-        g, out = _batch_gradients(w1, w0, w2, b, prob, x, t, h, dh)
-        history.append(float(np.mean((out - t) ** 2)))
+        g, mse = _batch_gradients(w1, w0, w2, b, prob, x, t, h, dh, v)
+        history.append(mse)
         w1 -= learning_rate * g.input_weights
         w0 -= learning_rate * g.hidden_biases
         w2 -= learning_rate * g.output_weights

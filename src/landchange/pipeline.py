@@ -99,8 +99,12 @@ REPORT_TXT = "report.txt"
 
 def load_maps(cfg: PipelineConfig) -> list[LandCoverMap]:
     """Dated maps in year order, sharing one legend (the configured legend
-    file, or the union of classes present in the maps)."""
+    file, or the union of classes present in the maps). Every map must share
+    the first map's geometry; a mismatch names both config keys."""
     grids = [(year, read_ascii_grid(path)) for year, path in cfg.maps]
+    first_year, first = grids[0]
+    for year, g in grids[1:]:
+        require_same_geometry(first, g, context=f"maps.{year} against maps.{first_year}")
     legend = load_legend(cfg.legend_path, *(g for _, g in grids))
     return [LandCoverMap(g, legend, str(year)) for year, g in grids]
 

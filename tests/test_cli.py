@@ -167,6 +167,19 @@ def test_misregistered_criterion_exits_3_naming_its_key(tmp_path, old, new, rows
     assert not list((tmp_path / "o").glob("suit_*.asc"))
 
 
+def test_misregistered_dated_map_exits_3_naming_its_key_before_writing(tmp_path):
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    text = (sc / "map_2000.asc").read_text(encoding="ascii")
+    assert "XLLCORNER 0\n" in text
+    (sc / "map_2000.asc").write_text(text.replace("XLLCORNER 0\n", "XLLCORNER 5000\n", 1), encoding="ascii")
+    res = _cli(["run", "--config", str(sc / "pipeline.ini"), "--out", "o", "--quiet"], tmp_path)
+    assert res.returncode == 3
+    assert "maps.2000 against maps.1988: grid 1 geometry" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list((tmp_path / "o").glob("*"))
+
+
 def test_two_dated_maps_cannot_be_validated(tmp_path, caplog):
     sc = tmp_path / "sc"
     shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)

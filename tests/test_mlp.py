@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from landchange.errors import DataError, LandchangeError
 from landchange.grid import Grid, LandCoverMap
 from landchange.mlp import (
+    _ROW_BLOCK,
     Dataset,
     FeatureSpec,
     MLPModel,
@@ -117,6 +118,19 @@ def test_sigmoid_bits_match_reference():
         assert z.tobytes() == before  # the public form never writes its input
 
 
+def _check_train_bits(model, x, t, lr, epochs):
+    """train, forward_batch and gradient against the reference, bit for bit."""
+    with np.errstate(all="ignore"):  # raw mode on saturating inputs may overflow alike
+        got, hist = train(model, Dataset(x, t), lr, epochs)
+        want, want_hist = _ref_train(model, x, t, lr, epochs)
+        assert _bits(forward_batch(got, x)) == _bits(_ref_forward_batch(want, x))
+        g = gradient(model, x[0], float(t[0]))
+        (rw1, rw0, rw2, rb), _ = _ref_batch_gradients(model, x[:1], t[:1])
+    assert _model_bits(got) == _model_bits(want)
+    assert _bits(hist) == _bits(want_hist)
+    assert _bits(g.input_weights, g.hidden_biases, g.output_weights, g.output_bias) == _bits(rw1, rw0, rw2, rb)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 200),
@@ -133,20 +147,58 @@ def test_train_matches_reference_bits(n, n_in, q, prob, lr, epochs, scale, seed)
     x = rng.standard_normal((n, n_in)) * scale
     x[rng.random((n, n_in)) < 0.2] = 0.0
     t = np.where(rng.random(n) < 0.3, rng.integers(0, 2, n), rng.random(n)).astype(np.float64)
-    data = Dataset(x, t)
     model = init_model(n_in, q, seed=seed % 1000, probability_output=prob)
-    kept = [data.inputs.tobytes(), data.targets.tobytes()] + _model_bits(model)
-    with np.errstate(all="ignore"):  # raw mode on saturating inputs may overflow alike
-        got, hist = train(model, data, lr, epochs)
-        want, want_hist = _ref_train(model, data.inputs, data.targets, lr, epochs)
-        assert _bits(forward_batch(got, x)) == _bits(_ref_forward_batch(want, x))
-        g = gradient(model, x[0], float(t[0]))
-        (rw1, rw0, rw2, rb), _ = _ref_batch_gradients(model, x[:1], t[:1])
-    assert _model_bits(got) == _model_bits(want)
-    assert _bits(hist) == _bits(want_hist)
-    assert _bits(g.input_weights, g.hidden_biases, g.output_weights, g.output_bias) == _bits(rw1, rw0, rw2, rb)
+    kept = [x.tobytes(), t.tobytes()] + _model_bits(model)
+    _check_train_bits(model, x, t, lr, epochs)
     # the kernel writes in place, but never into the caller's arrays
-    assert [data.inputs.tobytes(), data.targets.tobytes()] + _model_bits(model) == kept
+    assert [x.tobytes(), t.tobytes()] + _model_bits(model) == kept
+
+
+@pytest.mark.parametrize("n", [2 * _ROW_BLOCK, 3 * _ROW_BLOCK + 37])
+@pytest.mark.parametrize("q", [1, 2, 8])
+@pytest.mark.parametrize("prob", [True, False])
+def test_train_matches_reference_bits_over_row_blocks(n, q, prob):
+    # whole row blocks, and whole blocks followed by remainder rows
+    rng = np.random.default_rng(n + 10 * q + prob)
+    x = rng.standard_normal((n, 5)) * 4.0
+    x[rng.random((n, 5)) < 0.2] = 0.0
+    t = np.where(rng.random(n) < 0.3, rng.integers(0, 2, n), rng.random(n))
+    _check_train_bits(init_model(5, q, seed=q, probability_output=prob), x, t, 0.5, 4)
+
+
+def _one_hot_rows(rng, n, k):
+    x = np.zeros((n, k))
+    x[np.arange(n), rng.integers(0, k, n)] = 1.0
+    return x
+
+
+def test_train_matches_reference_bits_with_signed_zero_deltas():
+    # The output sigmoid saturates to exactly 0.0, so out == t where t is 0
+    # and the deltas are +0.0 there and -0.0 where t is 1; w2 has both signs.
+    rng = np.random.default_rng(21)
+    n = 2 * _ROW_BLOCK + 37
+    x = _one_hot_rows(rng, n, 3)
+    t = rng.integers(0, 2, n).astype(np.float64)
+    model = replace(init_model(3, 8, seed=4), output_bias=-800.0)
+    assert (model.output_weights < 0).any() and (model.output_weights > 0).any()
+    out = _ref_forward_batch(model, x)
+    ds = (out - t) * out * (1.0 - out)
+    assert (ds == 0.0).all() and np.signbit(ds).any() and not np.signbit(ds).all()
+    _check_train_bits(model, x, t, 0.5, 2)
+
+
+@pytest.mark.parametrize("prob", [True, False])
+def test_train_matches_reference_bits_with_nan_weights(prob):
+    # nan weights of both signs give nan deltas of both signs in a column,
+    # where the order of the operands of each addition decides the sign
+    rng = np.random.default_rng(4)
+    n = 2 * _ROW_BLOCK + 37
+    x = _one_hot_rows(rng, n, 3)
+    t = rng.integers(0, 2, n).astype(np.float64)
+    w1 = init_model(3, 8, seed=2).input_weights.copy()
+    w1[:, :2] = np.where(rng.random((8, 2)) < 0.5, np.nan, -np.nan)
+    model = replace(init_model(3, 8, seed=2, probability_output=prob), input_weights=w1)
+    _check_train_bits(model, x, t, 0.5, 2)
 
 
 def test_sigmoid_stability():
@@ -317,6 +369,23 @@ def test_predict_map_reproduces_training_outputs():
     batch = forward_batch(model, ds.inputs)
     rows, cols = np.nonzero(prior.grid.valid & nxt.grid.valid & crit.valid)  # build_samples' row order
     assert np.array_equal(prob.values[rows, cols], batch)  # bit-exact rebuild
+
+
+def test_predict_map_reproduces_training_outputs_over_row_blocks():
+    rng = np.random.default_rng(6)
+    shape = (41, 37)
+    prior = _lcm(rng.integers(0, 3, size=shape).astype(float), {0: "a", 1: "b", 2: "c"})
+    nxt = _lcm(rng.integers(0, 3, size=shape).astype(float), {0: "a", 1: "b", 2: "c"})
+    gappy = np.where(rng.random(shape) < 0.1, -9999.0, rng.random(shape) * 40)
+    crit = [_grid(gappy), _grid(rng.random(shape))]
+    ds = build_samples(prior, nxt, crit)
+    n = ds.inputs.shape[0]
+    assert n > 3 * _ROW_BLOCK and n % _ROW_BLOCK
+    model, _ = train(init_model(ds.features.n_inputs, 8, seed=3), ds, 0.5, 20)
+    prob = predict_map(model, prior, crit)
+    rows, cols = np.nonzero(prior.grid.valid & nxt.grid.valid & crit[0].valid)
+    assert _bits(prob.values[rows, cols]) == _bits(forward_batch(model, ds.inputs))
+    assert _bits(prob.values[rows, cols]) == _bits(_ref_forward_batch(model, ds.inputs))
 
 
 def test_predict_map_errors():
