@@ -6,10 +6,22 @@ best-ranked free pixels and conflicts go to the class that ranks the
 pixel better. The cellular pass re-runs the allocation over several
 iterations with suitability weighted by a neighborhood contiguity
 filter, which grows change along existing class edges.
+
+Each class orders its pixels by a stable argsort of a key, lowest first,
+so tied pixels keep row-major order. Called on its own, `mola` takes the
+negated suitabilities as the key. In the cellular pass the weighted
+suitability is byte * (CONTIGUITY_FLOOR + n_same / n_valid), with the
+neighbour counts small integers, so `ca_markov` looks each pixel's key up
+in `_key_table`: the dense uint16 rank of every (byte, n_valid, n_same)
+product, computed with the float64 operations of the float key so that
+equal products share a rank. Suitabilities that are not all bytes, and
+kernels of 7 or more (169,582 distinct products at 7, growing as
+kernel**4), take the negated float product as the key instead.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,23 +52,19 @@ class AllocationTargets:
         return sum(self.targets.values())
 
 
-def _class_orders(suitabilities: dict[int, Grid]):
-    """Per class: pixel indices best-to-worst and the inverse rank lookup."""
-    class_ids = sorted(suitabilities)
-    first = suitabilities[class_ids[0]]
-    eligible = joint_valid(*(suitabilities[c] for c in class_ids), context="mola")
-    flat_eligible = np.flatnonzero(eligible.ravel())
-    n_cells = first.shape[0] * first.shape[1]
+def _class_orders(keys: dict[int, np.ndarray], flat_eligible: np.ndarray, n_cells: int):
+    """Per class: the eligible pixel indices in ascending key order, ties in
+    cell order, and the inverse rank lookup. keys[c] holds one value per
+    entry of flat_eligible."""
     orders = {}
     ranks = {}
-    for c in class_ids:
-        vals = suitabilities[c].values.ravel()[flat_eligible]
-        order = flat_eligible[np.argsort(-vals, kind="stable")]
-        rank = np.full(n_cells, np.iinfo(np.int64).max, dtype=np.int64)
-        rank[order] = np.arange(order.size)
+    for c, key in keys.items():
+        order = flat_eligible[np.argsort(key, kind="stable")]
+        rank = np.full(n_cells, np.iinfo(order.dtype).max, dtype=order.dtype)
+        rank[order] = np.arange(order.size, dtype=order.dtype)
         orders[c] = order
         ranks[c] = rank
-    return class_ids, flat_eligible, orders, ranks, first
+    return orders, ranks
 
 
 def mola(
@@ -64,6 +72,7 @@ def mola(
     targets: AllocationTargets,
     legend: dict[int, str] | None = None,
     date_tag: str = "",
+    key: dict[int, np.ndarray] | None = None,
 ) -> LandCoverMap:
     """Multi-objective allocation by iterative ranked claims.
 
@@ -75,30 +84,44 @@ def mola(
     rank than the one already there. Targets must sum exactly to the
     eligible pixel count; the result hits every target exactly and is
     deterministic.
+
+    The eligible pixels are those where every suitability holds data. A
+    class ranks them by its key, lowest first, ties to the earlier pixel
+    in row-major order. Without `key` that is the negated suitability;
+    `key[c]`, if given, holds one value per eligible pixel in row-major
+    order, and the suitabilities then only mark the eligible pixels.
     """
     if set(targets.targets) != set(suitabilities):
         raise DataError(
             f"target classes {sorted(targets.targets)} do not match suitability classes {sorted(suitabilities)}"
         )
-    class_ids, flat_eligible, orders, ranks, geometry = _class_orders(suitabilities)
+    class_ids = sorted(suitabilities)
+    geometry = suitabilities[class_ids[0]]
+    eligible = joint_valid(*(suitabilities[c] for c in class_ids), context="mola")
+    n_cells = geometry.shape[0] * geometry.shape[1]
+    index = np.int32 if n_cells < 2**31 else np.int64  # int32 halves the state arrays
+    flat_eligible = np.flatnonzero(eligible.ravel()).astype(index)
     if targets.total != flat_eligible.size:
         raise DataError(
             f"targets sum to {targets.total} but {flat_eligible.size} pixels are eligible"
         )
+    if key is None:
+        key = {c: -suitabilities[c].values.ravel()[flat_eligible] for c in class_ids}
+    orders, ranks = _class_orders({c: key[c] for c in class_ids}, flat_eligible, n_cells)
 
-    n_cells = geometry.shape[0] * geometry.shape[1]
-    assigned = np.full(n_cells, -1, dtype=np.int64)
-    # per pixel, the best rank claimed this round and the class that holds
-    # it. Every claimed pixel is assigned when its round ends and never
+    # per pixel, the position in class_ids of the class it is assigned to,
+    # and the best rank claimed this round and the class that holds it.
+    # Every claimed pixel is assigned when its round ends and never
     # claimed again, so neither array needs resetting between rounds.
-    best = np.full(n_cells, np.iinfo(np.int64).max, dtype=np.int64)
-    holder = np.empty(n_cells, dtype=np.int64)
+    assigned = np.full(n_cells, -1, dtype=index)
+    best = np.full(n_cells, np.iinfo(index).max, dtype=index)
+    holder = np.empty(n_cells, dtype=index)
     remaining = {c: targets.targets[c] for c in class_ids}
     cursor = {c: 0 for c in class_ids}
 
     while any(v > 0 for v in remaining.values()):
         claims = {}
-        for c in class_ids:
+        for i, c in enumerate(class_ids):
             need = remaining[c]
             if need == 0:
                 continue
@@ -115,18 +138,26 @@ def mola(
             wins = rnk < best[picked]
             won = picked[wins]
             best[won] = rnk[wins]
-            holder[won] = c
-            claims[c] = picked
-        for c, picked in claims.items():
-            won = picked[holder[picked] == c]
-            assigned[won] = c
-            remaining[c] -= won.size
+            holder[won] = i
+            claims[i] = picked
+        for i, picked in claims.items():
+            won = picked[holder[picked] == i]
+            assigned[won] = i
+            remaining[class_ids[i]] -= won.size
 
     out = np.full(n_cells, geometry.nodata_value)
-    out[flat_eligible] = assigned[flat_eligible].astype(np.float64)
+    out[flat_eligible] = np.asarray(class_ids, dtype=np.float64)[assigned[flat_eligible]]
     if legend is None:
         legend = {c: f"class {c}" for c in class_ids}
     return LandCoverMap(geometry.with_values(out.reshape(geometry.shape)), legend, date_tag)
+
+
+def _contiguity(n_same, n_valid) -> np.ndarray:
+    """n_same / n_valid in float64, 0 where n_valid is 0: the share of a
+    cell's valid neighbours that hold a class."""
+    out = np.zeros(np.broadcast(n_same, n_valid).shape)
+    np.divide(n_same, n_valid, out=out, where=n_valid > 0)
+    return out
 
 
 def contiguity_weights(current: LandCoverMap, class_ids, kernel_size: int = 5) -> dict[int, np.ndarray]:
@@ -139,13 +170,10 @@ def contiguity_weights(current: LandCoverMap, class_ids, kernel_size: int = 5) -
     labels = current.labels
     radius = kernel_size // 2
     n_valid = neighbor_counts(labels >= 0, radius)
-    nz = n_valid > 0
     nodata = labels < 0
     weights = {}
     for c in class_ids:
-        n_same = neighbor_counts(labels == int(c), radius)
-        out = np.zeros(labels.shape)
-        out[nz] = n_same[nz] / n_valid[nz]
+        out = _contiguity(neighbor_counts(labels == int(c), radius), n_valid)
         out[nodata] = current.grid.nodata_value
         weights[int(c)] = out
     return weights
@@ -181,6 +209,58 @@ class AllocationLogRow:
     allocated: int
 
 
+def _as_bytes(values: np.ndarray) -> np.ndarray | None:
+    """values as uint8 when every one is an integer in 0..255, else None."""
+    if values.size and not (values.min() >= 0 and values.max() <= 255 and np.array_equal(np.floor(values), values)):
+        return None
+    return values.astype(np.uint8)
+
+
+# A kernel-5 key table has 160,000 entries. Kernel 7 would need 614,656 and
+# holds 169,582 distinct products, more than a uint16 rank tells apart, and
+# the table grows as kernel**4, so larger tables are never built.
+_KEY_TABLE_MAX_ENTRIES = 1 << 18
+
+
+@functools.lru_cache(maxsize=None)
+def _key_table(kernel_size: int) -> np.ndarray | None:
+    """Dense uint16 rank, best first, of byte * (CONTIGUITY_FLOOR +
+    _contiguity(n_same, n_valid)) at index (n_valid * (m + 1) + n_same) *
+    256 + byte, where m = kernel_size**2 - 1 bounds the neighbour counts and
+    n_same <= n_valid. Entries are the float64 operations of the float key,
+    so equal products share a rank. None when the table would be too large
+    or its ranks overflow."""
+    m = kernel_size**2 - 1
+    if 256 * (m + 1) ** 2 > _KEY_TABLE_MAX_ENTRIES:
+        return None
+    n_valid = np.arange(m + 1, dtype=np.float64)[:, None]
+    n_same = np.arange(m + 1, dtype=np.float64)[None, :]
+    pairs = n_same <= n_valid
+    weight = CONTIGUITY_FLOOR + _contiguity(n_same, n_valid)[pairs]
+    products = np.arange(256, dtype=np.float64) * weight[:, None]
+    distinct, rank = np.unique(-products, return_inverse=True)
+    if distinct.size > np.iinfo(np.uint16).max:
+        return None
+    table = np.zeros((m + 1, m + 1, 256), dtype=np.uint16)
+    table[pairs] = rank.reshape(products.shape)
+    table = table.ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _weighted_key(values, n_same, n_valid, table, kernel_size: int) -> np.ndarray:
+    """mola's sort key for values weighted by CONTIGUITY_FLOOR + their
+    `_contiguity`: the `_key_table` rank of byte values, or with no table
+    the negated float product."""
+    if table is None:
+        return -(values * (CONTIGUITY_FLOOR + _contiguity(n_same, n_valid)))
+    index = n_valid * kernel_size**2  # (n_valid * (m + 1) + n_same) * 256 + byte
+    index += n_same
+    index *= 256
+    index += values
+    return table[index]
+
+
 def ca_markov(
     current: LandCoverMap,
     tm: TransitionMatrix,
@@ -194,6 +274,11 @@ def ca_markov(
     (floor + contiguity of its class on the evolving map) and re-runs the
     ranked allocation. An iteration whose targets already match the map
     allocates nothing. Final counts equal the projected targets exactly.
+
+    Every suitability must hold data wherever the map does. The weighted
+    suitabilities reach `mola` as sort keys: the `_key_table` rank when
+    every suitability is a byte and the kernel has a table, else the
+    negated float product.
     """
     params = params or CaParams()
     ids = sorted(suitabilities)
@@ -205,8 +290,29 @@ def ca_markov(
         raise DataError(
             f"transition classes {sorted(tm.class_ids)} do not match map classes {ids}"
         )
-    # the evolving map keeps the geometry and valid cells of `current`, as mola allocates them all
-    eligible = joint_valid(current.grid, *(suitabilities[c] for c in ids), context="ca_markov")
+    require_same_geometry(current.grid, *(suitabilities[c] for c in ids), context="ca_markov")
+    valid = current.grid.valid
+    for c in ids:
+        missing = np.flatnonzero(valid & ~suitabilities[c].valid)
+        if missing.size:
+            row, col = divmod(int(missing[0]), current.grid.n_cols)
+            raise DataError(
+                f"ca_markov: the class {c} suitability is nodata at cell (row {row}, col {col}), "
+                f"where map {current.date_tag or '(undated)'} holds data"
+            )
+    # mola allocates every valid cell of the map, so the evolving map keeps
+    # them, and its nodata is the standard sentinel
+    cells = np.flatnonzero(valid.ravel())
+    eligible = current.grid.scatter(valid, 0.0, DEFAULT_NODATA)
+    values = {c: suitabilities[c].values.ravel()[cells] for c in ids}
+    table = _key_table(params.kernel_size)
+    as_bytes = {c: _as_bytes(v) for c, v in values.items()} if table is not None else {}
+    if table is not None and all(b is not None for b in as_bytes.values()):
+        values = as_bytes
+    else:
+        table = None
+    radius = params.kernel_size // 2
+
     _, finals = expected_areas(current, tm)
     initial = current.class_counts()
     init_vec = np.array([initial[c] for c in ids], dtype=np.float64)
@@ -224,15 +330,15 @@ def ca_markov(
             for c in ids:
                 log.append(AllocationLogRow(it, c, wanted[c], now.get(c, 0)))
             continue
-        contiguity = contiguity_weights(state, ids, params.kernel_size)
-        effective = {}
+        labels = state.labels
+        n_valid = neighbor_counts(labels >= 0, radius).ravel()[cells]
+        keys = {}
         for c in ids:
-            # popped so no weight grid stays alive through the allocation
-            weight = CONTIGUITY_FLOOR + contiguity.pop(c)
-            vals = suitabilities[c].values * weight
-            vals[~eligible] = DEFAULT_NODATA
-            effective[c] = state.grid.with_values(vals, nodata_value=DEFAULT_NODATA)
-        state = mola(effective, AllocationTargets(wanted), dict(current.legend), current.date_tag)
+            n_same = neighbor_counts(labels == c, radius).ravel()[cells]
+            keys[c] = _weighted_key(values[c], n_same, n_valid, table, params.kernel_size)
+        state = mola(
+            dict.fromkeys(ids, eligible), AllocationTargets(wanted), dict(current.legend), current.date_tag, key=keys
+        )
         now = state.class_counts()
         for c in ids:
             log.append(AllocationLogRow(it, c, wanted[c], now.get(c, 0)))

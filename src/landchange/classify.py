@@ -190,7 +190,7 @@ def icm(
     # cells stay frozen but still count as neighbors
     active = joint_valid(initial.grid, *(scores[cid] for cid in class_ids), context="icm")
     labels = initial.labels
-    present = set(np.unique(labels[labels >= 0]).tolist())
+    present = {c for c, n in initial.class_counts().items() if n}
     if not present <= set(class_ids):
         raise DataError(f"initial map holds classes {sorted(present - set(class_ids))} without scores")
 

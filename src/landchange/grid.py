@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,11 +183,15 @@ class MultiBandImage:
 
 @dataclass(frozen=True, eq=False)
 class LandCoverMap:
-    """Categorical raster: integer class ids plus a legend naming every id."""
+    """Categorical raster: integer class ids plus a legend naming every id.
+
+    The labels and class counts are computed once, at construction."""
 
     grid: Grid
     legend: dict[int, str]
     date_tag: str = ""
+    _labels: np.ndarray = field(init=False, repr=False)
+    _counts: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         legend = {}
@@ -201,11 +205,21 @@ class LandCoverMap:
         data = vals[valid]
         if data.size and not np.all(data == np.floor(data)):
             raise DataError("land cover map holds non-integer class values")
-        present = set(np.unique(data).astype(np.int64).tolist())
-        unknown = present - set(legend)
+        top = max(legend, default=-1)
+        if data.size and not (data.min() >= 0 and data.max() <= top):
+            unknown = set(np.unique(data).astype(np.int64).tolist()) - set(legend)
+            raise DataError(f"map values {sorted(unknown)} missing from legend {sorted(legend)}")
+        codes = data.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max))
+        counts = np.bincount(codes)  # as long as the largest id present
+        unknown = set(np.flatnonzero(counts).tolist()) - set(legend)
         if unknown:
             raise DataError(f"map values {sorted(unknown)} missing from legend {sorted(legend)}")
+        labels = np.full(vals.shape, -1, dtype=codes.dtype)
+        labels[valid] = codes
+        labels.setflags(write=False)
         object.__setattr__(self, "legend", legend)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_counts", {c: int(counts[c]) if c < counts.size else 0 for c in sorted(legend)})
 
     @property
     def class_ids(self) -> list[int]:
@@ -213,16 +227,12 @@ class LandCoverMap:
 
     @property
     def labels(self) -> np.ndarray:
-        """int64 class ids with -1 at nodata cells."""
-        out = np.full(self.grid.shape, -1, dtype=np.int64)
-        v = self.grid.valid
-        out[v] = self.grid.values[v].astype(np.int64)
-        return out
+        """Read-only class ids with -1 at nodata cells, in the narrowest
+        signed integer type that holds every legend id (int8 up to 127)."""
+        return self._labels
 
     def class_counts(self) -> dict[int, int]:
-        lab = self.labels
-        counts = np.bincount(lab[lab >= 0], minlength=max(self.class_ids, default=0) + 1)
-        return {c: int(counts[c]) for c in self.class_ids}
+        return dict(self._counts)
 
 
 def neighbor_counts(x, radius: int = 1) -> np.ndarray:
@@ -233,8 +243,10 @@ def neighbor_counts(x, radius: int = 1) -> np.ndarray:
     The window sum is separable: shifted-slice sums down the rows, then the
     same across the columns, with the edges clipped by the slicing. Every
     caller passes a 0/1 mask, so each partial sum is a small integer and the
-    result is exact in float64, whatever the order of the additions."""
-    x = np.asarray(x, dtype=np.float64)
+    result is exact, whatever the order of the additions. A boolean mask is
+    counted in int32, any other array in float64."""
+    x = np.asarray(x)
+    x = x.astype(np.int32 if x.dtype == bool else np.float64, copy=False)
     n_rows, n_cols = x.shape
     rows = x.copy()
     for d in range(1, min(radius, n_rows - 1) + 1):

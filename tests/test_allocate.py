@@ -1,5 +1,7 @@
 """Ranked allocation, cellular pass, clumping metrics."""
 
+import shutil
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,9 +23,10 @@ from landchange.allocate import (
     random_allocation,
     write_allocation_log_csv,
 )
+from landchange.cli import main
 from landchange.errors import DataError, GeometryError
-from landchange.grid import BinaryMask, Grid, LandCoverMap, grids_equal, neighbor_counts
-from landchange.markov import TransitionMatrix, expected_areas, largest_remainder
+from landchange.grid import BinaryMask, Grid, LandCoverMap, grids_equal, neighbor_counts, read_ascii_grid, read_legend
+from landchange.markov import TransitionMatrix, expected_areas, largest_remainder, read_transition_csv
 
 
 def _grid(vals):
@@ -146,10 +149,14 @@ def _ref_mola(suitabilities, targets, legend=None, date_tag=""):
         raise DataError(
             f"target classes {sorted(targets.targets)} do not match suitability classes {sorted(suitabilities)}"
         )
-    class_ids, flat_eligible, orders, ranks, geometry = allocate._class_orders(suitabilities)
+    class_ids = sorted(suitabilities)
+    geometry = suitabilities[class_ids[0]]
+    flat_eligible = np.flatnonzero(np.logical_and.reduce([g.valid.ravel() for g in suitabilities.values()]))
     if targets.total != flat_eligible.size:
         raise DataError(f"targets sum to {targets.total} but {flat_eligible.size} pixels are eligible")
     n_cells = geometry.shape[0] * geometry.shape[1]
+    keys = {c: -suitabilities[c].values.ravel()[flat_eligible] for c in class_ids}
+    orders, ranks = allocate._class_orders(keys, flat_eligible, n_cells)
     assigned = np.full(n_cells, -1, dtype=np.int64)
     remaining = {c: targets.targets[c] for c in class_ids}
     cursor = {c: 0 for c in class_ids}
@@ -226,11 +233,11 @@ def _cut_last_class(cut):
     """_class_orders with the last class's ranked order `cut` pixels short."""
     real = allocate._class_orders
 
-    def class_orders(suitabilities):
-        class_ids, flat_eligible, orders, ranks, first = real(suitabilities)
-        last = class_ids[-1]
+    def class_orders(keys, flat_eligible, n_cells):
+        orders, ranks = real(keys, flat_eligible, n_cells)
+        last = max(orders)
         orders[last] = orders[last][: max(orders[last].size - cut, 0)]
-        return class_ids, flat_eligible, orders, ranks, first
+        return orders, ranks
 
     return class_orders
 
@@ -377,6 +384,142 @@ def test_ca_markov_refuses_misregistered_suitabilities(misregister, tm):
     suits[1] = misregister(suits[1])
     with pytest.raises(GeometryError, match="^ca_markov: grid 2 geometry"):
         ca_markov(lc, TransitionMatrix(tm, 1.0, (0, 1)), suits, CaParams(iterations=2, kernel_size=3))
+
+
+def _ref_ca_markov(current, tm, suitabilities, params):
+    """The cellular pass as it was before the integer key: every iteration
+    builds float grids of suitability * (floor + contiguity) and `mola`
+    ranks them by their negated values."""
+    ids = sorted(suitabilities)
+    eligible = current.grid.valid
+    for c in ids:
+        eligible = eligible & suitabilities[c].valid
+    _, finals = expected_areas(current, tm)
+    initial = current.class_counts()
+    init_vec = np.array([initial[c] for c in ids], dtype=np.float64)
+    final_vec = np.array([finals[c] for c in ids], dtype=np.float64)
+    total = int(init_vec.sum())
+    state, now, log = current, initial, []
+    for it in range(1, params.iterations + 1):
+        reals = init_vec + it / params.iterations * (final_vec - init_vec)
+        wanted = {c: int(t) for c, t in zip(ids, largest_remainder(reals, total))}
+        if any(wanted[c] != now.get(c, 0) for c in ids):
+            effective = {}
+            for c in ids:
+                contiguity = _contiguity_reference(state, c, params.kernel_size)
+                vals = suitabilities[c].values * (allocate.CONTIGUITY_FLOOR + contiguity)
+                vals[~eligible] = -9999.0
+                effective[c] = state.grid.with_values(vals, nodata_value=-9999.0)
+            state = mola(effective, AllocationTargets(wanted), dict(current.legend), current.date_tag)
+            now = state.class_counts()
+        log.extend(AllocationLogRow(it, c, wanted[c], now.get(c, 0)) for c in ids)
+    return state, log
+
+
+def _same_allocation(got, want):
+    (got_map, got_log), (want_map, want_log) = got, want
+    assert got_map.grid.values.tobytes() == want_map.grid.values.tobytes()
+    assert got_map.grid.nodata_value == want_map.grid.nodata_value
+    assert (got_map.legend, got_map.date_tag, got_log) == (want_map.legend, want_map.date_tag, want_log)
+
+
+@st.composite
+def _cellular_cases(draw):
+    """A map with nodata and isolated cells over gapped class ids, byte
+    suitabilities with heavy ties (some holding data where the map has
+    none), now and then one that is not bytes, a random transition matrix
+    and kernel 3 or 5 (key table) or 7 (float key)."""
+    shape = draw(_shapes)
+    ids = sorted(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.choice(ids, size=shape).astype(np.float64)
+    vals[rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = -9999.0
+    current = LandCoverMap(_grid(vals), {c: f"c{c}" for c in ids}, "1994")
+    n_levels = draw(st.sampled_from([1, 2, 5, 256]))
+    suits = {}
+    for c in ids:
+        s = rng.integers(0, n_levels, size=shape).astype(np.float64)
+        s[(vals == -9999.0) & (rng.random(shape) < 0.5)] = -9999.0
+        suits[c] = _grid(s)
+    if draw(st.booleans()) and draw(st.booleans()):
+        suits[ids[-1]] = _grid(np.where(suits[ids[-1]].valid, suits[ids[-1]].values + 0.5, -9999.0))
+    probs = rng.dirichlet(np.full(len(ids), 0.5), size=len(ids))
+    tm = TransitionMatrix(probs, 1.0, tuple(ids))
+    params = CaParams(iterations=draw(st.integers(1, 4)), kernel_size=draw(st.sampled_from([3, 5, 7])))
+    return current, tm, suits, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cellular_cases())
+def test_ca_markov_matches_the_float_path(case):
+    current, tm, suits, params = case
+    _same_allocation(ca_markov(current, tm, suits, params), _ref_ca_markov(current, tm, suits, params))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cellular_cases())
+@example(  # an isolated cell: no valid neighbor in the window, weight = floor
+    (_lcm([[0.0, -9999.0, -9999.0], [-9999.0, -9999.0, 1.0]], {0: "a", 1: "b"}), None,
+     {0: _grid([[7.0, 0.0, 3.0], [1.0, 2.0, 7.0]]), 1: _grid([[7.0, 5.0, 3.0], [1.0, 2.0, 0.0]])},
+     CaParams(kernel_size=3))
+)
+def test_key_order_is_the_stable_order_of_the_float_product(case):
+    current, _, suits, params = case
+    ids = sorted(suits)
+    k = params.kernel_size
+    labels = current.labels
+    cells = np.flatnonzero(current.grid.valid.ravel())
+    n_valid = neighbor_counts(labels >= 0, k // 2).ravel()[cells]
+    table = allocate._key_table(k)
+    assert (table is None) == (k == 7)  # kernels 3 and 5 have a table, 7 has too many products
+    for c in ids:
+        values = suits[c].values.ravel()[cells]
+        product = values * (allocate.CONTIGUITY_FLOOR + _contiguity_reference(current, c, k).ravel()[cells])
+        n_same = neighbor_counts(labels == c, k // 2).ravel()[cells]
+        as_bytes = allocate._as_bytes(values)
+        if table is None or as_bytes is None:
+            key = allocate._weighted_key(values, n_same, n_valid, None, k)
+            assert key.tobytes() == (-product).tobytes()
+            continue
+        key = allocate._weighted_key(as_bytes, n_same, n_valid, table, k)
+        assert key.dtype == np.uint16
+        assert np.array_equal(np.argsort(key, kind="stable"), np.argsort(-product, kind="stable"))
+        # equal products, and only those, share a rank
+        assert np.array_equal(np.unique(key, return_inverse=True)[1], np.unique(-product, return_inverse=True)[1])
+
+
+def test_key_table_ranks_every_product_and_is_never_built_large():
+    for k, n_distinct in ((3, None), (5, 43_716)):
+        table = allocate._key_table(k)
+        m = k * k - 1
+        n_valid, n_same, byte = np.meshgrid(np.arange(m + 1), np.arange(m + 1), np.arange(256), indexing="ij")
+        pairs = (n_same <= n_valid).ravel()
+        frac = np.divide(n_same, n_valid, out=np.zeros(n_same.shape), where=n_valid > 0)
+        product = (byte * (allocate.CONTIGUITY_FLOOR + frac)).ravel()[pairs]
+        assert np.array_equal(table[pairs], np.unique(-product, return_inverse=True)[1])
+        assert n_distinct is None or int(table.max()) + 1 == n_distinct
+        assert not table.flags.writeable
+    for k in (7, 9, 131, 10_001):
+        assert allocate._key_table(k) is None
+
+
+@pytest.mark.parametrize("kernel", [7, 131])
+def test_large_kernels_run_the_shipped_scenario_as_the_float_path(tmp_path, kernel):
+    # kernel 131 spans the whole 128 x 128 map; a key table sized by
+    # kernel**4 would not fit in memory
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    ini = sc / "pipeline.ini"
+    text = ini.read_text(encoding="ascii")
+    assert "kernel = 5\n" in text
+    ini.write_text(text.replace("kernel = 5\n", f"kernel = {kernel}\n"), encoding="ascii")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(ini), "--out", str(out), "--quiet"]) == 0
+    current = LandCoverMap(read_ascii_grid(sc / "map_1994.asc"), read_legend(sc / "legend.csv"), "1994")
+    suits = {c: read_ascii_grid(out / f"suit_{c}.asc") for c in current.class_ids}
+    tm = read_transition_csv(out / "transition_scaled.csv")
+    want, _ = _ref_ca_markov(current, tm, suits, CaParams(iterations=4, kernel_size=kernel))
+    assert read_ascii_grid(out / "predicted_ca.asc").values.tobytes() == want.grid.values.tobytes()
 
 
 def test_random_allocation():

@@ -180,6 +180,46 @@ def test_misregistered_dated_map_exits_3_naming_its_key_before_writing(tmp_path)
     assert not list((tmp_path / "o").glob("*"))
 
 
+def _put_nodata(path, row, col):
+    g = read_ascii_grid(path)
+    vals = g.values.copy()
+    vals[row, col] = g.nodata_value
+    write_ascii_grid(g.with_values(vals), path)
+
+
+@pytest.mark.parametrize("command", ["run", "predict", "mlp-predict"])
+def test_nodata_suitability_under_map_data_exits_3_naming_the_cell(tmp_path, command):
+    # a suitability without data where the map holds data leaves a cell that
+    # no class can take; the allocation names it instead of miscounting
+    sc = tmp_path / "sc"
+    out = tmp_path / "o"
+    ini = str(sc / "pipeline.ini")
+    if command == "mlp-predict":
+        assert main(["synth", "--rows", "20", "--cols", "24", "--classes", "2", "--model", "mlp",
+                     "--seed", "7", "--out", str(sc), "--quiet"]) == 0
+        _put_nodata(sc / "prox1.asc", 0, 23)
+        for stage in ("markov", "mlp-train"):
+            assert main([stage, "--config", ini, "--out", str(out), "--quiet"]) == 0
+        cell, product = "class 0 suitability is nodata at cell (row 0, col 23)", "predicted_mlp.asc"
+    else:
+        shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+        if command == "run":
+            _put_nodata(sc / "prox0.asc", 5, 7)
+            cell = "class 0 suitability is nodata at cell (row 5, col 7)"
+        else:
+            for stage in ("markov", "mce"):
+                assert main([stage, "--config", ini, "--out", str(out), "--quiet"]) == 0
+            _put_nodata(out / "suit_2.asc", 3, 9)
+            cell = "class 2 suitability is nodata at cell (row 3, col 9)"
+        product = "predicted_ca.asc"
+    res = _cli([command, "--config", ini, "--out", str(out), "--quiet"], tmp_path)
+    assert res.returncode == 3
+    stage = "predict" if command == "run" else command
+    assert f"stage {stage}: ca_markov: the {cell}, where map 1994 holds data" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (out / product).exists()
+
+
 def test_two_dated_maps_cannot_be_validated(tmp_path, caplog):
     sc = tmp_path / "sc"
     shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)

@@ -1,5 +1,6 @@
 """Grid types, text-grid I/O, PPM export, legends."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -139,6 +140,59 @@ def test_land_cover_map_validation_and_labels():
     assert LandCoverMap(Grid(np.array([[-9999.0]]), 1.0), {}).class_counts() == {}
 
 
+@st.composite
+def _class_maps(draw):
+    """Class grids with nodata over a gapped legend that may hold classes
+    absent from the map, one-cell grids included, and now and then a value
+    the legend lacks (negative, gapped or above every id)."""
+    shape = draw(st.one_of(st.just((1, 1)), st.tuples(st.integers(1, 9), st.integers(1, 9))))
+    legend_ids = draw(st.lists(st.integers(0, 300), min_size=1, max_size=5, unique=True))
+    nodata = draw(st.sampled_from([-9999.0, -1.0, 0.0, 255.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [c for c in legend_ids if c != nodata] or [max(legend_ids) + 1]
+    present = rng.choice(pool, size=rng.integers(1, len(pool) + 1), replace=False)
+    vals = rng.choice(present, size=shape).astype(np.float64)
+    vals[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = nodata
+    stray = draw(st.sampled_from([None, None, None, -3.0, 301.0, 1000.0]))
+    if stray is not None and stray != nodata:
+        vals.flat[rng.integers(vals.size)] = stray
+    return Grid(vals, 1.0, nodata_value=nodata), {c: f"c{c}" for c in legend_ids}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_maps())
+def test_land_cover_labels_and_counts_match_the_float_values(case):
+    grid, legend = case
+    valid = grid.values != grid.nodata_value
+    data = grid.values[valid]
+    unknown = set(np.unique(data).astype(np.int64).tolist()) - set(legend)
+    if unknown:
+        with pytest.raises(DataError, match="^" + re.escape(f"map values {sorted(unknown)} missing from legend")):
+            LandCoverMap(grid, legend)
+        return
+    lc = LandCoverMap(grid, legend)
+    want = np.where(valid, grid.values, -1.0)
+    assert lc.labels.dtype == (np.int8 if max(legend) <= 127 else np.int16)  # the narrowest that holds every id
+    assert np.array_equal(lc.labels, want) and lc.labels.shape == grid.shape
+    assert np.array_equal(lc.labels >= 0, grid.valid)
+    assert lc.class_counts() == {c: int(np.count_nonzero(data == float(c))) for c in sorted(legend)}
+
+
+def test_land_cover_labels_are_read_only_and_counts_are_copies():
+    lc = LandCoverMap(Grid(np.array([[0.0, 2.0], [-9999.0, 2.0]]), 1.0), {0: "a", 1: "b", 2: "c"})
+    with pytest.raises(ValueError, match="read-only"):
+        lc.labels[0, 0] = 1
+    counts = lc.class_counts()
+    counts[0] = 99
+    counts.pop(2)
+    assert lc.class_counts() == {0: 1, 1: 0, 2: 2}
+    assert lc.labels.tolist() == [[0, 2], [-1, 2]]
+    for top, dtype in ((40_000, np.int32), (2**31, np.int64)):
+        wide = LandCoverMap(Grid(np.array([[0.0, -9999.0]]), 1.0), {0: "a", top: "b"})
+        assert wide.labels.dtype == dtype and wide.labels.tolist() == [[0, -1]]
+        assert wide.class_counts() == {0: 1, top: 0}
+
+
 _masks = st.one_of(
     st.tuples(st.integers(1, 7), st.integers(1, 7)),
     st.tuples(st.just(1), st.integers(1, 9)),
@@ -161,6 +215,7 @@ def test_neighbor_counts_matches_brute_force(mask, radius):
                     if (rr, cc) != (r, c):
                         want[r, c] += mask[rr, cc]
     assert np.array_equal(neighbor_counts(mask, radius), want)
+    assert neighbor_counts(mask, radius).dtype == np.int32  # a mask is counted in integers
     assert np.array_equal(neighbor_counts(mask.astype(np.float64), radius), want)
 
 
