@@ -27,7 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, Grid, LandCoverMap, joint_valid, neighbor_counts, require_same_geometry, write_csv
+from .grid import (
+    DEFAULT_NODATA,
+    Grid,
+    LandCoverMap,
+    joint_valid,
+    neighbor_counts,
+    require_data_under,
+    require_same_geometry,
+    write_csv,
+)
 from .markov import TransitionMatrix, expected_areas, largest_remainder
 
 CONTIGUITY_FLOOR = 0.01  # keeps isolated-but-suitable cells allocatable
@@ -291,15 +300,10 @@ def ca_markov(
             f"transition classes {sorted(tm.class_ids)} do not match map classes {ids}"
         )
     require_same_geometry(current.grid, *(suitabilities[c] for c in ids), context="ca_markov")
-    valid = current.grid.valid
+    where = f"map {current.date_tag or '(undated)'}"
     for c in ids:
-        missing = np.flatnonzero(valid & ~suitabilities[c].valid)
-        if missing.size:
-            row, col = divmod(int(missing[0]), current.grid.n_cols)
-            raise DataError(
-                f"ca_markov: the class {c} suitability is nodata at cell (row {row}, col {col}), "
-                f"where map {current.date_tag or '(undated)'} holds data"
-            )
+        require_data_under(current.grid, suitabilities[c], f"ca_markov: the class {c} suitability", where)
+    valid = current.grid.valid
     # mola allocates every valid cell of the map, so the evolving map keeps
     # them, and its nodata is the standard sentinel
     cells = np.flatnonzero(valid.ravel())

@@ -122,6 +122,15 @@ def joint_valid(*grids: Grid, context: str) -> np.ndarray:
     return valid
 
 
+def require_data_under(ref: Grid, g: Grid, what: str, where: str) -> None:
+    """Raise a DataError naming the first cell, in row-major order, where
+    `ref` holds data and `g`, of the same geometry, does not."""
+    missing = np.flatnonzero(ref.valid & ~g.valid)
+    if missing.size:
+        row, col = divmod(int(missing[0]), ref.n_cols)
+        raise DataError(f"{what} is nodata at cell (row {row}, col {col}), where {where} holds data")
+
+
 def grids_equal(a: Grid, b: Grid) -> bool:
     """Exact equality: metadata and every cell value, bit-for-bit semantics."""
     return (

@@ -187,37 +187,41 @@ def _put_nodata(path, row, col):
     write_ascii_grid(g.with_values(vals), path)
 
 
-@pytest.mark.parametrize("command", ["run", "predict", "mlp-predict"])
+@pytest.mark.parametrize("command", ["run", "predict", "mlp-train", "mlp-predict"])
 def test_nodata_suitability_under_map_data_exits_3_naming_the_cell(tmp_path, command):
     # a suitability without data where the map holds data leaves a cell that
-    # no class can take; the allocation names it instead of miscounting
+    # no class can take. A criterion is refused where it is read, naming its
+    # config key, before its stage writes; an edited suitability file is
+    # refused by the allocation. Either way the cell is named.
     sc = tmp_path / "sc"
     out = tmp_path / "o"
     ini = str(sc / "pipeline.ini")
-    if command == "mlp-predict":
+    stage = command
+    if command.startswith("mlp"):
         assert main(["synth", "--rows", "20", "--cols", "24", "--classes", "2", "--model", "mlp",
                      "--seed", "7", "--out", str(sc), "--quiet"]) == 0
+        for earlier in ("markov", "mlp-train")[: 1 if command == "mlp-train" else 2]:
+            assert main([earlier, "--config", ini, "--out", str(out), "--quiet"]) == 0
         _put_nodata(sc / "prox1.asc", 0, 23)
-        for stage in ("markov", "mlp-train"):
-            assert main([stage, "--config", ini, "--out", str(out), "--quiet"]) == 0
-        cell, product = "class 0 suitability is nodata at cell (row 0, col 23)", "predicted_mlp.asc"
+        message = "criteria.prox1 is nodata at cell (row 0, col 23), where maps.1994 holds data"
+        product = "mlp_model.txt" if command == "mlp-train" else "predicted_mlp.asc"
     else:
         shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
         if command == "run":
             _put_nodata(sc / "prox0.asc", 5, 7)
-            cell = "class 0 suitability is nodata at cell (row 5, col 7)"
+            stage, product = "mce", "suit_*.asc"
+            message = "criteria.prox0 is nodata at cell (row 5, col 7), where maps.1994 holds data"
         else:
-            for stage in ("markov", "mce"):
-                assert main([stage, "--config", ini, "--out", str(out), "--quiet"]) == 0
+            for earlier in ("markov", "mce"):
+                assert main([earlier, "--config", ini, "--out", str(out), "--quiet"]) == 0
             _put_nodata(out / "suit_2.asc", 3, 9)
-            cell = "class 2 suitability is nodata at cell (row 3, col 9)"
-        product = "predicted_ca.asc"
+            message = "ca_markov: the class 2 suitability is nodata at cell (row 3, col 9), where map 1994 holds data"
+            product = "predicted_ca.asc"
     res = _cli([command, "--config", ini, "--out", str(out), "--quiet"], tmp_path)
     assert res.returncode == 3
-    stage = "predict" if command == "run" else command
-    assert f"stage {stage}: ca_markov: the {cell}, where map 1994 holds data" in res.stderr
+    assert f"stage {stage}: {message}" in res.stderr
     assert "Traceback" not in res.stderr
-    assert not (out / product).exists()
+    assert not list(out.glob(product))
 
 
 def test_two_dated_maps_cannot_be_validated(tmp_path, caplog):

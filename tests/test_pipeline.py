@@ -182,6 +182,53 @@ def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
         _assert_same_bits(obj, real_take(cfg, None, fname, writer, read), fname)
 
 
+# each stage's report sections, by heading, in the order the stage writes them
+REPORT_HEADINGS = {
+    "markov": ["estimated transition probabilities", "scaled to the prediction span", "projected areas (pixels)"],
+    "mce": ["comparison-matrix weights"],
+    "predict": ["allocation (final iteration)"],
+    "mlp-train": ["perceptron training"],
+    "mlp-predict": [],
+    "validate": ["validation against the held-out map"],
+}
+
+
+REPORT_SCENARIOS = {
+    **SCENARIOS,
+    "mlp": (dict(model="mlp", n_classes=2, seed=6), ("markov", "mlp-train", "mlp-predict", "validate")),
+}
+
+
+@pytest.mark.parametrize("model", sorted(REPORT_SCENARIOS))
+def test_report_sections_follow_the_stages_and_repeat_the_artifacts(tmp_path, model):
+    kw, stages = REPORT_SCENARIOS[model]
+    out = tmp_path / "out"
+    rep = run_pipeline(load_config(_scenario(tmp_path, **kw), out_dir=out))
+    *blocks, clock = [b.splitlines() for b in (out / "report.txt").read_text(encoding="ascii").split("\n\n")]
+    headings = [h for stage in stages for h in REPORT_HEADINGS[stage]]
+    assert [b[0] for b in blocks] == ["land-cover change pipeline report", "settings", *headings]
+    assert [ln.split()[:2] for ln in clock] == [["wall_clock", stage] for stage in stages]
+    body = {b[0]: b[1:] for b in blocks}
+
+    areas = read_csv_rows(out / "expected_areas.csv", "areas")[1:]
+    assert body["projected areas (pixels)"][0].split() == ["class", "expected", "target"]
+    assert [ln.split() for ln in body["projected areas (pixels)"][1:]] == [
+        [cid, f"{float(exp):.2f}", target] for cid, exp, target in areas
+    ]
+    if "predict" in stages:
+        log = read_csv_rows(out / "allocation_log.csv", "log")[1:]
+        last = max(int(r[0]) for r in log)
+        alloc = body["allocation (final iteration)"]
+        assert alloc[0].split() == ["class", "target", "allocated"]
+        assert [ln.split() for ln in alloc[1:-1]] == [r[1:] for r in log if int(r[0]) == last]
+        assert alloc[-1].startswith("  clumping = ")
+    val = read_csv_rows(out / "validation.csv", "validation")[1:]
+    scores = [ln for ln in body["validation against the held-out map"] if not ln.startswith("    class ")]
+    assert scores == [f"  {name}: kappa = {k}, overall accuracy = {acc}" for name, k, acc in val]
+    assert rep.kappas == {name: float(k) for name, k, _ in val[:-1]}
+    assert (val[-1][0], rep.baseline_kappa) == ("random_baseline", float(val[-1][1]))
+
+
 def test_stage_order_errors(tmp_path):
     cfg = load_config(_scenario(tmp_path), out_dir=tmp_path / "out")
     with pytest.raises(DataError, match="stage predict: transition_scaled.csv not found; run the markov stage first"):
