@@ -29,6 +29,7 @@ from .errors import ConfigError, LandchangeError, NumericalError
 from .grid import (
     LandCoverMap,
     MultiBandImage,
+    export_ppm,
     load_legend,
     mask_like,
     parse_number,
@@ -64,6 +65,8 @@ log = logging.getLogger("landchange")
 
 
 def _outdir(args) -> Path:
+    """Make --out. Commands call it once every output is computed, so a
+    command that fails makes no --out."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -103,16 +106,16 @@ def _read_mask(path, what: str):
 
 def cmd_preprocess(args) -> int:
     _check_flag(0 <= args.percentile <= 100, "--percentile", "in [0, 100]", args.percentile)
-    out = _outdir(args)
     labels = _band_labels(args, len(args.bands))
     image = _read_image(args.bands, labels)
     reference = _read_mask(args.reference, "--reference")
     dark = dark_object_values(image, reference, args.percentile)
     corrected = dos_correct(image, dark)
+    stats = band_statistics(corrected)
+    out = _outdir(args)
     for band, label in zip(corrected.bands, corrected.labels):
         write_ascii_grid(band, out / f"corrected_{label}.asc")
     write_dark_values_csv(labels, dark, out / "dark_values.csv")
-    stats = band_statistics(corrected)
     write_band_stats_csv(stats, out / "band_stats.csv")
     write_correlation_csv(stats, out / "correlation.csv")
     log.info("preprocess: %d bands corrected (dark values %s)", len(labels), dark)
@@ -126,7 +129,7 @@ def cmd_oif(args) -> int:
     mask = _read_mask(args.mask, "--mask") if args.mask else None
     stats = band_statistics(image, mask)
     ranking = oif_rank(stats)
-    out = _outdir(args)  # nothing is written if a step fails
+    out = _outdir(args)
     write_band_stats_csv(stats, out / "band_stats.csv")
     write_correlation_csv(stats, out / "correlation.csv")
     write_oif_csv(ranking, out / "oif.csv")
@@ -141,13 +144,13 @@ def cmd_oif(args) -> int:
 
 def cmd_indices(args) -> int:
     _check_flag(0 <= args.weight <= 1, "--weight", "in [0, 1]", args.weight)
-    out = _outdir(args)
     red = read_ascii_grid(args.red)
     nir = read_ascii_grid(args.nir)
     swir = read_ascii_grid(args.swir)
     v = ndvi(nir, red)
     i = ndii(nir, swir)
     m = ndim(v, i, args.weight)
+    out = _outdir(args)
     write_ascii_grid(v, out / "ndvi.asc")
     write_ascii_grid(i, out / "ndii.asc")
     write_ascii_grid(m, out / "ndim.asc")
@@ -162,21 +165,22 @@ def cmd_change(args) -> int:
         _check_flag(value is None or math.isfinite(value), flag, "finite", value)
     if args.low is not None:
         _check_flag(args.low <= args.high, "--low", f"at most --high ({args.high})", args.low)
-    out = _outdir(args)
     grids = [read_ascii_grid(p) for p in args.ndim]
     levels = []
     for g in grids:
         lo, hi = ternary_thresholds(g) if args.low is None else (args.low, args.high)
         levels.append(ternarize(g, lo, hi))
-    ppm = (out / "change.ppm") if args.ppm else None
-    codes = change_composite(levels[0], levels[1], levels[2], ppm_path=ppm)
+    codes = change_composite(*levels)
     dynamics = group_dynamics(codes)
-    for i, lv in enumerate(levels, start=1):  # written once the dates are known to line up
+    out = _outdir(args)
+    for i, lv in enumerate(levels, start=1):
         write_ascii_grid(lv, out / f"levels_{i}.asc")
     write_ascii_grid(codes, out / "change_code.asc")
     write_ascii_grid(dynamics.grid, out / "dynamics.asc")
     write_legend(dynamics.legend, out / "dynamics_legend.csv")
     write_grouping_csv(default_grouping(), out / "grouping.csv")
+    if args.ppm:  # one channel per date, levels 0/1/2 drawn at 0/128/255
+        export_ppm(*levels, ((0, 2),) * 3, out / "change.ppm")
     log.info("change: %d coded pixels", int(np.count_nonzero(codes.valid)))
     return 0
 
@@ -184,7 +188,6 @@ def cmd_change(args) -> int:
 def cmd_classify(args) -> int:
     _check_flag(math.isfinite(args.beta) and args.beta >= 0, "--beta", "finite and non-negative", args.beta)
     _check_flag(args.sweeps >= 1, "--sweeps", "at least 1", args.sweeps)
-    out = _outdir(args)
     labels = _band_labels(args, len(args.bands))
     image = _read_image(args.bands, labels)
     training_grid = read_ascii_grid(args.training)
@@ -194,7 +197,8 @@ def cmd_classify(args) -> int:
     priors = "equal" if args.equal_priors else "empirical"
     labeled, scores = maxlike(image, signatures, priors_mode=priors, legend=legend)
     smoothed = icm(labeled, scores, beta=args.beta, max_sweeps=args.sweeps)
-    write_signatures_csv(signatures, out / "signatures.csv")  # nothing is written if a step fails
+    out = _outdir(args)
+    write_signatures_csv(signatures, out / "signatures.csv")
     write_ascii_grid(labeled.grid, out / "classified_ml.asc")
     write_ascii_grid(smoothed.grid, out / "classified_icm.asc")
     write_legend(legend, out / "classified_legend.csv")
@@ -230,7 +234,7 @@ def cmd_criteria(args) -> int:
     spec = _parse_fuzzy(args.fuzzy) if args.fuzzy else None
     cats = _parse_categories(args.constraint_categories) if args.constraint_categories else None
     name = args.name
-    outputs = {}  # basename -> grid; nothing is written if a step fails
+    outputs = {}  # basename -> grid
     if args.distance_to:
         grid = outputs[name] = distance_transform(_read_mask(args.distance_to, "--distance-to"))
     else:

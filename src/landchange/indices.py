@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, Grid, LandCoverMap, export_ppm, joint_valid, write_csv
+from .grid import DEFAULT_NODATA, Grid, LandCoverMap, joint_valid, write_csv
 
 
 def normalized_difference(a: Grid, b: Grid) -> Grid:
@@ -69,23 +69,17 @@ def _check_levels(grid: Grid, name: str) -> None:
         raise DataError(f"{name} holds non-ternary values")
 
 
-def change_composite(l1: Grid, l2: Grid, l3: Grid, ppm_path=None) -> Grid:
+def change_composite(l1: Grid, l2: Grid, l3: Grid) -> Grid:
     """Combine three dated level grids into trajectory codes 0..26.
 
-    code = 9*l1 + 3*l2 + l3, nodata wherever any date is missing. When
-    ppm_path is given, also renders the dates to R/G/B with levels drawn
-    at intensities 0/128/255.
+    code = 9*l1 + 3*l2 + l3, nodata wherever any date is missing.
     """
     ok = joint_valid(l1, l2, l3, context="change_composite")
     for g, name in ((l1, "date 1"), (l2, "date 2"), (l3, "date 3")):
         _check_levels(g, name)
     codes = 9.0 * l1.values + 3.0 * l2.values + l3.values
     out = np.where(ok, codes, DEFAULT_NODATA)
-    code_grid = l1.with_values(out, nodata_value=DEFAULT_NODATA)
-
-    if ppm_path is not None:  # export_ppm blacks out the cells missing on any date
-        export_ppm(l1, l2, l3, ((0, 2), (0, 2), (0, 2)), ppm_path)
-    return code_grid
+    return l1.with_values(out, nodata_value=DEFAULT_NODATA)
 
 
 _DEFAULT_CATEGORY_NAMES = {

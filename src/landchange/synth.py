@@ -1,20 +1,22 @@
 """Deterministic synthetic landscape series for tests and demos.
 
-The initial map is a Voronoi mosaic over seeded patch centers. Each later
-map converts pixel counts chosen by largest-remainder rounding of the
+Criteria grids are the per-class seed distance transforms (`prox<c>`),
+making suitability genuinely predictive of where the series changes. The
+initial map is the Voronoi mosaic they imply: each cell takes the class
+whose `prox<c>` grid is smallest there, the lowest class on a tie. Each
+later map converts pixel counts chosen by largest-remainder rounding of the
 class populations under the supplied transition matrix, so re-estimating
 the matrix from consecutive maps recovers every entry to within one pixel
 per class row. Converted pixels are picked by proximity to the target
 class's patch seeds plus current adjacency plus seeded noise, which keeps
-change clumped along patch edges. Criteria grids are the per-class seed
-distance transforms, making suitability genuinely predictive of where the
-series changes.
+change clumped along patch edges.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +73,15 @@ class SynthSpec:
             raise ConfigError(f"noise must be finite and non-negative, got {self.noise}")
         if not (math.isfinite(self.cell_size) and self.cell_size > 0):
             raise ConfigError(f"cell_size must be positive and finite, got {self.cell_size}")
+        # A normal cell size keeps distinct cell distances distinct once scaled,
+        # so the nearest seed class can be read off the distance grids; a
+        # finite diagonal keeps every distance finite.
+        diagonal = math.sqrt((self.n_rows - 1) ** 2 + (self.n_cols - 1) ** 2)
+        if not (self.cell_size >= sys.float_info.min and math.isfinite(diagonal * self.cell_size)):
+            raise ConfigError(
+                f"cell_size must be at least {sys.float_info.min!r} and keep the "
+                f"{self.n_rows}x{self.n_cols} grid's diagonal finite, got {self.cell_size!r}"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.year_step < 1:
@@ -111,26 +122,17 @@ def criterion_name(class_id: int) -> str:
     return f"prox{class_id}"
 
 
-def _voronoi_labels(spec: SynthSpec, seed_rc: np.ndarray, seed_cls: np.ndarray) -> np.ndarray:
-    rr, cc = np.mgrid[0 : spec.n_rows, 0 : spec.n_cols]
-    d2 = (rr[None] - seed_rc[:, 0, None, None]) ** 2 + (cc[None] - seed_rc[:, 1, None, None]) ** 2
-    nearest = np.argmin(d2, axis=0)  # argmin takes the first seed on ties
-    return seed_cls[nearest]
-
-
 def _evolve(
-    labels: np.ndarray,
+    current: LandCoverMap,
     spec: SynthSpec,
     prox: dict[int, np.ndarray],
-    base: Grid,
-    legend: dict[int, str],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One interval: convert exact largest-remainder pixel counts per class
-    pair, picking the most attracted pixels first."""
-    current = LandCoverMap(base.with_values(labels.astype(np.float64)), legend)
+    """One interval from the current map: convert exact largest-remainder
+    pixel counts per class pair, picking the most attracted pixels first.
+    Returns the next map's labels."""
     adj = contiguity_weights(current, spec.class_ids, kernel_size=3)
-    flat = labels.ravel()
+    flat = current.labels.ravel()
     target = np.full(flat.size, -1, dtype=np.int64)
     for ipos, i in enumerate(spec.class_ids):
         n_i = int(np.count_nonzero(flat == i))
@@ -152,18 +154,16 @@ def _evolve(
     out = flat.copy()
     conv = target >= 0
     out[conv] = target[conv]
-    return out.reshape(labels.shape)
+    return out.reshape(current.labels.shape)
 
 
 def generate_synthetic_landscape(spec: SynthSpec) -> SynthResult:
     """Build the dated map series, criteria grids, and ground-truth matrix."""
     rng = np.random.default_rng(spec.seed)
-    n_pix = spec.n_rows * spec.n_cols
     k = spec.n_classes
-    total_seeds = k * spec.seeds_per_class
-    pos = rng.choice(n_pix, size=total_seeds, replace=False)
-    seed_rc = np.column_stack(np.divmod(pos, spec.n_cols)).astype(np.int64)
-    seed_cls = np.repeat(np.arange(k, dtype=np.int64), spec.seeds_per_class)
+    pos = rng.choice(spec.n_rows * spec.n_cols, size=k * spec.seeds_per_class, replace=False)
+    # row/col seed cells, seeds_per_class of them per class in class order
+    seed_rc = np.column_stack(np.divmod(pos, spec.n_cols)).astype(np.int64).reshape(k, -1, 2)
 
     base = Grid(np.zeros((spec.n_rows, spec.n_cols)), spec.cell_size)
     legend = {c: f"class {c}" for c in spec.class_ids}
@@ -172,27 +172,22 @@ def generate_synthetic_landscape(spec: SynthSpec) -> SynthResult:
     criteria: dict[str, Grid] = {}
     prox: dict[int, np.ndarray] = {}
     for c in spec.class_ids:
-        rc = seed_rc[seed_cls == c]
-        seeds[c] = rc
+        seeds[c] = rc = seed_rc[c]
         mask_vals = np.zeros((spec.n_rows, spec.n_cols))
         mask_vals[rc[:, 0], rc[:, 1]] = 1.0
         mask = BinaryMask(mask_vals, spec.cell_size)
         dist = distance_transform(mask)
         criteria[criterion_name(c)] = dist
-        dmax = float(dist.values.max())
-        prox[c] = 1.0 - dist.values / dmax if dmax > 0 else np.ones_like(dist.values)
+        # another class's seed is at least one cell away, so the max is > 0
+        prox[c] = 1.0 - dist.values / dist.values.max()
 
-    labels = _voronoi_labels(spec, seed_rc, seed_cls)
+    # argmin takes the first, so the lowest, class on a tie
+    labels = np.argmin([criteria[criterion_name(c)].values for c in spec.class_ids], axis=0)
     maps = []
-    years = spec.years
-    maps.append(
-        LandCoverMap(base.with_values(labels.astype(np.float64)), legend, str(years[0]))
-    )
-    for step in range(1, spec.n_maps):
-        labels = _evolve(labels, spec, prox, base, legend, rng)
-        maps.append(
-            LandCoverMap(base.with_values(labels.astype(np.float64)), legend, str(years[step]))
-        )
+    for year in spec.years:
+        if maps:
+            labels = _evolve(maps[-1], spec, prox, rng)
+        maps.append(LandCoverMap(base.with_values(labels.astype(np.float64)), legend, str(year)))
 
     truth = TransitionMatrix(spec.transition, float(spec.year_step), spec.class_ids)
     return SynthResult(spec, tuple(maps), criteria, truth, seeds)
@@ -214,6 +209,7 @@ def write_scenario(result: SynthResult, out_dir, model: str = "ca_markov") -> Pa
     if model not in ("ca_markov", "mlp", "both"):
         raise ConfigError(f"model must be ca_markov, mlp or both, got {model!r}")
     spec = result.spec
+    saaty = consistent_saaty(spec.n_classes)  # refuses before anything is written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -232,15 +228,13 @@ def write_scenario(result: SynthResult, out_dir, model: str = "ca_markov") -> Pa
     for name, grid in result.criteria.items():
         write_ascii_grid(grid, out / f"{name}.asc")
         cfg["criteria"][name] = f"{name}.asc"
-        dmax = float(grid.values[grid.valid].max()) if grid.valid.any() else 1.0
         cfg[f"fuzzy.{name}"] = {
             "shape": "linear",
             "direction": "decreasing",
             "a": "0.0",
-            "b": repr(dmax if dmax > 0 else 1.0),
+            "b": repr(float(grid.values.max())),
         }
 
-    saaty = consistent_saaty(spec.n_classes)
     write_saaty_csv(saaty, out / "saaty.csv")
     cfg["mce"] = {"saaty": "saaty.csv", "method": "wlc"}
 

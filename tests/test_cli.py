@@ -397,7 +397,7 @@ def test_indices_and_change(tmp_path):
     write_ascii_grid(Grid(read_ascii_grid(d3).values, 30.0, x_origin=5000.0), shifted)
     out3 = tmp_path / "chg_shifted"
     assert main(["change", d1, d2, str(shifted), "--ppm", "--out", str(out3), "--quiet"]) == 3
-    assert list(out3.iterdir()) == []
+    assert not out3.exists()
 
 
 def _classify_inputs(tmp_path):
@@ -532,6 +532,13 @@ def test_non_finite_number_flags_fail_before_writing(tmp_path):
         (["preprocess", *bands, "--reference", "m.asc", "--percentile=-1"], 2,
          "--percentile must be in [0, 100], got -1.0"),
     ]
+    # a missing input grid is a data error, met before --out is made
+    cases += [
+        (["preprocess", grid, "--reference", "nope.asc"], 3, "nope.asc: cannot read grid"),
+        (["indices", "--red", grid, "--nir", grid, "--swir", "nope.asc"], 3, "nope.asc: cannot read grid"),
+        (["change", grid, grid, "nope.asc"], 3, "nope.asc: cannot read grid"),
+        (["classify", grid, "--training", "nope.asc"], 3, "nope.asc: cannot read grid"),
+    ]
     _w(tmp_path / "m.asc", [[0.0, 1.0], [0.0, 0.0]])
     for n, (args, code, message) in enumerate(cases):
         out = tmp_path / f"out{n}"
@@ -539,4 +546,4 @@ def test_non_finite_number_flags_fail_before_writing(tmp_path):
         assert res.returncode == code, (args, res.stderr)
         assert message in res.stderr
         assert "Traceback" not in res.stderr
-        assert not out.exists() or (code == 3 and not any(out.iterdir())), args
+        assert not out.exists(), args

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from landchange.errors import DataError, GeometryError
-from landchange.grid import Grid
+from landchange.grid import Grid, export_ppm
 from landchange.indices import (
     change_composite,
     default_grouping,
@@ -94,10 +94,10 @@ def test_change_composite_nodata_and_level_check():
         change_composite(g([[3.0]]), g([[0.0]]), g([[0.0]]))
 
 
-def test_change_composite_writes_ppm(tmp_path):
+def test_export_ppm_draws_change_levels(tmp_path):
     l = g([[0.0, 2.0]])
     p = tmp_path / "c.ppm"
-    change_composite(l, l, l, ppm_path=p)
+    export_ppm(l, l, l, ((0, 2),) * 3, p)
     raw = p.read_bytes()
     assert raw.startswith(b"P6\n2 1\n255\n")
     # levels 0/2 stretch over (0, 2) to intensities 0/255 in every channel

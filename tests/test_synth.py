@@ -1,8 +1,15 @@
 """Synthetic landscape generator."""
 
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from landchange.cli import main
 from landchange.config import load_config
 from landchange.errors import ConfigError
 from landchange.grid import BinaryMask
@@ -135,3 +142,85 @@ def test_write_scenario_is_loadable(tmp_path):
 
     with pytest.raises(ConfigError, match="model"):
         write_scenario(res, tmp_path / "sc3", model="cellular")
+
+
+def _voronoi_labels(spec, seed_rc, seed_cls):
+    """Reference first map: brute-force nearest seed over every cell, the
+    first seed in class order on a tie."""
+    rr, cc = np.mgrid[0 : spec.n_rows, 0 : spec.n_cols]
+    d2 = (rr[None] - seed_rc[:, 0, None, None]) ** 2 + (cc[None] - seed_rc[:, 1, None, None]) ** 2
+    return seed_cls[np.argmin(d2, axis=0)]
+
+
+def _reference_first_map(res):
+    seed_rc = np.concatenate([res.seeds[c] for c in res.spec.class_ids])
+    seed_cls = np.repeat(res.spec.class_ids, res.spec.seeds_per_class)
+    return _voronoi_labels(res.spec, seed_rc, seed_cls)
+
+
+def _class_ties(res):
+    """Cells where two classes' nearest seeds are equally far."""
+    dist = np.sort([res.criteria[criterion_name(c)].values for c in res.spec.class_ids], axis=0)
+    return int(np.count_nonzero(dist[0] == dist[1]))
+
+
+def _largest_cell_size(n_rows, n_cols):
+    """The largest cell size that keeps the grid's diagonal finite."""
+    diagonal = math.sqrt((n_rows - 1) ** 2 + (n_cols - 1) ** 2)
+    size = sys.float_info.max / diagonal
+    while not math.isfinite(diagonal * size):
+        size = math.nextafter(size, 0.0)
+    while math.isfinite(diagonal * math.nextafter(size, math.inf)):
+        size = math.nextafter(size, math.inf)
+    return size
+
+
+@st.composite
+def _first_map_specs(draw):
+    side = st.integers(2, 40)
+    n_rows, n_cols = draw(st.one_of(st.tuples(side, side), st.tuples(st.just(2), side), st.tuples(side, st.just(2))))
+    k = draw(st.integers(2, min(5, n_rows * n_cols)))
+    per_class = draw(st.integers(1, min(12, n_rows * n_cols // k)))  # many seeds force class ties
+    lo, hi = sys.float_info.min, _largest_cell_size(n_rows, n_cols)
+    cell = draw(st.one_of(st.sampled_from([lo, hi, 1.0, 30.0]), st.floats(lo, hi)))
+    return SynthSpec(
+        n_rows=n_rows, n_cols=n_cols, n_classes=k, n_maps=2, seeds_per_class=per_class,
+        cell_size=cell, seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_first_map_specs())
+@example(SynthSpec(n_rows=2, n_cols=9, n_classes=2, n_maps=2, seeds_per_class=4, cell_size=sys.float_info.min))
+@example(SynthSpec(n_rows=40, n_cols=2, n_classes=5, n_maps=2, seeds_per_class=12, cell_size=_largest_cell_size(40, 2)))
+def test_first_map_is_the_nearest_seed_class(spec):
+    res = generate_synthetic_landscape(spec)
+    assert np.array_equal(res.maps[0].labels, _reference_first_map(res))
+
+
+def test_first_map_ties_go_to_the_lowest_class():
+    spec = SynthSpec(n_rows=30, n_cols=30, n_classes=4, seeds_per_class=6, n_maps=2, seed=8)
+    res = generate_synthetic_landscape(spec)
+    assert _class_ties(res) > 0
+    assert np.array_equal(res.maps[0].labels, _reference_first_map(res))
+
+
+@pytest.mark.parametrize("rows, cols, cell", [
+    (64, 64, 5e-324),
+    (64, 64, 1e-310),
+    (64, 64, 1e307),
+    (40, 2, math.nextafter(_largest_cell_size(40, 2), math.inf)),
+])
+def test_cell_sizes_outside_the_exact_range_are_refused(tmp_path, rows, cols, cell):
+    with pytest.raises(ConfigError, match="cell_size must be at least .* got " + re.escape(repr(cell))):
+        SynthSpec(n_rows=rows, n_cols=cols, cell_size=cell)
+    out = tmp_path / "sc"
+    argv = ["synth", "--rows", str(rows), "--cols", str(cols), "--cell-size", repr(cell), "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+def test_synth_with_five_classes_writes_nothing(tmp_path):
+    out = tmp_path / "sc"
+    assert main(["synth", "--rows", "16", "--cols", "16", "--classes", "5", "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
