@@ -316,6 +316,8 @@ def ca_markov(
     else:
         table = None
     radius = params.kernel_size // 2
+    # the evolving map always holds exactly the valid cells of `current`
+    n_valid = neighbor_counts(valid, radius).ravel()[cells]
 
     _, finals = expected_areas(current, tm)
     initial = current.class_counts()
@@ -335,7 +337,6 @@ def ca_markov(
                 log.append(AllocationLogRow(it, c, wanted[c], now.get(c, 0)))
             continue
         labels = state.labels
-        n_valid = neighbor_counts(labels >= 0, radius).ravel()[cells]
         keys = {}
         for c in ids:
             n_same = neighbor_counts(labels == c, radius).ravel()[cells]

@@ -130,7 +130,8 @@ def _evolve(
 ) -> np.ndarray:
     """One interval from the current map: convert exact largest-remainder
     pixel counts per class pair, picking the most attracted pixels first.
-    Returns the next map's labels."""
+    Returns the next map's labels. A noise draw that overflows is a
+    ConfigError naming noise."""
     adj = contiguity_weights(current, spec.class_ids, kernel_size=3)
     flat = current.labels.ravel()
     target = np.full(flat.size, -1, dtype=np.int64)
@@ -144,11 +145,11 @@ def _evolve(
             if j == i or q == 0:
                 continue
             cand = np.flatnonzero((flat == i) & (target == -1))
-            score = (
-                prox[j].ravel()[cand]
-                + adj[j].ravel()[cand]
-                + spec.noise * rng.standard_normal(cand.size)
-            )
+            with np.errstate(over="ignore"):
+                noise = spec.noise * rng.standard_normal(cand.size)
+            if not np.isfinite(noise).all():
+                raise ConfigError(f"noise {spec.noise!r} is too large: a noise draw overflows")
+            score = prox[j].ravel()[cand] + adj[j].ravel()[cand] + noise
             order = np.lexsort((cand, -score))
             target[cand[order[:q]]] = j
     out = flat.copy()

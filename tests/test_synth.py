@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -224,3 +225,14 @@ def test_synth_with_five_classes_writes_nothing(tmp_path):
     out = tmp_path / "sc"
     assert main(["synth", "--rows", "16", "--cols", "16", "--classes", "5", "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
+
+
+def test_noise_whose_draws_overflow_exits_2_and_writes_nothing(tmp_path, caplog):
+    argv = ["synth", "--rows", "16", "--cols", "16", "--quiet", "--noise"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "1e308", "--out", str(tmp_path / "refused")]) == 2
+        assert main([*argv, "1e300", "--out", str(tmp_path / "written")]) == 0
+    assert "noise 1e+308 is too large" in caplog.text
+    assert not (tmp_path / "refused").exists()
+    assert (tmp_path / "written" / "pipeline.ini").exists()
