@@ -288,7 +288,7 @@ def validate_config(
     hidden = _get_number(mlp, "hidden", int, default.mlp_hidden, minimum=1)
     lr = _get_number(mlp, "learning_rate", float, default.mlp_learning_rate, minimum=0.0)
     epochs = _get_number(mlp, "epochs", int, default.mlp_epochs, minimum=1)
-    focal = _get_number(mlp, "focal_class", int) if mlp.get("focal_class") else None
+    focal = _get_number(mlp, "focal_class", int, minimum=0) if mlp.get("focal_class") else None
 
     return PipelineConfig(
         base_dir=base,

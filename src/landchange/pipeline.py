@@ -8,8 +8,10 @@ stage hands the object forward under that name; a grid's one taker pops
 it, so no grid outlives its last consumer, and no file on disk ever stands
 in for it. A single-stage command reads the file. Either way a missing
 output raises the same "<file> not found; run the <stage> first" error.
-Both change models place the Markov-projected areas with one allocator,
-`ca_markov`: on the MCE suitabilities, or on the perceptron's probability.
+Both change models end in one predict step, `_allocate`: `ca_markov`
+places the Markov-projected areas on the model's per-class suitabilities
+(the MCE grids, or the perceptron's probability), and the step writes the
+model's predicted grid, its allocation log and its allocation section.
 A full run also reads each config input once: the dated maps, and the
 criterion grids that mce and the perceptron share in a `both` run. Each
 criterion and constraint grid is checked against the maps' geometry where
@@ -92,6 +94,7 @@ EXPECTED_AREAS_CSV = "expected_areas.csv"
 SECOND_ORDER_CSV = "second_order.csv"
 WEIGHTS_CSV = "weights.csv"
 ALLOCATION_LOG_CSV = "allocation_log.csv"
+ALLOCATION_LOG_MLP_CSV = "allocation_log_mlp.csv"
 PREDICTED_CA = "predicted_ca.asc"
 PREDICTED_MLP = "predicted_mlp.asc"
 MLP_MODEL = "mlp_model.txt"
@@ -159,8 +162,15 @@ def _read_constraints(cfg: PipelineConfig, cur: LandCoverMap):
     return cons
 
 
-# each change model: the stages that make its prediction, and its prediction file
-_MODEL_STAGES = {"ca_markov": (("mce", "predict"), PREDICTED_CA), "mlp": (("mlp-train", "mlp-predict"), PREDICTED_MLP)}
+# each change model: the stages that make its prediction, its prediction
+# file, its allocation log and the heading of its allocation section
+_Model = namedtuple("_Model", "stages predicted log heading")
+_MODEL_STAGES = {
+    "ca_markov": _Model(("mce", "predict"), PREDICTED_CA, ALLOCATION_LOG_CSV, "allocation (final iteration)"),
+    "mlp": _Model(
+        ("mlp-train", "mlp-predict"), PREDICTED_MLP, ALLOCATION_LOG_MLP_CSV, "perceptron allocation (final iteration)"
+    ),
+}
 
 
 def _models(cfg: PipelineConfig) -> list[str]:
@@ -315,23 +325,35 @@ def stage_mce(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     )
 
 
+def _allocate(cfg: PipelineConfig, handed: dict | None, model: str, cur: LandCoverMap, tm_s, suits) -> list[str]:
+    """The predict step of both change models: allocate the projected areas
+    over `cur` on the per-class suitabilities `suits`, write the model's
+    predicted grid (handed forward) and allocation log, and return its
+    allocation section."""
+    m = _MODEL_STAGES[model]
+    predicted, log = ca_markov(cur, tm_s, suits, CaParams(cfg.iterations, cfg.kernel))
+    last_it = max((r.iteration for r in log), default=0)
+    try:
+        clumping = repr(float(mean_same_class_neighbor_fraction(predicted)))
+    except DataError:  # every valid cell stands alone
+        clumping = "undefined (no valid cell has a valid neighbour)"
+
+    _put(cfg, handed, m.predicted, predicted.grid, write_ascii_grid)
+    write_allocation_log_csv(log, cfg.out_dir / m.log)
+    return _section(
+        m.heading,
+        "  class    target allocated",
+        *(f"  {r.class_id:>5d} {r.target:>9d} {r.allocated:>9d}" for r in log if r.iteration == last_it),
+        f"  clumping = {clumping}",
+    )
+
+
 def stage_predict(cfg: PipelineConfig, handed: dict | None) -> list[str]:
-    """Allocate the projected areas over the most recent calibration map.
-    Hands forward the predicted grid."""
+    """Allocate the projected areas on the MCE suitabilities."""
     cur = _window(cfg, handed).cur
     tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", read_transition_csv)
     suits = {cid: _take(cfg, handed, f"suit_{cid}.asc", "mce stage", _read_suitability) for cid in cur.class_ids}
-    predicted, log = ca_markov(cur, tm_s, suits, CaParams(cfg.iterations, cfg.kernel))
-
-    _put(cfg, handed, PREDICTED_CA, predicted.grid, write_ascii_grid)
-    write_allocation_log_csv(log, cfg.out_dir / ALLOCATION_LOG_CSV)
-    last_it = max((r.iteration for r in log), default=0)
-    return _section(
-        "allocation (final iteration)",
-        "  class    target allocated",
-        *(f"  {r.class_id:>5d} {r.target:>9d} {r.allocated:>9d}" for r in log if r.iteration == last_it),
-        f"  clumping = {repr(float(mean_same_class_neighbor_fraction(predicted)))}",
-    )
+    return _allocate(cfg, handed, "ca_markov", cur, tm_s, suits)
 
 
 def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> list[str]:
@@ -343,6 +365,8 @@ def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> list[str]:
             f"run.model = {cfg.model} models one focal class against one other "
             f"class, but the legend holds classes {tuple(w.cur.class_ids)}"
         )
+    if cfg.mlp_focal is not None and cfg.mlp_focal not in w.cur.legend:
+        raise ConfigError(f"mlp.focal_class: class {cfg.mlp_focal} is not in the legend {sorted(w.cur.legend)}")
     criteria = _criteria(cfg, handed, w.cur)
     if not criteria:
         raise ConfigError("mlp training needs at least one [criteria] grid")
@@ -365,21 +389,19 @@ def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> list[str]:
 
 
 def stage_mlp_predict(cfg: PipelineConfig, handed: dict | None) -> list[str]:
-    """Allocate as `stage_predict` does, on the perceptron's focal-class
-    probability standardized increasing for the focal class and decreasing
-    for the other. Hands forward the predicted grid. Its allocation has no
-    report section."""
+    """Allocate the projected areas on the perceptron's focal-class
+    probability, standardized increasing for the focal class and decreasing
+    for the other, and write that probability."""
     model = _take(cfg, handed, MLP_MODEL, "mlp-train stage", load_model)
     cur = _window(cfg, handed).cur
     tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", read_transition_csv)
     prob = predict_map(model, cur, list(_criteria(cfg, handed, cur).values()))
     rise = {cid: "increasing" if cid == model.features.focal_class else "decreasing" for cid in cur.class_ids}
     suits = {cid: fuzzy_standardize(prob, FuzzySpec("linear", d, 0.0, 1.0)) for cid, d in rise.items()}
-    predicted, _ = ca_markov(cur, tm_s, suits, CaParams(cfg.iterations, cfg.kernel))
+    section = _allocate(cfg, handed, "mlp", cur, tm_s, suits)
 
     write_ascii_grid(prob, cfg.out_dir / MLP_PROB)
-    _put(cfg, handed, PREDICTED_MLP, predicted.grid, write_ascii_grid)
-    return []
+    return section
 
 
 def stage_validate(cfg: PipelineConfig, handed: dict | None) -> list[str]:
@@ -390,7 +412,7 @@ def stage_validate(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     w = _window(cfg, handed)
     scored = []  # (model, confusion matrix, residual mask)
     for name in _models(cfg):
-        grid = _take(cfg, handed, _MODEL_STAGES[name][1], "predict stages", read_ascii_grid)
+        grid = _take(cfg, handed, _MODEL_STAGES[name].predicted, "predict stages", read_ascii_grid)
         pred = LandCoverMap(grid, w.held.legend, w.held.date_tag)
         if not scored:
             targets = AllocationTargets(pred.class_counts())
@@ -456,7 +478,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     settings, each stage's section in run order, then one wall_clock line
     per stage."""
     _check_held_out(cfg)
-    order = ["markov", *(stage for m in _models(cfg) for stage in _MODEL_STAGES[m][0]), "validate"]
+    order = ["markov", *(stage for m in _models(cfg) for stage in _MODEL_STAGES[m].stages), "validate"]
 
     handed: dict = {}
     lines = ["land-cover change pipeline report", "", *_section("settings", *(f"  {k} = {v}" for k, v in cfg.echo()))]

@@ -192,6 +192,8 @@ def test_mlp_section(tmp_path):
     assert cfg.mlp_learning_rate == 0.1
     assert cfg.mlp_epochs == 50
     assert cfg.mlp_focal == 1
+    zero = load_config(_write(tmp_path, text.replace("focal_class = 1", "focal_class = 0"), name="zero.ini"))
+    assert zero.mlp_focal == 0
 
 
 MLP = BASE.replace("seed = 3", "seed = 3\nmodel = mlp") + "[mlp]\n"
@@ -224,6 +226,7 @@ OWA = BASE + CRIT + "\n[mce]\nmethod = owa\norder_weights = {}\n\n[suitability]\
         (OWA.format("0.5,0.3,0.3"), r"mce\.order_weights must be non-negative and sum to 1, got '0\.5,0\.3,0\.3'"),
         (OWA.format("1.5,-0.25,-0.25"), r"mce\.order_weights must be non-negative and sum to 1"),
         (MLP + "learning_rate = -0.1\n", r"mlp\.learning_rate must be >= 0\.0, got -0\.1"),
+        (MLP + "focal_class = -1\n", r"mlp\.focal_class must be >= 0, got -1"),
         (BASE + "[mce]\norder_weights = 0.5,0.5\n", r"mce\.order_weights applies to mce\.method owa only, but the method is wlc"),
     ],
 )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from landchange import pipeline
+from landchange.cli import main
 from landchange.config import load_config
 from landchange.errors import ConfigError, DataError, NumericalError
 from landchange.grid import Grid, read_ascii_grid, read_csv_rows, write_ascii_grid
@@ -85,10 +86,17 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("model", sorted(SCENARIOS))
+# the repository's own 128x128 three-class scenario, a ca_markov run
+SHIPPED_INI = Path(__file__).resolve().parents[1] / "scenario" / "pipeline.ini"
+
+
+@pytest.mark.parametrize("model", [*sorted(SCENARIOS), "shipped"])
 def test_chained_stages_match_monolithic(tmp_path, model):
-    kw, stages = SCENARIOS[model]
-    ini = _scenario(tmp_path, **kw)
+    if model == "shipped":
+        ini, stages = SHIPPED_INI, SCENARIOS["ca_markov"][1]
+    else:
+        kw, stages = SCENARIOS[model]
+        ini = _scenario(tmp_path, **kw)
     run_pipeline(load_config(ini, out_dir=tmp_path / "mono"))
     chained = load_config(ini, out_dir=tmp_path / "chain")
     for name in stages:
@@ -188,7 +196,7 @@ REPORT_HEADINGS = {
     "mce": ["comparison-matrix weights"],
     "predict": ["allocation (final iteration)"],
     "mlp-train": ["perceptron training"],
-    "mlp-predict": [],
+    "mlp-predict": ["perceptron allocation (final iteration)"],
     "validate": ["validation against the held-out map"],
 }
 
@@ -215,10 +223,13 @@ def test_report_sections_follow_the_stages_and_repeat_the_artifacts(tmp_path, mo
     assert [ln.split() for ln in body["projected areas (pixels)"][1:]] == [
         [cid, f"{float(exp):.2f}", target] for cid, exp, target in areas
     ]
-    if "predict" in stages:
-        log = read_csv_rows(out / "allocation_log.csv", "log")[1:]
+    for stage, log_csv in (("predict", "allocation_log.csv"), ("mlp-predict", "allocation_log_mlp.csv")):
+        if stage not in stages:
+            assert not (out / log_csv).exists()
+            continue
+        log = read_csv_rows(out / log_csv, "log")[1:]
         last = max(int(r[0]) for r in log)
-        alloc = body["allocation (final iteration)"]
+        alloc = body[REPORT_HEADINGS[stage][0]]
         assert alloc[0].split() == ["class", "target", "allocated"]
         assert [ln.split() for ln in alloc[1:-1]] == [r[1:] for r in log if int(r[0]) == last]
         assert alloc[-1].startswith("  clumping = ")
@@ -287,7 +298,14 @@ def test_legend_derived_when_absent(tmp_path):
 def test_mlp_model_artifacts(tmp_path):
     ini = _scenario(tmp_path, model="both", n_classes=2, seed=6)
     rep = run_pipeline(load_config(ini, out_dir=tmp_path / "out"))
-    for fn in ("mlp_model.txt", "mlp_history.csv", "mlp_prob.asc", "predicted_mlp.asc", "confusion_mlp.csv"):
+    for fn in (
+        "mlp_model.txt",
+        "mlp_history.csv",
+        "mlp_prob.asc",
+        "predicted_mlp.asc",
+        "allocation_log_mlp.csv",
+        "confusion_mlp.csv",
+    ):
         assert (tmp_path / "out" / fn).is_file(), fn
     assert set(rep.kappas) == {"ca_markov", "mlp"}
     assert "perceptron training" in rep.report_path.read_text(encoding="ascii")
@@ -297,6 +315,35 @@ def test_mlp_model_artifacts(tmp_path):
         g = read_ascii_grid(tmp_path / "out" / fn)
         ids, counts = np.unique(g.values[g.valid], return_counts=True)
         assert dict(zip(ids.astype(int).tolist(), counts.tolist())) == targets, fn
+
+
+def test_focal_class_outside_the_legend_is_a_config_error(tmp_path):
+    ini = _scenario(tmp_path, model="mlp", n_classes=2, seed=6)
+    ini.write_text(ini.read_text(encoding="ascii") + "focal_class = 7\n", encoding="ascii")
+    cfg = load_config(ini, out_dir=tmp_path / "out")
+    with pytest.raises(ConfigError, match=r"^stage mlp-train: mlp\.focal_class: class 7 is not in the legend \[0, 1\]$"):
+        run_stage("mlp-train", cfg)
+    assert main(["run", "--config", str(ini), "--out", str(tmp_path / "run"), "--quiet"]) == 2
+
+
+def test_a_map_whose_valid_cells_all_stand_alone_has_undefined_clumping(tmp_path):
+    # every cell nodata but those at (even row, even col): no valid cell has
+    # a valid neighbour, so the clumping of a prediction is undefined
+    sc = tmp_path / "sc"
+    argv = ["synth", "--rows", "16", "--cols", "16", "--classes", "2", "--seed", "5", "--model", "both"]
+    assert main([*argv, "--out", str(sc), "--quiet"]) == 0
+    alone = np.ones((16, 16), dtype=bool)
+    alone[::2, ::2] = False
+    for path in sc.glob("map_*.asc"):
+        g = read_ascii_grid(path)
+        values = np.where(alone, g.nodata_value, g.values)
+        write_ascii_grid(Grid(values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value), path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(sc / "pipeline.ini"), "--out", str(out), "--quiet"]) == 0
+    report = out.joinpath("report.txt").read_text(encoding="ascii")
+    for heading in ("allocation (final iteration)", "perceptron allocation (final iteration)"):
+        section = report.split(f"\n{heading}\n", 1)[1].split("\n\n", 1)[0]
+        assert section.endswith("\n  clumping = undefined (no valid cell has a valid neighbour)"), heading
 
 
 def test_constraints_must_be_binary(tmp_path):
