@@ -7,11 +7,14 @@ pixel better. The cellular pass re-runs the allocation over several
 iterations with suitability weighted by a neighborhood contiguity
 filter, which grows change along existing class edges.
 
-Each class orders its pixels by a stable argsort of a key, lowest first,
-so tied pixels keep row-major order. Called on its own, `mola` takes the
-negated suitabilities as the key. In the cellular pass the weighted
-suitability is byte * (CONTIGUITY_FLOOR + n_same / n_valid), with the
-neighbour counts small integers, so `ca_markov` looks each pixel's key up
+MOLA runs in one kernel, `_claim`, on the eligible cells alone: it takes
+one sort key per class and cell and returns each cell's class. A class
+orders the cells by a stable argsort of its key, lowest first, so tied
+cells keep row-major order. `mola` finds the cells where every
+suitability holds data and keys them by the negated suitabilities. The
+cellular pass keys the valid cells of the map by the weighted
+suitability byte * (CONTIGUITY_FLOOR + n_same / n_valid), with the
+neighbour counts small integers, so `ca_markov` looks each cell's key up
 in `_key_table`: the dense uint16 rank of every (byte, n_valid, n_same)
 product, computed with the float64 operations of the float key so that
 equal products share a rank. Suitabilities that are not all bytes, and
@@ -61,71 +64,47 @@ class AllocationTargets:
         return sum(self.targets.values())
 
 
-def _class_orders(keys: dict[int, np.ndarray], flat_eligible: np.ndarray, n_cells: int):
-    """Per class: the eligible pixel indices in ascending key order, ties in
-    cell order, and the inverse rank lookup. keys[c] holds one value per
-    entry of flat_eligible."""
+def _class_orders(keys: dict[int, np.ndarray], index: type):
+    """Per class: the cell positions in ascending key order, ties in
+    position order, and the inverse rank lookup, both of dtype `index`."""
     orders = {}
     ranks = {}
     for c, key in keys.items():
-        order = flat_eligible[np.argsort(key, kind="stable")]
-        rank = np.full(n_cells, np.iinfo(order.dtype).max, dtype=order.dtype)
-        rank[order] = np.arange(order.size, dtype=order.dtype)
+        order = np.argsort(key, kind="stable").astype(index, copy=False)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size, dtype=index)
         orders[c] = order
         ranks[c] = rank
     return orders, ranks
 
 
-def mola(
-    suitabilities: dict[int, Grid],
-    targets: AllocationTargets,
-    legend: dict[int, str] | None = None,
-    date_tag: str = "",
-    key: dict[int, np.ndarray] | None = None,
-) -> LandCoverMap:
-    """Multi-objective allocation by iterative ranked claims.
+def _claim(class_ids: list[int], keys: dict[int, np.ndarray], targets: dict[int, int]) -> np.ndarray:
+    """MOLA's ranked claims on cells 0..n-1, where keys[c] holds class c's
+    key for each cell and targets[c] its cell count, for every c in
+    class_ids. Returns each cell's class as a position in class_ids.
 
     Every round each class claims its remaining quota from its best-ranked
-    unassigned pixels; a contested pixel goes to the class ranking it best
+    unassigned cells; a contested cell goes to the class ranking it best
     (ties to the lowest class id). Contests are settled by rank scatter:
-    classes in ascending id write their claim ranks into one per-pixel
-    best-rank array, and a claim takes a pixel only with a strictly lower
-    rank than the one already there. Targets must sum exactly to the
-    eligible pixel count; the result hits every target exactly and is
-    deterministic.
+    classes in ascending id write their claim ranks into one per-cell
+    best-rank array, and a claim takes a cell only with a strictly lower
+    rank than the one already there. Targets must sum exactly to n; every
+    target is hit exactly."""
+    n = keys[class_ids[0]].size
+    total = sum(targets.values())
+    if total != n:
+        raise DataError(f"targets sum to {total} but {n} pixels are eligible")
+    index = np.int32 if n < 2**31 else np.int64  # int32 halves the state arrays
+    orders, ranks = _class_orders(keys, index)
 
-    The eligible pixels are those where every suitability holds data. A
-    class ranks them by its key, lowest first, ties to the earlier pixel
-    in row-major order. Without `key` that is the negated suitability;
-    `key[c]`, if given, holds one value per eligible pixel in row-major
-    order, and the suitabilities then only mark the eligible pixels.
-    """
-    if set(targets.targets) != set(suitabilities):
-        raise DataError(
-            f"target classes {sorted(targets.targets)} do not match suitability classes {sorted(suitabilities)}"
-        )
-    class_ids = sorted(suitabilities)
-    geometry = suitabilities[class_ids[0]]
-    eligible = joint_valid(*(suitabilities[c] for c in class_ids), context="mola")
-    n_cells = geometry.shape[0] * geometry.shape[1]
-    index = np.int32 if n_cells < 2**31 else np.int64  # int32 halves the state arrays
-    flat_eligible = np.flatnonzero(eligible.ravel()).astype(index)
-    if targets.total != flat_eligible.size:
-        raise DataError(
-            f"targets sum to {targets.total} but {flat_eligible.size} pixels are eligible"
-        )
-    if key is None:
-        key = {c: -suitabilities[c].values.ravel()[flat_eligible] for c in class_ids}
-    orders, ranks = _class_orders({c: key[c] for c in class_ids}, flat_eligible, n_cells)
-
-    # per pixel, the position in class_ids of the class it is assigned to,
+    # per cell, the position in class_ids of the class it is assigned to,
     # and the best rank claimed this round and the class that holds it.
-    # Every claimed pixel is assigned when its round ends and never
+    # Every claimed cell is assigned when its round ends and never
     # claimed again, so neither array needs resetting between rounds.
-    assigned = np.full(n_cells, -1, dtype=index)
-    best = np.full(n_cells, np.iinfo(index).max, dtype=index)
-    holder = np.empty(n_cells, dtype=index)
-    remaining = {c: targets.targets[c] for c in class_ids}
+    assigned = np.full(n, -1, dtype=index)
+    best = np.full(n, np.iinfo(index).max, dtype=index)
+    holder = np.empty(n, dtype=index)
+    remaining = dict(targets)
     cursor = {c: 0 for c in class_ids}
 
     while any(v > 0 for v in remaining.values()):
@@ -142,7 +121,7 @@ def mola(
             picked = seg[take]
             cursor[c] += int(take[-1]) + 1
             # classes come in ascending id, so only a strictly lower rank
-            # takes a pixel from an earlier class: ties stay with the lowest id
+            # takes a cell from an earlier class: ties stay with the lowest id
             rnk = ranks[c][picked]
             wins = rnk < best[picked]
             won = picked[wins]
@@ -153,12 +132,37 @@ def mola(
             won = picked[holder[picked] == i]
             assigned[won] = i
             remaining[class_ids[i]] -= won.size
+    return assigned
 
-    out = np.full(n_cells, geometry.nodata_value)
-    out[flat_eligible] = np.asarray(class_ids, dtype=np.float64)[assigned[flat_eligible]]
+
+def mola(
+    suitabilities: dict[int, Grid],
+    targets: AllocationTargets,
+    legend: dict[int, str] | None = None,
+    date_tag: str = "",
+) -> LandCoverMap:
+    """Multi-objective allocation by iterative ranked claims (`_claim`).
+
+    The eligible pixels are those where every suitability holds data. A
+    class ranks them by suitability, highest first, ties to the earlier
+    pixel in row-major order. Targets must sum exactly to the eligible
+    pixel count; the result hits every target exactly and is
+    deterministic. The map's nodata value is DEFAULT_NODATA, which no
+    class id can equal.
+    """
+    if set(targets.targets) != set(suitabilities):
+        raise DataError(
+            f"target classes {sorted(targets.targets)} do not match suitability classes {sorted(suitabilities)}"
+        )
+    class_ids = sorted(suitabilities)
+    geometry = suitabilities[class_ids[0]]
+    eligible = joint_valid(*(suitabilities[c] for c in class_ids), context="mola")
+    keys = {c: -suitabilities[c].values[eligible] for c in class_ids}
+    assigned = _claim(class_ids, keys, targets.targets)
     if legend is None:
         legend = {c: f"class {c}" for c in class_ids}
-    return LandCoverMap(geometry.with_values(out.reshape(geometry.shape)), legend, date_tag)
+    out = geometry.scatter(eligible, np.asarray(class_ids, dtype=np.float64)[assigned], DEFAULT_NODATA)
+    return LandCoverMap(out, legend, date_tag)
 
 
 def _contiguity(n_same, n_valid) -> np.ndarray:
@@ -284,10 +288,12 @@ def ca_markov(
     ranked allocation. An iteration whose targets already match the map
     allocates nothing. Final counts equal the projected targets exactly.
 
-    Every suitability must hold data wherever the map does. The weighted
-    suitabilities reach `mola` as sort keys: the `_key_table` rank when
-    every suitability is a byte and the kernel has a table, else the
-    negated float product.
+    Every suitability must hold data wherever the map does, and every
+    valid cell of the map is allocated. The weighted suitabilities reach
+    `_claim` as sort keys: the `_key_table` rank when every suitability is
+    a byte and the kernel has a table, else the negated float product.
+    The evolving map is one label array; the result is built from it once,
+    with the standard nodata value, whether or not an iteration allocated.
     """
     params = params or CaParams()
     ids = sorted(suitabilities)
@@ -304,10 +310,7 @@ def ca_markov(
     for c in ids:
         require_data_under(current.grid, suitabilities[c], f"ca_markov: the class {c} suitability", where)
     valid = current.grid.valid
-    # mola allocates every valid cell of the map, so the evolving map keeps
-    # them, and its nodata is the standard sentinel
     cells = np.flatnonzero(valid.ravel())
-    eligible = current.grid.scatter(valid, 0.0, DEFAULT_NODATA)
     values = {c: suitabilities[c].values.ravel()[cells] for c in ids}
     table = _key_table(params.kernel_size)
     as_bytes = {c: _as_bytes(v) for c, v in values.items()} if table is not None else {}
@@ -325,29 +328,24 @@ def ca_markov(
     final_vec = np.array([finals[c] for c in ids], dtype=np.float64)
     total = int(init_vec.sum())
 
-    state = current
-    now = initial  # the counts of `state`, carried from one iteration to the next
+    labels = current.labels.copy()  # the evolving map, -1 at nodata
+    codes = np.asarray(ids, dtype=labels.dtype)
+    now = [initial[c] for c in ids]  # the class counts of `labels`
     log: list[AllocationLogRow] = []
     for it in range(1, params.iterations + 1):
         reals = init_vec + it / params.iterations * (final_vec - init_vec)
-        step_targets = largest_remainder(reals, total)
-        wanted = {c: int(t) for c, t in zip(ids, step_targets)}
-        if all(wanted[c] == now.get(c, 0) for c in ids):
+        wanted = largest_remainder(reals, total).tolist()
+        if wanted != now:
+            keys = {}
             for c in ids:
-                log.append(AllocationLogRow(it, c, wanted[c], now.get(c, 0)))
-            continue
-        labels = state.labels
-        keys = {}
-        for c in ids:
-            n_same = neighbor_counts(labels == c, radius).ravel()[cells]
-            keys[c] = _weighted_key(values[c], n_same, n_valid, table, params.kernel_size)
-        state = mola(
-            dict.fromkeys(ids, eligible), AllocationTargets(wanted), dict(current.legend), current.date_tag, key=keys
-        )
-        now = state.class_counts()
-        for c in ids:
-            log.append(AllocationLogRow(it, c, wanted[c], now.get(c, 0)))
-    return state, log
+                n_same = neighbor_counts(labels == c, radius).ravel()[cells]
+                keys[c] = _weighted_key(values[c], n_same, n_valid, table, params.kernel_size)
+            assigned = _claim(ids, keys, dict(zip(ids, wanted)))
+            np.put(labels, cells, codes[assigned])
+            now = np.bincount(assigned, minlength=len(ids)).tolist()
+        log.extend(AllocationLogRow(it, c, w, n) for c, w, n in zip(ids, wanted, now))
+    predicted = current.grid.scatter(valid, labels[valid], DEFAULT_NODATA)
+    return LandCoverMap(predicted, dict(current.legend), current.date_tag), log
 
 
 def random_allocation(template: LandCoverMap, targets: AllocationTargets, seed: int) -> LandCoverMap:

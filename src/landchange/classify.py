@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .grid import (
+    DEFAULT_NODATA,
     BinaryMask,
     Grid,
     LandCoverMap,
@@ -90,7 +91,8 @@ def maxlike(
 
     Per class: score = ln(prior) - 0.5*ln(det(cov)) - 0.5*mahalanobis^2.
     The label is the best score; exact ties go to the lowest class id.
-    Returns the map and the per-class score grids.
+    Returns the map, with nodata DEFAULT_NODATA whatever the bands use, so
+    no class id can fall on it, and the per-class score grids.
     """
     if priors_mode not in ("empirical", "equal"):
         raise DataError(f"priors_mode must be 'empirical' or 'equal', got {priors_mode!r}")
@@ -126,7 +128,7 @@ def maxlike(
     class_ids = [s.class_id for s in sigs]
     if legend is None:
         legend = {cid: f"class {cid}" for cid in class_ids}
-    lc = LandCoverMap(geometry.scatter(valid, np.asarray(class_ids, dtype=np.float64)[best]), legend)
+    lc = LandCoverMap(geometry.scatter(valid, np.asarray(class_ids, dtype=np.float64)[best], DEFAULT_NODATA), legend)
     score_grids = {cid: geometry.scatter(valid, scores[idx], SCORE_NODATA) for idx, cid in enumerate(class_ids)}
     return lc, score_grids
 

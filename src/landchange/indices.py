@@ -51,7 +51,8 @@ def ternary_thresholds(grid: Grid) -> tuple[float, float]:
 def ternarize(grid: Grid, t_low: float, t_high: float) -> Grid:
     """Cut a continuous grid into vigour levels 0 (low), 1 (medium), 2 (high).
 
-    v < t_low -> 0; t_low <= v < t_high -> 1; v >= t_high -> 2.
+    v < t_low -> 0; t_low <= v < t_high -> 1; v >= t_high -> 2. Nodata
+    cells come out as DEFAULT_NODATA, whatever the input uses.
     """
     if not (math.isfinite(t_low) and math.isfinite(t_high)):
         raise DataError(f"thresholds must be finite, got {t_low} and {t_high}")
@@ -59,8 +60,7 @@ def ternarize(grid: Grid, t_low: float, t_high: float) -> Grid:
         raise DataError(f"thresholds out of order: {t_low} > {t_high}")
     v = grid.values
     levels = np.where(v < t_low, 0.0, np.where(v < t_high, 1.0, 2.0))
-    levels[~grid.valid] = grid.nodata_value
-    return grid.with_values(levels)
+    return grid.scatter(grid.valid, levels[grid.valid], DEFAULT_NODATA)
 
 
 def _check_levels(grid: Grid, name: str) -> None:
@@ -148,7 +148,8 @@ def default_grouping() -> DynamicsGrouping:
 
 
 def group_dynamics(codes: Grid) -> LandCoverMap:
-    """Collapse trajectory codes into the default_grouping dynamics map."""
+    """Collapse trajectory codes into the default_grouping dynamics map,
+    with nodata DEFAULT_NODATA."""
     grouping = default_grouping()
     vals = codes.values
     ok = codes.valid
@@ -157,7 +158,7 @@ def group_dynamics(codes: Grid) -> LandCoverMap:
         if not np.all(data == np.floor(data)) or data.min() < 0 or data.max() > 26:
             raise DataError("codes grid holds values outside 0..26")
     lut = np.asarray(grouping.category_of, dtype=np.float64)
-    return LandCoverMap(codes.scatter(ok, lut[data.astype(np.int64)]), dict(grouping.names))
+    return LandCoverMap(codes.scatter(ok, lut[data.astype(np.int64)], DEFAULT_NODATA), dict(grouping.names))
 
 
 def write_grouping_csv(grouping: DynamicsGrouping, path) -> None:

@@ -133,6 +133,14 @@ def test_mola_exact_and_deterministic():
     assert np.array_equal(a.grid.values, b.grid.values)
 
 
+def test_mola_map_takes_the_standard_nodata():
+    # on the suitabilities' nodata value 0, the class 0 pixel would read as nodata
+    suits = {c: Grid(np.array([[5.0 - 4 * c, 0.0, 3.0 + c]]), 1.0, nodata_value=0.0) for c in (0, 1)}
+    out = mola(suits, AllocationTargets({0: 1, 1: 1}))
+    assert out.grid.nodata_value == -9999.0
+    assert out.grid.values.tolist() == [[0.0, -9999.0, 1.0]]
+
+
 def test_mola_errors():
     g = _grid([[1.0, 2.0]])
     with pytest.raises(DataError, match="do not match"):
@@ -156,8 +164,9 @@ def _ref_mola(suitabilities, targets, legend=None, date_tag=""):
         raise DataError(f"targets sum to {targets.total} but {flat_eligible.size} pixels are eligible")
     n_cells = geometry.shape[0] * geometry.shape[1]
     keys = {c: -suitabilities[c].values.ravel()[flat_eligible] for c in class_ids}
-    orders, ranks = allocate._class_orders(keys, flat_eligible, n_cells)
-    assigned = np.full(n_cells, -1, dtype=np.int64)
+    # orders and ranks run over positions in flat_eligible
+    orders, ranks = allocate._class_orders(keys, np.int64)
+    assigned = np.full(flat_eligible.size, -1, dtype=np.int64)
     remaining = {c: targets.targets[c] for c in class_ids}
     cursor = {c: 0 for c in class_ids}
     rounds = 0
@@ -188,7 +197,7 @@ def _ref_mola(suitabilities, targets, legend=None, date_tag=""):
         for c, n in zip(*np.unique(winners, return_counts=True)):
             remaining[int(c)] -= int(n)
     out = np.full(n_cells, geometry.nodata_value)
-    out[flat_eligible] = assigned[flat_eligible].astype(np.float64)
+    out[flat_eligible] = assigned.astype(np.float64)
     if legend is None:
         legend = {c: f"class {c}" for c in class_ids}
     return LandCoverMap(geometry.with_values(out.reshape(geometry.shape)), legend, date_tag), rounds
@@ -233,8 +242,8 @@ def _cut_last_class(cut):
     """_class_orders with the last class's ranked order `cut` pixels short."""
     real = allocate._class_orders
 
-    def class_orders(keys, flat_eligible, n_cells):
-        orders, ranks = real(keys, flat_eligible, n_cells)
+    def class_orders(keys, index):
+        orders, ranks = real(keys, index)
         last = max(orders)
         orders[last] = orders[last][: max(orders[last].size - cut, 0)]
         return orders, ranks
@@ -343,6 +352,20 @@ def test_ca_markov_identity_transition_changes_nothing():
     out, log = ca_markov(lc, tm, suits, CaParams(iterations=3, kernel_size=3))
     assert grids_equal(out.grid, lc.grid)
     assert all(row.allocated == row.target for row in log)
+
+
+@pytest.mark.parametrize("tm", [np.eye(2), np.array([[0.4, 0.6], [0.0, 1.0]])], ids=["identity", "changing"])
+def test_ca_markov_map_takes_the_standard_nodata_whether_or_not_it_allocates(tm):
+    vals = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 1.0, 0.0]])
+    lc = LandCoverMap(Grid(vals, 1.0, nodata_value=-1.0), {0: "a", 1: "b"}, "1994")
+    suits = {c: Grid(np.full((3, 3), 10.0 * (c + 1)), 1.0, nodata_value=-1.0) for c in (0, 1)}
+    out, log = ca_markov(lc, TransitionMatrix(tm, 1.0, (0, 1)), suits, CaParams(iterations=2, kernel_size=3))
+    assert out.grid.nodata_value == -9999.0
+    assert np.array_equal(out.grid.valid, lc.grid.valid)
+    assert (out.legend, out.date_tag) == (lc.legend, lc.date_tag)
+    moved = out.class_counts() != lc.class_counts()
+    assert moved == (not np.array_equal(tm, np.eye(2)))
+    assert {row.class_id: row.allocated for row in log[-2:]} == out.class_counts()
 
 
 def test_ca_markov_hits_projected_counts():

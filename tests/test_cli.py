@@ -16,8 +16,8 @@ from landchange.grid import Grid, read_ascii_grid, write_ascii_grid
 from landchange.markov import read_transition_csv
 
 
-def _w(path, vals, cell=30.0):
-    write_ascii_grid(Grid(np.asarray(vals, dtype=np.float64), cell), path)
+def _w(path, vals, cell=30.0, nodata=-9999.0):
+    write_ascii_grid(Grid(np.asarray(vals, dtype=np.float64), cell, nodata_value=nodata), path)
     return str(path)
 
 
@@ -300,6 +300,17 @@ def test_preprocess_and_oif(tmp_path):
     assert main(["oif", b1, b2, b3, "--labels", "a,b", "--out", str(out2), "--quiet"]) == 2
 
 
+def test_preprocess_keeps_the_darkest_pixel_when_the_band_uses_nodata_0(tmp_path):
+    # the reference minimum is corrected to exactly 0, the band's nodata value
+    band = _w(tmp_path / "b.asc", [[5.0, 6.0, 9.0], [7.0, 8.0, 12.0]], nodata=0.0)
+    ref = _w(tmp_path / "ref.asc", [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    out = tmp_path / "pre"
+    assert main(["preprocess", band, "--reference", ref, "--out", str(out), "--quiet"]) == 0
+    corrected = read_ascii_grid(out / "corrected_band1.asc")
+    assert corrected.nodata_value == -9999.0
+    assert corrected.values.tolist() == [[0.0, 1.0, 4.0], [2.0, 3.0, 7.0]]
+
+
 def test_oif_with_two_bands_exits_2_before_reading(tmp_path, caplog):
     out = tmp_path / "oif"
     assert main(["oif", str(tmp_path / "nope1.asc"), str(tmp_path / "nope2.asc"), "--out", str(out), "--quiet"]) == 2
@@ -400,6 +411,19 @@ def test_indices_and_change(tmp_path):
     assert not out3.exists()
 
 
+def test_change_keeps_low_vigour_cells_when_the_dates_use_nodata_0(tmp_path):
+    rng = np.random.default_rng(5)
+    dates = [_w(tmp_path / f"d{i}.asc", rng.uniform(0.01, 1.0, (4, 5)) * rng.choice([-1, 1], (4, 5)), nodata=0.0)
+             for i in range(3)]
+    out = tmp_path / "chg"
+    assert main(["change", *dates, "--low", "-0.1", "--high", "0.1", "--out", str(out), "--quiet"]) == 0
+    for name in ("levels_1.asc", "levels_2.asc", "levels_3.asc", "change_code.asc", "dynamics.asc"):
+        got = read_ascii_grid(out / name)
+        assert got.nodata_value == -9999.0, name
+        assert got.valid.all(), name
+    assert 0.0 in read_ascii_grid(out / "levels_1.asc").values
+
+
 def _classify_inputs(tmp_path):
     left_right = lambda lo, hi, jitter: [
         [lo, lo + jitter, hi, hi + jitter],
@@ -421,6 +445,20 @@ def test_classify(tmp_path):
     assert code == 0
     for fn in ("signatures.csv", "classified_ml.asc", "classified_icm.asc", "classified_legend.csv"):
         assert (out / fn).is_file(), fn
+
+
+def test_classify_keeps_class_0_when_the_bands_use_nodata_0(tmp_path):
+    rng = np.random.default_rng(4)
+    right = np.repeat([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]], 6, axis=0)
+    b1 = _w(tmp_path / "b1.asc", 1.0 + 8.0 * right + rng.random((6, 6)), nodata=0.0)
+    b2 = _w(tmp_path / "b2.asc", 2.0 + 16.0 * right + rng.random((6, 6)), nodata=0.0)
+    training = _w(tmp_path / "train.asc", right)
+    out = tmp_path / "cls"
+    assert main(["classify", b1, b2, "--training", training, "--out", str(out), "--quiet"]) == 0
+    for name in ("classified_ml.asc", "classified_icm.asc"):
+        got = read_ascii_grid(out / name)
+        assert got.nodata_value == -9999.0, name
+        assert got.values.tolist() == right.tolist(), name
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf"])

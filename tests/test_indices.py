@@ -78,6 +78,16 @@ def test_ternarize_boundaries():
             ternarize(grid, lo, hi)
 
 
+def test_levels_and_categories_take_the_standard_nodata():
+    # on the input's own nodata value, level 0 and category 2 would read as nodata
+    levels = ternarize(g([[-0.5, 0.05, 0.5, 0.0]], nodata=0.0), -0.1, 0.1)
+    assert levels.nodata_value == -9999.0
+    assert levels.values.tolist() == [[0.0, 1.0, 2.0, -9999.0]]
+    lc = group_dynamics(g([[0.0, 26.0, 2.0]], nodata=2.0))
+    assert lc.grid.nodata_value == -9999.0
+    assert lc.labels.tolist() == [[0, 2, -1]]
+
+
 def test_change_composite_codes():
     l1 = g([[0.0, 1.0, 2.0]])
     l2 = g([[0.0, 2.0, 2.0]])

@@ -40,6 +40,9 @@ MATRIX = (
     f"{SYNTH_96x80} --cell-size 1e305 --out synth_96x80_1e305_cell",
     "synth --rows 512 --cols 512 --classes 3 --seed 97 --out synth_512",
     "run --config synth_512/pipeline.ini --out run_512",
+    # an identity transition: no CA iteration allocates
+    "synth --rows 64 --cols 70 --classes 3 --stay 1 --seed 5 --out synth_stay_1",
+    "run --config synth_stay_1/pipeline.ini --out run_stay_1",
     "synth --rows 256 --cols 256 --classes 2 --model mlp --seed 3 --out synth_mlp_256",
     "run --config synth_mlp_256/pipeline.ini --out run_mlp_256",
     "synth --rows 64 --cols 70 --classes 2 --model mlp --seed 7 --out synth_mlp",
