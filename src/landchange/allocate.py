@@ -7,19 +7,17 @@ pixel better. The cellular pass re-runs the allocation over several
 iterations with suitability weighted by a neighborhood contiguity
 filter, which grows change along existing class edges.
 
-MOLA runs in one kernel, `_claim`, on the eligible cells alone: it takes
-one sort key per class and cell and returns each cell's class. A class
-orders the cells by a stable argsort of its key, lowest first, so tied
-cells keep row-major order. `mola` finds the cells where every
-suitability holds data and keys them by the negated suitabilities. The
-cellular pass keys the valid cells of the map by the weighted
-suitability byte * (CONTIGUITY_FLOOR + n_same / n_valid), with the
-neighbour counts small integers, so `ca_markov` looks each cell's key up
-in `_key_table`: the dense uint16 rank of every (byte, n_valid, n_same)
-product, computed with the float64 operations of the float key so that
-equal products share a rank. Suitabilities that are not all bytes, and
-kernels of 7 or more (169,582 distinct products at 7, growing as
-kernel**4), take the negated float product as the key instead.
+MOLA runs in one kernel, `_claim`, on the eligible cells alone. Each
+class orders them by a stable argsort of its key, lowest first, so tied
+cells keep row-major order. `mola` keys them by the negated
+suitabilities. In the cellular pass the weighted suitability is byte *
+(CONTIGUITY_FLOOR + n_same / n_valid), with the neighbour counts small
+integers, so `ca_markov` looks each cell's key up in `_key_table`: the
+dense uint16 rank of every (byte, n_valid, n_same) product, computed with
+the float64 operations of the float key so that equal products share a
+rank. Suitabilities that are not all bytes, and kernels of 7 or more
+(169,582 distinct products at 7, growing as kernel**4), take the negated
+float product as the key instead.
 """
 
 from __future__ import annotations
@@ -288,12 +286,11 @@ def ca_markov(
     ranked allocation. An iteration whose targets already match the map
     allocates nothing. Final counts equal the projected targets exactly.
 
-    Every suitability must hold data wherever the map does, and every
-    valid cell of the map is allocated. The weighted suitabilities reach
-    `_claim` as sort keys: the `_key_table` rank when every suitability is
-    a byte and the kernel has a table, else the negated float product.
-    The evolving map is one label array; the result is built from it once,
-    with the standard nodata value, whether or not an iteration allocated.
+    Every suitability must hold data wherever the map does. The weighted
+    suitabilities reach `_claim` as sort keys: the `_key_table` rank when
+    every suitability is a byte and the kernel has a table, else the
+    negated float product. The map comes back on DEFAULT_NODATA, whether
+    or not an iteration allocated.
     """
     params = params or CaParams()
     ids = sorted(suitabilities)
