@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import DataError
 from .grid import (
-    DEFAULT_NODATA,
     Grid,
     LandCoverMap,
     joint_valid,
@@ -145,8 +144,7 @@ def mola(
     class ranks them by suitability, highest first, ties to the earlier
     pixel in row-major order. Targets must sum exactly to the eligible
     pixel count; the result hits every target exactly and is
-    deterministic. The map's nodata value is DEFAULT_NODATA, which no
-    class id can equal.
+    deterministic.
     """
     if set(targets.targets) != set(suitabilities):
         raise DataError(
@@ -159,7 +157,7 @@ def mola(
     assigned = _claim(class_ids, keys, targets.targets)
     if legend is None:
         legend = {c: f"class {c}" for c in class_ids}
-    out = geometry.scatter(eligible, np.asarray(class_ids, dtype=np.float64)[assigned], DEFAULT_NODATA)
+    out = geometry.scatter(eligible, np.asarray(class_ids, dtype=np.float64)[assigned])
     return LandCoverMap(out, legend, date_tag)
 
 
@@ -174,26 +172,21 @@ def _contiguity(n_same, n_valid) -> np.ndarray:
 def contiguity_weights(current: LandCoverMap, class_ids, kernel_size: int = 5) -> dict[int, np.ndarray]:
     """Per class id: the fraction of valid neighbors inside the kernel window
     (center excluded) holding that class. Edges normalize by the neighbors
-    actually available; nodata cells hold the map's nodata value. The labels
+    actually available; the values at nodata cells mean nothing. The labels
     and the valid-neighbor counts are computed once for all classes."""
     if kernel_size < 3 or kernel_size % 2 == 0:
         raise DataError(f"kernel_size must be an odd number >= 3, got {kernel_size}")
     labels = current.labels
     radius = kernel_size // 2
     n_valid = neighbor_counts(labels >= 0, radius)
-    nodata = labels < 0
-    weights = {}
-    for c in class_ids:
-        out = _contiguity(neighbor_counts(labels == int(c), radius), n_valid)
-        out[nodata] = current.grid.nodata_value
-        weights[int(c)] = out
-    return weights
+    return {int(c): _contiguity(neighbor_counts(labels == int(c), radius), n_valid) for c in class_ids}
 
 
 def contiguity_filter(current: LandCoverMap, class_id: int, kernel_size: int = 5) -> Grid:
     """contiguity_weights for one class, as a grid on the map's geometry."""
-    weights = contiguity_weights(current, (class_id,), kernel_size)
-    return current.grid.with_values(weights[int(class_id)])
+    weights = contiguity_weights(current, (class_id,), kernel_size)[int(class_id)]
+    valid = current.grid.valid
+    return current.grid.scatter(valid, weights[valid])
 
 
 @dataclass(frozen=True)
@@ -289,8 +282,7 @@ def ca_markov(
     Every suitability must hold data wherever the map does. The weighted
     suitabilities reach `_claim` as sort keys: the `_key_table` rank when
     every suitability is a byte and the kernel has a table, else the
-    negated float product. The map comes back on DEFAULT_NODATA, whether
-    or not an iteration allocated.
+    negated float product.
     """
     params = params or CaParams()
     ids = sorted(suitabilities)
@@ -341,7 +333,7 @@ def ca_markov(
             np.put(labels, cells, codes[assigned])
             now = np.bincount(assigned, minlength=len(ids)).tolist()
         log.extend(AllocationLogRow(it, c, w, n) for c, w, n in zip(ids, wanted, now))
-    predicted = current.grid.scatter(valid, labels[valid], DEFAULT_NODATA)
+    predicted = current.grid.scatter(valid, labels[valid])
     return LandCoverMap(predicted, dict(current.legend), current.date_tag), log
 
 
@@ -356,17 +348,10 @@ def random_allocation(template: LandCoverMap, targets: AllocationTargets, seed: 
         )
     rng = np.random.default_rng(seed)
     shuffled = rng.permutation(flat_eligible)
-    out = np.full(lab.size, template.grid.nodata_value)
-    start = 0
-    for c in sorted(targets.targets):
-        n = targets.targets[c]
-        out[shuffled[start : start + n]] = float(c)
-        start += n
-    return LandCoverMap(
-        template.grid.with_values(out.reshape(template.grid.shape)),
-        dict(template.legend),
-        template.date_tag,
-    )
+    ids = sorted(targets.targets)
+    classes = np.repeat(np.asarray(ids, dtype=np.float64), [targets.targets[c] for c in ids])
+    out = template.grid.scatter(np.unravel_index(shuffled, lab.shape), classes)
+    return LandCoverMap(out, dict(template.legend), template.date_tag)
 
 
 def mean_same_class_neighbor_fraction(lc: LandCoverMap) -> float:

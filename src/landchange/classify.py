@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .grid import (
-    DEFAULT_NODATA,
     BinaryMask,
     Grid,
     LandCoverMap,
@@ -91,8 +90,8 @@ def maxlike(
 
     Per class: score = ln(prior) - 0.5*ln(det(cov)) - 0.5*mahalanobis^2.
     The label is the best score; exact ties go to the lowest class id.
-    Returns the map, with nodata DEFAULT_NODATA whatever the bands use, so
-    no class id can fall on it, and the per-class score grids.
+    Returns the map and the per-class score grids, which are on
+    SCORE_NODATA.
     """
     if priors_mode not in ("empirical", "equal"):
         raise DataError(f"priors_mode must be 'empirical' or 'equal', got {priors_mode!r}")
@@ -128,7 +127,7 @@ def maxlike(
     class_ids = [s.class_id for s in sigs]
     if legend is None:
         legend = {cid: f"class {cid}" for cid in class_ids}
-    lc = LandCoverMap(geometry.scatter(valid, np.asarray(class_ids, dtype=np.float64)[best], DEFAULT_NODATA), legend)
+    lc = LandCoverMap(geometry.scatter(valid, np.asarray(class_ids, dtype=np.float64)[best]), legend)
     score_grids = {cid: geometry.scatter(valid, scores[idx], SCORE_NODATA) for idx, cid in enumerate(class_ids)}
     return lc, score_grids
 
@@ -238,10 +237,10 @@ def icm(
         if changed == 0:
             break
 
-    out_lab = lab.reshape(n_rows + 2, w)[1:-1, 1:-1]
-    out = initial.grid.values.copy()  # labeled cells without full score coverage pass through
-    out[active] = ids_arr.astype(np.float64)[out_lab[active]]
-    return LandCoverMap(initial.grid.with_values(out), dict(initial.legend), initial.date_tag)
+    # labeled cells without full score coverage keep their initial index
+    out_lab = lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled]
+    out = initial.grid.scatter(labeled, ids_arr.astype(np.float64)[out_lab])
+    return LandCoverMap(out, dict(initial.legend), initial.date_tag)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ into rows; the bytes are the same as formatting every cell on its own.
 The reader accepts finite values only, written as `parse_number` reads
 them: a non-finite or underscored header value or cell is a format error.
 
+Every grid the program makes from computed values is on DEFAULT_NODATA
+(-9999), whatever its inputs use: `Grid.scatter` and `mask_like` build on
+it. An input on NODATA_VALUE 0 thus keeps its class 0, level 0 or
+probability 0 cells as data. The one exception is `classify.maxlike`'s
+internal score grids, which pass SCORE_NODATA, since -9999 is a reachable
+log-score.
+
 `parse_number` is the one rule for numbers in every text input and
 command-line flag, `write_csv` the shared CSV writer, and `joint_valid`
 the one rule for where grids meet: their geometry is checked before their
@@ -76,18 +83,19 @@ class Grid:
         """Boolean array, True where the cell holds data."""
         return self.values != self.nodata_value
 
-    def with_values(self, values, nodata_value=None) -> "Grid":
-        """New grid with this grid's geometry and the given cell values."""
-        nd = self.nodata_value if nodata_value is None else nodata_value
-        return Grid(values, self.cell_size, self.x_origin, self.y_origin, nd)
+    def with_values(self, values) -> "Grid":
+        """New grid with this grid's geometry, nodata value and the given
+        cell values."""
+        return Grid(values, self.cell_size, self.x_origin, self.y_origin, self.nodata_value)
 
-    def scatter(self, sel, values, nodata_value=None) -> "Grid":
+    def scatter(self, sel, values, nodata_value=DEFAULT_NODATA) -> "Grid":
         """New grid with this grid's geometry holding values at the cells
-        sel selects and the nodata value (this grid's, by default) elsewhere."""
-        nd = self.nodata_value if nodata_value is None else nodata_value
-        out = np.full(self.shape, nd)
+        sel selects and nodata elsewhere: DEFAULT_NODATA, whatever this
+        grid uses, so no computed value can fall on an input's nodata.
+        Only maxlike's score grids pass their own nodata_value."""
+        out = np.full(self.shape, nodata_value)
         out[sel] = values
-        return self.with_values(out, nd)
+        return Grid(out, self.cell_size, self.x_origin, self.y_origin, nodata_value)
 
     def same_geometry(self, other: "Grid") -> bool:
         return (
@@ -156,7 +164,8 @@ class BinaryMask(Grid):
 
 
 def mask_like(grid: Grid, values) -> BinaryMask:
-    return BinaryMask(values, grid.cell_size, grid.x_origin, grid.y_origin, grid.nodata_value)
+    """0/1 mask on grid's geometry and DEFAULT_NODATA, so its 0 cells are data."""
+    return BinaryMask(values, grid.cell_size, grid.x_origin, grid.y_origin, DEFAULT_NODATA)
 
 
 @dataclass(frozen=True, eq=False)

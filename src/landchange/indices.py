@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, Grid, LandCoverMap, joint_valid, write_csv
+from .grid import Grid, LandCoverMap, joint_valid, write_csv
 
 
 def normalized_difference(a: Grid, b: Grid) -> Grid:
@@ -17,7 +17,7 @@ def normalized_difference(a: Grid, b: Grid) -> Grid:
     num = a.values - b.values
     den = a.values + b.values
     ok &= den != 0.0
-    return a.scatter(ok, num[ok] / den[ok], DEFAULT_NODATA)
+    return a.scatter(ok, num[ok] / den[ok])
 
 
 def ndvi(nir: Grid, red: Grid) -> Grid:
@@ -37,7 +37,7 @@ def ndim(ndvi_grid: Grid, ndii_grid: Grid, weight: float = 0.5) -> Grid:
     if not 0.0 <= weight <= 1.0:
         raise DataError(f"weight must be in [0, 1], got {weight}")
     blend = weight * ndvi_grid.values[ok] + (1.0 - weight) * ndii_grid.values[ok]
-    return ndvi_grid.scatter(ok, blend, DEFAULT_NODATA)
+    return ndvi_grid.scatter(ok, blend)
 
 
 def ternary_thresholds(grid: Grid) -> tuple[float, float]:
@@ -51,8 +51,7 @@ def ternary_thresholds(grid: Grid) -> tuple[float, float]:
 def ternarize(grid: Grid, t_low: float, t_high: float) -> Grid:
     """Cut a continuous grid into vigour levels 0 (low), 1 (medium), 2 (high).
 
-    v < t_low -> 0; t_low <= v < t_high -> 1; v >= t_high -> 2. Nodata
-    cells come out as DEFAULT_NODATA, whatever the input uses.
+    v < t_low -> 0; t_low <= v < t_high -> 1; v >= t_high -> 2.
     """
     if not (math.isfinite(t_low) and math.isfinite(t_high)):
         raise DataError(f"thresholds must be finite, got {t_low} and {t_high}")
@@ -60,7 +59,7 @@ def ternarize(grid: Grid, t_low: float, t_high: float) -> Grid:
         raise DataError(f"thresholds out of order: {t_low} > {t_high}")
     v = grid.values
     levels = np.where(v < t_low, 0.0, np.where(v < t_high, 1.0, 2.0))
-    return grid.scatter(grid.valid, levels[grid.valid], DEFAULT_NODATA)
+    return grid.scatter(grid.valid, levels[grid.valid])
 
 
 def _check_levels(grid: Grid, name: str) -> None:
@@ -77,9 +76,8 @@ def change_composite(l1: Grid, l2: Grid, l3: Grid) -> Grid:
     ok = joint_valid(l1, l2, l3, context="change_composite")
     for g, name in ((l1, "date 1"), (l2, "date 2"), (l3, "date 3")):
         _check_levels(g, name)
-    codes = 9.0 * l1.values + 3.0 * l2.values + l3.values
-    out = np.where(ok, codes, DEFAULT_NODATA)
-    return l1.with_values(out, nodata_value=DEFAULT_NODATA)
+    codes = 9.0 * l1.values[ok] + 3.0 * l2.values[ok] + l3.values[ok]
+    return l1.scatter(ok, codes)
 
 
 _DEFAULT_CATEGORY_NAMES = {
@@ -148,8 +146,7 @@ def default_grouping() -> DynamicsGrouping:
 
 
 def group_dynamics(codes: Grid) -> LandCoverMap:
-    """Collapse trajectory codes into the default_grouping dynamics map,
-    with nodata DEFAULT_NODATA."""
+    """Collapse trajectory codes into the default_grouping dynamics map."""
     grouping = default_grouping()
     vals = codes.values
     ok = codes.valid
@@ -158,7 +155,7 @@ def group_dynamics(codes: Grid) -> LandCoverMap:
         if not np.all(data == np.floor(data)) or data.min() < 0 or data.max() > 26:
             raise DataError("codes grid holds values outside 0..26")
     lut = np.asarray(grouping.category_of, dtype=np.float64)
-    return LandCoverMap(codes.scatter(ok, lut[data.astype(np.int64)], DEFAULT_NODATA), dict(grouping.names))
+    return LandCoverMap(codes.scatter(ok, lut[data.astype(np.int64)]), dict(grouping.names))
 
 
 def write_grouping_csv(grouping: DynamicsGrouping, path) -> None:

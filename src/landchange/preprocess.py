@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, BinaryMask, MultiBandImage, require_same_geometry, write_csv
+from .grid import BinaryMask, MultiBandImage, require_same_geometry, write_csv
 
 
 def _nearest_rank(sorted_vals: np.ndarray, percentile: float) -> float:
@@ -48,14 +48,13 @@ def dark_object_values(image: MultiBandImage, reference: BinaryMask, percentile:
 
 def dos_correct(image: MultiBandImage, dark: list[float]) -> MultiBandImage:
     """Subtract per-band dark values, clamping at zero. Nodata cells stay
-    nodata, written as DEFAULT_NODATA, so a value corrected to the band's
-    own nodata value (0, say) stays data."""
+    nodata."""
     if len(dark) != image.n_bands:
         raise DataError(f"{len(dark)} dark values for {image.n_bands} bands")
     bands = []
     for band, d in zip(image.bands, dark):
         valid = band.valid
-        bands.append(band.scatter(valid, np.maximum(band.values[valid] - float(d), 0.0), DEFAULT_NODATA))
+        bands.append(band.scatter(valid, np.maximum(band.values[valid] - float(d), 0.0)))
     return MultiBandImage(tuple(bands), image.labels)
 
 

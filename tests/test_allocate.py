@@ -294,11 +294,14 @@ def test_contiguity_filter_hand_case():
     assert out.values[2, 2] == 0.0
 
 
-def test_contiguity_filter_nodata_and_validation():
-    lc = _lcm([[1.0, -9999.0], [0.0, 1.0]], {0: "a", 1: "b"})
-    out = contiguity_filter(lc, 1, kernel_size=3)
-    assert out.values[0, 1] == -9999.0
-    assert out.values[0, 0] == pytest.approx(1 / 2)  # nodata neighbor not counted
+@pytest.mark.parametrize("nodata", [-9999.0, 0.0])
+def test_contiguity_filter_nodata_and_validation(nodata):
+    # the grid is on -9999 whatever the map uses: on a map with NODATA_VALUE
+    # 0 the cell with no class-2 neighbour keeps its weight 0 as data
+    lc = LandCoverMap(Grid(np.array([[1.0, nodata], [2.0, 1.0]]), 1.0, nodata_value=nodata), {1: "b", 2: "c"})
+    out = contiguity_filter(lc, 2, kernel_size=3)
+    assert out.nodata_value == -9999.0
+    assert out.values.tolist() == [[0.5, -9999.0], [0.0, 0.5]]  # nodata neighbor not counted
     for k in (2, 1, -3):
         with pytest.raises(DataError, match="odd"):
             contiguity_filter(lc, 1, kernel_size=k)
@@ -328,9 +331,10 @@ def test_contiguity_weights_match_per_class_reference():
         kernel = int(rng.choice([3, 5, 7]))
         weights = contiguity_weights(lc, (*ids, 9), kernel)
         assert sorted(weights) == [0, 3, 7, 9]
+        valid = lc.grid.valid
         for c in (*ids, 9):  # 9 is absent from the map: all zeros
             want = _contiguity_reference(lc, c, kernel)
-            assert weights[c].tobytes() == want.tobytes()
+            assert weights[c][valid].tobytes() == want[valid].tobytes()  # nodata cells mean nothing
             assert contiguity_filter(lc, c, kernel).values.tobytes() == want.tobytes()
     with pytest.raises(DataError, match="odd"):
         contiguity_weights(lc, ids, 4)
@@ -432,7 +436,7 @@ def _ref_ca_markov(current, tm, suitabilities, params):
                 contiguity = _contiguity_reference(state, c, params.kernel_size)
                 vals = suitabilities[c].values * (allocate.CONTIGUITY_FLOOR + contiguity)
                 vals[~eligible] = -9999.0
-                effective[c] = state.grid.with_values(vals, nodata_value=-9999.0)
+                effective[c] = Grid(vals, state.grid.cell_size, state.grid.x_origin, state.grid.y_origin, -9999.0)
             state = mola(effective, AllocationTargets(wanted), dict(current.legend), current.date_tag)
             now = state.class_counts()
         log.extend(AllocationLogRow(it, c, wanted[c], now.get(c, 0)) for c in ids)
@@ -545,11 +549,14 @@ def test_large_kernels_run_the_shipped_scenario_as_the_float_path(tmp_path, kern
     assert read_ascii_grid(out / "predicted_ca.asc").values.tobytes() == want.grid.values.tobytes()
 
 
-def test_random_allocation():
-    lc = _lcm([[0.0] * 10], {0: "a", 1: "b"})
+@pytest.mark.parametrize("nodata", [-9999.0, 0.0])
+def test_random_allocation(nodata):
+    # on a template with NODATA_VALUE 0 the class-0 targets stay data
+    lc = LandCoverMap(Grid(np.array([[1.0] * 10 + [nodata]]), 1.0, nodata_value=nodata), {0: "a", 1: "b"})
     t = AllocationTargets({0: 6, 1: 4})
     a = random_allocation(lc, t, seed=3)
     assert a.class_counts() == {0: 6, 1: 4}
+    assert a.grid.nodata_value == -9999.0 and a.grid.valid.tolist() == lc.grid.valid.tolist()
     b = random_allocation(lc, t, seed=3)
     assert np.array_equal(a.grid.values, b.grid.values)
     c = random_allocation(lc, t, seed=4)

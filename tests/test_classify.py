@@ -181,6 +181,18 @@ def test_icm_flips_isolated_pixel():
     assert out.grid.values[1, 1] == 0.0
 
 
+def test_icm_keeps_class_0_when_the_map_uses_nodata_0():
+    # class 1 cells on NODATA_VALUE 0 that all flip to class 0 stay data
+    lc = LandCoverMap(Grid(np.array([[1.0, 1.0, 0.0, 1.0]]), 1.0, nodata_value=0.0), {0: "a", 1: "b"})
+    scores = {
+        0: Grid(np.zeros((1, 4)), 1.0, nodata_value=SCORE_NODATA),
+        1: Grid(np.full((1, 4), -10.0), 1.0, nodata_value=SCORE_NODATA),
+    }
+    out = icm(lc, scores, beta=1.0, max_sweeps=5)
+    assert out.grid.nodata_value == -9999.0
+    assert out.grid.values.tolist() == [[0.0, 0.0, -9999.0, 0.0]]
+
+
 def test_icm_objective_never_decreases():
     rng = np.random.default_rng(9)
     for _ in range(3):

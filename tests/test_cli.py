@@ -327,6 +327,20 @@ def _cli(args, cwd):
     )
 
 
+def _main_in_process(args, capsys, caplog):
+    """cli.main's exit code and error text for args, run in this process:
+    argparse's errors raise SystemExit and print to stderr, the program's
+    own are a return code and a logged message. An uncaught exception fails
+    the calling test."""
+    caplog.clear()
+    capsys.readouterr()
+    try:
+        code = main(args)
+    except SystemExit as e:
+        code = e.code
+    return code, capsys.readouterr().err + caplog.text
+
+
 def test_unreadable_grids_exit_3_without_traceback(tmp_path):
     res = _cli(["oif", "nope1.asc", "nope2.asc", "nope3.asc", "--out", "o", "--quiet"], tmp_path)
     assert res.returncode == 3
@@ -502,7 +516,16 @@ def test_criteria_subcommand(tmp_path):
     assert main(["criteria", "--input", dem, "--fuzzy", "linear,up,0", "--out", str(out), "--quiet"]) == 2
 
 
-def test_digit_groups_in_number_flags_exit_2_before_writing(tmp_path):
+def test_constraint_keeps_its_0_cells_when_the_input_uses_nodata_0(tmp_path):
+    grid = _w(tmp_path / "g.asc", [[5.0, 3.0], [0.0, 4.0]], nodata=0.0)
+    out = tmp_path / "crit"
+    assert main(["criteria", "--input", grid, "--constraint-min", "4", "--out", str(out), "--quiet"]) == 0
+    got = read_ascii_grid(out / "criterion_constraint.asc")
+    assert got.nodata_value == -9999.0
+    assert got.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_digit_groups_in_number_flags_exit_2_before_writing(tmp_path, monkeypatch, capsys, caplog):
     # int() and float() read "1_0" as 10; every number flag refuses it
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -518,16 +541,16 @@ def test_digit_groups_in_number_flags_exit_2_before_writing(tmp_path):
         (["criteria", "--input", grid, "--fuzzy", "linear,increasing,1_0,20"], "--fuzzy control points must be numbers"),
         (["criteria", "--input", grid, "--constraint-categories", "1,1_0"], "--constraint-categories: '_' in value '1_0'"),
     ]
+    monkeypatch.chdir(tmp_path)
     for n, (args, message) in enumerate(cases):
         out = tmp_path / f"out{n}"
-        res = _cli([*args, "--out", str(out), "--quiet"], tmp_path)
-        assert res.returncode == 2, (args, res.stderr)
-        assert message in res.stderr, args
-        assert "Traceback" not in res.stderr
+        code, err = _main_in_process([*args, "--out", str(out), "--quiet"], capsys, caplog)
+        assert code == 2, (args, err)
+        assert message in err, args
         assert not out.exists(), args
 
 
-def test_change_thresholds_come_in_pairs_and_finite(tmp_path):
+def test_change_thresholds_come_in_pairs_and_finite(tmp_path, monkeypatch, capsys, caplog):
     # the date grids do not exist: exit 2, not 3, shows no grid was read
     dates = ["d1.asc", "d2.asc", "d3.asc"]
     cases = [
@@ -538,16 +561,16 @@ def test_change_thresholds_come_in_pairs_and_finite(tmp_path):
         (["--low=-inf", "--high", "1"], "--low must be finite, got -inf"),
         (["--low", "0.5", "--high", "0.1"], "--low must be at most --high (0.1), got 0.5"),
     ]
+    monkeypatch.chdir(tmp_path)
     for n, (flags, message) in enumerate(cases):
         out = tmp_path / f"out{n}"
-        res = _cli(["change", *dates, *flags, "--out", str(out), "--quiet"], tmp_path)
-        assert res.returncode == 2, (flags, res.stderr)
-        assert message in res.stderr, flags
-        assert "Traceback" not in res.stderr
+        code, err = _main_in_process(["change", *dates, *flags, "--out", str(out), "--quiet"], capsys, caplog)
+        assert code == 2, (flags, err)
+        assert message in err, flags
         assert not out.exists(), flags
 
 
-def test_non_finite_number_flags_fail_before_writing(tmp_path):
+def test_non_finite_number_flags_fail_before_writing(tmp_path, monkeypatch, capsys, caplog):
     grid = _w(tmp_path / "g.asc", [[1.0, 2.0], [3.0, 4.0]])
     cases = [
         (["synth", "--noise", "nan"], 2, "noise must be finite and non-negative, got nan"),
@@ -578,10 +601,10 @@ def test_non_finite_number_flags_fail_before_writing(tmp_path):
         (["classify", grid, "--training", "nope.asc"], 3, "nope.asc: cannot read grid"),
     ]
     _w(tmp_path / "m.asc", [[0.0, 1.0], [0.0, 0.0]])
-    for n, (args, code, message) in enumerate(cases):
+    monkeypatch.chdir(tmp_path)
+    for n, (args, want, message) in enumerate(cases):
         out = tmp_path / f"out{n}"
-        res = _cli([*args, "--out", str(out), "--quiet"], tmp_path)
-        assert res.returncode == code, (args, res.stderr)
-        assert message in res.stderr
-        assert "Traceback" not in res.stderr
+        code, err = _main_in_process([*args, "--out", str(out), "--quiet"], capsys, caplog)
+        assert code == want, (args, err)
+        assert message in err
         assert not out.exists(), args

@@ -52,8 +52,8 @@ def test_valid_mask_and_with_values():
     assert g.valid.tolist() == [[True, False], [True, True]]
     h = g.with_values(np.ones((2, 2)))
     assert h.cell_size == 30.0 and h.nodata_value == g.nodata_value
-    # nodata override
-    h2 = g.with_values(np.ones((2, 2)), nodata_value=-1.0)
+    # the values change, the nodata value stays the grid's own
+    h2 = Grid(g.values, 30.0, nodata_value=-1.0).with_values(np.ones((2, 2)))
     assert h2.nodata_value == -1.0
 
 
@@ -71,7 +71,7 @@ def test_geometry_comparisons():
 
 def test_joint_valid_checks_geometry_then_ands_the_valid_masks():
     a = Grid(np.array([[1.0, -9999.0], [3.0, 4.0]]), 30.0, 100.0, 200.0)
-    b = a.with_values(np.array([[1.0, 2.0], [-1.0, 4.0]]), nodata_value=-1.0)
+    b = Grid(np.array([[1.0, 2.0], [-1.0, 4.0]]), 30.0, 100.0, 200.0, nodata_value=-1.0)
     assert joint_valid(a, b, context="t").tolist() == [[True, False], [False, True]]
     assert joint_valid(a, context="t").tolist() == a.valid.tolist()
     shifted = Grid(a.values, 30.0, 5100.0, 200.0)
@@ -88,11 +88,13 @@ def test_joint_valid_checks_geometry_then_ands_the_valid_masks():
 
 
 def test_scatter_fills_the_rest_with_nodata():
+    # DEFAULT_NODATA, not the grid's own -5: a scattered -5 stays data
     g = Grid(np.zeros((2, 2)), 30.0, 100.0, 200.0, nodata_value=-5.0)
     sel = np.array([[True, False], [False, True]])
-    out = g.scatter(sel, [7.0, 8.0])
-    assert out.values.tolist() == [[7.0, -5.0], [-5.0, 8.0]]
-    assert out.nodata_value == -5.0 and out.same_geometry(g)
+    out = g.scatter(sel, [-5.0, 8.0])
+    assert out.values.tolist() == [[-5.0, -9999.0], [-9999.0, 8.0]]
+    assert out.nodata_value == -9999.0 and out.same_geometry(g)
+    assert out.valid.tolist() == sel.tolist()
     other = g.scatter(sel, [7.0, 8.0], nodata_value=-1.0)
     assert other.values.tolist() == [[7.0, -1.0], [-1.0, 8.0]] and other.nodata_value == -1.0
 

@@ -206,13 +206,17 @@ def test_second_order_transitions():
         assert np.array_equal(_joint_counts(ids, a, b), want.sum(axis=2))
 
 
-def test_conditional_maps_first_order():
-    cur = _lcm([[0.0, 1.0, -9999.0]])
-    tm = TransitionMatrix(np.array([[0.9, 0.1], [0.3, 0.7]]), 1.0, (0, 1))
+@pytest.mark.parametrize("nodata", [-9999.0, 0.0])
+def test_conditional_maps_first_order(nodata):
+    # the maps are on -9999 whatever the map uses: with NODATA_VALUE 0 a
+    # probability 0 stays data
+    cur = LandCoverMap(Grid(np.array([[1.0, 2.0, nodata]]), 1.0, nodata_value=nodata), {1: "a", 2: "b"})
+    tm = TransitionMatrix(np.array([[0.9, 0.1], [0.0, 1.0]]), 1.0, (1, 2))
     maps = conditional_probability_maps(cur, tm)
-    assert set(maps) == {0, 1}
-    assert maps[0].values.tolist() == [[0.9, 0.3, -9999.0]]
-    assert maps[1].values.tolist() == [[0.1, 0.7, -9999.0]]
+    assert set(maps) == {1, 2}
+    assert maps[1].values.tolist() == [[0.9, 0.0, -9999.0]]
+    assert maps[2].values.tolist() == [[0.1, 1.0, -9999.0]]
+    assert maps[1].nodata_value == maps[2].nodata_value == -9999.0
 
 
 def test_conditional_maps_unknown_class():

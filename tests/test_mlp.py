@@ -388,6 +388,17 @@ def test_predict_map_reproduces_training_outputs_over_row_blocks():
     assert _bits(prob.values[rows, cols]) == _bits(_ref_forward_batch(model, ds.inputs))
 
 
+def test_predict_map_keeps_probability_0_when_the_prior_map_uses_nodata_0():
+    prior = LandCoverMap(Grid(np.array([[1.0, 2.0, 0.0, 2.0]]), 1.0, nodata_value=0.0), {1: "a", 2: "b"})
+    ds = build_samples(prior, prior, [])
+    model, _ = train(init_model(2, 2, seed=0), ds, 0.3, 5)
+    # an output bias of -1000 makes the logistic output exactly 0
+    model = replace(model, output_weights=np.zeros(2), output_bias=-1000.0)
+    prob = predict_map(model, prior, [])
+    assert prob.nodata_value == -9999.0
+    assert prob.values.tolist() == [[0.0, 0.0, -9999.0, 0.0]]
+
+
 def test_predict_map_errors():
     prior = _lcm([[0.0, 1.0]], {0: "a", 1: "b"})
     nxt = _lcm([[1.0, 1.0]], {0: "a", 1: "b"})

@@ -1,6 +1,8 @@
 """End-to-end pipeline: stages, artifacts, determinism."""
 
 import dataclasses
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from landchange import pipeline
 from landchange.cli import main
 from landchange.config import load_config
 from landchange.errors import ConfigError, DataError, NumericalError
-from landchange.grid import Grid, read_ascii_grid, read_csv_rows, write_ascii_grid
+from landchange.grid import Grid, read_ascii_grid, read_csv_rows, read_legend, write_ascii_grid, write_legend
 from landchange.markov import read_transition_csv, scale_transition, write_transition_csv
 from landchange.pipeline import load_maps, run_pipeline, run_stage
 from landchange.synth import SynthSpec, generate_synthetic_landscape, write_scenario
@@ -62,6 +64,33 @@ def test_full_run_artifacts_and_quality(tmp_path):
     assert val[0] == "model,kappa,overall_accuracy"
     assert val[1].startswith("ca_markov,")
     assert val[-1].startswith("random_baseline,")
+
+
+def test_shifted_class_ids_on_nodata_0_give_the_same_run(tmp_path):
+    # the byte-identity matrix's stay-1 scenario, run as written and with
+    # every class id +1 and the maps on NODATA_VALUE 0
+    sc, shifted = tmp_path / "sc", tmp_path / "shifted"
+    synth = ["synth", "--rows", "64", "--cols", "70", "--classes", "3", "--stay", "1", "--seed", "5"]
+    assert main([*synth, "--out", str(sc), "--quiet"]) == 0
+    shutil.copytree(sc, shifted)
+    for path in shifted.glob("map_*.asc"):
+        g = read_ascii_grid(path)
+        assert g.valid.all()
+        write_ascii_grid(Grid(g.values + 1.0, g.cell_size, g.x_origin, g.y_origin, 0.0), path)
+    legend = read_legend(sc / "legend.csv")
+    write_legend({c + 1: name for c, name in legend.items()}, shifted / "legend.csv")
+    ini = (sc / "pipeline.ini").read_text(encoding="utf-8")
+    section, n = re.subn(r"^(\d+) = ", lambda m: f"{int(m[1]) + 1} = ", ini.split("[suitability]")[1], flags=re.M)
+    assert n == 3
+    (shifted / "pipeline.ini").write_text(ini.split("[suitability]")[0] + "[suitability]" + section, encoding="utf-8")
+    for d in (sc, shifted):
+        assert main(["run", "--config", str(d / "pipeline.ini"), "--out", str(d / "out"), "--quiet"]) == 0
+    for c in legend:
+        assert (shifted / "out" / f"prob_to_{c + 1}.asc").read_bytes() == (sc / "out" / f"prob_to_{c}.asc").read_bytes()
+    want, got = (read_ascii_grid(d / "out" / "predicted_ca.asc") for d in (sc, shifted))
+    assert want.valid.all() and got.valid.all()
+    assert np.array_equal(got.values, want.values + 1.0)
+    assert (shifted / "out" / "validation.csv").read_bytes() == (sc / "out" / "validation.csv").read_bytes()
 
 
 def test_two_runs_bit_identical(tmp_path):
