@@ -340,18 +340,18 @@ def ca_markov(
 def random_allocation(template: LandCoverMap, targets: AllocationTargets, seed: int) -> LandCoverMap:
     """Assign target counts to uniformly random eligible pixels. Baseline for
     judging how much structure an allocation actually captured."""
-    lab = template.labels
-    flat_eligible = np.flatnonzero((lab >= 0).ravel())
-    if targets.total != flat_eligible.size:
-        raise DataError(
-            f"targets sum to {targets.total} but {flat_eligible.size} pixels are eligible"
-        )
-    rng = np.random.default_rng(seed)
-    shuffled = rng.permutation(flat_eligible)
+    eligible = template.labels >= 0
+    n = int(np.count_nonzero(eligible))
+    if targets.total != n:
+        raise DataError(f"targets sum to {targets.total} but {n} pixels are eligible")
     ids = sorted(targets.targets)
-    classes = np.repeat(np.asarray(ids, dtype=np.float64), [targets.targets[c] for c in ids])
-    out = template.grid.scatter(np.unravel_index(shuffled, lab.shape), classes)
-    return LandCoverMap(out, dict(template.legend), template.date_tag)
+    # the eligible cells, in row-major order, at the shuffled positions take
+    # each class's count in turn
+    classes = np.empty(n)
+    classes[np.random.default_rng(seed).permutation(n)] = np.repeat(
+        np.asarray(ids, dtype=np.float64), [targets.targets[c] for c in ids]
+    )
+    return LandCoverMap(template.grid.scatter(eligible, classes), dict(template.legend), template.date_tag)
 
 
 def mean_same_class_neighbor_fraction(lc: LandCoverMap) -> float:
