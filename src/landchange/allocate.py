@@ -345,8 +345,8 @@ def random_allocation(template: LandCoverMap, targets: AllocationTargets, seed: 
     if targets.total != n:
         raise DataError(f"targets sum to {targets.total} but {n} pixels are eligible")
     ids = sorted(targets.targets)
-    # the eligible cells, in row-major order, at the shuffled positions take
-    # each class's count in turn
+    # a seeded shuffle of the eligible cells' row-major positions takes each
+    # class's count in turn, lowest id first
     classes = np.empty(n)
     classes[np.random.default_rng(seed).permutation(n)] = np.repeat(
         np.asarray(ids, dtype=np.float64), [targets.targets[c] for c in ids]
