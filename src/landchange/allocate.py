@@ -61,18 +61,10 @@ class AllocationTargets:
         return sum(self.targets.values())
 
 
-def _class_orders(keys: dict[int, np.ndarray], index: type):
+def _class_orders(keys: dict[int, np.ndarray], index: type) -> dict[int, np.ndarray]:
     """Per class: the cell positions in ascending key order, ties in
-    position order, and the inverse rank lookup, both of dtype `index`."""
-    orders = {}
-    ranks = {}
-    for c, key in keys.items():
-        order = np.argsort(key, kind="stable").astype(index, copy=False)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size, dtype=index)
-        orders[c] = order
-        ranks[c] = rank
-    return orders, ranks
+    position order, of dtype `index`. A cell's rank is its place here."""
+    return {c: np.argsort(key, kind="stable").astype(index, copy=False) for c, key in keys.items()}
 
 
 def _claim(class_ids: list[int], keys: dict[int, np.ndarray], targets: dict[int, int]) -> np.ndarray:
@@ -92,7 +84,7 @@ def _claim(class_ids: list[int], keys: dict[int, np.ndarray], targets: dict[int,
     if total != n:
         raise DataError(f"targets sum to {total} but {n} pixels are eligible")
     index = np.int32 if n < 2**31 else np.int64  # int32 halves the state arrays
-    orders, ranks = _class_orders(keys, index)
+    orders = _class_orders(keys, index)
 
     # per cell, the position in class_ids of the class it is assigned to,
     # and the best rank claimed this round and the class that holds it.
@@ -110,16 +102,18 @@ def _claim(class_ids: list[int], keys: dict[int, np.ndarray], targets: dict[int,
             need = remaining[c]
             if need == 0:
                 continue
-            seg = orders[c][cursor[c] :]
+            start = cursor[c]
+            seg = orders[c][start:]
             free = np.flatnonzero(assigned[seg] < 0)
             take = free[:need]
             if take.size == 0:
                 raise DataError(f"class {c} ran out of pixels with {need} still to allocate")
             picked = seg[take]
-            cursor[c] += int(take[-1]) + 1
-            # classes come in ascending id, so only a strictly lower rank
-            # takes a cell from an earlier class: ties stay with the lowest id
-            rnk = ranks[c][picked]
+            cursor[c] = start + int(take[-1]) + 1
+            # a rank is a place in the order. Classes come in ascending id,
+            # so only a strictly lower rank takes a cell from an earlier
+            # class: ties stay with the lowest id
+            rnk = take + start
             wins = rnk < best[picked]
             won = picked[wins]
             best[won] = rnk[wins]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .grid import DEFAULT_NODATA, BinaryMask, Grid, mask_like
+from .grid import BinaryMask, Grid, mask_like
 
 _SHAPES = ("linear", "sigmoidal", "j_shaped")
 _DIRECTIONS = ("increasing", "decreasing", "symmetric")
@@ -33,7 +33,9 @@ class SuitabilityGrid(Grid):
 
 
 def suitability_like(grid: Grid, values) -> SuitabilityGrid:
-    return SuitabilityGrid(values, grid.cell_size, grid.x_origin, grid.y_origin, DEFAULT_NODATA)
+    """values, nodata cells included, as a suitability on grid's geometry
+    and `Grid.scatter`'s nodata."""
+    return grid.scatter(..., values, kind=SuitabilityGrid)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +149,7 @@ def squared_distance_transform(targets: BinaryMask) -> np.ndarray:
 
 def distance_transform(targets: BinaryMask) -> Grid:
     """Euclidean distance to the nearest target cell, in the mask's map units."""
-    d = np.sqrt(squared_distance_transform(targets)) * targets.cell_size
-    return Grid(d, targets.cell_size, targets.x_origin, targets.y_origin, DEFAULT_NODATA)
+    return targets.scatter(..., np.sqrt(squared_distance_transform(targets)) * targets.cell_size)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,8 @@ def fuzzy_standardize(grid: Grid, spec: FuzzySpec) -> SuitabilityGrid:
     Output = round-half-away-from-zero(membership * 255). Nodata passes
     through on the standard sentinel.
     """
-    v = grid.values
+    valid = grid.valid
+    v = grid.values[valid]
     if spec.direction == "increasing":
         m = _rise(v, spec.a, spec.b, spec.shape)
     elif spec.direction == "decreasing":
@@ -235,8 +237,7 @@ def fuzzy_standardize(grid: Grid, spec: FuzzySpec) -> SuitabilityGrid:
         fall = _fall(v, spec.c, spec.d, spec.shape)
         m = np.where(v <= spec.b, rise, np.where(v >= spec.c, fall, 1.0))
     out = np.floor(m * 255.0 + 0.5)  # memberships are non-negative
-    out[~grid.valid] = DEFAULT_NODATA
-    return suitability_like(grid, out)
+    return grid.scatter(valid, out, kind=SuitabilityGrid)
 
 
 # ---------------------------------------------------------------------------

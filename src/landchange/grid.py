@@ -10,17 +10,18 @@ XLLCORNER, YLLCORNER, CELLSIZE, NODATA_VALUE, any case, any order) followed
 by NROWS lines of NCOLS whitespace-separated decimal values, first line =
 northernmost row. Values are written in shortest round-trip form, so a
 write/read cycle is bit-exact, except that -0.0 is written as 0. The
-writer formats each distinct value of a grid once and gathers the strings
-into rows; the bytes are the same as formatting every cell on its own.
+writer formats each distinct value of a grid once, in two batches (compact
+integers and repr), and gathers the strings into rows; the bytes are the
+same as formatting every cell on its own.
 The reader accepts finite values only, written as `parse_number` reads
 them: a non-finite or underscored header value or cell is a format error.
 
 Every grid the program makes from computed values is on DEFAULT_NODATA
-(-9999), whatever its inputs use: `Grid.scatter` and `mask_like` build on
-it. An input on NODATA_VALUE 0 thus keeps its class 0, level 0 or
-probability 0 cells as data. The one exception is `classify.maxlike`'s
-internal score grids, which pass SCORE_NODATA, since -9999 is a reachable
-log-score.
+(-9999), whatever its inputs use: `Grid.scatter` and `mask_like` build
+them, and no module but this one names the value. An input on NODATA_VALUE
+0 thus keeps its class 0, level 0 or probability 0 cells as data. The one
+exception is `classify.maxlike`'s internal score grids, which pass
+SCORE_NODATA, since -9999 is a reachable log-score.
 
 `parse_number` is the one rule for numbers in every text input and
 command-line flag, `write_csv` the shared CSV writer, and `joint_valid`
@@ -88,14 +89,15 @@ class Grid:
         cell values."""
         return Grid(values, self.cell_size, self.x_origin, self.y_origin, self.nodata_value)
 
-    def scatter(self, sel, values, nodata_value=DEFAULT_NODATA) -> "Grid":
-        """New grid with this grid's geometry holding values at the cells
-        sel selects and nodata elsewhere: DEFAULT_NODATA, whatever this
-        grid uses, so no computed value can fall on an input's nodata.
-        Only maxlike's score grids pass their own nodata_value."""
+    def scatter(self, sel, values, nodata_value=DEFAULT_NODATA, kind: type | None = None) -> "Grid":
+        """New grid, a `kind` (Grid by default), with this grid's geometry
+        holding values at the cells sel selects (`...` for every cell) and
+        nodata elsewhere: DEFAULT_NODATA, whatever this grid uses, so no
+        computed value can fall on an input's nodata. Only maxlike's score
+        grids pass their own nodata_value."""
         out = np.full(self.shape, nodata_value)
         out[sel] = values
-        return Grid(out, self.cell_size, self.x_origin, self.y_origin, nodata_value)
+        return (kind or Grid)(out, self.cell_size, self.x_origin, self.y_origin, nodata_value)
 
     def same_geometry(self, other: "Grid") -> bool:
         return (
@@ -310,13 +312,18 @@ def parse_number(token: str, kind: type = float, what: str = "value"):
         raise ValueError(f"non-{'integer' if kind is int else 'numeric'} {what} {token!r}") from None
 
 
-def _format_value(v: float) -> str:
-    v = float(v)
-    # compact digit form for moderate integers, exact repr otherwise; both
-    # parse back to the identical float64
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+def _format_values(values: np.ndarray) -> np.ndarray:
+    """Text of each float64 value, as an object array of str: the digits of
+    its int64 for an integral value below 1e16 in magnitude, repr otherwise.
+    Both parse back to the identical float64, except -0.0, written as 0.
+    Each form is made in one batch."""
+    values = np.asarray(values, dtype=np.float64)
+    compact = np.abs(values) < 1e16  # False at inf and NaN
+    compact[compact] = np.trunc(values[compact]) == values[compact]
+    text = np.empty(values.shape, dtype=object)
+    text[compact] = list(map(str, values[compact].astype(np.int64).tolist()))
+    text[~compact] = list(map(repr, values[~compact].tolist()))
+    return text
 
 
 def read_ascii_grid(path) -> Grid:
@@ -400,18 +407,19 @@ def read_ascii_grid(path) -> Grid:
 
 def write_ascii_grid(grid: Grid, path) -> None:
     path = str(path)
+    x, y, cell, nodata = _format_values([grid.x_origin, grid.y_origin, grid.cell_size, grid.nodata_value])
     out = [
         f"NCOLS {grid.n_cols}",
         f"NROWS {grid.n_rows}",
-        f"XLLCORNER {_format_value(grid.x_origin)}",
-        f"YLLCORNER {_format_value(grid.y_origin)}",
-        f"CELLSIZE {_format_value(grid.cell_size)}",
-        f"NODATA_VALUE {_format_value(grid.nodata_value)}",
+        f"XLLCORNER {x}",
+        f"YLLCORNER {y}",
+        f"CELLSIZE {cell}",
+        f"NODATA_VALUE {nodata}",
     ]
     # grids hold few distinct values, so format each one once and gather;
     # -0.0/0.0 and all NaNs merge here but format to the same text anyway
     distinct, inverse = np.unique(grid.values, return_inverse=True)
-    text = np.array([_format_value(v) for v in distinct.tolist()], dtype=object)
+    text = _format_values(distinct)
     out.extend(" ".join(row) for row in text[inverse.reshape(grid.shape)].tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

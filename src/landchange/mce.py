@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .grid import (
-    DEFAULT_NODATA,
     BinaryMask,
     Grid,
     joint_valid,
@@ -24,7 +23,7 @@ from .grid import (
     require_same_geometry,
     write_csv,
 )
-from .criteria import SuitabilityGrid, suitability_like
+from .criteria import SuitabilityGrid
 
 # Saaty's random consistency index by matrix order
 RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24, 7: 1.32, 8: 1.41, 9: 1.45, 10: 1.49}
@@ -125,15 +124,14 @@ def _combine_prep(factors, weights, constraints):
     # constraints gate by value and stay out of the valid mask, where a mask
     # file with NODATA_VALUE 0 would lose its 0 cells
     require_same_geometry(factors[0], *constraints, context="factor combination")
-    stack = np.stack([f.values for f in factors])
+    stack = np.stack([f.values[valid] for f in factors])  # the valid cells alone
     return w, stack, valid
 
 
 def _gate(out: np.ndarray, constraints, valid: np.ndarray, geometry: Grid) -> SuitabilityGrid:
     for m in constraints:
-        out = out * m.values
-    final = np.where(valid, out, DEFAULT_NODATA)
-    return suitability_like(geometry, final)
+        out = out * m.values[valid]
+    return geometry.scatter(valid, out, kind=SuitabilityGrid)
 
 
 def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] = ()) -> SuitabilityGrid:
@@ -142,7 +140,7 @@ def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] =
     Weights are expected to sum to 1 so the result stays on the byte scale.
     """
     w, stack, valid = _combine_prep(factors, weights, constraints)
-    terms = w[:, None, None] * stack
+    terms = w[:, None] * stack
     combined = np.sum(terms, axis=0)
     out = np.floor(combined + 0.5)
     return _gate(out, constraints, valid, factors[0])
@@ -170,11 +168,11 @@ def owa(
     if not (np.all(ow >= 0) and abs(float(ow.sum()) - 1.0) <= 1e-9):
         raise DataError("order weights must be non-negative and sum to 1")
 
-    terms = w[:, None, None] * stack  # same term layout and reduction order as wlc
+    terms = w[:, None] * stack  # same term layout and reduction order as wlc
     scaled = terms * float(n)
     order = np.argsort(scaled, axis=0, kind="stable")  # ascending, ties by factor index
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n, dtype=order.dtype)[:, None, None], axis=0)
+    np.put_along_axis(ranks, order, np.arange(n, dtype=order.dtype)[:, None], axis=0)
     effective = ow * float(n)  # uniform order weights make this exactly 1.0 per slot
     combined = np.sum(effective[ranks] * terms, axis=0)
     out = np.floor(np.clip(combined, 0.0, 255.0) + 0.5)

@@ -122,6 +122,18 @@ def criterion_name(class_id: int) -> str:
     return f"prox{class_id}"
 
 
+def _lowest(key: np.ndarray, q: int) -> np.ndarray:
+    """Positions, ascending, of the q lowest entries of key (0 < q <=
+    key.size), ties taken in position order: the set that the first q of
+    a stable argsort of key would give. Every entry below the qth lowest
+    value is taken, then the entries equal to it in position order until
+    there are q. key must hold no NaN."""
+    cut = np.partition(key, q - 1)[q - 1]
+    taken = key < cut
+    taken[np.flatnonzero(key == cut)[: q - np.count_nonzero(taken)]] = True
+    return np.flatnonzero(taken)
+
+
 def _evolve(
     current: LandCoverMap,
     spec: SynthSpec,
@@ -129,9 +141,9 @@ def _evolve(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One interval from the current map: convert exact largest-remainder
-    pixel counts per class pair, picking the most attracted pixels first.
-    Returns the next map's labels. A noise draw that overflows is a
-    ConfigError naming noise."""
+    pixel counts per class pair, picking the most attracted pixels first,
+    ties to the lower cell index (`_lowest`). Returns the next map's
+    labels. A noise draw that overflows is a ConfigError naming noise."""
     adj = contiguity_weights(current, spec.class_ids, kernel_size=3)
     flat = current.labels.ravel()
     target = np.full(flat.size, -1, dtype=np.int64)
@@ -150,8 +162,7 @@ def _evolve(
             if not np.isfinite(noise).all():
                 raise ConfigError(f"noise {spec.noise!r} is too large: a noise draw overflows")
             score = prox[j].ravel()[cand] + adj[j].ravel()[cand] + noise
-            order = np.lexsort((cand, -score))
-            target[cand[order[:q]]] = j
+            target[cand[_lowest(-score, q)]] = j
     out = flat.copy()
     conv = target >= 0
     out[conv] = target[conv]

@@ -149,10 +149,12 @@ def test_mola_errors():
         mola({0: g, 1: g}, AllocationTargets({0: 1, 1: 2}))
 
 
-def _ref_mola(suitabilities, targets, legend=None, date_tag=""):
+def _ref_mola(suitabilities, targets, legend=None, date_tag="", cut=0):
     """The arbitration `mola` used before rank scatter: every round, all
     claims concatenated and sorted by (pixel, rank, class id), the first
-    claim on each pixel winning."""
+    claim on each pixel winning. Ranks come from an inverse-permutation
+    lookup of each class's stable order; the last class's order is `cut`
+    pixels short."""
     if set(targets.targets) != set(suitabilities):
         raise DataError(
             f"target classes {sorted(targets.targets)} do not match suitability classes {sorted(suitabilities)}"
@@ -165,7 +167,12 @@ def _ref_mola(suitabilities, targets, legend=None, date_tag=""):
     n_cells = geometry.shape[0] * geometry.shape[1]
     keys = {c: -suitabilities[c].values.ravel()[flat_eligible] for c in class_ids}
     # orders and ranks run over positions in flat_eligible
-    orders, ranks = allocate._class_orders(keys, np.int64)
+    orders, ranks = {}, {}
+    for c in class_ids:
+        orders[c] = np.argsort(keys[c], kind="stable")
+        ranks[c] = np.empty_like(orders[c])
+        ranks[c][orders[c]] = np.arange(orders[c].size)
+    orders[class_ids[-1]] = orders[class_ids[-1]][: max(orders[class_ids[-1]].size - cut, 0)]
     assigned = np.full(flat_eligible.size, -1, dtype=np.int64)
     remaining = {c: targets.targets[c] for c in class_ids}
     cursor = {c: 0 for c in class_ids}
@@ -243,10 +250,10 @@ def _cut_last_class(cut):
     real = allocate._class_orders
 
     def class_orders(keys, index):
-        orders, ranks = real(keys, index)
+        orders = real(keys, index)
         last = max(orders)
         orders[last] = orders[last][: max(orders[last].size - cut, 0)]
-        return orders, ranks
+        return orders
 
     return class_orders
 
@@ -262,7 +269,7 @@ def test_mola_matches_lexsort_arbitration(case):
     suits, targets, cut = case
     with mock.patch.object(allocate, "_class_orders", _cut_last_class(cut)):
         try:
-            want, _ = _ref_mola(suits, targets, {c: "x" for c in suits}, "2000")
+            want, _ = _ref_mola(suits, targets, {c: "x" for c in suits}, "2000", cut)
         except DataError as e:
             with pytest.raises(DataError) as exc:
                 mola(suits, targets, {c: "x" for c in suits}, "2000")

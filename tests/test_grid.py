@@ -1,5 +1,6 @@
 """Grid types, text-grid I/O, PPM export, legends."""
 
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -26,7 +27,6 @@ from landchange.grid import (
     read_legend,
     write_ascii_grid,
     write_legend,
-    _format_value,
 )
 
 
@@ -325,8 +325,21 @@ def test_one_by_one_and_all_nodata_roundtrip(tmp_path):
 
 
 NODATA = -9999.0
-# either side of the integer cut-off, signed zero, non-finite and nodata
-SPECIALS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 9999999999999998.0, 1e16, -1e16, NODATA, 0.1 + 0.2]
+# either side of the integer cut-off, signed zero, non-finite, nodata, the
+# smallest subnormal, and integers past 2**53 that int64 holds exactly
+SPECIALS = [
+    -0.0, 0.0, np.nan, np.inf, -np.inf, 9999999999999998.0, 1e16, -1e16, NODATA, 0.1 + 0.2,
+    5e-324, 2.0**60, -9007199254740992.0,
+]
+
+
+def _format_value(v: float) -> str:
+    """The writer's text for one value, one value at a time: the compact
+    digit form for moderate integers, exact repr otherwise."""
+    v = float(v)
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
 
 
 def _cells(allow_nonfinite):

@@ -115,13 +115,13 @@ def test_wlc_errors():
 
 
 def test_owa_extremes():
-    f0 = _suit([[100.0, 240.0]])
-    f1 = _suit([[200.0, 60.0]])
+    f0 = _suit([[100.0, 240.0, -9999.0]])
+    f1 = _suit([[200.0, 60.0, 7.0]])
     # equal factor weights: ranked values are (w*f*n) = the raw factor values
     lo = owa([f0, f1], [0.5, 0.5], [1.0, 0.0])
-    assert lo.values.tolist() == [[100.0, 60.0]]  # all weight on the minimum
+    assert lo.values.tolist() == [[100.0, 60.0, -9999.0]]  # all weight on the minimum
     hi = owa([f0, f1], [0.5, 0.5], [0.0, 1.0])
-    assert hi.values.tolist() == [[200.0, 240.0]]
+    assert hi.values.tolist() == [[200.0, 240.0, -9999.0]]
 
 
 def test_owa_uniform_equals_wlc():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from landchange.cli import main
 from landchange.config import load_config
@@ -19,6 +20,7 @@ from landchange.markov import crosstab, transition_probabilities
 from landchange.mce import saaty_weights
 from landchange.synth import (
     SynthSpec,
+    _lowest,
     consistent_saaty,
     criterion_name,
     drift_matrix,
@@ -101,6 +103,30 @@ def test_transition_recovery():
         # lands within one pixel of exact
         bound = 1.0 / rows.min() + 1e-12
         assert np.max(np.abs(est.probs - tr)) < bound
+
+
+@st.composite
+def _selections(draw):
+    """Candidate cells (ascending, as `_evolve` finds them), finite scores
+    with heavy ties, all-equal runs or signed zeros, and a quota q in 1..n."""
+    n = draw(st.integers(1, 40))
+    levels = draw(st.sampled_from([[0.0], [0.0, -0.0], [-1.0, -0.0, 0.0, 0.5], [2.0, 3.0], None]))
+    elements = st.sampled_from(levels) if levels else st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0])
+    score = draw(arrays(np.float64, n, elements=elements))
+    cand = np.sort(draw(arrays(np.int64, n, elements=st.integers(0, 10**6), unique=True)))
+    return cand, score, draw(st.integers(1, n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_selections())
+@example((np.arange(5), np.array([0.0, -0.0, 0.0, -0.0, 0.0]), 2))
+@example((np.array([3, 8, 9]), np.array([1.0, 2.0, 2.0]), 3))
+def test_partial_selection_takes_the_lexsort_picks(case):
+    cand, score, q = case
+    order = np.lexsort((cand, -score))  # the full sort `_evolve` once ran
+    picked = _lowest(-score, q)
+    assert np.all(np.diff(picked) > 0)
+    assert np.array_equal(cand[picked], np.sort(cand[order[:q]]))
 
 
 def test_criteria_are_seed_distance_transforms():

@@ -43,6 +43,12 @@ MATRIX = (
     # an identity transition: no CA iteration allocates
     "synth --rows 64 --cols 70 --classes 3 --stay 1 --seed 5 --out synth_stay_1",
     "run --config synth_stay_1/pipeline.ini --out run_stay_1",
+    # no noise: synth's picks tie at the quota's cut
+    "synth --rows 64 --cols 70 --classes 3 --noise 0 --seed 5 --out synth_noise_0",
+    "run --config synth_noise_0/pipeline.ini --out run_noise_0",
+    # stay 0: each class's last pair takes every candidate left
+    "synth --rows 64 --cols 70 --classes 3 --noise 0 --stay 0 --seed 5 --out synth_noise_0_stay_0",
+    "run --config synth_noise_0_stay_0/pipeline.ini --out run_noise_0_stay_0",
     "synth --rows 256 --cols 256 --classes 2 --model mlp --seed 3 --out synth_mlp_256",
     "run --config synth_mlp_256/pipeline.ini --out run_mlp_256",
     "synth --rows 64 --cols 70 --classes 2 --model mlp --seed 7 --out synth_mlp",
