@@ -172,7 +172,8 @@ def _ref_mola(suitabilities, targets, legend=None, date_tag="", cut=0):
         orders[c] = np.argsort(keys[c], kind="stable")
         ranks[c] = np.empty_like(orders[c])
         ranks[c][orders[c]] = np.arange(orders[c].size)
-    orders[class_ids[-1]] = orders[class_ids[-1]][: max(orders[class_ids[-1]].size - cut, 0)]
+    last = class_ids[-1]
+    orders[last] = orders[last][: max(orders[last].size - cut, 0)]
     assigned = np.full(flat_eligible.size, -1, dtype=np.int64)
     remaining = {c: targets.targets[c] for c in class_ids}
     cursor = {c: 0 for c in class_ids}
