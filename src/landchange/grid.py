@@ -11,10 +11,13 @@ by NROWS lines of NCOLS whitespace-separated decimal values, first line =
 northernmost row. Values are written in shortest round-trip form, so a
 write/read cycle is bit-exact, except that -0.0 is written as 0. The
 writer formats each distinct value of a grid once, in two batches (compact
-integers and repr), and gathers the strings into rows; the bytes are the
-same as formatting every cell on its own.
-The reader accepts finite values only, written as `parse_number` reads
-them: a non-finite or underscored header value or cell is a format error.
+integers and repr), and gathers the strings into rows, writing the body
+64 rows at a time; the bytes are the same as formatting every cell on its
+own. The reader accepts finite values only, written as `parse_number`
+reads them: a non-finite or underscored header value or cell is a format
+error. A valid body is parsed in one `np.loadtxt` call; any other body
+goes to a loop over its lines, which words the error with the path, the
+line and the token.
 
 Every grid the program makes from computed values is on DEFAULT_NODATA
 (-9999), whatever its inputs use: `Grid.scatter` and `mask_like` build
@@ -41,6 +44,9 @@ import numpy as np
 from .errors import DataError, GeometryError, GridFormatError
 
 DEFAULT_NODATA = -9999.0
+
+# rows of the body the writer gathers, joins and writes at a time
+_WRITE_BLOCK_ROWS = 64
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -363,9 +369,36 @@ def read_ascii_grid(path) -> Grid:
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
 
+    # one loadtxt call parses a valid body; a body that fails it, or gives
+    # a wrong shape or a non-finite value, goes to the line loop, which words
+    # the error. A body with no data row goes straight to the loop, because
+    # loadtxt warns on it, and a warnings filter would act process-wide
+    body = lines[lineno:]
+    values = None
+    if any(map(str.strip, body)):
+        try:
+            values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != (n_rows, n_cols) or not np.isfinite(values).all():
+        values = _read_body_lines(path, body, lineno, n_rows, n_cols)
+
+    return Grid(
+        values,
+        cell_size=header["cellsize"],
+        x_origin=header["xllcorner"],
+        y_origin=header["yllcorner"],
+        nodata_value=header["nodata_value"],
+    )
+
+
+def _read_body_lines(path: str, body: list[str], lineno: int, n_rows: int, n_cols: int) -> np.ndarray:
+    """The grid body parsed one line at a time, line `lineno` + 1 first. A
+    body that breaks the format raises a GridFormatError naming the path,
+    the line and the token."""
     rows = []
     data_lines = 0
-    for i, raw in enumerate(lines[lineno:], start=lineno + 1):
+    for i, raw in enumerate(body, start=lineno + 1):
         tokens = raw.split()
         if not tokens:
             continue  # tolerate blank lines after the data block
@@ -396,33 +429,30 @@ def read_ascii_grid(path) -> Grid:
     if data_lines < n_rows:
         raise GridFormatError(f"{path}: expected {n_rows} data rows, found {data_lines}")
 
-    return Grid(
-        np.vstack(rows),
-        cell_size=header["cellsize"],
-        x_origin=header["xllcorner"],
-        y_origin=header["yllcorner"],
-        nodata_value=header["nodata_value"],
-    )
+    return np.vstack(rows)
 
 
 def write_ascii_grid(grid: Grid, path) -> None:
     path = str(path)
     x, y, cell, nodata = _format_values([grid.x_origin, grid.y_origin, grid.cell_size, grid.nodata_value])
-    out = [
-        f"NCOLS {grid.n_cols}",
-        f"NROWS {grid.n_rows}",
-        f"XLLCORNER {x}",
-        f"YLLCORNER {y}",
-        f"CELLSIZE {cell}",
-        f"NODATA_VALUE {nodata}",
-    ]
+    header = (
+        f"NCOLS {grid.n_cols}\n"
+        f"NROWS {grid.n_rows}\n"
+        f"XLLCORNER {x}\n"
+        f"YLLCORNER {y}\n"
+        f"CELLSIZE {cell}\n"
+        f"NODATA_VALUE {nodata}\n"
+    )
     # grids hold few distinct values, so format each one once and gather;
     # -0.0/0.0 and all NaNs merge here but format to the same text anyway
     distinct, inverse = np.unique(grid.values, return_inverse=True)
     text = _format_values(distinct)
-    out.extend(" ".join(row) for row in text[inverse.reshape(grid.shape)].tolist())
+    inverse = inverse.reshape(grid.shape)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write(header)
+        for start in range(0, grid.n_rows, _WRITE_BLOCK_ROWS):
+            block = text[inverse[start : start + _WRITE_BLOCK_ROWS]].tolist()
+            fh.write("".join(" ".join(row) + "\n" for row in block))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from landchange.grid import (
     read_ascii_grid,
     read_csv_rows,
     read_legend,
+    read_text,
     write_ascii_grid,
     write_legend,
 )
@@ -358,6 +360,8 @@ def _grids(allow_nonfinite):
 
 @settings(max_examples=300, deadline=None)
 @given(_grids(allow_nonfinite=True))
+@example(np.resize(np.array(SPECIALS), (64, 3)))  # one whole block of rows
+@example(np.resize(np.array(SPECIALS), (130, 2)))  # two whole blocks and a part
 def test_writer_matches_per_cell_reference(vals):
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "g.asc"
@@ -472,6 +476,173 @@ def test_read_errors_name_unreadable_files(tmp_path):
     latin.write_bytes(GOOD.encode("ascii").replace(b"-4", b"-4\xe9"))
     with pytest.raises(GridFormatError, match=r"latin\.asc: byte 0xe9 at offset \d+ is not ASCII"):
         read_ascii_grid(latin)
+
+
+def test_reader_lets_no_warning_out_on_a_body_with_no_data_row(tmp_path):
+    # np.loadtxt warns "input contained no data" on such a body
+    header = GOOD.split("1 2 3")[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, text in (("head.asc", header), ("blank.asc", header + "\n  \n\t\r\n\x1f\n")):
+            with pytest.raises(GridFormatError, match=rf"{name[:-4]}\.asc: expected 2 data rows, found 0$"):
+                read_ascii_grid(_write(tmp_path / name, text))
+
+
+_REFERENCE_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+
+
+def _reference_read_ascii_grid(path) -> Grid:
+    """The grid reader as it was before its body went to np.loadtxt: one
+    np.array call per line. The differential oracle's reference."""
+    path = str(path)
+    lines = read_text(path, "grid", encoding="ascii", error=GridFormatError).splitlines()
+
+    header: dict[str, float] = {}
+    lineno = 0
+    for raw in lines:
+        parts = raw.split()
+        if not parts or parts[0].lower() not in _REFERENCE_HEADER_KEYS:
+            break
+        lineno += 1
+        key = parts[0].lower()
+        if key in header:
+            raise GridFormatError(f"{path}:{lineno}: duplicate header key {parts[0]}")
+        if len(parts) != 2:
+            raise GridFormatError(f"{path}:{lineno}: header line needs exactly one value, got {raw!r}")
+        try:
+            header[key] = parse_number(parts[1], float, "header value")
+        except ValueError as e:
+            raise GridFormatError(f"{path}:{lineno}: {e} for {parts[0]}") from None
+        if not math.isfinite(header[key]):
+            raise GridFormatError(
+                f"{path}:{lineno}: non-finite header value {parts[1]!r} for {parts[0]}"
+            )
+
+    missing = [k.upper() for k in _REFERENCE_HEADER_KEYS if k not in header]
+    if missing:
+        raise GridFormatError(f"{path}: missing header key(s): {', '.join(missing)}")
+
+    for key in ("ncols", "nrows"):
+        if header[key] != int(header[key]) or header[key] < 1:
+            raise GridFormatError(f"{path}: {key.upper()} must be a positive integer, got {header[key]}")
+    if header["cellsize"] <= 0:
+        raise GridFormatError(f"{path}: CELLSIZE must be positive, got {header['cellsize']}")
+    n_cols = int(header["ncols"])
+    n_rows = int(header["nrows"])
+
+    rows = []
+    data_lines = 0
+    for i, raw in enumerate(lines[lineno:], start=lineno + 1):
+        tokens = raw.split()
+        if not tokens:
+            continue  # tolerate blank lines after the data block
+        if "_" in raw:  # parse_number's rule, one search per line, not per token
+            bad = next(t for t in tokens if "_" in t)
+            raise GridFormatError(f"{path}:{i}: '_' in value {bad!r}")
+        data_lines += 1
+        if data_lines > n_rows:
+            raise GridFormatError(f"{path}:{i}: expected {n_rows} data rows, found extra data")
+        if len(tokens) != n_cols:
+            raise GridFormatError(
+                f"{path}:{i}: value count mismatch, expected {n_cols} values, got {len(tokens)}"
+            )
+        try:
+            row = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            for t in tokens:
+                try:
+                    parse_number(t, float, "token")
+                except ValueError as e:
+                    raise GridFormatError(f"{path}:{i}: {e}") from None
+            raise
+        finite = np.isfinite(row)
+        if not finite.all():
+            bad = tokens[int(np.argmin(finite))]
+            raise GridFormatError(f"{path}:{i}: non-finite value {bad!r}")
+        rows.append(row)
+    if data_lines < n_rows:
+        raise GridFormatError(f"{path}: expected {n_rows} data rows, found {data_lines}")
+
+    return Grid(
+        np.vstack(rows),
+        cell_size=header["cellsize"],
+        x_origin=header["xllcorner"],
+        y_origin=header["yllcorner"],
+        nodata_value=header["nodata_value"],
+    )
+
+
+# values that parse to the same float64 whichever way they are read, some
+# of them only when correctly rounded, and tokens each reader must refuse
+_CLEAN_TOKENS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "-9999", "+.5", "-0", "-0.0", "+7", "1E5", "1e-400", "5e-324", "2.4703282292062328e-324",
+         "0.30000000000000004", "1.7976931348623157e308", "9007199254740993", "123456789012345678901234567890"]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+_ODD_TOKENS = st.sampled_from(
+    ["1e", ".", "nan", "inf", "-Infinity", "1e400", "-1e400", "1_0", "_1", "1e1_0", "0x1", "0x10", "1,5", "x", "\x00",
+     "\x1f", "1d5", "++1", "1.5.", "\x1f1"]
+)
+_SEPARATORS = st.sampled_from([" ", " ", "  ", "\t", " \t ", "\x1f", "\x0c"])
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+_BLANK_LINES = st.sampled_from([None, None, None, "", "  ", "\t", "\x1f "])
+
+
+@st.composite
+def _grid_texts(draw):
+    """A header for a drawn shape (1 x n, n x 1 or rectangular) and a body
+    with that many rows or one fewer or more, of that many values or one
+    fewer or more, with odd tokens, separators, line ends and blank lines."""
+    n_rows, n_cols = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 6)),
+        st.tuples(st.integers(1, 6), st.just(1)),
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    ))
+    tokens = _CLEAN_TOKENS if draw(st.booleans()) else st.one_of(_CLEAN_TOKENS, _ODD_TOKENS)
+    end = draw(_LINE_ENDS)
+    header = [f"NCOLS {n_cols}", f"NROWS {n_rows}", "XLLCORNER 0.5", "YLLCORNER -3", "CELLSIZE 30", "NODATA_VALUE -9999"]
+    lines = []
+    for _ in range(draw(st.sampled_from([n_rows, n_rows, n_rows, n_rows - 1, n_rows + 1]))):
+        blank = draw(_BLANK_LINES)
+        if blank is not None:
+            lines.append(blank)
+        width = draw(st.sampled_from([n_cols, n_cols, n_cols, n_cols - 1, n_cols + 1]))
+        row = draw(st.lists(tokens, min_size=width, max_size=width))
+        gaps = [""] + draw(st.lists(_SEPARATORS, min_size=width - 1, max_size=width - 1)) if width else []
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + "".join(g + t for g, t in zip(gaps, row)) + trail)
+    lines.extend(draw(st.lists(_BLANK_LINES.filter(lambda b: b is not None), max_size=2)))
+    ends = draw(st.lists(_LINE_ENDS, min_size=len(lines), max_size=len(lines))) if draw(st.booleans()) else None
+    body = "".join(line + (ends[i] if ends else end) for i, line in enumerate(lines))
+    return end.join(header) + end + body
+
+
+def _read_or_error(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # every exception, a warning turned into one too
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_grid_texts())
+@example(GOOD.split("1 2 3")[0])  # header only
+@example(GOOD + "9 9 9\n")  # one extra row
+@example(GOOD.replace("\n4 ", "\n\n+4 ").replace(" ", "\t").replace("\n", "\r\n"))  # by hand
+def test_grid_reader_matches_the_line_by_line_reference(tmp_path_factory, text):
+    p = _any_text_file(tmp_path_factory, "g.asc", text)
+    got, want = _read_or_error(read_ascii_grid, p), _read_or_error(_reference_read_ascii_grid, p)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Grid) and got.shape == want.shape
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))  # the sign of zero too
+    assert (got.cell_size, got.x_origin, got.y_origin, got.nodata_value) == (
+        want.cell_size, want.x_origin, want.y_origin, want.nodata_value
+    )
 
 
 # ---------------------------------------------------------------------------

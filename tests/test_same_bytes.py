@@ -1,11 +1,13 @@
-"""The byte-identity check's comparison of two output trees and their exit codes."""
+"""The byte-identity check's comparison of two output trees and their exit codes,
+and its hand-formatted copy of the shipped grids."""
 
 import importlib.util
 from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location(
-    "same_bytes", Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
-)
+from landchange.grid import grids_equal, read_ascii_grid
+
+REPO = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("same_bytes", REPO / "tools" / "same_bytes.py")
 same_bytes = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_bytes)
 
@@ -61,3 +63,14 @@ def test_a_differing_or_failing_exit_code_names_the_command(tmp_path):
     # every matrix command succeeds on working code, so failing alike is reported too
     both_fail = same_bytes.compare(tmp_path / "a", tmp_path / "b", {SYNTH: 1, RUN: 0}, {SYNTH: 1, RUN: 0})
     assert both_fail == [f"exit codes 1 (a) and 1 (b): {SYNTH}"]
+
+
+def test_hand_formatted_grids_read_as_the_shipped_ones(tmp_path):
+    for shipped in sorted((REPO / "scenario").glob("*.asc")):
+        text = same_bytes.hand_formatted(shipped.read_text(encoding="ascii"))
+        rows = text.split("\r\n")[6:]
+        assert rows[1] == "" and rows[-1] == "" and "\n" not in text.replace("\r\n", "")
+        assert all(row.startswith(("+", "-")) and "\t" in row and " " not in row for row in rows[:1] + rows[2:-1])
+        hand = tmp_path / shipped.name
+        hand.write_bytes(text.encode("ascii"))
+        assert grids_equal(read_ascii_grid(hand), read_ascii_grid(shipped))

@@ -5,10 +5,11 @@ Usage: python tools/same_bytes.py REV
 Runs one fixed matrix of landchange commands twice: once with REV's `src/`,
 taken with `git archive`, and once with the checkout's `src/`. Every command
 runs in a fresh process with PYTHONWARNINGS=error, and both trees read the
-checkout's `scenario/`. Every exit code and every output file is compared
-byte for byte, `report.txt` without its `wall_clock` lines. Every matrix
-command succeeds on working code, so a command that fails in both trees is
-reported too. Prints each difference and exits 1 if there is any.
+checkout's `scenario/` and copies of it. Every exit code and every output
+file is compared byte for byte, `report.txt` without its `wall_clock` lines.
+Every matrix command succeeds on working code, so a command that fails in
+both trees is reported too. Prints each difference and exits 1 if there is
+any.
 
 `python tools/same_bytes.py HEAD` runs the checkout's code in two sets of
 fresh processes: the determinism check. Against an older revision it is the
@@ -32,8 +33,9 @@ DATES = "indices/ndvi.asc indices/ndii.asc indices/ndim.asc"
 WATER = "criteria_categories/water_constraint.asc"
 
 # Run in this order, each from its tree's output directory, so a command may
-# read what an earlier one wrote. {scenario} is the checkout's scenario/ and
-# {kernel_k} a copy of it with `kernel = k`.
+# read what an earlier one wrote. {scenario} is the checkout's scenario/,
+# {kernel_k} a copy of it with `kernel = k` and {hand_formatted} a copy whose
+# grids `hand_formatted` rewrote.
 MATRIX = (
     f"{SYNTH_96x80} --out synth_96x80",
     f"{SYNTH_96x80} --cell-size 2.2250738585072014e-308 --out synth_96x80_min_cell",
@@ -64,6 +66,7 @@ MATRIX = (
     "run --config {kernel_3}/pipeline.ini --out run_scenario_kernel_3",
     "run --config {scenario}/pipeline.ini --out run_scenario",
     "run --config {kernel_7}/pipeline.ini --out run_scenario_kernel_7",
+    "run --config {hand_formatted}/pipeline.ini --out run_scenario_hand_formatted",
     f"classify {BANDS} --training {{scenario}}/map_1988.asc --legend {{scenario}}/legend.csv --out classify",
     "indices --red {scenario}/prox0.asc --nir {scenario}/prox1.asc --swir {scenario}/prox2.asc --out indices",
     f"change {DATES} --ppm --out change_ppm",
@@ -83,6 +86,18 @@ RUNNER = (
     "cli.__file__.startswith(os.environ['PYTHONPATH']) or sys.exit('imported ' + cli.__file__); "
     "sys.exit(cli.main())"
 )
+
+
+def hand_formatted(text: str) -> str:
+    """A text grid, as the writer makes it, in the valid but odd form a
+    person might type: CRLF line ends, tabs between values, a '+' on each
+    row's unsigned first value and a blank line after the first data row."""
+    lines = text.splitlines()
+    body = []
+    for line in lines[6:]:
+        first, *rest = line.split(" ")
+        body.append("\t".join([first if first.startswith("-") else "+" + first, *rest]))
+    return "\r\n".join(lines[:6] + body[:1] + [""] + body[1:]) + "\r\n"
 
 
 def run_matrix(tree: Path, out: Path, inputs: dict[str, str]) -> dict[str, int]:
@@ -149,6 +164,9 @@ def main(argv: list[str]) -> int:
                 print(f"same_bytes: {ini} does not set kernel = 5", file=sys.stderr)
                 return 2
             ini.write_text(text.replace("\nkernel = 5\n", f"\nkernel = {k}\n"))
+        hand = inputs["hand_formatted"] = str(shutil.copytree(REPO / "scenario", tmp / "hand_formatted"))
+        for grid in Path(hand).glob("*.asc"):
+            grid.write_bytes(hand_formatted(grid.read_text(encoding="ascii")).encode("ascii"))
         codes_a = run_matrix(tmp / "src", tmp / rev, inputs)
         codes_b = run_matrix(REPO / "src", tmp / "checkout", inputs)
         found = compare(tmp / rev, tmp / "checkout", codes_a, codes_b)
