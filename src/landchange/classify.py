@@ -179,6 +179,15 @@ def icm(
     raster-order labels, flip counts and early stop, sweep by sweep. From
     the second sweep on, a front none of whose neighbors flipped since its
     last update would repeat that update, and is skipped.
+
+    The active pixels are sorted by front once, with their scores as one
+    row each, and a front is the slice between two front bounds; its
+    neighbor indices are made as it is updated. One bincount counts every
+    class among the 8 neighbors of each of its pixels, and the argmax of
+    score + beta * count, which takes the first maximum, picks the class.
+    The nan rule is folded into the scores before the first sweep: a nan
+    in class 0 becomes +inf and a nan in any other class -inf, which gives
+    the running best's choices, since beta * count is finite.
     """
     if not (math.isfinite(beta) and beta >= 0):
         raise DataError(f"beta must be finite and non-negative, got {beta}")
@@ -204,34 +213,46 @@ def icm(
     labeled = labels >= 0
     lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled] = np.searchsorted(ids_arr, labels[labeled])
 
-    r, c = np.nonzero(active)
+    cell = np.flatnonzero(active)
+    r, c = np.divmod(cell, n_cols)
     t = c + 2 * r
     order = np.argsort(t, kind="stable")
-    pos = ((r + 1) * w + (c + 1))[order]
-    nbrs = pos[:, None] + np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])
-    score = np.stack([scores[cid].values[active] for cid in class_ids])[:, order]
-    cuts = np.flatnonzero(np.diff(t[order])) + 1
-    fronts = list(zip(np.split(pos, cuts), np.split(nbrs, cuts), np.split(score, cuts, axis=1)))
-    n_fronts = len(fronts)
+    cell = cell[order]
+    pos = cell + 2 * r[order] + w + 1  # padded index (r + 1) * w + c + 1
+    sizes = np.bincount(t)
+    sizes = sizes[sizes > 0]
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()  # front f is pos[bounds[f]:bounds[f + 1]]
+    score = np.empty((cell.size, k))  # one row per pixel, in front order
+    for j, cid in enumerate(class_ids):
+        score[:, j] = scores[cid].values.ravel()[cell]
+    nan = np.isnan(score)
+    score[nan] = -np.inf
+    score[nan[:, 0], 0] = np.inf
+    del cell, r, c, t, order, nan  # so they do not add to the final scatter's peak
+    offsets = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])
+    # row i of a front counts its neighbors' classes in bincount slots
+    # i * (k + 1) + 1 + class; an unlabeled neighbor's -1 lands in slot
+    # i * (k + 1), which is dropped
+    slots = np.arange(1, sizes.max(initial=0) * (k + 1) + 1, k + 1)[:, None]
+    n_fronts = sizes.size
     flipped_at = np.full(lab.size, -1, dtype=np.int64)  # step (sweep * n_fronts + front) of the last flip
 
     for sweep in range(max_sweeps):
         changed = 0
-        for f, (p, nb, s) in enumerate(fronts):
+        for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            p = pos[lo:hi]
+            nb = p[:, None] + offsets
             step = sweep * n_fronts + f
             if sweep and flipped_at[nb].max() <= step - n_fronts:
                 continue
-            q = lab[nb]
-            best_v = s[0] + beta * np.count_nonzero(q == 0, axis=1)
-            best_k = np.zeros(p.size, dtype=np.int64)
-            for j in range(1, k):
-                v = s[j] + beta * np.count_nonzero(q == j, axis=1)
-                up = v > best_v  # strict, like the raster loop: ties keep the lower id
-                best_v = np.where(up, v, best_v)
-                best_k[up] = j
+            m = hi - lo
+            cnt = np.bincount((lab[nb] + slots[:m]).ravel(), minlength=m * (k + 1)).reshape(m, k + 1)[:, 1:]
+            # argmax takes the first maximum: ties keep the lower id
+            best_k = (score[lo:hi] + beta * cnt).argmax(axis=1)
             flip = best_k != lab[p]
-            if flip.any():
-                changed += int(np.count_nonzero(flip))
+            n_flips = np.count_nonzero(flip)
+            if n_flips:
+                changed += n_flips
                 lab[p] = best_k
                 flipped_at[p[flip]] = step
         if changed == 0:

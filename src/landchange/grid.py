@@ -10,14 +10,16 @@ XLLCORNER, YLLCORNER, CELLSIZE, NODATA_VALUE, any case, any order) followed
 by NROWS lines of NCOLS whitespace-separated decimal values, first line =
 northernmost row. Values are written in shortest round-trip form, so a
 write/read cycle is bit-exact, except that -0.0 is written as 0. The
-writer formats each distinct value of a grid once, in two batches (compact
-integers and repr), and gathers the strings into rows, writing the body
-64 rows at a time; the bytes are the same as formatting every cell on its
-own. The reader accepts finite values only, written as `parse_number`
-reads them: a non-finite or underscored header value or cell is a format
-error. A valid body is parsed in one `np.loadtxt` call; any other body
-goes to a loop over its lines, which words the error with the path, the
-line and the token.
+writer formats each distinct value of a grid once and gathers the strings
+into rows, writing the body 64 rows at a time; the bytes are the same as
+formatting every cell on its own. A grid whose valid values are all
+integers from 0 to 65535 takes its strings from a table indexed by value;
+any other grid finds its distinct values with `np.unique` and formats them
+in two batches (compact integers and repr). The reader accepts finite
+values only, written as `parse_number` reads them: a non-finite or
+underscored header value or cell is a format error. A valid body is
+parsed in one `np.loadtxt` call; any other body goes to a loop over its
+lines, which words the error with the path, the line and the token.
 
 Every grid the program makes from computed values is on DEFAULT_NODATA
 (-9999), whatever its inputs use: `Grid.scatter` and `mask_like` build
@@ -47,6 +49,9 @@ DEFAULT_NODATA = -9999.0
 
 # rows of the body the writer gathers, joins and writes at a time
 _WRITE_BLOCK_ROWS = 64
+# a grid whose valid values are all integers from 0 to this takes the text
+# of each cell from a table indexed by value, with no sort
+_TABLE_MAX = 65535
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -443,15 +448,22 @@ def write_ascii_grid(grid: Grid, path) -> None:
         f"CELLSIZE {cell}\n"
         f"NODATA_VALUE {nodata}\n"
     )
-    # grids hold few distinct values, so format each one once and gather;
-    # -0.0/0.0 and all NaNs merge here but format to the same text anyway
-    distinct, inverse = np.unique(grid.values, return_inverse=True)
-    text = _format_values(distinct)
-    inverse = inverse.reshape(grid.shape)
+    # grids hold few distinct values, so format each one once and gather
+    valid = grid.valid
+    data = grid.values[valid]
+    if data.size == 0 or (data.min() >= 0 and data.max() <= _TABLE_MAX and (np.trunc(data) == data).all()):
+        # integer grid: the text of value v is text[v + 1], nodata's text[0]
+        text = np.array([nodata, *map(str, range(int(data.max(initial=-1)) + 1))], dtype=object)
+        index = np.where(valid, grid.values + 1, 0).astype(np.intp)  # -0.0 lands on 0's text
+    else:
+        # -0.0/0.0 and all NaNs merge here but format to the same text anyway
+        distinct, index = np.unique(grid.values, return_inverse=True)
+        text = _format_values(distinct)
+        index = index.reshape(grid.shape)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header)
         for start in range(0, grid.n_rows, _WRITE_BLOCK_ROWS):
-            block = text[inverse[start : start + _WRITE_BLOCK_ROWS]].tolist()
+            block = text[index[start : start + _WRITE_BLOCK_ROWS]].tolist()
             fh.write("".join(" ".join(row) + "\n" for row in block))
 
 

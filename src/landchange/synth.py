@@ -146,9 +146,10 @@ def _evolve(
     labels. A noise draw that overflows is a ConfigError naming noise."""
     adj = contiguity_weights(current, spec.class_ids, kernel_size=3)
     flat = current.labels.ravel()
-    target = np.full(flat.size, -1, dtype=np.int64)
+    out = flat.copy()
     for ipos, i in enumerate(spec.class_ids):
-        n_i = int(np.count_nonzero(flat == i))
+        cand = np.flatnonzero(flat == i)  # class i's cells not converted yet, ascending
+        n_i = cand.size
         if n_i == 0:
             continue
         quotas = largest_remainder(n_i * spec.transition[ipos], n_i)
@@ -156,16 +157,14 @@ def _evolve(
             q = int(quotas[jpos])
             if j == i or q == 0:
                 continue
-            cand = np.flatnonzero((flat == i) & (target == -1))
             with np.errstate(over="ignore"):
                 noise = spec.noise * rng.standard_normal(cand.size)
             if not np.isfinite(noise).all():
                 raise ConfigError(f"noise {spec.noise!r} is too large: a noise draw overflows")
             score = prox[j].ravel()[cand] + adj[j].ravel()[cand] + noise
-            target[cand[_lowest(-score, q)]] = j
-    out = flat.copy()
-    conv = target >= 0
-    out[conv] = target[conv]
+            pick = _lowest(-score, q)
+            out[cand[pick]] = j
+            cand = np.delete(cand, pick)
     return out.reshape(current.labels.shape)
 
 

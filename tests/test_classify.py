@@ -287,11 +287,14 @@ def _icm_cases(draw):
     vals = rng.choice(ids, size=shape).astype(np.float64)
     vals[rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = -9999.0
     integer = draw(st.booleans())  # small integer scores make ties common
+    inf_frac = draw(st.sampled_from([0.0, 0.02, 0.2]))
     nan_frac = draw(st.sampled_from([0.0, 0.02, 0.2]))
     frozen_frac = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))  # a frozen cell has a nodata score
     scores = {}
     for c in ids:
         sv = rng.integers(-3, 4, size=shape).astype(np.float64) if integer else rng.standard_normal(shape)
+        inf = rng.random(shape) < inf_frac
+        sv[inf] = rng.choice([np.inf, -np.inf], size=int(inf.sum()))
         sv[rng.random(shape) < nan_frac] = np.nan
         sv[rng.random(shape) < frozen_frac] = SCORE_NODATA
         scores[c] = Grid(sv, 1.0, nodata_value=SCORE_NODATA)
@@ -321,10 +324,53 @@ _ONE_FLIP_THEN_ANOTHER = (
 )
 
 
+def _score_grids(per_class):
+    return {cid: Grid(np.array(v, dtype=np.float64), 1.0, nodata_value=SCORE_NODATA) for cid, v in per_class.items()}
+
+
+# a 1x1 grid: nan in class 0 keeps class 0, even against +inf in class 1
+_NAN_IN_CLASS_0 = (
+    _map(np.array([[1.0]]), {0: "a", 1: "b"}),
+    _score_grids({0: [[np.nan]], 1: [[np.inf]]}),
+    1.5,
+    2,
+)
+
+# nan in a later class never wins: not against -inf in class 0 and
+# class 2 (left), nor against finite scores (middle, right)
+_NAN_IN_A_LATER_CLASS = (
+    _map(np.array([[1.0, 1.0, 2.0]]), {0: "a", 1: "b", 2: "c"}),
+    _score_grids({0: [[-np.inf, -1.0, 0.0]], 1: [[np.nan, np.nan, 0.0]], 2: [[-np.inf, -5.0, np.nan]]}),
+    1.0,
+    3,
+)
+
+# +inf and -inf ties go to the lower id (top row); +inf beats any finite
+# total (bottom left) and any finite total beats -inf (bottom right)
+_INF_TIES = (
+    _map(np.array([[1.0, 1.0], [0.0, 0.0]]), {0: "a", 1: "b"}),
+    _score_grids({0: [[np.inf, -np.inf], [5.0, -np.inf]], 1: [[np.inf, -np.inf], [np.inf, 0.0]]}),
+    1.5,
+    3,
+)
+
+# a single class: no move is possible, whatever the scores
+_ONE_CLASS = (
+    _map(np.array([[3.0, -9999.0], [3.0, 3.0]]), {3: "c"}),
+    _score_grids({3: [[np.nan, 0.0], [np.inf, -np.inf]]}),
+    1.5,
+    2,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_icm_cases())
 @example(_ALL_FROZEN)
 @example(_ONE_FLIP_THEN_ANOTHER)
+@example(_NAN_IN_CLASS_0)
+@example(_NAN_IN_A_LATER_CLASS)
+@example(_INF_TIES)
+@example(_ONE_CLASS)
 def test_icm_matches_raster_reference_bits(case):
     initial, scores, beta, max_sweeps = case
     out = icm(initial, scores, beta=beta, max_sweeps=max_sweeps)

@@ -358,16 +358,32 @@ def _grids(allow_nonfinite):
     return shapes.flatmap(lambda sh: arrays(np.float64, sh, elements=_cells(allow_nonfinite)))
 
 
+def _integer_grids():
+    # the writer's table path: integers from 0 up to 65535 with nodata
+    # holes and -0.0; and the values just outside it: 65536, -1 and 2.5
+    cells = st.one_of(
+        st.integers(0, 9).map(float), st.sampled_from([-0.0, NODATA, 65535.0, 65536.0, -1.0, 2.5])
+    )
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 6))
+    return shapes.flatmap(lambda sh: arrays(np.float64, sh, elements=cells))
+
+
 @settings(max_examples=300, deadline=None)
-@given(_grids(allow_nonfinite=True))
-@example(np.resize(np.array(SPECIALS), (64, 3)))  # one whole block of rows
-@example(np.resize(np.array(SPECIALS), (130, 2)))  # two whole blocks and a part
-def test_writer_matches_per_cell_reference(vals):
+@given(st.one_of(_grids(allow_nonfinite=True), _integer_grids()), st.sampled_from([NODATA, 0.0]))
+@example(np.resize(np.array(SPECIALS), (64, 3)), NODATA)  # one whole block of rows
+@example(np.resize(np.array(SPECIALS), (130, 2)), NODATA)  # two whole blocks and a part
+@example(np.resize(np.array([0.0, 2.0, NODATA, -0.0, 1.0]), (70, 3)), NODATA)  # a class map
+@example(np.array([[65535.0, 0.0], [NODATA, -0.0]]), NODATA)  # the table's last entry
+@example(np.array([[65536.0, 1.0], [NODATA, -0.0]]), NODATA)  # one past it
+@example(np.array([[0.0, 3.0], [-0.0, 1.0]]), 0.0)  # 0 is nodata
+@example(np.full((2, 3), NODATA), NODATA)  # all nodata
+@example(np.full((2, 3), 0.0), 0.0)
+def test_writer_matches_per_cell_reference(vals, nodata):
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "g.asc"
-        write_ascii_grid(Grid(vals, 1.0, nodata_value=NODATA), p)
+        write_ascii_grid(Grid(vals, 1.0, nodata_value=nodata), p)
         lines = p.read_text(encoding="ascii").split("\n")
-    assert lines[5] == "NODATA_VALUE -9999"
+    assert lines[5] == {NODATA: "NODATA_VALUE -9999", 0.0: "NODATA_VALUE 0"}[nodata]
     assert lines[-1] == ""
     assert lines[6:-1] == [" ".join(_format_value(v) for v in row) for row in vals]
 

@@ -32,6 +32,13 @@ BANDS = "{scenario}/prox0.asc {scenario}/prox1.asc {scenario}/prox2.asc"
 DATES = "indices/ndvi.asc indices/ndii.asc indices/ndim.asc"
 WATER = "criteria_categories/water_constraint.asc"
 
+
+def classify(scenario: str) -> str:
+    """`classify` of a 3-class scenario's prox grids, trained on its first map."""
+    bands = " ".join(f"{scenario}/prox{c}.asc" for c in range(3))
+    return f"classify {bands} --training {scenario}/map_1988.asc --legend {scenario}/legend.csv"
+
+
 # Run in this order, each from its tree's output directory, so a command may
 # read what an earlier one wrote. {scenario} is the checkout's scenario/,
 # {kernel_k} a copy of it with `kernel = k` and {hand_formatted} a copy whose
@@ -67,7 +74,13 @@ MATRIX = (
     "run --config {scenario}/pipeline.ini --out run_scenario",
     "run --config {kernel_7}/pipeline.ini --out run_scenario_kernel_7",
     "run --config {hand_formatted}/pipeline.ini --out run_scenario_hand_formatted",
-    f"classify {BANDS} --training {{scenario}}/map_1988.asc --legend {{scenario}}/legend.csv --out classify",
+    f"{classify('{scenario}')} --out classify",
+    f"{classify('{scenario}')} --beta 0 --out classify_beta_0",
+    # ICM flips pixels in its second sweep here; --sweeps 1 stops before it
+    f"{classify('synth_96x80')} --beta 0.3 --out classify_96x80_beta_0.3",
+    f"{classify('synth_96x80')} --sweeps 1 --out classify_96x80_sweeps_1",
+    # 1,534 ICM fronts, flips in the second sweep, and fronts skipped from then on
+    f"{classify('synth_512')} --out classify_512",
     "indices --red {scenario}/prox0.asc --nir {scenario}/prox1.asc --swir {scenario}/prox2.asc --out indices",
     f"change {DATES} --ppm --out change_ppm",
     f"change {DATES} --low -0.1 --high 0.1 --out change_fixed",
