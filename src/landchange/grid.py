@@ -448,16 +448,21 @@ def write_ascii_grid(grid: Grid, path) -> None:
         f"CELLSIZE {cell}\n"
         f"NODATA_VALUE {nodata}\n"
     )
-    # grids hold few distinct values, so format each one once and gather
-    valid = grid.valid
-    data = grid.values[valid]
-    if data.size == 0 or (data.min() >= 0 and data.max() <= _TABLE_MAX and (np.trunc(data) == data).all()):
+    # grids hold few distinct values, so format each one once and gather;
+    # the checks copy no values, so a grid that fails them peaks no higher
+    values, valid = grid.values, grid.valid
+    top = values.max(where=valid, initial=0)  # nan if any valid value is
+    if (
+        values.min(where=valid, initial=0) >= 0
+        and top <= _TABLE_MAX
+        and np.all(np.trunc(values) == values, where=valid)
+    ):
         # integer grid: the text of value v is text[v + 1], nodata's text[0]
-        text = np.array([nodata, *map(str, range(int(data.max(initial=-1)) + 1))], dtype=object)
-        index = np.where(valid, grid.values + 1, 0).astype(np.intp)  # -0.0 lands on 0's text
+        text = np.array([nodata, *map(str, range(int(top) + 1))], dtype=object)
+        index = np.where(valid, values + 1, 0).astype(np.intp)  # -0.0 lands on 0's text
     else:
         # -0.0/0.0 and all NaNs merge here but format to the same text anyway
-        distinct, index = np.unique(grid.values, return_inverse=True)
+        distinct, index = np.unique(values, return_inverse=True)
         text = _format_values(distinct)
         index = index.reshape(grid.shape)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
