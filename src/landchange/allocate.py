@@ -207,13 +207,6 @@ class AllocationLogRow:
     allocated: int
 
 
-def _as_bytes(values: np.ndarray) -> np.ndarray | None:
-    """values as uint8 when every one is an integer in 0..255, else None."""
-    if values.size and not (values.min() >= 0 and values.max() <= 255 and np.array_equal(np.floor(values), values)):
-        return None
-    return values.astype(np.uint8)
-
-
 # A kernel-5 key table has 160,000 entries. Kernel 7 would need 614,656 and
 # holds 169,582 distinct products, more than a uint16 rank tells apart, and
 # the table grows as kernel**4, so larger tables are never built.
@@ -294,13 +287,11 @@ def ca_markov(
         require_data_under(current.grid, suitabilities[c], f"ca_markov: the class {c} suitability", where)
     valid = current.grid.valid
     cells = np.flatnonzero(valid.ravel())
-    values = {c: suitabilities[c].values.ravel()[cells] for c in ids}
     table = _key_table(params.kernel_size)
-    as_bytes = {c: _as_bytes(v) for c, v in values.items()} if table is not None else {}
-    if table is not None and all(b is not None for b in as_bytes.values()):
-        values = as_bytes
-    else:
+    if not all(suitabilities[c].holds_integers(0, 255) for c in ids):
         table = None
+    kind = np.float64 if table is None else np.uint8
+    values = {c: suitabilities[c].values.ravel()[cells].astype(kind, copy=False) for c in ids}
     radius = params.kernel_size // 2
     # the evolving map always holds exactly the valid cells of `current`
     n_valid = neighbor_counts(valid, radius).ravel()[cells]

@@ -26,10 +26,8 @@ class SuitabilityGrid(Grid):
 
     def __post_init__(self):
         super().__post_init__()
-        vals = self.values[self.valid]
-        if vals.size:
-            if not np.all(vals == np.floor(vals)) or vals.min() < 0 or vals.max() > 255:
-                raise DataError("suitability values must be integers in 0..255")
+        if not self.holds_integers(0, 255):
+            raise DataError("suitability values must be integers in 0..255")
 
 
 def suitability_like(grid: Grid, values) -> SuitabilityGrid:

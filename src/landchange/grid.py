@@ -37,6 +37,7 @@ valid cells are combined.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -94,6 +95,26 @@ class Grid:
     def valid(self) -> np.ndarray:
         """Boolean array, True where the cell holds data."""
         return self.values != self.nodata_value
+
+    @functools.cached_property
+    def integer_range(self) -> tuple[int, int] | None:
+        """(lowest, highest) valid value as ints when every valid value is a
+        finite whole number, else None; (0, -1) when no cell is valid. Found
+        once per grid, as the values are read-only, with reductions that
+        copy no values."""
+        values, valid = self.values, self.valid
+        lo = values.min(where=valid, initial=math.inf)  # nan if any valid value is
+        hi = values.max(where=valid, initial=-math.inf)
+        if lo > hi:
+            return 0, -1
+        if not (math.isfinite(lo) and math.isfinite(hi) and np.all(np.trunc(values) == values, where=valid)):
+            return None
+        return int(lo), int(hi)
+
+    def holds_integers(self, lo: int, hi: int) -> bool:
+        """True when every valid value is a whole number from lo to hi."""
+        r = self.integer_range
+        return r is not None and (r[0] > r[1] or lo <= r[0] and r[1] <= hi)
 
     def with_values(self, values) -> "Grid":
         """New grid with this grid's geometry, nodata value and the given
@@ -212,6 +233,12 @@ class MultiBandImage:
         return self.bands[0]
 
 
+def _distinct(values: np.ndarray) -> list:
+    """The distinct values, ascending, whole numbers as exact Python ints and
+    any other value as its float, so an error can name each as it is."""
+    return [int(v) if v.is_integer() else v for v in np.unique(values).tolist()]
+
+
 @dataclass(frozen=True, eq=False)
 class LandCoverMap:
     """Categorical raster: integer class ids plus a legend naming every id.
@@ -231,21 +258,18 @@ class LandCoverMap:
             if ik < 0 or ik != k:
                 raise DataError(f"class ids must be non-negative integers, got {k!r}")
             legend[ik] = str(v)
-        vals = self.grid.values
-        valid = self.grid.valid
-        data = vals[valid]
-        if data.size and not np.all(data == np.floor(data)):
-            raise DataError("land cover map holds non-integer class values")
+        grid, valid = self.grid, self.grid.valid
+        data = grid.values[valid]
         top = max(legend, default=-1)
-        if data.size and not (data.min() >= 0 and data.max() <= top):
-            unknown = set(np.unique(data).astype(np.int64).tolist()) - set(legend)
-            raise DataError(f"map values {sorted(unknown)} missing from legend {sorted(legend)}")
+        if not grid.holds_integers(0, top):
+            stray = [v for v in _distinct(data) if v not in legend]
+            raise DataError(f"map values {stray} missing from legend {sorted(legend)}")
         codes = data.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max))
         counts = np.bincount(codes)  # as long as the largest id present
         unknown = set(np.flatnonzero(counts).tolist()) - set(legend)
         if unknown:
             raise DataError(f"map values {sorted(unknown)} missing from legend {sorted(legend)}")
-        labels = np.full(vals.shape, -1, dtype=codes.dtype)
+        labels = np.full(grid.shape, -1, dtype=codes.dtype)
         labels[valid] = codes
         labels.setflags(write=False)
         object.__setattr__(self, "legend", legend)
@@ -448,18 +472,12 @@ def write_ascii_grid(grid: Grid, path) -> None:
         f"CELLSIZE {cell}\n"
         f"NODATA_VALUE {nodata}\n"
     )
-    # grids hold few distinct values, so format each one once and gather;
-    # the checks copy no values, so a grid that fails them peaks no higher
-    values, valid = grid.values, grid.valid
-    top = values.max(where=valid, initial=0)  # nan if any valid value is
-    if (
-        values.min(where=valid, initial=0) >= 0
-        and top <= _TABLE_MAX
-        and np.all(np.trunc(values) == values, where=valid)
-    ):
+    # grids hold few distinct values, so format each one once and gather
+    values = grid.values
+    if grid.holds_integers(0, _TABLE_MAX):
         # integer grid: the text of value v is text[v + 1], nodata's text[0]
-        text = np.array([nodata, *map(str, range(int(top) + 1))], dtype=object)
-        index = np.where(valid, values + 1, 0).astype(np.intp)  # -0.0 lands on 0's text
+        text = np.array([nodata, *map(str, range(grid.integer_range[1] + 1))], dtype=object)
+        index = np.where(grid.valid, values + 1, 0).astype(np.intp)  # -0.0 lands on 0's text
     else:
         # -0.0/0.0 and all NaNs merge here but format to the same text anyway
         distinct, index = np.unique(values, return_inverse=True)

@@ -62,12 +62,6 @@ def ternarize(grid: Grid, t_low: float, t_high: float) -> Grid:
     return grid.scatter(grid.valid, levels[grid.valid])
 
 
-def _check_levels(grid: Grid, name: str) -> None:
-    vals = grid.values[grid.valid]
-    if vals.size and not np.all((vals == 0.0) | (vals == 1.0) | (vals == 2.0)):
-        raise DataError(f"{name} holds non-ternary values")
-
-
 def change_composite(l1: Grid, l2: Grid, l3: Grid) -> Grid:
     """Combine three dated level grids into trajectory codes 0..26.
 
@@ -75,7 +69,8 @@ def change_composite(l1: Grid, l2: Grid, l3: Grid) -> Grid:
     """
     ok = joint_valid(l1, l2, l3, context="change_composite")
     for g, name in ((l1, "date 1"), (l2, "date 2"), (l3, "date 3")):
-        _check_levels(g, name)
+        if not g.holds_integers(0, 2):
+            raise DataError(f"{name} holds non-ternary values")
     codes = 9.0 * l1.values[ok] + 3.0 * l2.values[ok] + l3.values[ok]
     return l1.scatter(ok, codes)
 
@@ -148,14 +143,11 @@ def default_grouping() -> DynamicsGrouping:
 def group_dynamics(codes: Grid) -> LandCoverMap:
     """Collapse trajectory codes into the default_grouping dynamics map."""
     grouping = default_grouping()
-    vals = codes.values
+    if not codes.holds_integers(0, 26):
+        raise DataError("codes grid holds values outside 0..26")
     ok = codes.valid
-    data = vals[ok]
-    if data.size:
-        if not np.all(data == np.floor(data)) or data.min() < 0 or data.max() > 26:
-            raise DataError("codes grid holds values outside 0..26")
     lut = np.asarray(grouping.category_of, dtype=np.float64)
-    return LandCoverMap(codes.scatter(ok, lut[data.astype(np.int64)]), dict(grouping.names))
+    return LandCoverMap(codes.scatter(ok, lut[codes.values[ok].astype(np.int64)]), dict(grouping.names))
 
 
 def write_grouping_csv(grouping: DynamicsGrouping, path) -> None:
