@@ -25,7 +25,7 @@ from . import __version__
 from .classify import estimate_signatures, icm, maxlike, write_signatures_csv
 from .config import load_config
 from .criteria import FuzzySpec, distance_transform, fuzzy_standardize, make_constraint
-from .errors import ConfigError, LandchangeError, NumericalError
+from .errors import ConfigError, DataError, LandchangeError, NumericalError
 from .grid import (
     LandCoverMap,
     MultiBandImage,
@@ -34,6 +34,7 @@ from .grid import (
     mask_like,
     parse_number,
     read_ascii_grid,
+    read_legend,
     write_ascii_grid,
     write_legend,
 )
@@ -191,8 +192,13 @@ def cmd_classify(args) -> int:
     labels = _band_labels(args, len(args.bands))
     image = _read_image(args.bands, labels)
     training_grid = read_ascii_grid(args.training)
-    legend = load_legend(args.legend, training_grid)
-    training = LandCoverMap(training_grid, legend)
+    legend = read_legend(args.legend) if args.legend else None
+    try:  # an error in the training map's values names its path
+        if legend is None:
+            legend = load_legend(None, training_grid)
+        training = LandCoverMap(training_grid, legend)
+    except DataError as e:
+        raise DataError(f"{args.training}: {e}") from None
     signatures = estimate_signatures(image, training)
     priors = "equal" if args.equal_priors else "empirical"
     labeled, scores = maxlike(image, signatures, priors_mode=priors, legend=legend)

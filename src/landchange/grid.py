@@ -53,6 +53,8 @@ _WRITE_BLOCK_ROWS = 64
 # a grid whose valid values are all integers from 0 to this takes the text
 # of each cell from a table indexed by value, with no sort
 _TABLE_MAX = 65535
+# the largest class id: labels are at most int64
+_ID_MAX = 2**63 - 1
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -254,10 +256,9 @@ class LandCoverMap:
     def __post_init__(self):
         legend = {}
         for k, v in dict(self.legend).items():
-            ik = int(k)
-            if ik < 0 or ik != k:
-                raise DataError(f"class ids must be non-negative integers, got {k!r}")
-            legend[ik] = str(v)
+            if not (0 <= k <= _ID_MAX and k == int(k)):  # nan and inf fail the range test
+                raise DataError(f"class ids must be integers from 0 to 2**63 - 1, got {k!r}")
+            legend[int(k)] = str(v)
         grid, valid = self.grid, self.grid.valid
         data = grid.values[valid]
         top = max(legend, default=-1)
@@ -547,8 +548,8 @@ def read_legend(path) -> dict[int, str]:
             cid = parse_number(row[0], int)
         except ValueError:
             raise DataError(f"{path}:{i}: bad class id {row[0]!r}") from None
-        if cid < 0:
-            raise DataError(f"{path}:{i}: class ids must be non-negative, got {cid}")
+        if not 0 <= cid <= _ID_MAX:
+            raise DataError(f"{path}:{i}: class ids must be integers from 0 to 2**63 - 1, got {cid}")
         if cid in legend:
             raise DataError(f"{path}:{i}: duplicate class id {cid}")
         legend[cid] = row[1]
@@ -567,12 +568,16 @@ def write_csv(path, rows, comment: str | None = None) -> None:
 
 def load_legend(path, *grids: Grid) -> dict[int, str]:
     """The legend file at path or, with no path, a 'class <id>' legend for
-    every value present in the grids' valid cells."""
+    every value present in the grids' valid cells, whole numbers as ints."""
     if path:
         return read_legend(path)
-    present: set[int] = set()
+    present = set()
     for g in grids:
-        present |= set(np.unique(g.values[g.valid]).astype(np.int64).tolist())
+        data = g.values[g.valid]
+        if g.holds_integers(0, _TABLE_MAX):
+            present.update(np.flatnonzero(np.bincount(data.astype(np.intp))).tolist())
+        else:
+            present.update(_distinct(data))
     return {c: f"class {c}" for c in sorted(present)}
 
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,29 @@ def test_classify(tmp_path):
     assert code == 0
     for fn in ("signatures.csv", "classified_ml.asc", "classified_icm.asc", "classified_legend.csv"):
         assert (out / fn).is_file(), fn
+
+
+def test_class_ids_that_do_not_fit_int64_are_refused_and_named_exactly(tmp_path, capsys, caplog):
+    big = 10**19
+    legend = tmp_path / "big.csv"
+    legend.write_text(f"id,name\n0,a\n{big},b\n")
+    *bands, _, training = _classify_inputs(tmp_path)
+    huge = _w(tmp_path / "huge.asc", [[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, float(big)]])
+    sc = tmp_path / "sc"
+    assert main(["synth", "--rows", "12", "--cols", "12", "--out", str(sc), "--quiet"]) == 0
+    (sc / "legend.csv").write_text(f"id,name\n0,a\n1,b\n{big},c\n")
+    refused = f"class ids must be integers from 0 to 2**63 - 1, got {big}"
+    cases = [
+        (["classify", *bands, "--training", training, "--legend", str(legend)], f"{legend}:3: {refused}"),
+        (["run", "--config", str(sc / "pipeline.ini")], f"{sc / 'legend.csv'}:4: {refused}"),
+        # a derived legend names the stray value as it is, after the training map's path
+        (["classify", *bands, "--training", huge], f"{huge}: {refused}"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args, message in cases:
+            code, err = _main_in_process([*args, "--out", str(tmp_path / "o"), "--quiet"], capsys, caplog)
+            assert code == 3 and message in err, (args, err)
 
 
 def test_classify_keeps_class_0_when_the_bands_use_nodata_0(tmp_path):

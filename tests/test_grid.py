@@ -21,6 +21,7 @@ from landchange.grid import (
     export_ppm,
     grids_equal,
     joint_valid,
+    load_legend,
     neighbor_counts,
     parse_number,
     read_ascii_grid,
@@ -142,6 +143,21 @@ def test_land_cover_map_validation_and_labels():
     gapped = LandCoverMap(Grid(np.array([[7.0, 3.0], [-9999.0, 7.0]]), 1.0), {0: "a", 3: "b", 7: "c"})
     assert gapped.class_counts() == {0: 0, 3: 1, 7: 2}
     assert LandCoverMap(Grid(np.array([[-9999.0]]), 1.0), {}).class_counts() == {}
+
+
+def test_land_cover_map_names_stray_values_and_ids_exactly():
+    cases = [
+        ([[0.0, 1e19]], "map values [10000000000000000000] missing from legend [0, 1]"),
+        ([[0.0, 2.5, math.nan, -math.inf, -3.0, 1.0]], "map values [-inf, -3, 2.5, nan] missing from legend [0, 1]"),
+    ]
+    for vals, message in cases:
+        with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+            LandCoverMap(Grid(vals, 1.0), {0: "a", 1: "b"})
+    for bad in (2**63, 10**19, -1, 0.5, math.nan, math.inf):
+        with pytest.raises(DataError, match=re.escape(f"class ids must be integers from 0 to 2**63 - 1, got {bad!r}")):
+            LandCoverMap(Grid([[0.0]], 1.0), {0: "a", bad: "b"})
+    widest = LandCoverMap(Grid([[0.0, -9999.0]], 1.0), {0: "a", 2**63 - 1: "b"})
+    assert widest.labels.dtype == np.int64 and widest.class_counts() == {0: 1, 2**63 - 1: 0}
 
 
 @st.composite
@@ -689,6 +705,19 @@ def test_export_ppm_degenerate_stretch(tmp_path):
 # legends
 
 
+@settings(max_examples=200, deadline=None)
+@given(_integer_grids(), st.sampled_from([NODATA, 0.0]))
+@example(np.array([[65535.0, 0.0], [NODATA, -0.0]]), NODATA)  # a bincount as long as the table
+@example(np.array([[1e19, 2.5], [-1.0, 3.0]]), NODATA)  # whole numbers named as ints, others as floats
+def test_derived_legend_names_every_value_present(vals, nodata):
+    g = Grid(vals, 1.0, nodata_value=nodata)
+    present = {int(v) if v.is_integer() else v for v in vals[vals != nodata].tolist()}
+    legend = load_legend(None, g, Grid(np.full(vals.shape, nodata), 1.0, nodata_value=nodata))
+    assert list(legend) == sorted(present)
+    assert all(type(c) is (int if c == int(c) else float) for c in legend)
+    assert legend == {c: f"class {c}" for c in present}
+
+
 def test_legend_roundtrip(tmp_path):
     legend = {0: "forest", 2: "water, deep", 5: "cleared"}
     p = tmp_path / "legend.csv"
@@ -706,6 +735,9 @@ def test_legend_read_errors(tmp_path):
         read_legend(p)
     p.write_text("id,name\nten,x\n")
     with pytest.raises(DataError, match="bad class id"):
+        read_legend(p)
+    p.write_text("id,name\n0,x\n9223372036854775807,y\n9223372036854775808,z\n")  # 2**63 - 1 fits int64
+    with pytest.raises(DataError, match=re.escape("bad.csv:4: class ids must be integers from 0 to 2**63 - 1, got 9223372036854775808")):
         read_legend(p)
     p.write_text("id,name\n0,x\n1_0,y\n")  # int() reads "1_0" as 10
     with pytest.raises(DataError, match=r"bad\.csv:3: bad class id '1_0'"):
