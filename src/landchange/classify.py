@@ -48,7 +48,6 @@ def estimate_signatures(image: MultiBandImage, training: LandCoverMap) -> list[C
     sel = joint_valid(*image.bands, training.grid, context="estimate_signatures")
     labels = training.labels
     b = image.n_bands
-    cube = np.stack([band.values for band in image.bands], axis=-1)
 
     sigs = []
     total = 0
@@ -61,7 +60,7 @@ def estimate_signatures(image: MultiBandImage, training: LandCoverMap) -> list[C
             raise DataError(
                 f"class {cid} ({training.legend[cid]!r}) has {n} training pixels, needs at least {b + 1}"
             )
-        x = cube[pick]
+        x = np.stack([band.values[pick] for band in image.bands], axis=-1)
         mean = x.mean(axis=0)
         cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
         trace = float(np.trace(cov))
@@ -106,8 +105,7 @@ def maxlike(
 
     geometry = image.geometry
     valid = joint_valid(*image.bands, context="maxlike")
-    cube = np.stack([band.values for band in image.bands], axis=-1)
-    x = cube[valid]
+    x = np.stack([band.values[valid] for band in image.bands], axis=-1)  # only the pixels scored
 
     k = len(sigs)
     scores = np.empty((k, x.shape[0]))
