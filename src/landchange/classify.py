@@ -105,7 +105,7 @@ def maxlike(
 
     geometry = image.geometry
     valid = joint_valid(*image.bands, context="maxlike")
-    x = np.stack([band.values[valid] for band in image.bands], axis=-1)  # only the pixels scored
+    x = np.stack([band.values[valid] for band in image.bands], axis=-1)
 
     k = len(sigs)
     scores = np.empty((k, x.shape[0]))

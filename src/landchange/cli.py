@@ -34,7 +34,6 @@ from .grid import (
     mask_like,
     parse_number,
     read_ascii_grid,
-    read_legend,
     write_ascii_grid,
     write_legend,
 )
@@ -192,10 +191,8 @@ def cmd_classify(args) -> int:
     labels = _band_labels(args, len(args.bands))
     image = _read_image(args.bands, labels)
     training_grid = read_ascii_grid(args.training)
-    legend = read_legend(args.legend) if args.legend else None
+    legend = load_legend(args.legend, training_grid)
     try:  # an error in the training map's values names its path
-        if legend is None:
-            legend = load_legend(None, training_grid)
         training = LandCoverMap(training_grid, legend)
     except DataError as e:
         raise DataError(f"{args.training}: {e}") from None
