@@ -268,8 +268,8 @@ def ca_markov(
 
     Every suitability must hold data wherever the map does. The weighted
     suitabilities reach `_claim` as sort keys: the `_key_table` rank when
-    every suitability is a byte and the kernel has a table, else the
-    negated float product.
+    every suitability holds only bytes (`Grid.holds_integers(0, 255)`) and
+    the kernel has a table, else the negated float product.
     """
     params = params or CaParams()
     ids = sorted(suitabilities)

@@ -21,6 +21,13 @@ underscored header value or cell is a format error. A valid body is
 parsed in one `np.loadtxt` call; any other body goes to a loop over its
 lines, which words the error with the path, the line and the token.
 
+`Grid.integer_range` is the one rule for whole-number grids: whether every
+valid value is a finite whole number and, if so, the lowest and highest.
+It is found once per grid, which is sound because the values are
+read-only. Land-cover maps, suitabilities, vigour levels, trajectory codes,
+the cellular pass's byte key, derived legends and the writer's table all
+read it; no other module checks values for wholeness.
+
 Every grid the program makes from computed values is on DEFAULT_NODATA
 (-9999), whatever its inputs use: `Grid.scatter` and `mask_like` build
 them, and no module but this one names the value. An input on NODATA_VALUE

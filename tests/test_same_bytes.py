@@ -1,10 +1,14 @@
 """The byte-identity check's comparison of two output trees and their exit codes,
 and its hand-formatted copy of the shipped grids."""
 
+import configparser
 import importlib.util
+import shutil
 from pathlib import Path
 
-from landchange.grid import grids_equal, read_ascii_grid
+import numpy as np
+
+from landchange.grid import grids_equal, read_ascii_grid, read_legend
 
 REPO = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("same_bytes", REPO / "tools" / "same_bytes.py")
@@ -74,3 +78,26 @@ def test_hand_formatted_grids_read_as_the_shipped_ones(tmp_path):
         hand = tmp_path / shipped.name
         hand.write_bytes(text.encode("ascii"))
         assert grids_equal(read_ascii_grid(hand), read_ascii_grid(shipped))
+
+
+def test_shifted_copy_has_every_class_id_one_higher_on_nodata_0(tmp_path):
+    shipped = REPO / "scenario"
+    copy = shutil.copytree(shipped, tmp_path / "sc")
+    same_bytes.shift_classes(copy)
+    assert read_legend(copy / "legend.csv") == {c + 1: name for c, name in read_legend(shipped / "legend.csv").items()}
+    hole = np.zeros((128, 128), dtype=bool)
+    hole[:4, :4] = True
+    for path in sorted(shipped.glob("map_*.asc")):
+        old, new = read_ascii_grid(path), read_ascii_grid(copy / path.name)
+        assert old.valid.all() and new.nodata_value == 0.0 and new.same_geometry(old)
+        assert np.array_equal(new.valid, ~hole)
+        assert np.array_equal(new.values[~hole], old.values[~hole] + 1)
+    ini = {}
+    for name in (shipped, copy):
+        cfg = configparser.ConfigParser()
+        cfg.read(name / "pipeline.ini")
+        ini[name] = cfg
+    assert {int(k) + 1: v for k, v in ini[shipped]["suitability"].items()} == {
+        int(k): v for k, v in ini[copy]["suitability"].items()
+    }
+    assert all(ini[shipped][s] == ini[copy][s] for s in ini[shipped].sections() if s != "suitability")

@@ -41,8 +41,9 @@ def classify(scenario: str) -> str:
 
 # Run in this order, each from its tree's output directory, so a command may
 # read what an earlier one wrote. {scenario} is the checkout's scenario/,
-# {kernel_k} a copy of it with `kernel = k` and {hand_formatted} a copy whose
-# grids `hand_formatted` rewrote.
+# {kernel_k} a copy of it with `kernel = k`, {hand_formatted} a copy whose
+# grids `hand_formatted` rewrote and {shifted_nodata_0} a copy that
+# `shift_classes` gave class ids one higher and maps on NODATA_VALUE 0.
 MATRIX = (
     f"{SYNTH_96x80} --out synth_96x80",
     f"{SYNTH_96x80} --cell-size 2.2250738585072014e-308 --out synth_96x80_min_cell",
@@ -74,7 +75,11 @@ MATRIX = (
     "run --config {scenario}/pipeline.ini --out run_scenario",
     "run --config {kernel_7}/pipeline.ini --out run_scenario_kernel_7",
     "run --config {hand_formatted}/pipeline.ini --out run_scenario_hand_formatted",
+    "run --config {shifted_nodata_0}/pipeline.ini --out run_shifted_nodata_0",
     f"{classify('{scenario}')} --out classify",
+    f"{classify('{shifted_nodata_0}')} --out classify_shifted_nodata_0",
+    # the legend found in the training map's values
+    f"{classify('{shifted_nodata_0}').split(' --legend ')[0]} --out classify_shifted_nodata_0_no_legend",
     f"{classify('{scenario}')} --beta 0 --out classify_beta_0",
     # ICM flips pixels in its second sweep here; --sweeps 1 stops before it
     f"{classify('synth_96x80')} --beta 0.3 --out classify_96x80_beta_0.3",
@@ -111,6 +116,37 @@ def hand_formatted(text: str) -> str:
         first, *rest = line.split(" ")
         body.append("\t".join([first if first.startswith("-") else "+" + first, *rest]))
     return "\r\n".join(lines[:6] + body[:1] + [""] + body[1:]) + "\r\n"
+
+
+def shifted_map(text: str) -> str:
+    """A class map, as the writer makes it, with every class id one higher,
+    on NODATA_VALUE 0, and its top-left 4 x 4 cells nodata."""
+    lines = text.splitlines()
+    header = ["NODATA_VALUE 0" if line.upper().startswith("NODATA_VALUE") else line for line in lines[:6]]
+    rows = [[str(int(t) + 1) for t in line.split()] for line in lines[6:]]
+    for row in rows[:4]:
+        row[:4] = ["0"] * 4
+    return "\n".join(header + [" ".join(row) for row in rows]) + "\n"
+
+
+def shift_classes(scenario: Path) -> None:
+    """Rewrite a copy of scenario/ in place: every class id one higher in
+    its maps (by `shifted_map`), its legend and its [suitability] keys."""
+    for grid in scenario.glob("map_*.asc"):
+        grid.write_text(shifted_map(grid.read_text(encoding="ascii")), encoding="ascii")
+    legend = scenario / "legend.csv"
+    head, *rows = legend.read_text().splitlines()
+    legend.write_text("\n".join([head, *(f"{int(i) + 1},{name}" for i, name in (r.split(",", 1) for r in rows))]) + "\n")
+    ini = scenario / "pipeline.ini"
+    section, lines = None, []
+    for line in ini.read_text().splitlines():
+        if line.startswith("["):
+            section = line
+        elif section == "[suitability]" and "=" in line:
+            key, rest = line.split("=", 1)
+            line = f"{int(key) + 1} ={rest}"
+        lines.append(line)
+    ini.write_text("\n".join(lines) + "\n")
 
 
 def run_matrix(tree: Path, out: Path, inputs: dict[str, str]) -> dict[str, int]:
@@ -180,6 +216,8 @@ def main(argv: list[str]) -> int:
         hand = inputs["hand_formatted"] = str(shutil.copytree(REPO / "scenario", tmp / "hand_formatted"))
         for grid in Path(hand).glob("*.asc"):
             grid.write_bytes(hand_formatted(grid.read_text(encoding="ascii")).encode("ascii"))
+        shift_classes(shutil.copytree(REPO / "scenario", tmp / "shifted_nodata_0"))
+        inputs["shifted_nodata_0"] = str(tmp / "shifted_nodata_0")
         codes_a = run_matrix(tmp / "src", tmp / rev, inputs)
         codes_b = run_matrix(REPO / "src", tmp / "checkout", inputs)
         found = compare(tmp / rev, tmp / "checkout", codes_a, codes_b)
