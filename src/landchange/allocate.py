@@ -288,7 +288,7 @@ def ca_markov(
     valid = current.grid.valid
     cells = np.flatnonzero(valid.ravel())
     table = _key_table(params.kernel_size)
-    if not all(suitabilities[c].holds_integers(0, 255) for c in ids):
+    if table is not None and not all(suitabilities[c].holds_integers(0, 255) for c in ids):
         table = None
     kind = np.float64 if table is None else np.uint8
     values = {c: suitabilities[c].values.ravel()[cells].astype(kind, copy=False) for c in ids}

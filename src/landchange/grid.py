@@ -25,8 +25,8 @@ lines, which words the error with the path, the line and the token.
 valid value is a finite whole number and, if so, the lowest and highest.
 It is found once per grid, which is sound because the values are
 read-only. Land-cover maps, suitabilities, vigour levels, trajectory codes,
-the cellular pass's byte key, derived legends and the writer's table all
-read it; no other module checks values for wholeness.
+the cellular pass's byte key and the writer's table all read it; no other
+module checks values for wholeness.
 
 Every grid the program makes from computed values is on DEFAULT_NODATA
 (-9999), whatever its inputs use: `Grid.scatter` and `mask_like` build
@@ -109,8 +109,9 @@ class Grid:
     def integer_range(self) -> tuple[int, int] | None:
         """(lowest, highest) valid value as ints when every valid value is a
         finite whole number, else None; (0, -1) when no cell is valid. Found
-        once per grid, as the values are read-only, with reductions that
-        copy no values."""
+        once per grid, as the values are read-only. It scans the whole grid:
+        one mask of the valid cells, `where=` reductions over it and one
+        float temporary from `np.trunc`."""
         values, valid = self.values, self.valid
         lo = values.min(where=valid, initial=math.inf)  # nan if any valid value is
         hi = values.max(where=valid, initial=-math.inf)
@@ -580,11 +581,7 @@ def load_legend(path, *grids: Grid) -> dict[int, str]:
         return read_legend(path)
     present = set()
     for g in grids:
-        data = g.values[g.valid]
-        if g.holds_integers(0, _TABLE_MAX):
-            present.update(np.flatnonzero(np.bincount(data.astype(np.intp))).tolist())
-        else:
-            present.update(_distinct(data))
+        present.update(_distinct(g.values[g.valid]))
     return {c: f"class {c}" for c in sorted(present)}
 
 
