@@ -19,12 +19,13 @@ from .grid import (
     Grid,
     LandCoverMap,
     MultiBandImage,
+    class_index,
+    joint_counts,
     joint_valid,
     mask_like,
     neighbor_counts,
     write_csv,
 )
-from .markov import _joint_counts
 
 SCORE_NODATA = -1e300  # -9999 is a reachable log-score, so score grids use their own sentinel
 
@@ -97,8 +98,8 @@ def maxlike(
     if not signatures:
         raise DataError("no signatures given")
     sigs = sorted(signatures, key=lambda s: s.class_id)
-    if len({s.class_id for s in sigs}) != len(sigs):
-        raise DataError("duplicate class ids in signatures")
+    class_ids = [s.class_id for s in sigs]
+    class_index(class_ids)  # refuses an id out of range or listed twice
     b = image.n_bands
     if any(s.mean.shape != (b,) for s in sigs):
         raise DataError("signature dimensionality does not match band count")
@@ -122,7 +123,6 @@ def maxlike(
         scores[idx] = np.log(prior) - 0.5 * logdet - 0.5 * maha
 
     best = np.argmax(scores, axis=0)  # first max wins, ids ascend, so ties pick the lowest id
-    class_ids = [s.class_id for s in sigs]
     if legend is None:
         legend = {cid: f"class {cid}" for cid in class_ids}
     lc = LandCoverMap(geometry.scatter(valid, np.asarray(class_ids, dtype=np.float64)[best]), legend)
@@ -205,11 +205,10 @@ def icm(
     n_rows, n_cols = initial.grid.shape
     w = n_cols + 2  # padded width
     k = len(class_ids)
-    ids_arr = np.asarray(class_ids, dtype=np.int64)
 
     lab = np.full((n_rows + 2) * w, -1, dtype=np.int64)  # padded, raveled class indices; -1 unlabeled
     labeled = labels >= 0
-    lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled] = np.searchsorted(ids_arr, labels[labeled])
+    lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled] = class_index(class_ids)[labels[labeled]]
 
     cell = np.flatnonzero(active)
     r, c = np.divmod(cell, n_cols)
@@ -258,7 +257,7 @@ def icm(
 
     # labeled cells without full score coverage keep their initial index
     out_lab = lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled]
-    out = initial.grid.scatter(labeled, ids_arr.astype(np.float64)[out_lab])
+    out = initial.grid.scatter(labeled, np.asarray(class_ids, dtype=np.float64)[out_lab])
     return LandCoverMap(out, dict(initial.legend), initial.date_tag)
 
 
@@ -283,7 +282,7 @@ def confusion(predicted: LandCoverMap, reference: LandCoverMap) -> ConfusionMatr
     if not sel.any():
         raise DataError("no jointly valid pixels to compare")
     ids = sorted(set(predicted.class_ids) | set(reference.class_ids))
-    counts = _joint_counts(ids, reference.labels[sel], predicted.labels[sel])
+    counts = joint_counts(ids, reference.labels[sel], predicted.labels[sel])
     return ConfusionMatrix(counts, tuple(ids))
 
 

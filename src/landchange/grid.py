@@ -35,6 +35,10 @@ them, and no module but this one names the value. An input on NODATA_VALUE
 exception is `classify.maxlike`'s internal score grids, which pass
 SCORE_NODATA, since -9999 is a reachable log-score.
 
+`class_index` is the one rule for class ids, whole numbers from 0 to 65535
+(the writer's table bound): every module checks ids and finds their places
+in a class list through it, `joint_counts`, the one pair-count kernel, too.
+
 `parse_number` is the one rule for numbers in every text input and
 command-line flag, `write_csv` the shared CSV writer, and `joint_valid`
 the one rule for where grids meet: their geometry is checked before their
@@ -58,10 +62,9 @@ DEFAULT_NODATA = -9999.0
 # rows of the body the writer gathers, joins and writes at a time
 _WRITE_BLOCK_ROWS = 64
 # a grid whose valid values are all integers from 0 to this takes the text
-# of each cell from a table indexed by value, with no sort
+# of each cell from a table indexed by value, with no sort; the largest id
 _TABLE_MAX = 65535
-# the largest class id: labels are at most int64
-_ID_MAX = 2**63 - 1
+_ID_RULE = f"class ids must be integers from 0 to {_TABLE_MAX}"
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -249,6 +252,31 @@ def _distinct(values: np.ndarray) -> list:
     return [int(v) if v.is_integer() else v for v in np.unique(values).tolist()]
 
 
+def class_index(ids) -> np.ndarray:
+    """Table of class positions: entry ids[i] holds i, every other entry -1.
+    An id that is not a whole number from 0 to 65535, or one listed twice,
+    raises a DataError naming it."""
+    for c in ids:
+        if not (0 <= c <= _TABLE_MAX and c == int(c)):  # nan and inf fail the range test
+            raise DataError(f"{_ID_RULE}, got {c!r}")
+    pos = np.full(int(max(ids, default=-1)) + 1, -1, dtype=np.intp)
+    pos[np.asarray(ids, dtype=np.intp)] = np.arange(len(ids))
+    if np.count_nonzero(pos >= 0) != len(ids):
+        raise DataError(f"duplicate class ids: {next(c for c in ids if list(ids).count(c) > 1)} is listed twice")
+    return pos
+
+
+def joint_counts(ids, *labels: np.ndarray) -> np.ndarray:
+    """Counts[i, j, ...] = positions where labels[0] holds ids[i], labels[1]
+    holds ids[j], and so on. Every label must be one of ids."""
+    k = len(ids)
+    pos = class_index(ids)
+    flat = pos[labels[0]]
+    for lab in labels[1:]:
+        flat = flat * k + pos[lab]
+    return np.bincount(flat, minlength=k ** len(labels)).reshape((k,) * len(labels))
+
+
 @dataclass(frozen=True, eq=False)
 class LandCoverMap:
     """Categorical raster: integer class ids plus a legend naming every id.
@@ -262,28 +290,24 @@ class LandCoverMap:
     _counts: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        legend = {}
-        for k, v in dict(self.legend).items():
-            if not (0 <= k <= _ID_MAX and k == int(k)):  # nan and inf fail the range test
-                raise DataError(f"class ids must be integers from 0 to 2**63 - 1, got {k!r}")
-            legend[int(k)] = str(v)
+        pos = class_index(sorted(self.legend))  # as long as the largest id: at most 65,536 entries
+        legend = {int(k): str(v) for k, v in self.legend.items()}
         grid, valid = self.grid, self.grid.valid
         data = grid.values[valid]
-        top = max(legend, default=-1)
-        if not grid.holds_integers(0, top):
+        if not grid.holds_integers(0, pos.size - 1):
             stray = [v for v in _distinct(data) if v not in legend]
             raise DataError(f"map values {stray} missing from legend {sorted(legend)}")
-        codes = data.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max))
-        counts = np.bincount(codes)  # as long as the largest id present
-        unknown = set(np.flatnonzero(counts).tolist()) - set(legend)
-        if unknown:
-            raise DataError(f"map values {sorted(unknown)} missing from legend {sorted(legend)}")
+        codes = data.astype(next(t for t in (np.int8, np.int16, np.int32) if pos.size - 1 <= np.iinfo(t).max))
+        counts = np.bincount(codes, minlength=pos.size)
+        unknown = np.flatnonzero((pos < 0) & (counts > 0))
+        if unknown.size:
+            raise DataError(f"map values {unknown.tolist()} missing from legend {sorted(legend)}")
         labels = np.full(grid.shape, -1, dtype=codes.dtype)
         labels[valid] = codes
         labels.setflags(write=False)
         object.__setattr__(self, "legend", legend)
         object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_counts", {c: int(counts[c]) if c < counts.size else 0 for c in sorted(legend)})
+        object.__setattr__(self, "_counts", dict(zip(sorted(legend), counts[pos >= 0].tolist())))
 
     @property
     def class_ids(self) -> list[int]:
@@ -556,8 +580,8 @@ def read_legend(path) -> dict[int, str]:
             cid = parse_number(row[0], int)
         except ValueError:
             raise DataError(f"{path}:{i}: bad class id {row[0]!r}") from None
-        if not 0 <= cid <= _ID_MAX:
-            raise DataError(f"{path}:{i}: class ids must be integers from 0 to 2**63 - 1, got {cid}")
+        if not 0 <= cid <= _TABLE_MAX:
+            raise DataError(f"{path}:{i}: {_ID_RULE}, got {cid}")
         if cid in legend:
             raise DataError(f"{path}:{i}: duplicate class id {cid}")
         legend[cid] = row[1]

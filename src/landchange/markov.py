@@ -18,6 +18,8 @@ from .errors import DataError, NumericalError
 from .grid import (
     Grid,
     LandCoverMap,
+    class_index,
+    joint_counts,
     joint_valid,
     parse_number,
     read_csv_rows,
@@ -56,32 +58,13 @@ def _shared_ids(a: LandCoverMap, b: LandCoverMap, context: str) -> list[int]:
     return a.class_ids
 
 
-def _class_index(ids) -> np.ndarray:
-    """Lookup table: entry ids[i] holds i, every other entry -1."""
-    pos = np.full(max(ids) + 1, -1, dtype=np.int64)
-    pos[list(ids)] = np.arange(len(ids))
-    return pos
-
-
-def _joint_counts(ids, *labels: np.ndarray) -> np.ndarray:
-    """Counts[i, j, ...] = positions where labels[0] holds ids[i], labels[1]
-    holds ids[j], and so on. Every value of every label array must be one of
-    ids."""
-    k = len(ids)
-    pos = _class_index(ids)
-    flat = pos[labels[0]]
-    for lab in labels[1:]:
-        flat = flat * k + pos[lab]
-    return np.bincount(flat, minlength=k ** len(labels)).reshape((k,) * len(labels))
-
-
 def crosstab(map_a: LandCoverMap, map_b: LandCoverMap) -> tuple[np.ndarray, list[int]]:
     """Counts[i, j] = pixels going from class ids[i] in map_a to ids[j] in map_b."""
     sel = joint_valid(map_a.grid, map_b.grid, context="crosstab")
     ids = _shared_ids(map_a, map_b, "crosstab")
     if not sel.any():
         raise DataError("crosstab: no jointly valid pixels")
-    return _joint_counts(ids, map_a.labels[sel], map_b.labels[sel]), ids
+    return joint_counts(ids, map_a.labels[sel], map_b.labels[sel]), ids
 
 
 @dataclass(frozen=True)
@@ -94,10 +77,9 @@ class TransitionMatrix:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
+        class_index(self.class_ids)  # refuses an id out of range or listed twice
         ids = tuple(int(c) for c in self.class_ids)
         k = len(ids)
-        if len(set(ids)) != k or any(c < 0 for c in ids):
-            raise DataError(f"class ids must be distinct and non-negative, got {ids}")
         if p.shape != (k, k):
             raise DataError(f"probability matrix shape {p.shape} does not match {k} classes")
         bad = np.argwhere(~((p >= 0) & (p <= 1)))  # also catches nan
@@ -194,7 +176,7 @@ def second_order_transitions(m1: LandCoverMap, m2: LandCoverMap, m3: LandCoverMa
     _shared_ids(m2, m3, "second_order_transitions")
     if not sel.any():
         raise DataError("second_order_transitions: no jointly valid pixels")
-    counts = _joint_counts(ids, m1.labels[sel], m2.labels[sel], m3.labels[sel]).astype(np.float64)
+    counts = joint_counts(ids, m1.labels[sel], m2.labels[sel], m3.labels[sel]).astype(np.float64)
 
     fo_counts, _ = crosstab(m2, m3)
     first = transition_probabilities(fo_counts, ids, 1.0)  # only its rows are used
@@ -216,7 +198,7 @@ def conditional_probability_maps(current: LandCoverMap, tm: TransitionMatrix) ->
     if extra:
         raise DataError(f"classes {sorted(extra)} absent from transition matrix")
     sel = current.grid.valid
-    block = tm.probs[_class_index(ids)[current.labels[sel]]]  # (n_sel, k)
+    block = tm.probs[class_index(ids)[current.labels[sel]]]  # (n_sel, k)
 
     return {cid: current.grid.scatter(sel, block[:, i]) for i, cid in enumerate(ids)}
 

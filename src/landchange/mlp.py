@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .grid import Grid, LandCoverMap, joint_valid, parse_number, read_text, write_csv
+from .grid import Grid, LandCoverMap, class_index, joint_valid, parse_number, read_text, write_csv
 
 log = logging.getLogger("landchange")
 
@@ -70,9 +70,8 @@ class FeatureSpec:
     criteria_bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        class_index(self.class_ids)  # refuses an id out of range or listed twice
         ids = tuple(int(c) for c in self.class_ids)
-        if len(ids) != len(set(ids)):
-            raise DataError("duplicate class ids in feature spec")
         if int(self.focal_class) not in ids:
             raise DataError(f"focal class {self.focal_class} not among {ids}")
         object.__setattr__(self, "class_ids", ids)
@@ -333,9 +332,7 @@ def _encode(spec: FeatureSpec, labels: np.ndarray, crit_values: list[np.ndarray]
     n = labels.size
     k = len(spec.class_ids)
     x = np.zeros((n, k + len(crit_values)))
-    ids = np.asarray(spec.class_ids, dtype=np.int64)
-    col = np.searchsorted(ids, labels)
-    x[np.arange(n), col] = 1.0
+    x[np.arange(n), class_index(spec.class_ids)[labels]] = 1.0
     for i, (vals, (lo, hi)) in enumerate(zip(crit_values, spec.criteria_bounds)):
         if hi > lo:
             x[:, k + i] = np.clip((vals - lo) / (hi - lo), 0.0, 1.0)
@@ -363,8 +360,6 @@ def build_samples(
     ids = sorted(set(prior.class_ids) | set(nxt.class_ids))
     if focal_class is None:
         focal_class = max(ids)
-    if focal_class not in ids:
-        raise DataError(f"focal class {focal_class} not among map classes {ids}")
 
     bounds = []
     crit_values = []

@@ -471,7 +471,7 @@ def test_class_ids_that_do_not_fit_int64_are_refused_and_named_exactly(tmp_path,
     sc = tmp_path / "sc"
     assert main(["synth", "--rows", "12", "--cols", "12", "--out", str(sc), "--quiet"]) == 0
     (sc / "legend.csv").write_text(f"id,name\n0,a\n1,b\n{big},c\n")
-    refused = f"class ids must be integers from 0 to 2**63 - 1, got {big}"
+    refused = f"class ids must be integers from 0 to 65535, got {big}"
     cases = [
         (["classify", *bands, "--training", training, "--legend", str(legend)], f"{legend}:3: {refused}"),
         (["run", "--config", str(sc / "pipeline.ini")], f"{sc / 'legend.csv'}:4: {refused}"),
@@ -483,6 +483,52 @@ def test_class_ids_that_do_not_fit_int64_are_refused_and_named_exactly(tmp_path,
         for args, message in cases:
             code, err = _main_in_process([*args, "--out", str(tmp_path / "o"), "--quiet"], capsys, caplog)
             assert code == 3 and message in err, (args, err)
+
+
+@pytest.mark.parametrize("case", ["classify 2**40", "legend", "transition", "model"])
+def test_class_ids_above_65535_exit_3_naming_where_they_are_read(tmp_path, capsys, caplog, case):
+    # 65535 is the largest class id; every reader refuses one above it
+    out = tmp_path / "o"
+    sc = tmp_path / "sc"
+    ini = str(sc / "pipeline.ini")
+    refused = "class ids must be integers from 0 to 65535, got "
+    if case == "classify 2**40":
+        legend = tmp_path / "legend.csv"
+        legend.write_text(f"id,name\n0,a\n{2**40},b\n")
+        halves = np.repeat([[0.0, 0.0, 1.0, 1.0]], 4, axis=0)
+        bands = [_w(tmp_path / f"b{i}.asc", (i + 1) * (1.0 + 9.0 * halves) + 0.1 * np.arange(16).reshape(4, 4))
+                 for i in range(2)]
+        training = _w(tmp_path / "train.asc", np.where(halves == 1.0, float(2**40), 0.0))
+        args = ["classify", *bands, "--training", training, "--legend", str(legend)]
+        message = f"{legend}:3: {refused}{2**40}"
+    else:
+        model = "mlp" if case == "model" else "ca_markov"
+        assert main(["synth", "--rows", "16", "--cols", "16", "--classes", "2", "--model", model,
+                     "--seed", "7", "--out", str(sc), "--quiet"]) == 0
+        if case == "legend":
+            (sc / "legend.csv").write_text("id,name\n0,a\n1,b\n65536,c\n")
+            args, message = ["run", "--config", ini], f"{sc / 'legend.csv'}:4: {refused}65536"
+        elif case == "transition":
+            for earlier in ("markov", "mce"):
+                assert main([earlier, "--config", ini, "--out", str(out), "--quiet"]) == 0
+            path = out / "transition_scaled.csv"
+            text = path.read_text().replace("class,0,1\n", "class,0,65536\n").replace("\n1,", "\n65536,")
+            assert text.count("65536") == 2
+            path.write_text(text)
+            args, message = ["predict", "--config", ini], f"{path}: {refused}65536"
+        else:
+            for earlier in ("markov", "mlp-train"):
+                assert main([earlier, "--config", ini, "--out", str(out), "--quiet"]) == 0
+            path = out / "mlp_model.txt"
+            text = path.read_text()
+            assert "\nclasses 0 1\n" in text
+            path.write_text(text.replace("\nclasses 0 1\n", "\nclasses 0 65536\n"))
+            args, message = ["mlp-predict", "--config", ini], f"{path}: {refused}65536"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _main_in_process([*args, "--out", str(out), "--quiet"], capsys, caplog)
+    assert code == 3 and message in err, err
+    assert not list(out.glob("predicted_*.asc")) and not list(out.glob("classified_*.asc"))
 
 
 def test_classify_keeps_class_0_when_the_bands_use_nodata_0(tmp_path):

@@ -3,6 +3,7 @@
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from landchange.classify import confusion
 from landchange.errors import DataError, GeometryError, GridFormatError, LandchangeError
 from landchange.grid import (
     BinaryMask,
     Grid,
     LandCoverMap,
     MultiBandImage,
+    class_index,
     export_ppm,
     grids_equal,
     joint_valid,
@@ -31,6 +34,7 @@ from landchange.grid import (
     write_ascii_grid,
     write_legend,
 )
+from landchange.markov import crosstab
 
 
 def test_grid_rejects_bad_shapes_and_cell_size():
@@ -153,11 +157,37 @@ def test_land_cover_map_names_stray_values_and_ids_exactly():
     for vals, message in cases:
         with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
             LandCoverMap(Grid(vals, 1.0), {0: "a", 1: "b"})
-    for bad in (2**63, 10**19, -1, 0.5, math.nan, math.inf):
-        with pytest.raises(DataError, match=re.escape(f"class ids must be integers from 0 to 2**63 - 1, got {bad!r}")):
+    for bad in (65536, 2**40, 2**63, 10**19, -1, 0.5, math.nan, math.inf):
+        with pytest.raises(DataError, match=re.escape(f"class ids must be integers from 0 to 65535, got {bad!r}")):
             LandCoverMap(Grid([[0.0]], 1.0), {0: "a", bad: "b"})
-    widest = LandCoverMap(Grid([[0.0, -9999.0]], 1.0), {0: "a", 2**63 - 1: "b"})
-    assert widest.labels.dtype == np.int64 and widest.class_counts() == {0: 1, 2**63 - 1: 0}
+    widest = LandCoverMap(Grid([[0.0, -9999.0]], 1.0), {0: "a", 65535: "b"})
+    assert widest.labels.dtype == np.int32 and widest.class_counts() == {0: 1, 65535: 0}
+
+
+def test_class_index_gives_each_id_its_place_in_the_order_given():
+    assert class_index([7, 0, 3]).tolist() == [1, -1, -1, 2, -1, -1, -1, 0]
+    assert class_index((65535,))[-1] == 0 and class_index((65535,)).size == 65536
+    assert class_index([]).size == 0
+    for bad in (65536, 2**40, -1, 0.5, math.nan, -math.inf):
+        with pytest.raises(DataError, match="^" + re.escape(f"class ids must be integers from 0 to 65535, got {bad!r}") + "$"):
+            class_index([0, bad])
+    with pytest.raises(DataError, match="^duplicate class ids: 3 is listed twice$"):
+        class_index([3, 1, 3])
+
+
+def test_id_tables_stay_small_at_the_largest_id():
+    # a class map, its crosstab and its confusion matrix hold tables as long
+    # as the largest id; 65535 bounds them at 65,536 entries
+    tracemalloc.start()
+    try:
+        lc = LandCoverMap(Grid([[0.0, 65535.0]], 1.0), {0: "a", 65535: "b"})
+        counts, ids = crosstab(lc, lc)
+        cm = confusion(lc, lc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids == [0, 65535] and counts.tolist() == cm.counts.tolist() == [[1, 0], [0, 1]]
+    assert peak < 2 * 2**20, peak
 
 
 @st.composite
@@ -207,7 +237,7 @@ def test_land_cover_labels_are_read_only_and_counts_are_copies():
     counts.pop(2)
     assert lc.class_counts() == {0: 1, 1: 0, 2: 2}
     assert lc.labels.tolist() == [[0, 2], [-1, 2]]
-    for top, dtype in ((40_000, np.int32), (2**31, np.int64)):
+    for top, dtype in ((127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32), (65535, np.int32)):
         wide = LandCoverMap(Grid(np.array([[0.0, -9999.0]]), 1.0), {0: "a", top: "b"})
         assert wide.labels.dtype == dtype and wide.labels.tolist() == [[0, -1]]
         assert wide.class_counts() == {0: 1, top: 0}
@@ -736,8 +766,8 @@ def test_legend_read_errors(tmp_path):
     p.write_text("id,name\nten,x\n")
     with pytest.raises(DataError, match="bad class id"):
         read_legend(p)
-    p.write_text("id,name\n0,x\n9223372036854775807,y\n9223372036854775808,z\n")  # 2**63 - 1 fits int64
-    with pytest.raises(DataError, match=re.escape("bad.csv:4: class ids must be integers from 0 to 2**63 - 1, got 9223372036854775808")):
+    p.write_text("id,name\n0,x\n65535,y\n65536,z\n")  # 65535 is the largest id
+    with pytest.raises(DataError, match=re.escape("bad.csv:4: class ids must be integers from 0 to 65535, got 65536")):
         read_legend(p)
     p.write_text("id,name\n0,x\n1_0,y\n")  # int() reads "1_0" as 10
     with pytest.raises(DataError, match=r"bad\.csv:3: bad class id '1_0'"):
@@ -802,7 +832,7 @@ def test_grid_reader_gives_a_grid_or_a_landchange_error(tmp_path_factory, text):
 
 _LEGEND_HEADER = st.sampled_from(["id,name", "ID, Name", "id", "id,name,extra", "0,forest"])
 _LEGEND_ROWS = st.sampled_from(
-    ["0,forest", "2,\"water, deep\"", "-1,void", "1_0,x", "1_1,y", "_9,z", " 3,x", "x,y", "0,again", "4", "5,", ",6", "\"7", "8,\x00",
+    ["0,forest", "2,\"water, deep\"", "-1,void", "65535,top", "65536,over", "1_0,x", "1_1,y", "_9,z", " 3,x", "x,y", "0,again", "4", "5,", ",6", "\"7", "8,\x00",
      "\r", ""]
 )
 
@@ -827,7 +857,7 @@ def test_legend_reader_gives_a_legend_or_a_landchange_error(tmp_path_factory, te
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(
-    st.integers(0, 10**6), st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12), max_size=6
+    st.integers(0, 65535), st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12), max_size=6
 ))
 def test_legend_roundtrip_is_exact(tmp_path_factory, legend):
     p = tmp_path_factory.mktemp("legend") / "legend.csv"

@@ -9,6 +9,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from landchange.config import load_config
 from landchange.errors import DataError, LandchangeError
 from landchange.grid import Grid, LandCoverMap
 from landchange.mlp import (
@@ -28,6 +29,8 @@ from landchange.mlp import (
     train,
     write_history_csv,
 )
+from landchange.pipeline import run_stage
+from landchange.synth import SynthSpec, generate_synthetic_landscape, write_scenario
 
 
 def _grid(vals):
@@ -435,6 +438,31 @@ def test_model_file_roundtrip(tmp_path):
     assert back.probability_output is False
 
 
+def test_a_model_file_may_list_its_classes_in_any_order(tmp_path):
+    # a class's one-hot input is its place on the classes line, so a trained
+    # model with two classes swapped there and in w1's columns is the same model
+    landscape = generate_synthetic_landscape(SynthSpec(n_rows=20, n_cols=20, n_classes=2, seed=6))
+    cfg = load_config(write_scenario(landscape, tmp_path / "scenario", model="mlp"), out_dir=tmp_path / "out")
+    for stage in ("markov", "mlp-train", "mlp-predict"):
+        run_stage(stage, cfg)
+    products = [cfg.out_dir / name for name in ("mlp_prob.asc", "predicted_mlp.asc")]
+    before = [p.read_bytes() for p in products]
+    model = cfg.out_dir / "mlp_model.txt"
+    lines = model.read_text(encoding="ascii").splitlines()
+    assert "classes 0 1" in lines
+    swapped = ["classes 1 0" if line == "classes 0 1" else line for line in lines]
+    for i, line in enumerate(swapped):
+        if line.startswith("w1 "):
+            _, a, b, *rest = line.split(" ")
+            swapped[i] = " ".join(["w1", b, a, *rest])
+    model.write_text("\n".join(swapped) + "\n", encoding="ascii")
+    assert load_model(model).features.class_ids == (1, 0)
+    for p in products:
+        p.unlink()
+    run_stage("mlp-predict", cfg)
+    assert [p.read_bytes() for p in products] == before
+
+
 def test_model_file_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("NOT-A-MODEL\n", encoding="ascii")
@@ -573,7 +601,7 @@ def test_model_file_roundtrip_is_bit_exact(tmp_path_factory, n_classes, q, prob,
     b = data.draw(_weights)
     spec = None
     if with_spec:
-        ids = data.draw(st.lists(st.integers(-5, 300), min_size=n_classes, max_size=n_classes, unique=True))
+        ids = data.draw(st.lists(st.integers(0, 300), min_size=n_classes, max_size=n_classes, unique=True))
         bounds = [tuple(sorted(data.draw(st.tuples(_weights, _weights)))) for _ in range(n_crit)]
         spec = FeatureSpec(tuple(ids), data.draw(st.sampled_from(ids)), tuple(bounds))
     m = MLPModel(w1, w0, w2, b, prob, spec)

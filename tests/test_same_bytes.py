@@ -80,11 +80,30 @@ def test_hand_formatted_grids_read_as_the_shipped_ones(tmp_path):
         assert grids_equal(read_ascii_grid(hand), read_ascii_grid(shipped))
 
 
+def _ini(scenario):
+    cfg = configparser.ConfigParser()
+    cfg.read(scenario / "pipeline.ini")
+    return cfg
+
+
+def _check_copy(shipped, copy, ids):
+    """The legend, the [suitability] keys and the other sections of a
+    `shift_classes` copy: ids renumbered by the map, nothing else changed."""
+    new = lambda c: ids.get(c, c)
+    assert read_legend(copy / "legend.csv") == {new(c): name for c, name in read_legend(shipped / "legend.csv").items()}
+    old_ini, new_ini = _ini(shipped), _ini(copy)
+    assert {new(int(k)): v for k, v in old_ini["suitability"].items()} == {
+        int(k): v for k, v in new_ini["suitability"].items()
+    }
+    assert all(old_ini[s] == new_ini[s] for s in old_ini.sections() if s != "suitability")
+
+
 def test_shifted_copy_has_every_class_id_one_higher_on_nodata_0(tmp_path):
     shipped = REPO / "scenario"
     copy = shutil.copytree(shipped, tmp_path / "sc")
-    same_bytes.shift_classes(copy)
-    assert read_legend(copy / "legend.csv") == {c + 1: name for c, name in read_legend(shipped / "legend.csv").items()}
+    ids = {0: 1, 1: 2, 2: 3}
+    same_bytes.shift_classes(copy, ids, nodata=0)
+    _check_copy(shipped, copy, ids)
     hole = np.zeros((128, 128), dtype=bool)
     hole[:4, :4] = True
     for path in sorted(shipped.glob("map_*.asc")):
@@ -92,12 +111,18 @@ def test_shifted_copy_has_every_class_id_one_higher_on_nodata_0(tmp_path):
         assert old.valid.all() and new.nodata_value == 0.0 and new.same_geometry(old)
         assert np.array_equal(new.valid, ~hole)
         assert np.array_equal(new.values[~hole], old.values[~hole] + 1)
-    ini = {}
-    for name in (shipped, copy):
-        cfg = configparser.ConfigParser()
-        cfg.read(name / "pipeline.ini")
-        ini[name] = cfg
-    assert {int(k) + 1: v for k, v in ini[shipped]["suitability"].items()} == {
-        int(k): v for k, v in ini[copy]["suitability"].items()
-    }
-    assert all(ini[shipped][s] == ini[copy][s] for s in ini[shipped].sections() if s != "suitability")
+
+
+def test_top_id_copy_has_class_2_as_65535_and_the_rest_unchanged(tmp_path):
+    shipped = REPO / "scenario"
+    copy = shutil.copytree(shipped, tmp_path / "sc")
+    same_bytes.shift_classes(copy, {2: 65535})
+    _check_copy(shipped, copy, {2: 65535})
+    for path in sorted(shipped.glob("map_*.asc")):
+        old, new = read_ascii_grid(path), read_ascii_grid(copy / path.name)
+        assert old.valid.all() and new.valid.all() and new.nodata_value == old.nodata_value and new.same_geometry(old)
+        assert np.array_equal(new.values, np.where(old.values == 2, 65535, old.values))
+        assert (old.values == 2).any()
+    for path in sorted(shipped.glob("*")):
+        if not (path.name.startswith("map_") or path.name in ("legend.csv", "pipeline.ini")):
+            assert (copy / path.name).read_bytes() == path.read_bytes(), path.name

@@ -42,8 +42,9 @@ def classify(scenario: str) -> str:
 # Run in this order, each from its tree's output directory, so a command may
 # read what an earlier one wrote. {scenario} is the checkout's scenario/,
 # {kernel_k} a copy of it with `kernel = k`, {hand_formatted} a copy whose
-# grids `hand_formatted` rewrote and {shifted_nodata_0} a copy that
-# `shift_classes` gave class ids one higher and maps on NODATA_VALUE 0.
+# grids `hand_formatted` rewrote, {shifted_nodata_0} a copy that
+# `shift_classes` gave class ids one higher and maps on NODATA_VALUE 0, and
+# {top_id} a copy whose class 2 `shift_classes` made 65535, the largest id.
 MATRIX = (
     f"{SYNTH_96x80} --out synth_96x80",
     f"{SYNTH_96x80} --cell-size 2.2250738585072014e-308 --out synth_96x80_min_cell",
@@ -80,6 +81,9 @@ MATRIX = (
     f"{classify('{shifted_nodata_0}')} --out classify_shifted_nodata_0",
     # the legend found in the training map's values
     f"{classify('{shifted_nodata_0}').split(' --legend ')[0]} --out classify_shifted_nodata_0_no_legend",
+    "run --config {top_id}/pipeline.ini --out run_top_id",
+    f"{classify('{top_id}')} --out classify_top_id",
+    f"{classify('{top_id}').split(' --legend ')[0]} --out classify_top_id_no_legend",
     f"{classify('{scenario}')} --beta 0 --out classify_beta_0",
     # ICM flips pixels in its second sweep here; --sweeps 1 stops before it
     f"{classify('synth_96x80')} --beta 0.3 --out classify_96x80_beta_0.3",
@@ -118,25 +122,30 @@ def hand_formatted(text: str) -> str:
     return "\r\n".join(lines[:6] + body[:1] + [""] + body[1:]) + "\r\n"
 
 
-def shifted_map(text: str) -> str:
-    """A class map, as the writer makes it, with every class id one higher,
-    on NODATA_VALUE 0, and its top-left 4 x 4 cells nodata."""
+def shifted_map(text: str, ids: dict[int, int], nodata: int | None = None) -> str:
+    """A class map with no nodata cells, as the writer makes it, with each
+    class id c written as ids[c] (c itself if ids has no key c). With
+    `nodata`, on that NODATA_VALUE and with its top-left 4 x 4 cells nodata."""
     lines = text.splitlines()
-    header = ["NODATA_VALUE 0" if line.upper().startswith("NODATA_VALUE") else line for line in lines[:6]]
-    rows = [[str(int(t) + 1) for t in line.split()] for line in lines[6:]]
-    for row in rows[:4]:
-        row[:4] = ["0"] * 4
+    header = lines[:6]
+    rows = [[str(ids.get(int(t), int(t))) for t in line.split()] for line in lines[6:]]
+    if nodata is not None:
+        header = [f"NODATA_VALUE {nodata}" if line.upper().startswith("NODATA_VALUE") else line for line in header]
+        for row in rows[:4]:
+            row[:4] = [str(nodata)] * 4
     return "\n".join(header + [" ".join(row) for row in rows]) + "\n"
 
 
-def shift_classes(scenario: Path) -> None:
-    """Rewrite a copy of scenario/ in place: every class id one higher in
-    its maps (by `shifted_map`), its legend and its [suitability] keys."""
+def shift_classes(scenario: Path, ids: dict[int, int], nodata: int | None = None) -> None:
+    """Rewrite a copy of scenario/ in place: class id c becomes ids[c] (c
+    itself if ids has no key c) in its maps (by `shifted_map`, with
+    `nodata`), its legend and its [suitability] keys."""
     for grid in scenario.glob("map_*.asc"):
-        grid.write_text(shifted_map(grid.read_text(encoding="ascii")), encoding="ascii")
+        grid.write_text(shifted_map(grid.read_text(encoding="ascii"), ids, nodata), encoding="ascii")
+    new = lambda c: ids.get(int(c), int(c))
     legend = scenario / "legend.csv"
     head, *rows = legend.read_text().splitlines()
-    legend.write_text("\n".join([head, *(f"{int(i) + 1},{name}" for i, name in (r.split(",", 1) for r in rows))]) + "\n")
+    legend.write_text("\n".join([head, *(f"{new(i)},{name}" for i, name in (r.split(",", 1) for r in rows))]) + "\n")
     ini = scenario / "pipeline.ini"
     section, lines = None, []
     for line in ini.read_text().splitlines():
@@ -144,7 +153,7 @@ def shift_classes(scenario: Path) -> None:
             section = line
         elif section == "[suitability]" and "=" in line:
             key, rest = line.split("=", 1)
-            line = f"{int(key) + 1} ={rest}"
+            line = f"{new(key)} ={rest}"
         lines.append(line)
     ini.write_text("\n".join(lines) + "\n")
 
@@ -216,8 +225,10 @@ def main(argv: list[str]) -> int:
         hand = inputs["hand_formatted"] = str(shutil.copytree(REPO / "scenario", tmp / "hand_formatted"))
         for grid in Path(hand).glob("*.asc"):
             grid.write_bytes(hand_formatted(grid.read_text(encoding="ascii")).encode("ascii"))
-        shift_classes(shutil.copytree(REPO / "scenario", tmp / "shifted_nodata_0"))
+        shift_classes(shutil.copytree(REPO / "scenario", tmp / "shifted_nodata_0"), {0: 1, 1: 2, 2: 3}, nodata=0)
         inputs["shifted_nodata_0"] = str(tmp / "shifted_nodata_0")
+        shift_classes(shutil.copytree(REPO / "scenario", tmp / "top_id"), {2: 65535})
+        inputs["top_id"] = str(tmp / "top_id")
         codes_a = run_matrix(tmp / "src", tmp / rev, inputs)
         codes_b = run_matrix(REPO / "src", tmp / "checkout", inputs)
         found = compare(tmp / rev, tmp / "checkout", codes_a, codes_b)
