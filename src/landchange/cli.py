@@ -25,21 +25,21 @@ from . import __version__
 from .classify import estimate_signatures, icm, maxlike, write_signatures_csv
 from .config import load_config
 from .criteria import FuzzySpec, distance_transform, fuzzy_standardize, make_constraint
-from .errors import ConfigError, DataError, LandchangeError, NumericalError
+from .errors import ConfigError, LandchangeError, NumericalError
 from .grid import (
     LandCoverMap,
     MultiBandImage,
     export_ppm,
     load_legend,
-    mask_like,
+    naming,
     parse_number,
     read_ascii_grid,
+    read_mask,
     write_ascii_grid,
     write_legend,
 )
 from .indices import (
     change_composite,
-    default_grouping,
     group_dynamics,
     ndim,
     ndvi,
@@ -72,17 +72,13 @@ def _outdir(args) -> Path:
     return out
 
 
-def _band_labels(args, n: int) -> list[str]:
-    if args.labels:
-        labels = [t.strip() for t in args.labels.split(",")]
-        if len(labels) != n:
-            raise ConfigError(f"--labels names {len(labels)} bands but {n} were given")
-        return labels
-    return [f"band{i + 1}" for i in range(n)]
-
-
-def _read_image(paths, labels):
-    return MultiBandImage(tuple(read_ascii_grid(p) for p in paths), tuple(labels))
+def _read_image(paths, labels: str | None = None) -> MultiBandImage:
+    """The band grids as one image, labelled by the comma-separated names
+    of --labels or band1, band2, ...; the names are checked first."""
+    names = [t.strip() for t in labels.split(",")] if labels else [f"band{i + 1}" for i in range(len(paths))]
+    if len(names) != len(paths):
+        raise ConfigError(f"--labels names {len(names)} bands but {len(paths)} were given")
+    return MultiBandImage(tuple(read_ascii_grid(p) for p in paths), tuple(names))
 
 
 def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
@@ -92,41 +88,31 @@ def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
         raise ConfigError(f"{flag} must be {rule}, got {value}")
 
 
-def _read_mask(path, what: str):
-    g = read_ascii_grid(path)
-    try:
-        return mask_like(g, g.values)
-    except LandchangeError:
-        raise ConfigError(f"{what}: {path} must hold only 0/1 values") from None
-
-
 # ---------------------------------------------------------------------------
 # classification-side subcommands
 
 
 def cmd_preprocess(args) -> int:
     _check_flag(0 <= args.percentile <= 100, "--percentile", "in [0, 100]", args.percentile)
-    labels = _band_labels(args, len(args.bands))
-    image = _read_image(args.bands, labels)
-    reference = _read_mask(args.reference, "--reference")
+    image = _read_image(args.bands, args.labels)
+    reference = read_mask(args.reference)
     dark = dark_object_values(image, reference, args.percentile)
     corrected = dos_correct(image, dark)
     stats = band_statistics(corrected)
     out = _outdir(args)
     for band, label in zip(corrected.bands, corrected.labels):
         write_ascii_grid(band, out / f"corrected_{label}.asc")
-    write_dark_values_csv(labels, dark, out / "dark_values.csv")
+    write_dark_values_csv(image.labels, dark, out / "dark_values.csv")
     write_band_stats_csv(stats, out / "band_stats.csv")
     write_correlation_csv(stats, out / "correlation.csv")
-    log.info("preprocess: %d bands corrected (dark values %s)", len(labels), dark)
+    log.info("preprocess: %d bands corrected (dark values %s)", image.n_bands, dark)
     return 0
 
 
 def cmd_oif(args) -> int:
     _check_flag(len(args.bands) >= 3, "the band count", "at least 3 (OIF ranks band triples)", len(args.bands))
-    labels = _band_labels(args, len(args.bands))
-    image = _read_image(args.bands, labels)
-    mask = _read_mask(args.mask, "--mask") if args.mask else None
+    image = _read_image(args.bands, args.labels)
+    mask = read_mask(args.mask) if args.mask else None
     stats = band_statistics(image, mask)
     ranking = oif_rank(stats)
     out = _outdir(args)
@@ -136,7 +122,7 @@ def cmd_oif(args) -> int:
     best = ranking.triples[0]
     log.info(
         "oif: best triple %s (score %s)",
-        "/".join(labels[i] for i in best),
+        "/".join(image.labels[i] for i in best),
         repr(ranking.scores[0]),
     )
     return 0
@@ -167,9 +153,10 @@ def cmd_change(args) -> int:
         _check_flag(args.low <= args.high, "--low", f"at most --high ({args.high})", args.low)
     grids = [read_ascii_grid(p) for p in args.ndim]
     levels = []
-    for g in grids:
-        lo, hi = ternary_thresholds(g) if args.low is None else (args.low, args.high)
-        levels.append(ternarize(g, lo, hi))
+    for path, g in zip(args.ndim, grids):
+        with naming(path):
+            lo, hi = ternary_thresholds(g) if args.low is None else (args.low, args.high)
+            levels.append(ternarize(g, lo, hi))
     codes = change_composite(*levels)
     dynamics = group_dynamics(codes)
     out = _outdir(args)
@@ -178,7 +165,7 @@ def cmd_change(args) -> int:
     write_ascii_grid(codes, out / "change_code.asc")
     write_ascii_grid(dynamics.grid, out / "dynamics.asc")
     write_legend(dynamics.legend, out / "dynamics_legend.csv")
-    write_grouping_csv(default_grouping(), out / "grouping.csv")
+    write_grouping_csv(out / "grouping.csv")
     if args.ppm:  # one channel per date, levels 0/1/2 drawn at 0/128/255
         export_ppm(*levels, ((0, 2),) * 3, out / "change.ppm")
     log.info("change: %d coded pixels", int(np.count_nonzero(codes.valid)))
@@ -188,14 +175,11 @@ def cmd_change(args) -> int:
 def cmd_classify(args) -> int:
     _check_flag(math.isfinite(args.beta) and args.beta >= 0, "--beta", "finite and non-negative", args.beta)
     _check_flag(args.sweeps >= 1, "--sweeps", "at least 1", args.sweeps)
-    labels = _band_labels(args, len(args.bands))
-    image = _read_image(args.bands, labels)
+    image = _read_image(args.bands)
     training_grid = read_ascii_grid(args.training)
     legend = load_legend(args.legend, training_grid)
-    try:  # an error in the training map's values names its path
+    with naming(args.training):
         training = LandCoverMap(training_grid, legend)
-    except DataError as e:
-        raise DataError(f"{args.training}: {e}") from None
     signatures = estimate_signatures(image, training)
     priors = "equal" if args.equal_priors else "empirical"
     labeled, scores = maxlike(image, signatures, priors_mode=priors, legend=legend)
@@ -239,7 +223,9 @@ def cmd_criteria(args) -> int:
     name = args.name
     outputs = {}  # basename -> grid
     if args.distance_to:
-        grid = outputs[name] = distance_transform(_read_mask(args.distance_to, "--distance-to"))
+        targets = read_mask(args.distance_to)
+        with naming(args.distance_to):
+            grid = outputs[name] = distance_transform(targets)
     else:
         grid = read_ascii_grid(args.input)
     if spec is not None:
@@ -377,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bands", nargs="+", help="image band grids")
     p.add_argument("--training", required=True, help="training class grid")
     p.add_argument("--legend", help="training legend CSV (id,name)")
-    p.add_argument("--labels", help="comma-separated band names")
     p.add_argument("--beta", type=_FLOAT, default=1.5, help="neighbor agreement weight")
     p.add_argument("--sweeps", type=_INT, default=10, help="max smoothing sweeps")
     p.add_argument("--equal-priors", action="store_true", help="ignore training class sizes")

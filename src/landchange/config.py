@@ -47,7 +47,6 @@ _FREE_SECTIONS = ("maps", "criteria", "constraints", "suitability")
 class PipelineConfig:
     """Validated, path-resolved pipeline settings."""
 
-    base_dir: Path
     out_dir: Path
     seed: int
     model: str
@@ -291,7 +290,6 @@ def validate_config(
     focal = _get_number(mlp, "focal_class", int, minimum=0) if mlp.get("focal_class") else None
 
     return PipelineConfig(
-        base_dir=base,
         out_dir=eff_out,
         seed=int(eff_seed),
         model=model,

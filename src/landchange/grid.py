@@ -39,6 +39,13 @@ SCORE_NODATA, since -9999 is a reachable log-score.
 (the writer's table bound): every module checks ids and finds their places
 in a class list through it, `joint_counts`, the one pair-count kernel, too.
 
+`naming` is the one rule for naming an input in its errors: a DataError
+raised while an input's content is checked is raised again, of the same
+type, with the input's path in front. `read_mask`, the one reader of 0/1
+mask files, checks through it, and so does every other reader of a
+checked input. It wraps the check and never the read, whose errors name
+the path already, so no message names a path twice.
+
 `parse_number` is the one rule for numbers in every text input and
 command-line flag, `write_csv` the shared CSV writer, and `joint_valid`
 the one rule for where grids meet: their geometry is checked before their
@@ -47,6 +54,7 @@ valid cells are combined.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -213,6 +221,24 @@ class BinaryMask(Grid):
 def mask_like(grid: Grid, values) -> BinaryMask:
     """0/1 mask on grid's geometry and DEFAULT_NODATA, so its 0 cells are data."""
     return BinaryMask(values, grid.cell_size, grid.x_origin, grid.y_origin, DEFAULT_NODATA)
+
+
+@contextlib.contextmanager
+def naming(path):
+    """A DataError raised inside is raised again, of the same type, as
+    '<path>: <message>': how an error in an input's content names it."""
+    try:
+        yield
+    except DataError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def read_mask(path) -> BinaryMask:
+    """The 0/1 mask in the grid file at path; any other value is a DataError
+    naming the path."""
+    g = read_ascii_grid(path)
+    with naming(path):
+        return mask_like(g, g.values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +74,8 @@ def change_composite(l1: Grid, l2: Grid, l3: Grid) -> Grid:
     return l1.scatter(ok, codes)
 
 
-_DEFAULT_CATEGORY_NAMES = {
+# the ten dynamics categories the 27 trajectory codes collapse into
+CATEGORY_NAMES = {
     0: "stable cleared/stressed",
     1: "stable medium vigour",
     2: "stable high vigour",
@@ -89,67 +89,41 @@ _DEFAULT_CATEGORY_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class DynamicsGrouping:
-    """Mapping of the 27 trajectory codes onto named dynamics categories.
-
-    category_of[code] gives the category id; names must cover exactly the
-    ids used and ids must run contiguously from 0.
-    """
-
-    category_of: tuple[int, ...]
-    names: dict[int, str]
-
-    def __post_init__(self):
-        table = tuple(int(c) for c in self.category_of)
-        if len(table) != 27:
-            raise DataError(f"grouping must cover all 27 codes, got {len(table)}")
-        used = sorted(set(table))
-        names = {int(k): str(v) for k, v in dict(self.names).items()}
-        if used != list(range(len(used))):
-            raise DataError(f"category ids must be contiguous from 0, got {used}")
-        if sorted(names) != used:
-            raise DataError(f"names cover ids {sorted(names)} but table uses {used}")
-        object.__setattr__(self, "category_of", table)
-        object.__setattr__(self, "names", names)
+def _category(code: int) -> int:
+    """The dynamics category of a trajectory code, levels a, b, c."""
+    a, rest = divmod(code, 9)
+    b, c = divmod(rest, 3)
+    if a == b == c:
+        return a  # 0 cleared, 1 medium, 2 high
+    if a > b > c:
+        return 3
+    if a > b and b == c:
+        return 4
+    if a == b and b > c:
+        return 5
+    if a < b and b <= c:
+        return 6  # strictly rising trajectories land here too
+    if a == b and b < c:
+        return 7
+    if a > b and b < c:
+        return 8
+    return 9  # a < b > c
 
 
-def default_grouping() -> DynamicsGrouping:
-    """Ten-category trajectory summary of the 27 level triplets."""
-    table = []
-    for code in range(27):
-        a, rest = divmod(code, 9)
-        b, c = divmod(rest, 3)
-        if a == b == c:
-            cat = a  # 0 cleared, 1 medium, 2 high
-        elif a > b > c:
-            cat = 3
-        elif a > b and b == c:
-            cat = 4
-        elif a == b and b > c:
-            cat = 5
-        elif a < b and b <= c:
-            cat = 6  # strictly rising trajectories land here too
-        elif a == b and b < c:
-            cat = 7
-        elif a > b and b < c:
-            cat = 8
-        else:  # a < b > c
-            cat = 9
-        table.append(cat)
-    return DynamicsGrouping(tuple(table), dict(_DEFAULT_CATEGORY_NAMES))
+# CATEGORY_OF[code]: the category of each of the 27 trajectory codes
+CATEGORY_OF = tuple(_category(code) for code in range(27))
 
 
 def group_dynamics(codes: Grid) -> LandCoverMap:
-    """Collapse trajectory codes into the default_grouping dynamics map."""
-    grouping = default_grouping()
+    """Collapse trajectory codes into the dynamics categories of CATEGORY_OF."""
     if not codes.holds_integers(0, 26):
         raise DataError("codes grid holds values outside 0..26")
     ok = codes.valid
-    lut = np.asarray(grouping.category_of, dtype=np.float64)
-    return LandCoverMap(codes.scatter(ok, lut[codes.values[ok].astype(np.int64)]), dict(grouping.names))
+    lut = np.asarray(CATEGORY_OF, dtype=np.float64)
+    return LandCoverMap(codes.scatter(ok, lut[codes.values[ok].astype(np.int64)]), dict(CATEGORY_NAMES))
 
 
-def write_grouping_csv(grouping: DynamicsGrouping, path) -> None:
-    rows = [[code, cat, grouping.names[cat]] for code, cat in enumerate(grouping.category_of)]
+def write_grouping_csv(path) -> None:
+    """The code -> category table, one row per trajectory code."""
+    rows = [[code, cat, CATEGORY_NAMES[cat]] for code, cat in enumerate(CATEGORY_OF)]
     write_csv(path, [["code", "category_id", "category_name"], *rows])

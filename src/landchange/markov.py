@@ -21,6 +21,7 @@ from .grid import (
     class_index,
     joint_counts,
     joint_valid,
+    naming,
     parse_number,
     read_csv_rows,
     write_csv,
@@ -259,10 +260,8 @@ def read_transition_csv(path) -> TransitionMatrix:
             probs.append([parse_number(v, float) for v in row[1:]])
     except ValueError:
         raise DataError(f"{path}: non-numeric matrix entry") from None
-    try:
+    with naming(path):
         return TransitionMatrix(np.asarray(probs), span, tuple(ids))
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
 
 
 def write_second_order_csv(table: SecondOrderTable, path) -> None:

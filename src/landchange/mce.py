@@ -18,6 +18,7 @@ from .grid import (
     BinaryMask,
     Grid,
     joint_valid,
+    naming,
     parse_number,
     read_csv_rows,
     require_same_geometry,
@@ -205,10 +206,8 @@ def read_saaty_csv(path) -> SaatyMatrix:
     widths = {len(r) for r in values}
     if len(widths) != 1 or widths.pop() != len(values):
         raise DataError(f"{path}: matrix must be square")
-    try:
+    with naming(path):
         return SaatyMatrix(np.asarray(values))
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
 
 
 def write_saaty_csv(matrix: SaatyMatrix, path) -> None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .grid import Grid, LandCoverMap, class_index, joint_valid, parse_number, read_text, write_csv
+from .grid import Grid, LandCoverMap, class_index, joint_valid, naming, parse_number, read_text, write_csv
 
 log = logging.getLogger("landchange")
 
@@ -119,11 +119,9 @@ class MLPModel:
         return self.input_weights.shape[0]
 
 
-def init_model(
-    n_inputs: int, q: int = 8, seed: int = 0, probability_output: bool = True,
-    features: FeatureSpec | None = None,
-) -> MLPModel:
-    """Uniform initialization in +-1/sqrt(fan_in) per layer, fixed draw order."""
+def init_model(n_inputs: int, q: int = 8, seed: int = 0, probability_output: bool = True) -> MLPModel:
+    """Uniform initialization in +-1/sqrt(fan_in) per layer, fixed draw
+    order, with no feature spec: `train` attaches its dataset's."""
     if n_inputs < 1 or q < 1:
         raise DataError(f"need n_inputs >= 1 and q >= 1, got {n_inputs}, {q}")
     rng = np.random.default_rng(seed)
@@ -133,7 +131,7 @@ def init_model(
     w0 = rng.uniform(-lim_in, lim_in, size=q)
     w2 = rng.uniform(-lim_out, lim_out, size=q)
     b = float(rng.uniform(-lim_out, lim_out))
-    return MLPModel(w1, w0, w2, b, probability_output, features)
+    return MLPModel(w1, w0, w2, b, probability_output)
 
 
 # Rows per long row in `_rows_`: a row vector tiled this many times is
@@ -474,10 +472,8 @@ def load_model(path) -> MLPModel:
                 raise DataError(f"{path}: non-finite bounds value")
             if lo > hi:
                 raise DataError(f"{path}: bounds {lo!r} > {hi!r}")
-        try:
+        with naming(path):
             features = FeatureSpec(ids, focal, bounds)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
         if features.n_inputs != n_inputs:
             raise DataError(f"{path}: feature spec implies {features.n_inputs} inputs, header says {n_inputs}")
     return MLPModel(w1, w0, w2, b, bool(prob), features)

@@ -57,9 +57,11 @@ from .errors import ConfigError, DataError, LandchangeError
 from .grid import (
     Grid,
     LandCoverMap,
+    class_index,
     load_legend,
-    mask_like,
+    naming,
     read_ascii_grid,
+    read_mask,
     require_data_under,
     require_same_geometry,
     write_ascii_grid,
@@ -107,13 +109,27 @@ REPORT_TXT = "report.txt"
 def load_maps(cfg: PipelineConfig) -> list[LandCoverMap]:
     """Dated maps in year order, sharing one legend (the configured legend
     file, or the union of classes present in the maps). Every map must share
-    the first map's geometry; a mismatch names both config keys."""
-    grids = [(year, read_ascii_grid(path)) for year, path in cfg.maps]
-    first_year, first = grids[0]
-    for year, g in grids[1:]:
+    the first map's geometry; a mismatch names both config keys. A value
+    that is not a class of the legend names its map's path."""
+    grids = [read_ascii_grid(path) for _, path in cfg.maps]
+    (first_year, _), first = cfg.maps[0], grids[0]
+    for (year, _), g in zip(cfg.maps[1:], grids[1:]):
         require_same_geometry(first, g, context=f"maps.{year} against maps.{first_year}")
-    legend = load_legend(cfg.legend_path, *(g for _, g in grids))
-    return [LandCoverMap(g, legend, str(year)) for year, g in grids]
+    if cfg.legend_path:
+        legend = load_legend(cfg.legend_path)
+    else:  # the classes present in the maps, each map's checked as class ids in it
+        legend = {}
+        for (_, path), g in zip(cfg.maps, grids):
+            own = load_legend(None, g)
+            with naming(path):
+                class_index(list(own))
+            legend.update(own)
+        legend = dict(sorted(legend.items()))
+    maps = []
+    for (year, path), g in zip(cfg.maps, grids):
+        with naming(path):
+            maps.append(LandCoverMap(g, legend, str(year)))
+    return maps
 
 
 _Window = namedtuple("_Window", "maps prev cur held span_cal span_pred")
@@ -136,15 +152,17 @@ def _check_held_out(cfg: PipelineConfig) -> None:
 
 def _read_suitability(path) -> SuitabilityGrid:
     g = read_ascii_grid(path)
-    return SuitabilityGrid(g.values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value)
+    with naming(path):
+        return SuitabilityGrid(g.values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value)
 
 
 def _read_layer(cfg: PipelineConfig, section: str, name: str, cur: LandCoverMap) -> Grid:
-    """The [criteria] or [constraints] grid `name`. It must share the
+    """The [criteria] grid or [constraints] mask `name`. It must share the
     geometry of the dated maps, and a criterion must hold data wherever
     `cur` does, since every criterion reaches the allocation on `cur`; a
     failure names its config key."""
-    g = read_ascii_grid(getattr(cfg, section)[name])
+    path = getattr(cfg, section)[name]
+    g = read_mask(path) if section == "constraints" else read_ascii_grid(path)
     require_same_geometry(cur.grid, g, context=f"{section}.{name} against maps.{cur.date_tag}")
     if section == "criteria":
         require_data_under(cur.grid, g, f"criteria.{name}", f"maps.{cur.date_tag}")
@@ -152,14 +170,7 @@ def _read_layer(cfg: PipelineConfig, section: str, name: str, cur: LandCoverMap)
 
 
 def _read_constraints(cfg: PipelineConfig, cur: LandCoverMap):
-    cons = []
-    for name in cfg.constraints:
-        g = _read_layer(cfg, "constraints", name, cur)
-        try:
-            cons.append(mask_like(g, g.values))
-        except DataError:
-            raise DataError(f"constraint {name!r} must hold only 0/1 values") from None
-    return cons
+    return [_read_layer(cfg, "constraints", name, cur) for name in cfg.constraints]
 
 
 # each change model: the stages that make its prediction, its prediction
@@ -371,10 +382,8 @@ def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     if not criteria:
         raise ConfigError("mlp training needs at least one [criteria] grid")
     ds = build_samples(w.prev, w.cur, list(criteria.values()), focal_class=cfg.mlp_focal)
-    model = init_model(
-        ds.inputs.shape[1], cfg.mlp_hidden, seed=cfg.seed, features=ds.features
-    )
-    model, history = train(model, ds, cfg.mlp_learning_rate, cfg.mlp_epochs)
+    model = init_model(ds.inputs.shape[1], cfg.mlp_hidden, seed=cfg.seed)
+    model, history = train(model, ds, cfg.mlp_learning_rate, cfg.mlp_epochs)  # attaches ds.features
 
     _put(cfg, handed, MLP_MODEL, model, save_model)
     write_history_csv(history, cfg.out_dir / MLP_HISTORY_CSV)
@@ -412,8 +421,10 @@ def stage_validate(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     w = _window(cfg, handed)
     scored = []  # (model, confusion matrix, residual mask)
     for name in _models(cfg):
-        grid = _take(cfg, handed, _MODEL_STAGES[name].predicted, "predict stages", read_ascii_grid)
-        pred = LandCoverMap(grid, w.held.legend, w.held.date_tag)
+        fname = _MODEL_STAGES[name].predicted
+        grid = _take(cfg, handed, fname, "predict stages", read_ascii_grid)
+        with naming(cfg.out_dir / fname):  # a full run wrote the grid to that file
+            pred = LandCoverMap(grid, w.held.legend, w.held.date_tag)
         if not scored:
             targets = AllocationTargets(pred.class_counts())
         scored.append((name, confusion(pred, w.held), residual_map(pred, w.held)))

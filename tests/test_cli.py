@@ -398,7 +398,8 @@ def test_bad_reference_mask(tmp_path):
     b1 = _w(tmp_path / "b1.asc", [[5.0, 6.0], [7.0, 8.0]])
     b2 = _w(tmp_path / "b2.asc", [[3.0, 4.0], [5.0, 9.0]])
     ref = _w(tmp_path / "ref.asc", [[2.0, 0.0], [0.0, 0.0]])
-    assert main(["preprocess", b1, b2, "--reference", ref, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    # a bad value in a file is a data error
+    assert main(["preprocess", b1, b2, "--reference", ref, "--out", str(tmp_path / "o"), "--quiet"]) == 3
 
 
 def test_indices_and_change(tmp_path):

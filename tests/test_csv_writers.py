@@ -11,7 +11,7 @@ from landchange.allocate import AllocationLogRow, write_allocation_log_csv
 from landchange.classify import ClassSignature, ConfusionMatrix, write_confusion_csv, write_signatures_csv
 from landchange.config import PipelineConfig
 from landchange.grid import Grid, LandCoverMap, write_legend
-from landchange.indices import DynamicsGrouping, write_grouping_csv
+from landchange.indices import write_grouping_csv
 from landchange.markov import (
     SecondOrderTable,
     TransitionMatrix,
@@ -101,9 +101,14 @@ def test_signatures_bytes(tmp_path):
 
 
 def test_grouping_bytes(tmp_path):
-    grouping = DynamicsGrouping((0,) * 13 + (1,) * 14, {0: "stable, dry", 1: "change"})
-    rows = [f'{code},0,"stable, dry"' for code in range(13)] + [f"{code},1,change" for code in range(13, 27)]
-    assert _written(tmp_path, write_grouping_csv, grouping) == (
+    # the fixed table; quoting is covered by the legend and band-label tests
+    cats = (0, 7, 7, 9, 6, 6, 9, 9, 6, 4, 8, 8, 5, 1, 7, 9, 9, 6, 4, 8, 8, 3, 4, 8, 5, 5, 2)
+    names = (
+        "stable cleared/stressed", "stable medium vigour", "stable high vigour", "steady loss", "loss after t1",
+        "loss after t2", "regrowth after t1", "regrowth after t2", "loss then regrowth", "regrowth then loss",
+    )
+    rows = [f"{code},{cat},{names[cat]}" for code, cat in enumerate(cats)]
+    assert _written(tmp_path, write_grouping_csv) == (
         "code,category_id,category_name\r\n" + "".join(r + "\r\n" for r in rows)
     ).encode()
 
@@ -159,7 +164,7 @@ def test_validation_bytes(tmp_path):
     row = lambda *v: Grid(np.array([v], dtype=np.float64), 1.0)
     maps = [LandCoverMap(row(0.0, 0.0, 0.0, 1.0), legend, str(y)) for y in (2000, 2006, 2012)]
     cfg = PipelineConfig(
-        base_dir=tmp_path, out_dir=tmp_path, seed=1, model="both",
+        out_dir=tmp_path, seed=1, model="both",
         maps=tuple((y, tmp_path / f"{y}.asc") for y in (2000, 2006, 2012)), legend_path=None,
         criteria={}, constraints={}, fuzzy={}, saaty_path=None, mce_method="wlc", order_weights=None,
         suitability={},

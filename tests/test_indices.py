@@ -8,8 +8,9 @@ import pytest
 from landchange.errors import DataError, GeometryError
 from landchange.grid import Grid, export_ppm
 from landchange.indices import (
+    CATEGORY_NAMES,
+    CATEGORY_OF,
     change_composite,
-    default_grouping,
     group_dynamics,
     ndim,
     ndii,
@@ -115,19 +116,18 @@ def test_export_ppm_draws_change_levels(tmp_path):
 
 
 def test_default_grouping_pins_and_coverage():
-    grp = default_grouping()
-    assert len(grp.category_of) == 27
-    assert grp.category_of[0] == 0  # flat at level 0
-    assert grp.category_of[26] == 2  # flat at level 2
-    assert grp.category_of[13] == 1  # flat at level 1 (code 9+3+1)
-    assert grp.category_of[21] == 3  # 2,1,0 strictly down
-    assert grp.category_of[9 * 2 + 3 * 0 + 0] == 4  # 2,0,0 drop then flat
-    assert grp.category_of[9 * 2 + 3 * 2 + 0] == 5  # 2,2,0 flat then drop
-    assert grp.category_of[9 * 0 + 3 * 2 + 2] == 6  # 0,2,2 rise then flat
-    assert grp.category_of[9 * 0 + 3 * 0 + 2] == 7  # 0,0,2 flat then rise
-    assert grp.category_of[9 * 2 + 3 * 0 + 2] == 8  # 2,0,2 down then up
-    assert grp.category_of[9 * 0 + 3 * 2 + 0] == 9  # 0,2,0 up then down
-    assert sorted(set(grp.category_of)) == list(range(10))
+    assert len(CATEGORY_OF) == 27
+    assert CATEGORY_OF[0] == 0  # flat at level 0
+    assert CATEGORY_OF[26] == 2  # flat at level 2
+    assert CATEGORY_OF[13] == 1  # flat at level 1 (code 9+3+1)
+    assert CATEGORY_OF[21] == 3  # 2,1,0 strictly down
+    assert CATEGORY_OF[9 * 2 + 3 * 0 + 0] == 4  # 2,0,0 drop then flat
+    assert CATEGORY_OF[9 * 2 + 3 * 2 + 0] == 5  # 2,2,0 flat then drop
+    assert CATEGORY_OF[9 * 0 + 3 * 2 + 2] == 6  # 0,2,2 rise then flat
+    assert CATEGORY_OF[9 * 0 + 3 * 0 + 2] == 7  # 0,0,2 flat then rise
+    assert CATEGORY_OF[9 * 2 + 3 * 0 + 2] == 8  # 2,0,2 down then up
+    assert CATEGORY_OF[9 * 0 + 3 * 2 + 0] == 9  # 0,2,0 up then down
+    assert sorted(set(CATEGORY_OF)) == sorted(CATEGORY_NAMES) == list(range(10))
 
 
 def test_group_dynamics():
@@ -141,13 +141,12 @@ def test_group_dynamics():
 
 
 def test_grouping_csv_roundtrip(tmp_path):
-    grp = default_grouping()
     p = tmp_path / "grp.csv"
-    write_grouping_csv(grp, p)
+    write_grouping_csv(p)
     with open(p, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["code", "category_id", "category_name"]
     assert len(rows) == 28
     for code, row in enumerate(rows[1:]):
-        cat = grp.category_of[code]
-        assert row == [str(code), str(cat), grp.names[cat]]
+        cat = CATEGORY_OF[code]
+        assert row == [str(code), str(cat), CATEGORY_NAMES[cat]]

@@ -1,0 +1,135 @@
+"""A bad value in an input file is a data error that names the file.
+
+`grid.naming` is the one rule that puts an input's path on an error in its
+content. Each case here puts one bad value into one input of one command:
+the command must exit 3, name that file exactly once, and end in no
+traceback, with warnings turned into errors.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from landchange.cli import main
+from landchange.errors import ConfigError, DataError, GeometryError
+from landchange.grid import naming, read_ascii_grid, write_ascii_grid
+
+
+def _main(args, capsys, caplog):
+    """cli.main's exit code and error text for args, in this process and
+    with warnings as errors. An uncaught exception fails the test."""
+    caplog.clear()
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*args, "--quiet"])
+    return code, capsys.readouterr().err + caplog.text
+
+
+def _assert_named(code, err, path, message):
+    assert code == 3, err
+    assert err.count(str(path)) == 1, err
+    assert f"{path}: {message}" in err, err
+    assert "Traceback" not in err
+
+
+def _put(path, value, cell=(0, 0)):
+    """Write value into one cell of the grid file at path."""
+    g = read_ascii_grid(path)
+    values = g.values.copy()
+    values[cell] = value
+    write_ascii_grid(g.with_values(values), path)
+
+
+@pytest.fixture
+def sc(tmp_path):
+    """A 16x16, 3-class scenario: maps 1988, 1994 and 2000, legend 0, 1, 2."""
+    out = tmp_path / "sc"
+    assert main(["synth", "--rows", "16", "--cols", "16", "--seed", "3", "--out", str(out), "--quiet"]) == 0
+    return out
+
+
+def test_naming_puts_the_path_in_front_and_keeps_the_type():
+    for err in (DataError("bad value"), GeometryError("bad value")):
+        with pytest.raises(DataError) as exc:
+            with naming("in/put.asc"):
+                raise err
+        assert type(exc.value) is type(err)
+        assert str(exc.value) == "in/put.asc: bad value"
+        assert exc.value.__suppress_context__
+    with pytest.raises(ConfigError, match="^not a data error$"):
+        with naming("in/put.asc"):
+            raise ConfigError("not a data error")
+
+
+def test_run_names_the_map_holding_a_class_missing_from_the_legend(sc, capsys, caplog):
+    _put(sc / "map_1994.asc", 7.0)
+    code, err = _main(["run", "--config", str(sc / "pipeline.ini"), "--out", str(sc / "o")], capsys, caplog)
+    _assert_named(code, err, sc / "map_1994.asc", "map values [7] missing from legend [0, 1, 2]")
+
+
+def test_run_without_a_legend_file_names_the_map_holding_a_value_that_is_no_class_id(sc, capsys, caplog):
+    # the derived legend is the union of the maps' values; the error names
+    # the map that holds the bad one, not the first map
+    ini = sc / "pipeline.ini"
+    ini.write_text(ini.read_text().replace("[legend]\nfile = legend.csv\n", ""))
+    _put(sc / "map_2000.asc", 7.5)
+    code, err = _main(["run", "--config", str(ini), "--out", str(sc / "o")], capsys, caplog)
+    _assert_named(code, err, sc / "map_2000.asc", "class ids must be integers from 0 to 65535, got 7.5")
+
+
+@pytest.mark.parametrize(
+    "stage, earlier, fname, value, message",
+    [
+        ("predict", ("markov", "mce"), "suit_1.asc", 300.0, "suitability values must be integers in 0..255"),
+        ("validate", ("markov", "mce", "predict"), "predicted_ca.asc", 7.0, "map values [7] missing from legend [0, 1, 2]"),
+    ],
+)
+def test_single_stage_names_the_earlier_output_it_reads(sc, capsys, caplog, stage, earlier, fname, value, message):
+    ini, out = str(sc / "pipeline.ini"), sc / "o"
+    for name in earlier:
+        assert main([name, "--config", ini, "--out", str(out), "--quiet"]) == 0
+    _put(out / fname, value)
+    code, err = _main([stage, "--config", ini, "--out", str(out)], capsys, caplog)
+    _assert_named(code, err, out / fname, message)
+
+
+def test_change_names_the_all_nodata_date(sc, capsys, caplog):
+    a = sc / "prox0.asc"
+    b = sc / "blank.asc"
+    g = read_ascii_grid(a)
+    write_ascii_grid(g.with_values(np.full(g.shape, g.nodata_value)), b)
+    out = sc / "o"
+    code, err = _main(["change", str(a), str(b), str(a), "--out", str(out)], capsys, caplog)
+    _assert_named(code, err, b, "cannot take thresholds of an all-nodata grid")
+    assert not out.exists()
+
+
+def test_distance_to_a_mask_without_targets_names_it(sc, capsys, caplog):
+    empty = sc / "empty.asc"
+    g = read_ascii_grid(sc / "prox0.asc")
+    write_ascii_grid(g.with_values(np.zeros(g.shape)), empty)
+    out = sc / "o"
+    code, err = _main(["criteria", "--distance-to", str(empty), "--out", str(out)], capsys, caplog)
+    _assert_named(code, err, empty, "distance transform needs at least one target cell")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["preprocess --reference", "oif --mask", "criteria --distance-to", "[constraints]"])
+def test_a_class_map_given_as_a_mask_is_a_data_error_naming_it(sc, capsys, caplog, where):
+    # map_1988.asc holds classes 0, 1 and 2: not a 0/1 mask
+    bad, out = sc / "map_1988.asc", sc / "o"
+    bands = [str(sc / f"prox{c}.asc") for c in range(3)]
+    args = {
+        "preprocess --reference": ["preprocess", *bands, "--reference", str(bad)],
+        "oif --mask": ["oif", *bands, "--mask", str(bad)],
+        "criteria --distance-to": ["criteria", "--distance-to", str(bad)],
+    }.get(where)
+    if args is None:
+        ini = sc / "pipeline.ini"
+        ini.write_text(ini.read_text() + "\n[constraints]\nbad = map_1988.asc\n")
+        args = ["run", "--config", str(ini)]
+    code, err = _main([*args, "--out", str(out)], capsys, caplog)
+    _assert_named(code, err, bad, "mask values must all be 0 or 1")
+    assert not list(out.glob("suit_*.asc")) if where == "[constraints]" else not out.exists()

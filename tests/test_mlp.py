@@ -420,7 +420,7 @@ def test_predict_map_errors():
 
 def test_model_file_roundtrip(tmp_path):
     spec = FeatureSpec((0, 1), 1, ((0.25, 7.5),))
-    m = init_model(3, 4, seed=11, features=spec)
+    m = replace(init_model(3, 4, seed=11), features=spec)
     p = tmp_path / "net.txt"
     save_model(m, p)
     back = load_model(p)

@@ -383,7 +383,7 @@ def test_constraints_must_be_binary(tmp_path):
     text += "\n[constraints]\nblocked = blocked.asc\n"
     ini.write_text(text, encoding="ascii")
     cfg = load_config(ini, out_dir=tmp_path / "out")
-    with pytest.raises(DataError, match="0/1"):
+    with pytest.raises(DataError, match=f"^stage mce: {re.escape(str(ini.parent / 'blocked.asc'))}: mask values must all be 0 or 1$"):
         run_stage("mce", cfg)
 
 
