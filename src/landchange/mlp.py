@@ -10,17 +10,28 @@ prediction reproduces training arithmetic bit for bit. `predict_map` gives
 that probability only; the pipeline allocates change on it with `ca_markov`.
 
 The sigmoid is stable for every z, infinities and signed zeros included.
-Training and prediction share one numeric core. Each training epoch runs
-one gradient kernel that reuses its (n, q) and (n,) buffers in place; its
-floating-point operations, and their order, are those of the
+Training and prediction share one numeric core, `_forward_rows`, run over
+the rows one cache block at a time (`_block_rows`: 512 KiB of a (rows, q)
+buffer, 8192 rows at q = 8). A training epoch takes every row-local step
+of a block, from x @ w1.T to the hidden delta, before the next block, so
+the block stays in L2; only the reductions over all rows (ds @ h, dh.T @ x,
+the column sums and the means) run once over whole buffers, which training
+allocates once and reuses in place. Prediction holds one block of hidden
+activations, never an (n, q) array.
+
+The floating-point operations, and their order, are those of the
 one-expression-per-step form kept as the reference in tests/test_mlp.py,
 so weights, loss history and predictions match it bit for bit. Kept
-exactly as that form calls them: the four BLAS products (x @ w1.T, h @ w2,
-ds @ h, dh.T @ x) with their operand layouts, the sigmoid's passes, and
-add.reduce for the column mean when q = 1. The row-vector broadcasts
-(adding w0, scaling by w2) run over rows of _ROW_BLOCK * q elements instead
-of q, and the column sums for q > 1 go through einsum, which adds the rows
-in add.reduce's order.
+exactly as that form calls them: the BLAS products with their operand
+layouts, the sigmoid's passes, and add.reduce for the column mean when
+q = 1. Elementwise steps give the same bits over any rows. The two row
+products (x @ w1.T, h @ w2) do too when each call starts at a multiple of
+_ROW_BLOCK rows, since the BLAS kernels take rows in aligned groups, so
+every block starts at such a multiple; a block is also too small for
+OpenBLAS to split over threads, so the bits do not depend on the thread
+count. The row-vector broadcasts (adding w0, scaling by w2) run over rows
+of _ROW_BLOCK * q elements instead of q, and the column sums for q > 1 go
+through einsum, which adds the rows in add.reduce's order.
 """
 
 from __future__ import annotations
@@ -136,7 +147,30 @@ def init_model(n_inputs: int, q: int = 8, seed: int = 0, probability_output: boo
 
 # Rows per long row in `_rows_`: a row vector tiled this many times is
 # applied over (n // _ROW_BLOCK, _ROW_BLOCK * q) views of an (n, q) buffer.
+# Every cache block starts at a multiple of it.
 _ROW_BLOCK = 256
+
+# Bytes of one (rows, q) cache block: a block of h, of dh and the scratch
+# together take 1.5 MiB, so they stay in a 2 MiB L2 through the row steps.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _block_rows(q: int) -> int:
+    """Rows per cache block at q hidden units: _BLOCK_BYTES of float64 rows
+    rounded down to a multiple of _ROW_BLOCK, never fewer (8192 at q = 8).
+
+    The BLAS kernels take rows in groups, so a row-blocked product keeps
+    the bits of the whole call only where every block starts at a multiple
+    of the group; a gemv over 37-row blocks does not.
+    """
+    return max(_ROW_BLOCK, _BLOCK_BYTES // (8 * q) // _ROW_BLOCK * _ROW_BLOCK)
+
+
+def _blocks(n: int, q: int) -> list[slice]:
+    """n rows as consecutive cache blocks of _block_rows(q) rows, the last
+    one shorter."""
+    step = _block_rows(q)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _rows_(ufunc, a: np.ndarray, v: np.ndarray) -> None:
@@ -171,22 +205,17 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0)
 
 
-def _hidden(w1: np.ndarray, w0: np.ndarray, x: np.ndarray, h: np.ndarray, work: np.ndarray):
-    """Hidden activations sigmoid(x @ w1.T + w0), written into the (n, q)
-    buffer h; work is a second (n, q) buffer."""
+def _forward_rows(w1, w0, w2, b, probability_output, x, h, out, work, scratch) -> None:
+    """Network outputs for the rows of x, written into out, with their hidden
+    activations sigmoid(x @ w1.T + w0) in h. h and scratch have x's rows
+    and q columns; out and work have x's rows."""
     np.matmul(x, w1.T, out=h)
     _rows_(np.add, h, w0)
-    return _sigmoid_(h, work)
-
-
-def _output(
-    h: np.ndarray, w2: np.ndarray, b: float, probability_output: bool, raw: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Network outputs for the hidden activations h, written into the (n,)
-    buffer raw; work is a second (n,) buffer."""
-    np.matmul(h, w2, out=raw)
-    raw += b
-    return _sigmoid_(raw, work) if probability_output else raw
+    _sigmoid_(h, scratch)
+    np.matmul(h, w2, out=out)
+    out += b
+    if probability_output:
+        _sigmoid_(out, work)
 
 
 def forward_batch(model: MLPModel, x: np.ndarray) -> np.ndarray:
@@ -194,10 +223,16 @@ def forward_batch(model: MLPModel, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.n_inputs:
         raise DataError(f"inputs must be (n, {model.n_inputs}), got {x.shape}")
     n, q = x.shape[0], model.q
-    h = _hidden(model.input_weights, model.hidden_biases, x, np.empty((n, q)), np.empty((n, q)))
-    return _output(
-        h, model.output_weights, model.output_bias, model.probability_output, np.empty(n), np.empty(n)
-    )
+    rows = min(n, _block_rows(q))
+    h, scratch, work = np.empty((rows, q)), np.empty((rows, q)), np.empty(rows)
+    out = np.empty(n)
+    for s in _blocks(n, q):
+        k = s.stop - s.start
+        _forward_rows(
+            model.input_weights, model.hidden_biases, model.output_weights, model.output_bias,
+            model.probability_output, x[s], h[:k], out[s], work[:k], scratch[:k],
+        )
+    return out
 
 
 def forward(model: MLPModel, x) -> float:
@@ -214,35 +249,53 @@ class MLPGradients:
     output_bias: float
 
 
-def _batch_gradients(w1, w0, w2, b, probability_output, x, t, h, dh, v):
+def _gradient_buffers(n: int, q: int) -> tuple[np.ndarray, ...]:
+    """The work buffers `_batch_gradients` takes for n rows and q hidden units."""
+    return np.empty((n, q)), np.empty((n, q)), np.empty((4, n)), np.empty((min(n, _block_rows(q)), q))
+
+
+def _batch_gradients(w1, w0, w2, b, probability_output, x, t, h, dh, v, scratch):
     """Mean gradients of 0.5*(out - target)^2 over the batch, plus the batch
     mean of (out - target)^2.
 
-    The pass allocates no array of n rows; it works in three buffers whose
-    contents on entry do not matter. h and dh are (n, q): h holds the hidden
-    activations and then 1 - h; dh is the sigmoid's work buffer and then the
-    hidden delta. v is (4, n): the outputs, a work row, the errors
-    out - target and the output deltas.
+    The pass allocates no array of n rows; it works in buffers from
+    `_gradient_buffers`, whose contents on entry do not matter. h and dh are
+    (n, q): the hidden activations and the hidden deltas. v is (4, n): the
+    outputs, a work row, the errors out - target and the output deltas.
+    scratch is one cache block of (rows, q): the hidden sigmoid's work and
+    then 1 - h.
+
+    Every step up to the hidden delta touches only its own row, so all of
+    them run on one cache block before the next block starts: x @ w1.T + w0,
+    the hidden sigmoid, h @ w2 + b, the output sigmoid, the error, the output
+    delta, ds * w2 * h * (1 - h) and the squared error. The reductions over
+    the rows then run once over the whole arrays: ds @ h, the mean of ds,
+    dh.T @ x, the column sums of dh and the mean squared error. Each step is
+    the same operation, on the same operands in the same order, as over the
+    whole arrays; only the rows one call covers change, and for the BLAS
+    products those blocks start at multiples of _ROW_BLOCK, so no bit moves.
     """
     n = x.shape[0]
     out, work, err, ds = v
-    h = _hidden(w1, w0, x, h, dh)
-    out = _output(h, w2, b, probability_output, out, work)
-    np.subtract(out, t, out=err)
-    if probability_output:
-        np.multiply(err, out, out=ds)
-        ds *= np.subtract(1.0, out, out=work)
-    else:
+    if not probability_output:
         ds = err
+    for s in _blocks(n, h.shape[1]):
+        hs, dhs, ws, k = h[s], dh[s], work[s], s.stop - s.start
+        _forward_rows(w1, w0, w2, b, probability_output, x[s], hs, out[s], ws, scratch[:k])
+        np.subtract(out[s], t[s], out=err[s])
+        if probability_output:
+            np.multiply(err[s], out[s], out=ds[s])
+            ds[s] *= np.subtract(1.0, out[s], out=ws)
+        dhs[...] = ds[s, None]
+        _rows_(np.multiply, dhs, w2)
+        dhs *= hs
+        dhs *= np.subtract(1.0, hs, out=scratch[:k])
+        np.square(err[s], out=ws)
     g_w2 = ds @ h / n
     g_b = float(ds.mean())
-    dh[...] = ds[:, None]
-    _rows_(np.multiply, dh, w2)
-    dh *= h
-    dh *= np.subtract(1.0, h, out=h)
     g_w1 = dh.T @ x / n
     g_w0 = _column_sums(dh) / n
-    mse = float(np.mean(np.square(err, out=work)))
+    mse = float(np.mean(work))
     return MLPGradients(g_w1, g_w0, g_w2, g_b), mse
 
 
@@ -251,8 +304,7 @@ def gradient(model: MLPModel, x, target: float) -> MLPGradients:
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     g, _ = _batch_gradients(
         model.input_weights, model.hidden_biases, model.output_weights, model.output_bias,
-        model.probability_output, x, np.asarray([float(target)]),
-        np.empty((1, model.q)), np.empty((1, model.q)), np.empty((4, 1)),
+        model.probability_output, x, np.asarray([float(target)]), *_gradient_buffers(1, model.q),
     )
     return g
 
@@ -285,12 +337,10 @@ def train(
     w2 = model.output_weights.copy()
     b = model.output_bias
     prob = model.probability_output
-    h = np.empty((x.shape[0], model.q))
-    dh = np.empty_like(h)
-    v = np.empty((4, x.shape[0]))
+    buffers = _gradient_buffers(x.shape[0], model.q)
     history = []
     for _ in range(epochs):
-        g, mse = _batch_gradients(w1, w0, w2, b, prob, x, t, h, dh, v)
+        g, mse = _batch_gradients(w1, w0, w2, b, prob, x, t, *buffers)
         history.append(mse)
         w1 -= learning_rate * g.input_weights
         w0 -= learning_rate * g.hidden_biases

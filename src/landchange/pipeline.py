@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -367,17 +368,24 @@ def stage_predict(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     return _allocate(cfg, handed, "ca_markov", cur, tm_s, suits)
 
 
+def _check_mlp_legend(cfg: PipelineConfig, cur: LandCoverMap) -> None:
+    """The perceptron's rules on the legend: exactly two classes, one
+    sigmoid output for the focal class against the other, and a configured
+    focal class among them."""
+    if len(cur.class_ids) != 2:
+        raise DataError(
+            f"run.model = {cfg.model} models one focal class against one other "
+            f"class, but the legend holds classes {tuple(cur.class_ids)}"
+        )
+    if cfg.mlp_focal is not None and cfg.mlp_focal not in cur.legend:
+        raise ConfigError(f"mlp.focal_class: class {cfg.mlp_focal} is not in the legend {sorted(cur.legend)}")
+
+
 def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     """Fit the perceptron to the calibration transition. Hands forward the
     model and the criterion grids it was fitted on."""
     w = _window(cfg, handed)
-    if len(w.cur.class_ids) != 2:  # one sigmoid output: the focal class against one other
-        raise DataError(
-            f"run.model = {cfg.model} models one focal class against one other "
-            f"class, but the legend holds classes {tuple(w.cur.class_ids)}"
-        )
-    if cfg.mlp_focal is not None and cfg.mlp_focal not in w.cur.legend:
-        raise ConfigError(f"mlp.focal_class: class {cfg.mlp_focal} is not in the legend {sorted(w.cur.legend)}")
+    _check_mlp_legend(cfg, w.cur)
     criteria = _criteria(cfg, handed, w.cur)
     if not criteria:
         raise ConfigError("mlp training needs at least one [criteria] grid")
@@ -478,10 +486,17 @@ def run_stage(name: str, cfg: PipelineConfig, handed: dict | None = None) -> lis
     the earlier stages of a full run handed forward; a single-stage command
     leaves it None and the stage reads those outputs from their files."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _attributed(name):
         return _STAGES[name](cfg, handed)
+
+
+@contextmanager
+def _attributed(stage: str):
+    """Prefix a landchange error raised inside with "stage <stage>: "."""
+    try:
+        yield
     except LandchangeError as e:
-        raise type(e)(f"stage {name}: {e}") from e
+        raise type(e)(f"stage {stage}: {e}") from e
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
@@ -492,6 +507,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     order = ["markov", *(stage for m in _models(cfg) for stage in _MODEL_STAGES[m].stages), "validate"]
 
     handed: dict = {}
+    if "mlp" in _models(cfg):  # a legend the perceptron cannot model is refused before any stage writes
+        with _attributed("markov"):
+            cur = _window(cfg, handed).cur
+        with _attributed("mlp-train"):
+            _check_mlp_legend(cfg, cur)
     lines = ["land-cover change pipeline report", "", *_section("settings", *(f"  {k} = {v}" for k, v in cfg.echo()))]
     clock = []
     for name in order:

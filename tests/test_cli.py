@@ -96,18 +96,36 @@ def test_long_prediction_span_is_split(tmp_path):
     assert scaled.probs[1].tolist() == [0.0, 1.0]  # class 1 never left
 
 
-def test_mlp_on_three_class_legend_fails_before_training(tmp_path):
+@pytest.mark.parametrize("model", ["mlp", "both"])
+def test_mlp_on_three_class_legend_fails_before_training(tmp_path, model):
+    # refused once the dated maps are read, before the markov stage writes
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    ini = sc / "pipeline.ini"
+    text = ini.read_text(encoding="ascii")
+    ini.write_text(text.replace("model = ca_markov", f"model = {model}"), encoding="ascii")
+    res = _cli(["run", "--config", str(ini), "--out", "o", "--quiet"], tmp_path)
+    assert res.returncode == 3
+    assert f"stage mlp-train: run.model = {model}" in res.stderr
+    assert "one focal class against one other class, but the legend holds classes (0, 1, 2)" in res.stderr
+    assert "Traceback" not in res.stderr
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_mlp_run_keeps_the_markov_wording_for_a_map_read_error(tmp_path):
     sc = tmp_path / "sc"
     shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
     ini = sc / "pipeline.ini"
     text = ini.read_text(encoding="ascii")
     ini.write_text(text.replace("model = ca_markov", "model = mlp"), encoding="ascii")
+    (sc / "map_2000.asc").write_text("NCOLS 4\n", encoding="ascii")
     res = _cli(["run", "--config", str(ini), "--out", "o", "--quiet"], tmp_path)
-    assert res.returncode == 3
-    assert "stage mlp-train: run.model = mlp" in res.stderr
-    assert "one focal class against one other class, but the legend holds classes (0, 1, 2)" in res.stderr
+    assert res.returncode == 3, res.stderr
+    assert "stage markov: " in res.stderr and "map_2000.asc" in res.stderr
     assert "Traceback" not in res.stderr
-    assert not (tmp_path / "o" / "mlp_model.txt").exists()
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_suitability_class_outside_the_legend_exits_2_before_mce_writes(tmp_path, caplog):

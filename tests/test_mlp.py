@@ -1,7 +1,12 @@
 """Single-hidden-layer network: forward, gradients, training, rasters."""
 
 import logging
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from landchange.errors import DataError, LandchangeError
 from landchange.grid import Grid, LandCoverMap
 from landchange.mlp import (
     _ROW_BLOCK,
+    _block_rows,
     Dataset,
     FeatureSpec,
     MLPModel,
@@ -157,16 +163,129 @@ def test_train_matches_reference_bits(n, n_in, q, prob, lr, epochs, scale, seed)
     assert [x.tobytes(), t.tobytes()] + _model_bits(model) == kept
 
 
-@pytest.mark.parametrize("n", [2 * _ROW_BLOCK, 3 * _ROW_BLOCK + 37])
+def _past_two_cache_blocks(q):
+    # two whole cache blocks, then three row blocks and a remainder
+    return 2 * _block_rows(q) + 3 * _ROW_BLOCK + 37
+
+
+@pytest.mark.parametrize("n", [2 * _ROW_BLOCK, 3 * _ROW_BLOCK + 37, None])
 @pytest.mark.parametrize("q", [1, 2, 8])
 @pytest.mark.parametrize("prob", [True, False])
 def test_train_matches_reference_bits_over_row_blocks(n, q, prob):
-    # whole row blocks, and whole blocks followed by remainder rows
+    # whole row blocks, whole blocks followed by remainder rows, and (None)
+    # two cache blocks at this q followed by row blocks and remainder rows
+    n = n or _past_two_cache_blocks(q)
     rng = np.random.default_rng(n + 10 * q + prob)
     x = rng.standard_normal((n, 5)) * 4.0
     x[rng.random((n, 5)) < 0.2] = 0.0
     t = np.where(rng.random(n) < 0.3, rng.integers(0, 2, n), rng.random(n))
     _check_train_bits(init_model(5, q, seed=q, probability_output=prob), x, t, 0.5, 4)
+
+
+def test_block_rows_hold_the_byte_budget_in_whole_row_blocks():
+    assert _block_rows(8) == 8192 and _block_rows(1) == 65536
+    for q in (1, 3, 7, 8, 100, 256, 257, 10_000):
+        rows = _block_rows(q)
+        assert rows % _ROW_BLOCK == 0 and rows >= _ROW_BLOCK
+        assert rows == _ROW_BLOCK or rows * q * 8 <= 512 * 1024 < (rows + _ROW_BLOCK) * q * 8
+
+
+@pytest.mark.parametrize("q", [1, 8])
+def test_predict_map_matches_reference_bits_over_cache_blocks(q):
+    n = _past_two_cache_blocks(q)
+    rng = np.random.default_rng(q)
+    shape = (-(-n // 256), 256)
+    prior = rng.integers(0, 2, size=shape).astype(float)
+    prior.flat[n:] = -9999.0  # exactly n valid pixels
+    prior = _lcm(prior, {0: "a", 1: "b"})
+    nxt = _lcm(rng.integers(0, 2, size=shape).astype(float), {0: "a", 1: "b"})
+    crit = [_grid(rng.random(shape) * 40), _grid(rng.random(shape))]
+    ds = build_samples(prior, nxt, crit)
+    assert ds.inputs.shape[0] == n
+    model, _ = train(init_model(ds.features.n_inputs, q, seed=3), ds, 0.5, 3)
+    prob = predict_map(model, prior, crit)
+    assert _bits(prob.values.flat[:n]) == _bits(_ref_forward_batch(model, ds.inputs))
+
+
+@pytest.mark.parametrize("block", [_ROW_BLOCK, 3 * _ROW_BLOCK, 4096, _block_rows(8), 16384])
+@pytest.mark.parametrize("q", [1, 3, 8])
+def test_row_blocked_products_keep_the_whole_products_bits(block, q):
+    # the premise of the cache blocks: a BLAS product over row blocks that
+    # start at multiples of _ROW_BLOCK gives the whole product's bits. n stays
+    # below the size at which OpenBLAS splits one whole gemv over its threads,
+    # at a row that need not be such a multiple.
+    n = 2 * 16384 + 37
+    rng = np.random.default_rng(block + q)
+    x = rng.standard_normal((n, 5))
+    w1 = rng.standard_normal((q, 5))
+    h = rng.random((n, q))
+    w2 = rng.standard_normal(q)
+    hx, out = np.empty((n, q)), np.empty(n)
+    for i in range(0, n, block):
+        np.matmul(x[i:i + block], w1.T, out=hx[i:i + block])
+        np.matmul(h[i:i + block], w2, out=out[i:i + block])
+    assert _bits(hx) == _bits(x @ w1.T)
+    assert _bits(out) == _bits(h @ w2)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_forward_batch_allocates_no_array_of_n_rows_by_q():
+    q = 8
+    n, rows = 4 * _block_rows(q) + 37, _block_rows(q)
+    x = np.random.default_rng(1).random((n, 5))
+    model = init_model(5, q, seed=1)
+    out, peak = _traced_peak(forward_batch, model, x)
+    assert out.shape == (n,)
+    # the outputs, plus h and the sigmoid's work for one block and a work row;
+    # the rest is a broadcast ufunc's 64 KiB buffer and small temporaries
+    assert peak <= 8 * (n + 2 * rows * q + rows) + 2**17, peak
+    assert peak < 8 * n * q, peak
+
+
+def test_train_peak_stays_within_its_buffers_and_one_block():
+    q = 8
+    n, rows = 4 * _block_rows(q) + 37, _block_rows(q)
+    rng = np.random.default_rng(2)
+    data = Dataset(rng.random((n, 5)), rng.integers(0, 2, n).astype(np.float64))
+    model = init_model(5, q, seed=2)
+    _, peak = _traced_peak(train, model, data, 0.5, 3)
+    # h and dh, the (4, n) rows, and one block of scratch
+    assert peak <= 8 * (2 * n * q + 4 * n + rows * q) + 2**17, peak
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from landchange.mlp import Dataset, forward_batch, init_model, train
+rng = np.random.default_rng(5)
+n = 65536 + 37  # one whole gemv over these rows is split over two threads
+x = rng.standard_normal((n, 4)) * 3
+t = rng.integers(0, 2, n).astype(np.float64)
+model = init_model(4, 8, seed=3, probability_output=False)
+trained, history = train(model, Dataset(x, t), 0.05, 2)
+parts = [forward_batch(model, x), trained.input_weights, trained.output_weights, np.array(history)]
+print(hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
+"""
+
+
+def test_outputs_keep_their_bits_for_any_blas_thread_count():
+    # each BLAS product over rows covers one cache block, never split over threads
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        res = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        digests.add(res.stdout)
+    assert len(digests) == 1
 
 
 def _one_hot_rows(rng, n, k):

@@ -353,6 +353,7 @@ def test_focal_class_outside_the_legend_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match=r"^stage mlp-train: mlp\.focal_class: class 7 is not in the legend \[0, 1\]$"):
         run_stage("mlp-train", cfg)
     assert main(["run", "--config", str(ini), "--out", str(tmp_path / "run"), "--quiet"]) == 2
+    assert not (tmp_path / "run").exists()  # refused before any stage writes
 
 
 def test_a_map_whose_valid_cells_all_stand_alone_has_undefined_clumping(tmp_path):
