@@ -31,6 +31,7 @@ from .errors import DataError
 from .grid import (
     Grid,
     LandCoverMap,
+    by_position,
     joint_valid,
     neighbor_counts,
     require_data_under,
@@ -281,7 +282,7 @@ def ca_markov(
         raise DataError(
             f"transition classes {sorted(tm.class_ids)} do not match map classes {ids}"
         )
-    require_same_geometry(current.grid, *(suitabilities[c] for c in ids), context="ca_markov")
+    require_same_geometry(*by_position("ca_markov", current.grid, *(suitabilities[c] for c in ids)))
     where = f"map {current.date_tag or '(undated)'}"
     for c in ids:
         require_data_under(current.grid, suitabilities[c], f"ca_markov: the class {c} suitability", where)
@@ -359,7 +360,7 @@ def converted_adjacency_fraction(before: LandCoverMap, after: LandCoverMap) -> f
     """Of the pixels whose class changed, the share that already touched
     (8-neighborhood) their new class in the before map. High values mean
     change grew out of existing patches instead of appearing at random."""
-    require_same_geometry(before.grid, after.grid, context="converted_adjacency_fraction")
+    require_same_geometry(*by_position("converted_adjacency_fraction", before.grid, after.grid))
     b = before.labels
     a = after.labels
     changed = (b >= 0) & (a >= 0) & (b != a)

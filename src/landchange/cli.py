@@ -25,16 +25,18 @@ from . import __version__
 from .classify import estimate_signatures, icm, maxlike, write_signatures_csv
 from .config import load_config
 from .criteria import FuzzySpec, distance_transform, fuzzy_standardize, make_constraint
-from .errors import ConfigError, LandchangeError, NumericalError
+from .errors import ConfigError, DataError, LandchangeError, NumericalError
 from .grid import (
     LandCoverMap,
     MultiBandImage,
     export_ppm,
+    joint_valid,
     load_legend,
     naming,
     parse_number,
     read_ascii_grid,
     read_mask,
+    require_same_geometry,
     write_ascii_grid,
     write_legend,
 )
@@ -74,11 +76,22 @@ def _outdir(args) -> Path:
 
 def _read_image(paths, labels: str | None = None) -> MultiBandImage:
     """The band grids as one image, labelled by the comma-separated names
-    of --labels or band1, band2, ...; the names are checked first."""
+    of --labels or band1, band2, ...; the names are checked first, and the
+    bands' geometry by their paths."""
     names = [t.strip() for t in labels.split(",")] if labels else [f"band{i + 1}" for i in range(len(paths))]
     if len(names) != len(paths):
         raise ConfigError(f"--labels names {len(names)} bands but {len(paths)} were given")
-    return MultiBandImage(tuple(read_ascii_grid(p) for p in paths), tuple(names))
+    bands = [read_ascii_grid(p) for p in paths]
+    require_same_geometry(*zip(paths, bands))
+    return MultiBandImage(tuple(bands), tuple(names))
+
+
+def _require_valid_bands(paths, image: MultiBandImage, sel=True, under: str = "") -> None:
+    """A band with no valid pixel where `sel` holds is a data error naming
+    its file, and with `under` the mask file that selects."""
+    for path, band in zip(paths, image.bands):
+        if not np.any(band.valid & sel):
+            raise DataError(f"{path}: no valid pixels{under}")
 
 
 def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
@@ -96,6 +109,8 @@ def cmd_preprocess(args) -> int:
     _check_flag(0 <= args.percentile <= 100, "--percentile", "in [0, 100]", args.percentile)
     image = _read_image(args.bands, args.labels)
     reference = read_mask(args.reference)
+    require_same_geometry((args.bands[0], image.geometry), (args.reference, reference))
+    _require_valid_bands(args.bands, image, reference.selected, f" under --reference {args.reference}")
     dark = dark_object_values(image, reference, args.percentile)
     corrected = dos_correct(image, dark)
     stats = band_statistics(corrected)
@@ -112,7 +127,13 @@ def cmd_preprocess(args) -> int:
 def cmd_oif(args) -> int:
     _check_flag(len(args.bands) >= 3, "the band count", "at least 3 (OIF ranks band triples)", len(args.bands))
     image = _read_image(args.bands, args.labels)
-    mask = read_mask(args.mask) if args.mask else None
+    if args.mask:
+        mask = read_mask(args.mask)
+        require_same_geometry((args.bands[0], image.geometry), (args.mask, mask))
+        _require_valid_bands(args.bands, image, mask.selected, f" under --mask {args.mask}")
+    else:
+        mask = None
+        _require_valid_bands(args.bands, image)
     stats = band_statistics(image, mask)
     ranking = oif_rank(stats)
     out = _outdir(args)
@@ -133,6 +154,7 @@ def cmd_indices(args) -> int:
     red = read_ascii_grid(args.red)
     nir = read_ascii_grid(args.nir)
     swir = read_ascii_grid(args.swir)
+    require_same_geometry((args.red, red), (args.nir, nir), (args.swir, swir))
     v = ndvi(nir, red)
     i = ndii(nir, swir)
     m = ndim(v, i, args.weight)
@@ -152,6 +174,7 @@ def cmd_change(args) -> int:
     if args.low is not None:
         _check_flag(args.low <= args.high, "--low", f"at most --high ({args.high})", args.low)
     grids = [read_ascii_grid(p) for p in args.ndim]
+    require_same_geometry(*zip(args.ndim, grids))
     levels = []
     for path, g in zip(args.ndim, grids):
         with naming(path):
@@ -177,9 +200,15 @@ def cmd_classify(args) -> int:
     _check_flag(args.sweeps >= 1, "--sweeps", "at least 1", args.sweeps)
     image = _read_image(args.bands)
     training_grid = read_ascii_grid(args.training)
+    require_same_geometry((args.bands[0], image.geometry), (args.training, training_grid))
     legend = load_legend(args.legend, training_grid)
     with naming(args.training):
         training = LandCoverMap(training_grid, legend)
+    if not joint_valid(*image.bands, training_grid, context="classify").any():
+        raise DataError(
+            f"no class has any valid training pixels: no pixel holds data in every band "
+            f"({', '.join(dict.fromkeys(args.bands))}) and in --training {args.training}"
+        )
     signatures = estimate_signatures(image, training)
     priors = "equal" if args.equal_priors else "empirical"
     labeled, scores = maxlike(image, signatures, priors_mode=priors, legend=legend)

@@ -46,6 +46,13 @@ mask files, checks through it, and so does every other reader of a
 checked input. It wraps the check and never the read, whose errors name
 the path already, so no message names a path twice.
 
+`require_same_geometry` is the one rule for geometry: it takes (name,
+grid) pairs and words a mismatch as '<name> geometry <G> does not match
+<first name> geometry <G0>'. Every input is checked where it is read,
+under the name the user gave it: its path on the command line, its config
+key in the pipeline, its label in `MultiBandImage`. A kernel's own guards
+name their grids by position, through `by_position`.
+
 `parse_number` is the one rule for numbers in every text input and
 command-line flag, `write_csv` the shared CSV writer, and `joint_valid`
 the one rule for where grids meet: their geometry is checked before their
@@ -165,20 +172,31 @@ def _geometry_text(g: Grid) -> str:
     return f"{g.shape}/{g.cell_size} at lower-left corner ({g.x_origin}, {g.y_origin})"
 
 
-def require_same_geometry(*grids: Grid, context: str = "operation") -> None:
-    first = grids[0]
-    for i, g in enumerate(grids[1:], start=1):
+def require_same_geometry(*named: tuple[str, Grid]) -> None:
+    """Raise a GeometryError naming the first (name, grid) pair whose grid
+    does not share the first pair's geometry, and that pair:
+    '<name> geometry <G> does not match <first name> geometry <G0>'. The
+    only wording of a geometry mismatch."""
+    (first_name, first), *rest = named
+    for name, g in rest:
         if not first.same_geometry(g):
             raise GeometryError(
-                f"{context}: grid {i} geometry {_geometry_text(g)} does not match "
-                f"grid 0 geometry {_geometry_text(first)}"
+                f"{name} geometry {_geometry_text(g)} does not match "
+                f"{first_name} geometry {_geometry_text(first)}"
             )
+
+
+def by_position(context: str, *grids: Grid) -> list[tuple[str, Grid]]:
+    """The grids named by position, 'grid 0' and '<context>: grid i': the
+    names of a kernel's own guard, which knows no input names."""
+    return [(f"{context}: grid {i}" if i else "grid 0", g) for i, g in enumerate(grids)]
 
 
 def joint_valid(*grids: Grid, context: str) -> np.ndarray:
     """Boolean array, True where every grid holds data. Grids that do not
-    share one geometry raise `require_same_geometry`'s GeometryError."""
-    require_same_geometry(*grids, context=context)
+    share one geometry raise `require_same_geometry`'s GeometryError,
+    named by position."""
+    require_same_geometry(*by_position(context, *grids))
     valid = grids[0].valid
     for g in grids[1:]:
         valid &= g.valid
@@ -257,9 +275,7 @@ class MultiBandImage:
             raise DataError(f"{len(bands)} bands but {len(labels)} labels")
         if len(set(labels)) != len(labels):
             raise DataError(f"duplicate band labels in {labels}")
-        for i, b in enumerate(bands[1:], start=1):
-            if not bands[0].same_geometry(b):
-                raise GeometryError(f"band {i} ({labels[i]!r}) geometry does not match band 0")
+        require_same_geometry(*((f"band {label!r}", b) for label, b in zip(labels, bands)))
         object.__setattr__(self, "bands", bands)
         object.__setattr__(self, "labels", labels)
 

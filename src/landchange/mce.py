@@ -17,6 +17,7 @@ from .errors import DataError, NumericalError
 from .grid import (
     BinaryMask,
     Grid,
+    by_position,
     joint_valid,
     naming,
     parse_number,
@@ -124,7 +125,7 @@ def _combine_prep(factors, weights, constraints):
     valid = joint_valid(*factors, context="factor combination")
     # constraints gate by value and stay out of the valid mask, where a mask
     # file with NODATA_VALUE 0 would lose its 0 cells
-    require_same_geometry(factors[0], *constraints, context="factor combination")
+    require_same_geometry(*by_position("factor combination", factors[0], *constraints))
     stack = np.stack([f.values[valid] for f in factors])  # the valid cells alone
     return w, stack, valid
 

@@ -15,7 +15,10 @@ model's predicted grid, its allocation log and its allocation section.
 A full run also reads each config input once: the dated maps, and the
 criterion grids that mce and the perceptron share in a `both` run. Each
 criterion and constraint grid is checked against the maps' geometry where
-it is read, and a mismatch names its config key. The
+it is read, and a mismatch names its config key; an earlier stage's grid
+taken by a later one (`suit_<id>.asc`, `predicted_*.asc`) is checked the
+same way, named by its path. Every rule that holds the config against the
+legend is checked, by `_check_legend`, before any stage writes. The
 compute code is the same either way, so chaining the stage subcommands
 produces byte-identical artifacts to the full run. The last dated map is
 held out: transitions are estimated from the two maps before it, the
@@ -113,9 +116,7 @@ def load_maps(cfg: PipelineConfig) -> list[LandCoverMap]:
     the first map's geometry; a mismatch names both config keys. A value
     that is not a class of the legend names its map's path."""
     grids = [read_ascii_grid(path) for _, path in cfg.maps]
-    (first_year, _), first = cfg.maps[0], grids[0]
-    for (year, _), g in zip(cfg.maps[1:], grids[1:]):
-        require_same_geometry(first, g, context=f"maps.{year} against maps.{first_year}")
+    require_same_geometry(*((f"maps.{year}", g) for (year, _), g in zip(cfg.maps, grids)))
     if cfg.legend_path:
         legend = load_legend(cfg.legend_path)
     else:  # the classes present in the maps, each map's checked as class ids in it
@@ -151,8 +152,15 @@ def _check_held_out(cfg: PipelineConfig) -> None:
         raise ConfigError(f"validation needs at least three dated maps (the last one held out), got {len(cfg.maps)}")
 
 
-def _read_suitability(path) -> SuitabilityGrid:
+def _require_maps_geometry(name: str, g: Grid, m: LandCoverMap) -> None:
+    """A grid that does not share the dated maps' geometry is a GeometryError
+    naming it and the map's config key."""
+    require_same_geometry((f"maps.{m.date_tag}", m.grid), (name, g))
+
+
+def _read_suitability(path, cur: LandCoverMap) -> SuitabilityGrid:
     g = read_ascii_grid(path)
+    _require_maps_geometry(str(path), g, cur)
     with naming(path):
         return SuitabilityGrid(g.values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value)
 
@@ -164,7 +172,7 @@ def _read_layer(cfg: PipelineConfig, section: str, name: str, cur: LandCoverMap)
     failure names its config key."""
     path = getattr(cfg, section)[name]
     g = read_mask(path) if section == "constraints" else read_ascii_grid(path)
-    require_same_geometry(cur.grid, g, context=f"{section}.{name} against maps.{cur.date_tag}")
+    _require_maps_geometry(f"{section}.{name}", g, cur)
     if section == "criteria":
         require_data_under(cur.grid, g, f"criteria.{name}", f"maps.{cur.date_tag}")
     return g
@@ -188,6 +196,35 @@ _MODEL_STAGES = {
 def _models(cfg: PipelineConfig) -> list[str]:
     """The change models the config runs, ca_markov first."""
     return [m for m in _MODEL_STAGES if cfg.model in (m, "both")]
+
+
+def _check_legend(cfg: PipelineConfig, cur: LandCoverMap, stage: str) -> None:
+    """The rules of `stage` that hold the config against the legend: for
+    mce, a [suitability] list for every legend class and for no other (after
+    the two settings it needs at all); for mlp-train, the perceptron's
+    exactly two classes, one sigmoid output for the focal class against the
+    other, and a configured focal class among them. A full run checks every
+    stage's rules once the maps are read, before any stage writes; each
+    stage checks its own again, so a single-stage command keeps them."""
+    if stage == "mce":
+        if not cfg.suitability:
+            raise ConfigError("no [suitability] classes configured")
+        if cfg.saaty_path is None:
+            raise ConfigError("missing mce.saaty comparison matrix")
+        for cid in cfg.suitability:
+            if cid not in cur.legend:
+                raise ConfigError(f"suitability.{cid}: class {cid} is not in the legend {sorted(cur.legend)}")
+        for cid in cur.class_ids:
+            if cid not in cfg.suitability:
+                raise ConfigError(f"suitability.{cid} is missing, but the legend holds class {cid}: every class needs one")
+    elif stage == "mlp-train":
+        if len(cur.class_ids) != 2:
+            raise DataError(
+                f"run.model = {cfg.model} models one focal class against one other "
+                f"class, but the legend holds classes {tuple(cur.class_ids)}"
+            )
+        if cfg.mlp_focal is not None and cfg.mlp_focal not in cur.legend:
+            raise ConfigError(f"mlp.focal_class: class {cfg.mlp_focal} is not in the legend {sorted(cur.legend)}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +331,8 @@ def stage_mce(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     """Fuzzy-standardize criteria and combine them into one suitability
     grid per class using the comparison-matrix weights. Hands forward the
     suitability grids and, in a `both` run, the criterion grids it read."""
-    if not cfg.suitability:
-        raise ConfigError("no [suitability] classes configured")
-    if cfg.saaty_path is None:
-        raise ConfigError("missing mce.saaty comparison matrix")
     cur = _window(cfg, handed).cur
-    for cid in cfg.suitability:
-        if cid not in cur.legend:
-            raise ConfigError(f"suitability.{cid}: class {cid} is not in the legend {sorted(cur.legend)}")
-    for cid in cur.class_ids:
-        if cid not in cfg.suitability:
-            raise ConfigError(f"suitability.{cid} is missing, but the legend holds class {cid}: every class needs one")
+    _check_legend(cfg, cur, "mce")
     ws = saaty_weights(read_saaty_csv(cfg.saaty_path))
     n = ws.weights.size
     needed = {name for names in cfg.suitability.values() for name in names}
@@ -364,28 +392,18 @@ def stage_predict(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     """Allocate the projected areas on the MCE suitabilities."""
     cur = _window(cfg, handed).cur
     tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", read_transition_csv)
-    suits = {cid: _take(cfg, handed, f"suit_{cid}.asc", "mce stage", _read_suitability) for cid in cur.class_ids}
+    suits = {
+        cid: _take(cfg, handed, f"suit_{cid}.asc", "mce stage", lambda path: _read_suitability(path, cur))
+        for cid in cur.class_ids
+    }
     return _allocate(cfg, handed, "ca_markov", cur, tm_s, suits)
-
-
-def _check_mlp_legend(cfg: PipelineConfig, cur: LandCoverMap) -> None:
-    """The perceptron's rules on the legend: exactly two classes, one
-    sigmoid output for the focal class against the other, and a configured
-    focal class among them."""
-    if len(cur.class_ids) != 2:
-        raise DataError(
-            f"run.model = {cfg.model} models one focal class against one other "
-            f"class, but the legend holds classes {tuple(cur.class_ids)}"
-        )
-    if cfg.mlp_focal is not None and cfg.mlp_focal not in cur.legend:
-        raise ConfigError(f"mlp.focal_class: class {cfg.mlp_focal} is not in the legend {sorted(cur.legend)}")
 
 
 def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     """Fit the perceptron to the calibration transition. Hands forward the
     model and the criterion grids it was fitted on."""
     w = _window(cfg, handed)
-    _check_mlp_legend(cfg, w.cur)
+    _check_legend(cfg, w.cur, "mlp-train")
     criteria = _criteria(cfg, handed, w.cur)
     if not criteria:
         raise ConfigError("mlp training needs at least one [criteria] grid")
@@ -431,7 +449,9 @@ def stage_validate(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     for name in _models(cfg):
         fname = _MODEL_STAGES[name].predicted
         grid = _take(cfg, handed, fname, "predict stages", read_ascii_grid)
-        with naming(cfg.out_dir / fname):  # a full run wrote the grid to that file
+        path = cfg.out_dir / fname  # a full run wrote the grid to that file
+        _require_maps_geometry(str(path), grid, w.held)
+        with naming(path):
             pred = LandCoverMap(grid, w.held.legend, w.held.date_tag)
         if not scored:
             targets = AllocationTargets(pred.class_counts())
@@ -507,11 +527,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     order = ["markov", *(stage for m in _models(cfg) for stage in _MODEL_STAGES[m].stages), "validate"]
 
     handed: dict = {}
-    if "mlp" in _models(cfg):  # a legend the perceptron cannot model is refused before any stage writes
-        with _attributed("markov"):
-            cur = _window(cfg, handed).cur
-        with _attributed("mlp-train"):
-            _check_mlp_legend(cfg, cur)
+    with _attributed("markov"):  # the first stage to read the maps
+        cur = _window(cfg, handed).cur
+    for name in order:  # every legend rule before any stage writes, under its stage's name
+        with _attributed(name):
+            _check_legend(cfg, cur, name)
     lines = ["land-cover change pipeline report", "", *_section("settings", *(f"  {k} = {v}" for k, v in cfg.echo()))]
     clock = []
     for name in order:

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError
-from .grid import BinaryMask, MultiBandImage, require_same_geometry, write_csv
+from .grid import BinaryMask, MultiBandImage, by_position, require_same_geometry, write_csv
 
 
 def _nearest_rank(sorted_vals: np.ndarray, percentile: float) -> float:
@@ -33,7 +33,7 @@ def dark_object_values(image: MultiBandImage, reference: BinaryMask, percentile:
     percentile 0 takes the minimum. Reference cells where a band is nodata
     are ignored for that band.
     """
-    require_same_geometry(image.geometry, reference, context="dark_object_values")
+    require_same_geometry(*by_position("dark_object_values", image.geometry, reference))
     if not 0.0 <= percentile <= 100.0:
         raise DataError(f"percentile must be in [0, 100], got {percentile}")
     sel = reference.selected
@@ -74,7 +74,7 @@ class BandStats:
 def band_statistics(image: MultiBandImage, mask: BinaryMask | None = None) -> BandStats:
     sel = np.ones(image.geometry.shape, dtype=bool)
     if mask is not None:
-        require_same_geometry(image.geometry, mask, context="band_statistics")
+        require_same_geometry(*by_position("band_statistics", image.geometry, mask))
         sel = mask.selected
     n = image.n_bands
     means = np.empty(n)

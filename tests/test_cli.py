@@ -140,7 +140,10 @@ def test_suitability_class_outside_the_legend_exits_2_before_mce_writes(tmp_path
         caplog.clear()
         assert main([command, "--config", str(ini), "--out", str(out), "--quiet"]) == 2
         assert "stage mce: suitability.7: class 7 is not in the legend [0, 1, 2]" in caplog.text
-        assert not any(p.name.startswith("suit_") or p.name == "weights.csv" for p in out.iterdir())
+        if command == "run":  # refused once the maps are read, before markov writes
+            assert not out.exists() or not any(out.iterdir())
+        else:
+            assert not any(p.name.startswith("suit_") or p.name == "weights.csv" for p in out.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -181,7 +184,8 @@ def test_misregistered_criterion_exits_3_naming_its_key(tmp_path, old, new, rows
     (sc / "prox0.asc").write_text("\n".join(head + lines[6:][rows]) + "\n", encoding="ascii")
     res = _cli(["run", "--config", str(sc / "pipeline.ini"), "--out", "o", "--quiet"], tmp_path)
     assert res.returncode == 3
-    assert "stage mce: criteria.prox0 against maps.1994: grid 1 geometry" in res.stderr
+    assert "stage mce: criteria.prox0 geometry (" in res.stderr
+    assert "does not match maps.1994 geometry (128, 128)/30.0 at lower-left corner (0.0, 0.0)" in res.stderr
     assert "Traceback" not in res.stderr
     assert not list((tmp_path / "o").glob("suit_*.asc"))
 
@@ -194,7 +198,10 @@ def test_misregistered_dated_map_exits_3_naming_its_key_before_writing(tmp_path)
     (sc / "map_2000.asc").write_text(text.replace("XLLCORNER 0\n", "XLLCORNER 5000\n", 1), encoding="ascii")
     res = _cli(["run", "--config", str(sc / "pipeline.ini"), "--out", "o", "--quiet"], tmp_path)
     assert res.returncode == 3
-    assert "maps.2000 against maps.1988: grid 1 geometry" in res.stderr
+    assert (
+        "stage markov: maps.2000 geometry (128, 128)/30.0 at lower-left corner (5000.0, 0.0) "
+        "does not match maps.1988 geometry (128, 128)/30.0 at lower-left corner (0.0, 0.0)"
+    ) in res.stderr
     assert "Traceback" not in res.stderr
     assert not list((tmp_path / "o").glob("*"))
 

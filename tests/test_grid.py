@@ -31,6 +31,7 @@ from landchange.grid import (
     read_csv_rows,
     read_legend,
     read_text,
+    require_same_geometry,
     write_ascii_grid,
     write_legend,
 )
@@ -70,10 +71,13 @@ def test_geometry_comparisons():
     c = Grid(np.zeros((2, 3)), 2.0)
     assert a.same_geometry(b)
     assert not a.same_geometry(c)
-    with pytest.raises(GeometryError):
-        from landchange.grid import require_same_geometry
-
-        require_same_geometry(a, c, context="test")
+    require_same_geometry(("a", a), ("b", b))
+    with pytest.raises(GeometryError) as exc:
+        require_same_geometry(("a", a), ("b", b), ("c", c))
+    assert str(exc.value) == (
+        "c geometry (2, 3)/2.0 at lower-left corner (0.0, 0.0) does not match "
+        "a geometry (2, 3)/1.0 at lower-left corner (0.0, 0.0)"
+    )
 
 
 def test_joint_valid_checks_geometry_then_ands_the_valid_masks():
@@ -128,7 +132,7 @@ def test_multiband_image_validation():
         MultiBandImage((g, g), ("a", "a"))
     with pytest.raises(DataError):
         MultiBandImage((), ())
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^band 'b' geometry \(3, 3\)/1\.0 .* does not match band 'a' geometry \(2, 2\)/1\.0 "):
         MultiBandImage((g, Grid(np.zeros((3, 3)), 1.0)), ("a", "b"))
 
 

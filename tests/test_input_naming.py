@@ -4,9 +4,16 @@
 content. Each case here puts one bad value into one input of one command:
 the command must exit 3, name that file exactly once, and end in no
 traceback, with warnings turned into errors.
+
+`grid.require_same_geometry` is the one rule for geometry: a grid that does
+not match the others is named by its path on the command line, or by its
+config key in the pipeline. The mutation harness at the end rewrites every
+file argument of every single command in ten ways and checks that a data
+error names the rewritten file.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +102,33 @@ def test_single_stage_names_the_earlier_output_it_reads(sc, capsys, caplog, stag
     _assert_named(code, err, out / fname, message)
 
 
+@pytest.mark.parametrize(
+    "stage, earlier, fname, rewrite, geometry, held",
+    [
+        ("predict", ("markov", "mce"), "suit_1.asc", lambda g: replace(g, x_origin=1000.0),
+         "(16, 16)/30.0 at lower-left corner (1000.0, 0.0)", "maps.1994"),
+        ("validate", ("markov", "mce", "predict"), "predicted_ca.asc", lambda g: replace(g, values=g.values[[0, *range(16)]]),
+         "(17, 16)/30.0 at lower-left corner (0.0, 0.0)", "maps.2000"),
+    ],
+    ids=["predict", "validate"],
+)
+def test_single_stage_names_an_earlier_output_off_the_maps_geometry(sc, capsys, caplog, stage, earlier, fname, rewrite, geometry, held):
+    # the file is the one at fault, so it comes first; the map it is held
+    # against is named by its config key
+    ini, out = str(sc / "pipeline.ini"), sc / "o"
+    for name in earlier:
+        assert main([name, "--config", ini, "--out", str(out), "--quiet"]) == 0
+    write_ascii_grid(rewrite(read_ascii_grid(out / fname)), out / fname)
+    code, err = _main([stage, "--config", ini, "--out", str(out)], capsys, caplog)
+    assert code == 3, err
+    assert err.count(str(out / fname)) == 1, err
+    assert (
+        f"stage {stage}: {out / fname} geometry {geometry} does not match "
+        f"{held} geometry (16, 16)/30.0 at lower-left corner (0.0, 0.0)"
+    ) in err, err
+    assert "Traceback" not in err
+
+
 def test_change_names_the_all_nodata_date(sc, capsys, caplog):
     a = sc / "prox0.asc"
     b = sc / "blank.asc"
@@ -133,3 +167,90 @@ def test_a_class_map_given_as_a_mask_is_a_data_error_naming_it(sc, capsys, caplo
     code, err = _main([*args, "--out", str(out)], capsys, caplog)
     _assert_named(code, err, bad, "mask values must all be 0 or 1")
     assert not list(out.glob("suit_*.asc")) if where == "[constraints]" else not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the mutation harness: every file argument of every single command, each
+# rewritten in ten ways. A run may succeed or be refused, but never with a
+# traceback, and a data error must name the rewritten file.
+
+
+# role -> how its file is made from the 16x16 scenario
+_ROLES = {
+    **{role: "prox0" for role in ("b1", "red", "d1", "layer")},
+    **{role: "prox1" for role in ("b2", "nir", "d2")},
+    **{role: "prox2" for role in ("b3", "swir", "d3")},
+    "training": "map_1988",
+    "ref": "class 0 of map_1988",
+    "mask": "class 0 of map_1988",
+    "targets": "class 1 of map_1988",
+}
+
+# each command with its file arguments written as roles
+_FUZZY = ["--fuzzy", "linear,decreasing,0,300"]
+_COMMANDS = {
+    "preprocess": ["preprocess", "b1", "b2", "b3", "--reference", "ref"],
+    "oif": ["oif", "b1", "b2", "b3", "--mask", "mask"],
+    "indices": ["indices", "--red", "red", "--nir", "nir", "--swir", "swir"],
+    "change": ["change", "d1", "d2", "d3"],
+    "classify": ["classify", "b1", "b2", "b3", "--training", "training"],
+    "criteria-distance": ["criteria", "--distance-to", "targets", *_FUZZY],
+    "criteria-input": ["criteria", "--input", "layer", *_FUZZY, "--constraint-min", "100"],
+}
+
+
+def _first(g):
+    return g.values[g.valid][0]
+
+
+def _cell_set(g, value):
+    values = g.values.copy()
+    values[0, 0] = value
+    return g.with_values(values)
+
+
+# the ten rewrites of one input
+_MUTATIONS = {
+    "row-short": lambda g: replace(g, values=g.values[:-1]),
+    "column-narrow": lambda g: replace(g, values=g.values[:, :-1]),
+    "xllcorner": lambda g: replace(g, x_origin=g.x_origin + 1000.0),
+    "cellsize": lambda g: replace(g, cell_size=2 * g.cell_size),
+    "all-nodata": lambda g: g.with_values(np.full(g.shape, g.nodata_value)),
+    "one-nodata": lambda g: _cell_set(g, g.nodata_value),
+    "constant": lambda g: g.with_values(np.full(g.shape, _first(g))),
+    "one-cell": lambda g: replace(g, values=g.values[:1, :1]),
+    "nodata-in-data": lambda g: replace(g, nodata_value=_first(g)),
+    "half": lambda g: _cell_set(g, np.floor(g.values[0, 0]) + 0.5),
+}
+
+
+@pytest.fixture(scope="module")
+def sources(tmp_path_factory):
+    sc = tmp_path_factory.mktemp("harness") / "sc"
+    assert main(["synth", "--rows", "16", "--cols", "16", "--seed", "3", "--out", str(sc), "--quiet"]) == 0
+    grids = {name: read_ascii_grid(sc / f"{name}.asc") for name in ("prox0", "prox1", "prox2", "map_1988")}
+    classes = grids["map_1988"]
+    for c in (0, 1):
+        grids[f"class {c} of map_1988"] = classes.with_values(np.where(classes.values == c, 1.0, 0.0))
+    return {role: grids[name] for role, name in _ROLES.items()}
+
+
+@pytest.mark.parametrize("how", list(_MUTATIONS))
+@pytest.mark.parametrize(
+    "command, role",
+    [(command, arg) for command, argv in _COMMANDS.items() for arg in argv if arg in _ROLES],
+)
+def test_a_rewritten_input_is_run_or_refused_naming_it(tmp_path, sources, capsys, caplog, command, role, how):
+    argv = _COMMANDS[command]
+    for arg in argv:
+        if arg in _ROLES:
+            g = _MUTATIONS[how](sources[arg]) if arg == role else sources[arg]
+            write_ascii_grid(g, tmp_path / f"{arg}.asc")
+    path, out = tmp_path / f"{role}.asc", tmp_path / "o"
+    code, err = _main([str(tmp_path / f"{a}.asc") if a in _ROLES else a for a in argv] + ["--out", str(out)], capsys, caplog)
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.count(str(path)) == 1, err
+    if code:
+        assert not out.exists()
