@@ -64,14 +64,34 @@ class AllocationTargets:
 
 def _class_orders(keys: dict[int, np.ndarray], index: type) -> dict[int, np.ndarray]:
     """Per class: the cell positions in ascending key order, ties in
-    position order, of dtype `index`. A cell's rank is its place here."""
-    return {c: np.argsort(key, kind="stable").astype(index, copy=False) for c, key in keys.items()}
+    position order, of dtype `index`. A cell's rank is its place here.
+    Empties `keys`, so each key array can go once it is sorted."""
+    return {c: np.argsort(keys.pop(c), kind="stable").astype(index, copy=False) for c in list(keys)}
+
+
+# cells of a class's order looked at per step when it seeks its free cells
+_SCAN_BLOCK = 1 << 14
+
+
+def _first_free(seg: np.ndarray, assigned: np.ndarray, need: int) -> np.ndarray:
+    """Places in seg of its first `need` cells that hold no class yet (all
+    of them when fewer are free), ascending, of seg's dtype. Scans seg in
+    blocks and stops at the need-th free cell."""
+    take = np.empty(min(need, seg.size), dtype=seg.dtype)
+    got = lo = 0
+    while got < take.size and lo < seg.size:
+        free = np.flatnonzero(assigned[seg[lo : lo + _SCAN_BLOCK]] < 0)[: take.size - got]
+        take[got : got + free.size] = free + lo
+        got += free.size
+        lo += _SCAN_BLOCK
+    return take[:got]
 
 
 def _claim(class_ids: list[int], keys: dict[int, np.ndarray], targets: dict[int, int]) -> np.ndarray:
     """MOLA's ranked claims on cells 0..n-1, where keys[c] holds class c's
     key for each cell and targets[c] its cell count, for every c in
     class_ids. Returns each cell's class as a position in class_ids.
+    Empties `keys`: each key array goes once its class order is built.
 
     Every round each class claims its remaining quota from its best-ranked
     unassigned cells; a contested cell goes to the class ranking it best
@@ -84,16 +104,18 @@ def _claim(class_ids: list[int], keys: dict[int, np.ndarray], targets: dict[int,
     total = sum(targets.values())
     if total != n:
         raise DataError(f"targets sum to {total} but {n} pixels are eligible")
-    index = np.int32 if n < 2**31 else np.int64  # int32 halves the state arrays
+    index = np.int32 if n < 2**31 else np.int64  # int32 halves the rank arrays
     orders = _class_orders(keys, index)
 
     # per cell, the position in class_ids of the class it is assigned to,
     # and the best rank claimed this round and the class that holds it.
     # Every claimed cell is assigned when its round ends and never
     # claimed again, so neither array needs resetting between rounds.
-    assigned = np.full(n, -1, dtype=index)
+    # Positions take the narrowest signed type that holds them and -1.
+    position = np.min_scalar_type(-len(class_ids))
+    assigned = np.full(n, -1, dtype=position)
     best = np.full(n, np.iinfo(index).max, dtype=index)
-    holder = np.empty(n, dtype=index)
+    holder = np.empty(n, dtype=position)
     remaining = dict(targets)
     cursor = {c: 0 for c in class_ids}
 
@@ -105,16 +127,15 @@ def _claim(class_ids: list[int], keys: dict[int, np.ndarray], targets: dict[int,
                 continue
             start = cursor[c]
             seg = orders[c][start:]
-            free = np.flatnonzero(assigned[seg] < 0)
-            take = free[:need]
-            if take.size == 0:
+            rnk = _first_free(seg, assigned, need)
+            if rnk.size == 0:
                 raise DataError(f"class {c} ran out of pixels with {need} still to allocate")
-            picked = seg[take]
-            cursor[c] = start + int(take[-1]) + 1
+            picked = seg[rnk]
             # a rank is a place in the order. Classes come in ascending id,
             # so only a strictly lower rank takes a cell from an earlier
             # class: ties stay with the lowest id
-            rnk = take + start
+            rnk += start
+            cursor[c] = int(rnk[-1]) + 1
             wins = rnk < best[picked]
             won = picked[wins]
             best[won] = rnk[wins]
@@ -286,16 +307,17 @@ def ca_markov(
     where = f"map {current.date_tag or '(undated)'}"
     for c in ids:
         require_data_under(current.grid, suitabilities[c], f"ca_markov: the class {c} suitability", where)
+    # every per-cell array below holds the valid cells alone, in row-major order
     valid = current.grid.valid
-    cells = np.flatnonzero(valid.ravel())
-    table = _key_table(params.kernel_size)
+    kernel = params.kernel_size
+    radius = kernel // 2
+    table = _key_table(kernel)
     if table is not None and not all(suitabilities[c].holds_integers(0, 255) for c in ids):
         table = None
     kind = np.float64 if table is None else np.uint8
-    values = {c: suitabilities[c].values.ravel()[cells].astype(kind, copy=False) for c in ids}
-    radius = params.kernel_size // 2
+    values = {c: suitabilities[c].values[valid].astype(kind, copy=False) for c in ids}
     # the evolving map always holds exactly the valid cells of `current`
-    n_valid = neighbor_counts(valid, radius).ravel()[cells]
+    n_valid = neighbor_counts(valid, radius)[valid]
 
     _, finals = expected_areas(current, tm)
     initial = current.class_counts()
@@ -311,12 +333,12 @@ def ca_markov(
         reals = init_vec + it / params.iterations * (final_vec - init_vec)
         wanted = largest_remainder(reals, total).tolist()
         if wanted != now:
-            keys = {}
-            for c in ids:
-                n_same = neighbor_counts(labels == c, radius).ravel()[cells]
-                keys[c] = _weighted_key(values[c], n_same, n_valid, table, params.kernel_size)
+            keys = {
+                c: _weighted_key(values[c], neighbor_counts(labels == c, radius)[valid], n_valid, table, kernel)
+                for c in ids
+            }
             assigned = _claim(ids, keys, dict(zip(ids, wanted)))
-            np.put(labels, cells, codes[assigned])
+            labels[valid] = codes[assigned]
             now = np.bincount(assigned, minlength=len(ids)).tolist()
         log.extend(AllocationLogRow(it, c, w, n) for c, w, n in zip(ids, wanted, now))
     predicted = current.grid.scatter(valid, labels[valid])

@@ -17,6 +17,7 @@ import argparse
 import logging
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,15 @@ def _require_valid_bands(paths, image: MultiBandImage, sel=True, under: str = ""
             raise DataError(f"{path}: no valid pixels{under}")
 
 
+def _require_shared_pixels(paths, image: MultiBandImage, sel=True, under: str = "") -> None:
+    """Two bands that share fewer than 2 valid pixels where `sel` holds,
+    too few for their correlation, are a data error naming both files, and
+    with `under` the mask file that selects."""
+    for (path_i, band_i), (path_j, band_j) in combinations(zip(paths, image.bands), 2):
+        if np.count_nonzero(band_i.valid & band_j.valid & sel) < 2:
+            raise DataError(f"{path_i} and {path_j} share fewer than 2 valid pixels{under}")
+
+
 def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
     """A numeric flag out of its range is a configuration error that names
     it; commands check their flags before reading a grid or making --out."""
@@ -111,6 +121,7 @@ def cmd_preprocess(args) -> int:
     reference = read_mask(args.reference)
     require_same_geometry((args.bands[0], image.geometry), (args.reference, reference))
     _require_valid_bands(args.bands, image, reference.selected, f" under --reference {args.reference}")
+    _require_shared_pixels(args.bands, image)  # the statistics of the corrected bands take every pixel
     dark = dark_object_values(image, reference, args.percentile)
     corrected = dos_correct(image, dark)
     stats = band_statistics(corrected)
@@ -131,9 +142,11 @@ def cmd_oif(args) -> int:
         mask = read_mask(args.mask)
         require_same_geometry((args.bands[0], image.geometry), (args.mask, mask))
         _require_valid_bands(args.bands, image, mask.selected, f" under --mask {args.mask}")
+        _require_shared_pixels(args.bands, image, mask.selected, f" under --mask {args.mask}")
     else:
         mask = None
         _require_valid_bands(args.bands, image)
+        _require_shared_pixels(args.bands, image)
     stats = band_statistics(image, mask)
     ranking = oif_rank(stats)
     out = _outdir(args)
@@ -209,7 +222,8 @@ def cmd_classify(args) -> int:
             f"no class has any valid training pixels: no pixel holds data in every band "
             f"({', '.join(dict.fromkeys(args.bands))}) and in --training {args.training}"
         )
-    signatures = estimate_signatures(image, training)
+    with naming(args.training):  # a class with too few training pixels
+        signatures = estimate_signatures(image, training)
     priors = "equal" if args.equal_priors else "empirical"
     labeled, scores = maxlike(image, signatures, priors_mode=priors, legend=legend)
     smoothed = icm(labeled, scores, beta=args.beta, max_sweeps=args.sweeps)

@@ -234,8 +234,13 @@ def fuzzy_standardize(grid: Grid, spec: FuzzySpec) -> SuitabilityGrid:
         rise = _rise(v, spec.a, spec.b, spec.shape)
         fall = _fall(v, spec.c, spec.d, spec.shape)
         m = np.where(v <= spec.b, rise, np.where(v >= spec.c, fall, 1.0))
-    out = np.floor(m * 255.0 + 0.5)  # memberships are non-negative
-    return grid.scatter(valid, out, kind=SuitabilityGrid)
+        del rise, fall
+    del v
+    # m is a new array: round it in place, memberships are non-negative
+    m *= 255.0
+    m += 0.5
+    np.floor(m, out=m)
+    return grid.scatter(valid, m, kind=SuitabilityGrid)
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,8 @@ def conditional_probability_maps(current: LandCoverMap, tm: TransitionMatrix) ->
     if extra:
         raise DataError(f"classes {sorted(extra)} absent from transition matrix")
     sel = current.grid.valid
-    block = tm.probs[class_index(ids)[current.labels[sel]]]  # (n_sel, k)
-
-    return {cid: current.grid.scatter(sel, block[:, i]) for i, cid in enumerate(ids)}
+    rows = class_index(ids)[current.labels[sel]]  # each valid cell's row of the matrix
+    return {cid: current.grid.scatter(sel, tm.probs[:, i][rows]) for i, cid in enumerate(ids)}
 
 
 def expected_areas(

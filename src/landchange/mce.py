@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .grid import (
+    DEFAULT_NODATA,
     BinaryMask,
-    Grid,
     by_position,
     joint_valid,
     naming,
@@ -126,26 +126,32 @@ def _combine_prep(factors, weights, constraints):
     # constraints gate by value and stay out of the valid mask, where a mask
     # file with NODATA_VALUE 0 would lose its 0 cells
     require_same_geometry(*by_position("factor combination", factors[0], *constraints))
-    stack = np.stack([f.values[valid] for f in factors])  # the valid cells alone
-    return w, stack, valid
-
-
-def _gate(out: np.ndarray, constraints, valid: np.ndarray, geometry: Grid) -> SuitabilityGrid:
-    for m in constraints:
-        out = out * m.values[valid]
-    return geometry.scatter(valid, out, kind=SuitabilityGrid)
+    return w, valid
 
 
 def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] = ()) -> SuitabilityGrid:
     """Weighted linear combination: round(sum w_i * f_i), then constraint gating.
 
     Weights are expected to sum to 1 so the result stays on the byte scale.
+    The terms w_i * f_i are added into the output grid in factor order, the
+    order in which `np.sum(..., axis=0)` reduces a (factors, cells) stack,
+    and every step runs in place on the valid cells alone (`where=valid`),
+    so the only other grid-sized array is one term.
     """
-    w, stack, valid = _combine_prep(factors, weights, constraints)
-    terms = w[:, None] * stack
-    combined = np.sum(terms, axis=0)
-    out = np.floor(combined + 0.5)
-    return _gate(out, constraints, valid, factors[0])
+    w, valid = _combine_prep(factors, weights, constraints)
+    geometry = factors[0]
+    out = np.full(geometry.shape, DEFAULT_NODATA)
+    term = np.empty(geometry.shape)
+    np.multiply(factors[0].values, w[0], out=out, where=valid)
+    for f, wi in zip(factors[1:], w[1:]):
+        np.multiply(f.values, wi, out=term, where=valid)
+        np.add(out, term, out=out, where=valid)
+    del term
+    np.add(out, 0.5, out=out, where=valid)
+    np.floor(out, out=out, where=valid)
+    for m in constraints:
+        np.multiply(out, m.values, out=out, where=valid)
+    return SuitabilityGrid(out, geometry.cell_size, geometry.x_origin, geometry.y_origin, DEFAULT_NODATA)
 
 
 def owa(
@@ -163,22 +169,33 @@ def owa(
     1, so the result reduces to wlc bit for bit.
     """
     ow = np.asarray(order_weights, dtype=np.float64)
-    w, stack, valid = _combine_prep(factors, factor_weights, constraints)
+    w, valid = _combine_prep(factors, factor_weights, constraints)
     n = len(factors)
     if ow.ndim != 1 or ow.size != n:
         raise DataError(f"{n} factors but {ow.size} order weights")
     if not (np.all(ow >= 0) and abs(float(ow.sum()) - 1.0) <= 1e-9):
         raise DataError("order weights must be non-negative and sum to 1")
 
-    terms = w[:, None] * stack  # same term layout and reduction order as wlc
-    scaled = terms * float(n)
-    order = np.argsort(scaled, axis=0, kind="stable")  # ascending, ties by factor index
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n, dtype=order.dtype)[:, None], axis=0)
-    effective = ow * float(n)  # uniform order weights make this exactly 1.0 per slot
-    combined = np.sum(effective[ranks] * terms, axis=0)
-    out = np.floor(np.clip(combined, 0.0, 255.0) + 0.5)
-    return _gate(out, constraints, valid, factors[0])
+    terms = np.empty((n, int(np.count_nonzero(valid))))  # the valid cells alone
+    for row, f in zip(terms, factors):
+        row[:] = f.values[valid]
+    terms *= w[:, None]  # same term layout and reduction order as wlc
+    order = np.argsort(terms * float(n), axis=0, kind="stable")  # ascending, ties by factor index
+    # the term of rank r is multiplied by effective[r]; uniform order
+    # weights make every multiplier exactly 1.0
+    effective = ow * float(n)
+    multiplier = np.empty_like(terms)
+    np.put_along_axis(multiplier, order, effective[:, None], axis=0)
+    del order
+    multiplier *= terms
+    combined = np.sum(multiplier, axis=0)
+    del multiplier, terms
+    np.clip(combined, 0.0, 255.0, out=combined)
+    combined += 0.5
+    np.floor(combined, out=combined)
+    for m in constraints:
+        combined *= m.values[valid]
+    return factors[0].scatter(valid, combined, kind=SuitabilityGrid)
 
 
 # ---------------------------------------------------------------------------

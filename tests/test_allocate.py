@@ -293,6 +293,91 @@ def test_mola_reference_cases_cover_several_rounds_and_running_out():
             mola({0: _grid([[2.0, 1.0, 3.0]]), 1: _grid([[2.0, 1.0, 3.0]])}, AllocationTargets({0: 1, 1: 2}))
 
 
+def _ref_claim(class_ids, keys, targets):
+    """`_claim` as it was before it scanned in blocks and kept its positions
+    narrow: each round scans a class's whole remaining order for free cells
+    with int64 positions, and the state arrays all take the rank type."""
+    n = keys[class_ids[0]].size
+    total = sum(targets.values())
+    if total != n:
+        raise DataError(f"targets sum to {total} but {n} pixels are eligible")
+    index = np.int32 if n < 2**31 else np.int64
+    orders = {c: np.argsort(key, kind="stable").astype(index, copy=False) for c, key in keys.items()}
+    assigned = np.full(n, -1, dtype=index)
+    best = np.full(n, np.iinfo(index).max, dtype=index)
+    holder = np.empty(n, dtype=index)
+    remaining = dict(targets)
+    cursor = {c: 0 for c in class_ids}
+    while any(v > 0 for v in remaining.values()):
+        claims = {}
+        for i, c in enumerate(class_ids):
+            need = remaining[c]
+            if need == 0:
+                continue
+            start = cursor[c]
+            seg = orders[c][start:]
+            free = np.flatnonzero(assigned[seg] < 0)
+            take = free[:need]
+            if take.size == 0:
+                raise DataError(f"class {c} ran out of pixels with {need} still to allocate")
+            picked = seg[take]
+            cursor[c] = start + int(take[-1]) + 1
+            rnk = take + start
+            wins = rnk < best[picked]
+            won = picked[wins]
+            best[won] = rnk[wins]
+            holder[won] = i
+            claims[i] = picked
+        for i, picked in claims.items():
+            won = picked[holder[picked] == i]
+            assigned[won] = i
+            remaining[class_ids[i]] -= won.size
+    return assigned
+
+
+@st.composite
+def _claim_cases(draw):
+    """Keys of 1-5 classes over 1-400 cells, uint16 (the key table's ranks)
+    or float64 (negated products), drawn from so few levels that most cells
+    tie; targets that sum to the cell count, skewed so classes contest the
+    same cells over several rounds, or miss it by one; and a scan block
+    from one cell to more than every cell."""
+    n = draw(st.integers(1, 400))
+    class_ids = sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True)))
+    dtype = draw(st.sampled_from([np.uint16, np.float64]))
+    n_levels = draw(st.sampled_from([1, 2, 3, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype is np.uint16:
+        keys = {c: rng.integers(0, n_levels, size=n).astype(np.uint16) for c in class_ids}
+    else:
+        keys = {c: -(rng.integers(0, n_levels, size=n) * 0.01) for c in class_ids}
+    split = rng.multinomial(n, rng.dirichlet(np.full(len(class_ids), 0.3)))
+    targets = {c: int(t) for c, t in zip(class_ids, split)}
+    if draw(st.integers(0, 9)) == 0:
+        targets[class_ids[0]] += 1
+    block = draw(st.sampled_from([1, 2, 3, 7, 64, 1 << 14]))
+    return class_ids, keys, targets, block
+
+
+@settings(max_examples=400, deadline=None)
+@given(_claim_cases())
+def test_claim_matches_the_whole_order_scan(case):
+    class_ids, keys, targets, block = case
+    try:
+        want = _ref_claim(class_ids, dict(keys), targets)
+    except DataError as e:
+        with pytest.raises(DataError) as exc:
+            allocate._claim(class_ids, dict(keys), targets)
+        assert str(exc.value) == str(e)
+        return
+    given_keys = dict(keys)
+    with mock.patch.object(allocate, "_SCAN_BLOCK", block):
+        got = allocate._claim(class_ids, given_keys, targets)
+    assert got.tolist() == want.tolist()
+    assert np.issubdtype(got.dtype, np.signedinteger) and got.dtype.itemsize == 1  # at most 5 classes
+    assert given_keys == {}  # each key array went once its class order was built
+
+
 def test_contiguity_filter_hand_case():
     lc = _lcm([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], {0: "a", 1: "b"})
     out = contiguity_filter(lc, 1, kernel_size=3)
@@ -489,6 +574,28 @@ def _cellular_cases(draw):
 def test_ca_markov_matches_the_float_path(case):
     current, tm, suits, params = case
     _same_allocation(ca_markov(current, tm, suits, params), _ref_ca_markov(current, tm, suits, params))
+
+
+def _inputs_snapshot(current, suits):
+    return (
+        current.grid.values.tobytes(),
+        current.labels.tobytes(),
+        {c: (id(g), g.values.tobytes()) for c, g in suits.items()},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cellular_cases())
+def test_mola_and_ca_markov_leave_their_callers_grids_unchanged(case):
+    current, tm, suits, params = case
+    before = _inputs_snapshot(current, suits)
+    ca_markov(current, tm, suits, params)
+    assert _inputs_snapshot(current, suits) == before
+    eligible = int(np.all([g.valid for g in suits.values()], axis=0).sum())
+    ids = sorted(suits)
+    targets = AllocationTargets({c: eligible if c == ids[0] else 0 for c in ids})
+    mola(suits, targets)
+    assert _inputs_snapshot(current, suits) == before
 
 
 @settings(max_examples=300, deadline=None)

@@ -150,6 +150,51 @@ def test_distance_to_a_mask_without_targets_names_it(sc, capsys, caplog):
     assert not out.exists()
 
 
+def test_classify_names_the_training_map_of_a_class_with_too_few_pixels(sc, capsys, caplog):
+    # three bands: a class needs at least 4 training pixels, class 1 has 2
+    g = read_ascii_grid(sc / "map_1988.asc")
+    training, out = sc / "training.asc", sc / "o"
+    values = np.zeros(g.shape)
+    values[0, :2] = 1.0
+    write_ascii_grid(g.with_values(values), training)
+    bands = [str(sc / f"prox{c}.asc") for c in range(3)]
+    code, err = _main(["classify", *bands, "--training", str(training), "--out", str(out)], capsys, caplog)
+    _assert_named(code, err, training, "class 1 ('class 1') has 2 training pixels, needs at least 4")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["oif", "oif --mask", "preprocess"])
+def test_bands_sharing_fewer_than_two_valid_pixels_are_named_by_their_files(sc, capsys, caplog, command):
+    # the bands' correlation needs 2 pixels where both hold data: here the
+    # first band holds data in the top half alone and the second in the
+    # bottom half alone, or a mask selects one cell
+    g = read_ascii_grid(sc / "prox0.asc")
+    first, second, mask, out = sc / "first.asc", sc / "second.asc", sc / "mask.asc", sc / "o"
+    top, bottom = g.values.copy(), g.values.copy()
+    if command == "oif --mask":
+        selected = np.zeros(g.shape)
+        selected[0, 0] = 1.0
+    else:
+        top[8:] = bottom[:8] = g.nodata_value
+        selected = np.ones(g.shape)
+    write_ascii_grid(g.with_values(top), first)
+    write_ascii_grid(g.with_values(bottom), second)
+    write_ascii_grid(g.with_values(selected), mask)
+    bands = [str(first), str(second), str(sc / "prox2.asc")]
+    args = {
+        "oif": ["oif", *bands],
+        "oif --mask": ["oif", *bands, "--mask", str(mask)],
+        "preprocess": ["preprocess", *bands, "--reference", str(mask)],
+    }[command]
+    code, err = _main([*args, "--out", str(out)], capsys, caplog)
+    under = f" under --mask {mask}" if command == "oif --mask" else ""
+    assert code == 3, err
+    assert err.count(str(first)) == err.count(str(second)) == 1, err
+    assert f"{first} and {second} share fewer than 2 valid pixels{under}" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["preprocess --reference", "oif --mask", "criteria --distance-to", "[constraints]"])
 def test_a_class_map_given_as_a_mask_is_a_data_error_naming_it(sc, capsys, caplog, where):
     # map_1988.asc holds classes 0, 1 and 2: not a 0/1 mask

@@ -132,6 +132,113 @@ def test_owa_uniform_equals_wlc():
     assert grids_equal(owa(factors, w, [0.25] * 4), wlc(factors, w))
 
 
+# The combination before it ran in place, kept as the reference for wlc and
+# owa bit for bit: a (factors, cells) stack of the jointly valid cells,
+# weighted as a whole and reduced with np.sum, then gated by value.
+
+
+def _ref_stack(factors):
+    valid = factors[0].valid
+    for f in factors[1:]:
+        valid = valid & f.valid
+    return valid, np.stack([f.values[valid] for f in factors])
+
+
+def _ref_gate(out, constraints, valid, geometry):
+    for m in constraints:
+        out = out * m.values[valid]
+    return geometry.scatter(valid, out, kind=SuitabilityGrid)
+
+
+def _ref_wlc(factors, w, constraints):
+    valid, stack = _ref_stack(factors)
+    out = np.floor(np.sum(w[:, None] * stack, axis=0) + 0.5)
+    return _ref_gate(out, constraints, valid, factors[0])
+
+
+def _ref_owa(factors, w, ow, constraints):
+    valid, stack = _ref_stack(factors)
+    n = len(factors)
+    terms = w[:, None] * stack
+    order = np.argsort(terms * float(n), axis=0, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(n, dtype=order.dtype)[:, None], axis=0)
+    combined = np.sum((ow * float(n))[ranks] * terms, axis=0)
+    out = np.floor(np.clip(combined, 0.0, 255.0) + 0.5)
+    return _ref_gate(out, constraints, valid, factors[0])
+
+
+_SAATY_SCALE = [1 / 9, 1 / 7, 1 / 5, 1 / 3, 1.0, 3.0, 5.0, 7.0, 9.0]
+
+
+@st.composite
+def _combination_cases(draw):
+    """1-9 byte factors with nodata on one of several nodata values (0 and
+    255 among them), weights from a random comparison matrix, in tenths or
+    drawn and normalised, 0-2 constraint masks, and order weights uniform,
+    one-hot or drawn."""
+    n = draw(st.integers(1, 9))
+    shape = draw(st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)), st.just((64, 80))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodata_p = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    factors = []
+    for _ in range(n):
+        nodata = draw(st.sampled_from([-9999.0, 0.0, 255.0]))
+        vals = rng.integers(0, 256, size=shape).astype(np.float64)
+        vals[rng.random(shape) < nodata_p] = nodata
+        factors.append(SuitabilityGrid(vals, 30.0, nodata_value=nodata))
+    how = draw(st.sampled_from(["saaty", "tenths", "drawn"]))
+    if how == "saaty":
+        a = np.ones((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i, j] = rng.choice(_SAATY_SCALE)
+                a[j, i] = 1.0 / a[i, j]
+        weights = saaty_weights(SaatyMatrix(a)).weights
+    elif how == "tenths":
+        # about a tenth of the exact sums end in .5, where the rounding of
+        # each addition decides the byte
+        weights = (1 + rng.multinomial(10 - n, np.full(n, 1.0 / n))) / 10.0
+    else:
+        weights = rng.random(n) + 0.01
+        weights /= weights.sum()
+    constraints = [
+        BinaryMask((rng.random(shape) < 0.7).astype(np.float64), 30.0, nodata_value=nodata)
+        for nodata in draw(st.lists(st.sampled_from([-9999.0, 0.0]), max_size=2))
+    ]
+    order = draw(st.sampled_from(["uniform", "one-hot", "drawn"]))
+    if order == "uniform":
+        order_weights = np.full(n, 1.0 / n)
+    elif order == "one-hot":
+        order_weights = np.eye(n)[rng.integers(n)]
+    else:
+        order_weights = rng.random(n)
+        order_weights /= order_weights.sum()
+    return factors, weights, order_weights, constraints
+
+
+def _same_suitability(fn, ref):
+    try:
+        want = ref()
+    except DataError as e:
+        with pytest.raises(DataError) as exc:
+            fn()
+        assert str(exc.value) == str(e)
+        return
+    got = fn()
+    assert type(got) is SuitabilityGrid
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.same_geometry(want) and got.nodata_value == want.nodata_value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_combination_cases())
+def test_wlc_and_owa_match_the_stacked_reference(case):
+    factors, w, ow, constraints = case
+    _same_suitability(lambda: wlc(factors, w, constraints), lambda: _ref_wlc(factors, w, constraints))
+    _same_suitability(lambda: owa(factors, w, ow, constraints), lambda: _ref_owa(factors, w, ow, constraints))
+
+
 def test_owa_validation():
     f0 = _suit([[10.0]])
     with pytest.raises(DataError, match="order weights"):
