@@ -69,24 +69,6 @@ def _class_orders(keys: dict[int, np.ndarray], index: type) -> dict[int, np.ndar
     return {c: np.argsort(keys.pop(c), kind="stable").astype(index, copy=False) for c in list(keys)}
 
 
-# cells of a class's order looked at per step when it seeks its free cells
-_SCAN_BLOCK = 1 << 14
-
-
-def _first_free(seg: np.ndarray, assigned: np.ndarray, need: int) -> np.ndarray:
-    """Places in seg of its first `need` cells that hold no class yet (all
-    of them when fewer are free), ascending, of seg's dtype. Scans seg in
-    blocks and stops at the need-th free cell."""
-    take = np.empty(min(need, seg.size), dtype=seg.dtype)
-    got = lo = 0
-    while got < take.size and lo < seg.size:
-        free = np.flatnonzero(assigned[seg[lo : lo + _SCAN_BLOCK]] < 0)[: take.size - got]
-        take[got : got + free.size] = free + lo
-        got += free.size
-        lo += _SCAN_BLOCK
-    return take[:got]
-
-
 def _claim(class_ids: list[int], keys: dict[int, np.ndarray], targets: dict[int, int]) -> np.ndarray:
     """MOLA's ranked claims on cells 0..n-1, where keys[c] holds class c's
     key for each cell and targets[c] its cell count, for every c in
@@ -127,7 +109,7 @@ def _claim(class_ids: list[int], keys: dict[int, np.ndarray], targets: dict[int,
                 continue
             start = cursor[c]
             seg = orders[c][start:]
-            rnk = _first_free(seg, assigned, need)
+            rnk = np.flatnonzero(assigned[seg] < 0)[:need].astype(index)
             if rnk.size == 0:
                 raise DataError(f"class {c} ran out of pixels with {need} still to allocate")
             picked = seg[rnk]

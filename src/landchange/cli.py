@@ -17,7 +17,6 @@ import argparse
 import logging
 import math
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .config import load_config
 from .criteria import FuzzySpec, distance_transform, fuzzy_standardize, make_constraint
 from .errors import ConfigError, DataError, LandchangeError, NumericalError
 from .grid import (
+    BinaryMask,
     LandCoverMap,
     MultiBandImage,
     export_ppm,
@@ -53,6 +53,8 @@ from .indices import (
 )
 from .pipeline import run_pipeline, run_stage
 from .preprocess import (
+    BandStats,
+    SharedPixelsError,
     band_statistics,
     dark_object_values,
     dos_correct,
@@ -95,13 +97,15 @@ def _require_valid_bands(paths, image: MultiBandImage, sel=True, under: str = ""
             raise DataError(f"{path}: no valid pixels{under}")
 
 
-def _require_shared_pixels(paths, image: MultiBandImage, sel=True, under: str = "") -> None:
-    """Two bands that share fewer than 2 valid pixels where `sel` holds,
-    too few for their correlation, are a data error naming both files, and
-    with `under` the mask file that selects."""
-    for (path_i, band_i), (path_j, band_j) in combinations(zip(paths, image.bands), 2):
-        if np.count_nonzero(band_i.valid & band_j.valid & sel) < 2:
-            raise DataError(f"{path_i} and {path_j} share fewer than 2 valid pixels{under}")
+def _band_statistics(paths, image: MultiBandImage, mask: BinaryMask | None = None, under: str = "") -> BandStats:
+    """band_statistics, where two bands that share fewer than 2 valid
+    pixels are a data error naming both files, and with `under` the mask
+    file that selects."""
+    try:
+        return band_statistics(image, mask)
+    except SharedPixelsError as e:
+        i, j = e.pair
+        raise DataError(f"{paths[i]} and {paths[j]} share fewer than 2 valid pixels{under}") from None
 
 
 def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
@@ -121,10 +125,9 @@ def cmd_preprocess(args) -> int:
     reference = read_mask(args.reference)
     require_same_geometry((args.bands[0], image.geometry), (args.reference, reference))
     _require_valid_bands(args.bands, image, reference.selected, f" under --reference {args.reference}")
-    _require_shared_pixels(args.bands, image)  # the statistics of the corrected bands take every pixel
     dark = dark_object_values(image, reference, args.percentile)
     corrected = dos_correct(image, dark)
-    stats = band_statistics(corrected)
+    stats = _band_statistics(args.bands, corrected)
     out = _outdir(args)
     for band, label in zip(corrected.bands, corrected.labels):
         write_ascii_grid(band, out / f"corrected_{label}.asc")
@@ -138,16 +141,14 @@ def cmd_preprocess(args) -> int:
 def cmd_oif(args) -> int:
     _check_flag(len(args.bands) >= 3, "the band count", "at least 3 (OIF ranks band triples)", len(args.bands))
     image = _read_image(args.bands, args.labels)
+    mask, under = None, ""
     if args.mask:
-        mask = read_mask(args.mask)
+        mask, under = read_mask(args.mask), f" under --mask {args.mask}"
         require_same_geometry((args.bands[0], image.geometry), (args.mask, mask))
-        _require_valid_bands(args.bands, image, mask.selected, f" under --mask {args.mask}")
-        _require_shared_pixels(args.bands, image, mask.selected, f" under --mask {args.mask}")
+        _require_valid_bands(args.bands, image, mask.selected, under)
     else:
-        mask = None
         _require_valid_bands(args.bands, image)
-        _require_shared_pixels(args.bands, image)
-    stats = band_statistics(image, mask)
+    stats = _band_statistics(args.bands, image, mask, under)
     ranking = oif_rank(stats)
     out = _outdir(args)
     write_band_stats_csv(stats, out / "band_stats.csv")

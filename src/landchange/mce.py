@@ -134,9 +134,9 @@ def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] =
 
     Weights are expected to sum to 1 so the result stays on the byte scale.
     The terms w_i * f_i are added into the output grid in factor order, the
-    order in which `np.sum(..., axis=0)` reduces a (factors, cells) stack,
-    and every step runs in place on the valid cells alone (`where=valid`),
-    so the only other grid-sized array is one term.
+    order in which `np.sum(..., axis=0)` reduces a (factors, cells) stack
+    of two or more cells, and every step runs in place on the valid cells
+    alone (`where=valid`), so the only other grid-sized array is one term.
     """
     w, valid = _combine_prep(factors, weights, constraints)
     geometry = factors[0]
@@ -147,6 +147,10 @@ def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] =
         np.multiply(f.values, wi, out=term, where=valid)
         np.add(out, term, out=out, where=valid)
     del term
+    if np.count_nonzero(valid) == 1:
+        # the stack of one cell is a single run, which np.sum adds pairwise
+        # from 8 terms on: add its terms that way to keep the stack's bits
+        out[valid] = np.sum(w * np.concatenate([f.values[valid] for f in factors]))
     np.add(out, 0.5, out=out, where=valid)
     np.floor(out, out=out, where=valid)
     for m in constraints:

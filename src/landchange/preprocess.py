@@ -58,6 +58,15 @@ def dos_correct(image: MultiBandImage, dark: list[float]) -> MultiBandImage:
     return MultiBandImage(tuple(bands), image.labels)
 
 
+class SharedPixelsError(DataError):
+    """Two bands share fewer than 2 valid pixels, too few for their
+    correlation; `pair` holds their places in the image."""
+
+    def __init__(self, message: str, pair: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.pair = pair
+
+
 @dataclass(frozen=True)
 class BandStats:
     """Per-band mean and population standard deviation plus the pairwise
@@ -90,8 +99,8 @@ def band_statistics(image: MultiBandImage, mask: BinaryMask | None = None) -> Ba
     for i, j in combinations(range(n), 2):
         both = sel & image.bands[i].valid & image.bands[j].valid
         if np.count_nonzero(both) < 2:
-            raise DataError(
-                f"bands {image.labels[i]!r} and {image.labels[j]!r} share fewer than 2 valid pixels"
+            raise SharedPixelsError(
+                f"bands {image.labels[i]!r} and {image.labels[j]!r} share fewer than 2 valid pixels", (i, j)
             )
         a = image.bands[i].values[both]
         b = image.bands[j].values[both]

@@ -294,9 +294,9 @@ def test_mola_reference_cases_cover_several_rounds_and_running_out():
 
 
 def _ref_claim(class_ids, keys, targets):
-    """`_claim` as it was before it scanned in blocks and kept its positions
-    narrow: each round scans a class's whole remaining order for free cells
-    with int64 positions, and the state arrays all take the rank type."""
+    """`_claim` as it was before it kept its positions narrow: each round
+    takes a class's free cells as int64 positions, and the state arrays all
+    take the rank type."""
     n = keys[class_ids[0]].size
     total = sum(targets.values())
     if total != n:
@@ -340,8 +340,7 @@ def _claim_cases(draw):
     """Keys of 1-5 classes over 1-400 cells, uint16 (the key table's ranks)
     or float64 (negated products), drawn from so few levels that most cells
     tie; targets that sum to the cell count, skewed so classes contest the
-    same cells over several rounds, or miss it by one; and a scan block
-    from one cell to more than every cell."""
+    same cells over several rounds, or miss it by one."""
     n = draw(st.integers(1, 400))
     class_ids = sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True)))
     dtype = draw(st.sampled_from([np.uint16, np.float64]))
@@ -355,14 +354,13 @@ def _claim_cases(draw):
     targets = {c: int(t) for c, t in zip(class_ids, split)}
     if draw(st.integers(0, 9)) == 0:
         targets[class_ids[0]] += 1
-    block = draw(st.sampled_from([1, 2, 3, 7, 64, 1 << 14]))
-    return class_ids, keys, targets, block
+    return class_ids, keys, targets
 
 
 @settings(max_examples=400, deadline=None)
 @given(_claim_cases())
-def test_claim_matches_the_whole_order_scan(case):
-    class_ids, keys, targets, block = case
+def test_claim_matches_the_int64_reference(case):
+    class_ids, keys, targets = case
     try:
         want = _ref_claim(class_ids, dict(keys), targets)
     except DataError as e:
@@ -371,8 +369,7 @@ def test_claim_matches_the_whole_order_scan(case):
         assert str(exc.value) == str(e)
         return
     given_keys = dict(keys)
-    with mock.patch.object(allocate, "_SCAN_BLOCK", block):
-        got = allocate._claim(class_ids, given_keys, targets)
+    got = allocate._claim(class_ids, given_keys, targets)
     assert got.tolist() == want.tolist()
     assert np.issubdtype(got.dtype, np.signedinteger) and got.dtype.itemsize == 1  # at most 5 classes
     assert given_keys == {}  # each key array went once its class order was built

@@ -8,6 +8,7 @@ import pytest
 from landchange.errors import DataError
 from landchange.grid import Grid, MultiBandImage, mask_like
 from landchange.preprocess import (
+    SharedPixelsError,
     band_statistics,
     dark_object_values,
     dos_correct,
@@ -101,8 +102,9 @@ def test_band_statistics_mask_and_errors():
 def test_band_statistics_needs_two_shared_pixels():
     a = np.array([[1.0, 2.0]])
     b = np.array([[3.0, -9999.0]])
-    with pytest.raises(DataError, match="fewer than 2"):
+    with pytest.raises(SharedPixelsError, match="fewer than 2") as exc:
         band_statistics(_image(a, b))
+    assert exc.value.pair == (0, 1)  # the places of the two bands, for a caller to name them
 
 
 def test_oif_matches_inline_enumeration():
