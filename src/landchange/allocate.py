@@ -35,6 +35,7 @@ from .grid import (
     joint_valid,
     neighbor_counts,
     require_data_under,
+    require_same_classes,
     require_same_geometry,
     write_csv,
 )
@@ -144,10 +145,7 @@ def mola(
     pixel count; the result hits every target exactly and is
     deterministic.
     """
-    if set(targets.targets) != set(suitabilities):
-        raise DataError(
-            f"target classes {sorted(targets.targets)} do not match suitability classes {sorted(suitabilities)}"
-        )
+    require_same_classes(("suitability", suitabilities), ("mola: target", targets.targets))
     class_ids = sorted(suitabilities)
     geometry = suitabilities[class_ids[0]]
     eligible = joint_valid(*(suitabilities[c] for c in class_ids), context="mola")
@@ -277,14 +275,9 @@ def ca_markov(
     """
     params = params or CaParams()
     ids = sorted(suitabilities)
-    if set(ids) != set(current.class_ids):
-        raise DataError(
-            f"suitability classes {ids} do not match map classes {current.class_ids}"
-        )
-    if set(tm.class_ids) != set(ids):
-        raise DataError(
-            f"transition classes {sorted(tm.class_ids)} do not match map classes {ids}"
-        )
+    require_same_classes(
+        ("map", current.class_ids), ("ca_markov: suitability", ids), ("ca_markov: transition", tm.class_ids)
+    )
     require_same_geometry(*by_position("ca_markov", current.grid, *(suitabilities[c] for c in ids)))
     where = f"map {current.date_tag or '(undated)'}"
     for c in ids:

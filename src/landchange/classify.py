@@ -9,7 +9,7 @@ iterated conditional modes pass trades spectral evidence against
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .grid import (
     joint_valid,
     mask_like,
     neighbor_counts,
+    require_classes_cover,
     write_csv,
 )
 
@@ -74,10 +75,7 @@ def estimate_signatures(image: MultiBandImage, training: LandCoverMap) -> list[C
         total += n
     if not sigs:
         raise DataError("no class has any valid training pixels")
-    return [
-        ClassSignature(s.class_id, s.mean, s.covariance, s.sample_count / total, s.sample_count)
-        for s in sigs
-    ]
+    return [replace(s, prior=s.sample_count / total) for s in sigs]
 
 
 def maxlike(
@@ -199,8 +197,7 @@ def icm(
     active = joint_valid(initial.grid, *(scores[cid] for cid in class_ids), context="icm")
     labels = initial.labels
     present = {c for c, n in initial.class_counts().items() if n}
-    if not present <= set(class_ids):
-        raise DataError(f"initial map holds classes {sorted(present - set(class_ids))} without scores")
+    require_classes_cover(("initial map", present), ("icm: score", class_ids))
 
     n_rows, n_cols = initial.grid.shape
     w = n_cols + 2  # padded width

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .classify import estimate_signatures, icm, maxlike, write_signatures_csv
-from .config import load_config
+from .config import MODELS, load_config
 from .criteria import FuzzySpec, distance_transform, fuzzy_standardize, make_constraint
 from .errors import ConfigError, DataError, LandchangeError, NumericalError
 from .grid import (
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-size", type=_FLOAT, default=30.0)
     p.add_argument("--start-year", type=_INT, default=1988)
     p.add_argument("--year-step", type=_INT, default=6)
-    p.add_argument("--model", default="ca_markov", choices=("ca_markov", "mlp", "both"))
+    p.add_argument("--model", default="ca_markov", choices=MODELS)
     p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--out", required=True, help="scenario directory")

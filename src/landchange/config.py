@@ -39,6 +39,7 @@ _KNOWN_KEYS = {
     "mce": {"saaty", "method", "order_weights"},
     "predict": {"iterations", "kernel"},
     "mlp": {"hidden", "learning_rate", "epochs", "focal_class"},
+    "fuzzy.<criterion>": {"shape", "direction", "a", "b", "c", "d"},
 }
 _FREE_SECTIONS = ("maps", "criteria", "constraints", "suitability")
 
@@ -126,9 +127,7 @@ def _get_number(section, key, kind: type, default=None, minimum=None):
 
 
 def _resolve(base: Path, raw: str, what: str) -> Path:
-    p = Path(raw)
-    if not p.is_absolute():
-        p = base / p
+    p = base / raw  # an absolute raw path stands on its own
     if not p.is_file():
         raise ConfigError(f"{what}: file not found: {p}")
     return p
@@ -136,9 +135,9 @@ def _resolve(base: Path, raw: str, what: str) -> Path:
 
 def _check_known_keys(cfg: configparser.ConfigParser) -> None:
     for sec in cfg.sections():
-        if sec in _FREE_SECTIONS or sec.startswith("fuzzy."):
+        if sec in _FREE_SECTIONS:
             continue
-        allowed = _KNOWN_KEYS.get(sec)
+        allowed = _KNOWN_KEYS.get("fuzzy.<criterion>" if sec.startswith("fuzzy.") else sec)
         if allowed is None:
             raise ConfigError(f"unknown config section [{sec}]")
         stray = set(cfg[sec]) - allowed
@@ -169,9 +168,7 @@ def validate_config(
     if out_dir is not None:
         eff_out = Path(out_dir)  # command-line value: relative to the caller's cwd
     else:
-        eff_out = Path(run.get("out_dir") or "out")
-        if not eff_out.is_absolute():
-            eff_out = base / eff_out
+        eff_out = base / (run.get("out_dir") or "out")  # an absolute out_dir stands on its own
 
     if not cfg.has_section("maps") or not cfg["maps"]:
         raise ConfigError("missing [maps] section with at least two dated maps")
@@ -192,14 +189,10 @@ def validate_config(
     if cfg.has_section("legend") and cfg["legend"].get("file"):
         legend_path = _resolve(base, cfg["legend"]["file"], "legend.file")
 
-    criteria = {}
-    if cfg.has_section("criteria"):
-        for name, raw in cfg["criteria"].items():
-            criteria[name] = _resolve(base, raw, f"criteria.{name}")
-    constraints = {}
-    if cfg.has_section("constraints"):
-        for name, raw in cfg["constraints"].items():
-            constraints[name] = _resolve(base, raw, f"constraints.{name}")
+    criteria, constraints = (
+        {name: _resolve(base, raw, f"{sec}.{name}") for name, raw in (cfg[sec].items() if cfg.has_section(sec) else ())}
+        for sec in ("criteria", "constraints")
+    )
 
     fuzzy = {}
     for sec in cfg.sections():
@@ -209,9 +202,6 @@ def validate_config(
         if name not in criteria:
             raise ConfigError(f"[{sec}] refers to unknown criterion {name!r}")
         s = cfg[sec]
-        stray = set(s) - {"shape", "direction", "a", "b", "c", "d"}
-        if stray:
-            raise ConfigError(f"unknown key(s) {sorted(stray)} in section [{sec}]")
         try:
             fuzzy[name] = FuzzySpec(
                 (s.get("shape") or "linear").strip(),

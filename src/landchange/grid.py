@@ -48,10 +48,13 @@ the path already, so no message names a path twice.
 
 `require_same_geometry` is the one rule for geometry: it takes (name,
 grid) pairs and words a mismatch as '<name> geometry <G> does not match
-<first name> geometry <G0>'. Every input is checked where it is read,
+<first name> geometry <G0>'. `require_same_classes` is the one rule for
+class sets, worded alike: '<name> classes [..] do not match <first name>
+classes [..]'; `require_classes_cover`, for an input that may hold more
+classes, refuses through it. Every input is checked where it is read,
 under the name the user gave it: its path on the command line, its config
 key in the pipeline, its label in `MultiBandImage`. A kernel's own guards
-name their grids by position, through `by_position`.
+name their inputs by role or by position, through `by_position`.
 
 `parse_number` is the one rule for numbers in every text input and
 command-line flag, `write_csv` the shared CSV writer, and `joint_valid`
@@ -186,10 +189,27 @@ def require_same_geometry(*named: tuple[str, Grid]) -> None:
             )
 
 
-def by_position(context: str, *grids: Grid) -> list[tuple[str, Grid]]:
-    """The grids named by position, 'grid 0' and '<context>: grid i': the
-    names of a kernel's own guard, which knows no input names."""
+def by_position(context: str, *grids) -> list[tuple]:
+    """The grids, or their class ids, named by position, 'grid 0' and
+    '<context>: grid i': the names of a kernel's own guard."""
     return [(f"{context}: grid {i}" if i else "grid 0", g) for i, g in enumerate(grids)]
+
+
+def require_same_classes(*named: tuple) -> None:
+    """Raise a DataError naming the first (name, class ids) pair whose ids
+    differ, as a set, from the first pair's, and that pair: '<name> classes
+    [..] do not match <first name> classes [..]'."""
+    (first_name, first), *rest = named
+    for name, ids in rest:
+        if set(ids) != set(first):
+            raise DataError(f"{name} classes {sorted(ids)} do not match {first_name} classes {sorted(first)}")
+
+
+def require_classes_cover(first: tuple, later: tuple) -> None:
+    """`require_same_classes` for two pairs, where `later` may hold more ids
+    than `first`: it is refused only for lacking one, in that rule's words."""
+    if not set(first[1]) <= set(later[1]):
+        require_same_classes(first, later)
 
 
 def joint_valid(*grids: Grid, context: str) -> np.ndarray:
@@ -552,7 +572,8 @@ def write_ascii_grid(grid: Grid, path) -> None:
     if grid.holds_integers(0, _TABLE_MAX):
         # integer grid: the text of value v is text[v + 1], nodata's text[0]
         text = np.array([nodata, *map(str, range(grid.integer_range[1] + 1))], dtype=object)
-        index = np.where(grid.valid, values + 1, 0).astype(np.intp)  # -0.0 lands on 0's text
+        index = np.zeros(grid.shape, dtype=np.intp)  # -0.0 + 1 lands on 0's text
+        np.add(values, 1, out=index, where=grid.valid, casting="unsafe")
     else:
         # -0.0/0.0 and all NaNs merge here but format to the same text anyway
         distinct, index = np.unique(values, return_inverse=True)

@@ -18,12 +18,15 @@ from .errors import DataError, NumericalError
 from .grid import (
     Grid,
     LandCoverMap,
+    by_position,
     class_index,
     joint_counts,
     joint_valid,
     naming,
     parse_number,
     read_csv_rows,
+    require_classes_cover,
+    require_same_classes,
     write_csv,
 )
 
@@ -51,21 +54,13 @@ def largest_remainder(reals: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
-def _shared_ids(a: LandCoverMap, b: LandCoverMap, context: str) -> list[int]:
-    if set(a.class_ids) != set(b.class_ids):
-        raise DataError(
-            f"{context}: maps must share a legend, got {a.class_ids} vs {b.class_ids}"
-        )
-    return a.class_ids
-
-
 def crosstab(map_a: LandCoverMap, map_b: LandCoverMap) -> tuple[np.ndarray, list[int]]:
     """Counts[i, j] = pixels going from class ids[i] in map_a to ids[j] in map_b."""
     sel = joint_valid(map_a.grid, map_b.grid, context="crosstab")
-    ids = _shared_ids(map_a, map_b, "crosstab")
+    require_same_classes(*by_position("crosstab", map_a.class_ids, map_b.class_ids))
     if not sel.any():
         raise DataError("crosstab: no jointly valid pixels")
-    return joint_counts(ids, map_a.labels[sel], map_b.labels[sel]), ids
+    return joint_counts(map_a.class_ids, map_a.labels[sel], map_b.labels[sel]), map_a.class_ids
 
 
 @dataclass(frozen=True)
@@ -173,13 +168,12 @@ class SecondOrderTable:
 
 def second_order_transitions(m1: LandCoverMap, m2: LandCoverMap, m3: LandCoverMap) -> SecondOrderTable:
     sel = joint_valid(m1.grid, m2.grid, m3.grid, context="second_order_transitions")
-    ids = _shared_ids(m1, m2, "second_order_transitions")
-    _shared_ids(m2, m3, "second_order_transitions")
+    require_same_classes(*by_position("second_order_transitions", m1.class_ids, m2.class_ids, m3.class_ids))
     if not sel.any():
         raise DataError("second_order_transitions: no jointly valid pixels")
-    counts = joint_counts(ids, m1.labels[sel], m2.labels[sel], m3.labels[sel]).astype(np.float64)
+    counts = joint_counts(m1.class_ids, m1.labels[sel], m2.labels[sel], m3.labels[sel]).astype(np.float64)
 
-    fo_counts, _ = crosstab(m2, m3)
+    fo_counts, ids = crosstab(m2, m3)
     first = transition_probabilities(fo_counts, ids, 1.0)  # only its rows are used
 
     support = counts.sum(axis=2)
@@ -194,13 +188,10 @@ def second_order_transitions(m1: LandCoverMap, m2: LandCoverMap, m3: LandCoverMa
 def conditional_probability_maps(current: LandCoverMap, tm: TransitionMatrix) -> dict[int, Grid]:
     """Per-class grids of the probability that each pixel becomes that
     class: each pixel takes its current class's row of the matrix."""
-    ids = list(tm.class_ids)
-    extra = set(current.class_ids) - set(ids)
-    if extra:
-        raise DataError(f"classes {sorted(extra)} absent from transition matrix")
+    require_classes_cover(("map", current.class_ids), ("conditional_probability_maps: transition", tm.class_ids))
     sel = current.grid.valid
-    rows = class_index(ids)[current.labels[sel]]  # each valid cell's row of the matrix
-    return {cid: current.grid.scatter(sel, tm.probs[:, i][rows]) for i, cid in enumerate(ids)}
+    rows = class_index(tm.class_ids)[current.labels[sel]]  # each valid cell's row of the matrix
+    return {cid: current.grid.scatter(sel, tm.probs[:, i][rows]) for i, cid in enumerate(tm.class_ids)}
 
 
 def expected_areas(
@@ -211,17 +202,14 @@ def expected_areas(
     Returns (real-valued expectations, integer targets). Integer targets
     use largest-remainder rounding and sum exactly to the valid pixel count.
     """
-    ids = list(tm.class_ids)
-    extra = set(current.class_ids) - set(ids)
-    if extra:
-        raise DataError(f"classes {sorted(extra)} absent from transition matrix")
+    require_classes_cover(("map", current.class_ids), ("expected_areas: transition", tm.class_ids))
     counts = current.class_counts()
-    n = np.array([counts.get(cid, 0) for cid in ids], dtype=np.float64)
+    n = np.array([counts.get(cid, 0) for cid in tm.class_ids], dtype=np.float64)
     expect = n @ tm.probs
     ints = largest_remainder(expect, int(n.sum()))
     return (
-        {cid: float(e) for cid, e in zip(ids, expect)},
-        {cid: int(t) for cid, t in zip(ids, ints)},
+        {cid: float(e) for cid, e in zip(tm.class_ids, expect)},
+        {cid: int(t) for cid, t in zip(tm.class_ids, ints)},
     )
 
 

@@ -111,13 +111,8 @@ def saaty_weights(matrix: SaatyMatrix, max_iterations: int = 10000) -> WeightSet
     return WeightSet(w, lam, ci, cr)
 
 
-def _weight_array(weights) -> np.ndarray:
-    w = weights.weights if isinstance(weights, WeightSet) else weights
-    return np.asarray(w, dtype=np.float64)
-
-
 def _combine_prep(factors, weights, constraints):
-    w = _weight_array(weights)
+    w = np.asarray(weights.weights if isinstance(weights, WeightSet) else weights, dtype=np.float64)
     if len(factors) == 0:
         raise DataError("no factor grids given")
     if w.ndim != 1 or w.size != len(factors):

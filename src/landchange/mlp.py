@@ -42,7 +42,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .grid import Grid, LandCoverMap, class_index, joint_valid, naming, parse_number, read_text, write_csv
+from .grid import (
+    Grid, LandCoverMap, class_index, joint_valid, naming, parse_number, read_text, require_classes_cover, write_csv
+)
 
 log = logging.getLogger("landchange")
 
@@ -443,9 +445,7 @@ def predict_map(model: MLPModel, prior: LandCoverMap, criteria: list[Grid]) -> G
             f"model was trained with {len(spec.criteria_bounds)} criteria, got {len(criteria)}"
         )
     sel = joint_valid(prior.grid, *criteria, context="predict_map")
-    extra = set(prior.class_ids) - set(spec.class_ids)
-    if extra:
-        raise DataError(f"prior map classes {sorted(extra)} unknown to the model")
+    require_classes_cover(("prior map", prior.class_ids), ("predict_map: model", spec.class_ids))
     x = _encode(spec, prior.labels[sel], [c.values[sel] for c in criteria])
     return prior.grid.scatter(sel, forward_batch(model, x))
 

@@ -17,12 +17,13 @@ criterion grids that mce and the perceptron share in a `both` run. Each
 criterion and constraint grid is checked against the maps' geometry where
 it is read, and a mismatch names its config key; an earlier stage's grid
 taken by a later one (`suit_<id>.asc`, `predicted_*.asc`) is checked the
-same way, named by its path. Every rule that holds the config against the
-legend is checked, by `_check_legend`, before any stage writes. The
-compute code is the same either way, so chaining the stage subcommands
-produces byte-identical artifacts to the full run. The last dated map is
-held out: transitions are estimated from the two maps before it, the
-prediction targets its year, and validation compares against it.
+same way, named by its path, as are the classes of a
+`transition_scaled.csv` or `mlp_model.txt` read. Every rule that holds the
+config against the legend is checked, by `_check_legend`, before any stage
+writes. The compute code is the same either way, so chaining the stage
+subcommands produces byte-identical artifacts to the full run. The last
+dated map is held out: transitions are estimated from the two maps before
+it, the prediction targets its year, and validation compares against it.
 
 Each stage returns its own section of the text report, formatted where
 its values are computed, so a full run's report is the settings followed by
@@ -66,7 +67,9 @@ from .grid import (
     naming,
     read_ascii_grid,
     read_mask,
+    require_classes_cover,
     require_data_under,
+    require_same_classes,
     require_same_geometry,
     write_ascii_grid,
     write_csv,
@@ -114,7 +117,7 @@ def load_maps(cfg: PipelineConfig) -> list[LandCoverMap]:
     """Dated maps in year order, sharing one legend (the configured legend
     file, or the union of classes present in the maps). Every map must share
     the first map's geometry; a mismatch names both config keys. A value
-    that is not a class of the legend names its map's path."""
+    that is not a class of the legend, or no valid cell, names the map's path."""
     grids = [read_ascii_grid(path) for _, path in cfg.maps]
     require_same_geometry(*((f"maps.{year}", g) for (year, _), g in zip(cfg.maps, grids)))
     if cfg.legend_path:
@@ -130,6 +133,8 @@ def load_maps(cfg: PipelineConfig) -> list[LandCoverMap]:
     maps = []
     for (year, path), g in zip(cfg.maps, grids):
         with naming(path):
+            if not g.valid.any():
+                raise DataError("no valid pixels")
             maps.append(LandCoverMap(g, legend, str(year)))
     return maps
 
@@ -165,6 +170,19 @@ def _read_suitability(path, cur: LandCoverMap) -> SuitabilityGrid:
         return SuitabilityGrid(g.values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value)
 
 
+def _read_transition(path, cur: LandCoverMap):
+    tm = read_transition_csv(path)
+    require_same_classes((f"maps.{cur.date_tag}", cur.class_ids), (str(path), tm.class_ids))
+    return tm
+
+
+def _read_model(path, cur: LandCoverMap):
+    model = load_model(path)
+    if model.features is not None:  # predict_map refuses a model with no classes
+        require_classes_cover((f"maps.{cur.date_tag}", cur.class_ids), (str(path), model.features.class_ids))
+    return model
+
+
 def _read_layer(cfg: PipelineConfig, section: str, name: str, cur: LandCoverMap) -> Grid:
     """The [criteria] grid or [constraints] mask `name`. It must share the
     geometry of the dated maps, and a criterion must hold data wherever
@@ -176,10 +194,6 @@ def _read_layer(cfg: PipelineConfig, section: str, name: str, cur: LandCoverMap)
     if section == "criteria":
         require_data_under(cur.grid, g, f"criteria.{name}", f"maps.{cur.date_tag}")
     return g
-
-
-def _read_constraints(cfg: PipelineConfig, cur: LandCoverMap):
-    return [_read_layer(cfg, "constraints", name, cur) for name in cfg.constraints]
 
 
 # each change model: the stages that make its prediction, its prediction
@@ -343,7 +357,7 @@ def stage_mce(cfg: PipelineConfig, handed: dict | None) -> list[str]:
         factors[name] = fuzzy_standardize(g, cfg.fuzzy[name])
         if cfg.model == "both":
             criteria[name] = g
-    constraints = _read_constraints(cfg, cur)
+    constraints = [_read_layer(cfg, "constraints", name, cur) for name in cfg.constraints]
     suits = {}
     for cid, names in cfg.suitability.items():
         fs = [factors[name] for name in names]
@@ -391,7 +405,7 @@ def _allocate(cfg: PipelineConfig, handed: dict | None, model: str, cur: LandCov
 def stage_predict(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     """Allocate the projected areas on the MCE suitabilities."""
     cur = _window(cfg, handed).cur
-    tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", read_transition_csv)
+    tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", lambda path: _read_transition(path, cur))
     suits = {
         cid: _take(cfg, handed, f"suit_{cid}.asc", "mce stage", lambda path: _read_suitability(path, cur))
         for cid in cur.class_ids
@@ -427,9 +441,9 @@ def stage_mlp_predict(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     """Allocate the projected areas on the perceptron's focal-class
     probability, standardized increasing for the focal class and decreasing
     for the other, and write that probability."""
-    model = _take(cfg, handed, MLP_MODEL, "mlp-train stage", load_model)
     cur = _window(cfg, handed).cur
-    tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", read_transition_csv)
+    model = _take(cfg, handed, MLP_MODEL, "mlp-train stage", lambda path: _read_model(path, cur))
+    tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", lambda path: _read_transition(path, cur))
     prob = predict_map(model, cur, list(_criteria(cfg, handed, cur).values()))
     rise = {cid: "increasing" if cid == model.features.focal_class else "decreasing" for cid in cur.class_ids}
     suits = {cid: fuzzy_standardize(prob, FuzzySpec("linear", d, 0.0, 1.0)) for cid, d in rise.items()}

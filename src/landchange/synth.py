@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocate import contiguity_weights
+from .config import MODELS
 from .criteria import distance_transform
 from .errors import ConfigError
 from .grid import BinaryMask, Grid, LandCoverMap, write_ascii_grid, write_legend
@@ -217,8 +218,8 @@ def consistent_saaty(n: int) -> SaatyMatrix:
 def write_scenario(result: SynthResult, out_dir, model: str = "ca_markov") -> Path:
     """Write the whole scenario as files plus the pipeline config that
     consumes them. Returns the config path."""
-    if model not in ("ca_markov", "mlp", "both"):
-        raise ConfigError(f"model must be ca_markov, mlp or both, got {model!r}")
+    if model not in MODELS:
+        raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
     spec = result.spec
     saaty = consistent_saaty(spec.n_classes)  # refuses before anything is written
     out = Path(out_dir)

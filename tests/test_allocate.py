@@ -143,7 +143,7 @@ def test_mola_map_takes_the_standard_nodata():
 
 def test_mola_errors():
     g = _grid([[1.0, 2.0]])
-    with pytest.raises(DataError, match="do not match"):
+    with pytest.raises(DataError, match=r"^mola: target classes \[0, 1\] do not match suitability classes \[0\]$"):
         mola({0: g}, AllocationTargets({0: 1, 1: 1}))
     with pytest.raises(DataError, match="eligible"):
         mola({0: g, 1: g}, AllocationTargets({0: 1, 1: 2}))
@@ -477,9 +477,9 @@ def test_ca_markov_errors():
     lc = _lcm([[0.0, 1.0]], {0: "a", 1: "b"})
     g = _grid([[1.0, 2.0]])
     tm = TransitionMatrix(np.eye(2), 1.0, (0, 1))
-    with pytest.raises(DataError, match="suitability classes"):
+    with pytest.raises(DataError, match=r"^ca_markov: suitability classes \[0\] do not match map classes \[0, 1\]$"):
         ca_markov(lc, tm, {0: g})
-    with pytest.raises(DataError, match="transition classes"):
+    with pytest.raises(DataError, match=r"^ca_markov: transition classes \[0, 2\] do not match map classes \[0, 1\]$"):
         ca_markov(lc, TransitionMatrix(np.eye(2), 1.0, (0, 2)), {0: g, 1: g})
 
 

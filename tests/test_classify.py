@@ -221,7 +221,7 @@ def test_icm_validation():
     with pytest.raises(DataError):
         icm(lc, {})
     lc2 = _map(np.array([[0.0, 1.0]]), {0: "a", 1: "b"})
-    with pytest.raises(DataError, match="without scores"):
+    with pytest.raises(DataError, match=r"^icm: score classes \[0\] do not match initial map classes \[0, 1\]$"):
         icm(lc2, {0: Grid(np.zeros((1, 2)), 1.0, nodata_value=SCORE_NODATA)})
 
 

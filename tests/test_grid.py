@@ -31,6 +31,8 @@ from landchange.grid import (
     read_csv_rows,
     read_legend,
     read_text,
+    require_classes_cover,
+    require_same_classes,
     require_same_geometry,
     write_ascii_grid,
     write_legend,
@@ -78,6 +80,21 @@ def test_geometry_comparisons():
         "c geometry (2, 3)/2.0 at lower-left corner (0.0, 0.0) does not match "
         "a geometry (2, 3)/1.0 at lower-left corner (0.0, 0.0)"
     )
+
+
+def test_the_two_class_set_rules_share_one_wording():
+    # equal sets in any order pass both; a set may cover more only under the second
+    require_same_classes(("a", [0, 1]), ("b", (1, 0)), ("c", {0, 1}))
+    require_classes_cover(("a", [0, 1]), ("b", [2, 1, 0]))
+    require_classes_cover(("a", {1, 0}), ("b", (0, 1)))
+    for rule, named, message in [
+        (require_same_classes, [("a", [0, 1]), ("b", [1, 0]), ("c", [0, 1, 2])], "c classes [0, 1, 2] do not match a classes [0, 1]"),
+        (require_same_classes, [("a", [0, 1]), ("b", [0])], "b classes [0] do not match a classes [0, 1]"),
+        (require_classes_cover, [("a", {1, 0}), ("c", [2, 0])], "c classes [0, 2] do not match a classes [0, 1]"),
+    ]:
+        with pytest.raises(DataError) as exc:
+            rule(*named)
+        assert type(exc.value) is DataError and str(exc.value) == message
 
 
 def test_joint_valid_checks_geometry_then_ands_the_valid_masks():

@@ -7,11 +7,15 @@ traceback, with warnings turned into errors.
 
 `grid.require_same_geometry` is the one rule for geometry: a grid that does
 not match the others is named by its path on the command line, or by its
-config key in the pipeline. The mutation harness at the end rewrites every
-file argument of every single command in ten ways and checks that a data
+config key in the pipeline. `grid.require_same_classes` and
+`grid.require_classes_cover` are the one rule for class sets: a class-keyed
+file that a single stage reads is named by its path. The mutation harness
+at the end rewrites every file argument of every single command, and every
+[maps] and [criteria] file of `run`, in ten ways and checks that a data
 error names the rewritten file.
 """
 
+import shutil
 import warnings
 from dataclasses import replace
 
@@ -49,12 +53,25 @@ def _put(path, value, cell=(0, 0)):
     write_ascii_grid(g.with_values(values), path)
 
 
+def _edit(path, *pairs):
+    """Replace each (old, new) pair's text once in the text file at path."""
+    text = path.read_text()
+    for old, new in pairs:
+        assert old in text, text
+        text = text.replace(old, new, 1)
+    path.write_text(text)
+
+
+def _synth(out, *flags):
+    """A 16x16 scenario of seed 3 at out: maps 1988, 1994 and 2000."""
+    assert main(["synth", "--rows", "16", "--cols", "16", "--seed", "3", *flags, "--out", str(out), "--quiet"]) == 0
+    return out
+
+
 @pytest.fixture
 def sc(tmp_path):
-    """A 16x16, 3-class scenario: maps 1988, 1994 and 2000, legend 0, 1, 2."""
-    out = tmp_path / "sc"
-    assert main(["synth", "--rows", "16", "--cols", "16", "--seed", "3", "--out", str(out), "--quiet"]) == 0
-    return out
+    """The 3-class scenario: legend 0, 1, 2."""
+    return _synth(tmp_path / "sc")
 
 
 def test_naming_puts_the_path_in_front_and_keeps_the_type():
@@ -87,19 +104,32 @@ def test_run_without_a_legend_file_names_the_map_holding_a_value_that_is_no_clas
 
 
 @pytest.mark.parametrize(
-    "stage, earlier, fname, value, message",
+    "flags, stage, earlier, fname, edit, message",
     [
-        ("predict", ("markov", "mce"), "suit_1.asc", 300.0, "suitability values must be integers in 0..255"),
-        ("validate", ("markov", "mce", "predict"), "predicted_ca.asc", 7.0, "map values [7] missing from legend [0, 1, 2]"),
+        ((), "predict", ("markov", "mce"), "suit_1.asc", lambda p: _put(p, 300.0),
+         "{path}: suitability values must be integers in 0..255"),
+        ((), "validate", ("markov", "mce", "predict"), "predicted_ca.asc", lambda p: _put(p, 7.0),
+         "{path}: map values [7] missing from legend [0, 1, 2]"),
+        # a class-keyed file is named by its path, the map it is held against by its config key
+        ((), "predict", ("markov",), "transition_scaled.csv", lambda p: _edit(p, ("class,0,1,2", "class,0,1,3"), ("\n2,", "\n3,")),
+         "{path} classes [0, 1, 3] do not match maps.1994 classes [0, 1, 2]"),
+        (("--classes", "2", "--model", "mlp"), "mlp-predict", ("markov", "mlp-train"), "mlp_model.txt",
+         lambda p: _edit(p, ("classes 0 1", "classes 0 2"), ("focal 1", "focal 2")),
+         "{path} classes [0, 2] do not match maps.1994 classes [0, 1]"),
     ],
+    ids=["suit_1.asc", "predicted_ca.asc", "transition_scaled.csv", "mlp_model.txt"],
 )
-def test_single_stage_names_the_earlier_output_it_reads(sc, capsys, caplog, stage, earlier, fname, value, message):
+def test_single_stage_names_the_earlier_output_it_reads(tmp_path, capsys, caplog, flags, stage, earlier, fname, edit, message):
+    sc = _synth(tmp_path / "sc", *flags)
     ini, out = str(sc / "pipeline.ini"), sc / "o"
     for name in earlier:
         assert main([name, "--config", ini, "--out", str(out), "--quiet"]) == 0
-    _put(out / fname, value)
+    edit(out / fname)
     code, err = _main([stage, "--config", ini, "--out", str(out)], capsys, caplog)
-    _assert_named(code, err, out / fname, message)
+    assert code == 3, err
+    assert err.count(str(out / fname)) == 1, err
+    assert f"stage {stage}: {message.format(path=out / fname)}" in err, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -299,3 +329,29 @@ def test_a_rewritten_input_is_run_or_refused_naming_it(tmp_path, sources, capsys
         assert err.count(str(path)) == 1, err
     if code:
         assert not out.exists()
+
+
+# the same ten rewrites of each [maps] and [criteria] file of a full run:
+# a refused run names the rewritten file by its config key or its path
+
+_RUN_INPUTS = {f"maps.{year}": f"map_{year}.asc" for year in (1988, 1994, 2000)} | {
+    f"criteria.prox{c}": f"prox{c}.asc" for c in range(3)
+}
+
+
+@pytest.fixture(scope="module")
+def run_scenario(tmp_path_factory):
+    return _synth(tmp_path_factory.mktemp("run_harness") / "sc")
+
+
+@pytest.mark.parametrize("how", list(_MUTATIONS))
+@pytest.mark.parametrize("key", list(_RUN_INPUTS))
+def test_a_rewritten_run_input_is_run_or_refused_naming_it(tmp_path, run_scenario, capsys, caplog, key, how):
+    sc = shutil.copytree(run_scenario, tmp_path / "sc")
+    path = sc / _RUN_INPUTS[key]
+    write_ascii_grid(_MUTATIONS[how](read_ascii_grid(path)), path)
+    code, err = _main(["run", "--config", str(sc / "pipeline.ini"), "--out", str(tmp_path / "o")], capsys, caplog)
+    assert code in (0, 3), err
+    assert "Traceback" not in err
+    if code:
+        assert key in err or str(path) in err, err

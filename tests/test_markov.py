@@ -71,7 +71,7 @@ def test_crosstab_drops_nodata():
 
 def test_crosstab_errors():
     a = _lcm([[0.0]])
-    with pytest.raises(DataError, match="legend"):
+    with pytest.raises(DataError, match=r"^crosstab: grid 1 classes \[0, 1, 2\] do not match grid 0 classes \[0, 1\]$"):
         crosstab(a, _lcm([[0.0]], LEGEND3))
     with pytest.raises(DataError, match="geometry"):
         crosstab(a, _lcm([[0.0, 1.0]]))
@@ -182,6 +182,14 @@ def test_scale_transition_in_steps_takes_the_fewest_steps():
         assert out.time_span == span
 
 
+def test_second_order_transitions_needs_one_class_set():
+    m = _lcm([[0.0, 1.0]])
+    with pytest.raises(
+        DataError, match=r"^second_order_transitions: grid 2 classes \[0, 1, 2\] do not match grid 0 classes \[0, 1\]$"
+    ):
+        second_order_transitions(m, m, _lcm([[0.0, 1.0]], LEGEND3))
+
+
 def test_second_order_transitions():
     m1 = _lcm([[0.0, 0.0, 1.0, 1.0]])
     m2 = _lcm([[0.0, 0.0, 1.0, 1.0]])
@@ -222,8 +230,11 @@ def test_conditional_maps_first_order(nodata):
 def test_conditional_maps_unknown_class():
     cur = _lcm([[2.0]], LEGEND3)
     tm = TransitionMatrix(np.eye(2), 1.0, (0, 1))
-    with pytest.raises(DataError, match="absent"):
+    message = r"transition classes \[0, 1\] do not match map classes \[0, 1, 2\]$"
+    with pytest.raises(DataError, match=f"^conditional_probability_maps: {message}"):
         conditional_probability_maps(cur, tm)
+    with pytest.raises(DataError, match=f"^expected_areas: {message}"):
+        expected_areas(cur, tm)
 
 
 def test_expected_areas():

@@ -533,7 +533,7 @@ def test_predict_map_errors():
     with pytest.raises(DataError, match="criteria"):
         predict_map(model, prior, [_grid([[1.0, 2.0]])])
     prior3 = _lcm([[0.0, 2.0]], {0: "a", 2: "c"})
-    with pytest.raises(DataError, match="unknown to the model"):
+    with pytest.raises(DataError, match=r"^predict_map: model classes \[0, 1\] do not match prior map classes \[0, 2\]$"):
         predict_map(model, prior3, [])
 
 
