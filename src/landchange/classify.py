@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .grid import (
+    DEFAULT_NODATA,
     BinaryMask,
     Grid,
     LandCoverMap,
@@ -29,6 +30,9 @@ from .grid import (
 )
 
 SCORE_NODATA = -1e300  # -9999 is a reachable log-score, so score grids use their own sentinel
+# the fewest valid cells maxlike scores at a time, 3 or more (`_row_blocks`):
+# with 4 bands and 3 classes a block's band values and scores take 1.5 MB
+_BLOCK_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,12 @@ def maxlike(
     The label is the best score; exact ties go to the lowest class id.
     Returns the map and the per-class score grids, which are on
     SCORE_NODATA.
+
+    The valid cells are scored in blocks of grid rows (`_row_blocks`),
+    each written straight into the label grid and the score grids, so
+    no other float array as large as a grid is made. A cell's score has the
+    same bits in any block: the terms are added in the same order, and
+    einsum sums each row of a stack of 3 or more cells alike.
     """
     if priors_mode not in ("empirical", "equal"):
         raise DataError(f"priors_mode must be 'empirical' or 'equal', got {priors_mode!r}")
@@ -102,30 +112,58 @@ def maxlike(
     if any(s.mean.shape != (b,) for s in sigs):
         raise DataError("signature dimensionality does not match band count")
 
-    geometry = image.geometry
-    valid = joint_valid(*image.bands, context="maxlike")
-    x = np.stack([band.values[valid] for band in image.bands], axis=-1)
-
-    k = len(sigs)
-    scores = np.empty((k, x.shape[0]))
-    for idx, sig in enumerate(sigs):
-        prior = 1.0 / k if priors_mode == "equal" else sig.prior
+    terms = []  # per class: ln(prior) - 0.5*ln(det(cov)), the inverse covariance, the mean
+    for sig in sigs:
+        prior = 1.0 / len(sigs) if priors_mode == "equal" else sig.prior
         if prior <= 0.0:
             raise NumericalError(f"class {sig.class_id} has non-positive prior {prior}")
         sign, logdet = np.linalg.slogdet(sig.covariance)
         if sign <= 0:
             raise NumericalError(f"class {sig.class_id}: covariance not positive definite")
-        inv = np.linalg.inv(sig.covariance)
-        d = x - sig.mean
-        maha = np.einsum("nb,bc,nc->n", d, inv, d)
-        scores[idx] = np.log(prior) - 0.5 * logdet - 0.5 * maha
+        terms.append((np.log(prior) - 0.5 * logdet, np.linalg.inv(sig.covariance), sig.mean))
 
-    best = np.argmax(scores, axis=0)  # first max wins, ids ascend, so ties pick the lowest id
+    geometry = image.geometry
+    valid = joint_valid(*image.bands, context="maxlike")
+    ids = np.asarray(class_ids, dtype=np.float64)
+    labels = np.full(geometry.shape, DEFAULT_NODATA)
+    score_values = [np.full(geometry.shape, SCORE_NODATA) for _ in sigs]
+    for top, end in _row_blocks(valid, _BLOCK_CELLS):
+        sel = valid[top:end]
+        x = np.stack([band.values[top:end][sel] for band in image.bands], axis=-1)
+        block = np.empty((len(sigs), x.shape[0]))
+        for row, (head, inv, mean), values in zip(block, terms, score_values):
+            d = x - mean
+            row[:] = head - 0.5 * np.einsum("nb,bc,nc->n", d, inv, d)
+            values[top:end][sel] = row
+        # first max wins, ids ascend, so ties pick the lowest id
+        labels[top:end][sel] = ids[block.argmax(axis=0)]
+    del x, d, block  # so they do not add to the map's peak
+
     if legend is None:
         legend = {cid: f"class {cid}" for cid in class_ids}
-    lc = LandCoverMap(geometry.scatter(valid, np.asarray(class_ids, dtype=np.float64)[best]), legend)
-    score_grids = {cid: geometry.scatter(valid, scores[idx], SCORE_NODATA) for idx, cid in enumerate(class_ids)}
+    where = (geometry.cell_size, geometry.x_origin, geometry.y_origin)
+    lc = LandCoverMap(Grid(labels, *where, DEFAULT_NODATA), legend)
+    score_grids = {cid: Grid(values, *where, SCORE_NODATA) for cid, values in zip(class_ids, score_values)}
     return lc, score_grids
+
+
+def _row_blocks(valid: np.ndarray, size: int):
+    """(top, end) rows of the blocks maxlike scores in turn, in row order.
+    Each block holds at least `size` valid cells, and the last one every
+    valid cell after the others, so a block is never a short stack unless
+    the whole stack is: numpy's einsum sums the rows of a stack of one or
+    two cells of two bands in another order than those of a longer stack
+    (numpy 2.4.6), so a short block could change a score's last bit. With
+    fewer than 2 * size valid cells, the one block is the whole grid."""
+    per_row = np.count_nonzero(valid, axis=1).tolist()
+    left = sum(per_row)
+    top = held = 0
+    for r, n in enumerate(per_row):
+        held += n
+        if held >= size and left - held >= size:
+            yield top, r + 1
+            top, left, held = r + 1, left - held, 0
+    yield top, len(per_row)
 
 
 def potts_objective(lc: LandCoverMap, scores: dict[int, Grid], beta: float) -> float:
@@ -203,33 +241,37 @@ def icm(
     w = n_cols + 2  # padded width
     k = len(class_ids)
 
-    lab = np.full((n_rows + 2) * w, -1, dtype=np.int64)  # padded, raveled class indices; -1 unlabeled
+    # padded, raveled class indices, -1 unlabeled, in the narrowest signed
+    # type that holds them; cell indices in int32 while they fit
+    lab = np.full((n_rows + 2) * w, -1, dtype=np.min_scalar_type(-k))
+    index = np.int32 if lab.size < 2**31 else np.int64
     labeled = labels >= 0
     lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled] = class_index(class_ids)[labels[labeled]]
 
-    cell = np.flatnonzero(active)
-    r, c = np.divmod(cell, n_cols)
-    t = c + 2 * r
-    order = np.argsort(t, kind="stable")
-    cell = cell[order]
-    pos = cell + 2 * r[order] + w + 1  # padded index (r + 1) * w + c + 1
+    cell = np.flatnonzero(active).astype(index)
+    t = cell % n_cols + 2 * (cell // n_cols)  # front col + 2 * row
     sizes = np.bincount(t)
     sizes = sizes[sizes > 0]
+    cell = cell[np.argsort(t, kind="stable")]
+    del t  # each array goes once it is used, so none adds to the score table's peak
+    pos = cell + 2 * (cell // n_cols) + w + 1  # padded index (row + 1) * w + col + 1
     bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()  # front f is pos[bounds[f]:bounds[f + 1]]
     score = np.empty((cell.size, k))  # one row per pixel, in front order
     for j, cid in enumerate(class_ids):
         score[:, j] = scores[cid].values.ravel()[cell]
+    del cell
     nan = np.isnan(score)
     score[nan] = -np.inf
     score[nan[:, 0], 0] = np.inf
-    del cell, r, c, t, order, nan  # so they do not add to the final scatter's peak
-    offsets = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])
+    del nan
+    offsets = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1], dtype=index)
     # row i of a front counts its neighbors' classes in bincount slots
     # i * (k + 1) + 1 + class; an unlabeled neighbor's -1 lands in slot
     # i * (k + 1), which is dropped
     slots = np.arange(1, sizes.max(initial=0) * (k + 1) + 1, k + 1)[:, None]
     n_fronts = sizes.size
-    flipped_at = np.full(lab.size, -1, dtype=np.int64)  # step (sweep * n_fronts + front) of the last flip
+    # step (sweep * n_fronts + front) of each cell's last flip
+    flipped_at = np.full(lab.size, -1, dtype=np.int32 if max_sweeps * n_fronts < 2**31 else np.int64)
 
     for sweep in range(max_sweeps):
         changed = 0
@@ -252,6 +294,7 @@ def icm(
         if changed == 0:
             break
 
+    del score, pos, flipped_at  # so they do not add to the final scatter's peak
     # labeled cells without full score coverage keep their initial index
     out_lab = lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled]
     out = initial.grid.scatter(labeled, np.asarray(class_ids, dtype=np.float64)[out_lab])

@@ -227,6 +227,7 @@ def cmd_classify(args) -> int:
         signatures = estimate_signatures(image, training)
     priors = "equal" if args.equal_priors else "empirical"
     labeled, scores = maxlike(image, signatures, priors_mode=priors, legend=legend)
+    del image, training_grid, training  # nothing reads them after maxlike, so icm's peak does not hold them
     smoothed = icm(labeled, scores, beta=args.beta, max_sweeps=args.sweeps)
     out = _outdir(args)
     write_signatures_csv(signatures, out / "signatures.csv")

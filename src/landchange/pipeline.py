@@ -177,9 +177,13 @@ def _read_transition(path, cur: LandCoverMap):
 
 
 def _read_model(path, cur: LandCoverMap):
+    """The model at path. It must carry a feature spec whose classes
+    include `cur`'s; a failure names the path."""
     model = load_model(path)
-    if model.features is not None:  # predict_map refuses a model with no classes
-        require_classes_cover((f"maps.{cur.date_tag}", cur.class_ids), (str(path), model.features.class_ids))
+    if model.features is None:
+        with naming(path):
+            raise DataError("model carries no feature spec (classes and focal lines)")
+    require_classes_cover((f"maps.{cur.date_tag}", cur.class_ids), (str(path), model.features.class_ids))
     return model
 
 

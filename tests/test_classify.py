@@ -1,10 +1,13 @@
 """Gaussian signatures, maximum likelihood, ICM smoothing, accuracy scores."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from landchange import classify
 from landchange.classify import (
     SCORE_NODATA,
     ClassSignature,
@@ -114,6 +117,112 @@ def test_maxlike_errors():
     bad_cov = [ClassSignature(0, np.array([0.0]), np.array([[-1.0]]), 1.0, 1)]
     with pytest.raises(NumericalError, match="positive definite"):
         maxlike(img, bad_cov)
+
+
+def _ref_maxlike(image, signatures, priors_mode="empirical"):
+    """maxlike's scoring as one block of every valid cell, which the row
+    blocks must match bit for bit: the labels' and the score grids' values."""
+    sigs = sorted(signatures, key=lambda s: s.class_id)
+    geometry = image.geometry
+    valid = geometry.valid
+    for band in image.bands[1:]:
+        valid &= band.valid
+    x = np.stack([band.values[valid] for band in image.bands], axis=-1)
+    k = len(sigs)
+    scores = np.empty((k, x.shape[0]))
+    for idx, sig in enumerate(sigs):
+        prior = 1.0 / k if priors_mode == "equal" else sig.prior
+        _, logdet = np.linalg.slogdet(sig.covariance)
+        inv = np.linalg.inv(sig.covariance)
+        d = x - sig.mean
+        maha = np.einsum("nb,bc,nc->n", d, inv, d)
+        scores[idx] = np.log(prior) - 0.5 * logdet - 0.5 * maha
+    best = np.argmax(scores, axis=0)
+    labels = geometry.scatter(valid, np.asarray([s.class_id for s in sigs], dtype=np.float64)[best])
+    score_values = []
+    for row in scores:
+        values = np.full(geometry.shape, SCORE_NODATA)
+        values[valid] = row
+        score_values.append(values)
+    return labels.values, score_values
+
+
+@st.composite
+def _maxlike_cases(draw):
+    """An image, its signatures, a priors mode and a block size of 3 or
+    more valid cells, the least `_row_blocks` allows. The shapes run from
+    one cell to rows wider than a block; cells, whole rows or every cell
+    may be nodata, and a band may hold nan. Two classes may share one
+    signature, so every cell is an exact tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    b = draw(st.integers(1, 4))
+    shape = (n_rows, n_cols)
+    integer = draw(st.booleans())  # small whole band values make ties common
+    bands = []
+    for _ in range(b):
+        v = rng.integers(-3, 4, size=shape).astype(np.float64) if integer else rng.normal(50.0, 20.0, size=shape)
+        v[rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = -9999.0
+        v[rng.random(shape) < draw(st.sampled_from([0.0, 0.0, 0.05]))] = np.nan
+        bands.append(v)
+    empty_rows = rng.random(n_rows) < draw(st.sampled_from([0.0, 0.3]))
+    bands[0][empty_rows] = -9999.0
+    k = draw(st.integers(1, 4))
+    ids = sorted(draw(st.sets(st.integers(0, 20), min_size=k, max_size=k)))
+    sigs = []
+    for cid in ids:
+        a = rng.normal(size=(b, b))
+        cov = a @ a.T + rng.uniform(0.1, 2.0) * np.eye(b)
+        mean = rng.normal(0.0, 30.0, size=b)
+        sigs.append(ClassSignature(cid, mean, cov * rng.uniform(1.0, 100.0), rng.uniform(0.05, 1.0), 10))
+    if k > 1 and draw(st.booleans()):
+        sigs[1] = ClassSignature(ids[1], sigs[0].mean, sigs[0].covariance, sigs[0].prior, 10)
+    priors = draw(st.sampled_from(["empirical", "equal"]))
+    return _image(*bands), sigs, priors, draw(st.integers(3, 40))
+
+
+def _one_cell_case(b, size):
+    values = np.full((3, 5), -9999.0)
+    values[1, 2] = 7.5
+    sigs = [ClassSignature(c, np.full(b, 5.0 * c), np.eye(b) * (c + 1), 0.5, 10) for c in (0, 1)]
+    return _image(values, *[values] * (b - 1)), sigs, "empirical", size
+
+
+def _two_band_rows_case():
+    """Rows of two cells of two bands, blocks of 3: a block of one row, as
+    a split by rows would make, is a two-cell stack that einsum sums in
+    another order than the whole."""
+    rng = np.random.default_rng(0)
+    bands = [rng.normal(50.0, 20.0, size=(8, 2)) for _ in range(2)]
+    a = rng.normal(size=(2, 2))
+    sigs = [ClassSignature(c, rng.normal(0.0, 30.0, size=2), a @ a.T + np.eye(2) * (c + 1), 0.5, 10) for c in (0, 1)]
+    return _image(*bands), sigs, "empirical", 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(_maxlike_cases())
+@example(_one_cell_case(1, 3))
+@example(_one_cell_case(2, 3))  # two bands, whose one-cell stack einsum sums in another order
+@example(_two_band_rows_case())
+@example((_image(np.full((2, 3), -9999.0)), _two_sigs(), "empirical", 3))  # no valid cell
+@example((_image(np.array([[0.0, 4.0, 2.0, np.nan, 2.0]] * 3)), _two_sigs(), "equal", 4))  # ties and nan
+def test_maxlike_row_blocks_match_the_one_block_bits(case):
+    image, sigs, priors, size = case
+    valid = np.logical_and.reduce([band.valid for band in image.bands])
+    blocks = list(classify._row_blocks(valid, size))
+    assert [top for top, _ in blocks] == [0] + [end for _, end in blocks[:-1]]
+    assert blocks[-1][1] == image.geometry.n_rows
+    held = [int(valid[top:end].sum()) for top, end in blocks]
+    assert len(held) == 1 or min(held) >= size, held
+    with mock.patch.object(classify, "_BLOCK_CELLS", size):
+        lc, scores = maxlike(image, sigs, priors_mode=priors)
+    ref_labels, ref_scores = _ref_maxlike(image, sigs, priors)
+    assert lc.grid.values.tobytes() == ref_labels.tobytes()
+    assert lc.grid.nodata_value == -9999.0
+    assert list(scores) == sorted(s.class_id for s in sigs)
+    for g, ref in zip(scores.values(), ref_scores):
+        assert g.nodata_value == SCORE_NODATA
+        assert g.values.tobytes() == ref.tobytes()
 
 
 def test_potts_objective_counts_pairs_once():

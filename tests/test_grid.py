@@ -123,8 +123,6 @@ def test_scatter_fills_the_rest_with_nodata():
     assert out.values.tolist() == [[-5.0, -9999.0], [-9999.0, 8.0]]
     assert out.nodata_value == -9999.0 and out.same_geometry(g)
     assert out.valid.tolist() == sel.tolist()
-    other = g.scatter(sel, [7.0, 8.0], nodata_value=-1.0)
-    assert other.values.tolist() == [[7.0, -1.0], [-1.0, 8.0]] and other.nodata_value == -1.0
 
 
 def test_grids_equal_checks_values_and_metadata():

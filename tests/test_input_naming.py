@@ -116,8 +116,11 @@ def test_run_without_a_legend_file_names_the_map_holding_a_value_that_is_no_clas
         (("--classes", "2", "--model", "mlp"), "mlp-predict", ("markov", "mlp-train"), "mlp_model.txt",
          lambda p: _edit(p, ("classes 0 1", "classes 0 2"), ("focal 1", "focal 2")),
          "{path} classes [0, 2] do not match maps.1994 classes [0, 1]"),
+        (("--classes", "2", "--model", "mlp"), "mlp-predict", ("markov", "mlp-train"), "mlp_model.txt",
+         lambda p: _edit(p, ("\nclasses 0 1\n", "\n"), ("\nfocal 1\n", "\n")),
+         "{path}: model carries no feature spec (classes and focal lines)"),
     ],
-    ids=["suit_1.asc", "predicted_ca.asc", "transition_scaled.csv", "mlp_model.txt"],
+    ids=["suit_1.asc", "predicted_ca.asc", "transition_scaled.csv", "mlp_model.txt", "mlp_model.txt-no-spec"],
 )
 def test_single_stage_names_the_earlier_output_it_reads(tmp_path, capsys, caplog, flags, stage, earlier, fname, edit, message):
     sc = _synth(tmp_path / "sc", *flags)
