@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .grid import (
-    DEFAULT_NODATA,
     BinaryMask,
     Grid,
     LandCoverMap,
@@ -125,8 +124,8 @@ def maxlike(
     geometry = image.geometry
     valid = joint_valid(*image.bands, context="maxlike")
     ids = np.asarray(class_ids, dtype=np.float64)
-    labels = np.full(geometry.shape, DEFAULT_NODATA)
-    score_values = [np.full(geometry.shape, SCORE_NODATA) for _ in sigs]
+    labels = geometry.blank()
+    score_values = [geometry.blank(SCORE_NODATA) for _ in sigs]
     for top, end in _row_blocks(valid, _BLOCK_CELLS):
         sel = valid[top:end]
         x = np.stack([band.values[top:end][sel] for band in image.bands], axis=-1)
@@ -141,9 +140,10 @@ def maxlike(
 
     if legend is None:
         legend = {cid: f"class {cid}" for cid in class_ids}
-    where = (geometry.cell_size, geometry.x_origin, geometry.y_origin)
-    lc = LandCoverMap(Grid(labels, *where, DEFAULT_NODATA), legend)
-    score_grids = {cid: Grid(values, *where, SCORE_NODATA) for cid, values in zip(class_ids, score_values)}
+    lc = LandCoverMap(geometry.computed(labels), legend)
+    score_grids = {
+        cid: geometry.computed(values, nodata_value=SCORE_NODATA) for cid, values in zip(class_ids, score_values)
+    }
     return lc, score_grids
 
 
@@ -242,29 +242,32 @@ def icm(
     k = len(class_ids)
 
     # padded, raveled class indices, -1 unlabeled, in the narrowest signed
-    # type that holds them; cell indices in int32 while they fit
+    # type that holds them. Cell indices stay intp: numpy casts an index
+    # array of any other type to intp each time it indexes with it
     lab = np.full((n_rows + 2) * w, -1, dtype=np.min_scalar_type(-k))
-    index = np.int32 if lab.size < 2**31 else np.int64
     labeled = labels >= 0
     lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled] = class_index(class_ids)[labels[labeled]]
 
-    cell = np.flatnonzero(active).astype(index)
+    cell = np.flatnonzero(active)
     t = cell % n_cols + 2 * (cell // n_cols)  # front col + 2 * row
     sizes = np.bincount(t)
     sizes = sizes[sizes > 0]
     cell = cell[np.argsort(t, kind="stable")]
     del t  # each array goes once it is used, so none adds to the score table's peak
-    pos = cell + 2 * (cell // n_cols) + w + 1  # padded index (row + 1) * w + col + 1
     bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()  # front f is pos[bounds[f]:bounds[f + 1]]
     score = np.empty((cell.size, k))  # one row per pixel, in front order
     for j, cid in enumerate(class_ids):
         score[:, j] = scores[cid].values.ravel()[cell]
+    pos = cell // n_cols  # padded index (row + 1) * w + col + 1, built in place
+    pos *= 2
+    pos += cell
+    pos += w + 1
     del cell
     nan = np.isnan(score)
     score[nan] = -np.inf
     score[nan[:, 0], 0] = np.inf
     del nan
-    offsets = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1], dtype=index)
+    offsets = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1])
     # row i of a front counts its neighbors' classes in bincount slots
     # i * (k + 1) + 1 + class; an unlabeled neighbor's -1 lands in slot
     # i * (k + 1), which is dropped

@@ -29,12 +29,12 @@ the cellular pass's byte key and the writer's table all read it; no other
 module checks values for wholeness.
 
 Every grid the program makes from computed values is on DEFAULT_NODATA
-(-9999), whatever its inputs use: `Grid.scatter` and `mask_like` build
-most of them, and `mce.wlc` and `classify.maxlike`, which fill their grids
-in place, name the value. An input on NODATA_VALUE 0 thus keeps its class
-0, level 0 or probability 0 cells as data. The one exception is
-`classify.maxlike`'s internal score grids, which are on SCORE_NODATA,
-since -9999 is a reachable log-score.
+(-9999), whatever its inputs use: a kernel starts from `Grid.blank`, fills
+it and wraps it with `Grid.computed` (`Grid.scatter` and `mask_like` do
+both), and no module but this one names the value. An input on
+NODATA_VALUE 0 thus keeps its class 0, level 0 or probability 0 cells as
+data. The one exception is `classify.maxlike`'s internal score grids,
+which are on SCORE_NODATA, since -9999 is a reachable log-score.
 
 `class_index` is the one rule for class ids, whole numbers from 0 to 65535
 (the writer's table bound): every module checks ids and finds their places
@@ -153,14 +153,24 @@ class Grid:
         cell values."""
         return Grid(values, self.cell_size, self.x_origin, self.y_origin, self.nodata_value)
 
+    def blank(self, fill: float = DEFAULT_NODATA) -> np.ndarray:
+        """A float array of this grid's shape, every cell fill: a kernel
+        fills its data cells in place and wraps it with `computed`."""
+        return np.full(self.shape, fill)
+
+    def computed(self, values, kind: type | None = None, nodata_value: float = DEFAULT_NODATA) -> "Grid":
+        """New grid, a `kind` (Grid by default), holding computed values on
+        this grid's geometry and DEFAULT_NODATA, whatever this grid uses, so
+        no computed value can fall on an input's nodata."""
+        return (kind or Grid)(values, self.cell_size, self.x_origin, self.y_origin, nodata_value)
+
     def scatter(self, sel, values, kind: type | None = None) -> "Grid":
         """New grid, a `kind` (Grid by default), with this grid's geometry
         holding values at the cells sel selects (`...` for every cell) and
-        nodata elsewhere: DEFAULT_NODATA, whatever this grid uses, so no
-        computed value can fall on an input's nodata."""
-        out = np.full(self.shape, DEFAULT_NODATA)
+        DEFAULT_NODATA elsewhere, as `computed` makes it."""
+        out = self.blank()
         out[sel] = values
-        return (kind or Grid)(out, self.cell_size, self.x_origin, self.y_origin, DEFAULT_NODATA)
+        return self.computed(out, kind)
 
     def same_geometry(self, other: "Grid") -> bool:
         return (
@@ -258,7 +268,7 @@ class BinaryMask(Grid):
 
 def mask_like(grid: Grid, values) -> BinaryMask:
     """0/1 mask on grid's geometry and DEFAULT_NODATA, so its 0 cells are data."""
-    return BinaryMask(values, grid.cell_size, grid.x_origin, grid.y_origin, DEFAULT_NODATA)
+    return grid.computed(values, BinaryMask)
 
 
 @contextlib.contextmanager
@@ -663,19 +673,12 @@ def write_csv(path, rows, comment: str | None = None) -> None:
 
 def load_legend(path, *grids: Grid) -> dict[int, str]:
     """The legend file at path or, with no path, a 'class <id>' legend for
-    every value present in the grids' valid cells, whole numbers as ints.
-    The ids of a grid of whole numbers from 0 to 65535 are found with a
-    bincount; any other grid's values go in as `_distinct` words them, so
-    the map built on the legend refuses them by value."""
+    every value present in the grids' valid cells, whole numbers as ints."""
     if path:
         return read_legend(path)
     present = set()
     for g in grids:
-        data = g.values[g.valid]
-        if g.holds_integers(0, _TABLE_MAX):
-            present.update(np.flatnonzero(np.bincount(data.astype(np.intp))).tolist())
-        else:
-            present.update(_distinct(data))
+        present.update(_distinct(g.values[g.valid]))
     return {c: f"class {c}" for c in sorted(present)}
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .grid import (
-    DEFAULT_NODATA,
     BinaryMask,
     by_position,
     joint_valid,
@@ -135,7 +134,7 @@ def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] =
     """
     w, valid = _combine_prep(factors, weights, constraints)
     geometry = factors[0]
-    out = np.full(geometry.shape, DEFAULT_NODATA)
+    out = geometry.blank()
     term = np.empty(geometry.shape)
     np.multiply(factors[0].values, w[0], out=out, where=valid)
     for f, wi in zip(factors[1:], w[1:]):
@@ -150,7 +149,7 @@ def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] =
     np.floor(out, out=out, where=valid)
     for m in constraints:
         np.multiply(out, m.values, out=out, where=valid)
-    return SuitabilityGrid(out, geometry.cell_size, geometry.x_origin, geometry.y_origin, DEFAULT_NODATA)
+    return geometry.computed(out, SuitabilityGrid)
 
 
 def owa(

@@ -199,8 +199,36 @@ def _two_band_rows_case():
     return _image(*bands), sigs, "empirical", 3
 
 
+def _real_blocks_case():
+    """A 300 x 300 two-band image, a third of its cells, some whole rows
+    and a few nan cells masked, scored in blocks of the real size: several
+    blocks, split mid-image at row ends that fall unevenly."""
+    rng = np.random.default_rng(35)
+    bands = [rng.normal(50.0, 20.0, size=(300, 300)) for _ in range(2)]
+    bands[0][rng.random((300, 300)) < 0.33] = -9999.0
+    bands[1][rng.random((300, 300)) < 0.01] = np.nan
+    bands[0][rng.random(300) < 0.1] = -9999.0
+    a = rng.normal(size=(2, 2))
+    cov = a @ a.T
+    sigs = [
+        ClassSignature(c, rng.normal(50.0, 10.0, size=2), cov + np.eye(2) * (c + 1), 0.3 + 0.2 * c, 10)
+        for c in (0, 1, 2)
+    ]
+    return _image(*bands), sigs, "empirical", classify._BLOCK_CELLS
+
+
+_REAL_BLOCKS = _real_blocks_case()
+
+
+def test_the_real_block_size_case_spans_several_blocks():
+    image, _, _, size = _REAL_BLOCKS
+    valid = np.logical_and.reduce([band.valid for band in image.bands])
+    assert len(list(classify._row_blocks(valid, size))) >= 3
+
+
 @settings(max_examples=300, deadline=None)
 @given(_maxlike_cases())
+@example(_REAL_BLOCKS)
 @example(_one_cell_case(1, 3))
 @example(_one_cell_case(2, 3))  # two bands, whose one-cell stack einsum sums in another order
 @example(_two_band_rows_case())

@@ -125,6 +125,20 @@ def test_scatter_fills_the_rest_with_nodata():
     assert out.valid.tolist() == sel.tolist()
 
 
+def test_blank_and_computed_put_a_kernel_grid_on_default_nodata():
+    g = Grid(np.zeros((2, 3)), 30.0, 100.0, 200.0, nodata_value=0.0)
+    out = g.blank()
+    assert out.shape == (2, 3) and out.dtype == np.float64 and np.all(out == -9999.0)
+    out[0, 1] = 0.0  # an input's nodata value, data in a computed grid
+    made = g.computed(out)
+    assert type(made) is Grid and made.nodata_value == -9999.0 and made.same_geometry(g)
+    assert made.valid.tolist() == [[False, True, False], [False, False, False]]
+    mask = g.computed(np.zeros((2, 3)), BinaryMask)
+    assert type(mask) is BinaryMask and mask.nodata_value == -9999.0 and mask.valid.all()
+    scores = g.computed(g.blank(-1e300), nodata_value=-1e300)
+    assert type(scores) is Grid and scores.nodata_value == -1e300 and not scores.valid.any()
+
+
 def test_grids_equal_checks_values_and_metadata():
     a = Grid(np.array([[1.0, 2.0]]), 1.0)
     assert grids_equal(a, Grid(np.array([[1.0, 2.0]]), 1.0))
