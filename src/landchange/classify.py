@@ -29,8 +29,8 @@ from .grid import (
 )
 
 SCORE_NODATA = -1e300  # -9999 is a reachable log-score, so score grids use their own sentinel
-# the fewest valid cells maxlike scores at a time, 3 or more (`_row_blocks`):
-# with 4 bands and 3 classes a block's band values and scores take 1.5 MB
+# about how many cells maxlike scores at a time, in whole grid rows: with 4
+# bands and 3 classes a block's band values and scores take 1.5 MB
 _BLOCK_CELLS = 16384
 
 
@@ -94,11 +94,11 @@ def maxlike(
     Returns the map and the per-class score grids, which are on
     SCORE_NODATA.
 
-    The valid cells are scored in blocks of grid rows (`_row_blocks`),
-    each written straight into the label grid and the score grids, so
-    no other float array as large as a grid is made. A cell's score has the
-    same bits in any block: the terms are added in the same order, and
-    einsum sums each row of a stack of 3 or more cells alike.
+    A cell's terms are added in the order `_quadratic_form` writes out, so
+    its score has the same bits whichever other cells are scored with it.
+    The grid is scored in blocks of max(1, _BLOCK_CELLS // n_cols) rows,
+    each written straight into the label grid and the score grids, so no
+    other float array as large as a grid is made.
     """
     if priors_mode not in ("empirical", "equal"):
         raise DataError(f"priors_mode must be 'empirical' or 'equal', got {priors_mode!r}")
@@ -126,17 +126,20 @@ def maxlike(
     ids = np.asarray(class_ids, dtype=np.float64)
     labels = geometry.blank()
     score_values = [geometry.blank(SCORE_NODATA) for _ in sigs]
-    for top, end in _row_blocks(valid, _BLOCK_CELLS):
+    rows = max(1, _BLOCK_CELLS // geometry.n_cols)
+    for top in range(0, geometry.n_rows, rows):
+        end = top + rows
         sel = valid[top:end]
-        x = np.stack([band.values[top:end][sel] for band in image.bands], axis=-1)
-        block = np.empty((len(sigs), x.shape[0]))
+        if not sel.any():
+            continue
+        x = [band.values[top:end][sel] for band in image.bands]
+        block = np.empty((len(sigs), x[0].size))
         for row, (head, inv, mean), values in zip(block, terms, score_values):
-            d = x - mean
-            row[:] = head - 0.5 * np.einsum("nb,bc,nc->n", d, inv, d)
+            row[:] = head - 0.5 * _quadratic_form([xj - mj for xj, mj in zip(x, mean)], inv)
             values[top:end][sel] = row
         # first max wins, ids ascend, so ties pick the lowest id
         labels[top:end][sel] = ids[block.argmax(axis=0)]
-    del x, d, block  # so they do not add to the map's peak
+        del x, block  # so they do not add to the map's peak
 
     if legend is None:
         legend = {cid: f"class {cid}" for cid in class_ids}
@@ -147,23 +150,19 @@ def maxlike(
     return lc, score_grids
 
 
-def _row_blocks(valid: np.ndarray, size: int):
-    """(top, end) rows of the blocks maxlike scores in turn, in row order.
-    Each block holds at least `size` valid cells, and the last one every
-    valid cell after the others, so a block is never a short stack unless
-    the whole stack is: numpy's einsum sums the rows of a stack of one or
-    two cells of two bands in another order than those of a longer stack
-    (numpy 2.4.6), so a short block could change a score's last bit. With
-    fewer than 2 * size valid cells, the one block is the whole grid."""
-    per_row = np.count_nonzero(valid, axis=1).tolist()
-    left = sum(per_row)
-    top = held = 0
-    for r, n in enumerate(per_row):
-        held += n
-        if held >= size and left - held >= size:
-            yield top, r + 1
-            top, left, held = r + 1, left - held, 0
-    yield top, len(per_row)
+def _quadratic_form(d: list[np.ndarray], inv: np.ndarray) -> np.ndarray:
+    """d' inv d per cell, d one array per band, added in a written order of
+    elementwise products: t_i = d_0*inv[i,0] + d_1*inv[i,1] + ... in j
+    order, then d_0*t_0 + d_1*t_1 + ... in i order, each sum from its first
+    product. A cell's value so depends on its own bands alone."""
+    quad = None
+    for i, di in enumerate(d):
+        t = d[0] * inv[i, 0]
+        for j in range(1, len(d)):
+            t += d[j] * inv[i, j]
+        t *= di
+        quad = t if quad is None else np.add(quad, t, out=quad)
+    return quad
 
 
 def potts_objective(lc: LandCoverMap, scores: dict[int, Grid], beta: float) -> float:

@@ -127,10 +127,10 @@ def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] =
     """Weighted linear combination: round(sum w_i * f_i), then constraint gating.
 
     Weights are expected to sum to 1 so the result stays on the byte scale.
-    The terms w_i * f_i are added into the output grid in factor order, the
-    order in which `np.sum(..., axis=0)` reduces a (factors, cells) stack
-    of two or more cells, and every step runs in place on the valid cells
-    alone (`where=valid`), so the only other grid-sized array is one term.
+    The terms w_i * f_i are added into the output grid in factor order, so
+    a cell's value depends on its own factors alone, and every step runs in
+    place on the valid cells alone (`where=valid`), so the only other
+    grid-sized array is one term.
     """
     w, valid = _combine_prep(factors, weights, constraints)
     geometry = factors[0]
@@ -141,10 +141,6 @@ def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] =
         np.multiply(f.values, wi, out=term, where=valid)
         np.add(out, term, out=out, where=valid)
     del term
-    if np.count_nonzero(valid) == 1:
-        # the stack of one cell is a single run, which np.sum adds pairwise
-        # from 8 terms on: add its terms that way to keep the stack's bits
-        out[valid] = np.sum(w * np.concatenate([f.values[valid] for f in factors]))
     np.add(out, 0.5, out=out, where=valid)
     np.floor(out, out=out, where=valid)
     for m in constraints:
@@ -162,9 +158,9 @@ def owa(
 
     Per cell the factor-weighted values w_i*f_i*n are ranked ascending and
     the k-th order weight multiplies the value of rank k. Order weights are
-    applied through the rank permutation while accumulation stays in factor
-    order: with uniform order weights every effective multiplier is exactly
-    1, so the result reduces to wlc bit for bit.
+    applied through the rank permutation while the terms are added in factor
+    order, as wlc adds them: with uniform order weights every effective
+    multiplier is exactly 1, so the result equals wlc bit for bit.
     """
     ow = np.asarray(order_weights, dtype=np.float64)
     w, valid = _combine_prep(factors, factor_weights, constraints)
@@ -186,7 +182,9 @@ def owa(
     np.put_along_axis(multiplier, order, effective[:, None], axis=0)
     del order
     multiplier *= terms
-    combined = np.sum(multiplier, axis=0)
+    combined = multiplier[0].copy()  # the rows added in factor order, as wlc adds them
+    for row in multiplier[1:]:
+        combined += row
     del multiplier, terms
     np.clip(combined, 0.0, 255.0, out=combined)
     combined += 0.5

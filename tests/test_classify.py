@@ -1,5 +1,6 @@
 """Gaussian signatures, maximum likelihood, ICM smoothing, accuracy scores."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -120,38 +121,55 @@ def test_maxlike_errors():
 
 
 def _ref_maxlike(image, signatures, priors_mode="empirical"):
-    """maxlike's scoring as one block of every valid cell, which the row
-    blocks must match bit for bit: the labels' and the score grids' values."""
+    """maxlike cell by cell in plain Python floats, each score's terms added
+    in the order maxlike writes out: t_i = d_0*inv[i,0] + d_1*inv[i,1] + ...,
+    then d_0*t_0 + d_1*t_1 + ..., each sum from its first product. The
+    label is the first best score, a nan counting as best, as np.argmax
+    takes it. Returns the label grid's and the score grids' values."""
     sigs = sorted(signatures, key=lambda s: s.class_id)
+    k = len(sigs)
+    classes = []
+    for sig in sigs:
+        prior = 1.0 / k if priors_mode == "equal" else sig.prior
+        _, logdet = np.linalg.slogdet(sig.covariance)
+        head = float(np.log(prior) - 0.5 * logdet)
+        classes.append((head, np.linalg.inv(sig.covariance).tolist(), sig.mean.tolist()))
     geometry = image.geometry
     valid = geometry.valid
     for band in image.bands[1:]:
         valid &= band.valid
-    x = np.stack([band.values[valid] for band in image.bands], axis=-1)
-    k = len(sigs)
-    scores = np.empty((k, x.shape[0]))
-    for idx, sig in enumerate(sigs):
-        prior = 1.0 / k if priors_mode == "equal" else sig.prior
-        _, logdet = np.linalg.slogdet(sig.covariance)
-        inv = np.linalg.inv(sig.covariance)
-        d = x - sig.mean
-        maha = np.einsum("nb,bc,nc->n", d, inv, d)
-        scores[idx] = np.log(prior) - 0.5 * logdet - 0.5 * maha
-    best = np.argmax(scores, axis=0)
-    labels = geometry.scatter(valid, np.asarray([s.class_id for s in sigs], dtype=np.float64)[best])
-    score_values = []
-    for row in scores:
-        values = np.full(geometry.shape, SCORE_NODATA)
-        values[valid] = row
-        score_values.append(values)
-    return labels.values, score_values
+    labels = np.full(geometry.shape, -9999.0)
+    score_values = [np.full(geometry.shape, SCORE_NODATA) for _ in sigs]
+    bands = [band.values.tolist() for band in image.bands]
+    for r, c in zip(*np.nonzero(valid)):
+        x = [band[r][c] for band in bands]
+        scores = []
+        for head, inv, mean in classes:
+            d = [xj - mj for xj, mj in zip(x, mean)]
+            quad = None
+            for i, di in enumerate(d):
+                t = d[0] * inv[i][0]
+                for j in range(1, len(d)):
+                    t = t + d[j] * inv[i][j]
+                quad = di * t if quad is None else quad + di * t
+            scores.append(head - 0.5 * quad)
+        best = 0
+        for idx in range(1, k):
+            if math.isnan(scores[best]):
+                break
+            if math.isnan(scores[idx]) or scores[idx] > scores[best]:
+                best = idx
+        labels[r, c] = sigs[best].class_id
+        for values, score in zip(score_values, scores):
+            values[r, c] = score
+    return labels, score_values
 
 
 @st.composite
 def _maxlike_cases(draw):
-    """An image, its signatures, a priors mode and a block size of 3 or
-    more valid cells, the least `_row_blocks` allows. The shapes run from
-    one cell to rows wider than a block; cells, whole rows or every cell
+    """An image, its signatures, a priors mode and a `_BLOCK_CELLS`, which
+    gives blocks of any height from one row to more than the grid. The
+    shapes run from one cell to 12 x 12; cells, whole rows or every cell
     may be nodata, and a band may hold nan. Two classes may share one
     signature, so every cell is an exact tie."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -178,31 +196,14 @@ def _maxlike_cases(draw):
     if k > 1 and draw(st.booleans()):
         sigs[1] = ClassSignature(ids[1], sigs[0].mean, sigs[0].covariance, sigs[0].prior, 10)
     priors = draw(st.sampled_from(["empirical", "equal"]))
-    return _image(*bands), sigs, priors, draw(st.integers(3, 40))
-
-
-def _one_cell_case(b, size):
-    values = np.full((3, 5), -9999.0)
-    values[1, 2] = 7.5
-    sigs = [ClassSignature(c, np.full(b, 5.0 * c), np.eye(b) * (c + 1), 0.5, 10) for c in (0, 1)]
-    return _image(values, *[values] * (b - 1)), sigs, "empirical", size
-
-
-def _two_band_rows_case():
-    """Rows of two cells of two bands, blocks of 3: a block of one row, as
-    a split by rows would make, is a two-cell stack that einsum sums in
-    another order than the whole."""
-    rng = np.random.default_rng(0)
-    bands = [rng.normal(50.0, 20.0, size=(8, 2)) for _ in range(2)]
-    a = rng.normal(size=(2, 2))
-    sigs = [ClassSignature(c, rng.normal(0.0, 30.0, size=2), a @ a.T + np.eye(2) * (c + 1), 0.5, 10) for c in (0, 1)]
-    return _image(*bands), sigs, "empirical", 3
+    block_cells = draw(st.integers(1, n_rows + 2)) * n_cols + draw(st.integers(0, n_cols - 1))
+    return _image(*bands), sigs, priors, block_cells
 
 
 def _real_blocks_case():
     """A 300 x 300 two-band image, a third of its cells, some whole rows
-    and a few nan cells masked, scored in blocks of the real size: several
-    blocks, split mid-image at row ends that fall unevenly."""
+    and a few nan cells masked, scored in blocks of the real size: six
+    blocks of 54 rows, the last one shorter."""
     rng = np.random.default_rng(35)
     bands = [rng.normal(50.0, 20.0, size=(300, 300)) for _ in range(2)]
     bands[0][rng.random((300, 300)) < 0.33] = -9999.0
@@ -220,30 +221,19 @@ def _real_blocks_case():
 _REAL_BLOCKS = _real_blocks_case()
 
 
-def test_the_real_block_size_case_spans_several_blocks():
-    image, _, _, size = _REAL_BLOCKS
-    valid = np.logical_and.reduce([band.valid for band in image.bands])
-    assert len(list(classify._row_blocks(valid, size))) >= 3
+def _maxlike_in_blocks(image, sigs, priors, block_cells):
+    with mock.patch.object(classify, "_BLOCK_CELLS", block_cells):
+        return maxlike(image, sigs, priors_mode=priors)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_maxlike_cases())
 @example(_REAL_BLOCKS)
-@example(_one_cell_case(1, 3))
-@example(_one_cell_case(2, 3))  # two bands, whose one-cell stack einsum sums in another order
-@example(_two_band_rows_case())
 @example((_image(np.full((2, 3), -9999.0)), _two_sigs(), "empirical", 3))  # no valid cell
 @example((_image(np.array([[0.0, 4.0, 2.0, np.nan, 2.0]] * 3)), _two_sigs(), "equal", 4))  # ties and nan
-def test_maxlike_row_blocks_match_the_one_block_bits(case):
-    image, sigs, priors, size = case
-    valid = np.logical_and.reduce([band.valid for band in image.bands])
-    blocks = list(classify._row_blocks(valid, size))
-    assert [top for top, _ in blocks] == [0] + [end for _, end in blocks[:-1]]
-    assert blocks[-1][1] == image.geometry.n_rows
-    held = [int(valid[top:end].sum()) for top, end in blocks]
-    assert len(held) == 1 or min(held) >= size, held
-    with mock.patch.object(classify, "_BLOCK_CELLS", size):
-        lc, scores = maxlike(image, sigs, priors_mode=priors)
+def test_maxlike_in_any_block_height_matches_the_cell_by_cell_bits(case):
+    image, sigs, priors, block_cells = case
+    lc, scores = _maxlike_in_blocks(image, sigs, priors, block_cells)
     ref_labels, ref_scores = _ref_maxlike(image, sigs, priors)
     assert lc.grid.values.tobytes() == ref_labels.tobytes()
     assert lc.grid.nodata_value == -9999.0
@@ -251,6 +241,63 @@ def test_maxlike_row_blocks_match_the_one_block_bits(case):
     for g, ref in zip(scores.values(), ref_scores):
         assert g.nodata_value == SCORE_NODATA
         assert g.values.tobytes() == ref.tobytes()
+
+
+def _one_cell_kept_case():
+    """A 3 x 5 two-band grid, every cell valid, its middle cell kept: alone,
+    that cell is a stack of one, which einsum summed in another order than
+    the whole grid."""
+    rng = np.random.default_rng(0)
+    bands = [rng.normal(50.0, 20.0, size=(3, 5)) for _ in range(2)]
+    a = rng.normal(size=(2, 2))
+    sigs = [ClassSignature(c, rng.normal(0.0, 30.0, size=2), a @ a.T + np.eye(2) * (c + 1), 0.5, 10) for c in (0, 1)]
+    keep = np.zeros((3, 5), dtype=bool)
+    keep[1, 2] = True
+    return (_image(*bands), sigs, "empirical", 15), keep
+
+
+@st.composite
+def _kept_cells(draw):
+    """A maxlike case and the cells kept valid when the others are masked."""
+    case = draw(_maxlike_cases())
+    keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(case[0].geometry.shape)
+    return case, keep < draw(st.sampled_from([0.1, 0.5, 0.9]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kept_cells())
+@example(_one_cell_kept_case())
+def test_maxlike_scores_a_cell_alike_alone_or_among_others(kept):
+    """The cells kept score the same bits, and get the same label, whether
+    the other cells are valid or masked to nodata."""
+    (image, sigs, priors, block_cells), keep = kept
+    alone_band = image.bands[0].values.copy()
+    alone_band[~keep] = image.bands[0].nodata_value
+    alone = MultiBandImage((Grid(alone_band, 1.0), *image.bands[1:]), image.labels)
+    lc, scores = _maxlike_in_blocks(image, sigs, priors, block_cells)
+    lc_alone, scores_alone = _maxlike_in_blocks(alone, sigs, priors, block_cells)
+    assert lc_alone.grid.values[keep].tobytes() == lc.grid.values[keep].tobytes()
+    for cid, g in scores.items():
+        assert scores_alone[cid].values[keep].tobytes() == g.values[keep].tobytes()
+
+
+def test_quadratic_form_agrees_with_the_einsum_it_replaced():
+    """`_quadratic_form` against the np.einsum("nb,bc,nc->n") form maxlike
+    used before, on signed differences and matrices that are not symmetric,
+    so that a swapped index shows. The two add the same b * b products in
+    different orders, so they differ by rounding alone: at most (b + 1)**2
+    units of 2**-53 of the sum of the products' magnitudes. Where no terms
+    cancel, that sum is the value itself, and the bound is at most
+    (b + 1)**2 ulp of it. On these draws the differences reach 5.3 units."""
+    rng = np.random.default_rng(20)
+    for b in range(1, 7):
+        for _ in range(20):
+            m = rng.normal(size=(b, b)) * 10.0 ** rng.uniform(-3, 3)
+            d = rng.normal(0.0, 30.0, size=(200, b))
+            old = np.einsum("nb,bc,nc->n", d, m, d)
+            new = classify._quadratic_form(list(d.T), m)
+            magnitude = np.einsum("nb,bc,nc->n", np.abs(d), np.abs(m), np.abs(d))
+            assert np.all(np.abs(new - old) <= (b + 1) ** 2 * 2.0**-53 * magnitude)
 
 
 def test_potts_objective_counts_pairs_once():

@@ -134,7 +134,7 @@ def test_owa_uniform_equals_wlc():
 
 # The combination before it ran in place, kept as the reference for wlc and
 # owa bit for bit: a (factors, cells) stack of the jointly valid cells,
-# weighted as a whole and reduced with np.sum, then gated by value.
+# weighted as a whole, its rows added in factor order, then gated by value.
 
 
 def _ref_stack(factors):
@@ -142,6 +142,13 @@ def _ref_stack(factors):
     for f in factors[1:]:
         valid = valid & f.valid
     return valid, np.stack([f.values[valid] for f in factors])
+
+
+def _factor_order_sum(rows):
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return total
 
 
 def _ref_gate(out, constraints, valid, geometry):
@@ -152,7 +159,7 @@ def _ref_gate(out, constraints, valid, geometry):
 
 def _ref_wlc(factors, w, constraints):
     valid, stack = _ref_stack(factors)
-    out = np.floor(np.sum(w[:, None] * stack, axis=0) + 0.5)
+    out = np.floor(_factor_order_sum(w[:, None] * stack) + 0.5)
     return _ref_gate(out, constraints, valid, factors[0])
 
 
@@ -163,7 +170,7 @@ def _ref_owa(factors, w, ow, constraints):
     order = np.argsort(terms * float(n), axis=0, kind="stable")
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(n, dtype=order.dtype)[:, None], axis=0)
-    combined = np.sum((ow * float(n))[ranks] * terms, axis=0)
+    combined = _factor_order_sum((ow * float(n))[ranks] * terms)
     out = np.floor(np.clip(combined, 0.0, 255.0) + 0.5)
     return _ref_gate(out, constraints, valid, factors[0])
 
@@ -243,15 +250,55 @@ def _one_valid_cell(values, weights):
 
 @settings(max_examples=300, deadline=None)
 @given(_combination_cases())
-# one valid cell, 8 and 9 factors, tenths weights: numpy sums the stack of
-# one cell pairwise, and these exact sums end in .5 (96.5 and 116.5), where
-# the order of the additions decides the byte
+# one valid cell, 8 and 9 factors, tenths weights: these exact sums end in
+# .5 (96.5 and 116.5), where the order of the additions decides the byte
 @example(_one_valid_cell([71, 184, 105, 49, 243, 51, 46, 142, 25], [0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1]))
 @example(_one_valid_cell([31, 27, 150, 235, 144, 151, 235, 24], [0.1, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.2]))
 def test_wlc_and_owa_match_the_stacked_reference(case):
     factors, w, ow, constraints = case
     _same_suitability(lambda: wlc(factors, w, constraints), lambda: _ref_wlc(factors, w, constraints))
     _same_suitability(lambda: owa(factors, w, ow, constraints), lambda: _ref_owa(factors, w, ow, constraints))
+
+
+@st.composite
+def _kept_cells(draw):
+    """A combination case and the cells kept valid when the others are
+    masked to nodata."""
+    case = draw(_combination_cases())
+    shape = case[0][0].shape
+    keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape)
+    return case, keep < draw(st.sampled_from([0.1, 0.5, 0.9]))
+
+
+def _one_of_two_cells(values, weights):
+    """The 9-factor cell above kept alone, and beside it a second valid cell."""
+    factors, w, ow, constraints = _one_valid_cell(values, weights)
+    beside = []
+    for f in factors:
+        vals = f.values.copy()
+        vals[0, 1] = 128.0
+        beside.append(SuitabilityGrid(vals, f.cell_size))
+    keep = np.zeros((2, 2), dtype=bool)
+    keep[1, 0] = True
+    return (beside, w, ow, constraints), keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kept_cells())
+# 9 factors, tenths weights, an exact sum of 96.5: an order of additions that
+# depends on the other cells scores this cell 97 alone and 96 beside another
+@example(_one_of_two_cells([71, 184, 105, 49, 243, 51, 46, 142, 25], [0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1]))
+def test_wlc_and_owa_score_a_cell_alike_alone_or_among_others(kept):
+    """The cells kept valid get the same bits whether the other cells are
+    valid or masked to nodata."""
+    (factors, w, ow, constraints), keep = kept
+    alone = []
+    for f in factors:
+        values = f.values.copy()
+        values[~keep] = f.nodata_value
+        alone.append(SuitabilityGrid(values, f.cell_size, nodata_value=f.nodata_value))
+    for combine in (lambda fs: wlc(fs, w, constraints), lambda fs: owa(fs, w, ow, constraints)):
+        assert combine(alone).values[keep].tobytes() == combine(factors).values[keep].tobytes()
 
 
 def test_owa_validation():

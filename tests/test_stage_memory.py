@@ -14,8 +14,8 @@ and 0.6 of a grid to spare, and markov and validate, which that change
 did not touch, at least one grid.
 
 `classify`'s kernels run on 4 bands drawn as the benchmark's classify
-workload draws them. `maxlike` measures 8.89 grids: its label and 3 score
-grids, and its row blocks, 16384 cells each, a quarter of this grid.
+workload draws them. `maxlike` measures 7.63 grids: its label and 3 score
+grids, and its blocks of 64 rows, a quarter of this grid.
 `icm` measures 5.45. Before the row-blocked `maxlike` and the lean `icm`
 they measured 17.26 and 11.34, so both fail their bounds of 9.5 and 6.5.
 """
