@@ -149,12 +149,11 @@ def mola(
     class_ids = sorted(suitabilities)
     geometry = suitabilities[class_ids[0]]
     eligible = joint_valid(*(suitabilities[c] for c in class_ids), context="mola")
-    keys = {c: -suitabilities[c].values[eligible] for c in class_ids}
+    keys = {c: np.negative(suitabilities[c].stored[eligible], dtype=np.float64) for c in class_ids}
     assigned = _claim(class_ids, keys, targets.targets)
     if legend is None:
         legend = {c: f"class {c}" for c in class_ids}
-    out = geometry.scatter(eligible, np.asarray(class_ids, dtype=np.float64)[assigned])
-    return LandCoverMap(out, legend, date_tag)
+    return LandCoverMap.from_cells(geometry, eligible, np.asarray(class_ids)[assigned], legend, date_tag)
 
 
 def _contiguity(n_same, n_valid) -> np.ndarray:
@@ -181,8 +180,8 @@ def contiguity_weights(current: LandCoverMap, class_ids, kernel_size: int = 5) -
 def contiguity_filter(current: LandCoverMap, class_id: int, kernel_size: int = 5) -> Grid:
     """contiguity_weights for one class, as a grid on the map's geometry."""
     weights = contiguity_weights(current, (class_id,), kernel_size)[int(class_id)]
-    valid = current.grid.valid
-    return current.grid.scatter(valid, weights[valid])
+    valid = current.valid
+    return current.scatter(valid, weights[valid])
 
 
 @dataclass(frozen=True)
@@ -270,27 +269,29 @@ def ca_markov(
 
     Every suitability must hold data wherever the map does. The weighted
     suitabilities reach `_claim` as sort keys: the `_key_table` rank when
-    every suitability holds only bytes (`Grid.holds_integers(0, 255)`) and
-    the kernel has a table, else the negated float product.
+    every suitability holds only bytes (`Grid.holds_integers(0, 255)`, which
+    a `SuitabilityGrid` answers from its dtype) and the kernel has a table,
+    else the negated float product. Both read the suitabilities' stored
+    values at the map's valid cells.
     """
     params = params or CaParams()
     ids = sorted(suitabilities)
     require_same_classes(
         ("map", current.class_ids), ("ca_markov: suitability", ids), ("ca_markov: transition", tm.class_ids)
     )
-    require_same_geometry(*by_position("ca_markov", current.grid, *(suitabilities[c] for c in ids)))
+    require_same_geometry(*by_position("ca_markov", current, *(suitabilities[c] for c in ids)))
     where = f"map {current.date_tag or '(undated)'}"
     for c in ids:
-        require_data_under(current.grid, suitabilities[c], f"ca_markov: the class {c} suitability", where)
+        require_data_under(current, suitabilities[c], f"ca_markov: the class {c} suitability", where)
     # every per-cell array below holds the valid cells alone, in row-major order
-    valid = current.grid.valid
+    valid = current.valid
     kernel = params.kernel_size
     radius = kernel // 2
     table = _key_table(kernel)
     if table is not None and not all(suitabilities[c].holds_integers(0, 255) for c in ids):
         table = None
     kind = np.float64 if table is None else np.uint8
-    values = {c: suitabilities[c].values[valid].astype(kind, copy=False) for c in ids}
+    values = {c: suitabilities[c].stored[valid].astype(kind, copy=False) for c in ids}
     # the evolving map always holds exactly the valid cells of `current`
     n_valid = neighbor_counts(valid, radius)[valid]
 
@@ -316,8 +317,7 @@ def ca_markov(
             labels[valid] = codes[assigned]
             now = np.bincount(assigned, minlength=len(ids)).tolist()
         log.extend(AllocationLogRow(it, c, w, n) for c, w, n in zip(ids, wanted, now))
-    predicted = current.grid.scatter(valid, labels[valid])
-    return LandCoverMap(predicted, dict(current.legend), current.date_tag), log
+    return LandCoverMap.from_labels(current, labels, dict(current.legend), current.date_tag), log
 
 
 def random_allocation(template: LandCoverMap, targets: AllocationTargets, seed: int) -> LandCoverMap:
@@ -330,11 +330,9 @@ def random_allocation(template: LandCoverMap, targets: AllocationTargets, seed: 
     ids = sorted(targets.targets)
     # a seeded shuffle of the eligible cells' row-major positions takes each
     # class's count in turn, lowest id first
-    classes = np.empty(n)
-    classes[np.random.default_rng(seed).permutation(n)] = np.repeat(
-        np.asarray(ids, dtype=np.float64), [targets.targets[c] for c in ids]
-    )
-    return LandCoverMap(template.grid.scatter(eligible, classes), dict(template.legend), template.date_tag)
+    classes = np.empty(n, dtype=np.int32)
+    classes[np.random.default_rng(seed).permutation(n)] = np.repeat(ids, [targets.targets[c] for c in ids])
+    return LandCoverMap.from_cells(template, eligible, classes, dict(template.legend), template.date_tag)
 
 
 def mean_same_class_neighbor_fraction(lc: LandCoverMap) -> float:
@@ -357,7 +355,7 @@ def converted_adjacency_fraction(before: LandCoverMap, after: LandCoverMap) -> f
     """Of the pixels whose class changed, the share that already touched
     (8-neighborhood) their new class in the before map. High values mean
     change grew out of existing patches instead of appearing at random."""
-    require_same_geometry(*by_position("converted_adjacency_fraction", before.grid, after.grid))
+    require_same_geometry(*by_position("converted_adjacency_fraction", before, after))
     b = before.labels
     a = after.labels
     changed = (b >= 0) & (a >= 0) & (b != a)

@@ -22,6 +22,7 @@ from .grid import (
     class_index,
     joint_counts,
     joint_valid,
+    label_type,
     mask_like,
     neighbor_counts,
     require_classes_cover,
@@ -50,7 +51,7 @@ def estimate_signatures(image: MultiBandImage, training: LandCoverMap) -> list[C
     when the trace is zero, e.g. constant samples) so scores stay defined.
     Each class needs at least band_count + 1 training pixels.
     """
-    sel = joint_valid(*image.bands, training.grid, context="estimate_signatures")
+    sel = joint_valid(*image.bands, training, context="estimate_signatures")
     labels = training.labels
     b = image.n_bands
 
@@ -121,10 +122,12 @@ def maxlike(
             raise NumericalError(f"class {sig.class_id}: covariance not positive definite")
         terms.append((np.log(prior) - 0.5 * logdet, np.linalg.inv(sig.covariance), sig.mean))
 
+    if legend is None:
+        legend = {cid: f"class {cid}" for cid in class_ids}
     geometry = image.geometry
     valid = joint_valid(*image.bands, context="maxlike")
-    ids = np.asarray(class_ids, dtype=np.float64)
-    labels = geometry.blank()
+    labels = np.full(geometry.shape, -1, dtype=label_type(max([*class_ids, *legend])))
+    ids = np.asarray(class_ids, dtype=labels.dtype)
     score_values = [geometry.blank(SCORE_NODATA) for _ in sigs]
     rows = max(1, _BLOCK_CELLS // geometry.n_cols)
     for top in range(0, geometry.n_rows, rows):
@@ -141,9 +144,7 @@ def maxlike(
         labels[top:end][sel] = ids[block.argmax(axis=0)]
         del x, block  # so they do not add to the map's peak
 
-    if legend is None:
-        legend = {cid: f"class {cid}" for cid in class_ids}
-    lc = LandCoverMap(geometry.computed(labels), legend)
+    lc = LandCoverMap.from_labels(geometry, labels, legend)
     score_grids = {
         cid: geometry.computed(values, nodata_value=SCORE_NODATA) for cid, values in zip(class_ids, score_values)
     }
@@ -180,7 +181,7 @@ def potts_objective(lc: LandCoverMap, scores: dict[int, Grid], beta: float) -> f
     labels = lc.labels
     total = 0.0
     for cid, g in scores.items():
-        pick = (labels == cid) & joint_valid(lc.grid, g, context="potts_objective")
+        pick = (labels == cid) & joint_valid(lc, g, context="potts_objective")
         total += float(g.values[pick].sum())
     ends = 0
     for cid in lc.class_ids:
@@ -231,12 +232,12 @@ def icm(
         raise DataError("icm needs at least one score grid")
     # pixels get updated only where every class has a score; other labeled
     # cells stay frozen but still count as neighbors
-    active = joint_valid(initial.grid, *(scores[cid] for cid in class_ids), context="icm")
+    active = joint_valid(initial, *(scores[cid] for cid in class_ids), context="icm")
     labels = initial.labels
     present = {c for c, n in initial.class_counts().items() if n}
     require_classes_cover(("initial map", present), ("icm: score", class_ids))
 
-    n_rows, n_cols = initial.grid.shape
+    n_rows, n_cols = initial.shape
     w = n_cols + 2  # padded width
     k = len(class_ids)
 
@@ -296,11 +297,10 @@ def icm(
         if changed == 0:
             break
 
-    del score, pos, flipped_at  # so they do not add to the final scatter's peak
+    del score, pos, flipped_at  # so they do not add to the final map's peak
     # labeled cells without full score coverage keep their initial index
-    out_lab = lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled]
-    out = initial.grid.scatter(labeled, np.asarray(class_ids, dtype=np.float64)[out_lab])
-    return LandCoverMap(out, dict(initial.legend), initial.date_tag)
+    ids = np.asarray(class_ids)[lab.reshape(n_rows + 2, w)[1:-1, 1:-1][labeled]]
+    return LandCoverMap.from_cells(initial, labeled, ids, dict(initial.legend), initial.date_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ class ConfusionMatrix:
 
 
 def confusion(predicted: LandCoverMap, reference: LandCoverMap) -> ConfusionMatrix:
-    sel = joint_valid(predicted.grid, reference.grid, context="confusion")
+    sel = joint_valid(predicted, reference, context="confusion")
     if not sel.any():
         raise DataError("no jointly valid pixels to compare")
     ids = sorted(set(predicted.class_ids) | set(reference.class_ids))
@@ -358,10 +358,10 @@ def producer_accuracy(cm: ConfusionMatrix) -> dict[int, float]:
 
 def residual_map(predicted: LandCoverMap, reference: LandCoverMap) -> BinaryMask:
     """Disagreement mask: 1 where jointly valid labels differ."""
-    sel = joint_valid(predicted.grid, reference.grid, context="residual_map")
-    diff = np.zeros(predicted.grid.shape)
+    sel = joint_valid(predicted, reference, context="residual_map")
+    diff = np.zeros(predicted.shape)
     diff[sel & (predicted.labels != reference.labels)] = 1.0
-    return mask_like(predicted.grid, diff)
+    return mask_like(predicted, diff)
 
 
 def write_confusion_csv(cm: ConfusionMatrix, path) -> None:

@@ -200,7 +200,7 @@ def cmd_change(args) -> int:
     for i, lv in enumerate(levels, start=1):
         write_ascii_grid(lv, out / f"levels_{i}.asc")
     write_ascii_grid(codes, out / "change_code.asc")
-    write_ascii_grid(dynamics.grid, out / "dynamics.asc")
+    write_ascii_grid(dynamics, out / "dynamics.asc")
     write_legend(dynamics.legend, out / "dynamics_legend.csv")
     write_grouping_csv(out / "grouping.csv")
     if args.ppm:  # one channel per date, levels 0/1/2 drawn at 0/128/255
@@ -231,8 +231,8 @@ def cmd_classify(args) -> int:
     smoothed = icm(labeled, scores, beta=args.beta, max_sweeps=args.sweeps)
     out = _outdir(args)
     write_signatures_csv(signatures, out / "signatures.csv")
-    write_ascii_grid(labeled.grid, out / "classified_ml.asc")
-    write_ascii_grid(smoothed.grid, out / "classified_icm.asc")
+    write_ascii_grid(labeled, out / "classified_ml.asc")
+    write_ascii_grid(smoothed, out / "classified_icm.asc")
     write_legend(legend, out / "classified_legend.csv")
     log.info("classify: %d classes, beta=%s", len(signatures), args.beta)
     return 0

@@ -1,9 +1,9 @@
 """Criterion derivation: distances, fuzzy standardization, constraints.
 
 Factors for multi-criteria evaluation are byte-scaled suitability grids
-(integer values 0..255); constraints are binary masks. Standardization
-maps raw criterion values onto 0..255 through linear, sigmoidal or
-j-shaped memberships.
+(integer values 0..255, stored as uint8); constraints are binary masks.
+Standardization maps raw criterion values onto 0..255 through linear,
+sigmoidal or j-shaped memberships.
 """
 
 from __future__ import annotations
@@ -14,20 +14,86 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .grid import BinaryMask, Grid, mask_like
+from .grid import BinaryMask, Grid, Raster, mask_like, whole_range
 
 _SHAPES = ("linear", "sigmoidal", "j_shaped")
 _DIRECTIONS = ("increasing", "decreasing", "symmetric")
+_BYTE_RULE = "suitability values must be integers in 0..255"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SuitabilityGrid(Grid):
-    """Grid whose valid cells are integers in 0..255."""
+    """Grid whose valid cells are whole numbers from 0 to 255, kept as
+    bytes: `stored`, a read-only uint8 array holding 0 at nodata cells, and
+    a mask of the valid cells, 2 bytes a cell in all. `values` builds a
+    float64 copy on each read, nodata_value at nodata cells. Kernels read
+    `stored` and `valid` and cast the bytes to a wider type before any
+    arithmetic, since uint8 arithmetic wraps silently. `integer_range` is
+    the dtype's (0, 255), found with no scan.
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.holds_integers(0, 255):
-            raise DataError("suitability values must be integers in 0..255")
+    `SuitabilityGrid(values, cell_size, ...)` takes float values, as a Grid
+    does, and checks them once; a nodata value inside 0..255 keeps its
+    cells nodata. `from_cells` takes a kernel's values at its valid cells."""
+
+    def __init__(self, *args, **kwargs):
+        g = Grid(*args, **kwargs)
+        if not g.holds_integers(0, 255):
+            raise DataError(_BYTE_RULE)
+        valid = g.valid
+        data = np.zeros(g.shape, dtype=np.uint8)
+        np.copyto(data, g.values, casting="unsafe", where=valid)  # whole numbers in 0..255: exact
+        self._keep(g, data, valid, g.nodata_value)
+
+    @classmethod
+    def from_cells(cls, geometry: Raster, sel: np.ndarray, values: np.ndarray) -> SuitabilityGrid:
+        """values, one per cell that the boolean array sel selects, as a
+        suitability on geometry's cell size and corner and on a Grid's
+        default nodata, as `Raster.computed` makes a grid, nodata where sel
+        is False. Keeps sel, read-only. Values that are not all whole
+        numbers in 0..255 raise the constructor's DataError."""
+        r = whole_range(values)
+        if r is None or not (r[0] > r[1] or 0 <= r[0] and r[1] <= 255):
+            raise DataError(_BYTE_RULE)
+        data = np.zeros(geometry.shape, dtype=np.uint8)
+        data[sel] = values
+        out = object.__new__(cls)
+        out._keep(geometry, data, sel, Grid.nodata_value)
+        return out
+
+    def _keep(self, geometry: Raster, data: np.ndarray, valid: np.ndarray, nodata_value: float) -> None:
+        data.setflags(write=False)
+        valid.setflags(write=False)
+        for name, value in (
+            ("_bytes", data),
+            ("_valid", valid),
+            ("cell_size", float(geometry.cell_size)),
+            ("x_origin", float(geometry.x_origin)),
+            ("y_origin", float(geometry.y_origin)),
+            ("nodata_value", float(nodata_value)),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._bytes.shape
+
+    @property
+    def stored(self) -> np.ndarray:
+        """The read-only uint8 values, 0 at nodata cells."""
+        return self._bytes
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self._valid.copy()
+
+    @property
+    def values(self) -> np.ndarray:
+        """A new read-only float64 array of the values, nodata_value at
+        nodata cells."""
+        out = self.blank(self.nodata_value)
+        np.copyto(out, self._bytes, where=self._valid)
+        out.setflags(write=False)
+        return out
 
 
 def suitability_like(grid: Grid, values) -> SuitabilityGrid:
@@ -219,7 +285,8 @@ def _fall(v: np.ndarray, a: float, b: float, shape: str) -> np.ndarray:
 
 
 def fuzzy_standardize(grid: Grid, spec: FuzzySpec) -> SuitabilityGrid:
-    """Scale a raw criterion onto 0..255 through the given membership.
+    """Scale a raw criterion onto 0..255 through the given membership, as
+    bytes.
 
     Output = round-half-away-from-zero(membership * 255). Nodata passes
     through on the standard sentinel.
@@ -240,7 +307,7 @@ def fuzzy_standardize(grid: Grid, spec: FuzzySpec) -> SuitabilityGrid:
     m *= 255.0
     m += 0.5
     np.floor(m, out=m)
-    return grid.scatter(valid, m, kind=SuitabilityGrid)
+    return SuitabilityGrid.from_cells(grid, valid, m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,21 @@
 """Core raster types and file I/O.
 
-Grids are single-band float64 rasters with square cells. Row 0 is the
-northernmost row. Cells holding exactly ``nodata_value`` are missing.
-Instances are immutable: the backing array is marked read-only, so grids
-can be shared freely between threads; every operation returns new grids.
+Every raster has square cells on one geometry (a shape, a cell size and a
+lower-left corner, shared through `Raster`) and cells that hold data or
+not. Row 0 is the northernmost row. Three kinds keep their cells in three
+ways:
+- a `Grid` holds float64 values; cells holding exactly ``nodata_value``
+  are missing;
+- a `LandCoverMap` holds integer labels, its class ids with -1 at nodata,
+  in the narrowest signed type (int8 up to id 127), and builds its float
+  `grid` only when asked, without keeping it;
+- a `criteria.SuitabilityGrid`, a Grid, holds bytes (uint8) and a mask of
+  its valid cells, 2 bytes a cell, and builds its float `values` on each
+  read. Kernels read its `stored` bytes, cast to a wider type before any
+  arithmetic, since uint8 arithmetic wraps silently.
+Instances are immutable: the backing arrays are marked read-only, so
+rasters can be shared freely between threads; every operation returns new
+ones.
 
 The on-disk format is a plain-text grid: six header lines (NCOLS, NROWS,
 XLLCORNER, YLLCORNER, CELLSIZE, NODATA_VALUE, any case, any order) followed
@@ -12,9 +24,11 @@ northernmost row. Values are written in shortest round-trip form, so a
 write/read cycle is bit-exact, except that -0.0 is written as 0. The
 writer formats each distinct value of a grid once and gathers the strings
 into rows, writing the body 64 rows at a time; the bytes are the same as
-formatting every cell on its own. A grid whose valid values are all
-integers from 0 to 65535 takes its strings from a table indexed by value;
-any other grid finds its distinct values with `np.unique` and formats them
+formatting every cell on its own. A raster whose valid values are all
+integers from 0 to 65535 takes its strings from a table indexed by value,
+one block of indices at a time: a map by its legend and a suitability by
+its dtype, with no scan, and a float grid after `integer_range` scans it.
+Any other grid finds its distinct values with `np.unique` and formats them
 in two batches (compact integers and repr). The reader accepts finite
 values only, written as `parse_number` reads them: a non-finite or
 underscored header value or cell is a format error. A valid body is
@@ -24,17 +38,22 @@ lines, which words the error with the path, the line and the token.
 `Grid.integer_range` is the one rule for whole-number grids: whether every
 valid value is a finite whole number and, if so, the lowest and highest.
 It is found once per grid, which is sound because the values are
-read-only. Land-cover maps, suitabilities, vigour levels, trajectory codes,
-the cellular pass's byte key and the writer's table all read it; no other
+read-only, by a scan in blocks of cells (`whole_range`), or, for a grid
+kept as integers, from its dtype with no scan (a map's, from its legend).
+Land-cover maps, suitabilities, vigour levels, trajectory codes, the
+cellular pass's byte key and the writer's table all read it; no other
 module checks values for wholeness.
 
 Every grid the program makes from computed values is on DEFAULT_NODATA
 (-9999), whatever its inputs use: a kernel starts from `Grid.blank`, fills
 it and wraps it with `Grid.computed` (`Grid.scatter` and `mask_like` do
-both), and no module but this one names the value. An input on
-NODATA_VALUE 0 thus keeps its class 0, level 0 or probability 0 cells as
-data. The one exception is `classify.maxlike`'s internal score grids,
-which are on SCORE_NODATA, since -9999 is a reachable log-score.
+both), and no module but this one names the value. A map a kernel makes
+from its labels (`LandCoverMap.from_labels` and `from_cells`) and a
+suitability made from a kernel's cells (`SuitabilityGrid.from_cells`) are
+on it too. An input on NODATA_VALUE 0 thus keeps its class 0, level 0 or
+probability 0 cells as data. The one exception is `classify.maxlike`'s
+internal score grids, which are on SCORE_NODATA, since -9999 is a
+reachable log-score.
 
 `class_index` is the one rule for class ids, whole numbers from 0 to 65535
 (the writer's table bound): every module checks ids and finds their places
@@ -88,8 +107,80 @@ _ID_RULE = f"class ids must be integers from 0 to {_TABLE_MAX}"
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
+# cells a whole-number scan or a label count takes at a time, so that its
+# temporaries stay small whatever the grid's size
+_SCAN_CELLS = 1 << 14
+
+
+class Raster:
+    """What every raster shares: a shape, a square cell size, a lower-left
+    corner and `valid`, a fresh boolean array, True where a cell holds data.
+    A subclass gives those, its `stored` array and `integer_range`; the
+    geometry rules and the builders of computed grids are here."""
+
+    @property
+    def n_rows(self) -> int:
+        return self.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.shape[1]
+
+    def holds_integers(self, lo: int, hi: int) -> bool:
+        """True when every valid value is a whole number from lo to hi."""
+        r = self.integer_range
+        return r is not None and (r[0] > r[1] or lo <= r[0] and r[1] <= hi)
+
+    def blank(self, fill: float = DEFAULT_NODATA) -> np.ndarray:
+        """A float array of this raster's shape, every cell fill: a kernel
+        fills its data cells in place and wraps it with `computed`."""
+        return np.full(self.shape, fill)
+
+    def computed(self, values, kind: type | None = None, nodata_value: float = DEFAULT_NODATA) -> "Grid":
+        """New grid, a `kind` (Grid by default), holding computed values on
+        this raster's geometry and DEFAULT_NODATA, whatever this raster uses,
+        so no computed value can fall on an input's nodata."""
+        return (kind or Grid)(values, self.cell_size, self.x_origin, self.y_origin, nodata_value)
+
+    def scatter(self, sel, values, kind: type | None = None) -> "Grid":
+        """New grid, a `kind` (Grid by default), with this raster's geometry
+        holding values at the cells sel selects (`...` for every cell) and
+        DEFAULT_NODATA elsewhere, as `computed` makes it."""
+        out = self.blank()
+        out[sel] = values
+        return self.computed(out, kind)
+
+    def same_geometry(self, other: "Raster") -> bool:
+        return (
+            self.shape == other.shape
+            and self.cell_size == other.cell_size
+            and self.x_origin == other.x_origin
+            and self.y_origin == other.y_origin
+        )
+
+
+def whole_range(values: np.ndarray, nodata: float | None = None) -> tuple[int, int] | None:
+    """(lowest, highest) of the values other than nodata as ints when every
+    one is a finite whole number, else None; (0, -1) when there is none.
+    Scans _SCAN_CELLS cells at a time, so its temporaries (a mask, one
+    `np.trunc` result) are those of one block."""
+    lo, hi = math.inf, -math.inf
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, _SCAN_CELLS):
+        v = flat[start : start + _SCAN_CELLS]
+        ok = True if nodata is None else v != nodata
+        v_lo = v.min(where=ok, initial=math.inf)  # nan if any value it takes is
+        v_hi = v.max(where=ok, initial=-math.inf)
+        if v_lo > v_hi:  # no value here
+            continue
+        if not (math.isfinite(v_lo) and math.isfinite(v_hi) and np.all(np.trunc(v) == v, where=ok)):
+            return None
+        lo, hi = min(lo, v_lo), max(hi, v_hi)
+    return (0, -1) if lo > hi else (int(lo), int(hi))
+
+
 @dataclass(frozen=True, eq=False)
-class Grid:
+class Grid(Raster):
     values: np.ndarray
     cell_size: float
     x_origin: float = 0.0
@@ -111,16 +202,13 @@ class Grid:
         object.__setattr__(self, "nodata_value", float(self.nodata_value))
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+    @property
+    def stored(self) -> np.ndarray:
+        """The array the grid keeps: `values`, or a subclass's integers."""
+        return self.values
 
     @property
     def valid(self) -> np.ndarray:
@@ -131,61 +219,25 @@ class Grid:
     def integer_range(self) -> tuple[int, int] | None:
         """(lowest, highest) valid value as ints when every valid value is a
         finite whole number, else None; (0, -1) when no cell is valid. Found
-        once per grid, as the values are read-only. It scans the whole grid:
-        one mask of the valid cells, `where=` reductions over it and one
-        float temporary from `np.trunc`."""
-        values, valid = self.values, self.valid
-        lo = values.min(where=valid, initial=math.inf)  # nan if any valid value is
-        hi = values.max(where=valid, initial=-math.inf)
-        if lo > hi:
-            return 0, -1
-        if not (math.isfinite(lo) and math.isfinite(hi) and np.all(np.trunc(values) == values, where=valid)):
-            return None
-        return int(lo), int(hi)
-
-    def holds_integers(self, lo: int, hi: int) -> bool:
-        """True when every valid value is a whole number from lo to hi."""
-        r = self.integer_range
-        return r is not None and (r[0] > r[1] or lo <= r[0] and r[1] <= hi)
+        once per grid, as the values are read-only: by `whole_range`'s scan
+        in blocks or, for a grid kept as integers, as its dtype's bounds,
+        with no scan (a byte grid answers (0, 255))."""
+        if self.stored.dtype.kind in "iu":
+            info = np.iinfo(self.stored.dtype)
+            return int(info.min), int(info.max)
+        return whole_range(self.values, self.nodata_value)
 
     def with_values(self, values) -> "Grid":
         """New grid with this grid's geometry, nodata value and the given
         cell values."""
         return Grid(values, self.cell_size, self.x_origin, self.y_origin, self.nodata_value)
 
-    def blank(self, fill: float = DEFAULT_NODATA) -> np.ndarray:
-        """A float array of this grid's shape, every cell fill: a kernel
-        fills its data cells in place and wraps it with `computed`."""
-        return np.full(self.shape, fill)
 
-    def computed(self, values, kind: type | None = None, nodata_value: float = DEFAULT_NODATA) -> "Grid":
-        """New grid, a `kind` (Grid by default), holding computed values on
-        this grid's geometry and DEFAULT_NODATA, whatever this grid uses, so
-        no computed value can fall on an input's nodata."""
-        return (kind or Grid)(values, self.cell_size, self.x_origin, self.y_origin, nodata_value)
-
-    def scatter(self, sel, values, kind: type | None = None) -> "Grid":
-        """New grid, a `kind` (Grid by default), with this grid's geometry
-        holding values at the cells sel selects (`...` for every cell) and
-        DEFAULT_NODATA elsewhere, as `computed` makes it."""
-        out = self.blank()
-        out[sel] = values
-        return self.computed(out, kind)
-
-    def same_geometry(self, other: "Grid") -> bool:
-        return (
-            self.shape == other.shape
-            and self.cell_size == other.cell_size
-            and self.x_origin == other.x_origin
-            and self.y_origin == other.y_origin
-        )
-
-
-def _geometry_text(g: Grid) -> str:
+def _geometry_text(g: Raster) -> str:
     return f"{g.shape}/{g.cell_size} at lower-left corner ({g.x_origin}, {g.y_origin})"
 
 
-def require_same_geometry(*named: tuple[str, Grid]) -> None:
+def require_same_geometry(*named: tuple[str, Raster]) -> None:
     """Raise a GeometryError naming the first (name, grid) pair whose grid
     does not share the first pair's geometry, and that pair:
     '<name> geometry <G> does not match <first name> geometry <G0>'. The
@@ -222,7 +274,7 @@ def require_classes_cover(first: tuple, later: tuple) -> None:
         require_same_classes(first, later)
 
 
-def joint_valid(*grids: Grid, context: str) -> np.ndarray:
+def joint_valid(*grids: Raster, context: str) -> np.ndarray:
     """Boolean array, True where every grid holds data. Grids that do not
     share one geometry raise `require_same_geometry`'s GeometryError,
     named by position."""
@@ -233,7 +285,7 @@ def joint_valid(*grids: Grid, context: str) -> np.ndarray:
     return valid
 
 
-def require_data_under(ref: Grid, g: Grid, what: str, where: str) -> None:
+def require_data_under(ref: Raster, g: Raster, what: str, where: str) -> None:
     """Raise a DataError naming the first cell, in row-major order, where
     `ref` holds data and `g`, of the same geometry, does not."""
     missing = np.flatnonzero(ref.valid & ~g.valid)
@@ -349,47 +401,135 @@ def joint_counts(ids, *labels: np.ndarray) -> np.ndarray:
     return np.bincount(flat, minlength=k ** len(labels)).reshape((k,) * len(labels))
 
 
-@dataclass(frozen=True, eq=False)
-class LandCoverMap:
+def label_type(max_id: int) -> type:
+    """The narrowest signed integer type that holds -1 and every id up to
+    max_id (int8 up to 127): the type of a map's labels."""
+    return next(t for t in (np.int8, np.int16, np.int32) if max_id <= np.iinfo(t).max)
+
+
+def _label_counts(labels: np.ndarray, size: int) -> np.ndarray:
+    """Counts of each id from 0 to size - 1 among the labels, -1 at nodata,
+    _SCAN_CELLS cells at a time, so no index array as large as the map is
+    made. Every label is below size."""
+    counts = np.zeros(size, dtype=np.intp)
+    flat = labels.reshape(-1)
+    for start in range(0, flat.size, _SCAN_CELLS):
+        block = flat[start : start + _SCAN_CELLS]
+        counts += np.bincount(block[block >= 0], minlength=size)
+    return counts
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class LandCoverMap(Raster):
     """Categorical raster: integer class ids plus a legend naming every id.
 
-    The labels and class counts are computed once, at construction."""
+    It keeps its labels, its geometry and its nodata value, and no float
+    grid: `grid` builds one on each read. `LandCoverMap(grid, legend,
+    date_tag)` checks a float grid once and writes its codes in place into
+    the labels; a kernel that holds labels makes its map with `from_labels`
+    or `from_cells`. The class counts are found once, at construction."""
 
-    grid: Grid
+    labels: np.ndarray = field(repr=False)
     legend: dict[int, str]
-    date_tag: str = ""
-    _labels: np.ndarray = field(init=False, repr=False)
-    _counts: dict[int, int] = field(init=False, repr=False)
+    date_tag: str
+    cell_size: float
+    x_origin: float
+    y_origin: float
+    nodata_value: float
+    _counts: dict[int, int] = field(repr=False)
 
-    def __post_init__(self):
-        pos = class_index(sorted(self.legend))  # as long as the largest id: at most 65,536 entries
-        legend = {int(k): str(v) for k, v in self.legend.items()}
-        grid, valid = self.grid, self.grid.valid
-        data = grid.values[valid]
+    def __init__(self, grid: Grid, legend: dict[int, str], date_tag: str = ""):
+        pos = class_index(sorted(legend))  # as long as the largest id: at most 65,536 entries
         if not grid.holds_integers(0, pos.size - 1):
-            stray = [v for v in _distinct(data) if v not in legend]
+            stray = [v for v in _distinct(grid.values[grid.valid]) if v not in legend]
             raise DataError(f"map values {stray} missing from legend {sorted(legend)}")
-        codes = data.astype(next(t for t in (np.int8, np.int16, np.int32) if pos.size - 1 <= np.iinfo(t).max))
-        counts = np.bincount(codes, minlength=pos.size)
+        labels = np.full(grid.shape, -1, dtype=label_type(pos.size - 1))
+        np.copyto(labels, grid.values, casting="unsafe", where=grid.valid)  # whole numbers: exact
+        self._keep(grid, labels, legend, date_tag, grid.nodata_value, pos)
+
+    @classmethod
+    def from_labels(cls, geometry: Raster, labels, legend: dict[int, str], date_tag: str = ""):
+        """The map of `labels`, an integer array of class ids with -1 at
+        nodata, on geometry's cell size and corner and on DEFAULT_NODATA, as
+        `Raster.computed` makes a grid. Labels already of the legend's label
+        type are kept as they are, read-only; others are converted. An id
+        missing from the legend raises the constructor's DataError."""
+        pos = class_index(sorted(legend))
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu" or labels.shape != geometry.shape:
+            raise DataError(f"labels must be an integer array of shape {geometry.shape}")
+        if labels.min() < -1:
+            raise DataError("labels must be class ids, or -1 at nodata")
+        if labels.max() >= pos.size:
+            stray = [v for v in np.unique(labels[labels >= 0]).tolist() if v not in legend]
+            raise DataError(f"map values {stray} missing from legend {sorted(legend)}")
+        labels = labels.astype(label_type(pos.size - 1), copy=False)
+        lc = object.__new__(cls)
+        lc._keep(geometry, labels, legend, date_tag, DEFAULT_NODATA, pos)
+        return lc
+
+    @classmethod
+    def from_cells(cls, geometry: Raster, sel: np.ndarray, ids, legend: dict[int, str], date_tag: str = ""):
+        """`from_labels` of the class ids `ids`, one per cell that the
+        boolean array sel selects, and nodata elsewhere."""
+        ids = np.asarray(ids)
+        top = max(max(legend, default=-1), int(ids.max(initial=-1)))
+        labels = np.full(geometry.shape, -1, dtype=label_type(top))
+        labels[sel] = ids
+        return cls.from_labels(geometry, labels, legend, date_tag)
+
+    def _keep(self, geometry: Raster, labels: np.ndarray, legend, date_tag, nodata_value, pos: np.ndarray) -> None:
+        """Count the classes, refuse an id missing from the legend, and set
+        every field."""
+        counts = _label_counts(labels, pos.size)
         unknown = np.flatnonzero((pos < 0) & (counts > 0))
         if unknown.size:
             raise DataError(f"map values {unknown.tolist()} missing from legend {sorted(legend)}")
-        labels = np.full(grid.shape, -1, dtype=codes.dtype)
-        labels[valid] = codes
         labels.setflags(write=False)
-        object.__setattr__(self, "legend", legend)
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_counts", dict(zip(sorted(legend), counts[pos >= 0].tolist())))
+        legend = {int(k): str(v) for k, v in legend.items()}
+        for name, value in (
+            ("labels", labels),
+            ("legend", legend),
+            ("date_tag", date_tag),
+            ("cell_size", float(geometry.cell_size)),
+            ("x_origin", float(geometry.x_origin)),
+            ("y_origin", float(geometry.y_origin)),
+            ("nodata_value", float(nodata_value)),
+            ("_counts", dict(zip(sorted(legend), counts[pos >= 0].tolist()))),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.labels.shape
+
+    @property
+    def stored(self) -> np.ndarray:
+        """The labels: read-only class ids with -1 at nodata cells, in the
+        narrowest signed integer type that holds every legend id."""
+        return self.labels
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.labels >= 0
+
+    @property
+    def integer_range(self) -> tuple[int, int]:
+        """Bounds on the valid values from the legend, with no scan: (0,
+        the largest id), or (0, -1) with an empty legend."""
+        return 0, max(self.legend, default=-1)
+
+    @property
+    def grid(self) -> Grid:
+        """A new float grid of the class ids, on the map's geometry and
+        nodata value; built on each read and not kept."""
+        values = self.blank(self.nodata_value)
+        np.copyto(values, self.labels, where=self.valid)
+        return Grid(values, self.cell_size, self.x_origin, self.y_origin, self.nodata_value)
 
     @property
     def class_ids(self) -> list[int]:
         return sorted(self.legend)
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Read-only class ids with -1 at nodata cells, in the narrowest
-        signed integer type that holds every legend id (int8 up to 127)."""
-        return self._labels
 
     def class_counts(self) -> dict[int, int]:
         return dict(self._counts)
@@ -566,7 +706,9 @@ def _read_body_lines(path: str, body: list[str], lineno: int, n_rows: int, n_col
     return np.vstack(rows)
 
 
-def write_ascii_grid(grid: Grid, path) -> None:
+def write_ascii_grid(grid: Raster, path) -> None:
+    """Write a Grid, a LandCoverMap or a SuitabilityGrid as a text grid on
+    its nodata value."""
     path = str(path)
     x, y, cell, nodata = _format_values([grid.x_origin, grid.y_origin, grid.cell_size, grid.nodata_value])
     header = (
@@ -578,21 +720,29 @@ def write_ascii_grid(grid: Grid, path) -> None:
         f"NODATA_VALUE {nodata}\n"
     )
     # grids hold few distinct values, so format each one once and gather
-    values = grid.values
     if grid.holds_integers(0, _TABLE_MAX):
-        # integer grid: the text of value v is text[v + 1], nodata's text[0]
+        # integer values: the text of value v is text[v + 1], nodata's
+        # text[0], and each block's index is made as it is written
         text = np.array([nodata, *map(str, range(grid.integer_range[1] + 1))], dtype=object)
-        index = np.zeros(grid.shape, dtype=np.intp)  # -0.0 + 1 lands on 0's text
-        np.add(values, 1, out=index, where=grid.valid, casting="unsafe")
+        values, valid = grid.stored, grid.valid
+
+        def index(rows: slice) -> np.ndarray:
+            # added in intp, as labels and bytes would wrap at their top
+            # value; -0.0 + 1 lands on 0's text
+            out = np.zeros(values[rows].shape, dtype=np.intp)
+            np.add(values[rows], 1, out=out, where=valid[rows], casting="unsafe", dtype=np.intp)
+            return out
+
     else:
         # -0.0/0.0 and all NaNs merge here but format to the same text anyway
-        distinct, index = np.unique(values, return_inverse=True)
+        distinct, inverse = np.unique(grid.values, return_inverse=True)
         text = _format_values(distinct)
-        index = index.reshape(grid.shape)
+        inverse = inverse.reshape(grid.shape)
+        index = inverse.__getitem__
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header)
         for start in range(0, grid.n_rows, _WRITE_BLOCK_ROWS):
-            block = text[index[start : start + _WRITE_BLOCK_ROWS]].tolist()
+            block = text[index(slice(start, start + _WRITE_BLOCK_ROWS))].tolist()
             fh.write("".join(" ".join(row) + "\n" for row in block))
 
 

@@ -119,8 +119,8 @@ def group_dynamics(codes: Grid) -> LandCoverMap:
     if not codes.holds_integers(0, 26):
         raise DataError("codes grid holds values outside 0..26")
     ok = codes.valid
-    lut = np.asarray(CATEGORY_OF, dtype=np.float64)
-    return LandCoverMap(codes.scatter(ok, lut[codes.values[ok].astype(np.int64)]), dict(CATEGORY_NAMES))
+    lut = np.asarray(CATEGORY_OF)
+    return LandCoverMap.from_cells(codes, ok, lut[codes.values[ok].astype(np.int64)], dict(CATEGORY_NAMES))
 
 
 def write_grouping_csv(path) -> None:

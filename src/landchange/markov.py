@@ -56,7 +56,7 @@ def largest_remainder(reals: np.ndarray, total: int) -> np.ndarray:
 
 def crosstab(map_a: LandCoverMap, map_b: LandCoverMap) -> tuple[np.ndarray, list[int]]:
     """Counts[i, j] = pixels going from class ids[i] in map_a to ids[j] in map_b."""
-    sel = joint_valid(map_a.grid, map_b.grid, context="crosstab")
+    sel = joint_valid(map_a, map_b, context="crosstab")
     require_same_classes(*by_position("crosstab", map_a.class_ids, map_b.class_ids))
     if not sel.any():
         raise DataError("crosstab: no jointly valid pixels")
@@ -167,7 +167,7 @@ class SecondOrderTable:
 
 
 def second_order_transitions(m1: LandCoverMap, m2: LandCoverMap, m3: LandCoverMap) -> SecondOrderTable:
-    sel = joint_valid(m1.grid, m2.grid, m3.grid, context="second_order_transitions")
+    sel = joint_valid(m1, m2, m3, context="second_order_transitions")
     require_same_classes(*by_position("second_order_transitions", m1.class_ids, m2.class_ids, m3.class_ids))
     if not sel.any():
         raise DataError("second_order_transitions: no jointly valid pixels")
@@ -189,9 +189,9 @@ def conditional_probability_maps(current: LandCoverMap, tm: TransitionMatrix) ->
     """Per-class grids of the probability that each pixel becomes that
     class: each pixel takes its current class's row of the matrix."""
     require_classes_cover(("map", current.class_ids), ("conditional_probability_maps: transition", tm.class_ids))
-    sel = current.grid.valid
+    sel = current.valid
     rows = class_index(tm.class_ids)[current.labels[sel]]  # each valid cell's row of the matrix
-    return {cid: current.grid.scatter(sel, tm.probs[:, i][rows]) for i, cid in enumerate(tm.class_ids)}
+    return {cid: current.scatter(sel, tm.probs[:, i][rows]) for i, cid in enumerate(tm.class_ids)}
 
 
 def expected_areas(

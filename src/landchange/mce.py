@@ -124,21 +124,23 @@ def _combine_prep(factors, weights, constraints):
 
 
 def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] = ()) -> SuitabilityGrid:
-    """Weighted linear combination: round(sum w_i * f_i), then constraint gating.
+    """Weighted linear combination: round(sum w_i * f_i), then constraint
+    gating, as bytes.
 
     Weights are expected to sum to 1 so the result stays on the byte scale.
     The terms w_i * f_i are added into the output grid in factor order, so
     a cell's value depends on its own factors alone, and every step runs in
     place on the valid cells alone (`where=valid`), so the only other
-    grid-sized array is one term.
+    grid-sized float array is one term. Each term multiplies the factor's
+    stored bytes in float64.
     """
     w, valid = _combine_prep(factors, weights, constraints)
     geometry = factors[0]
     out = geometry.blank()
     term = np.empty(geometry.shape)
-    np.multiply(factors[0].values, w[0], out=out, where=valid)
+    np.multiply(factors[0].stored, w[0], out=out, where=valid, dtype=np.float64)
     for f, wi in zip(factors[1:], w[1:]):
-        np.multiply(f.values, wi, out=term, where=valid)
+        np.multiply(f.stored, wi, out=term, where=valid, dtype=np.float64)
         np.add(out, term, out=out, where=valid)
     del term
     np.add(out, 0.5, out=out, where=valid)
@@ -154,7 +156,7 @@ def owa(
     order_weights,
     constraints: list[BinaryMask] = (),
 ) -> SuitabilityGrid:
-    """Ordered weighted averaging.
+    """Ordered weighted averaging, as bytes.
 
     Per cell the factor-weighted values w_i*f_i*n are ranked ascending and
     the k-th order weight multiplies the value of rank k. Order weights are
@@ -172,7 +174,7 @@ def owa(
 
     terms = np.empty((n, int(np.count_nonzero(valid))))  # the valid cells alone
     for row, f in zip(terms, factors):
-        row[:] = f.values[valid]
+        row[:] = f.stored[valid]  # bytes to float64, exactly
     terms *= w[:, None]  # same term layout and reduction order as wlc
     order = np.argsort(terms * float(n), axis=0, kind="stable")  # ascending, ties by factor index
     # the term of rank r is multiplied by effective[r]; uniform order
@@ -191,7 +193,7 @@ def owa(
     np.floor(combined, out=combined)
     for m in constraints:
         combined *= m.values[valid]
-    return factors[0].scatter(valid, combined, kind=SuitabilityGrid)
+    return SuitabilityGrid.from_cells(factors[0], valid, combined)
 
 
 # ---------------------------------------------------------------------------

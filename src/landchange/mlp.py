@@ -404,7 +404,7 @@ def build_samples(
     (default: the highest class id). Bounds and encoding order freeze into
     the returned FeatureSpec.
     """
-    sel = joint_valid(prior.grid, nxt.grid, *criteria, context="build_samples")
+    sel = joint_valid(prior, nxt, *criteria, context="build_samples")
     if not sel.any():
         raise DataError("no jointly valid pixels to sample")
     ids = sorted(set(prior.class_ids) | set(nxt.class_ids))
@@ -444,10 +444,10 @@ def predict_map(model: MLPModel, prior: LandCoverMap, criteria: list[Grid]) -> G
         raise DataError(
             f"model was trained with {len(spec.criteria_bounds)} criteria, got {len(criteria)}"
         )
-    sel = joint_valid(prior.grid, *criteria, context="predict_map")
+    sel = joint_valid(prior, *criteria, context="predict_map")
     require_classes_cover(("prior map", prior.class_ids), ("predict_map: model", spec.class_ids))
     x = _encode(spec, prior.labels[sel], [c.values[sel] for c in criteria])
-    return prior.grid.scatter(sel, forward_batch(model, x))
+    return prior.scatter(sel, forward_batch(model, x))
 
 
 def write_history_csv(history, path) -> None:

@@ -4,20 +4,22 @@ Every stage writes its outputs to files under the configured output
 directory, and a later stage takes such an output by its file name
 (`transition_scaled.csv`, `suit_<id>.asc`, `mlp_model.txt`,
 `predicted_*.asc`) through one rule, `_take`. In a full run the writing
-stage hands the object forward under that name; a grid's one taker pops
-it, so no grid outlives its last consumer, and no file on disk ever stands
-in for it. A single-stage command reads the file. Either way a missing
-output raises the same "<file> not found; run the <stage> first" error.
+stage hands the object forward under that name: a suitability as bytes, a
+predicted map as its labels. A raster's one taker pops it, so no raster
+outlives its last consumer, and no file on disk ever stands in for it. A
+single-stage command reads the file. Either way a missing output raises
+the same "<file> not found; run the <stage> first" error.
 Both change models end in one predict step, `_allocate`: `ca_markov`
 places the Markov-projected areas on the model's per-class suitabilities
 (the MCE grids, or the perceptron's probability), and the step writes the
-model's predicted grid, its allocation log and its allocation section.
+model's predicted map, its allocation log and its allocation section.
 A full run also reads each config input once: the dated maps, and the
 criterion grids that mce and the perceptron share in a `both` run. Each
 criterion and constraint grid is checked against the maps' geometry where
 it is read, and a mismatch names its config key; an earlier stage's grid
 taken by a later one (`suit_<id>.asc`, `predicted_*.asc`) is checked the
-same way, named by its path, as are the classes of a
+same way, and a suitability must hold data wherever the current map does,
+each named by its path, as are the classes of a
 `transition_scaled.csv` or `mlp_model.txt` read. Every rule that holds the
 config against the legend is checked, by `_check_legend`, before any stage
 writes. The compute code is the same either way, so chaining the stage
@@ -62,6 +64,7 @@ from .errors import ConfigError, DataError, LandchangeError
 from .grid import (
     Grid,
     LandCoverMap,
+    Raster,
     class_index,
     load_legend,
     naming,
@@ -160,14 +163,28 @@ def _check_held_out(cfg: PipelineConfig) -> None:
 def _require_maps_geometry(name: str, g: Grid, m: LandCoverMap) -> None:
     """A grid that does not share the dated maps' geometry is a GeometryError
     naming it and the map's config key."""
-    require_same_geometry((f"maps.{m.date_tag}", m.grid), (name, g))
+    require_same_geometry((f"maps.{m.date_tag}", m), (name, g))
 
 
 def _read_suitability(path, cur: LandCoverMap) -> SuitabilityGrid:
+    """The suitability at path, as bytes. It must share the geometry of the
+    dated maps and hold data wherever `cur` does; a failure names the path."""
     g = read_ascii_grid(path)
     _require_maps_geometry(str(path), g, cur)
     with naming(path):
-        return SuitabilityGrid(g.values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value)
+        suit = SuitabilityGrid(g.values, g.cell_size, g.x_origin, g.y_origin, g.nodata_value)
+    require_data_under(cur, suit, str(path), f"maps.{cur.date_tag}")
+    return suit
+
+
+def _read_prediction(path, held: LandCoverMap) -> LandCoverMap:
+    """The predicted map at path, on the held-out map's legend. It must share
+    the dated maps' geometry and hold only legend classes; a failure names
+    the path."""
+    g = read_ascii_grid(path)
+    _require_maps_geometry(str(path), g, held)
+    with naming(path):
+        return LandCoverMap(g, held.legend, held.date_tag)
 
 
 def _read_transition(path, cur: LandCoverMap):
@@ -196,7 +213,7 @@ def _read_layer(cfg: PipelineConfig, section: str, name: str, cur: LandCoverMap)
     g = read_mask(path) if section == "constraints" else read_ascii_grid(path)
     _require_maps_geometry(f"{section}.{name}", g, cur)
     if section == "criteria":
-        require_data_under(cur.grid, g, f"criteria.{name}", f"maps.{cur.date_tag}")
+        require_data_under(cur, g, f"criteria.{name}", f"maps.{cur.date_tag}")
     return g
 
 
@@ -264,14 +281,15 @@ def _take(cfg: PipelineConfig, handed: dict | None, fname: str, writer: str, rea
     """An earlier stage's output by its file name: in a full run, from what
     that stage handed forward (a file on disk may be stale and is never
     read); in a single-stage command, read from the output directory with
-    `read`. A grid has one taker and is popped, so it does not outlive it;
-    a small object (the scaled matrix, the model) stays for the next."""
+    `read`. A raster (a grid or a map) has one taker and is popped, so it
+    does not outlive it; a small object (the scaled matrix, the model)
+    stays for the next."""
     if handed is None:
         path = cfg.out_dir / fname
         if path.is_file():
             return read(path)
     elif fname in handed:
-        return handed.pop(fname) if isinstance(handed[fname], Grid) else handed[fname]
+        return handed.pop(fname) if isinstance(handed[fname], Raster) else handed[fname]
     raise DataError(f"{fname} not found; run the {writer} first")
 
 
@@ -383,20 +401,22 @@ def stage_mce(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     )
 
 
-def _allocate(cfg: PipelineConfig, handed: dict | None, model: str, cur: LandCoverMap, tm_s, suits) -> list[str]:
+def _allocate(cfg: PipelineConfig, handed: dict | None, model: str, w: _Window, tm_s, suits) -> list[str]:
     """The predict step of both change models: allocate the projected areas
-    over `cur` on the per-class suitabilities `suits`, write the model's
-    predicted grid (handed forward) and allocation log, and return its
-    allocation section."""
+    over the current map on the per-class suitabilities `suits`, write the
+    model's predicted map (handed forward, dated as the held-out map) and
+    allocation log, and return its allocation section."""
     m = _MODEL_STAGES[model]
-    predicted, log = ca_markov(cur, tm_s, suits, CaParams(cfg.iterations, cfg.kernel))
+    predicted, log = ca_markov(w.cur, tm_s, suits, CaParams(cfg.iterations, cfg.kernel))
+    if w.held is not None:
+        predicted = LandCoverMap.from_labels(predicted, predicted.labels, predicted.legend, w.held.date_tag)
     last_it = max((r.iteration for r in log), default=0)
     try:
         clumping = repr(float(mean_same_class_neighbor_fraction(predicted)))
     except DataError:  # every valid cell stands alone
         clumping = "undefined (no valid cell has a valid neighbour)"
 
-    _put(cfg, handed, m.predicted, predicted.grid, write_ascii_grid)
+    _put(cfg, handed, m.predicted, predicted, write_ascii_grid)
     write_allocation_log_csv(log, cfg.out_dir / m.log)
     return _section(
         m.heading,
@@ -408,13 +428,14 @@ def _allocate(cfg: PipelineConfig, handed: dict | None, model: str, cur: LandCov
 
 def stage_predict(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     """Allocate the projected areas on the MCE suitabilities."""
-    cur = _window(cfg, handed).cur
+    w = _window(cfg, handed)
+    cur = w.cur
     tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", lambda path: _read_transition(path, cur))
     suits = {
         cid: _take(cfg, handed, f"suit_{cid}.asc", "mce stage", lambda path: _read_suitability(path, cur))
         for cid in cur.class_ids
     }
-    return _allocate(cfg, handed, "ca_markov", cur, tm_s, suits)
+    return _allocate(cfg, handed, "ca_markov", w, tm_s, suits)
 
 
 def stage_mlp_train(cfg: PipelineConfig, handed: dict | None) -> list[str]:
@@ -445,13 +466,14 @@ def stage_mlp_predict(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     """Allocate the projected areas on the perceptron's focal-class
     probability, standardized increasing for the focal class and decreasing
     for the other, and write that probability."""
-    cur = _window(cfg, handed).cur
+    w = _window(cfg, handed)
+    cur = w.cur
     model = _take(cfg, handed, MLP_MODEL, "mlp-train stage", lambda path: _read_model(path, cur))
     tm_s = _take(cfg, handed, TRANSITION_SCALED_CSV, "markov stage", lambda path: _read_transition(path, cur))
     prob = predict_map(model, cur, list(_criteria(cfg, handed, cur).values()))
     rise = {cid: "increasing" if cid == model.features.focal_class else "decreasing" for cid in cur.class_ids}
     suits = {cid: fuzzy_standardize(prob, FuzzySpec("linear", d, 0.0, 1.0)) for cid, d in rise.items()}
-    section = _allocate(cfg, handed, "mlp", cur, tm_s, suits)
+    section = _allocate(cfg, handed, "mlp", w, tm_s, suits)
 
     write_ascii_grid(prob, cfg.out_dir / MLP_PROB)
     return section
@@ -466,11 +488,7 @@ def stage_validate(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     scored = []  # (model, confusion matrix, residual mask)
     for name in _models(cfg):
         fname = _MODEL_STAGES[name].predicted
-        grid = _take(cfg, handed, fname, "predict stages", read_ascii_grid)
-        path = cfg.out_dir / fname  # a full run wrote the grid to that file
-        _require_maps_geometry(str(path), grid, w.held)
-        with naming(path):
-            pred = LandCoverMap(grid, w.held.legend, w.held.date_tag)
+        pred = _take(cfg, handed, fname, "predict stages", lambda path: _read_prediction(path, w.held))
         if not scored:
             targets = AllocationTargets(pred.class_counts())
         scored.append((name, confusion(pred, w.held), residual_map(pred, w.held)))

@@ -177,7 +177,6 @@ def generate_synthetic_landscape(spec: SynthSpec) -> SynthResult:
     # row/col seed cells, seeds_per_class of them per class in class order
     seed_rc = np.column_stack(np.divmod(pos, spec.n_cols)).astype(np.int64).reshape(k, -1, 2)
 
-    base = Grid(np.zeros((spec.n_rows, spec.n_cols)), spec.cell_size)
     legend = {c: f"class {c}" for c in spec.class_ids}
 
     seeds: dict[int, np.ndarray] = {}
@@ -195,11 +194,12 @@ def generate_synthetic_landscape(spec: SynthSpec) -> SynthResult:
 
     # argmin takes the first, so the lowest, class on a tie
     labels = np.argmin([criteria[criterion_name(c)].values for c in spec.class_ids], axis=0)
+    geometry = criteria[criterion_name(0)]
     maps = []
     for year in spec.years:
         if maps:
             labels = _evolve(maps[-1], spec, prox, rng)
-        maps.append(LandCoverMap(base.with_values(labels.astype(np.float64)), legend, str(year)))
+        maps.append(LandCoverMap.from_labels(geometry, labels, legend, str(year)))
 
     truth = TransitionMatrix(spec.transition, float(spec.year_step), spec.class_ids)
     return SynthResult(spec, tuple(maps), criteria, truth, seeds)
@@ -231,7 +231,7 @@ def write_scenario(result: SynthResult, out_dir, model: str = "ca_markov") -> Pa
     cfg["maps"] = {}
     for lc in result.maps:
         name = f"map_{lc.date_tag}.asc"
-        write_ascii_grid(lc.grid, out / name)
+        write_ascii_grid(lc, out / name)
         cfg["maps"][lc.date_tag] = name
     write_legend(result.maps[0].legend, out / "legend.csv")
     cfg["legend"] = {"file": "legend.csv"}

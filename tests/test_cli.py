@@ -218,7 +218,8 @@ def test_nodata_suitability_under_map_data_exits_3_naming_the_cell(tmp_path, com
     # a suitability without data where the map holds data leaves a cell that
     # no class can take. A criterion is refused where it is read, naming its
     # config key, before its stage writes; an edited suitability file is
-    # refused by the allocation. Either way the cell is named.
+    # refused where predict reads it, naming its path. Either way the cell
+    # is named.
     sc = tmp_path / "sc"
     out = tmp_path / "o"
     ini = str(sc / "pipeline.ini")
@@ -241,7 +242,7 @@ def test_nodata_suitability_under_map_data_exits_3_naming_the_cell(tmp_path, com
             for earlier in ("markov", "mce"):
                 assert main([earlier, "--config", ini, "--out", str(out), "--quiet"]) == 0
             _put_nodata(out / "suit_2.asc", 3, 9)
-            message = "ca_markov: the class 2 suitability is nodata at cell (row 3, col 9), where map 1994 holds data"
+            message = f"{out / 'suit_2.asc'} is nodata at cell (row 3, col 9), where maps.1994 holds data"
             product = "predicted_ca.asc"
     res = _cli([command, "--config", ini, "--out", str(out), "--quiet"], tmp_path)
     assert res.returncode == 3

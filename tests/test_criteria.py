@@ -221,6 +221,24 @@ def test_suitability_grid_validation():
     for bad in ([[256.0]], [[-1.0]], [[12.5]]):
         with pytest.raises(DataError):
             suitability_like(Grid(np.ones((1, 1)), 1.0), np.array(bad))
+        with pytest.raises(DataError, match="^suitability values must be integers in 0..255$"):
+            SuitabilityGrid.from_cells(Grid(np.ones((1, 1)), 1.0), np.ones((1, 1), dtype=bool), np.array(bad[0]))
+
+
+def test_suitability_grid_keeps_bytes_and_a_nodata_value_inside_them():
+    # a file's nodata value may be a byte: its cells stay nodata
+    s = SuitabilityGrid(np.array([[95.0, 0.0, 255.0]]), 30.0, 5.0, 6.0, nodata_value=95.0)
+    assert s.stored.dtype == np.uint8 and s.stored.tolist() == [[0, 0, 255]]
+    assert s.valid.tolist() == [[False, True, True]] and s.values.tolist() == [[95.0, 0.0, 255.0]]
+    assert (s.shape, s.cell_size, s.x_origin, s.y_origin, s.nodata_value) == ((1, 3), 30.0, 5.0, 6.0, 95.0)
+    for array in (s.stored, s.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+    mask = s.valid
+    mask[0, 0] = True  # a fresh array each read
+    assert s.valid.tolist() == [[False, True, True]]
+    cells = SuitabilityGrid.from_cells(s, s.valid, np.array([7.0, 255.0]))
+    assert cells.values.tolist() == [[-9999.0, 7.0, 255.0]] and cells.same_geometry(s)
 
 
 def test_fuzzy_spec_validation():

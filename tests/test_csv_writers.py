@@ -169,7 +169,11 @@ def test_validation_bytes(tmp_path):
         criteria={}, constraints={}, fuzzy={}, saaty_path=None, mce_method="wlc", order_weights=None,
         suitability={},
     )
-    handed = {"maps": maps, "predicted_ca.asc": row(0.0, 0.0, 0.0, 0.0), "predicted_mlp.asc": row(0.0, 0.0, 1.0, 1.0)}
+    handed = {
+        "maps": maps,
+        "predicted_ca.asc": LandCoverMap(row(0.0, 0.0, 0.0, 0.0), legend),
+        "predicted_mlp.asc": LandCoverMap(row(0.0, 0.0, 1.0, 1.0), legend),
+    }
     stage_validate(cfg, handed)
     assert (tmp_path / VALIDATION_CSV).read_bytes() == (
         b"model,kappa,overall_accuracy\r\n"

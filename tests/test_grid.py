@@ -249,9 +249,13 @@ def test_land_cover_labels_and_counts_match_the_float_values(case):
     valid = grid.values != grid.nodata_value
     data = grid.values[valid]
     unknown = set(np.unique(data).astype(np.int64).tolist()) - set(legend)
+    ids = np.where(valid, grid.values, -1.0).astype(np.int64)  # the same map as a kernel's labels
     if unknown:
         with pytest.raises(DataError, match="^" + re.escape(f"map values {sorted(unknown)} missing from legend")):
             LandCoverMap(grid, legend)
+        if ids.min() >= -1:  # a kernel's labels are refused alike
+            with pytest.raises(DataError, match="^" + re.escape(f"map values {sorted(unknown)} missing from legend")):
+                LandCoverMap.from_labels(grid, ids, legend)
         return
     lc = LandCoverMap(grid, legend)
     want = np.where(valid, grid.values, -1.0)
@@ -259,6 +263,13 @@ def test_land_cover_labels_and_counts_match_the_float_values(case):
     assert np.array_equal(lc.labels, want) and lc.labels.shape == grid.shape
     assert np.array_equal(lc.labels >= 0, grid.valid)
     assert lc.class_counts() == {c: int(np.count_nonzero(data == float(c))) for c in sorted(legend)}
+    # the float grid is built on each read, on the map's nodata value
+    assert np.array_equal(lc.grid.values, grid.values) and grids_equal(lc.grid, grid)
+    # a kernel's labels, whole or one per valid cell, give the same map on DEFAULT_NODATA
+    for kernel in (LandCoverMap.from_labels(grid, ids, legend), LandCoverMap.from_cells(grid, valid, ids[valid], legend)):
+        assert kernel.labels.dtype == lc.labels.dtype and np.array_equal(kernel.labels, lc.labels)
+        assert kernel.class_counts() == lc.class_counts() and kernel.same_geometry(lc)
+        assert kernel.nodata_value == -9999.0
 
 
 def test_land_cover_labels_are_read_only_and_counts_are_copies():
@@ -270,6 +281,13 @@ def test_land_cover_labels_are_read_only_and_counts_are_copies():
     counts.pop(2)
     assert lc.class_counts() == {0: 1, 1: 0, 2: 2}
     assert lc.labels.tolist() == [[0, 2], [-1, 2]]
+    own = np.array([[0, 2], [-1, 2]], dtype=np.int8)  # a kernel's labels, of the legend's type: kept
+    kept = LandCoverMap.from_labels(lc, own, lc.legend)
+    assert kept.labels is own and not own.flags.writeable
+    with pytest.raises(DataError, match=r"^labels must be an integer array of shape \(2, 2\)$"):
+        LandCoverMap.from_labels(lc, own.astype(np.float64), lc.legend)
+    with pytest.raises(DataError, match="^labels must be class ids, or -1 at nodata$"):
+        LandCoverMap.from_labels(lc, own - 2, lc.legend)
     for top, dtype in ((127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32), (65535, np.int32)):
         wide = LandCoverMap(Grid(np.array([[0.0, -9999.0]]), 1.0), {0: "a", top: "b"})
         assert wide.labels.dtype == dtype and wide.labels.tolist() == [[0, -1]]

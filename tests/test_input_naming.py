@@ -53,6 +53,13 @@ def _put(path, value, cell=(0, 0)):
     write_ascii_grid(g.with_values(values), path)
 
 
+def _nodata_95(path, value):
+    """Put value into the first cell of the grid file at path, then set its
+    NODATA_VALUE to 95, a byte."""
+    _put(path, value)
+    _edit(path, ("NODATA_VALUE -9999", "NODATA_VALUE 95"))
+
+
 def _edit(path, *pairs):
     """Replace each (old, new) pair's text once in the text file at path."""
     text = path.read_text()
@@ -108,6 +115,15 @@ def test_run_without_a_legend_file_names_the_map_holding_a_value_that_is_no_clas
     [
         ((), "predict", ("markov", "mce"), "suit_1.asc", lambda p: _put(p, 300.0),
          "{path}: suitability values must be integers in 0..255"),
+        ((), "predict", ("markov", "mce"), "suit_1.asc", lambda p: _put(p, 2.5),
+         "{path}: suitability values must be integers in 0..255"),
+        # a NODATA_VALUE inside 0..255 keeps its cells nodata: one where the
+        # map holds data is named by the file's path, and a value out of
+        # range is still refused
+        ((), "predict", ("markov", "mce"), "suit_0.asc", lambda p: _nodata_95(p, 95.0),
+         "{path} is nodata at cell (row 0, col 0), where maps.1994 holds data"),
+        ((), "predict", ("markov", "mce"), "suit_0.asc", lambda p: _nodata_95(p, 256.0),
+         "{path}: suitability values must be integers in 0..255"),
         ((), "validate", ("markov", "mce", "predict"), "predicted_ca.asc", lambda p: _put(p, 7.0),
          "{path}: map values [7] missing from legend [0, 1, 2]"),
         # a class-keyed file is named by its path, the map it is held against by its config key
@@ -120,7 +136,7 @@ def test_run_without_a_legend_file_names_the_map_holding_a_value_that_is_no_clas
          lambda p: _edit(p, ("\nclasses 0 1\n", "\n"), ("\nfocal 1\n", "\n")),
          "{path}: model carries no feature spec (classes and focal lines)"),
     ],
-    ids=["suit_1.asc", "predicted_ca.asc", "transition_scaled.csv", "mlp_model.txt", "mlp_model.txt-no-spec"],
+    ids=["suit_1.asc", "suit_1.asc-half", "suit_0.asc-nodata-95", "suit_0.asc-256-on-nodata-95", "predicted_ca.asc", "transition_scaled.csv", "mlp_model.txt", "mlp_model.txt-no-spec"],
 )
 def test_single_stage_names_the_earlier_output_it_reads(tmp_path, capsys, caplog, flags, stage, earlier, fname, edit, message):
     sc = _synth(tmp_path / "sc", *flags)

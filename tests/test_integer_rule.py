@@ -67,6 +67,19 @@ def test_integer_range_matches_per_cell_reference(g):
     # found once: a second read neither scans the values nor finds the valid cells
     with mock.patch.object(Grid, "valid", new_callable=mock.PropertyMock, side_effect=AssertionError):
         assert g.integer_range == want
+    # scanned in blocks of any size, the answer is the same
+    for block in (1, 2, 3):
+        with mock.patch.object(grid_module, "_SCAN_CELLS", block):
+            assert Grid(g.values, 1.0, nodata_value=g.nodata_value).integer_range == want
+
+
+def test_maps_and_suitabilities_take_their_range_from_their_integers_with_no_scan():
+    lc = LandCoverMap(Grid([[0.0, NODATA, 2.0]], 1.0), {0: "a", 2: "b", 7: "c"})
+    suit = SuitabilityGrid([[3.0, NODATA, 4.0]], 1.0)
+    with mock.patch.object(grid_module, "whole_range", side_effect=AssertionError):
+        assert lc.integer_range == (0, 7)  # the legend's largest id
+        assert suit.integer_range == (0, 255)  # uint8's bounds
+        assert lc.holds_integers(0, 65535) and suit.holds_integers(0, 255)
 
 
 # ---------------------------------------------------------------------------

@@ -126,3 +126,20 @@ def test_top_id_copy_has_class_2_as_65535_and_the_rest_unchanged(tmp_path):
     for path in sorted(shipped.glob("*")):
         if not (path.name.startswith("map_") or path.name in ("legend.csv", "pipeline.ini")):
             assert (copy / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_constrained_owa_copy_combines_by_owa_under_a_mask_of_the_first_map(tmp_path):
+    shipped = REPO / "scenario"
+    copy = shutil.copytree(shipped, tmp_path / "sc")
+    same_bytes.constrain_owa(copy)
+    old_ini, new_ini = _ini(shipped), _ini(copy)
+    assert dict(new_ini["mce"]) == {**old_ini["mce"], "method": "owa", "order_weights": same_bytes.ORDER_WEIGHTS}
+    assert dict(new_ini["constraints"]) == {"not_class_2": "not_class_2.asc"}
+    assert all(old_ini[s] == new_ini[s] for s in old_ini.sections() if s != "mce")
+    first, mask = read_ascii_grid(shipped / "map_1988.asc"), read_ascii_grid(copy / "not_class_2.asc")
+    assert mask.same_geometry(first) and mask.nodata_value == first.nodata_value
+    assert np.array_equal(mask.values, np.where(first.values == 2, 0.0, 1.0))
+    assert (first.values == 2).any() and (first.values != 2).any()
+    for path in sorted(shipped.glob("*")):
+        if path.name != "pipeline.ini":
+            assert (copy / path.name).read_bytes() == path.read_bytes(), path.name

@@ -43,8 +43,10 @@ def classify(scenario: str) -> str:
 # read what an earlier one wrote. {scenario} is the checkout's scenario/,
 # {kernel_k} a copy of it with `kernel = k`, {hand_formatted} a copy whose
 # grids `hand_formatted` rewrote, {shifted_nodata_0} a copy that
-# `shift_classes` gave class ids one higher and maps on NODATA_VALUE 0, and
-# {top_id} a copy whose class 2 `shift_classes` made 65535, the largest id.
+# `shift_classes` gave class ids one higher and maps on NODATA_VALUE 0,
+# {top_id} a copy whose class 2 `shift_classes` made 65535, the largest id,
+# and {constrained_owa} a copy that `constrain_owa` made combine its factors
+# by owa under a [constraints] mask.
 MATRIX = (
     f"{SYNTH_96x80} --out synth_96x80",
     f"{SYNTH_96x80} --cell-size 2.2250738585072014e-308 --out synth_96x80_min_cell",
@@ -82,6 +84,8 @@ MATRIX = (
     # the legend found in the training map's values
     f"{classify('{shifted_nodata_0}').split(' --legend ')[0]} --out classify_shifted_nodata_0_no_legend",
     "run --config {top_id}/pipeline.ini --out run_top_id",
+    # owa with non-uniform order weights, every suitability gated by a mask
+    "run --config {constrained_owa}/pipeline.ini --out run_constrained_owa",
     f"{classify('{top_id}')} --out classify_top_id",
     f"{classify('{top_id}').split(' --legend ')[0]} --out classify_top_id_no_legend",
     f"{classify('{scenario}')} --beta 0 --out classify_beta_0",
@@ -158,6 +162,23 @@ def shift_classes(scenario: Path, ids: dict[int, int], nodata: int | None = None
     ini.write_text("\n".join(lines) + "\n")
 
 
+# order weights for the scenario's three factors a class, largest on the
+# lowest-ranked factor
+ORDER_WEIGHTS = "0.5,0.3,0.2"
+
+
+def constrain_owa(scenario: Path) -> None:
+    """Rewrite a copy of scenario/ in place: its [mce] combines by owa with
+    ORDER_WEIGHTS, and a [constraints] mask, `not_class_2.asc`, 0 where
+    map_1988.asc holds class 2 and 1 elsewhere, gates every suitability."""
+    lines = (scenario / "map_1988.asc").read_text(encoding="ascii").splitlines()
+    body = [" ".join("0" if t == "2" else "1" for t in line.split()) for line in lines[6:]]
+    (scenario / "not_class_2.asc").write_text("\n".join(lines[:6] + body) + "\n", encoding="ascii")
+    ini = scenario / "pipeline.ini"
+    text = ini.read_text().replace("\nmethod = wlc\n", f"\nmethod = owa\norder_weights = {ORDER_WEIGHTS}\n")
+    ini.write_text(text + "\n[constraints]\nnot_class_2 = not_class_2.asc\n")
+
+
 def run_matrix(tree: Path, out: Path, inputs: dict[str, str]) -> dict[str, int]:
     """Run every matrix command with `tree` on the import path; its exit code by command."""
     out.mkdir()
@@ -229,6 +250,11 @@ def main(argv: list[str]) -> int:
         inputs["shifted_nodata_0"] = str(tmp / "shifted_nodata_0")
         shift_classes(shutil.copytree(REPO / "scenario", tmp / "top_id"), {2: 65535})
         inputs["top_id"] = str(tmp / "top_id")
+        if "\nmethod = wlc\n" not in (REPO / "scenario" / "pipeline.ini").read_text():
+            print(f"same_bytes: {REPO / 'scenario' / 'pipeline.ini'} does not set method = wlc", file=sys.stderr)
+            return 2
+        constrain_owa(shutil.copytree(REPO / "scenario", tmp / "constrained_owa"))
+        inputs["constrained_owa"] = str(tmp / "constrained_owa")
         codes_a = run_matrix(tmp / "src", tmp / rev, inputs)
         codes_b = run_matrix(REPO / "src", tmp / "checkout", inputs)
         found = compare(tmp / rev, tmp / "checkout", codes_a, codes_b)
