@@ -269,10 +269,10 @@ def ca_markov(
 
     Every suitability must hold data wherever the map does. The weighted
     suitabilities reach `_claim` as sort keys: the `_key_table` rank when
-    every suitability holds only bytes (`Grid.holds_integers(0, 255)`, which
-    a `SuitabilityGrid` answers from its dtype) and the kernel has a table,
-    else the negated float product. Both read the suitabilities' stored
-    values at the map's valid cells.
+    every suitability holds only bytes (`holds_integers(0, 255)`, which a
+    `SuitabilityGrid` answers from its top, with no scan) and the kernel has
+    a table, else the negated float product. Both read the suitabilities'
+    stored values at the map's valid cells.
     """
     params = params or CaParams()
     ids = sorted(suitabilities)

@@ -420,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--distance-to", help="0/1 target mask; output is distance to nearest 1")
     src.add_argument("--input", help="use this grid directly")
     p.add_argument("--fuzzy", help="shape,direction,a,b[,c,d] membership spec")
-    p.add_argument("--constraint-min", type=_FLOAT, help="1 where value >= this")
-    p.add_argument("--constraint-categories", help="1 where value in this id list")
+    constraint = p.add_mutually_exclusive_group()
+    constraint.add_argument("--constraint-min", type=_FLOAT, help="1 where value >= this")
+    constraint.add_argument("--constraint-categories", help="1 where value in this id list")
     _add_common(p)
     p.set_defaults(fn=cmd_criteria)
 

@@ -158,7 +158,7 @@ def validate_config(
     """
     base = Path(base_dir)
     _check_known_keys(cfg)
-    run = cfg["run"] if cfg.has_section("run") else cfg["DEFAULT"]
+    run = cfg["run"] if cfg.has_section("run") else {}
     model = (run.get("model") or "ca_markov").strip()
     if model not in MODELS:
         raise ConfigError(f"run.model must be one of {MODELS}, got {model!r}")
@@ -305,7 +305,8 @@ def load_config(path, out_dir=None, seed: int | None = None) -> PipelineConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    cfg = configparser.ConfigParser(interpolation=None)
+    # no default section: [DEFAULT] is refused, not read into every section
+    cfg = configparser.ConfigParser(interpolation=None, default_section="")
     text = read_text(p, "config", error=ConfigError)
     try:
         cfg.read_file(io.StringIO(text, newline=None), source=str(p))

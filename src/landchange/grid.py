@@ -2,17 +2,17 @@
 
 Every raster has square cells on one geometry (a shape, a cell size and a
 lower-left corner, shared through `Raster`) and cells that hold data or
-not. Row 0 is the northernmost row. Three kinds keep their cells in three
+not. Row 0 is the northernmost row. A raster keeps its cells in one of two
 ways:
 - a `Grid` holds float64 values; cells holding exactly ``nodata_value``
   are missing;
-- a `LandCoverMap` holds integer labels, its class ids with -1 at nodata,
-  in the narrowest signed type (int8 up to id 127), and builds its float
-  `grid` only when asked, without keeping it;
-- a `criteria.SuitabilityGrid`, a Grid, holds bytes (uint8) and a mask of
-  its valid cells, 2 bytes a cell, and builds its float `values` on each
-  read. Kernels read its `stored` bytes, cast to a wider type before any
-  arithmetic, since uint8 arithmetic wraps silently.
+- an `IntegerRaster`, whose valid cells are whole numbers from 0 to its
+  top, holds codes of the narrowest signed type for top (`label_type`),
+  -1 at nodata, and builds its float `values` on each read. It has two
+  kinds: a `LandCoverMap`, whose top is its largest class id, and a
+  `criteria.SuitabilityGrid`, whose top is 255 (int16, 2 bytes a cell).
+  Kernels read its `stored` codes and cast them to a wider type before
+  any arithmetic, since narrow integer arithmetic wraps silently.
 Instances are immutable: the backing arrays are marked read-only, so
 rasters can be shared freely between threads; every operation returns new
 ones.
@@ -26,8 +26,8 @@ writer formats each distinct value of a grid once and gathers the strings
 into rows, writing the body 64 rows at a time; the bytes are the same as
 formatting every cell on its own. A raster whose valid values are all
 integers from 0 to 65535 takes its strings from a table indexed by value,
-one block of indices at a time: a map by its legend and a suitability by
-its dtype, with no scan, and a float grid after `integer_range` scans it.
+one block of indices at a time: an `IntegerRaster` by its top, with no
+scan, and a float grid after `integer_range` scans it.
 Any other grid finds its distinct values with `np.unique` and formats them
 in two batches (compact integers and repr). The reader accepts finite
 values only, written as `parse_number` reads them: a non-finite or
@@ -38,8 +38,8 @@ lines, which words the error with the path, the line and the token.
 `Grid.integer_range` is the one rule for whole-number grids: whether every
 valid value is a finite whole number and, if so, the lowest and highest.
 It is found once per grid, which is sound because the values are
-read-only, by a scan in blocks of cells (`whole_range`), or, for a grid
-kept as integers, from its dtype with no scan (a map's, from its legend).
+read-only, by a scan in blocks of cells (`whole_range`); an
+`IntegerRaster`'s is (0, top), with no scan.
 Land-cover maps, suitabilities, vigour levels, trajectory codes, the
 cellular pass's byte key and the writer's table all read it; no other
 module checks values for wholeness.
@@ -47,10 +47,9 @@ module checks values for wholeness.
 Every grid the program makes from computed values is on DEFAULT_NODATA
 (-9999), whatever its inputs use: a kernel starts from `Grid.blank`, fills
 it and wraps it with `Grid.computed` (`Grid.scatter` and `mask_like` do
-both), and no module but this one names the value. A map a kernel makes
-from its labels (`LandCoverMap.from_labels` and `from_cells`) and a
-suitability made from a kernel's cells (`SuitabilityGrid.from_cells`) are
-on it too. An input on NODATA_VALUE 0 thus keeps its class 0, level 0 or
+both), and no module but this one names the value. An `IntegerRaster`
+made from a kernel's labels or cells (`from_labels`, `from_cells`) is on
+it too. An input on NODATA_VALUE 0 thus keeps its class 0, level 0 or
 probability 0 cells as data. The one exception is `classify.maxlike`'s
 internal score grids, which are on SCORE_NODATA, since -9999 is a
 reachable log-score.
@@ -128,8 +127,7 @@ class Raster:
 
     def holds_integers(self, lo: int, hi: int) -> bool:
         """True when every valid value is a whole number from lo to hi."""
-        r = self.integer_range
-        return r is not None and (r[0] > r[1] or lo <= r[0] and r[1] <= hi)
+        return _within(self.integer_range, lo, hi)
 
     def blank(self, fill: float = DEFAULT_NODATA) -> np.ndarray:
         """A float array of this raster's shape, every cell fill: a kernel
@@ -159,11 +157,19 @@ class Raster:
         )
 
 
+def _within(r: tuple[int, int] | None, lo: int, hi: int) -> bool:
+    """True when the range r, as `whole_range` gives it, lies in lo..hi."""
+    return r is not None and (r[0] > r[1] or lo <= r[0] and r[1] <= hi)
+
+
 def whole_range(values: np.ndarray, nodata: float | None = None) -> tuple[int, int] | None:
     """(lowest, highest) of the values other than nodata as ints when every
     one is a finite whole number, else None; (0, -1) when there is none.
     Scans _SCAN_CELLS cells at a time, so its temporaries (a mask, one
-    `np.trunc` result) are those of one block."""
+    `np.trunc` result) are those of one block. An integer array, which has
+    no nodata, gives its bounds."""
+    if values.dtype.kind in "iu":
+        return (int(values.min()), int(values.max())) if values.size else (0, -1)
     lo, hi = math.inf, -math.inf
     flat = values.reshape(-1)
     for start in range(0, flat.size, _SCAN_CELLS):
@@ -207,7 +213,7 @@ class Grid(Raster):
 
     @property
     def stored(self) -> np.ndarray:
-        """The array the grid keeps: `values`, or a subclass's integers."""
+        """The array the grid keeps: its float64 `values`."""
         return self.values
 
     @property
@@ -219,12 +225,8 @@ class Grid(Raster):
     def integer_range(self) -> tuple[int, int] | None:
         """(lowest, highest) valid value as ints when every valid value is a
         finite whole number, else None; (0, -1) when no cell is valid. Found
-        once per grid, as the values are read-only: by `whole_range`'s scan
-        in blocks or, for a grid kept as integers, as its dtype's bounds,
-        with no scan (a byte grid answers (0, 255))."""
-        if self.stored.dtype.kind in "iu":
-            info = np.iinfo(self.stored.dtype)
-            return int(info.min), int(info.max)
+        once per grid, as the values are read-only, by `whole_range`'s scan
+        in blocks."""
         return whole_range(self.values, self.nodata_value)
 
     def with_values(self, values) -> "Grid":
@@ -403,7 +405,7 @@ def joint_counts(ids, *labels: np.ndarray) -> np.ndarray:
 
 def label_type(max_id: int) -> type:
     """The narrowest signed integer type that holds -1 and every id up to
-    max_id (int8 up to 127): the type of a map's labels."""
+    max_id (int8 up to 127): the type of an `IntegerRaster`'s codes."""
     return next(t for t in (np.int8, np.int16, np.int32) if max_id <= np.iinfo(t).max)
 
 
@@ -420,32 +422,101 @@ def _label_counts(labels: np.ndarray, size: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class LandCoverMap(Raster):
-    """Categorical raster: integer class ids plus a legend naming every id.
+class IntegerRaster(Raster):
+    """Raster whose valid cells are whole numbers from 0 to `top`, kept as
+    codes: `stored`, a read-only array of `label_type(top)`, -1 at nodata
+    cells, beside the geometry and the nodata value it is written on.
+    `values` builds a float64 copy on each read; `integer_range` is (0, top).
 
-    It keeps its labels, its geometry and its nodata value, and no float
-    grid: `grid` builds one on each read. `LandCoverMap(grid, legend,
-    date_tag)` checks a float grid once and writes its codes in place into
-    the labels; a kernel that holds labels makes its map with `from_labels`
-    or `from_cells`. The class counts are found once, at construction."""
+    A kind gives `top` and `_refuse`, which raises its DataError for values
+    outside 0..top. It is built from float values, as a Grid is, checked
+    once (`_take_grid`), or from one value per selected cell (`from_cells`,
+    through `_take_cells`); both set every field through `_keep`."""
 
-    labels: np.ndarray = field(repr=False)
-    legend: dict[int, str]
-    date_tag: str
+    stored: np.ndarray = field(repr=False)
     cell_size: float
     x_origin: float
     y_origin: float
     nodata_value: float
+
+    def __init__(self, *args, **kwargs):
+        self._take_grid(Grid(*args, **kwargs))
+
+    @classmethod
+    def from_cells(cls, geometry: Raster, sel: np.ndarray, values):
+        """values, one per cell that the boolean array sel selects, on
+        geometry's cell size and corner and on DEFAULT_NODATA, as
+        `Raster.computed` makes a grid, nodata where sel is False. Values
+        that are not all whole numbers from 0 to top raise the kind's
+        DataError."""
+        out = object.__new__(cls)
+        out._take_cells(geometry, sel, values)
+        return out
+
+    def _keep(self, geometry: Raster, codes: np.ndarray, nodata_value: float) -> None:
+        """Set the codes, read-only, geometry's cell size and corner, and nodata_value."""
+        codes.setflags(write=False)
+        object.__setattr__(self, "stored", codes)
+        for name in ("cell_size", "x_origin", "y_origin"):
+            object.__setattr__(self, name, float(getattr(geometry, name)))
+        object.__setattr__(self, "nodata_value", float(nodata_value))
+
+    def _take_grid(self, grid: Grid) -> None:
+        """Keep a float grid's values on its nodata value, checked once."""
+        if not grid.holds_integers(0, self.top):
+            self._refuse(grid.values[grid.valid])
+        codes = np.full(grid.shape, -1, dtype=label_type(self.top))
+        np.copyto(codes, grid.values, casting="unsafe", where=grid.valid)  # whole numbers: exact
+        self._keep(grid, codes, grid.nodata_value)
+
+    def _take_cells(self, geometry: Raster, sel: np.ndarray, values) -> None:
+        """Keep values at the cells sel selects, as `from_cells` takes them."""
+        values = np.asarray(values)
+        if not _within(whole_range(values), 0, self.top):
+            self._refuse(values)
+        codes = np.full(geometry.shape, -1, dtype=label_type(self.top))
+        codes[sel] = values
+        self._keep(geometry, codes, DEFAULT_NODATA)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.stored.shape
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.stored >= 0
+
+    @property
+    def values(self) -> np.ndarray:
+        """A new read-only float64 copy, nodata_value at nodata cells."""
+        out = self.blank(self.nodata_value)
+        np.copyto(out, self.stored, where=self.valid)
+        out.setflags(write=False)
+        return out
+
+    @property
+    def integer_range(self) -> tuple[int, int]:
+        return 0, self.top  # no scan
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class LandCoverMap(IntegerRaster):
+    """Categorical raster: integer class ids plus a legend naming every id.
+
+    The `IntegerRaster` whose top is its largest legend id and whose codes
+    are its `labels`; `grid` builds a float grid on each read. A kernel that
+    holds labels makes its map with `from_labels` or `from_cells`. The class
+    counts are found once, at construction, where an id missing from the
+    legend is refused."""
+
+    legend: dict[int, str]
+    date_tag: str
     _counts: dict[int, int] = field(repr=False)
 
     def __init__(self, grid: Grid, legend: dict[int, str], date_tag: str = ""):
-        pos = class_index(sorted(legend))  # as long as the largest id: at most 65,536 entries
-        if not grid.holds_integers(0, pos.size - 1):
-            stray = [v for v in _distinct(grid.values[grid.valid]) if v not in legend]
-            raise DataError(f"map values {stray} missing from legend {sorted(legend)}")
-        labels = np.full(grid.shape, -1, dtype=label_type(pos.size - 1))
-        np.copyto(labels, grid.values, casting="unsafe", where=grid.valid)  # whole numbers: exact
-        self._keep(grid, labels, legend, date_tag, grid.nodata_value, pos)
+        self._name(legend, date_tag)
+        self._take_grid(grid)
+        self._count()
 
     @classmethod
     def from_labels(cls, geometry: Raster, labels, legend: dict[int, str], date_tag: str = ""):
@@ -454,78 +525,60 @@ class LandCoverMap(Raster):
         `Raster.computed` makes a grid. Labels already of the legend's label
         type are kept as they are, read-only; others are converted. An id
         missing from the legend raises the constructor's DataError."""
-        pos = class_index(sorted(legend))
         labels = np.asarray(labels)
         if labels.dtype.kind not in "iu" or labels.shape != geometry.shape:
             raise DataError(f"labels must be an integer array of shape {geometry.shape}")
         if labels.min() < -1:
             raise DataError("labels must be class ids, or -1 at nodata")
-        if labels.max() >= pos.size:
-            stray = [v for v in np.unique(labels[labels >= 0]).tolist() if v not in legend]
-            raise DataError(f"map values {stray} missing from legend {sorted(legend)}")
-        labels = labels.astype(label_type(pos.size - 1), copy=False)
         lc = object.__new__(cls)
-        lc._keep(geometry, labels, legend, date_tag, DEFAULT_NODATA, pos)
+        lc._name(legend, date_tag)
+        if labels.max() > lc.top:  # before the conversion, which would wrap it
+            lc._refuse(labels[labels > lc.top])
+        lc._keep(geometry, labels.astype(label_type(lc.top), copy=False), DEFAULT_NODATA)
+        lc._count()
         return lc
 
     @classmethod
     def from_cells(cls, geometry: Raster, sel: np.ndarray, ids, legend: dict[int, str], date_tag: str = ""):
         """`from_labels` of the class ids `ids`, one per cell that the
         boolean array sel selects, and nodata elsewhere."""
-        ids = np.asarray(ids)
-        top = max(max(legend, default=-1), int(ids.max(initial=-1)))
-        labels = np.full(geometry.shape, -1, dtype=label_type(top))
-        labels[sel] = ids
-        return cls.from_labels(geometry, labels, legend, date_tag)
+        lc = object.__new__(cls)
+        lc._name(legend, date_tag)
+        lc._take_cells(geometry, sel, ids)
+        lc._count()
+        return lc
 
-    def _keep(self, geometry: Raster, labels: np.ndarray, legend, date_tag, nodata_value, pos: np.ndarray) -> None:
-        """Count the classes, refuse an id missing from the legend, and set
-        every field."""
-        counts = _label_counts(labels, pos.size)
-        unknown = np.flatnonzero((pos < 0) & (counts > 0))
-        if unknown.size:
-            raise DataError(f"map values {unknown.tolist()} missing from legend {sorted(legend)}")
-        labels.setflags(write=False)
-        legend = {int(k): str(v) for k, v in legend.items()}
-        for name, value in (
-            ("labels", labels),
-            ("legend", legend),
-            ("date_tag", date_tag),
-            ("cell_size", float(geometry.cell_size)),
-            ("x_origin", float(geometry.x_origin)),
-            ("y_origin", float(geometry.y_origin)),
-            ("nodata_value", float(nodata_value)),
-            ("_counts", dict(zip(sorted(legend), counts[pos >= 0].tolist()))),
-        ):
-            object.__setattr__(self, name, value)
+    def _name(self, legend: dict[int, str], date_tag: str) -> None:
+        class_index(sorted(legend))  # an id must be a whole number from 0 to 65535
+        object.__setattr__(self, "legend", {int(k): str(v) for k, v in legend.items()})
+        object.__setattr__(self, "date_tag", date_tag)
+
+    def _count(self) -> None:
+        """Count the classes, refusing an id missing from the legend."""
+        counts = _label_counts(self.labels, self.top + 1)
+        stray = [c for c in np.flatnonzero(counts).tolist() if c not in self.legend]
+        if stray:
+            self._refuse(stray)
+        object.__setattr__(self, "_counts", {c: int(counts[c]) for c in self.class_ids})
+
+    def _refuse(self, values) -> None:
+        stray = [v for v in _distinct(np.asarray(values, dtype=np.float64)) if v not in self.legend]
+        raise DataError(f"map values {stray} missing from legend {self.class_ids}")
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.labels.shape
+    def top(self) -> int:
+        return max(self.legend, default=-1)
 
     @property
-    def stored(self) -> np.ndarray:
-        """The labels: read-only class ids with -1 at nodata cells, in the
-        narrowest signed integer type that holds every legend id."""
-        return self.labels
-
-    @property
-    def valid(self) -> np.ndarray:
-        return self.labels >= 0
-
-    @property
-    def integer_range(self) -> tuple[int, int]:
-        """Bounds on the valid values from the legend, with no scan: (0,
-        the largest id), or (0, -1) with an empty legend."""
-        return 0, max(self.legend, default=-1)
+    def labels(self) -> np.ndarray:
+        """The codes: class ids, -1 at nodata, in `label_type` of the legend."""
+        return self.stored
 
     @property
     def grid(self) -> Grid:
         """A new float grid of the class ids, on the map's geometry and
         nodata value; built on each read and not kept."""
-        values = self.blank(self.nodata_value)
-        np.copyto(values, self.labels, where=self.valid)
-        return Grid(values, self.cell_size, self.x_origin, self.y_origin, self.nodata_value)
+        return Grid(self.values, self.cell_size, self.x_origin, self.y_origin, self.nodata_value)
 
     @property
     def class_ids(self) -> list[int]:
@@ -727,7 +780,7 @@ def write_ascii_grid(grid: Raster, path) -> None:
         values, valid = grid.stored, grid.valid
 
         def index(rows: slice) -> np.ndarray:
-            # added in intp, as labels and bytes would wrap at their top
+            # added in intp, as narrow codes would wrap at their top
             # value; -0.0 + 1 lands on 0's text
             out = np.zeros(values[rows].shape, dtype=np.intp)
             np.add(values[rows], 1, out=out, where=valid[rows], casting="unsafe", dtype=np.intp)

@@ -132,7 +132,7 @@ def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] =
     a cell's value depends on its own factors alone, and every step runs in
     place on the valid cells alone (`where=valid`), so the only other
     grid-sized float array is one term. Each term multiplies the factor's
-    stored bytes in float64.
+    stored codes in float64.
     """
     w, valid = _combine_prep(factors, weights, constraints)
     geometry = factors[0]
@@ -174,7 +174,7 @@ def owa(
 
     terms = np.empty((n, int(np.count_nonzero(valid))))  # the valid cells alone
     for row, f in zip(terms, factors):
-        row[:] = f.stored[valid]  # bytes to float64, exactly
+        row[:] = f.stored[valid]  # codes to float64, exactly
     terms *= w[:, None]  # same term layout and reduction order as wlc
     order = np.argsort(terms * float(n), axis=0, kind="stable")  # ascending, ties by factor index
     # the term of rank r is multiplied by effective[r]; uniform order

@@ -1,8 +1,9 @@
-"""Suitabilities are stored as bytes, and no arithmetic on them wraps.
+"""Suitabilities hold bytes, and no arithmetic on them wraps.
 
-A `SuitabilityGrid` keeps uint8 values, and uint8 arithmetic wraps
-silently: 255 + 1 is 0. So every operation on suitabilities casts its bytes
-to a wider type first. Each case here draws byte factors that reach 0 and
+A `SuitabilityGrid` keeps its values as int16 codes, -1 at nodata, and
+int16 arithmetic wraps silently: 255 * 255 is 65,025, which int16 holds
+as -511. So every operation on suitabilities casts its codes to a wider
+type first. Each case here draws byte factors that reach 0 and
 255, runs one suitability operation and compares every cell with a float64
 reference worked out cell by cell in Python floats: `fuzzy_standardize`,
 `wlc`, `owa` with uniform and skewed order weights, constraint gating, and
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landchange.criteria import FuzzySpec, SuitabilityGrid, fuzzy_standardize
-from landchange.grid import BinaryMask, Grid, read_ascii_grid, write_ascii_grid
+from landchange.grid import BinaryMask, Grid, label_type, read_ascii_grid, write_ascii_grid
 from landchange.mce import owa, wlc
 
 NODATA = -9999.0
@@ -88,7 +89,8 @@ def _ref_owa(vals, w, ow, gate):
 def _check(got, want, tmp_path):
     """got is a byte suitability holding the float64 reference `want` (a
     list, None at nodata) in every cell, and reads back from its file so."""
-    assert type(got) is SuitabilityGrid and got.stored.dtype == np.uint8
+    assert type(got) is SuitabilityGrid and got.stored.dtype == label_type(255)
+    assert got.stored.ravel().tolist() == [-1 if v is None else v for v in want]
     expected = np.array([NODATA if v is None else v for v in want]).reshape(got.shape)
     assert got.values.tolist() == expected.tolist()
     path = tmp_path / "suit.asc"

@@ -613,6 +613,17 @@ def test_criteria_subcommand(tmp_path):
     assert main(["criteria", "--input", dem, "--fuzzy", "linear,up,0", "--out", str(out), "--quiet"]) == 2
 
 
+def test_both_constraint_flags_exit_2_naming_both_before_writing(tmp_path, capsys, caplog):
+    # one constraint per criterion: given both, neither is dropped silently
+    prox = str(Path(__file__).resolve().parents[1] / "scenario" / "prox0.asc")
+    out = tmp_path / "crit"
+    args = ["criteria", "--input", prox, "--constraint-min", "100", "--constraint-categories", "1,2"]
+    code, err = _main_in_process([*args, "--out", str(out), "--quiet"], capsys, caplog)
+    assert code == 2
+    assert "--constraint-min" in err and "--constraint-categories" in err
+    assert not out.exists()
+
+
 def test_constraint_keeps_its_0_cells_when_the_input_uses_nodata_0(tmp_path):
     grid = _w(tmp_path / "g.asc", [[5.0, 3.0], [0.0, 4.0]], nodata=0.0)
     out = tmp_path / "crit"

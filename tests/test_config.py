@@ -67,6 +67,18 @@ def test_unknown_section_and_key(tmp_path):
         load_config(_write(tmp_path, BASE + CRIT + "frills = 1\n"))
 
 
+def test_a_default_section_is_refused_as_unknown(tmp_path):
+    # configparser's [DEFAULT] would lend its keys to every section: read as
+    # a year under [maps], as a criterion under [criteria]
+    text = (SCENARIO / "pipeline.ini").read_text(encoding="ascii")
+    for f in SCENARIO.iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    p = tmp_path / "default.ini"
+    p.write_text("[DEFAULT]\nseed = 3\n\n" + text, encoding="ascii")
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{p}: unknown config section [DEFAULT]") + "$"):
+        load_config(p)
+
+
 def test_maps_validation(tmp_path):
     with pytest.raises(ConfigError, match="at least two"):
         load_config(_write(tmp_path, "[maps]\n2000 = a.asc\n"))

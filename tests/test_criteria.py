@@ -21,7 +21,7 @@ from landchange.criteria import (
     suitability_like,
 )
 from landchange.errors import DataError
-from landchange.grid import BinaryMask, Grid
+from landchange.grid import BinaryMask, Grid, label_type
 
 
 def _mask(vals):
@@ -228,7 +228,7 @@ def test_suitability_grid_validation():
 def test_suitability_grid_keeps_bytes_and_a_nodata_value_inside_them():
     # a file's nodata value may be a byte: its cells stay nodata
     s = SuitabilityGrid(np.array([[95.0, 0.0, 255.0]]), 30.0, 5.0, 6.0, nodata_value=95.0)
-    assert s.stored.dtype == np.uint8 and s.stored.tolist() == [[0, 0, 255]]
+    assert s.stored.dtype == label_type(255) and s.stored.tolist() == [[-1, 0, 255]]
     assert s.valid.tolist() == [[False, True, True]] and s.values.tolist() == [[95.0, 0.0, 255.0]]
     assert (s.shape, s.cell_size, s.x_origin, s.y_origin, s.nodata_value) == ((1, 3), 30.0, 5.0, 6.0, 95.0)
     for array in (s.stored, s.values):

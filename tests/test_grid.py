@@ -256,6 +256,8 @@ def test_land_cover_labels_and_counts_match_the_float_values(case):
         if ids.min() >= -1:  # a kernel's labels are refused alike
             with pytest.raises(DataError, match="^" + re.escape(f"map values {sorted(unknown)} missing from legend")):
                 LandCoverMap.from_labels(grid, ids, legend)
+        with pytest.raises(DataError, match="^" + re.escape(f"map values {sorted(unknown)} missing from legend")):
+            LandCoverMap.from_cells(grid, valid, ids[valid], legend)  # and its ids at the valid cells
         return
     lc = LandCoverMap(grid, legend)
     want = np.where(valid, grid.values, -1.0)

@@ -11,13 +11,15 @@ config key in the pipeline. `grid.require_same_classes` and
 `grid.require_classes_cover` are the one rule for class sets: a class-keyed
 file that a single stage reads is named by its path. The mutation harness
 at the end rewrites every file argument of every single command, and every
-[maps] and [criteria] file of `run`, in ten ways and checks that a data
-error names the rewritten file.
+[maps], [criteria] and [constraints] file of `run`, in ten ways and checks
+that a data error names the rewritten file.
 """
 
+import importlib.util
 import shutil
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,8 +352,9 @@ def test_a_rewritten_input_is_run_or_refused_naming_it(tmp_path, sources, capsys
         assert not out.exists()
 
 
-# the same ten rewrites of each [maps] and [criteria] file of a full run:
-# a refused run names the rewritten file by its config key or its path
+# the same ten rewrites of each [maps], [criteria] and [constraints] file of
+# a full run: a refused run names the rewritten file by its config key or
+# its path
 
 _RUN_INPUTS = {f"maps.{year}": f"map_{year}.asc" for year in (1988, 1994, 2000)} | {
     f"criteria.prox{c}": f"prox{c}.asc" for c in range(3)
@@ -363,14 +366,37 @@ def run_scenario(tmp_path_factory):
     return _synth(tmp_path_factory.mktemp("run_harness") / "sc")
 
 
-@pytest.mark.parametrize("how", list(_MUTATIONS))
-@pytest.mark.parametrize("key", list(_RUN_INPUTS))
-def test_a_rewritten_run_input_is_run_or_refused_naming_it(tmp_path, run_scenario, capsys, caplog, key, how):
-    sc = shutil.copytree(run_scenario, tmp_path / "sc")
-    path = sc / _RUN_INPUTS[key]
+@pytest.fixture(scope="module")
+def constrained_scenario(tmp_path_factory):
+    """The run scenario combined by owa under a [constraints] mask,
+    `not_class_2`, as the byte-identity matrix's `constrain_owa` makes it."""
+    spec = importlib.util.spec_from_file_location("same_bytes", Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py")
+    same_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_bytes)
+    sc = _synth(tmp_path_factory.mktemp("constrained_harness") / "sc")
+    same_bytes.constrain_owa(sc)
+    return sc
+
+
+def _run_rewritten(tmp_path, scenario, key, name, how, capsys, caplog):
+    """Run a copy of scenario with its file `name`, read under config key
+    `key`, rewritten by `how`: the run succeeds or is refused naming it."""
+    sc = shutil.copytree(scenario, tmp_path / "sc")
+    path = sc / name
     write_ascii_grid(_MUTATIONS[how](read_ascii_grid(path)), path)
     code, err = _main(["run", "--config", str(sc / "pipeline.ini"), "--out", str(tmp_path / "o")], capsys, caplog)
     assert code in (0, 3), err
     assert "Traceback" not in err
     if code:
         assert key in err or str(path) in err, err
+
+
+@pytest.mark.parametrize("how", list(_MUTATIONS))
+@pytest.mark.parametrize("key", list(_RUN_INPUTS))
+def test_a_rewritten_run_input_is_run_or_refused_naming_it(tmp_path, run_scenario, capsys, caplog, key, how):
+    _run_rewritten(tmp_path, run_scenario, key, _RUN_INPUTS[key], how, capsys, caplog)
+
+
+@pytest.mark.parametrize("how", list(_MUTATIONS))
+def test_a_rewritten_run_constraint_is_run_or_refused_naming_it(tmp_path, constrained_scenario, capsys, caplog, how):
+    _run_rewritten(tmp_path, constrained_scenario, "constraints.not_class_2", "not_class_2.asc", how, capsys, caplog)

@@ -78,7 +78,7 @@ def test_maps_and_suitabilities_take_their_range_from_their_integers_with_no_sca
     suit = SuitabilityGrid([[3.0, NODATA, 4.0]], 1.0)
     with mock.patch.object(grid_module, "whole_range", side_effect=AssertionError):
         assert lc.integer_range == (0, 7)  # the legend's largest id
-        assert suit.integer_range == (0, 255)  # uint8's bounds
+        assert suit.integer_range == (0, 255)  # the byte top
         assert lc.holds_integers(0, 65535) and suit.holds_integers(0, 255)
 
 

@@ -12,7 +12,7 @@ from landchange import pipeline
 from landchange.cli import main
 from landchange.config import load_config
 from landchange.errors import ConfigError, DataError, NumericalError
-from landchange.grid import Grid, read_ascii_grid, read_csv_rows, read_legend, write_ascii_grid, write_legend
+from landchange.grid import Grid, Raster, read_ascii_grid, read_csv_rows, read_legend, write_ascii_grid, write_legend
 from landchange.markov import read_transition_csv, scale_transition, write_transition_csv
 from landchange.pipeline import load_maps, run_pipeline, run_stage
 from landchange.synth import SynthSpec, generate_synthetic_landscape, write_scenario
@@ -214,7 +214,7 @@ def test_handed_forward_results_equal_their_files(tmp_path, monkeypatch, model):
         expected += ["transition_scaled.csv", "mlp_model.txt", "predicted_mlp.asc"]
     assert sorted(fname for fname, *_ in taken) == sorted(expected)
     assert sorted(put) == sorted(set(expected))  # every output handed forward was taken
-    assert not any(isinstance(obj, Grid) for obj in handed.values())  # each grid went with its taker
+    assert not any(isinstance(obj, Raster) for obj in handed.values())  # each raster went with its taker
     for fname, obj, writer, read in taken:
         _assert_same_bits(obj, real_take(cfg, None, fname, writer, read), fname)
 

@@ -18,7 +18,9 @@ grids, against bounds of 9.5, 7.0, 6.0 and 5.5. With the class maps kept
 as float grids beside their labels, and the suitabilities and factors as
 float grids, they measured 11.53, 8.81, 5.37 and 5.77, so markov, mce and
 validate fail their bounds there. Before the lean `wlc` and `ca_markov`, mce
-measured 16.4 and predict 9.8.
+measured 16.4 and predict 9.8. Suitabilities kept as int16 codes with -1 at
+nodata measure the same as the uint8 bytes and valid mask they replaced,
+and so do the `LandCoverMap` figures below.
 
 `classify`'s kernels run on 4 bands drawn as the benchmark's classify
 workload draws them. `maxlike` measures 6.76 grids: its int8 labels, 3
