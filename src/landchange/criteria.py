@@ -182,8 +182,8 @@ class FuzzySpec:
         if self.direction not in _DIRECTIONS:
             raise DataError(f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
         a, b = float(self.a), float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DataError(f"control points must be finite, got a={a}, b={b}")
+        if not math.isfinite(b - a):  # nor is it when a or b is not finite
+            raise DataError(f"control points and their span must be finite, got a={a}, b={b}")
         if a >= b:
             raise DataError(f"control points must satisfy a < b, got a={a}, b={b}")
         object.__setattr__(self, "a", a)
@@ -192,8 +192,8 @@ class FuzzySpec:
             if self.c is None or self.d is None:
                 raise DataError("symmetric direction needs all four control points a, b, c, d")
             c, d = float(self.c), float(self.d)
-            if not (math.isfinite(c) and math.isfinite(d)):
-                raise DataError(f"control points must be finite, got c={c}, d={d}")
+            if not math.isfinite(d - c):
+                raise DataError(f"control points and their span must be finite, got c={c}, d={d}")
             if not (b <= c < d):
                 raise DataError(f"control points must satisfy b <= c < d, got b={b}, c={c}, d={d}")
             object.__setattr__(self, "c", c)
@@ -232,15 +232,17 @@ def fuzzy_standardize(grid: Grid, spec: FuzzySpec) -> SuitabilityGrid:
     """
     valid = grid.valid
     v = grid.values[valid]
-    if spec.direction == "increasing":
-        m = _rise(v, spec.a, spec.b, spec.shape)
-    elif spec.direction == "decreasing":
-        m = _fall(v, spec.a, spec.b, spec.shape)
-    else:
-        rise = _rise(v, spec.a, spec.b, spec.shape)
-        fall = _fall(v, spec.c, spec.d, spec.shape)
-        m = np.where(v <= spec.b, rise, np.where(v >= spec.c, fall, 1.0))
-        del rise, fall
+    # over a span far below the value gaps a quotient overflows to inf: the limit, 0 or 1
+    with np.errstate(over="ignore"):
+        if spec.direction == "increasing":
+            m = _rise(v, spec.a, spec.b, spec.shape)
+        elif spec.direction == "decreasing":
+            m = _fall(v, spec.a, spec.b, spec.shape)
+        else:
+            rise = _rise(v, spec.a, spec.b, spec.shape)
+            fall = _fall(v, spec.c, spec.d, spec.shape)
+            m = np.where(v <= spec.b, rise, np.where(v >= spec.c, fall, 1.0))
+            del rise, fall
     del v
     # m is a new array: round it in place, memberships are non-negative
     m *= 255.0

@@ -588,18 +588,14 @@ class LandCoverMap(IntegerRaster):
         return dict(self._counts)
 
 
-def neighbor_counts(x, radius: int = 1) -> np.ndarray:
-    """Sum of x over the (2r+1)^2 window around each cell, window clipped at
-    the edges, center cell left out. With a 0/1 mask and radius 1 this is
-    the number of 8-neighbors holding 1.
+def neighbor_counts(mask: np.ndarray, radius: int = 1) -> np.ndarray:
+    """Count of True cells of a boolean mask in the (2r+1)^2 window around
+    each cell, window clipped at the edges, center cell left out, as int32.
+    With radius 1 this is the number of 8-neighbors holding True.
 
     The window sum is separable: shifted-slice sums down the rows, then the
-    same across the columns, with the edges clipped by the slicing. Every
-    caller passes a 0/1 mask, so each partial sum is a small integer and the
-    result is exact, whatever the order of the additions. A boolean mask is
-    counted in int32, any other array in float64."""
-    x = np.asarray(x)
-    x = x.astype(np.int32 if x.dtype == bool else np.float64, copy=False)
+    same across the columns, with the edges clipped by the slicing."""
+    x = mask.astype(np.int32)
     n_rows, n_cols = x.shape
     rows = x.copy()
     for d in range(1, min(radius, n_rows - 1) + 1):

@@ -2,8 +2,13 @@
 
 Factor weights come from the principal eigenvector of a reciprocal
 pairwise comparison matrix (power iteration). Factors are combined by
-weighted linear combination or ordered weighted averaging, gated by
-Boolean constraints.
+weighted linear combination (`wlc`) or ordered weighted averaging (`owa`)
+in one kernel, `_combine`, on the jointly valid cells: each factor's codes
+times its weight, in float64, added in factor order, rounded and gated by
+Boolean constraints. owa also multiplies each term by n times the order
+weight of its rank, found by pairwise comparison into one small integer a
+factor and cell, so besides the sum and the term being added it holds only
+their multipliers: no (factors, cells) float stack and no argsort.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .grid import (
     BinaryMask,
     by_position,
     joint_valid,
+    label_type,
     naming,
     parse_number,
     read_csv_rows,
@@ -110,44 +116,67 @@ def saaty_weights(matrix: SaatyMatrix, max_iterations: int = 10000) -> WeightSet
     return WeightSet(w, lam, ci, cr)
 
 
-def _combine_prep(factors, weights, constraints):
-    w = np.asarray(weights.weights if isinstance(weights, WeightSet) else weights, dtype=np.float64)
-    if len(factors) == 0:
+def _ranks(term, n: int, cells: int) -> list[np.ndarray]:
+    """Each term's place in the stable ascending order of the keys
+    term(i) * n: the count of keys below it and of equal keys of a lower
+    factor index, one `label_type(n - 1)` array per factor."""
+    rank = [np.zeros(cells, dtype=label_type(n - 1)) for _ in range(n)]
+    for i in range(n - 1):
+        key_i = term(i) * float(n)
+        for j in range(i + 1, n):
+            after = key_i <= term(j) * float(n)  # j comes after i; a tie goes to the lower index
+            rank[j] += after
+            rank[i] += ~after
+    return rank
+
+
+def _combine(factors, weights, constraints, order_weights=None) -> SuitabilityGrid:
+    """wlc, or given order weights owa, as the module docstring sets out."""
+    w = np.asarray(weights, dtype=np.float64)
+    n = len(factors)
+    if n == 0:
         raise DataError("no factor grids given")
-    if w.ndim != 1 or w.size != len(factors):
-        raise DataError(f"{len(factors)} factors but {w.size} weights")
+    if w.ndim != 1 or w.size != n:
+        raise DataError(f"{n} factors but {w.size} weights")
     valid = joint_valid(*factors, context="factor combination")
     # constraints gate by value and stay out of the valid mask, where a mask
     # file with NODATA_VALUE 0 would lose its 0 cells
     require_same_geometry(*by_position("factor combination", factors[0], *constraints))
-    return w, valid
+    cells = int(np.count_nonzero(valid))
+
+    def term(i: int) -> np.ndarray:  # the codes to float64, exactly, times the weight
+        return np.multiply(factors[i].stored[valid], w[i], dtype=np.float64)
+
+    scale = rank = None
+    if order_weights is not None:
+        if order_weights.ndim != 1 or order_weights.size != n:
+            raise DataError(f"{n} factors but {order_weights.size} order weights")
+        if not (np.all(order_weights >= 0) and abs(float(order_weights.sum()) - 1.0) <= 1e-9):
+            raise DataError("order weights must be non-negative and sum to 1")
+        scale = order_weights * float(n)
+        if np.any(scale != scale[0]):  # with equal multipliers the rank cannot matter
+            rank = _ranks(term, n, cells)
+    total = np.zeros(cells)  # 0 + the first term is that term, once 0.5 is added
+    for i in range(n):
+        t = term(i)
+        if scale is not None:
+            t *= scale[0] if rank is None else scale[rank[i]]
+        total += t
+        del t  # before the next term is made
+    if scale is not None:
+        np.clip(total, 0.0, 255.0, out=total)
+    total += 0.5
+    np.floor(total, out=total)
+    for m in constraints:
+        total *= m.values[valid]
+    return SuitabilityGrid.from_cells(factors[0], valid, total)
 
 
 def wlc(factors: list[SuitabilityGrid], weights, constraints: list[BinaryMask] = ()) -> SuitabilityGrid:
     """Weighted linear combination: round(sum w_i * f_i), then constraint
-    gating, as bytes.
-
-    Weights are expected to sum to 1 so the result stays on the byte scale.
-    The terms w_i * f_i are added into the output grid in factor order, so
-    a cell's value depends on its own factors alone, and every step runs in
-    place on the valid cells alone (`where=valid`), so the only other
-    grid-sized float array is one term. Each term multiplies the factor's
-    stored codes in float64.
-    """
-    w, valid = _combine_prep(factors, weights, constraints)
-    geometry = factors[0]
-    out = geometry.blank()
-    term = np.empty(geometry.shape)
-    np.multiply(factors[0].stored, w[0], out=out, where=valid, dtype=np.float64)
-    for f, wi in zip(factors[1:], w[1:]):
-        np.multiply(f.stored, wi, out=term, where=valid, dtype=np.float64)
-        np.add(out, term, out=out, where=valid)
-    del term
-    np.add(out, 0.5, out=out, where=valid)
-    np.floor(out, out=out, where=valid)
-    for m in constraints:
-        np.multiply(out, m.values, out=out, where=valid)
-    return geometry.computed(out, SuitabilityGrid)
+    gating, as bytes. weights is an array, one per factor, that should sum
+    to 1: a sum outside 0..255 is refused, not clipped."""
+    return _combine(factors, weights, constraints)
 
 
 def owa(
@@ -156,44 +185,13 @@ def owa(
     order_weights,
     constraints: list[BinaryMask] = (),
 ) -> SuitabilityGrid:
-    """Ordered weighted averaging, as bytes.
-
-    Per cell the factor-weighted values w_i*f_i*n are ranked ascending and
-    the k-th order weight multiplies the value of rank k. Order weights are
-    applied through the rank permutation while the terms are added in factor
-    order, as wlc adds them: with uniform order weights every effective
-    multiplier is exactly 1, so the result equals wlc bit for bit.
-    """
-    ow = np.asarray(order_weights, dtype=np.float64)
-    w, valid = _combine_prep(factors, factor_weights, constraints)
-    n = len(factors)
-    if ow.ndim != 1 or ow.size != n:
-        raise DataError(f"{n} factors but {ow.size} order weights")
-    if not (np.all(ow >= 0) and abs(float(ow.sum()) - 1.0) <= 1e-9):
-        raise DataError("order weights must be non-negative and sum to 1")
-
-    terms = np.empty((n, int(np.count_nonzero(valid))))  # the valid cells alone
-    for row, f in zip(terms, factors):
-        row[:] = f.stored[valid]  # codes to float64, exactly
-    terms *= w[:, None]  # same term layout and reduction order as wlc
-    order = np.argsort(terms * float(n), axis=0, kind="stable")  # ascending, ties by factor index
-    # the term of rank r is multiplied by effective[r]; uniform order
-    # weights make every multiplier exactly 1.0
-    effective = ow * float(n)
-    multiplier = np.empty_like(terms)
-    np.put_along_axis(multiplier, order, effective[:, None], axis=0)
-    del order
-    multiplier *= terms
-    combined = multiplier[0].copy()  # the rows added in factor order, as wlc adds them
-    for row in multiplier[1:]:
-        combined += row
-    del multiplier, terms
-    np.clip(combined, 0.0, 255.0, out=combined)
-    combined += 0.5
-    np.floor(combined, out=combined)
-    for m in constraints:
-        combined *= m.values[valid]
-    return SuitabilityGrid.from_cells(factors[0], valid, combined)
+    """Ordered weighted averaging, as bytes: per cell the k-th order weight
+    times n multiplies the term w_i*f_i whose key w_i*f_i*n is k-th in
+    ascending order, ties to the lower factor index; the sum is clipped to
+    0..255, rounded and gated. Order weights of 1/n each give multipliers
+    of exactly 1 for every n up to 48, so no rank is found and the result
+    is wlc's bit for bit."""
+    return _combine(factors, factor_weights, constraints, np.asarray(order_weights, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

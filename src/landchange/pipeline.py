@@ -384,9 +384,9 @@ def stage_mce(cfg: PipelineConfig, handed: dict | None) -> list[str]:
     for cid, names in cfg.suitability.items():
         fs = [factors[name] for name in names]
         if cfg.mce_method == "owa":
-            suits[cid] = owa(fs, ws, cfg.order_weights, constraints)
+            suits[cid] = owa(fs, ws.weights, cfg.order_weights, constraints)
         else:
-            suits[cid] = wlc(fs, ws, constraints)
+            suits[cid] = wlc(fs, ws.weights, constraints)
 
     write_weights_csv([f"rank{i + 1}" for i in range(n)], ws, cfg.out_dir / WEIGHTS_CSV)
     for cid, suit in suits.items():

@@ -624,6 +624,46 @@ def test_both_constraint_flags_exit_2_naming_both_before_writing(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fuzzy", ["j_shaped,increasing,0,1e-300", "sigmoidal,increasing,0,1e-310"])
+def test_a_fuzzy_span_far_below_the_value_gaps_writes_the_limits_with_no_warning(tmp_path, capsys, caplog, fuzzy):
+    grid = _w(tmp_path / "g.asc", [[-1.0, 0.0], [1.0, -9999.0]])
+    out = tmp_path / "crit"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        args = ["criteria", "--input", grid, "--fuzzy", fuzzy, "--out", str(out), "--quiet"]
+        code, err = _main_in_process(args, capsys, caplog)
+    assert code == 0, err
+    at_a = 128.0 if fuzzy.startswith("j_shaped") else 0.0  # j-shaped is 0.5 at a
+    assert read_ascii_grid(out / "criterion_fuzzy.asc").values.tolist() == [[0.0, at_a], [255.0, -9999.0]]
+
+
+def test_a_fuzzy_span_beyond_the_float_range_exits_2_naming_fuzzy_before_writing(tmp_path, capsys, caplog):
+    grid = _w(tmp_path / "g.asc", [[-1e308, 0.0], [1e308, 5.0]])
+    out = tmp_path / "crit"
+    args = ["criteria", "--input", grid, "--fuzzy", "linear,increasing,-1e308,1e308", "--out", str(out), "--quiet"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _main_in_process(args, capsys, caplog)
+    assert code == 2
+    assert "--fuzzy: control points and their span must be finite" in err
+    assert not out.exists()
+
+
+def test_the_mce_stage_with_a_fuzzy_span_far_below_the_value_gaps_runs_with_no_warning(tmp_path, capsys, caplog):
+    sc = tmp_path / "sc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenario", sc)
+    ini = sc / "pipeline.ini"
+    text = ini.read_text()
+    fuzzy = "[fuzzy.prox0]\nshape = linear\ndirection = decreasing\na = 0.0\nb = 2440.3483357914297\n"
+    assert fuzzy in text
+    ini.write_text(text.replace(fuzzy, fuzzy.replace("linear", "j_shaped").replace("2440.3483357914297", "1e-300")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _main_in_process(["mce", "--config", str(ini), "--out", str(sc / "out"), "--quiet"], capsys, caplog)
+    assert code == 0, err
+    assert (sc / "out" / "suit_0.asc").is_file()
+
+
 def test_constraint_keeps_its_0_cells_when_the_input_uses_nodata_0(tmp_path):
     grid = _w(tmp_path / "g.asc", [[5.0, 3.0], [0.0, 4.0]], nodata=0.0)
     out = tmp_path / "crit"

@@ -154,6 +154,14 @@ def test_fuzzy_validation(tmp_path):
         load_config(_write(tmp_path, bad))
     cfg = load_config(_write(tmp_path, BASE + CRIT))
     assert cfg.fuzzy["slope"].direction == "decreasing"
+    # finite points whose span is not
+    for points in (
+        "direction = decreasing\na = -1e308\nb = 1e308\n",
+        "direction = symmetric\na = -1.7e308\nb = -1.6e308\nc = -1e308\nd = 1e308\n",
+    ):
+        text = BASE + CRIT.replace("direction = decreasing\na = 0\nb = 10\n", points)
+        with pytest.raises(ConfigError, match=r"\[fuzzy.slope\]: control points and their span must be finite"):
+            load_config(_write(tmp_path, text))
 
 
 def test_mce_validation(tmp_path):

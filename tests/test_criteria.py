@@ -1,6 +1,7 @@
 """Distance transform, fuzzy standardization, constraints."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,24 @@ def test_fuzzy_spec_validation():
     for points in ((nan, 1), (0, nan), (-inf, 1), (0, inf), (0, 1, nan, 3), (0, 1, 2, nan), (0, 1, 2, inf)):
         with pytest.raises(DataError, match="must be finite"):
             FuzzySpec("linear", "symmetric" if len(points) == 4 else "increasing", *points)
+    # finite points whose span is not: a membership over it would be nan
+    for points in ((-1e308, 1e308), (-1.7e308, -1.6e308, -1e308, 1e308)):
+        with pytest.raises(DataError, match="and their span must be finite"):
+            FuzzySpec("linear", "symmetric" if len(points) == 4 else "increasing", *points)
+
+
+@pytest.mark.parametrize(
+    "shape, span", [("linear", 1e-310), ("sigmoidal", 1e-310), ("j_shaped", 1e-310), ("j_shaped", 1e-300)]
+)
+def test_a_span_far_below_the_value_gaps_gives_the_limits_with_no_warning(shape, span):
+    # 1 / span, or its square, overflows to inf: the membership's limit
+    g = Grid(np.array([[-1.0, 0.0, 1.0]]), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        up = fuzzy_standardize(g, FuzzySpec(shape, "increasing", 0.0, span))
+        down = fuzzy_standardize(g, FuzzySpec(shape, "decreasing", 0.0, span))
+    assert up.values.tolist() == [[0.0, 128.0 if shape == "j_shaped" else 0.0, 255.0]]
+    assert down.values.tolist() == [[255.0, 255.0, 0.0]]
 
 
 def test_linear_memberships():

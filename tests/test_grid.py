@@ -319,7 +319,6 @@ def test_neighbor_counts_matches_brute_force(mask, radius):
                         want[r, c] += mask[rr, cc]
     assert np.array_equal(neighbor_counts(mask, radius), want)
     assert neighbor_counts(mask, radius).dtype == np.int32  # a mask is counted in integers
-    assert np.array_equal(neighbor_counts(mask.astype(np.float64), radius), want)
 
 
 # ---------------------------------------------------------------------------
